@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test test-full bench-smoke bench-batching bench-staging bench-adaptive bench-elastic bench-placement bench-failover bench-wire bench-control bench-ring
+.PHONY: ci fmt vet build test test-full fuzz-smoke bench-smoke bench-batching bench-staging bench-adaptive bench-elastic bench-placement bench-failover bench-wire bench-control bench-ring
 
 ci: fmt vet build test
 
@@ -17,13 +17,20 @@ vet:
 build:
 	$(GO) build ./...
 
-# Fast lane: paper-figure reproductions are skipped (testing.Short).
+# Fast lane: paper-figure reproductions are skipped (testing.Short); the
+# Preserve tests that share a block with the application run 20 times.
 test:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=20 -run 'TestJobPreserve|TestJobStagingPreserve' .
 
 # Tier-1: the full suite including the figure reproductions (~15 s).
 test-full:
 	$(GO) build ./... && $(GO) test ./...
+
+# 10 s of each store-decoder fuzz target (spill-file reader, log reader).
+fuzz-smoke:
+	for f in FuzzReadBlock FuzzLogRead; do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/rt/realenv || exit 1; done
 
 # One iteration of every benchmark — catches bit-rot, measures nothing.
 bench-smoke:

@@ -2,8 +2,11 @@ package zipper
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -290,6 +293,90 @@ func TestFaultOffIsInert(t *testing.T) {
 	for _, sg := range st.Stagers {
 		if sg.Health != "" || sg.Evicted {
 			t.Fatalf("fault-off stager reports health %q evicted=%v", sg.Health, sg.Evicted)
+		}
+	}
+}
+
+// TestFaultJournalSegmentsReclaimed pushes ~23 log segments' worth of blocks
+// through a quiet fault-protected tier, the producers never more than 4 MiB
+// ahead of the analysis: delivery must release the journal's segments as it
+// goes — the spill partitions never hold more than a few — and a clean
+// Job.Wait leaves every stager partition empty.
+func TestFaultJournalSegmentsReclaimed(t *testing.T) {
+	const (
+		producers  = 2
+		blocks     = 1500
+		blockBytes = 32 << 10
+		lead       = 64 // blocks a producer may run ahead of the analysis
+		segments   = producers * blocks * blockBytes / (4 << 20)
+	)
+	var analyzed [producers]atomic.Int64
+	dir := t.TempDir()
+	job, err := NewJob(Config{
+		Producers: producers, Consumers: 1, SpoolDir: dir,
+		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8, DisableSteal: true,
+		Staging: StagingConfig{Stagers: 2, BufferBlocks: 64, RoutePolicy: RouteStaging},
+		Fault:   FaultConfig{Enabled: true, Heartbeat: 5 * time.Millisecond, LeaseTTL: time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segFiles := func() int {
+		names, err := filepath.Glob(filepath.Join(dir, "stage*", "wal-*.seg"))
+		if err != nil {
+			t.Error(err)
+		}
+		return len(names)
+	}
+	for p := 0; p < producers; p++ {
+		go func(p int) {
+			prod := job.Producer(p)
+			for i := 0; i < blocks; i++ {
+				for int64(i)-analyzed[p].Load() > lead {
+					time.Sleep(50 * time.Microsecond)
+				}
+				data := NewPayload(blockBytes)
+				data[0] = byte(i)
+				prod.Write(i, 0, data)
+			}
+			prod.Close()
+		}(p)
+	}
+	n, maxFiles := 0, 0
+	for {
+		blk, ok := job.Consumer(0).Read()
+		if !ok {
+			break
+		}
+		if n%64 == 0 {
+			maxFiles = max(maxFiles, segFiles())
+		}
+		n++
+		analyzed[blk.ID.Rank].Add(1)
+		blk.Release()
+	}
+	job.Wait()
+	st := job.Stats()
+	if n != producers*blocks || st.BlocksLost != 0 || st.Evictions != 0 {
+		t.Fatalf("analyzed %d of %d blocks, %d lost, %d evictions", n, producers*blocks, st.BlocksLost, st.Evictions)
+	}
+	if maxFiles == 0 {
+		t.Fatal("never saw a segment file: the journal is not writing to the stager partitions")
+	}
+	if maxFiles > segments/2 {
+		t.Fatalf("partitions grew to %d segment files for %d segments of traffic: delivered records are not reclaimed", maxFiles, segments)
+	}
+	parts, err := filepath.Glob(filepath.Join(dir, "stage*"))
+	if err != nil || len(parts) == 0 {
+		t.Fatalf("no stager partitions under the spool (%v)", err)
+	}
+	for _, part := range parts {
+		ents, err := os.ReadDir(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 0 {
+			t.Fatalf("%s holds %d entries after a clean Wait (first: %s)", part, len(ents), ents[0].Name())
 		}
 	}
 }

@@ -29,8 +29,10 @@ type Block struct {
 	Bytes int64
 	// Data is the payload (nil in simulation mode).
 	Data []byte
-	// OnDisk marks blocks that already reside on the parallel file system,
-	// so the Preserve-mode output thread need not store them again.
+	// OnDisk marks blocks that arrived through the parallel file system
+	// (set only by a store's ReadBlock), so the Preserve-mode output thread
+	// need not store them again. Writing a block to a store does not set it:
+	// the application may be reading the block at that moment.
 	OnDisk bool
 	// Enc names the reduction operator applied to the payload (0 = none; the
 	// values are internal/reduce.Kind). While Enc is nonzero, Data holds the

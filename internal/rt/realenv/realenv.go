@@ -9,9 +9,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zipper/internal/block"
@@ -121,17 +124,25 @@ func (n *Network) Port() rt.Transport { return n.eps.Port() }
 // followed by the payload; the checksum catches torn or corrupted spill
 // files before they reach the analysis, and the raw-size/encoding pair lets
 // a reduced payload spill and reload without losing its stamp (the payload
-// on disk is the encoded bytes — spilling never re-inflates).
+// on disk is the encoded bytes — spilling never re-inflates). The records of
+// a write-ahead log (OpenLog) use the same header.
 type FileStore struct {
 	dir string
+	// logs numbers the write-ahead logs opened anywhere under the root
+	// store, so every log's segment files get names of their own.
+	logs *atomic.Uint64
 }
 
 // NewFileStore creates (if needed) and uses dir as the spool directory.
 func NewFileStore(dir string) (*FileStore, error) {
+	return newFileStore(dir, new(atomic.Uint64))
+}
+
+func newFileStore(dir string, logs *atomic.Uint64) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("realenv: creating spool dir: %w", err)
 	}
-	return &FileStore{dir: dir}, nil
+	return &FileStore{dir: dir, logs: logs}, nil
 }
 
 // Dir returns the spool directory.
@@ -139,66 +150,140 @@ func (s *FileStore) Dir() string { return s.dir }
 
 // Partition returns a store rooted in a subdirectory of this one — each
 // in-transit stager spills into its own partition so its private overflow
-// never collides with producer spills or preserved blocks.
+// never collides with producer spills or preserved blocks. Asking for the
+// same partition again (a respawned stager) yields a store over the same
+// directory.
 func (s *FileStore) Partition(name string) (*FileStore, error) {
-	return NewFileStore(filepath.Join(s.dir, name))
+	return newFileStore(filepath.Join(s.dir, name), s.logs)
 }
 
+// path builds the block's file name (dir/b<rank>_s<step>_q<seq>, the
+// block.ID.String form) with a single allocation.
 func (s *FileStore) path(id block.ID) string {
-	return filepath.Join(s.dir, id.String())
+	var a [128]byte
+	p := append(a[:0], s.dir...)
+	p = append(p, filepath.Separator, 'b')
+	p = strconv.AppendInt(p, int64(id.Rank), 10)
+	p = append(p, "_s"...)
+	p = strconv.AppendInt(p, int64(id.Step), 10)
+	p = append(p, "_q"...)
+	p = strconv.AppendInt(p, int64(id.Seq), 10)
+	return string(p)
 }
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on amd64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// storeHeaderLen is the spill-file header size (see FileStore doc).
-const storeHeaderLen = 29
+// storeHeaderLen is the spill-file and log-record header size.
+const storeHeaderLen = rt.RecordHeaderBytes
 
-// WriteBlock persists b and marks it OnDisk.
+// storeHeader is the decoded record header (see FileStore).
+type storeHeader struct {
+	offset int64  // block position in the producer's step output
+	n      int64  // payload bytes that follow the header
+	sum    uint32 // CRC-32C of the payload
+	raw    int64  // raw (decoded) block size
+	enc    uint8  // reduction encoding of the payload, 0 = none
+}
+
+// putStoreHeader encodes b's header into dst[:storeHeaderLen].
+func putStoreHeader(dst []byte, b *block.Block) {
+	binary.LittleEndian.PutUint64(dst, uint64(b.Offset))
+	binary.LittleEndian.PutUint64(dst[8:], uint64(len(b.Data)))
+	binary.LittleEndian.PutUint32(dst[16:], crc32.Checksum(b.Data, crcTable))
+	binary.LittleEndian.PutUint64(dst[20:], uint64(b.Bytes))
+	dst[28] = b.Enc
+}
+
+func parseStoreHeader(src []byte) storeHeader {
+	return storeHeader{
+		offset: int64(binary.LittleEndian.Uint64(src)),
+		n:      int64(binary.LittleEndian.Uint64(src[8:])),
+		sum:    binary.LittleEndian.Uint32(src[16:]),
+		raw:    int64(binary.LittleEndian.Uint64(src[20:])),
+		enc:    src[28],
+	}
+}
+
+// readRecord reads the header at off of r, checks that the payload it
+// announces is exactly `want` bytes, reads the payload into a pooled buffer
+// and verifies its checksum. want comes from the caller's own bookkeeping
+// (the file's size, a log ref inside its segment's written extent), never
+// from the header, so corrupt bytes cannot make the reader allocate what
+// the file does not hold.
+func readRecord(r io.ReaderAt, off, want int64, id block.ID) (*block.Block, error) {
+	var hdr [storeHeaderLen]byte
+	if _, err := r.ReadAt(hdr[:], off); err != nil {
+		return nil, fmt.Errorf("header truncated: %w", err)
+	}
+	h := parseStoreHeader(hdr[:])
+	if h.n != want {
+		return nil, fmt.Errorf("corrupt: header says %d payload bytes, expected %d", h.n, want)
+	}
+	data := block.GetPayload(int(want))
+	b := block.New(id, h.offset, data)
+	if _, err := r.ReadAt(data, off+storeHeaderLen); err != nil {
+		b.Release()
+		return nil, fmt.Errorf("payload truncated: %w", err)
+	}
+	if got := crc32.Checksum(data, crcTable); got != h.sum {
+		b.Release()
+		return nil, fmt.Errorf("checksum mismatch: %#x != %#x", got, h.sum)
+	}
+	if h.enc != 0 {
+		// The record holds a reduced payload: restore the stamp and the raw
+		// size so the decoder downstream knows what to rebuild.
+		b.Enc = h.enc
+		b.EncBytes = h.n
+		b.Bytes = h.raw
+	}
+	return b, nil
+}
+
+// WriteBlock persists b as one file: header, then the payload straight from
+// b.Data. It does not touch b — the application may be reading the block
+// (Preserve mode stores blocks the analysis still holds).
 func (s *FileStore) WriteBlock(c rt.Ctx, b *block.Block) error {
-	buf := make([]byte, storeHeaderLen+len(b.Data))
-	binary.LittleEndian.PutUint64(buf, uint64(b.Offset))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(len(b.Data)))
-	binary.LittleEndian.PutUint32(buf[16:], crc32.Checksum(b.Data, crcTable))
-	binary.LittleEndian.PutUint64(buf[20:], uint64(b.Bytes))
-	buf[28] = b.Enc
-	copy(buf[storeHeaderLen:], b.Data)
-	if err := os.WriteFile(s.path(b.ID), buf, 0o644); err != nil {
+	f, err := os.OpenFile(s.path(b.ID), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return fmt.Errorf("realenv: spilling %v: %w", b.ID, err)
 	}
-	b.OnDisk = true
+	var hdr [storeHeaderLen]byte
+	putStoreHeader(hdr[:], b)
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		_, err = f.Write(b.Data)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("realenv: spilling %v: %w", b.ID, err)
+	}
 	return nil
 }
 
-// ReadBlock loads a spilled block, verifying its length and checksum.
+// ReadBlock loads a spilled block into a pooled payload, verifying its
+// length and checksum, and marks it OnDisk: it arrived through the file
+// system.
 func (s *FileStore) ReadBlock(c rt.Ctx, id block.ID, bytes int64) (*block.Block, error) {
-	buf, err := os.ReadFile(s.path(id))
+	f, err := os.Open(s.path(id))
 	if err != nil {
 		return nil, fmt.Errorf("realenv: reading %v: %w", id, err)
 	}
-	if len(buf) < storeHeaderLen {
-		return nil, fmt.Errorf("realenv: block file %v truncated (%d bytes)", id, len(buf))
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("realenv: reading %v: %w", id, err)
 	}
-	offset := int64(binary.LittleEndian.Uint64(buf))
-	n := int64(binary.LittleEndian.Uint64(buf[8:]))
-	sum := binary.LittleEndian.Uint32(buf[16:])
-	rawBytes := int64(binary.LittleEndian.Uint64(buf[20:]))
-	enc := buf[28]
-	if int64(len(buf)-storeHeaderLen) != n {
-		return nil, fmt.Errorf("realenv: block file %v corrupt: header says %d bytes, file has %d", id, n, len(buf)-storeHeaderLen)
+	if fi.Size() < storeHeaderLen {
+		return nil, fmt.Errorf("realenv: block file %v truncated (%d bytes)", id, fi.Size())
 	}
-	if got := crc32.Checksum(buf[storeHeaderLen:], crcTable); got != sum {
-		return nil, fmt.Errorf("realenv: block file %v checksum mismatch: %#x != %#x", id, got, sum)
+	b, err := readRecord(f, 0, fi.Size()-storeHeaderLen, id)
+	if err != nil {
+		return nil, fmt.Errorf("realenv: block file %v: %w", id, err)
 	}
-	b := block.New(id, offset, buf[storeHeaderLen:])
 	b.OnDisk = true
-	if enc != 0 {
-		// The file holds a reduced payload: restore the stamp and the raw
-		// size so the decoder downstream knows what to rebuild.
-		b.Enc = enc
-		b.EncBytes = n
-		b.Bytes = rawBytes
-	}
 	return b, nil
 }
 
@@ -213,5 +298,5 @@ func (s *FileStore) RemoveBlock(c rt.Ctx, id block.ID) error {
 var (
 	_ rt.Env             = (*Env)(nil)
 	_ rt.CreditTransport = (*Network)(nil)
-	_ rt.BlockStore      = (*FileStore)(nil)
+	_ rt.LogStore        = (*FileStore)(nil)
 )

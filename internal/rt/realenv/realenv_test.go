@@ -67,8 +67,8 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if err := fs.WriteBlock(c, b); err != nil {
 		t.Fatal(err)
 	}
-	if !b.OnDisk {
-		t.Fatal("OnDisk not set")
+	if b.OnDisk {
+		t.Fatal("WriteBlock marked the caller's block OnDisk: the application may be reading it")
 	}
 	got, err := fs.ReadBlock(c, b.ID, b.Bytes)
 	if err != nil {

@@ -192,25 +192,37 @@ type Store struct {
 	FS *pfs.PFS
 	// Prefix namespaces this workflow's spill files.
 	Prefix string
+	// logs numbers the write-ahead logs opened under the root store, so
+	// every log's segments get names of their own (and, the numbering being
+	// per run, the same names on every run).
+	logs *int
 }
 
 // NewStore wraps a simulated parallel file system.
-func NewStore(fs *pfs.PFS, prefix string) *Store { return &Store{FS: fs, Prefix: prefix} }
+func NewStore(fs *pfs.PFS, prefix string) *Store {
+	return &Store{FS: fs, Prefix: prefix, logs: new(int)}
+}
+
+// Partition returns a store over the same file system under another prefix
+// — a stager's private spill partition.
+func (s *Store) Partition(prefix string) *Store {
+	return &Store{FS: s.FS, Prefix: prefix, logs: s.logs}
+}
 
 func (s *Store) name(id block.ID) string { return s.Prefix + "/" + id.String() }
 
-// WriteBlock spills the block to the PFS model and marks it OnDisk. A block
-// carrying a reduction encoding charges its encoded size: spilling never
-// re-inflates, matching the real store.
+// WriteBlock spills the block to the PFS model. A block carrying a
+// reduction encoding charges its encoded size: spilling never re-inflates,
+// matching the real store.
 func (s *Store) WriteBlock(c rt.Ctx, b *block.Block) error {
 	sc := proc(c)
 	s.FS.Write(sc.P, sc.Node, s.name(b.ID), 0, b.WireBytes())
-	b.OnDisk = true
 	return nil
 }
 
 // ReadBlock loads a spilled block's size and identity (contents are
-// symbolic in simulation).
+// symbolic in simulation) and marks it OnDisk: it arrived through the file
+// system.
 func (s *Store) ReadBlock(c rt.Ctx, id block.ID, bytes int64) (*block.Block, error) {
 	sc := proc(c)
 	s.FS.Read(sc.P, sc.Node, s.name(id), 0, bytes)
@@ -222,8 +234,60 @@ func (s *Store) ReadBlock(c rt.Ctx, id block.ID, bytes int64) (*block.Block, err
 // RemoveBlock is metadata-only in the simulated store.
 func (s *Store) RemoveBlock(c rt.Ctx, id block.ID) error { return nil }
 
+// OpenLog starts a new write-ahead log under this store's prefix.
+func (s *Store) OpenLog() rt.BlockLog {
+	*s.logs++
+	return &segLog{fs: s.FS, prefix: fmt.Sprintf("%s/wal-%d", s.Prefix, *s.logs)}
+}
+
+// segLog is the simulated rt.BlockLog: the same segment bookkeeping as the
+// real platform's, charged to the PFS model — an append is one write of the
+// batch's headers and wire bytes at the segment's tail (the first write to
+// a segment also pays the metadata server for the create), a read one read
+// of the record. Contents are symbolic, so Read rebuilds only the size.
+// The engine runs one process at a time, so no locking is needed.
+type segLog struct {
+	fs     *pfs.PFS
+	prefix string
+	tab    rt.Segments
+}
+
+func (l *segLog) segName(seg int) string { return fmt.Sprintf("%s-%d.seg", l.prefix, seg) }
+
+func (l *segLog) Append(c rt.Ctx, blocks []*block.Block, refs []rt.LogRef) error {
+	if len(blocks) == 0 {
+		return nil
+	}
+	var total int64
+	for _, b := range blocks {
+		total += rt.RecordHeaderBytes + b.WireBytes()
+	}
+	seg, off := l.tab.Reserve(len(blocks), total)
+	for i, b := range blocks {
+		refs[i] = rt.LogRef{Seg: seg, Off: off, Len: b.WireBytes()}
+		off += rt.RecordHeaderBytes + b.WireBytes()
+	}
+	sc := proc(c)
+	l.fs.Write(sc.P, sc.Node, l.segName(seg), refs[0].Off, total)
+	return nil
+}
+
+func (l *segLog) Read(c rt.Ctx, id block.ID, ref rt.LogRef) (*block.Block, error) {
+	if !l.tab.Holds(ref) {
+		return nil, fmt.Errorf("simenv: log record of %v: segment %d holds no such record", id, ref.Seg)
+	}
+	sc := proc(c)
+	l.fs.Read(sc.P, sc.Node, l.segName(ref.Seg), ref.Off, rt.RecordHeaderBytes+ref.Len)
+	return block.NewSized(id, 0, ref.Len), nil
+}
+
+func (l *segLog) Release(c rt.Ctx, ref rt.LogRef) { l.tab.Release(ref.Seg) }
+
+// Close forgets the segments; unlinking is metadata-only in the model.
+func (l *segLog) Close(c rt.Ctx) { l.tab = rt.Segments{} }
+
 var (
 	_ rt.Env             = (*Env)(nil)
 	_ rt.CreditTransport = (*Network)(nil)
-	_ rt.BlockStore      = (*Store)(nil)
+	_ rt.LogStore        = (*Store)(nil)
 )

@@ -114,8 +114,8 @@ func TestStoreUsesCallerNode(t *testing.T) {
 		if err := st.WriteBlock(c, b); err != nil {
 			t.Error(err)
 		}
-		if !b.OnDisk {
-			t.Error("OnDisk not set")
+		if b.OnDisk {
+			t.Error("WriteBlock marked the caller's block OnDisk")
 		}
 		got, err := st.ReadBlock(c, b.ID, b.Bytes)
 		if err != nil {
@@ -159,5 +159,76 @@ func TestWireBytesAccounting(t *testing.T) {
 	want := int64(1750 + messageOverhead + 2*blockWireBytes)
 	if got := wireBytes(batch); got != want {
 		t.Fatalf("batched wireBytes = %d, want %d", got, want)
+	}
+}
+
+// TestLogChargesOneWritePerBatch pins the simulated write-ahead log's cost
+// model: a batch is one PFS write of its headers plus wire bytes at the
+// segment's tail (encoded blocks charge their encoded size), a read is one
+// PFS read of the record, and only the first append to a segment pays the
+// metadata server. Logs opened through partitions of one root store never
+// share segment names.
+func TestLogChargesOneWritePerBatch(t *testing.T) {
+	e, _, fs := rig()
+	root := NewStore(fs, "zipper")
+	part := root.Partition("zipper-stage0")
+	env := NewEnv(e, 2, 0)
+	env.Go("w", func(c rt.Ctx) {
+		log := part.OpenLog()
+		enc := block.NewSized(block.ID{Seq: 2}, 0, 1<<20)
+		enc.Enc, enc.EncBytes = 2, 1000
+		batch := []*block.Block{
+			block.NewSized(block.ID{Seq: 0}, 0, 4096),
+			block.NewSized(block.ID{Seq: 1}, 0, 4096),
+			enc,
+		}
+		refs := make([]rt.LogRef, len(batch))
+		t0 := c.Now()
+		if err := log.Append(c, batch, refs); err != nil {
+			t.Error(err)
+		}
+		first := c.Now() - t0
+		if _, w := fs.Stats(); w != 1 {
+			t.Errorf("a 3-block batch made %d PFS writes, want 1", w)
+		}
+		want := int64(3*rt.RecordHeaderBytes + 4096 + 4096 + 1000)
+		if got := fs.Size("zipper-stage0/wal-1-0.seg"); got != want {
+			t.Errorf("segment extent %d after the batch, want %d", got, want)
+		}
+		if refs[2].Len != 1000 || refs[2].Off != 2*(rt.RecordHeaderBytes+4096) {
+			t.Errorf("encoded block's ref = %+v", refs[2])
+		}
+		t0 = c.Now()
+		if err := log.Append(c, batch[:1], refs[:1]); err != nil {
+			t.Error(err)
+		}
+		if second := c.Now() - t0; second >= first {
+			t.Errorf("second append took %v, first %v: the segment create was charged twice", second, first)
+		}
+		got, err := log.Read(c, enc.ID, refs[2])
+		if err != nil {
+			t.Error(err)
+		} else if got.Bytes != 1000 || got.OnDisk {
+			t.Errorf("read back %+v", got)
+		}
+		if r, _ := fs.Stats(); r != 1 {
+			t.Errorf("%d PFS reads, want 1", r)
+		}
+		if _, err := log.Read(c, enc.ID, rt.LogRef{Seg: 3}); err == nil {
+			t.Error("read of a segment the log never had succeeded")
+		}
+
+		// A respawned instance's log on the same partition, opened through a
+		// second Partition call as the workflow does.
+		next := root.Partition("zipper-stage0").OpenLog()
+		if err := next.Append(c, batch[:1], refs[:1]); err != nil {
+			t.Error(err)
+		}
+		if fs.Size("zipper-stage0/wal-2-0.seg") == 0 {
+			t.Error("the second log did not get a segment name of its own")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

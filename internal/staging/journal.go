@@ -1,18 +1,21 @@
-// The crash-durable spool format and its replay reader. A fault-enabled
-// stager writes ahead: every admitted block is copied to the spill
-// partition before it is queued and a Record is appended to the Journal;
-// disk-ref announcements and Fins get meta Records carrying the declared
-// delivery totals. Delivery marks the record. The Journal outlives the
-// Stager — the embedder owns it per slot — so after a crash the recovery
-// reader (Replay) re-forwards exactly the records the dead endpoint still
-// owed, and counted per-destination Fin accounting balances without the
-// consumers ever learning a relay died. Message.Lost is the fallback for
-// the genuinely unrecoverable case: a journaled block whose spool copy
-// cannot be read back.
+// The crash-durable journal and its replay reader. A fault-enabled stager
+// writes ahead: every admitted message's blocks are appended — one write per
+// message — to the segment log the journal opens in the stager's spill
+// partition, and a Record per block remembers where (segment, offset,
+// length); disk-ref announcements and Fins get meta Records carrying the
+// declared delivery totals. Delivery drops the record and releases its log
+// space, so the journal holds exactly what a crash right now would owe. The
+// Journal outlives the Stager — the embedder owns it per instance — so after
+// a crash the recovery reader (Replay) re-forwards exactly the records the
+// dead endpoint still owed, and counted per-destination Fin accounting
+// balances without the consumers ever learning a relay died. Message.Lost is
+// the fallback for the genuinely unrecoverable case: a journaled block whose
+// log record cannot be read back.
 
 package staging
 
 import (
+	"errors"
 	"sort"
 	"sync"
 
@@ -21,12 +24,14 @@ import (
 )
 
 // Record is one write-ahead journal entry: a relayed block durable in the
-// spool partition, or the metadata of one admitted message (disk refs and
-// the Fin with its declared totals).
+// segment log, or the metadata of one admitted message (disk refs and the
+// Fin with its declared totals).
 type Record struct {
 	// Block entries.
 	id            block.ID
 	offset, bytes int64
+	enc           uint8
+	ref           rt.LogRef // where the log holds the payload; Seg < 0 = nowhere
 	isBlock       bool
 
 	// Meta entries.
@@ -35,46 +40,154 @@ type Record struct {
 	finBlocks, finDisk int64
 
 	from, dest int
-	delivered  bool
+
+	// Undelivered records form a list in admission order.
+	prev, next *Record
+	pending    bool
 }
 
-// Journal is the write-ahead manifest of one stager slot's spool partition.
-// The embedder owns it (it must survive the endpoint's death) and hands it
-// to the Stager via Config.Journal; the recovery path reads it back with
-// Replay. All methods are safe for concurrent use.
+// noRef marks a block record whose write-ahead append failed.
+var noRef = rt.LogRef{Seg: -1}
+
+// logged reports whether the log holds the record's payload.
+func (r *Record) logged() bool { return r.isBlock && r.ref.Seg >= 0 }
+
+// Journal is the write-ahead manifest of one stager instance. The embedder
+// owns it (it must survive the endpoint's death) and hands it to the Stager
+// via Config.Journal; the recovery path reads it back with Replay. It keeps
+// only undelivered records. Safe for concurrent use, except that blocks are
+// admitted by one thread only (the owning stager's receiver).
 type Journal struct {
-	mu      sync.Mutex
-	recs    []*Record
-	orphans []rt.Message
+	log  rt.BlockLog // opened by the stager the journal is handed to
+	refs []rt.LogRef // admitBlocks scratch
+
+	mu         sync.Mutex
+	head, tail *Record // undelivered records, oldest first
+	pending    int
+	orphans    []rt.Message
 }
 
 // NewJournal returns an empty journal.
 func NewJournal() *Journal { return &Journal{} }
 
-// addBlock appends an undelivered block record.
-func (j *Journal) addBlock(id block.ID, offset, bytes int64, from, dest int) *Record {
-	r := &Record{isBlock: true, id: id, offset: offset, bytes: bytes, from: from, dest: dest}
-	j.mu.Lock()
-	j.recs = append(j.recs, r)
-	j.mu.Unlock()
-	return r
+// open starts the journal's segment log in the stager's spill partition.
+func (j *Journal) open(fs rt.BlockStore) {
+	ls, ok := fs.(rt.LogStore)
+	if !ok {
+		panic("staging: a crash journal requires a spill store that hosts write-ahead logs (rt.LogStore)")
+	}
+	j.log = ls.OpenLog()
 }
 
-// addMeta appends an undelivered metadata record (disk refs and/or Fin).
+// pushLocked appends r to the undelivered list.
+func (j *Journal) pushLocked(r *Record) {
+	r.pending = true
+	r.prev = j.tail
+	if j.tail != nil {
+		j.tail.next = r
+	} else {
+		j.head = r
+	}
+	j.tail = r
+	j.pending++
+}
+
+// admitBlocks writes one admitted message's blocks ahead with a single log
+// append and journals a record per block, returned in block order. A failed
+// append degrades gracefully: the records are kept without a log location,
+// the normal forwarding path still delivers the in-memory blocks, and only
+// if the endpoint then crashes does the missing copy surface as a Lost
+// declaration. The append may park the thread, so the journal lock is not
+// held across it.
+func (j *Journal) admitBlocks(c rt.Ctx, from, dest int, blocks []*block.Block) []Record {
+	if cap(j.refs) < len(blocks) {
+		j.refs = make([]rt.LogRef, len(blocks))
+	}
+	refs := j.refs[:len(blocks)]
+	if err := j.log.Append(c, blocks, refs); err != nil {
+		for i := range refs {
+			refs[i] = noRef
+		}
+	}
+	recs := make([]Record, len(blocks))
+	for i, b := range blocks {
+		recs[i] = Record{isBlock: true, id: b.ID, offset: b.Offset, bytes: b.Bytes, enc: b.Enc,
+			ref: refs[i], from: from, dest: dest}
+	}
+	j.mu.Lock()
+	for i := range recs {
+		j.pushLocked(&recs[i])
+	}
+	j.mu.Unlock()
+	return recs
+}
+
+// addMeta journals an undelivered metadata record (disk refs and/or Fin).
 func (j *Journal) addMeta(from, dest int, disk []rt.DiskRef, fin bool, finBlocks, finDisk int64) *Record {
 	r := &Record{from: from, dest: dest, disk: disk, fin: fin, finBlocks: finBlocks, finDisk: finDisk}
 	j.mu.Lock()
-	j.recs = append(j.recs, r)
+	j.pushLocked(r)
 	j.mu.Unlock()
 	return r
 }
 
-// markDelivered retires a record: its payload reached the consumer through
-// the normal forwarding path (or was declared Lost there).
-func (j *Journal) markDelivered(r *Record) {
+// deliver retires a record: its payload reached the consumer through the
+// normal forwarding path (or was declared Lost there). The record leaves
+// the journal and its log space is released.
+func (j *Journal) deliver(c rt.Ctx, r *Record) {
 	j.mu.Lock()
-	r.delivered = true
+	if !r.pending {
+		j.mu.Unlock()
+		return
+	}
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		j.head = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	} else {
+		j.tail = r.prev
+	}
+	r.prev, r.next, r.pending = nil, nil, false
+	j.pending--
 	j.mu.Unlock()
+	j.release(c, r)
+}
+
+// release gives a block record's log space back.
+func (j *Journal) release(c rt.Ctx, r *Record) {
+	if r.logged() {
+		j.log.Release(c, r.ref)
+	}
+}
+
+// read loads a journaled block back from the log — a checksum-verified
+// positional read into a pooled payload — and restores what the record
+// knows about it (on the simulated platform the log keeps no contents).
+func (j *Journal) read(c rt.Ctx, r *Record) (*block.Block, error) {
+	if !r.logged() {
+		return nil, errors.New("staging: the block's write-ahead append had failed")
+	}
+	b, err := j.log.Read(c, r.id, r.ref)
+	if err != nil {
+		return nil, err
+	}
+	b.Offset = r.offset
+	if r.enc != 0 {
+		b.Enc = r.enc
+		b.EncBytes = r.ref.Len
+		b.Bytes = r.bytes
+	}
+	return b, nil
+}
+
+// close retires the log once nothing is left to deliver or replay.
+func (j *Journal) close(c rt.Ctx) {
+	if j.log != nil {
+		j.log.Close(c)
+	}
 }
 
 // AddOrphan records a whole message the dead endpoint's receiver drained
@@ -91,59 +204,54 @@ func (j *Journal) AddOrphan(m rt.Message) {
 func (j *Journal) Pending() (records, orphans int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, r := range j.recs {
-		if !r.delivered {
-			records++
-		}
-	}
-	return records, len(j.orphans)
+	return j.pending, len(j.orphans)
 }
 
-// drain atomically takes every undelivered record (marking it delivered so
-// a second replay is a no-op) and the orphan backlog.
-func (j *Journal) drain() (recs []*Record, orphans []rt.Message) {
+// drain atomically takes every undelivered record (oldest first, linked by
+// next; a second replay finds none) and the orphan backlog.
+func (j *Journal) drain() (head *Record, orphans []rt.Message) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for _, r := range j.recs {
-		if !r.delivered {
-			r.delivered = true
-			recs = append(recs, r)
-		}
-	}
+	head = j.head
+	j.head, j.tail, j.pending = nil, nil, 0
 	orphans = j.orphans
 	j.orphans = nil
 	return
 }
 
 // Replay is the recovery reader: it re-forwards everything a dead stager
-// still owed its consumers — journaled blocks read back from the spool
-// partition fs, journaled disk refs and Fins with their declared totals,
-// and the orphaned messages the dead receiver drained. Journal admission
-// order is preserved; counted stream termination makes cross-producer
-// interleaving irrelevant. A journaled block whose spool copy cannot be
-// read back is declared via Message.Lost to its destination so the stream
-// still terminates. Returns the blocks re-forwarded (journal + orphans),
-// the orphan messages re-sent, and the blocks declared lost.
-func Replay(c rt.Ctx, j *Journal, fs rt.BlockStore, tr rt.Transport) (replayed, orphans, lost int64) {
-	recs, orphaned := j.drain()
+// still owed its consumers — journaled blocks read back from the journal's
+// segment log, journaled disk refs and Fins with their declared totals, and
+// the orphaned messages the dead receiver drained — and then retires the
+// log. Call it once the dead endpoint's threads have exited. Journal
+// admission order is preserved; counted stream termination makes
+// cross-producer interleaving irrelevant. A journaled block whose log
+// record cannot be read back is declared via Message.Lost to its
+// destination so the stream still terminates. Returns the blocks
+// re-forwarded (journal + orphans), the orphan messages re-sent, and the
+// blocks declared lost.
+//
+// The store argument is unused — the journal opened its log in the stager's
+// spill partition when the stager started — and stays only because the
+// benchmark driver (bench/, frozen for this change) calls Replay with it.
+func Replay(c rt.Ctx, j *Journal, _ rt.BlockStore, tr rt.Transport) (replayed, orphans, lost int64) {
+	head, orphaned := j.drain()
 	lostByDest := map[int]int64{}
-	for _, r := range recs {
+	for r := head; r != nil; {
+		next := r.next
+		r.prev, r.next, r.pending = nil, nil, false
 		if !r.isBlock {
 			tr.Send(c, r.dest, rt.Message{From: r.from, Dest: r.dest, Disk: r.disk,
 				Fin: r.fin, FinBlocks: r.finBlocks, FinDisk: r.finDisk})
-			continue
-		}
-		b, err := fs.ReadBlock(c, r.id, r.bytes)
-		if err != nil {
+		} else if b, err := j.read(c, r); err != nil {
 			lostByDest[r.dest]++
 			lost++
-			continue
+		} else {
+			tr.Send(c, r.dest, rt.Message{From: r.from, Dest: r.dest, Blocks: []*block.Block{b}})
+			replayed++
 		}
-		_ = fs.RemoveBlock(c, r.id)
-		b.Offset = r.offset
-		b.OnDisk = false
-		tr.Send(c, r.dest, rt.Message{From: r.from, Dest: r.dest, Blocks: []*block.Block{b}})
-		replayed++
+		j.release(c, r)
+		r = next
 	}
 	for _, m := range orphaned {
 		tr.Send(c, m.Dest, m)
@@ -159,5 +267,6 @@ func Replay(c rt.Ctx, j *Journal, fs rt.BlockStore, tr rt.Transport) (replayed, 
 	for _, d := range dests {
 		tr.Send(c, d, rt.Message{Dest: d, Lost: lostByDest[d]})
 	}
+	j.close(c)
 	return
 }

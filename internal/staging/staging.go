@@ -37,6 +37,7 @@
 package staging
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -113,13 +114,15 @@ type Config struct {
 	Tenant func(from int) int
 
 	// Journal, when non-nil, makes the stager crash-durable: every admitted
-	// block is written ahead to the spill partition and journaled before it
-	// is queued, metadata (disk refs, Fins) gets journal records carrying
-	// the declared totals, and delivery marks the records. The journal is
-	// owned by the embedder — it must survive the endpoint's death so the
-	// recovery reader (Replay) can re-forward what the crash stranded.
-	// Requires Managed and a spill store. Enables Kill-based fault
-	// injection.
+	// message's blocks are written ahead — one append — to a segment log the
+	// journal opens in the spill partition and journaled before they are
+	// queued, metadata (disk refs, Fins) gets journal records carrying the
+	// declared totals, and delivery drops the records and releases their
+	// log space. The journal is owned by the embedder, one per stager
+	// instance — it must survive the endpoint's death so the recovery
+	// reader (Replay) can re-forward what the crash stranded. Requires
+	// Managed and a spill store that hosts logs (rt.LogStore). Enables
+	// Kill-based fault injection.
 	Journal *Journal
 	// Heartbeat, when non-nil, is invoked every HeartbeatInterval by a
 	// dedicated thread while the stager is healthy — the lease renewal. A
@@ -185,10 +188,11 @@ type Stats struct {
 }
 
 // relayBlock is one buffered block: resident in memory, being spilled, or
-// spilled to the store (b == nil) awaiting re-read by the forwarder. The
-// enc/encBytes pair snapshots the block's reduction stamp at spill time so
-// the forwarder's re-read can restore it on platforms whose store keeps no
-// payload (the simulated PFS).
+// spilled (b == nil) awaiting re-read by the forwarder — from the spill
+// store, or in fault mode from the write-ahead log, where "spilling" only
+// drops the in-memory payload. The enc/encBytes pair snapshots the block's
+// reduction stamp at spill time so the forwarder's re-read can restore it
+// on platforms whose store keeps no payload (the simulated PFS).
 type relayBlock struct {
 	b        *block.Block
 	id       block.ID
@@ -281,8 +285,11 @@ func NewStager(env rt.Env, cfg Config, id int, in rt.Inbox, tr rt.Transport, fs 
 	if !cfg.Managed && cfg.Producers < 1 {
 		panic("staging: stager needs at least one producer")
 	}
-	if cfg.Journal != nil && (!cfg.Managed || fs == nil) {
-		panic("staging: a crash journal requires a managed stager with a spill store")
+	if cfg.Journal != nil {
+		if !cfg.Managed || fs == nil {
+			panic("staging: a crash journal requires a managed stager with a spill store")
+		}
+		cfg.Journal.open(fs)
 	}
 	s := &Stager{env: env, cfg: cfg, id: id, in: in, tr: tr, fs: fs}
 	s.spillAt = cfg.HighWater
@@ -623,10 +630,10 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 		}
 		if s.cfg.Journal != nil {
 			// Write ahead, outside the lock: the message is fully durable
-			// (blocks in the spool partition, metadata journaled) before it
-			// can become visible to the forwarder.
+			// (blocks in the segment log, metadata journaled) before it can
+			// become visible to the forwarder.
 			s.lk.Unlock(c)
-			walBusy := s.walSlot(c, sl)
+			walBusy := s.walSlot(c, sl, m.Blocks)
 			s.lk.Lock(c)
 			s.fl.SpillBusy.AddDur(c.Now(), walBusy)
 			if s.killed {
@@ -685,22 +692,16 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 	s.lk.Unlock(c)
 }
 
-// walSlot writes the write-ahead copy of one admitted message: each block
-// into the spool partition plus a journal record, and one meta record for
-// disk refs and Fins. Runs without the stager lock (WriteBlock parks).
-// A failed write-ahead copy degrades gracefully: the record is kept, the
-// normal forwarding path still delivers the in-memory block, and only if
-// the endpoint then crashes does the unreadable spool copy surface as a
-// Lost declaration — the documented fallback.
-func (s *Stager) walSlot(c rt.Ctx, sl *slot) time.Duration {
+// walSlot writes one admitted message ahead: its blocks with a single log
+// append plus a journal record each, and one meta record for disk refs and
+// Fins. Runs without the stager lock (the append parks).
+func (s *Stager) walSlot(c rt.Ctx, sl *slot, blocks []*block.Block) time.Duration {
 	start := c.Now()
-	for _, rb := range sl.blocks {
-		_ = s.fs.WriteBlock(c, rb.b)
-		// The spool copy is the stager's private durability copy, not a
-		// preserved block: the consumer must keep treating the forwarded
-		// in-memory block as network data.
-		rb.b.OnDisk = false
-		rb.rec = s.cfg.Journal.addBlock(rb.id, rb.offset, rb.bytes, sl.from, sl.dest)
+	if len(blocks) > 0 {
+		recs := s.cfg.Journal.admitBlocks(c, sl.from, sl.dest, blocks)
+		for i, rb := range sl.blocks {
+			rb.rec = &recs[i]
+		}
 	}
 	if len(sl.disk) > 0 || sl.fin {
 		sl.meta = s.cfg.Journal.addMeta(sl.from, sl.dest, sl.disk, sl.fin, sl.finBlocks, sl.finDisk)
@@ -826,6 +827,11 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 					break
 				}
 			} else if s.recvDone {
+				if s.cfg.Journal != nil {
+					// Everything was delivered: retire the log's segment
+					// files before Wait can observe the drain.
+					s.cfg.Journal.close(c)
+				}
 				s.forwardDone = true
 				s.finished = c.Now()
 				s.maybeUnleaseLocked()
@@ -847,12 +853,8 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 				blocks = append(blocks, rb.b)
 				continue
 			}
-			readSize := rb.bytes
-			if rb.enc != 0 {
-				readSize = rb.encBytes
-			}
 			start := c.Now()
-			b, err := s.fs.ReadBlock(c, rb.id, readSize)
+			b, err := s.unspill(c, rb)
 			unspillBusy += c.Now() - start
 			if err != nil {
 				unspillErr = fmt.Errorf("staging: re-reading spilled block %v: %w", rb.id, err)
@@ -862,19 +864,6 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 				// the run lost).
 				lost++
 				continue
-			}
-			// Reclaim the spill file and hand the block on as a fresh
-			// in-memory one: the consumer must not mistake the stager's
-			// private spill copy for a preserved block.
-			_ = s.fs.RemoveBlock(c, rb.id)
-			b.Offset = rb.offset
-			b.OnDisk = false
-			if rb.enc != 0 {
-				// Restore the reduction stamp on platforms whose spill store
-				// keeps no payload (realenv's file header already did this).
-				b.Enc = rb.enc
-				b.EncBytes = rb.encBytes
-				b.Bytes = rb.bytes
 			}
 			blocks = append(blocks, b)
 		}
@@ -922,19 +911,13 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		}
 
 		if s.cfg.Journal != nil {
-			// Delivery retires the write-ahead records and reclaims the
-			// resident blocks' spool copies (spilled ones were already
-			// removed at re-read; lost ones were declared in the message).
+			// Delivery retires the write-ahead records and releases their
+			// log space (lost blocks were declared in the message).
 			for _, rb := range taken {
-				if rb.rec != nil {
-					s.cfg.Journal.markDelivered(rb.rec)
-				}
-				if !rb.spilled {
-					_ = s.fs.RemoveBlock(c, rb.id)
-				}
+				s.cfg.Journal.deliver(c, rb.rec)
 			}
 			for _, mr := range metas {
-				s.cfg.Journal.markDelivered(mr)
+				s.cfg.Journal.deliver(c, mr)
 			}
 		}
 
@@ -952,6 +935,36 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		}
 		s.lk.Unlock(c)
 	}
+}
+
+// unspill brings a spilled block back into memory. Without a journal the
+// block comes from its spill file, which is reclaimed, and is handed on as a
+// fresh in-memory block: the consumer must not mistake the stager's private
+// spill copy for one that arrived through the file system. In fault mode
+// the write-ahead log already holds it; the record stays until delivery.
+func (s *Stager) unspill(c rt.Ctx, rb *relayBlock) (*block.Block, error) {
+	if rb.rec != nil {
+		return s.cfg.Journal.read(c, rb.rec)
+	}
+	readSize := rb.bytes
+	if rb.enc != 0 {
+		readSize = rb.encBytes
+	}
+	b, err := s.fs.ReadBlock(c, rb.id, readSize)
+	if err != nil {
+		return nil, err
+	}
+	_ = s.fs.RemoveBlock(c, rb.id)
+	b.Offset = rb.offset
+	b.OnDisk = false
+	if rb.enc != 0 {
+		// Restore the reduction stamp on platforms whose spill store keeps
+		// no payload (realenv's file header already did this).
+		b.Enc = rb.enc
+		b.EncBytes = rb.encBytes
+		b.Bytes = rb.bytes
+	}
+	return b, nil
 }
 
 // spillerThread overflows the newest in-memory blocks to the spill store
@@ -990,11 +1003,16 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 		s.lk.Unlock(c)
 
 		// In fault mode the write-ahead copy made at admission already sits
-		// in the spool partition, so "spilling" is just dropping the
-		// in-memory payload.
+		// in the segment log, so "spilling" is just dropping the in-memory
+		// payload — unless that append had failed and memory holds the only
+		// copy.
 		var err error
 		var busy time.Duration
-		if s.cfg.Journal == nil {
+		if s.cfg.Journal != nil {
+			if !victim.rec.logged() {
+				err = errors.New("the block has no write-ahead copy to fall back on")
+			}
+		} else {
 			if s.spillEnc != nil && victim.b.Enc == 0 {
 				// Even once the raised rung engages, shrink the spill I/O
 				// itself: the victim rides to the PFS (and later back and
@@ -1017,7 +1035,6 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 		s.fl.SpillBusy.AddDur(c.Now(), busy)
 		victim.spilling = false
 		if err != nil {
-			victim.b.OnDisk = false
 			if s.err == nil {
 				s.err = fmt.Errorf("staging: spilling block %v: %w", victim.id, err)
 			}

@@ -542,7 +542,9 @@ func RunZipper(spec Spec) Result {
 			Reduce:         zcfg.Reduce,
 			Recorder:       r.rec,
 		}
-		spill := simenv.NewStore(r.fs, fmt.Sprintf("zipper-stage%d", slot))
+		// A partition of the root store, so a respawned instance's
+		// write-ahead log gets segment names of its own.
+		spill := store.Partition(fmt.Sprintf("zipper-stage%d", slot))
 		in := &stagerInst{slot: slot, spill: spill}
 		if faultOn {
 			// Each instance gets a fresh write-ahead journal — a respawned
