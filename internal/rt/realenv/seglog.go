@@ -10,12 +10,6 @@ import (
 	"zipper/internal/rt"
 )
 
-// logCoalesceBytes caps the scratch buffer an append gathers its records
-// in. A batch up to this size is copied once and leaves as one write; a
-// larger one — big blocks, where a system call per record is noise — is
-// written record by record straight from the payloads.
-const logCoalesceBytes = 1 << 20
-
 // segLog is the rt.BlockLog of one stager instance: segment files
 // wal-<log>-<segment>.seg in the stager's spill partition, each a plain
 // sequence of header+payload records (the FileStore header). Segment files
@@ -94,35 +88,25 @@ func (l *segLog) fileLocked(seg int) (*os.File, error) {
 	return l.files[seg], nil
 }
 
-// writeRecords lays the records out at off: gathered in the log's scratch
-// buffer and written with one positional write when the batch fits
-// logCoalesceBytes, otherwise header and payload per record, uncopied.
+// writeRecords gathers the records in the log's scratch buffer and lays
+// them out at off with one positional write. The scratch buffer grows to the
+// largest batch seen but is not kept beyond a segment's size: an oversized
+// batch's buffer goes back to the collector with it.
 func (l *segLog) writeRecords(f *os.File, off, total int64, blocks []*block.Block) error {
-	if want := min(total, logCoalesceBytes); int64(cap(l.scratch)) < want {
-		l.scratch = make([]byte, 0, want)
-	}
-	if total <= logCoalesceBytes {
-		buf := l.scratch[:0]
-		for _, b := range blocks {
-			buf = buf[:len(buf)+storeHeaderLen]
-			putStoreHeader(buf[len(buf)-storeHeaderLen:], b)
-			buf = append(buf, b.Data...)
+	buf := l.scratch[:0]
+	if int64(cap(buf)) < total {
+		buf = make([]byte, 0, total)
+		if total <= rt.LogSegmentBytes {
+			l.scratch = buf
 		}
-		_, err := f.WriteAt(buf, off)
-		return err
 	}
-	hdr := l.scratch[:storeHeaderLen]
 	for _, b := range blocks {
-		putStoreHeader(hdr, b)
-		if _, err := f.WriteAt(hdr, off); err != nil {
-			return err
-		}
-		if _, err := f.WriteAt(b.Data, off+storeHeaderLen); err != nil {
-			return err
-		}
-		off += storeHeaderLen + int64(len(b.Data))
+		buf = buf[:len(buf)+storeHeaderLen]
+		putStoreHeader(buf[len(buf)-storeHeaderLen:], b)
+		buf = append(buf, b.Data...)
 	}
-	return nil
+	_, err := f.WriteAt(buf, off)
+	return err
 }
 
 // Read loads and verifies the record at ref. The record is live, so its

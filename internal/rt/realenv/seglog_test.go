@@ -192,10 +192,9 @@ func TestSegLogRolloverAndReclaim(t *testing.T) {
 	}
 }
 
-// TestSegLogOversizedBatch: a batch larger than a segment (and larger than
-// the coalescing buffer, with payloads that bypass it) lands in a segment of
-// its own, reads back intact, and its file is unlinked as soon as the batch
-// is released.
+// TestSegLogOversizedBatch: a batch larger than a segment lands in a segment
+// of its own, reads back intact, and its file is unlinked as soon as the
+// batch is released.
 func TestSegLogOversizedBatch(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
@@ -208,7 +207,7 @@ func TestSegLogOversizedBatch(t *testing.T) {
 	if err := log.Append(c, small, smallRef); err != nil {
 		t.Fatal(err)
 	}
-	big := []*block.Block{logBlock(1, 3<<20), logBlock(2, 100), logBlock(3, logCoalesceBytes+1), logBlock(4, 700<<10)}
+	big := []*block.Block{logBlock(1, 3<<20), logBlock(2, 100), logBlock(3, 1<<20+1), logBlock(4, 700<<10)}
 	refs := make([]rt.LogRef, len(big))
 	if err := log.Append(c, big, refs); err != nil {
 		t.Fatal(err)

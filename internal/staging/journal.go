@@ -208,11 +208,16 @@ func (j *Journal) Pending() (records, orphans int) {
 }
 
 // drain atomically takes every undelivered record (oldest first, linked by
-// next; a second replay finds none) and the orphan backlog.
+// next; a second replay finds none) and the orphan backlog. The records stop
+// being pending here, under the lock, so a late deliver of one is a no-op
+// and the replay alone releases its log space.
 func (j *Journal) drain() (head *Record, orphans []rt.Message) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	head = j.head
+	for r := head; r != nil; r = r.next {
+		r.pending = false
+	}
 	j.head, j.tail, j.pending = nil, nil, 0
 	orphans = j.orphans
 	j.orphans = nil
@@ -239,7 +244,7 @@ func Replay(c rt.Ctx, j *Journal, _ rt.BlockStore, tr rt.Transport) (replayed, o
 	lostByDest := map[int]int64{}
 	for r := head; r != nil; {
 		next := r.next
-		r.prev, r.next, r.pending = nil, nil, false
+		r.prev, r.next = nil, nil
 		if !r.isBlock {
 			tr.Send(c, r.dest, rt.Message{From: r.from, Dest: r.dest, Disk: r.disk,
 				Fin: r.fin, FinBlocks: r.finBlocks, FinDisk: r.finDisk})

@@ -466,3 +466,44 @@ func TestJournalKeepsOnlyUndelivered(t *testing.T) {
 		t.Fatalf("%d entries left after close", len(ents))
 	}
 }
+
+// TestDeliverAfterDrainIsNoop: a record the replay has taken is no longer
+// pending, so a late delivery of it neither re-links the drained chain nor
+// drives the pending count negative nor releases its log space twice.
+func TestDeliverAfterDrainIsNoop(t *testing.T) {
+	fs, err := realenv.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := realenv.New().Ctx()
+	j := NewJournal()
+	j.open(fs)
+	payload := make([]byte, 512)
+	recs := j.admitBlocks(c, 0, 0, []*block.Block{
+		block.New(block.ID{Seq: 0}, 0, payload),
+		block.New(block.ID{Seq: 1}, 0, payload),
+		block.New(block.ID{Seq: 2}, 0, payload),
+	})
+	head, _ := j.drain()
+	if head != &recs[0] {
+		t.Fatal("drain did not return the oldest record")
+	}
+	j.deliver(c, &recs[1])
+	j.deliver(c, &recs[0])
+	if n, _ := j.Pending(); n != 0 || j.head != nil || j.tail != nil {
+		t.Fatalf("late delivery disturbed the drained journal: pending %d, head %p, tail %p", n, j.head, j.tail)
+	}
+	n := 0
+	for r := head; r != nil; r = r.next {
+		b, err := j.read(c, r)
+		if err != nil {
+			t.Fatalf("record %d unreadable after a late delivery: %v", n, err)
+		}
+		b.Release()
+		n++
+	}
+	if n != len(recs) {
+		t.Fatalf("drained chain holds %d records, want %d", n, len(recs))
+	}
+	j.close(c)
+}
