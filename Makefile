@@ -18,10 +18,12 @@ build:
 	$(GO) build ./...
 
 # Fast lane: paper-figure reproductions are skipped (testing.Short); the
-# Preserve tests that share a block with the application run 20 times.
+# Preserve tests that share a block with the application run 20 times, the
+# ring-window tests and the per-block allocation pins 10 times.
 test:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=20 -run 'TestJobPreserve|TestJobStagingPreserve' .
+	$(GO) test -race -count=10 -run 'TestRingWindowParksSender|TestJobRingWindowBoundsInFlight|TestPayloadCycleDoesNotAllocate|TestGaugeWritesDoNotAllocate|TestJobDirectCycleAllocs' ./internal/rt/realenv ./internal/block ./internal/flow .
 
 # Tier-1: the full suite including the figure reproductions (~15 s).
 test-full:

@@ -76,12 +76,14 @@ type FleetConfig struct {
 	// forwarded messages (defaults as in staging.Config).
 	MaxBatchBlocks int
 	MaxBatchBytes  int64
-	// Window is each endpoint's receive window in messages (default 4).
+	// Window is each endpoint's receive window in messages (default 4), on
+	// either transport (see Config.Window).
 	Window int
 	// RingDepth selects the intra-node fast path for the shared wire: when
-	// > 0 every sending thread gets private lock-free SPSC ring lanes of
-	// this depth instead of the buffered-channel endpoints (see
-	// StagingConfig.RingDepth). 0 keeps channels, byte-identical.
+	// > 0 every sending thread gets private lock-free SPSC ring lanes
+	// instead of the buffered-channel endpoints, each lane
+	// min(RingDepth, Window) messages deep (see StagingConfig.RingDepth).
+	// 0 keeps channels, byte-identical.
 	RingDepth int
 	// Reconcile is the control plane's reconcile period (default 2ms).
 	Reconcile time.Duration
@@ -158,7 +160,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	if cfg.RingDepth < 0 {
 		return nil, &ConfigError{Field: "RingDepth",
-			Reason: fmt.Sprintf("must be ≥ 0 (0 = channel transport, > 0 = SPSC ring depth in messages), got %d", cfg.RingDepth)}
+			Reason: fmt.Sprintf("must be ≥ 0 (0 = channel transport, > 0 = SPSC ring lanes of min(RingDepth, Window) messages), got %d", cfg.RingDepth)}
 	}
 	cfg = cfg.withDefaults()
 	env := realenv.New()
@@ -169,7 +171,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	f := &Fleet{env: env, cfg: cfg, fs: fs}
 	f.rankTenant.Store([]int(nil))
 	if cfg.RingDepth > 0 {
-		f.net = realenv.NewRingNetwork(cfg.MaxConsumers+cfg.Stagers, cfg.RingDepth)
+		f.net = realenv.NewRingNetwork(cfg.MaxConsumers+cfg.Stagers, min(cfg.RingDepth, cfg.Window))
 	} else {
 		f.net = realenv.NewNetwork(cfg.MaxConsumers+cfg.Stagers, cfg.Window)
 	}

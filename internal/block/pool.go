@@ -1,6 +1,9 @@
 package block
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // Payload pooling: steady-state transfer moves millions of fine-grain blocks
 // whose payloads are all near the configured block size, so recycling them
@@ -17,6 +20,10 @@ const (
 	maxPoolShift = 26 // 64 MiB
 )
 
+// payloadPools[s] holds released buffers of capacity exactly 1<<s, each as
+// the pointer to its first byte: a pointer fits an interface word, so Put
+// does not box a slice header per release, and the class index already says
+// how long the array behind it is.
 var payloadPools [maxPoolShift + 1]sync.Pool
 
 // poolShift returns the size class for a payload of n bytes: the smallest
@@ -45,7 +52,7 @@ func GetPayload(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := payloadPools[s].Get(); v != nil {
-		return v.([]byte)[:n]
+		return unsafe.Slice(v.(*byte), 1<<s)[:n]
 	}
 	return make([]byte, n, 1<<s)
 }
@@ -62,7 +69,7 @@ func putPayload(b []byte) {
 	for 1<<s < c {
 		s++
 	}
-	payloadPools[s].Put(b[:c])
+	payloadPools[s].Put(unsafe.SliceData(b))
 }
 
 // Release returns the block's payload to the pool and clears Data. Call it

@@ -91,3 +91,18 @@ func TestPooledPayloadsDoNotAlias(t *testing.T) {
 		}
 	}
 }
+
+// A pooled payload's round trip is what every block pays twice (producer
+// Get, consumer Release): it must not allocate — not even the interface box
+// a []byte costs when it is Put into a sync.Pool.
+func TestPayloadCycleDoesNotAllocate(t *testing.T) {
+	var b Block
+	b.Data = GetPayload(4096)
+	b.Release() // warm the class
+	if n := testing.AllocsPerRun(1000, func() {
+		b.Data = GetPayload(4096)
+		b.Release()
+	}); n != 0 {
+		t.Fatalf("GetPayload + Release allocates %.0f times per cycle, want 0", n)
+	}
+}

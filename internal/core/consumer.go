@@ -21,6 +21,31 @@ type entry struct {
 	release  bool
 }
 
+func (e *entry) freed() bool { return e.analyzed && e.stored }
+
+// entryQueue is the consumer buffer's storage: a growable ring of entries in
+// arrival order, addressed by positions that only ever increase, so the
+// threads' cursors into it stay valid across pops and growth and no entry is
+// allocated or moved per block.
+type entryQueue struct {
+	buf        []entry // len is a power of two
+	head, tail uint64  // positions of the oldest entry and of the next push
+}
+
+func (q *entryQueue) at(pos uint64) *entry { return &q.buf[pos&uint64(len(q.buf)-1)] }
+
+func (q *entryQueue) push(e entry) {
+	if n := uint64(len(q.buf)); q.tail-q.head == n {
+		grown := entryQueue{buf: make([]entry, max(2*n, 16)), head: q.head, tail: q.tail}
+		for pos := q.head; pos != q.tail; pos++ {
+			*grown.at(pos) = *q.at(pos)
+		}
+		*q = grown
+	}
+	*q.at(q.tail) = e
+	q.tail++
+}
+
 // Consumer is one analysis process's runtime module. The analysis
 // application calls Read repeatedly; ok=false reports that every producer
 // finished and all their blocks were delivered and analyzed.
@@ -42,7 +67,22 @@ type Consumer struct {
 	storeWork rt.Cond // an unstored block arrived or upstream exited
 	done      rt.Cond // a runtime thread exited
 
-	entries      []*entry
+	// The buffer. Read hands blocks out in arrival order, so the analyzed
+	// entries are exactly [q.head, next); occupancy counts the entries not
+	// yet freed, which in Preserve mode can be fewer than the queue holds (a
+	// freed entry waits behind an older one the output thread still owes).
+	q         entryQueue
+	next      uint64 // position of the first entry Read has not returned
+	store     uint64 // output thread's cursor: nothing unstored lies before it
+	occupancy int
+	// clock is the latest platform time any of the module's threads read,
+	// kept under lk. A Read that finds a block waiting stamps its gauges
+	// with it instead of reading the clock: a gauge stamp only has to land
+	// in the right fold quantum (see the flow package), the receiver thread
+	// refreshes clock with every message and after every wait for space,
+	// and a Read that has to wait reads the real clock anyway, because it
+	// measures how long.
+	clock        time.Duration
 	pendingDisk  []pendingRead
 	finsExpected int
 	finsGot      int
@@ -111,108 +151,107 @@ func (c *Consumer) traceName(thread string) string {
 // producers — each block carries its identity, so the analysis can place it.
 func (c *Consumer) Read(x rt.Ctx) (*block.Block, bool) {
 	c.lk.Lock(x)
-	stallStart := x.Now()
-	for {
-		for _, e := range c.entries {
-			if !e.analyzed {
-				e.analyzed = true
-				b := e.b
-				c.fl.Analyzed.Add(x.Now(), 1)
-				if stall := x.Now() - stallStart; stall > 0 {
-					c.fl.ReadStall.AddDur(x.Now(), stall)
-					if c.cfg.Recorder != nil {
-						c.cfg.Recorder.Add(c.traceName("app"), "stall", stallStart, x.Now())
-					}
+	now := c.clock
+	if c.next == c.q.tail {
+		stallStart := x.Now()
+		now = stallStart
+		for c.next == c.q.tail {
+			if c.drainedLocked() || c.err != nil {
+				if stall := now - stallStart; stall > 0 {
+					c.fl.ReadStall.AddDur(now, stall)
 				}
-				c.reapLocked(x)
 				c.lk.Unlock(x)
-				return b, true
+				return nil, false
+			}
+			c.avail.Wait(x)
+			now = x.Now()
+		}
+		c.clock = max(c.clock, now)
+		if stall := now - stallStart; stall > 0 {
+			c.fl.ReadStall.AddDur(now, stall)
+			if c.cfg.Recorder != nil {
+				c.cfg.Recorder.Add(c.traceName("app"), "stall", stallStart, now)
 			}
 		}
-		if c.drainedLocked() || c.err != nil {
-			if stall := x.Now() - stallStart; stall > 0 {
-				c.fl.ReadStall.AddDur(x.Now(), stall)
-			}
-			c.lk.Unlock(x)
-			return nil, false
-		}
-		c.avail.Wait(x)
 	}
+	e := c.q.at(c.next)
+	c.next++
+	e.analyzed = true
+	b := e.b
+	c.fl.Analyzed.Add(now, 1)
+	if e.stored {
+		c.freeLocked(now)
+	}
+	c.lk.Unlock(x)
+	return b, true
 }
 
 // drainedLocked reports whether no more analyzable blocks can appear.
 func (c *Consumer) drainedLocked() bool {
-	if !c.recvDone || !c.readerDone {
-		return false
-	}
-	for _, e := range c.entries {
-		if !e.analyzed {
-			return false
-		}
-	}
-	return true
+	return c.recvDone && c.readerDone && c.next == c.q.tail
 }
 
-// reapLocked frees entries that completed their lifecycle.
-func (c *Consumer) reapLocked(x rt.Ctx) {
-	kept := c.entries[:0]
-	freed := false
-	for _, e := range c.entries {
-		if e.analyzed && (e.stored || c.cfg.Mode == NoPreserve) {
-			freed = true
-			continue
-		}
-		kept = append(kept, e)
+// freeLocked accounts for one entry that just completed its lifecycle
+// (analyzed and stored) and vacates every freed entry at the queue head.
+func (c *Consumer) freeLocked(now time.Duration) {
+	for c.q.head != c.q.tail && c.q.at(c.q.head).freed() {
+		c.q.at(c.q.head).b = nil
+		c.q.head++
 	}
-	c.entries = kept
-	if freed {
-		c.fl.Queue.Set(x.Now(), len(c.entries))
-		c.space.Broadcast()
-	}
+	c.occupancy--
+	c.fl.Queue.Set(now, c.occupancy)
+	c.space.Broadcast()
 }
 
-// insertLocked waits for buffer space and appends a new entry. Once the
-// consumer has failed (c.err set) space may never free again — the output
-// thread is gone and analyzed-but-unstored entries occupy the buffer
-// forever — so the wait gives up and the entry is appended over capacity:
-// the stream is already lost, but the receiver must keep draining so Wait
-// and the producers' Fins can complete.
-func (c *Consumer) insertLocked(x rt.Ctx, b *block.Block) {
-	for len(c.entries) >= c.cfg.ConsumerBufferBlocks && c.err == nil {
-		c.space.Wait(x)
+// insertLocked waits for buffer space and appends a new entry, returning the
+// clock (now, re-read if it had to wait). Once the consumer has failed
+// (c.err set) space may never free again — the output thread is gone and
+// analyzed-but-unstored entries occupy the buffer forever — so the wait
+// gives up and the entry is appended over capacity: the stream is already
+// lost, but the receiver must keep draining so Wait and the producers' Fins
+// can complete.
+func (c *Consumer) insertLocked(x rt.Ctx, now time.Duration, b *block.Block) time.Duration {
+	if c.occupancy >= c.cfg.ConsumerBufferBlocks && c.err == nil {
+		for c.occupancy >= c.cfg.ConsumerBufferBlocks && c.err == nil {
+			c.space.Wait(x)
+		}
+		now = x.Now()
+		c.clock = max(c.clock, now)
 	}
-	e := &entry{b: b, stored: b.OnDisk || c.cfg.Mode == NoPreserve}
-	c.entries = append(c.entries, e)
-	c.fl.Queue.Set(x.Now(), len(c.entries))
+	stored := b.OnDisk || c.cfg.Mode == NoPreserve
+	c.q.push(entry{b: b, stored: stored})
+	c.occupancy++
+	c.fl.Queue.Set(now, c.occupancy)
 	c.avail.Signal()
-	if !e.stored {
+	if !stored {
 		c.storeWork.Signal()
 	}
+	return now
 }
 
 // ReleaseBlock hands b's payload back for recycling once the runtime is done
-// with it. In NoPreserve mode (or once the block is stored) the payload goes
-// back to the pool immediately; while the Preserve-mode output thread still
-// needs the bytes, the release is deferred and happens right after the store
-// completes. Call it from the analysis application when it has finished with
-// a block obtained from Read; releasing a block whose payload the caller
-// still reads corrupts the stream.
+// with it. In NoPreserve mode the buffer let go of the block when Read
+// returned it, so the payload goes back to the pool immediately, with no
+// lock taken; while the Preserve-mode output thread still needs the bytes,
+// the release is deferred and happens right after the store completes. Call
+// it from the analysis application when it has finished with a block
+// obtained from Read; releasing a block whose payload the caller still reads
+// corrupts the stream.
 func (c *Consumer) ReleaseBlock(x rt.Ctx, b *block.Block) {
 	if b == nil {
 		return
 	}
-	c.lk.Lock(x)
-	for _, e := range c.entries {
-		if e.b == b {
-			if !e.stored {
+	if c.cfg.Mode == Preserve {
+		c.lk.Lock(x)
+		for pos := c.q.head; pos != c.next; pos++ {
+			if e := c.q.at(pos); e.b == b && !e.stored {
 				e.release = true // output thread releases after storing
 				c.lk.Unlock(x)
 				return
 			}
-			break
 		}
+		c.lk.Unlock(x)
 	}
-	c.lk.Unlock(x)
 	b.Release()
 }
 
@@ -286,18 +325,21 @@ func (c *Consumer) receiverThread(x rt.Ctx) {
 	for {
 		start := x.Now()
 		m, ok := c.in.Recv(x)
-		busy := x.Now() - start
+		now := x.Now()
+		busy := now - start
 		// Restore reduced payloads before the blocks enter the buffer: the
 		// analysis (and the Preserve-mode output thread) only ever sees raw
 		// bytes. Decoding runs off-lock — it is the CPU-heavy half of the
 		// reduction trade — and the simulated platform charges the pass at
 		// memory bandwidth.
 		var decErr error
+		decoded := false
 		if ok {
 			for _, b := range m.Blocks {
 				if b.Enc == 0 {
 					continue
 				}
+				decoded = true
 				c.env.CopyDelay(x, b.Bytes)
 				if err := c.dec.DecodeBlock(b); err != nil {
 					decErr = err
@@ -305,8 +347,12 @@ func (c *Consumer) receiverThread(x rt.Ctx) {
 				}
 			}
 		}
+		if decoded {
+			now = x.Now() // decoding took time (virtual time under simenv)
+		}
 		c.lk.Lock(x)
-		c.fl.RecvBusy.AddDur(x.Now(), busy)
+		c.clock = max(c.clock, now)
+		c.fl.RecvBusy.AddDur(now, busy)
 		if !ok {
 			break // inbox closed under us: treat as end of stream
 		}
@@ -327,9 +373,9 @@ func (c *Consumer) receiverThread(x rt.Ctx) {
 			c.diskWork.Broadcast()
 		}
 		for _, b := range m.Blocks {
-			c.fl.Received.Add(x.Now(), 1)
-			c.insertLocked(x, b)
+			now = c.insertLocked(x, now, b)
 		}
+		c.fl.Received.Add(now, int64(len(m.Blocks)))
 		c.seenLost += m.Lost
 		if m.Fin {
 			c.finsGot++
@@ -385,13 +431,14 @@ func (c *Consumer) readerThread(x rt.Ctx) {
 		}
 
 		c.lk.Lock(x)
-		c.fl.DiskBusy.AddDur(x.Now(), busy)
+		now := x.Now()
+		c.fl.DiskBusy.AddDur(now, busy)
 		if err != nil {
 			c.err = fmt.Errorf("core: reading spilled block %v: %w", pr.id, err)
 			break
 		}
-		c.fl.Read.Add(x.Now(), 1)
-		c.insertLocked(x, b)
+		c.fl.Read.Add(now, 1)
+		c.insertLocked(x, now, b)
 	}
 	c.readerDone = true
 	c.finished = x.Now()
@@ -406,41 +453,46 @@ func (c *Consumer) readerThread(x rt.Ctx) {
 func (c *Consumer) outputThread(x rt.Ctx) {
 	c.lk.Lock(x)
 	for {
-		var target *entry
-		for _, e := range c.entries {
-			if !e.stored {
-				target = e
-				break
-			}
+		if c.store < c.q.head {
+			c.store = c.q.head // entries that arrived stored were freed past the cursor
 		}
-		if target == nil {
+		for c.store != c.q.tail && c.q.at(c.store).stored {
+			c.store++
+		}
+		if c.store == c.q.tail {
 			if c.recvDone && c.readerDone {
 				break
 			}
 			c.storeWork.Wait(x)
 			continue
 		}
+		b := c.q.at(c.store).b
 		c.lk.Unlock(x)
 
 		start := x.Now()
-		err := c.fs.WriteBlock(x, target.b)
+		err := c.fs.WriteBlock(x, b)
 		busy := x.Now() - start
 		if c.cfg.Recorder != nil {
 			c.cfg.Recorder.Add(c.traceName("output"), "store", start, start+busy)
 		}
 
 		c.lk.Lock(x)
-		c.fl.StoreBusy.AddDur(x.Now(), busy)
+		now := x.Now()
+		c.fl.StoreBusy.AddDur(now, busy)
 		if err != nil {
-			c.err = fmt.Errorf("core: preserving block %v: %w", target.b.ID, err)
+			c.err = fmt.Errorf("core: preserving block %v: %w", b.ID, err)
 			break
 		}
+		// An unstored entry is never freed, so the cursor still names it.
+		target := c.q.at(c.store)
 		target.stored = true
-		c.fl.Stored.Add(x.Now(), 1)
+		c.fl.Stored.Add(now, 1)
 		if target.release {
-			target.b.Release()
+			b.Release()
 		}
-		c.reapLocked(x)
+		if target.analyzed {
+			c.freeLocked(now)
+		}
 	}
 	c.outputDone = true
 	c.finished = x.Now()

@@ -411,3 +411,34 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("messages %d < sent %d + fin", ps.Messages, ps.BlocksSent)
 	}
 }
+
+// TestEntryQueuePositionsSurviveGrowth drives the consumer buffer's ring
+// through wrap-around and growth: a position handed out by push must keep
+// naming the same entry, whatever has been popped or pushed since.
+func TestEntryQueuePositionsSurviveGrowth(t *testing.T) {
+	var q entryQueue
+	blocks := map[uint64]*block.Block{}
+	for round := 0; round < 200; round++ {
+		// Push in growing runs, pop a little less: the queue wraps, then
+		// outgrows 16, 32 and 64 slots.
+		for i := 0; i < 3+round%7; i++ {
+			b := &block.Block{}
+			blocks[q.tail] = b
+			q.push(entry{b: b})
+		}
+		for i := 0; i < 2+round%5 && q.head != q.tail; i++ {
+			q.at(q.head).b = nil
+			delete(blocks, q.head)
+			q.head++
+		}
+		for pos := q.head; pos != q.tail; pos++ {
+			if q.at(pos).b != blocks[pos] {
+				t.Fatalf("round %d: position %d no longer names its entry (%d slots, head %d, tail %d)",
+					round, pos, len(q.buf), q.head, q.tail)
+			}
+		}
+	}
+	if len(q.buf) <= 64 {
+		t.Fatalf("queue never grew past 64 slots (%d): the test lost its point", len(q.buf))
+	}
+}

@@ -48,7 +48,14 @@ type Producer struct {
 	senderDone bool
 	writerDone bool
 	finished   time.Duration
-	fl         flow.ProducerFlows
+	// clock is the latest platform time any of the module's threads read,
+	// kept under lk. A Write that finds room in the buffer stamps its gauges
+	// with it instead of reading the clock: a gauge stamp only has to land
+	// in the right fold quantum (see the flow package), the sender thread
+	// refreshes clock with every message, and a Write that has to wait reads
+	// the real clock anyway, because it measures how long.
+	clock time.Duration
+	fl    flow.ProducerFlows
 }
 
 // NewProducer builds the runtime module for one producer rank feeding
@@ -121,19 +128,24 @@ func (p *Producer) Write(c rt.Ctx, step int, offset int64, data []byte, bytes in
 		Data:   data,
 	}
 	p.seq++
-	stallStart := c.Now()
-	for len(p.buf) >= p.cfg.BufferBlocks {
-		p.notFull.Wait(c)
-	}
-	if stall := c.Now() - stallStart; stall > 0 {
-		p.fl.WriteStall.AddDur(c.Now(), stall)
-		p.router.ObserveStall(c.Now(), stall)
-		if p.cfg.Recorder != nil {
-			p.cfg.Recorder.Add(p.traceName("app"), "stall", stallStart, c.Now())
+	now := p.clock
+	if len(p.buf) >= p.cfg.BufferBlocks {
+		stallStart := c.Now()
+		for len(p.buf) >= p.cfg.BufferBlocks {
+			p.notFull.Wait(c)
+		}
+		now = c.Now()
+		p.clock = max(p.clock, now)
+		if stall := now - stallStart; stall > 0 {
+			p.fl.WriteStall.AddDur(now, stall)
+			p.router.ObserveStall(now, stall)
+			if p.cfg.Recorder != nil {
+				p.cfg.Recorder.Add(p.traceName("app"), "stall", stallStart, now)
+			}
 		}
 	}
 	p.buf = append(p.buf, b)
-	p.fl.Written.Add(c.Now(), 1)
+	p.fl.Written.Add(now, 1)
 	p.notEmpty.Signal()
 	if len(p.buf) > p.cfg.HighWater {
 		p.aboveHW.Signal()
@@ -263,20 +275,22 @@ func (p *Producer) senderThread(c rt.Ctx) {
 			// this stager can quiesce.
 			p.cfg.Directory.Done(dest)
 		}
-		busy := c.Now() - start
-		p.router.ObserveSend(route, c.Now(), busy, len(blocks), payload)
+		now := c.Now()
+		busy := now - start
+		p.router.ObserveSend(route, now, busy, len(blocks), payload)
 
 		p.lk.Lock(c)
-		p.fl.SendBusy.AddDur(c.Now(), busy)
-		p.fl.Messages.Add(c.Now(), 1)
-		p.fl.WireBytes.Add(c.Now(), wire)
+		p.clock = max(p.clock, now)
+		p.fl.SendBusy.AddDur(now, busy)
+		p.fl.Messages.Add(now, 1)
+		p.fl.WireBytes.Add(now, wire)
 		if saved := payload - wire; saved > 0 {
-			p.fl.SavedBytes.Add(c.Now(), saved)
+			p.fl.SavedBytes.Add(now, saved)
 		}
 		if route == flow.Relay {
-			p.fl.Relayed.Add(c.Now(), int64(len(blocks)))
+			p.fl.Relayed.Add(now, int64(len(blocks)))
 		} else {
-			p.fl.Sent.Add(c.Now(), int64(len(blocks)))
+			p.fl.Sent.Add(now, int64(len(blocks)))
 		}
 		if p.destBlocks != nil {
 			p.destBlocks[to] += int64(len(blocks))
@@ -334,9 +348,10 @@ func (p *Producer) sendFins(c rt.Ctx) {
 			start := c.Now()
 			p.tr.Send(c, q, rt.Message{From: p.rank, Dest: q, Fin: true,
 				FinBlocks: p.destBlocks[q], FinDisk: p.destDisk[q]})
+			now := c.Now()
 			p.lk.Lock(c)
-			p.fl.Messages.Add(c.Now(), 1)
-			p.fl.SendBusy.AddDur(c.Now(), c.Now()-start)
+			p.fl.Messages.Add(now, 1)
+			p.fl.SendBusy.AddDur(now, now-start)
 			p.lk.Unlock(c)
 		}
 		return
@@ -350,9 +365,10 @@ func (p *Producer) sendFins(c rt.Ctx) {
 	p.tr.Send(c, finDest, rt.Message{From: p.rank, Dest: p.to, Fin: true,
 		FinBlocks: p.fl.Sent.Total() + p.fl.Relayed.Total(),
 		FinDisk:   p.fl.Stolen.Total()})
+	now := c.Now()
 	p.lk.Lock(c)
-	p.fl.Messages.Add(c.Now(), 1)
-	p.fl.SendBusy.AddDur(c.Now(), c.Now()-start)
+	p.fl.Messages.Add(now, 1)
+	p.fl.SendBusy.AddDur(now, now-start)
 	p.lk.Unlock(c)
 }
 
@@ -377,7 +393,13 @@ func (p *Producer) drainBatchLocked() []*block.Block {
 	}
 	blocks := make([]*block.Block, n)
 	copy(blocks, p.buf[:n])
-	p.buf = p.buf[n:]
+	if n == len(p.buf) {
+		// Keep the array: an emptied buffer refills without allocating.
+		clear(p.buf)
+		p.buf = p.buf[:0]
+	} else {
+		p.buf = p.buf[n:]
+	}
 	if n > 1 {
 		p.notFull.Broadcast()
 	} else {
@@ -504,7 +526,8 @@ func (p *Producer) writerThread(c rt.Ctx) {
 		busy := c.Now() - start
 
 		p.lk.Lock(c)
-		p.fl.StealBusy.AddDur(c.Now(), busy)
+		now := c.Now()
+		p.fl.StealBusy.AddDur(now, busy)
 		if err != nil {
 			// Put the block back at the front: order within the network path
 			// is not load-bearing, but data must not be lost.
@@ -515,7 +538,7 @@ func (p *Producer) writerThread(c rt.Ctx) {
 			p.lk.Unlock(c)
 			return
 		}
-		p.fl.Stolen.Add(c.Now(), 1)
+		p.fl.Stolen.Add(now, 1)
 		p.diskIDs = append(p.diskIDs, rt.DiskRef{ID: b.ID, Bytes: b.Bytes})
 		p.notEmpty.Signal() // the ID list alone is worth announcing
 		p.lk.Unlock(c)

@@ -13,6 +13,23 @@
 // threads update them concurrently) and are leaves in the lock order: they
 // take no other lock while held, so callers may update them under their own
 // module locks.
+//
+// The fold rule. Writers run once per block or per message; readers are few
+// and slow — AggregatePool's ForwardRate (the elastic scaler, once per
+// interval), the adaptive router's stall fraction (once per routing
+// decision) and the Stats snapshots. So the write side (Meter.Add,
+// Level.Set) only accumulates: totals, occupancy and peak are exact at
+// every instant, and the moving average is folded — one math.Exp — only
+// when tau/foldsPerTau of gauge time has passed since the last fold. Events
+// closer together than that quantum are averaged over the window they fell
+// in; events at least a quantum apart are still folded one by one. A reader
+// (Rate, Frac, Avg, LastRate) blends whatever has accumulated since the last
+// fold into the value it returns, without mutating the gauge, so a read is
+// always current and an idle gauge still decays toward zero. Because events
+// inside a quantum are not told apart, a writer on a path that never blocks
+// may stamp with the latest clock reading its module already has instead of
+// taking a fresh one (core's Write and Read do); a stamp older than the
+// gauge's latest event counts as that event's instant.
 package flow
 
 import (
@@ -24,6 +41,27 @@ import (
 // DefaultTau is the EWMA time constant a zero-value gauge uses.
 const DefaultTau = 50 * time.Millisecond
 
+// foldsPerTau sets the fold quantum, tau/foldsPerTau. Events inside one
+// quantum are averaged over it instead of weighted individually, which moves
+// a rate by at most about 1/(2·foldsPerTau) of what that quantum contributed
+// — under 2% even for a burst out of silence.
+const foldsPerTau = 32
+
+// tauOf resolves a gauge's time constant.
+func tauOf(tau time.Duration) time.Duration {
+	if tau <= 0 {
+		return DefaultTau
+	}
+	return tau
+}
+
+// blend returns avg moved toward mean by the weight an exponential filter
+// with time constant tau gives a window of length dt.
+func blend(avg, mean float64, dt, tau time.Duration) float64 {
+	alpha := 1 - math.Exp(-dt.Seconds()/tau.Seconds())
+	return avg + alpha*(mean-avg)
+}
+
 // Meter is a monotonically increasing counter (events, blocks, bytes, or
 // stalled nanoseconds) paired with an exponentially weighted moving average
 // of its rate. The zero value is ready to use with DefaultTau.
@@ -32,8 +70,9 @@ type Meter struct {
 	tau     time.Duration
 	total   int64
 	rate    float64 // units per second, folded up to `last`
-	pending int64   // units observed at (or since) `last`, not yet folded
+	pending int64   // units observed in (last, seen], not yet folded
 	last    time.Duration
+	seen    time.Duration // latest event time (≥ last)
 	started bool
 }
 
@@ -41,38 +80,60 @@ type Meter struct {
 // DefaultTau). The returned value must not be copied after first use.
 func NewMeter(tau time.Duration) Meter { return Meter{tau: tau} }
 
-func (m *Meter) tauSeconds() float64 {
-	if m.tau <= 0 {
-		return DefaultTau.Seconds()
-	}
-	return m.tau.Seconds()
-}
-
 // Add records n units at time now. Timestamps may repeat (several events in
 // the same instant) but must not go backwards; a stale now is treated as the
-// latest fold time.
+// latest event time. Add is O(1). Once a quantum has passed since the last
+// fold it closes the window at the event before this one, so a burst
+// followed by silence is folded where it happened, not smeared over the gap;
+// and if that silence is itself a quantum or longer it folds this event over
+// it, so sparse traffic is folded event by event.
 func (m *Meter) Add(now time.Duration, n int64) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	tau := tauOf(m.tau)
+	quantum := tau / foldsPerTau
+	if m.started && now-m.last >= quantum && m.seen > m.last && now > m.seen {
+		m.foldLocked(tau) // the window of earlier events
+	}
 	m.total += n
+	m.pending += n
 	if !m.started {
 		m.started = true
-		m.last = now
+		m.last, m.seen = now, now
+	} else if now > m.seen {
+		m.seen = now
+		if now-m.last >= quantum {
+			m.foldLocked(tau) // this event, over the silence before it
+		}
 	}
-	m.pending += n
-	if now > m.last {
-		m.foldLocked(now)
-	}
+	m.mu.Unlock()
 }
 
-// foldLocked blends the pending window (last, now] into the rate EWMA.
-func (m *Meter) foldLocked(now time.Duration) {
-	dt := (now - m.last).Seconds()
-	inst := float64(m.pending) / dt
-	alpha := 1 - math.Exp(-dt/m.tauSeconds())
-	m.rate += alpha * (inst - m.rate)
+// foldLocked blends the pending window (last, seen] into the rate.
+func (m *Meter) foldLocked(tau time.Duration) {
+	m.rate = m.rateLocked(m.seen, tau)
 	m.pending = 0
-	m.last = now
+	m.last = m.seen
+}
+
+// rateLocked returns the rate as of now (≥ seen): the pending units blended
+// in over the window they arrived in, (last, seen], then decayed over the
+// silence since. Units that all carry the timestamp of the last fold (the
+// meter's first instant, or more events in an instant a fold just closed)
+// enter as that blend's limit for a vanishing window.
+func (m *Meter) rateLocked(now, tau time.Duration) float64 {
+	r, from := m.rate, m.last
+	if m.pending != 0 {
+		if dt := m.seen - m.last; dt > 0 {
+			r = blend(r, float64(m.pending)/dt.Seconds(), dt, tau)
+		} else {
+			r += float64(m.pending) / tau.Seconds()
+		}
+		from = m.seen
+	}
+	if now > from && r != 0 {
+		r = blend(r, 0, now-from, tau)
+	}
+	return r
 }
 
 // Total returns the lifetime count.
@@ -87,23 +148,17 @@ func (m *Meter) Total() int64 {
 func (m *Meter) Rate(now time.Duration) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.started || now <= m.last {
-		return m.rate
+	if now < m.seen {
+		now = m.seen
 	}
-	dt := (now - m.last).Seconds()
-	inst := float64(m.pending) / dt
-	alpha := 1 - math.Exp(-dt/m.tauSeconds())
-	return m.rate + alpha*(inst-m.rate)
+	return m.rateLocked(now, tauOf(m.tau))
 }
 
 // LastRate returns the EWMA rate as of the last recorded event, with no
 // decay applied — the value FinalStats-style callers want once the platform
-// has stopped and there is no live clock to decay against.
-func (m *Meter) LastRate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rate
-}
+// has stopped and there is no live clock to decay against. (Rate reads any
+// time before the last event as that event's.)
+func (m *Meter) LastRate() float64 { return m.Rate(0) }
 
 // AddDur records a duration (stall or busy time) as nanoseconds.
 func (m *Meter) AddDur(now, d time.Duration) { m.Add(now, int64(d)) }
@@ -125,9 +180,11 @@ type Level struct {
 	tau      time.Duration
 	capacity int
 	cur      int
-	avg      float64
+	avg      float64 // folded up to `last`
+	area     float64 // ∫cur dt over (last, mark], in occupancy·ns
 	max      int64
 	last     time.Duration
+	mark     time.Duration // latest Set time (≥ last): cur has held since
 	started  bool
 }
 
@@ -138,13 +195,6 @@ func NewLevel(capacity int, tau time.Duration) Level {
 	return Level{capacity: capacity, tau: tau}
 }
 
-func (l *Level) tauSeconds() float64 {
-	if l.tau <= 0 {
-		return DefaultTau.Seconds()
-	}
-	return l.tau.Seconds()
-}
-
 // SetCapacity declares the gauge's capacity (for zero-value embedding).
 func (l *Level) SetCapacity(c int) {
 	l.mu.Lock()
@@ -152,24 +202,39 @@ func (l *Level) SetCapacity(c int) {
 	l.capacity = c
 }
 
-// Set records the occupancy v at time now.
+// Set records the occupancy v at time now. Set is O(1): between folds it
+// integrates the occupancy that held since the previous Set, so the average
+// stays time-weighted however rarely it is folded.
 func (l *Level) Set(now time.Duration, v int) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if !l.started {
 		l.started = true
-		l.last = now
+		l.last, l.mark = now, now
 		l.avg = float64(v)
-	} else if now > l.last {
-		dt := (now - l.last).Seconds()
-		alpha := 1 - math.Exp(-dt/l.tauSeconds())
-		l.avg += alpha * (float64(l.cur) - l.avg)
-		l.last = now
+	} else if now > l.mark {
+		l.area += float64(l.cur) * float64(now-l.mark)
+		l.mark = now
+		tau := tauOf(l.tau)
+		if now-l.last >= tau/foldsPerTau {
+			l.avg = l.avgLocked(now, tau)
+			l.area = 0
+			l.last = now
+		}
 	}
 	l.cur = v
 	if int64(v) > l.max {
 		l.max = int64(v)
 	}
+	l.mu.Unlock()
+}
+
+// avgLocked blends the window (last, now] — the integrated area plus cur
+// held since mark — into the average and returns the result; now must be no
+// earlier than mark and later than last.
+func (l *Level) avgLocked(now, tau time.Duration) float64 {
+	dt := now - l.last
+	area := l.area + float64(l.cur)*float64(now-l.mark)
+	return blend(l.avg, area/float64(dt), dt, tau)
 }
 
 // Get returns the current occupancy and the capacity. It is the probe the
@@ -180,16 +245,18 @@ func (l *Level) Get() (queued, capacity int) {
 	return l.cur, l.capacity
 }
 
-// Avg returns the time-weighted EWMA occupancy as of now.
+// Avg returns the time-weighted EWMA occupancy as of now, without mutating
+// the gauge.
 func (l *Level) Avg(now time.Duration) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if now < l.mark {
+		now = l.mark
+	}
 	if !l.started || now <= l.last {
 		return l.avg
 	}
-	dt := (now - l.last).Seconds()
-	alpha := 1 - math.Exp(-dt/l.tauSeconds())
-	return l.avg + alpha*(float64(l.cur)-l.avg)
+	return l.avgLocked(now, tauOf(l.tau))
 }
 
 // Max returns the peak occupancy ever recorded.

@@ -87,7 +87,7 @@ func (b inbox) Recv(c rt.Ctx) (rt.Message, bool) {
 // drained empty, which is sound because Retire is only sent after the
 // membership quiesce proves all data for this endpoint is already deposited.
 type ringEndpoints struct {
-	depth int
+	depth int // each lane's send window in messages
 	eps   []*ringEndpoint
 
 	ctlMu sync.Mutex

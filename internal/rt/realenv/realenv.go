@@ -91,14 +91,16 @@ func NewNetwork(endpoints, window int) *Network {
 }
 
 // NewRingNetwork creates `endpoints` ring-backed receive endpoints: every
-// sending thread that takes a Port gets a private wait-free SPSC lane of
-// `depth` messages (rounded up to a power of two) into each endpoint it
-// addresses. Selected by Config.Staging.RingDepth > 0.
-func NewRingNetwork(endpoints, depth int) *Network {
-	if depth < 1 {
-		depth = 1
+// sending thread that takes a Port gets a private wait-free SPSC lane into
+// each endpoint it addresses, and parks once `window` of its messages sit
+// undelivered in that lane — the same receive window NewNetwork gives a
+// channel inbox. Selected by Config.Staging.RingDepth > 0, which passes
+// min(RingDepth, Window).
+func NewRingNetwork(endpoints, window int) *Network {
+	if window < 1 {
+		window = 1
 	}
-	return &Network{eps: newRingEndpoints(endpoints, depth)}
+	return &Network{eps: newRingEndpoints(endpoints, window)}
 }
 
 // Send delivers m to endpoint `to`, blocking while its window is full. Safe

@@ -37,8 +37,9 @@ const cacheLine = 64
 // ring is the SPSC queue. Push from exactly one goroutine at a time, pop
 // from exactly one goroutine at a time; occupancy probes are safe anywhere.
 type ring struct {
-	buf  []rt.Message
-	mask uint64
+	buf   []rt.Message
+	mask  uint64
+	limit uint64 // send window: most messages queued at once (≤ len(buf))
 
 	_          [cacheLine]byte
 	tail       atomic.Uint64 // producer cursor: next slot to fill (published)
@@ -51,25 +52,26 @@ type ring struct {
 	_          [cacheLine - 24]byte
 }
 
-// newRing returns a ring holding at least `depth` messages, rounded up to a
-// power of two so slot indexing is a mask, not a division.
-func newRing(depth int) *ring {
+// newRing returns a ring that holds exactly `window` (≥ 1) undelivered
+// messages. The slot array is rounded up to a power of two so indexing is a
+// mask, not a division; the window, not the array, is what push enforces.
+func newRing(window int) *ring {
 	d := 2
-	for d < depth {
+	for d < window {
 		d <<= 1
 	}
-	return &ring{buf: make([]rt.Message, d), mask: uint64(d - 1)}
+	return &ring{buf: make([]rt.Message, d), mask: uint64(d - 1), limit: uint64(window)}
 }
 
-// capacity is the usable slot count.
-func (r *ring) capacity() int { return len(r.buf) }
+// capacity is the send window in messages.
+func (r *ring) capacity() int { return int(r.limit) }
 
 // push appends m, reporting false when the ring is full. Producer side only.
 func (r *ring) push(m rt.Message) bool {
 	t := r.tailLocal
-	if t-r.cachedHead >= uint64(len(r.buf)) {
+	if t-r.cachedHead >= r.limit {
 		r.cachedHead = r.head.Load()
-		if t-r.cachedHead >= uint64(len(r.buf)) {
+		if t-r.cachedHead >= r.limit {
 			return false
 		}
 	}
@@ -139,13 +141,13 @@ func (r *ring) pop() (rt.Message, bool) {
 
 // occupancy reports the queued message count. Safe from any thread; between
 // a concurrent push and pop the answer is approximate but never negative
-// and never exceeds capacity (head is loaded first, so a racing pop can
+// and never exceeds the window (head is loaded first, so a racing pop can
 // only inflate the count toward what the producer already published).
 func (r *ring) occupancy() int {
 	h := r.head.Load()
 	n := int(r.tail.Load() - h)
-	if n > len(r.buf) {
-		n = len(r.buf)
+	if n > int(r.limit) {
+		n = int(r.limit)
 	}
 	if n < 0 {
 		n = 0
@@ -155,7 +157,7 @@ func (r *ring) occupancy() int {
 
 // free reports the open slot count — the ring-derived send window that
 // backs Credits on the ring transport.
-func (r *ring) free() int { return len(r.buf) - r.occupancy() }
+func (r *ring) free() int { return int(r.limit) - r.occupancy() }
 
 // gate is the futex-style park/wake primitive the ring's slow paths use: a
 // waiter publishes a sleeper flag and blocks on a condvar; a waker probes

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"zipper/internal/block"
 	"zipper/internal/rt"
@@ -21,9 +22,9 @@ func msg(sender, seq int) rt.Message {
 func msgSeq(m rt.Message) int { return m.Blocks[0].ID.Step }
 
 func TestRingPushPopWraparound(t *testing.T) {
-	r := newRing(3) // rounds up to 4
-	if r.capacity() != 4 {
-		t.Fatalf("capacity = %d, want 4 (rounded up)", r.capacity())
+	r := newRing(3) // four slots, but the window is what push enforces
+	if r.capacity() != 3 || len(r.buf) != 4 {
+		t.Fatalf("capacity = %d over %d slots, want the window 3 over 4 slots", r.capacity(), len(r.buf))
 	}
 	next := 0 // next sequence to push
 	seen := 0 // next sequence expected out
@@ -219,6 +220,57 @@ func TestRingFullParksAndWakes(t *testing.T) {
 		m, _ := in.Recv(c)
 		if got := msgSeq(m); got != i {
 			t.Fatalf("message %d arrived with seq %d", i, got)
+		}
+	}
+	env.Wait()
+}
+
+// TestRingWindowParksSender pins the one window rule on the ring transport:
+// a lane built for a window of 4 (what a RingDepth: 64, Window: 4 job asks
+// for) takes exactly 4 undelivered messages and parks the sender on the
+// fifth, the sender never gets more than 4 ahead of the receiver, and
+// neither the sender's port nor the shared handle ever reports more than 4
+// credits.
+func TestRingWindowParksSender(t *testing.T) {
+	const window, total = 4, 2000
+	env := New()
+	net := NewRingNetwork(1, window)
+	port := net.Port().(rt.CreditTransport)
+	if got := port.Credits(0); got != window {
+		t.Fatalf("fresh lane reports %d credits, want %d", got, window)
+	}
+	var completed atomic.Int64
+	filled := make(chan struct{}) // closed once `window` sends have completed
+	env.Go("sender", func(c rt.Ctx) {
+		for i := 0; i < total; i++ {
+			if cr := port.Credits(0); cr < 0 || cr > window {
+				t.Errorf("before send %d the port reports %d credits, window %d", i, cr, window)
+			}
+			port.Send(c, 0, msg(0, i))
+			if completed.Add(1) == window {
+				close(filled)
+			}
+		}
+	})
+	<-filled
+	if got := net.Credits(0); got != 0 {
+		t.Fatalf("%d credits left after %d undelivered messages", got, window)
+	}
+	time.Sleep(20 * time.Millisecond) // a sender that ignored the window would run on
+	if got := completed.Load(); got != window {
+		t.Fatalf("%d sends completed with nothing delivered, window %d", got, window)
+	}
+	in, c := net.Inbox(0), env.Ctx()
+	for i := 0; i < total; i++ {
+		m, _ := in.Recv(c)
+		if got := msgSeq(m); got != i {
+			t.Fatalf("message %d arrived with seq %d", i, got)
+		}
+		if ahead := completed.Load() - int64(i+1); ahead > window {
+			t.Fatalf("%d messages undelivered, window %d", ahead, window)
+		}
+		if cr := net.Credits(0); cr < 0 || cr > window {
+			t.Fatalf("shared handle reports %d credits, window %d", cr, window)
 		}
 	}
 	env.Wait()

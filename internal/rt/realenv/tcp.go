@@ -103,13 +103,14 @@ func ListenTCP(addr string, endpoints, window int) (*TCPListener, error) {
 // ring transport: each accepted connection's reader goroutine — naturally a
 // single producer — gets a private wait-free lane into the endpoints it
 // addresses, and in-process stagers forward through LoopbackPort lanes.
+// window is each lane's send window in messages, as for NewRingNetwork.
 // Selected by Config.Staging.RingDepth > 0 on a TCP job.
-func ListenTCPRing(addr string, endpoints, depth int) (*TCPListener, error) {
-	if depth < 1 {
-		depth = 1
+func ListenTCPRing(addr string, endpoints, window int) (*TCPListener, error) {
+	if window < 1 {
+		window = 1
 	}
 	return listenTCP(addr, endpoints, func() endpointSet {
-		return newRingEndpoints(endpoints, depth)
+		return newRingEndpoints(endpoints, window)
 	})
 }
 

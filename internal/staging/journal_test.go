@@ -98,15 +98,19 @@ func (r *walRig) waitAdmitted(st *Stager, blocks int64) {
 }
 
 // drain collects everything arriving at the consumer endpoint until a
-// Retire marker; wait returns the blocks by sequence number and the Lost
-// total. A block that arrives twice fails the test.
-func (r *walRig) drain() (wait func() (map[int]*block.Block, int64)) {
+// Retire marker, starting once hold is closed (nil: at once); wait returns
+// the blocks by sequence number and the Lost total. A block that arrives
+// twice fails the test.
+func (r *walRig) drain(hold <-chan struct{}) (wait func() (map[int]*block.Block, int64)) {
 	got := map[int]*block.Block{}
 	var lost int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		if hold != nil {
+			<-hold
+		}
 		in := r.net.Inbox(0)
 		for {
 			m, ok := in.Recv(r.c)
@@ -209,7 +213,7 @@ func TestKillReplaySpansSegments(t *testing.T) {
 		t.Fatalf("journal holds %d records with the consumer stalled, want nearly all %d", pending, blocks)
 	}
 
-	wait := r.drain()
+	wait := r.drain(nil)
 	r.evict(r.st)
 	replayed, _, lost := Replay(r.c, r.journal, r.spill, r.net)
 	got, declared := wait()
@@ -239,7 +243,15 @@ func TestRespawnBeforePredecessorReplay(t *testing.T) {
 	r := newWalRig(t, Config{BufferBlocks: 32, MaxBatchBlocks: batch})
 	r.send(0, first, batch, size)
 	r.waitAdmitted(r.st, first)
-	wait := r.drain()
+	// The crash must land while the instance still owes blocks, however fast
+	// the forwarder is: hold the consumer, so the forwarder sits behind its
+	// one-message window, until the kill is in. (Only then may the consumer
+	// drain — the forwarder's in-flight Send has to complete before it can
+	// see the kill and exit.)
+	crashed := make(chan struct{})
+	wait := r.drain(crashed)
+	r.st.Kill(r.c)
+	close(crashed)
 	r.evict(r.st)
 	owed, _ := r.journal.Pending()
 	if owed == 0 {

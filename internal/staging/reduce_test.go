@@ -84,7 +84,15 @@ func TestProducerReducedRelaySurvivesSpill(t *testing.T) {
 	const blockBytes = 512
 	wg := r.produce(t, blocks, blockBytes)
 
+	// The scenario needs spilled blocks: read nothing until the backlog has
+	// pushed the stager over its high-water mark, instead of racing a slow
+	// reader against the scheduler.
 	ctx := r.env.Ctx()
+	for deadline := time.Now().Add(20 * time.Second); r.stage[0].Stats(ctx).BlocksSpilled == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no spills despite 8-block stager buffer and a consumer that reads nothing")
+		}
+	}
 	seq := 0
 	for {
 		b, ok := r.cons[0].Read(ctx)
@@ -101,7 +109,6 @@ func TestProducerReducedRelaySurvivesSpill(t *testing.T) {
 			t.Fatalf("block %v corrupted after encoded spill cycle", b.ID)
 		}
 		seq++
-		time.Sleep(500 * time.Microsecond)
 	}
 	wg.Wait()
 	r.stage[0].Wait(ctx)
@@ -113,9 +120,6 @@ func TestProducerReducedRelaySurvivesSpill(t *testing.T) {
 		t.Fatalf("delivered %d blocks, want %d", seq, blocks)
 	}
 	st := r.stage[0].Stats(ctx)
-	if st.BlocksSpilled == 0 {
-		t.Fatal("no spills despite 8-block stager buffer and slow consumer")
-	}
 	raw := int64(blocks) * blockBytes
 	if st.BytesOnWire >= raw {
 		t.Fatalf("forwarded %d bytes, want under the %d raw (producer encoded)", st.BytesOnWire, raw)

@@ -424,12 +424,12 @@ func (s *Stager) tenantOf(from int) *tenantState {
 
 // chargeTenantLocked moves delta resident blocks onto (or off) ts's account
 // and refreshes its occupancy gauge.
-func (s *Stager) chargeTenantLocked(c rt.Ctx, ts *tenantState, delta int) {
+func (s *Stager) chargeTenantLocked(now time.Duration, ts *tenantState, delta int) {
 	if ts == nil {
 		return
 	}
 	ts.used += delta
-	ts.level.Set(c.Now(), ts.used)
+	ts.level.Set(now, ts.used)
 }
 
 // Err reports a runtime failure (an unwritable or unreadable spill block).
@@ -578,9 +578,9 @@ func (s *Stager) Stats(c rt.Ctx) Stats {
 // last event.
 func (s *Stager) FinalStats() Stats { return s.snapshot(0, false) }
 
-func (s *Stager) setOccLocked(c rt.Ctx, n int) {
+func (s *Stager) setOccLocked(now time.Duration, n int) {
 	s.memBlocks = n
-	s.fl.Queue.Set(c.Now(), n)
+	s.fl.Queue.Set(now, n)
 }
 
 // receiverThread admits relayed mixed messages into the queue until every
@@ -592,9 +592,10 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 	for {
 		start := c.Now()
 		m, ok := s.in.Recv(c)
-		busy := c.Now() - start
+		now := c.Now()
+		busy := now - start
 		s.lk.Lock(c)
-		s.fl.RecvBusy.AddDur(c.Now(), busy)
+		s.fl.RecvBusy.AddDur(now, busy)
 		if !ok {
 			break // inbox closed under us: treat as end of stream
 		}
@@ -633,9 +634,10 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 			// (blocks in the segment log, metadata journaled) before it can
 			// become visible to the forwarder.
 			s.lk.Unlock(c)
-			walBusy := s.walSlot(c, sl, m.Blocks)
+			walStart := now
+			now = s.walSlot(c, sl, m.Blocks)
 			s.lk.Lock(c)
-			s.fl.SpillBusy.AddDur(c.Now(), walBusy)
+			s.fl.SpillBusy.AddDur(now, now-walStart)
 			if s.killed {
 				// The crash landed mid-journaling: the records already cover
 				// this message, so admitting it too would replay duplicates.
@@ -653,6 +655,7 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 			((s.memBlocks > 0 && s.memBlocks+need > s.cfg.BufferBlocks) ||
 				(ts != nil && ts.quota > 0 && ts.used > 0 && ts.used+need > ts.quota)) {
 			s.space.Wait(c)
+			now = c.Now()
 		}
 		if s.killed {
 			// Crashed while waiting for buffer room: the journal owns the
@@ -661,14 +664,14 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 			continue
 		}
 		s.queue = append(s.queue, sl)
-		s.setOccLocked(c, s.memBlocks+need)
+		s.setOccLocked(now, s.memBlocks+need)
 		if ts != nil && need > 0 {
-			s.chargeTenantLocked(c, ts, need)
-			ts.in.Add(c.Now(), int64(need))
+			s.chargeTenantLocked(now, ts, need)
+			ts.in.Add(now, int64(need))
 		}
-		s.fl.MessagesIn.Add(c.Now(), 1)
-		s.fl.In.Add(c.Now(), int64(need))
-		s.fl.DiskRefs.Add(c.Now(), int64(len(m.Disk)))
+		s.fl.MessagesIn.Add(now, 1)
+		s.fl.In.Add(now, int64(need))
+		s.fl.DiskRefs.Add(now, int64(len(m.Disk)))
 		s.work.Signal()
 		if s.gate != nil {
 			s.gate.Observe(s.memBlocks)
@@ -694,9 +697,9 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 
 // walSlot writes one admitted message ahead: its blocks with a single log
 // append plus a journal record each, and one meta record for disk refs and
-// Fins. Runs without the stager lock (the append parks).
+// Fins. Runs without the stager lock (the append parks) and returns the
+// clock once the message is durable.
 func (s *Stager) walSlot(c rt.Ctx, sl *slot, blocks []*block.Block) time.Duration {
-	start := c.Now()
 	if len(blocks) > 0 {
 		recs := s.cfg.Journal.admitBlocks(c, sl.from, sl.dest, blocks)
 		for i, rb := range sl.blocks {
@@ -706,7 +709,7 @@ func (s *Stager) walSlot(c rt.Ctx, sl *slot, blocks []*block.Block) time.Duratio
 	if len(sl.disk) > 0 || sl.fin {
 		sl.meta = s.cfg.Journal.addMeta(sl.from, sl.dest, sl.disk, sl.fin, sl.finBlocks, sl.finDisk)
 	}
-	return c.Now() - start
+	return c.Now()
 }
 
 // assembleLocked removes the next outgoing batch from the head of the
@@ -730,7 +733,7 @@ func (s *Stager) walSlot(c rt.Ctx, sl *slot, blocks []*block.Block) time.Duratio
 // credit visibility) the head run is taken and the send blocks: that is
 // the natural backpressure. Single-tenant stagers keep strict FIFO so the
 // private-tier forwarding order is untouched.
-func (s *Stager) assembleLocked(c rt.Ctx) (taken []*relayBlock, disk []rt.DiskRef, from, dest int, fin bool, finBlocks, finDisk int64, metas []*Record, ok bool) {
+func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []rt.DiskRef, from, dest int, fin bool, finBlocks, finDisk int64, metas []*Record, ok bool) {
 	start := 0
 	if s.cfg.Tenants > 1 {
 		if ct, hasCredit := s.tr.(rt.CreditTransport); hasCredit {
@@ -769,7 +772,7 @@ func (s *Stager) assembleLocked(c rt.Ctx) (taken []*relayBlock, disk []rt.DiskRe
 			bytes += rb.bytes
 			if !rb.spilled {
 				freed++
-				s.chargeTenantLocked(c, rb.ten, -1)
+				s.chargeTenantLocked(now, rb.ten, -1)
 			}
 		}
 		if blocked {
@@ -792,7 +795,7 @@ func (s *Stager) assembleLocked(c rt.Ctx) (taken []*relayBlock, disk []rt.DiskRe
 		s.queue = append(s.queue[:start], s.queue[end:]...)
 	}
 	if freed > 0 {
-		s.setOccLocked(c, s.memBlocks-freed)
+		s.setOccLocked(now, s.memBlocks-freed)
 		s.space.Broadcast()
 	}
 	ok = len(taken) > 0 || len(disk) > 0 || fin
@@ -822,7 +825,7 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 				return
 			}
 			if len(s.queue) > 0 {
-				taken, disk, from, dest, fin, finBlocks, finDisk, metas, ok = s.assembleLocked(c)
+				taken, disk, from, dest, fin, finBlocks, finDisk, metas, ok = s.assembleLocked(c.Now())
 				if ok {
 					break
 				}
@@ -905,7 +908,8 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		start := c.Now()
 		s.tr.Send(c, dest, rt.Message{From: from, Dest: dest, Blocks: blocks, Disk: disk,
 			Fin: fin, FinBlocks: finBlocks, FinDisk: finDisk, Lost: lost})
-		busy := c.Now() - start
+		now := c.Now()
+		busy := now - start
 		if s.cfg.Recorder != nil && len(blocks) > 0 {
 			s.cfg.Recorder.Add(s.traceName("forwarder"), "forward", start, start+busy)
 		}
@@ -922,13 +926,13 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		}
 
 		s.lk.Lock(c)
-		s.fl.ForwardBusy.AddDur(c.Now(), busy)
-		s.fl.SpillBusy.AddDur(c.Now(), unspillBusy)
-		s.fl.MessagesOut.Add(c.Now(), 1)
-		s.fl.Forwarded.Add(c.Now(), int64(len(blocks)))
-		s.fl.WireBytes.Add(c.Now(), wireBytes)
+		s.fl.ForwardBusy.AddDur(now, busy)
+		s.fl.SpillBusy.AddDur(now, unspillBusy)
+		s.fl.MessagesOut.Add(now, 1)
+		s.fl.Forwarded.Add(now, int64(len(blocks)))
+		s.fl.WireBytes.Add(now, wireBytes)
 		if saved := rawBytes - wireBytes; saved > 0 {
-			s.fl.SavedBytes.Add(c.Now(), saved)
+			s.fl.SavedBytes.Add(now, saved)
 		}
 		if unspillErr != nil && s.err == nil {
 			s.err = unspillErr
@@ -1032,7 +1036,8 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 		}
 
 		s.lk.Lock(c)
-		s.fl.SpillBusy.AddDur(c.Now(), busy)
+		now := c.Now()
+		s.fl.SpillBusy.AddDur(now, busy)
 		victim.spilling = false
 		if err != nil {
 			if s.err == nil {
@@ -1055,12 +1060,12 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 			// The spill moves the block off the tenant's resident account —
 			// the spill-heavy tenant pays the PFS detour, and its spilled
 			// meter is the signal the control plane's preemption rule reads.
-			s.chargeTenantLocked(c, victim.ten, -1)
-			victim.ten.spilled.Add(c.Now(), 1)
+			s.chargeTenantLocked(now, victim.ten, -1)
+			victim.ten.spilled.Add(now, 1)
 		}
-		s.fl.Spilled.Add(c.Now(), 1)
-		s.fl.SpilledBytes.Add(c.Now(), spillBytes)
-		s.setOccLocked(c, s.memBlocks-1)
+		s.fl.Spilled.Add(now, 1)
+		s.fl.SpilledBytes.Add(now, spillBytes)
+		s.setOccLocked(now, s.memBlocks-1)
 		s.space.Broadcast()
 		s.work.Broadcast() // a forwarder parked on a mid-spill head can move again
 		s.lk.Unlock(c)

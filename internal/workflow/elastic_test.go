@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -72,22 +73,19 @@ func TestZipperElasticWorkflow(t *testing.T) {
 }
 
 // TestZipperElasticDeterministic pins the whole elastic workflow's simenv
-// reproducibility, scaling timeline included.
+// reproducibility, scaling timeline included — also under the adaptive
+// router, whose decisions read a gauge that is folded lazily: the same Spec
+// must give the same Result, field for field.
 func TestZipperElasticDeterministic(t *testing.T) {
-	a := RunZipper(elasticTestSpec())
-	b := RunZipper(elasticTestSpec())
-	if !a.OK || !b.OK {
-		t.Fatalf("runs failed: %v / %v", a.Fail, b.Fail)
-	}
-	if a.E2E != b.E2E || a.BlocksRelayed != b.BlocksRelayed || a.StagerNodeSeconds != b.StagerNodeSeconds {
-		t.Fatalf("elastic runs diverged:\n%+v\n%+v", a, b)
-	}
-	if len(a.ScaleEvents) != len(b.ScaleEvents) {
-		t.Fatalf("timelines diverged: %d vs %d events", len(a.ScaleEvents), len(b.ScaleEvents))
-	}
-	for i := range a.ScaleEvents {
-		if a.ScaleEvents[i] != b.ScaleEvents[i] {
-			t.Fatalf("event %d diverged: %+v vs %+v", i, a.ScaleEvents[i], b.ScaleEvents[i])
+	for _, policy := range []core.RoutePolicy{core.RouteStaging, core.RouteAdaptive} {
+		spec := elasticTestSpec()
+		spec.Zipper.RoutePolicy = policy
+		a, b := RunZipper(spec), RunZipper(spec)
+		if !a.OK || !b.OK {
+			t.Fatalf("%v: runs failed: %v / %v", policy, a.Fail, b.Fail)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%v: elastic runs diverged:\n%+v\n%+v", policy, a, b)
 		}
 	}
 }

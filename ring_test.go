@@ -246,3 +246,69 @@ func TestRingDepthValidation(t *testing.T) {
 	}
 	job.Wait()
 }
+
+// TestJobRingWindowBoundsInFlight is the regression for the ring lanes that
+// ignored Window: RingDepth used to size every lane, so RingDepth: 1024 let
+// one sender park 1024 messages × MaxBatchBlocks blocks in front of a stalled
+// consumer (over 1 GB at 16 KiB blocks). A lane holds min(RingDepth, Window)
+// messages, so what the job can hold in flight is bounded by the buffers the
+// Config names. Counted in blocks, not RSS.
+func TestJobRingWindowBoundsInFlight(t *testing.T) {
+	cfg := Config{
+		Producers: 1, Consumers: 1, SpoolDir: t.TempDir(),
+		BufferBlocks: 16, ConsumerBufferBlocks: 16, Window: 4, MaxBatchBlocks: 8, DisableSteal: true,
+		Staging: StagingConfig{RingDepth: 1024},
+	}
+	job, err := NewJob(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 4000
+	go func() {
+		p := job.Producer(0)
+		for s := 0; s < blocks; s++ {
+			p.Write(s, 0, NewPayload(256))
+		}
+		p.Close()
+	}()
+	// The consumer reads nothing: sample until the producer has wedged (no
+	// Write accepted for 50 ms). The lane bound holds on every sample.
+	laneBound := int64((cfg.Window + 1) * cfg.MaxBatchBlocks) // the lane, plus the message in the receiver's hands
+	var written int64
+	deadline := time.Now().Add(10 * time.Second)
+	for quiet := 0; quiet < 50; {
+		if time.Now().After(deadline) {
+			t.Fatal("the producer never wedged against a stalled consumer")
+		}
+		st := job.Stats()
+		if lane := st.Producers[0].BlocksSent - st.Consumers[0].BlocksReceived; lane > laneBound {
+			t.Fatalf("%d blocks in the lane, at most %d fit a window of %d messages × %d blocks",
+				lane, laneBound, cfg.Window, cfg.MaxBatchBlocks)
+		}
+		if st.BlocksWritten == written {
+			quiet++
+		} else {
+			written, quiet = st.BlocksWritten, 0
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Producer buffer + the batch in the sender's hands + lane + consumer buffer.
+	held := int64(cfg.BufferBlocks+cfg.MaxBatchBlocks+cfg.ConsumerBufferBlocks) + laneBound
+	if written < int64(cfg.BufferBlocks+cfg.ConsumerBufferBlocks) || written > held {
+		t.Fatalf("job holds %d blocks in front of a stalled consumer, want between %d and %d",
+			written, cfg.BufferBlocks+cfg.ConsumerBufferBlocks, held)
+	}
+	delivered := 0
+	for {
+		blk, ok := job.Consumer(0).Read()
+		if !ok {
+			break
+		}
+		delivered++
+		blk.Release()
+	}
+	job.Wait()
+	if delivered != blocks {
+		t.Fatalf("delivered %d blocks, want %d", delivered, blocks)
+	}
+}

@@ -207,15 +207,18 @@ type StagingConfig struct {
 	// unreduced — byte-identical to earlier revisions.
 	Reduce ReduceConfig
 	// RingDepth selects the intra-node fast path: when > 0, co-located
-	// endpoint pairs exchange messages over padded lock-free SPSC rings of
-	// this depth (messages, rounded up to a power of two) instead of
-	// buffered Go channels — every sending thread gets a private wait-free
-	// lane per endpoint it addresses, and Credits derives from ring
-	// occupancy so the routing policies read the same backpressure signal.
-	// Applies to the whole in-process network and, on a TCP job, to the
-	// listener's endpoint set (per-connection reader lanes plus the
+	// endpoint pairs exchange messages over padded lock-free SPSC rings
+	// instead of buffered Go channels — every sending thread gets a private
+	// wait-free lane per endpoint it addresses, and Credits derives from
+	// ring occupancy so the routing policies read the same backpressure
+	// signal. Applies to the whole in-process network and, on a TCP job, to
+	// the listener's endpoint set (per-connection reader lanes plus the
 	// stagers' loopback lanes). 0 (the default) keeps the channel
 	// transport, pinned byte-identical to earlier revisions.
+	//
+	// RingDepth picks the transport, not the amount of buffering: a lane's
+	// send window is min(RingDepth, Config.Window) messages, so Window
+	// means the same thing on rings as on channels (see Config.Window).
 	RingDepth int
 }
 
@@ -346,7 +349,17 @@ type Config struct {
 	// head block of a batch is always sent, even when it alone exceeds the
 	// cap.
 	MaxBatchBytes int64
-	// Window is each consumer's receive window in messages (default 4).
+	// Window is the receive window in messages (default 4): how many
+	// undelivered messages a sender may have queued at an endpoint before
+	// Send blocks — the backpressure every routing, stealing and scaling
+	// decision reads. On the channel transport it is each endpoint's inbox
+	// capacity; on the ring transport (Staging.RingDepth > 0) it is each
+	// sender lane's capacity, min(RingDepth, Window). One rule, because a
+	// lane that ignored it held RingDepth × MaxBatchBlocks blocks per sender
+	// (64 × 8 = 512 blocks, 8 MiB at 16 KiB, against a 256-block stager
+	// buffer): any producer-side speed-up then piled up in the lanes, the
+	// stager overflowed into spill and re-read while its consumer sat idle,
+	// and RingDepth: 1024 pinned over 1 GB of payloads.
 	Window int
 	// TCPAddr, when non-empty, carries every producer→endpoint message over
 	// real TCP sockets instead of the in-process channel network: NewJob
@@ -612,7 +625,7 @@ func (cfg Config) validate() error {
 	}
 	if cfg.Staging.RingDepth < 0 {
 		return &ConfigError{Field: "Staging.RingDepth",
-			Reason: fmt.Sprintf("must be ≥ 0 (0 = channel transport, > 0 = SPSC ring depth in messages), got %d", cfg.Staging.RingDepth)}
+			Reason: fmt.Sprintf("must be ≥ 0 (0 = channel transport, > 0 = SPSC ring lanes of min(RingDepth, Window) messages), got %d", cfg.Staging.RingDepth)}
 	}
 	if err := cfg.Staging.Reduce.Validate(); err != nil {
 		return &ConfigError{Field: "Staging.Reduce", Reason: err.Error()}
@@ -701,10 +714,11 @@ func NewJob(cfg Config) (*Job, error) {
 	// stager inbox, each producer on its own dialed connection, and the
 	// stagers forwarding over the listener's loopback.
 	var inboxAt func(i int) rt.Inbox
+	laneWindow := min(cfg.Staging.RingDepth, window) // the one window rule, see Config.Window
 	if cfg.TCPAddr == "" {
 		var net *realenv.Network
 		if cfg.Staging.RingDepth > 0 {
-			net = realenv.NewRingNetwork(cfg.Consumers+cfg.Stagers, cfg.Staging.RingDepth)
+			net = realenv.NewRingNetwork(cfg.Consumers+cfg.Stagers, laneWindow)
 		} else {
 			net = realenv.NewNetwork(cfg.Consumers+cfg.Stagers, window)
 		}
@@ -714,7 +728,7 @@ func NewJob(cfg Config) (*Job, error) {
 		var ln *realenv.TCPListener
 		var err error
 		if cfg.Staging.RingDepth > 0 {
-			ln, err = realenv.ListenTCPRing(cfg.TCPAddr, cfg.Consumers+cfg.Stagers, cfg.Staging.RingDepth)
+			ln, err = realenv.ListenTCPRing(cfg.TCPAddr, cfg.Consumers+cfg.Stagers, laneWindow)
 		} else {
 			ln, err = realenv.ListenTCP(cfg.TCPAddr, cfg.Consumers+cfg.Stagers, window)
 		}

@@ -216,6 +216,35 @@ func TestJobBatchingAndPooledPayloads(t *testing.T) {
 	}
 }
 
+// TestJobDirectCycleAllocs pins what one block costs the allocator on the
+// direct path, end to end: the block descriptor Write builds and the message
+// slice the sender drains it into. The pooled payload, the consumer buffer
+// entry and the Release must add nothing.
+func TestJobDirectCycleAllocs(t *testing.T) {
+	job, err := NewJob(Config{Producers: 1, Consumers: 1, SpoolDir: t.TempDir(), DisableSteal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, c := job.Producer(0), job.Consumer(0)
+	cycle := func() {
+		p.Write(0, 0, NewPayload(4096))
+		blk, ok := c.Read()
+		if !ok {
+			t.Fatal("stream ended early")
+		}
+		blk.Release()
+	}
+	cycle() // warm the payload pool and the consumer buffer
+	if n := testing.AllocsPerRun(500, cycle); n > 2 {
+		t.Errorf("one Write → Read → Release cycle allocates %.0f times, want ≤ 2", n)
+	}
+	p.Close()
+	if _, ok := c.Read(); ok {
+		t.Error("block delivered after Close")
+	}
+	job.Wait()
+}
+
 // TestJobStagingRoundTrip runs the public API through the in-transit tier
 // under both staging policies and checks Job.Stats ties the whole pipeline
 // together: written = direct + relayed + stolen = analyzed, with relayed
