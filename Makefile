@@ -19,20 +19,23 @@ build:
 
 # Fast lane: paper-figure reproductions are skipped (testing.Short); the
 # Preserve tests that share a block with the application run 20 times, the
-# ring-window tests and the per-block allocation pins 10 times.
+# ring- and TCP-window tests and the per-block allocation pins 10 times.
 test:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=20 -run 'TestJobPreserve|TestJobStagingPreserve' .
-	$(GO) test -race -count=10 -run 'TestRingWindowParksSender|TestJobRingWindowBoundsInFlight|TestPayloadCycleDoesNotAllocate|TestGaugeWritesDoNotAllocate|TestJobDirectCycleAllocs' ./internal/rt/realenv ./internal/block ./internal/flow .
+	$(GO) test -race -count=10 -run 'TestRingWindowParksSender|TestJobRingWindowBoundsInFlight|TestTCPWindowParksSender|TestTCPWindowOnePingPong|TestJobTCPWindowBoundsInFlight|TestPayloadCycleDoesNotAllocate|TestGaugeWritesDoNotAllocate|TestJobDirectCycleAllocs|TestJobTCPCompressDecodeAllocs' ./internal/rt/realenv ./internal/block ./internal/flow .
 
 # Tier-1: the full suite including the figure reproductions (~15 s).
 test-full:
 	$(GO) build ./... && $(GO) test ./...
 
-# 10 s of each store-decoder fuzz target (spill-file reader, log reader).
+# 10 s of each decoder fuzz target: the store readers (spill file, log) and
+# the block codec (arbitrary bytes into the decoder; encode/decode round trip).
 fuzz-smoke:
 	for f in FuzzReadBlock FuzzLogRead; do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/rt/realenv || exit 1; done
+	for f in FuzzLZDecode FuzzLZRoundTrip; do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/reduce || exit 1; done
 
 # One iteration of every benchmark — catches bit-rot, measures nothing.
 bench-smoke:

@@ -232,7 +232,7 @@ func identityRun() (raw, onWire, reduced int64, err error) {
 // reduceGate picks the throughput gate the parallel pipeline must clear.
 // With ≥ 2 physical cores the pipeline must earn its keep: 1.5x inline.
 // On a serial host parallel encode cannot beat inline no matter how the
-// pipeline is built — flate is pure CPU — so the gate degrades to an
+// pipeline is built — the codec is pure CPU — so the gate degrades to an
 // overhead bound: the pipeline may cost at most 30% over inline. The
 // committed JSON records which gate applied (reduce_gate) next to num_cpu
 // so a reader comparing files across hosts sees why the numbers differ.

@@ -152,8 +152,8 @@ func (reactiveRouter) Route(s Signals) Route {
 		}
 		return Relay
 	}
-	// No credit visibility (e.g. TCP across processes): infer consumer
-	// backpressure from the producer's own buffer depth instead.
+	// No credit visibility: infer consumer backpressure from the producer's
+	// own buffer depth instead.
 	if s.Backlog >= s.HighWater {
 		return Relay
 	}

@@ -25,7 +25,7 @@ import (
 // Ordering and byte-identity: EncodeBatch encodes blocks IN PLACE and
 // returns only after the whole batch is done, so the caller's slice order —
 // and with it the per-{rank,seq} stream run order the consumer's decoder
-// relies on — is untouched. Per-block flate output is deterministic, so a
+// relies on — is untouched. Per-block encoder output is deterministic, so a
 // pipelined run produces byte-identical wire traffic to an inline run; only
 // the wall-clock cost moves.
 type Pipeline struct {

@@ -138,9 +138,9 @@ func TestPipelineRejectsDelta(t *testing.T) {
 // TestDeltaOrderingProperty is the property test behind Delta's exclusion
 // from the pipeline: with the encoder on its single in-order path feeding a
 // decoder that replays steps in order — while unrelated Compress pipeline
-// traffic churns the shared flate pools on other goroutines — every stream
-// round-trips exactly. Run under -race this also proves the pooled flate
-// writers are safe across concurrent encoders.
+// traffic churns the payload pool on other goroutines — every stream
+// round-trips exactly. Run under -race this also proves concurrent encoders
+// share nothing but that pool.
 func TestDeltaOrderingProperty(t *testing.T) {
 	const (
 		streams = 6

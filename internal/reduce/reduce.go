@@ -20,12 +20,8 @@
 package reduce
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"sync"
 
 	"zipper/internal/block"
 )
@@ -36,16 +32,16 @@ type Kind uint8
 const (
 	// None leaves payloads untouched.
 	None Kind = 0
-	// Compress deflates each payload independently (lossless). The cheapest
-	// to reason about: stateless, any delivery order, safe to apply at any
-	// hop including the spill path.
+	// Compress codes each payload independently with the LZ block codec of
+	// lz.go (lossless). The cheapest to reason about: stateless, any
+	// delivery order, safe to apply at any hop including the spill path.
 	Compress Kind = 1
 	// Delta XORs each payload against the previous step's payload of the
-	// same (rank, seq) stream position, then deflates the sparse difference
-	// (lossless). Smooth fields change little between adjacent steps, so the
-	// XOR is mostly zero bytes and deflates far below plain Compress. The
-	// price is per-stream state on both ends: encoder and decoder must see
-	// the stream in step order over a single path.
+	// same (rank, seq) stream position, then codes the sparse difference with
+	// the same codec (lossless). Smooth fields change little between adjacent
+	// steps, so the XOR is mostly zero bytes and shrinks far below plain
+	// Compress. The price is per-stream state on both ends: encoder and
+	// decoder must see the stream in step order over a single path.
 	Delta Kind = 2
 	// Stride keeps every k-th float64 of the payload and drops the rest
 	// (lossy). Decode expands each kept value over its window, so the
@@ -85,10 +81,6 @@ type Config struct {
 	// Stride is the subsampling factor for the Stride operator: keep every
 	// Stride-th float64. Must be ≥ 2 when Operator == Stride.
 	Stride int
-	// Level is the flate compression level for Compress and Delta
-	// (flate.BestSpeed .. flate.BestCompression). 0 means flate.BestSpeed:
-	// the wire path trades ratio for CPU by default.
-	Level int
 	// OnPressure defers reduction to the staging tier's pressure valve:
 	// instead of encoding every relayed block at the producer, blocks are
 	// encoded by the stager only while its occupancy is above the spill
@@ -103,7 +95,7 @@ type Config struct {
 	// Stride) across a shared bounded worker pool (see Pipeline): 0 keeps
 	// every encode inline on its sending thread — the pinned default,
 	// byte-identical to earlier revisions — -1 scales the pool to
-	// GOMAXPROCS, and N > 0 uses exactly N workers. Per-block flate output
+	// GOMAXPROCS, and N > 0 uses exactly N workers. Per-block encoder output
 	// is deterministic, so the parallel encode is byte-identical to inline;
 	// only the CPU it burns moves off the relay critical path.
 	//
@@ -133,9 +125,6 @@ func (c Config) Validate() error {
 	if c.Operator != Stride && c.Stride != 0 {
 		return fmt.Errorf("reduce: Stride is only meaningful for the stride operator")
 	}
-	if c.Level != 0 && (c.Level < flate.HuffmanOnly || c.Level > flate.BestCompression) {
-		return fmt.Errorf("reduce: flate level %d out of range", c.Level)
-	}
 	if c.ModelRatio < 0 || c.ModelRatio > 1 {
 		return fmt.Errorf("reduce: ModelRatio %v out of [0,1]", c.ModelRatio)
 	}
@@ -149,13 +138,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("reduce: %v needs its single in-order encode path (each step's encode consumes the previous step's base); Workers must be 0", c.Operator)
 	}
 	return nil
-}
-
-func (c Config) level() int {
-	if c.Level == 0 {
-		return flate.BestSpeed
-	}
-	return c.Level
 }
 
 func (c Config) modelRatio() float64 {
@@ -189,10 +171,10 @@ type base struct {
 // Delta wire layout (inside Block.Data when Enc == Delta):
 //
 //	u8 marker (deltaFull | deltaXOR) | [i64 baseStep, only for deltaXOR] |
-//	flate stream of the raw payload (full) or the XOR difference (delta)
+//	the LZ block of the raw payload (full) or of the XOR difference (delta)
 const (
-	deltaFull = 0 // no usable base: payload is the flated raw bytes
-	deltaXOR  = 1 // payload is the flated XOR against base step baseStep
+	deltaFull = 0 // no usable base: payload is the coded raw bytes
+	deltaXOR  = 1 // payload is the coded XOR against base step baseStep
 )
 
 // Encoder applies one operator to blocks in place. Not safe for concurrent
@@ -200,10 +182,11 @@ const (
 // owns its encoder, which is also what gives Delta its per-path stream
 // state.
 type Encoder struct {
-	cfg  Config
-	buf  bytes.Buffer
-	xor  []byte
-	last map[streamKey]base
+	cfg     Config
+	tab     lzTable // the codec's match table, cleared per block
+	scratch []byte  // encode destination, before the right-sized copy
+	xor     []byte
+	last    map[streamKey]base
 }
 
 // NewEncoder returns an encoder for cfg. cfg must validate.
@@ -257,37 +240,14 @@ func (e *Encoder) EncodeBlock(b *block.Block) error {
 	return nil
 }
 
-// flatePools shares flate.Writers across every Encoder in the process, one
-// pool per compression level (index level − HuffmanOnly). A flate.Writer
-// carries ~700 KiB of compressor state; before pooling, every encoder
-// allocated its own, so encoder churn — a pipeline worker per core, the
-// stager's forwarder and spiller pair, short-lived spill encoders — paid
-// that allocation again and again. Writers park here between encodes and
-// are Reset onto the borrowing encoder's buffer.
-var flatePools [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
-
-// flateInto deflates src into e.buf (reset first) through a pooled writer.
-func (e *Encoder) flateInto(src []byte) error {
-	e.buf.Reset()
-	lvl := e.cfg.level()
-	pool := &flatePools[lvl-flate.HuffmanOnly]
-	fw, _ := pool.Get().(*flate.Writer)
-	if fw == nil {
-		var err error
-		if fw, err = flate.NewWriter(&e.buf, lvl); err != nil {
-			return fmt.Errorf("reduce: flate init: %w", err)
-		}
-	} else {
-		fw.Reset(&e.buf)
+// lzInto codes src into the encoder's scratch with room for at most limit
+// bytes and returns the encoding, or false when it does not fit.
+func (e *Encoder) lzInto(src []byte, limit int) ([]byte, bool) {
+	if cap(e.scratch) < limit {
+		e.scratch = make([]byte, limit)
 	}
-	if _, err := fw.Write(src); err != nil {
-		return fmt.Errorf("reduce: flate: %w", err)
-	}
-	if err := fw.Close(); err != nil {
-		return fmt.Errorf("reduce: flate close: %w", err)
-	}
-	pool.Put(fw)
-	return nil
+	n, ok := lzEncode(&e.tab, e.scratch[:limit], src)
+	return e.scratch[:n], ok
 }
 
 // swapPayload installs the encoded payload held in enc, stamps the
@@ -300,32 +260,32 @@ func swapPayload(b *block.Block, kind Kind, enc []byte) {
 	raw.Release()
 }
 
+// encodeCompress leaves the block raw unless the encoding is smaller: the
+// codec is given one byte less room than the payload, so "does not shrink"
+// is its early exit. The few KB it produced are then copied into a pooled
+// payload of their own size class and the raw payload goes back to the pool.
 func (e *Encoder) encodeCompress(b *block.Block) error {
-	if err := e.flateInto(b.Data); err != nil {
-		return err
-	}
-	if int64(e.buf.Len()) >= b.Bytes {
+	out, ok := e.lzInto(b.Data, len(b.Data)-1)
+	if !ok {
 		return nil // incompressible: send raw
 	}
-	enc := block.GetPayload(e.buf.Len())
-	copy(enc, e.buf.Bytes())
+	enc := block.GetPayload(len(out))
+	copy(enc, out)
 	swapPayload(b, Compress, enc)
 	return nil
 }
 
 // encodeDelta XORs against the retained previous-step payload of the same
-// (rank, seq) stream position and deflates the (mostly zero) difference.
+// (rank, seq) stream position and codes the (mostly zero) difference.
 // Unlike the stateless operators it never skips: the decoder's base state
 // must advance in lockstep with the encoder's, so even a poorly-compressing
 // block goes out encoded (as deltaFull when no base fits).
 func (e *Encoder) encodeDelta(b *block.Block) error {
 	key := streamKey{b.ID.Rank, b.ID.Seq}
 	prev, ok := e.last[key]
-	marker := byte(deltaFull)
-	baseStep := int64(0)
+	src, marker, hdrLen := b.Data, byte(deltaFull), 1
 	if ok && int64(len(prev.data)) == b.Bytes {
-		marker = deltaXOR
-		baseStep = int64(prev.step)
+		marker, hdrLen = deltaXOR, 9
 		if cap(e.xor) < len(b.Data) {
 			e.xor = make([]byte, len(b.Data))
 		}
@@ -333,24 +293,18 @@ func (e *Encoder) encodeDelta(b *block.Block) error {
 		for i, v := range b.Data {
 			e.xor[i] = v ^ prev.data[i]
 		}
-		if err := e.flateInto(e.xor); err != nil {
-			return err
-		}
-	} else {
-		if err := e.flateInto(b.Data); err != nil {
-			return err
-		}
+		src = e.xor
 	}
-	hdrLen := 1
-	if marker == deltaXOR {
-		hdrLen += 8
+	out, fits := e.lzInto(src, lzBound(len(src)))
+	if !fits {
+		return fmt.Errorf("reduce: block %v: %d bytes is more than the codec takes", b.ID, len(src))
 	}
-	enc := block.GetPayload(hdrLen + e.buf.Len())
+	enc := block.GetPayload(hdrLen + len(out))
 	enc[0] = marker
 	if marker == deltaXOR {
-		binary.LittleEndian.PutUint64(enc[1:9], uint64(baseStep))
+		binary.LittleEndian.PutUint64(enc[1:9], uint64(int64(prev.step)))
 	}
-	copy(enc[hdrLen:], e.buf.Bytes())
+	copy(enc[hdrLen:], out)
 	// Retain a private copy of the raw payload as the next step's base,
 	// reusing the outgoing base's buffer when it fits.
 	next := prev.data
@@ -396,8 +350,6 @@ func (e *Encoder) encodeStride(b *block.Block) error {
 // each consumer's receiver thread owns one, which carries the Delta base
 // state for every stream the consumer is assigned.
 type Decoder struct {
-	buf  bytes.Buffer
-	fr   io.ReadCloser
 	last map[streamKey]base
 }
 
@@ -432,25 +384,20 @@ func (d *Decoder) DecodeBlock(b *block.Block) error {
 	return err
 }
 
-// inflateInto inflates src into d.buf (reset first) and checks the decoded
-// length against want.
-func (d *Decoder) inflateInto(src []byte, want int64) error {
-	d.buf.Reset()
-	r := bytes.NewReader(src)
-	if d.fr == nil {
-		d.fr = flate.NewReader(r)
-	} else if err := d.fr.(flate.Resetter).Reset(r, nil); err != nil {
-		return fmt.Errorf("reduce: flate reset: %w", err)
+// decodeLZ decodes src into a pooled payload of the block's raw size. The
+// size comes off the wire, so it is checked against what src could possibly
+// stand for before anything is allocated, and the payload goes back to the
+// pool unless src decoded to exactly that many bytes.
+func decodeLZ(src []byte, want int64, id block.ID) ([]byte, error) {
+	if want <= 0 || want > int64(len(src))*lzMaxRatio {
+		return nil, fmt.Errorf("reduce: block %v: %d encoded bytes cannot hold a raw size of %d", id, len(src), want)
 	}
-	// want bounds the copy so a corrupt stream cannot balloon the buffer.
-	n, err := io.Copy(&d.buf, io.LimitReader(d.fr, want+1))
-	if err != nil {
-		return fmt.Errorf("reduce: inflate: %w", err)
+	raw := block.GetPayload(int(want))
+	if err := lzDecode(raw, src); err != nil {
+		(&block.Block{Data: raw}).Release()
+		return nil, fmt.Errorf("reduce: block %v: %w", id, err)
 	}
-	if n != want {
-		return fmt.Errorf("reduce: inflated %d bytes, want %d", n, want)
-	}
-	return nil
+	return raw, nil
 }
 
 // swapDecoded installs the raw payload and recycles the encoded one.
@@ -463,11 +410,10 @@ func swapDecoded(b *block.Block, raw []byte) {
 }
 
 func (d *Decoder) decodeCompress(b *block.Block) error {
-	if err := d.inflateInto(b.Data, b.Bytes); err != nil {
+	raw, err := decodeLZ(b.Data, b.Bytes, b.ID)
+	if err != nil {
 		return err
 	}
-	raw := block.GetPayload(int(b.Bytes))
-	copy(raw, d.buf.Bytes())
 	swapDecoded(b, raw)
 	return nil
 }
@@ -497,11 +443,10 @@ func (d *Decoder) decodeDelta(b *block.Block) error {
 	default:
 		return fmt.Errorf("reduce: bad delta marker %d on block %v", marker, b.ID)
 	}
-	if err := d.inflateInto(body, b.Bytes); err != nil {
+	raw, err := decodeLZ(body, b.Bytes, b.ID)
+	if err != nil {
 		return err
 	}
-	raw := block.GetPayload(int(b.Bytes))
-	copy(raw, d.buf.Bytes())
 	if marker == deltaXOR {
 		for i := range raw {
 			raw[i] ^= prev.data[i]

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"zipper/internal/block"
@@ -209,7 +210,6 @@ func TestConfigValidate(t *testing.T) {
 	good := []Config{
 		{},
 		{Operator: Compress},
-		{Operator: Compress, Level: 9},
 		{Operator: Delta, OnPressure: true},
 		{Operator: Stride, Stride: 2},
 	}
@@ -223,7 +223,6 @@ func TestConfigValidate(t *testing.T) {
 		{Operator: Stride},
 		{Operator: Stride, Stride: 1},
 		{Operator: Compress, Stride: 2},
-		{Operator: Compress, Level: 42},
 		{Operator: Compress, ModelRatio: 1.5},
 	}
 	for _, c := range bad {
@@ -234,7 +233,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestCorruptEncodedPayloadErrors(t *testing.T) {
-	// Flate garbage, truncated delta headers, and wrong stride sizes must
+	// Codec garbage, truncated delta headers, and wrong stride sizes must
 	// all surface as errors, not panics or silent corruption.
 	cases := []*block.Block{
 		{ID: block.ID{}, Bytes: 64, Data: []byte{1, 2, 3}, Enc: uint8(Compress), EncBytes: 3},
@@ -249,5 +248,39 @@ func TestCorruptEncodedPayloadErrors(t *testing.T) {
 		if err := NewDecoder().DecodeBlock(b); err == nil {
 			t.Errorf("case %d: corrupt payload decoded", i)
 		}
+	}
+}
+
+// TestCorruptPayloadDoesNotLeakOrBalloon: the raw size on a frame is the
+// peer's word. A size the encoded bytes could not possibly stand for is
+// refused before anything is allocated, and a decode that fails half way
+// hands the pooled payload it was filling back to the pool.
+func TestCorruptPayloadDoesNotLeakOrBalloon(t *testing.T) {
+	absurd := &block.Block{Bytes: 1 << 40, Data: []byte{0x1f, 1, 1, 0, 255, 0, 0}, Enc: uint8(Compress), EncBytes: 7}
+	if err := NewDecoder().DecodeBlock(absurd); err == nil {
+		t.Fatal("7 encoded bytes decoded to a terabyte")
+	}
+
+	const size = 1 << 20
+	b := block.New(block.ID{}, 0, make([]byte, size))
+	if err := NewEncoder(Config{Operator: Compress}).EncodeBlock(b); err != nil || b.Enc == 0 {
+		t.Fatalf("a megabyte of zeros did not encode: %v", err)
+	}
+	cut := b.Data[:len(b.Data)-1] // fails on the last sequence, the payload all but full
+	d := NewDecoder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const tries = 64
+	for i := 0; i < tries; i++ {
+		bad := &block.Block{Bytes: size, Data: cut, Enc: uint8(Compress), EncBytes: int64(len(cut))}
+		if err := d.DecodeBlock(bad); err == nil {
+			t.Fatal("a truncated payload decoded")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// A leak allocates a fresh megabyte per try. (Not zero: under -race
+	// sync.Pool drops a quarter of what it is handed.)
+	if got := after.TotalAlloc - before.TotalAlloc; got > tries*size/2 {
+		t.Fatalf("%d failed decodes allocated %d MiB: the raw payload is not going back to the pool", tries, got>>20)
 	}
 }

@@ -147,7 +147,7 @@ func TestTCPFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	tr, err := DialTCP(ln.Addr())
+	tr, err := DialTCP(ln.Addr(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestTCPWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := DialTCP(ln.Addr())
+	tr, err := DialTCP(ln.Addr(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestTCPValidation(t *testing.T) {
 	if _, err := ListenTCP("127.0.0.1:0", 0, 1); err == nil {
 		t.Fatal("zero consumers accepted")
 	}
-	if _, err := DialTCP("127.0.0.1:1"); err == nil {
+	if _, err := DialTCP("127.0.0.1:1", 1); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
@@ -296,7 +296,7 @@ func TestTCPStagedWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := DialTCP(ln.Addr())
+	tr, err := DialTCP(ln.Addr(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

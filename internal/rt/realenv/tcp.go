@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 
@@ -17,8 +18,9 @@ import (
 // independently launched MPI applications. The consumer side listens; every
 // producer process dials in and streams framed mixed messages. Receive
 // windows are per-endpoint buffered queues; when a window fills, the reader
-// goroutine stops draining its connection and TCP flow control pushes the
-// backpressure to the sender — the same stall the in-memory path produces.
+// goroutine stops draining its connection and stops acknowledging, and the
+// sender parks once Window messages are unacknowledged — the same stall the
+// in-memory path produces, at the same depth.
 // In-transit stagers run as goroutines inside the listening process: the
 // listener's endpoint space is consumers followed by stagers, and a stager
 // forwards to consumer inboxes through the listener's Loopback transport.
@@ -45,7 +47,15 @@ import (
 // pooled block payloads, no intermediate copy. v5 also adds the per-block
 // `enc` word carrying the in-transit reduction operator (block.Enc), with
 // dataLen then holding the encoded payload size while `bytes` stays the
-// raw size.
+// raw size. Version 6 keeps that layout and adds a reverse stream on the same
+// connection: the listener's reader writes back a u32 count of messages it
+// has deposited in their destination inbox, and the sender parks while
+// Window messages are unacknowledged. Socket buffers plus the reader's 1 MiB
+// bufio used to be the only bound — over a thousand encoded blocks a
+// connection, more the better the data compressed — so a connection is now a
+// sender lane like a ring lane, and Config.Window means the same on all
+// three transports. The magic moved with it: a v5 peer would neither read
+// nor write acknowledgements, and fails at the first frame instead.
 //
 // The Retire flag is carried for frame completeness only: the elastic drain
 // protocol's "Retire arrives last" guarantee requires a transport whose Send
@@ -57,7 +67,7 @@ import (
 // zipper.NewJob enforces this: a TCP job with an elastic, fault-tolerant,
 // or non-rank-affine (pool-managed) staging tier is rejected at validation.
 const (
-	frameMagic  = 0x5a495035 // "ZIP5"
+	frameMagic  = 0x5a495036 // "ZIP6"
 	flagFin     = 1 << 0
 	flagRetire  = 1 << 1
 	maxFrameLen = 1 << 31
@@ -182,6 +192,8 @@ func (l *TCPListener) acceptLoop() {
 			port := l.eps.Port()
 			endpoints := l.eps.Endpoints()
 			r := bufio.NewReaderSize(conn, 1<<20)
+			var ack [4]byte
+			deposited := uint32(0) // messages not yet acknowledged
 			for {
 				to, m, err := readFrame(r)
 				if err != nil {
@@ -191,6 +203,17 @@ func (l *TCPListener) acceptLoop() {
 					return // corrupt target: drop the connection
 				}
 				port.Send(nil, to, m)
+				// Acknowledge what sits in an inbox, never what merely
+				// arrived. Counts coalesce while more frames are already
+				// buffered, and always go out before a read that can block
+				// on the sender — which may be parked on this very count.
+				if deposited++; r.Buffered() == 0 {
+					binary.LittleEndian.PutUint32(ack[:], deposited)
+					// A dead sender shows up as the next read's error; what
+					// it sent before dying is still delivered.
+					_, _ = conn.Write(ack[:])
+					deposited = 0
+				}
 			}
 		}()
 	}
@@ -202,29 +225,108 @@ func (l *TCPListener) acceptLoop() {
 // steady-state Send performs zero allocations and never copies payload
 // bytes.
 type TCPTransport struct {
-	mu          sync.Mutex
+	mu          sync.Mutex // serializes senders: one frame on the wire at a time
 	w           *bufio.Writer
 	c           net.Conn
 	hdr         []byte   // reusable frame-header scratch
 	vecs        [][]byte // reusable backing for the vectored write
 	vectoredMin int
+
+	// The send window: Send parks while `window` messages are
+	// unacknowledged. 0 means unbounded and no acknowledgement reader — for
+	// transports over sinks and pipes that never answer.
+	window  int
+	ackMu   sync.Mutex
+	ackCv   *sync.Cond    // a parked sender waits here, on ackMu
+	unacked int           // messages sent and not yet acknowledged
+	dead    error         // why the acknowledgement reader stopped
+	ackDone chan struct{} // closed when it has; nil with window 0
 }
 
-// DialTCP connects a producer process to the consumer-side listener.
-func DialTCP(addr string) (*TCPTransport, error) {
+// DialTCP connects a producer process to the consumer-side listener. window
+// is the connection's send window in messages (at least 1), as for ListenTCP:
+// the sender parks while that many messages have not reached their inbox.
+func DialTCP(addr string, window int) (*TCPTransport, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("realenv: dial %s: %w", addr, err)
 	}
-	return newTCPTransport(c), nil
+	if window < 1 {
+		window = 1
+	}
+	return newTCPTransport(c, window), nil
 }
 
-func newTCPTransport(c net.Conn) *TCPTransport {
-	return &TCPTransport{
+func newTCPTransport(c net.Conn, window int) *TCPTransport {
+	t := &TCPTransport{
 		w:           bufio.NewWriterSize(c, 1<<20),
 		c:           c,
 		vectoredMin: defaultVectoredMin,
+		window:      window,
 	}
+	if window > 0 {
+		t.ackCv = sync.NewCond(&t.ackMu)
+		t.ackDone = make(chan struct{})
+		go t.ackLoop()
+	}
+	return t
+}
+
+// ackLoop reads the listener's acknowledgement counts and reopens the window
+// by each. Any failure of the stream — the peer gone, the connection closed,
+// a count that acknowledges more than was sent — ends it and wakes a parked
+// sender into Send's failure path.
+func (t *TCPTransport) ackLoop() {
+	defer close(t.ackDone)
+	var buf [4]byte
+	for {
+		_, err := io.ReadFull(t.c, buf[:])
+		n := int64(binary.LittleEndian.Uint32(buf[:]))
+		t.ackMu.Lock()
+		if err == nil && (n == 0 || n > int64(t.unacked)) {
+			err = fmt.Errorf("peer acknowledged %d of %d messages in flight", n, t.unacked)
+		}
+		if err != nil {
+			t.dead = fmt.Errorf("acknowledgement stream: %w", err)
+		} else {
+			t.unacked -= int(n)
+		}
+		t.ackCv.Broadcast()
+		t.ackMu.Unlock()
+		if err != nil {
+			return
+		}
+	}
+}
+
+// acquire takes one message's worth of the send window, parking while the
+// window is closed. Callers hold t.mu, so at most one sender waits.
+func (t *TCPTransport) acquire() error {
+	if t.window == 0 {
+		return nil
+	}
+	t.ackMu.Lock()
+	defer t.ackMu.Unlock()
+	for t.unacked >= t.window && t.dead == nil {
+		t.ackCv.Wait()
+	}
+	if t.dead != nil {
+		return t.dead
+	}
+	t.unacked++
+	return nil
+}
+
+// Credits reports the free part of the connection's send window: how many
+// messages Send takes before it parks. The window is the connection's, so
+// the answer is the same for every endpoint behind it.
+func (t *TCPTransport) Credits(to int) int {
+	if t.window == 0 {
+		return math.MaxInt
+	}
+	t.ackMu.Lock()
+	defer t.ackMu.Unlock()
+	return t.window - t.unacked
 }
 
 // SetVectoredMin adjusts the payload size at which Send switches to the
@@ -249,14 +351,31 @@ func (t *TCPTransport) SetVectoredMin(n int) {
 func (t *TCPTransport) Send(c rt.Ctx, to int, m rt.Message) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.writeFrame(to, m); err != nil {
+	err := t.acquire()
+	if err == nil {
+		err = t.writeFrame(to, m)
+	}
+	if err != nil {
 		panic(fmt.Sprintf("realenv: tcp send: %v", err))
 	}
 }
 
 // Close shuts the connection down; the consumer side sees EOF after the
-// final frame.
-func (t *TCPTransport) Close() error { return t.c.Close() }
+// final frame. With a send window it closes the write side first and lets
+// the listener read to that EOF and hang up: closing a socket that still
+// holds unread acknowledgements resets the connection, and a reset discards
+// whatever frames the kernel had not yet delivered.
+func (t *TCPTransport) Close() error {
+	if t.ackDone == nil {
+		return t.c.Close()
+	}
+	if hc, ok := t.c.(interface{ CloseWrite() error }); ok && hc.CloseWrite() == nil {
+		<-t.ackDone
+	}
+	err := t.c.Close()
+	<-t.ackDone
+	return err
+}
 
 // writeFrame assembles the v5 header into the transport's scratch buffer
 // and writes the frame: small frames are copied through the bufio writer
@@ -484,4 +603,4 @@ func readFrame(r io.Reader) (int, rt.Message, error) {
 	return int(to), m, nil
 }
 
-var _ rt.Transport = (*TCPTransport)(nil)
+var _ rt.CreditTransport = (*TCPTransport)(nil)

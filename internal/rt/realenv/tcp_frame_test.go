@@ -94,7 +94,7 @@ func frameMessages() []rt.Message {
 func TestFrameV5RoundTrip(t *testing.T) {
 	for _, vectoredMin := range []int{-1, 1} {
 		conn := &memConn{}
-		tr := newTCPTransport(conn)
+		tr := newTCPTransport(conn, 0)
 		tr.SetVectoredMin(vectoredMin)
 		c := New().Ctx()
 		msgs := frameMessages()
@@ -165,7 +165,7 @@ func benchMessage(blocks, blockBytes int) rt.Message {
 // object per frame (target: zero — header scratch and iovec backing are
 // both reused).
 func TestWriteFrameAllocs(t *testing.T) {
-	tr := newTCPTransport(&discardConn{})
+	tr := newTCPTransport(&discardConn{}, 0)
 	c := New().Ctx()
 	m := benchMessage(16, 64<<10)
 	tr.Send(c, 0, m) // warm up the scratch buffers
@@ -188,7 +188,7 @@ func BenchmarkWriteFrame(b *testing.B) {
 		{"vectored", 1},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
-			tr := newTCPTransport(&discardConn{})
+			tr := newTCPTransport(&discardConn{}, 0)
 			tr.SetVectoredMin(bench.vectoredMin)
 			c := New().Ctx()
 			m := benchMessage(16, 256<<10)

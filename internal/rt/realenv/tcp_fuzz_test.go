@@ -17,7 +17,7 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	// Seed with real frames of every shape the sender can produce…
 	conn := &memConn{}
-	tr := newTCPTransport(conn)
+	tr := newTCPTransport(conn, 0)
 	c := New().Ctx()
 	for i, m := range frameMessages() {
 		conn.buf.Reset()
@@ -28,7 +28,7 @@ func FuzzReadFrame(f *testing.F) {
 	// lengths with no bytes behind them.
 	bad := [][]byte{
 		{},
-		{0x35, 0x50, 0x49, 0x5a}, // magic alone, truncated
+		{0x36, 0x50, 0x49, 0x5a}, // magic alone, truncated
 		binary.LittleEndian.AppendUint32(nil, 0xdeadbeef), // wrong magic
 	}
 	huge := binary.LittleEndian.AppendUint32(nil, frameMagic)
@@ -61,7 +61,7 @@ func FuzzReadFrame(f *testing.F) {
 		// A decoded frame must re-encode and decode identically (the wire
 		// format is unambiguous).
 		rt2 := &memConn{}
-		tr2 := newTCPTransport(rt2)
+		tr2 := newTCPTransport(rt2, 0)
 		tr2.Send(c, 0, m)
 		_, m2, err := readFrame(&rt2.buf)
 		if err != nil {

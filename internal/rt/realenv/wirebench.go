@@ -39,7 +39,7 @@ type WireBenchResult struct {
 // backs cmd/benchwire; the committed BENCH_wire.json gates on its numbers.
 func BenchWriteFrame(frames, blocks, blockBytes, vectoredMin int) WireBenchResult {
 	sink := &sinkConn{}
-	tr := newTCPTransport(sink)
+	tr := newTCPTransport(sink, 0)
 	tr.SetVectoredMin(vectoredMin)
 	c := New().Ctx()
 

@@ -142,9 +142,10 @@ type Transport interface {
 // CreditTransport is optionally implemented by transports that can report
 // the remaining receive-window credit of an endpoint without sending. The
 // producer's hybrid routing policy uses it as its first live-backpressure
-// signal: credit available means the direct path will not block. Transports
-// without credit visibility (for example TCP across processes) simply do not
-// implement it and the policy falls back to local signals.
+// signal: credit available means the direct path will not block. All three
+// realenv transports implement it — a TCP connection reports the free part
+// of its acknowledged send window — and a transport without credit
+// visibility simply does not, and the policy falls back to local signals.
 type CreditTransport interface {
 	Transport
 	// Credits reports how many messages endpoint `to` can accept right now.

@@ -67,7 +67,7 @@ func walPayload(seq, size int) []byte {
 }
 
 // send relays blocks [from, to) of `size` bytes through the stager in
-// messages of `batch`; every fifth block travels flate-encoded, as a
+// messages of `batch`; every fifth block travels encoded, as a
 // producer-side reduction would send it.
 func (r *walRig) send(from, to, batch, size int) {
 	enc := reduce.NewEncoder(reduce.Config{Operator: reduce.Compress})

@@ -1024,14 +1024,16 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 				// spiller takes blocks out of stream order.
 				s.env.CopyDelay(c, victim.b.Bytes)
 				if encErr := s.spillEnc.EncodeBlock(victim.b); encErr != nil {
-					panic(fmt.Sprintf("staging: reducing spill victim: %v", encErr))
+					err = fmt.Errorf("reducing the spill victim: %w", encErr)
 				}
 			}
-			start := c.Now()
-			err = s.fs.WriteBlock(c, victim.b)
-			busy = c.Now() - start
-			if s.cfg.Recorder != nil {
-				s.cfg.Recorder.Add(s.traceName("spiller"), "spill", start, start+busy)
+			if err == nil {
+				start := c.Now()
+				err = s.fs.WriteBlock(c, victim.b)
+				busy = c.Now() - start
+				if s.cfg.Recorder != nil {
+					s.cfg.Recorder.Add(s.traceName("spiller"), "spill", start, start+busy)
+				}
 			}
 		}
 

@@ -259,6 +259,31 @@ func TestJobRingWindowBoundsInFlight(t *testing.T) {
 		BufferBlocks: 16, ConsumerBufferBlocks: 16, Window: 4, MaxBatchBlocks: 8, DisableSteal: true,
 		Staging: StagingConfig{RingDepth: 1024},
 	}
+	// The lane, plus the message in the receiver's hands.
+	stalledConsumerHolds(t, cfg, cfg.Window+1)
+}
+
+// TestJobTCPWindowBoundsInFlight is the same regression for the third
+// transport. A TCP connection used to be bounded by the kernel's socket
+// buffers and the listener's 1 MiB read buffer alone — hundreds of frames of
+// small or well-compressed blocks, whatever Window said. A connection now
+// holds Window unacknowledged messages beyond what the endpoint holds.
+func TestJobTCPWindowBoundsInFlight(t *testing.T) {
+	cfg := Config{
+		Producers: 1, Consumers: 1, SpoolDir: t.TempDir(), TCPAddr: "127.0.0.1:0",
+		BufferBlocks: 16, ConsumerBufferBlocks: 16, Window: 4, MaxBatchBlocks: 8, DisableSteal: true,
+	}
+	// The connection, then the endpoint: its inbox and the message in the
+	// receiver's hands.
+	stalledConsumerHolds(t, cfg, cfg.Window+cfg.Window+1)
+}
+
+// stalledConsumerHolds writes 4000 blocks at a consumer that reads nothing
+// and checks, on every sample until the producer has wedged, that no more
+// than laneMsgs messages' worth of blocks sit between the producer's sender
+// and the consumer's receiver — and that the whole job holds no more than
+// that plus the buffers the Config names. Then it drains the job.
+func stalledConsumerHolds(t *testing.T, cfg Config, laneMsgs int) {
 	job, err := NewJob(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -271,9 +296,8 @@ func TestJobRingWindowBoundsInFlight(t *testing.T) {
 		}
 		p.Close()
 	}()
-	// The consumer reads nothing: sample until the producer has wedged (no
-	// Write accepted for 50 ms). The lane bound holds on every sample.
-	laneBound := int64((cfg.Window + 1) * cfg.MaxBatchBlocks) // the lane, plus the message in the receiver's hands
+	// Sample until no Write has been accepted for 50 ms.
+	laneBound := int64(laneMsgs * cfg.MaxBatchBlocks)
 	var written int64
 	deadline := time.Now().Add(10 * time.Second)
 	for quiet := 0; quiet < 50; {
@@ -282,8 +306,8 @@ func TestJobRingWindowBoundsInFlight(t *testing.T) {
 		}
 		st := job.Stats()
 		if lane := st.Producers[0].BlocksSent - st.Consumers[0].BlocksReceived; lane > laneBound {
-			t.Fatalf("%d blocks in the lane, at most %d fit a window of %d messages × %d blocks",
-				lane, laneBound, cfg.Window, cfg.MaxBatchBlocks)
+			t.Fatalf("%d blocks in the lane, at most %d fit %d messages × %d blocks",
+				lane, laneBound, laneMsgs, cfg.MaxBatchBlocks)
 		}
 		if st.BlocksWritten == written {
 			quiet++

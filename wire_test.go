@@ -151,3 +151,62 @@ func TestJobTCPStagedReduced(t *testing.T) {
 		t.Fatalf("accounting leak: %d on wire + %d reduced != %d", st.BytesOnWire, st.BytesReduced, 2*raw)
 	}
 }
+
+// TestJobTCPCompressDecodeAllocs pins the reduce path at no allocations per
+// block: a block that is compressed at the producer, framed over TCP, relayed
+// and decoded at the consumer must cost the allocator exactly what the same
+// trip costs unreduced. The codec works in the encoder's own table and
+// scratch and decodes straight into a pooled payload; everything else a
+// cycle allocates (descriptors, message slices) is the wire's, either way.
+func TestJobTCPCompressDecodeAllocs(t *testing.T) {
+	cycleAllocs := func(op ReduceOperator) float64 {
+		job, err := NewJob(Config{
+			Producers: 1, Consumers: 1, SpoolDir: t.TempDir(), TCPAddr: "127.0.0.1:0", DisableSteal: true,
+			Staging: StagingConfig{Stagers: 1, RoutePolicy: RouteStaging, Reduce: ReduceConfig{Operator: op}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, c := job.Producer(0), job.Consumer(0)
+		step := 0
+		cycle := func() {
+			data := NewPayload(64 << 10)
+			for j := range data {
+				data[j] = byte(step + j/64) // the benchmark's plateau field
+			}
+			p.Write(step, 0, data)
+			step++
+			blk, ok := c.Read()
+			if !ok {
+				t.Fatal("stream ended early")
+			}
+			if len(blk.Data) != 64<<10 || blk.Data[64] != byte(blk.ID.Step+1) {
+				t.Fatalf("block %+v did not survive the trip", blk.ID)
+			}
+			blk.Release()
+		}
+		for i := 0; i < 20; i++ {
+			cycle() // warm the payload pool, the encoder's scratch and the frame scratch
+		}
+		n := testing.AllocsPerRun(300, cycle)
+		p.Close()
+		if _, ok := c.Read(); ok {
+			t.Error("block delivered after Close")
+		}
+		job.Wait()
+		if op != ReduceNone && job.Stats().BytesReduced == 0 {
+			t.Error("nothing was reduced")
+		}
+		return n
+	}
+	raw, reduced := cycleAllocs(ReduceNone), cycleAllocs(ReduceCompress)
+	slack := 0.0
+	if raceEnabled {
+		// Three more pooled payloads per block (encoded at the sender and
+		// at the reader, raw at the decoder), a quarter of them dropped.
+		slack = 1
+	}
+	if reduced > raw+slack {
+		t.Errorf("a compressed block allocates %.0f times on its way through, an unreduced one %.0f: the reduce path must add none", reduced, raw)
+	}
+}

@@ -239,11 +239,11 @@ type ReduceOperator = reduce.Kind
 const (
 	// ReduceNone disables payload reduction (the default).
 	ReduceNone = reduce.None
-	// ReduceCompress flate-compresses each relayed block, skipping blocks
+	// ReduceCompress LZ-compresses each relayed block, skipping blocks
 	// that don't shrink. Lossless; the safe default for unknown payloads.
 	ReduceCompress = reduce.Compress
 	// ReduceDelta XOR-encodes each block against the previous step of the
-	// same (rank, seq) stream, then flate-compresses the sparse residue.
+	// same (rank, seq) stream, then LZ-compresses the sparse residue.
 	// Lossless; strongest on smooth time-evolving fields. It needs a single
 	// in-order relay path per stream, so it is rejected with elastic,
 	// fault-protected, or non-RankAffine-placed tiers.
@@ -352,18 +352,23 @@ type Config struct {
 	// Window is the receive window in messages (default 4): how many
 	// undelivered messages a sender may have queued at an endpoint before
 	// Send blocks — the backpressure every routing, stealing and scaling
-	// decision reads. On the channel transport it is each endpoint's inbox
-	// capacity; on the ring transport (Staging.RingDepth > 0) it is each
-	// sender lane's capacity, min(RingDepth, Window). One rule, because a
-	// lane that ignored it held RingDepth × MaxBatchBlocks blocks per sender
-	// (64 × 8 = 512 blocks, 8 MiB at 16 KiB, against a 256-block stager
-	// buffer): any producer-side speed-up then piled up in the lanes, the
-	// stager overflowed into spill and re-read while its consumer sat idle,
-	// and RingDepth: 1024 pinned over 1 GB of payloads.
+	// decision reads — and it means the same on channels, rings and TCP. On
+	// the channel transport it is each endpoint's inbox capacity; on the
+	// ring transport (Staging.RingDepth > 0) it is each sender lane's
+	// capacity, min(RingDepth, Window); on a TCP job (TCPAddr) it is also
+	// how many messages a producer's connection carries that the listener
+	// has not yet acknowledged as deposited in their inbox. One rule,
+	// because a lane that ignored it held RingDepth × MaxBatchBlocks blocks
+	// per sender (64 × 8 = 512 blocks, 8 MiB at 16 KiB, against a 256-block
+	// stager buffer), and a connection bounded only by socket buffers held
+	// over a thousand compressed blocks: any producer-side speed-up then
+	// piled up out of sight, the stager overflowed into spill and re-read
+	// while its consumer sat idle, and RingDepth: 1024 pinned over 1 GB of
+	// payloads.
 	Window int
 	// TCPAddr, when non-empty, carries every producer→endpoint message over
 	// real TCP sockets instead of the in-process channel network: NewJob
-	// binds a frame-v5 listener to this address ("127.0.0.1:0" picks a free
+	// binds a frame-v6 listener to this address ("127.0.0.1:0" picks a free
 	// port), hosts the consumer and stager inboxes behind it, and gives each
 	// producer its own dialed connection. Stagers forward to consumers over
 	// the listener's loopback. Endpoints still share the process; what
@@ -710,7 +715,7 @@ func NewJob(cfg Config) (*Job, error) {
 	}
 	j := &Job{env: env, cfg: cfg, fs: fs}
 	// The wire: the in-process channel network by default, or — with
-	// TCPAddr set — a frame-v5 TCP listener hosting every consumer and
+	// TCPAddr set — a frame-v6 TCP listener hosting every consumer and
 	// stager inbox, each producer on its own dialed connection, and the
 	// stagers forwarding over the listener's loopback.
 	var inboxAt func(i int) rt.Inbox
@@ -904,7 +909,7 @@ func NewJob(cfg Config) (*Job, error) {
 			tr = j.net.Port()
 		}
 		if j.ln != nil {
-			t, err := realenv.DialTCP(j.ln.Addr())
+			t, err := realenv.DialTCP(j.ln.Addr(), window)
 			if err != nil {
 				j.closeWire()
 				return nil, err
