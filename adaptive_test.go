@@ -218,3 +218,89 @@ func TestJobStatsLiveRates(t *testing.T) {
 		t.Fatalf("mid-run rates write=%.0f analyze=%.0f blocks/s, want ≫ 0", midWrite, midAnalyze)
 	}
 }
+
+// TestJobAdaptiveArbitratesDisk runs the three-channel election end to end on
+// the real platform, on the shape that used to defeat it: bursts into a
+// 16-block producer buffer, in front of two roomy ring-connected,
+// fault-protected stagers whose relay send is a ring push that returns at
+// once. The buffer sits above HighWater for most of every burst, and
+// Algorithm 1 alone took that as the order to put three blocks in four
+// through file-per-block disk while the stagers idled. With the router
+// arbitrating, disk — a thousand times the relay's cost per byte here — keeps
+// its exploring steal and its probes; every block is conserved either way.
+func TestJobAdaptiveArbitratesDisk(t *testing.T) {
+	const (
+		producers  = 2
+		bursts     = 6
+		burst      = 400
+		blockBytes = 32 << 10
+	)
+	job, err := NewJob(Config{
+		Producers: producers, Consumers: 1, SpoolDir: t.TempDir(),
+		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8,
+		Staging: StagingConfig{Stagers: 2, BufferBlocks: 256, RoutePolicy: RouteAdaptive,
+			Placement: LeastOccupancy, RingDepth: 64,
+			Elastic: ElasticConfig{Enabled: true, MinStagers: 1, MaxStagers: 2},
+			Reduce:  ReduceConfig{Operator: ReduceCompress, OnPressure: true}},
+		Fault: FaultConfig{Enabled: true, Heartbeat: 10 * time.Millisecond, LeaseTTL: 5 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < producers; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := job.Producer(i)
+			for s := 0; s < bursts; s++ {
+				for b := 0; b < burst; b++ {
+					data := NewPayload(blockBytes)
+					for j := range data {
+						data[j] = byte(i ^ s ^ b)
+					}
+					p.Write(s, int64(b)*blockBytes, data)
+				}
+				time.Sleep(20 * time.Millisecond) // the compute phase
+			}
+			p.Close()
+		}()
+	}
+	seen := make(map[BlockID]bool, producers*bursts*burst)
+	for {
+		blk, ok := job.Consumer(0).Read()
+		if !ok {
+			break
+		}
+		if seen[blk.ID] {
+			t.Fatalf("block %+v delivered twice", blk.ID)
+		}
+		seen[blk.ID] = true
+		want := byte(blk.ID.Rank ^ blk.ID.Step ^ int(blk.Offset/blockBytes))
+		if len(blk.Data) != blockBytes || blk.Data[0] != want || blk.Data[blockBytes-1] != want {
+			t.Fatalf("block %+v corrupted", blk.ID)
+		}
+		blk.Release()
+		for t0 := time.Now(); time.Since(t0) < 50*time.Microsecond; {
+			// the analysis, which drains a burst during the compute phase
+		}
+	}
+	wg.Wait()
+	job.Wait()
+	st := job.Stats()
+	if want := int64(producers * bursts * burst); st.BlocksWritten != want || int64(len(seen)) != want {
+		t.Fatalf("wrote %d and analyzed %d distinct blocks, want %d", st.BlocksWritten, len(seen), want)
+	}
+	if st.BlocksSent+st.BlocksRelayed+st.BlocksStolen != st.BlocksWritten {
+		t.Fatalf("channel split %d+%d+%d != %d", st.BlocksSent, st.BlocksRelayed, st.BlocksStolen, st.BlocksWritten)
+	}
+	if len(st.FailoverEvents) != 0 {
+		t.Fatalf("a healthy run evicted stagers: %+v", st.FailoverEvents)
+	}
+	if st.BlocksStolen*5 >= st.BlocksWritten {
+		t.Fatalf("%d of %d blocks went through the file system (%d direct, %d relayed), want under a fifth",
+			st.BlocksStolen, st.BlocksWritten, st.BlocksSent, st.BlocksRelayed)
+	}
+	t.Logf("%d direct, %d relayed, %d stolen of %d", st.BlocksSent, st.BlocksRelayed, st.BlocksStolen, st.BlocksWritten)
+}

@@ -35,6 +35,33 @@ func (t *routeCapture) Send(c rt.Ctx, to int, m rt.Message) {
 
 func (t *routeCapture) Credits(to int) int { return t.inner.Credits(to) }
 
+// stagedSimRig wires one producer (node 0) through one stager (node 2, holding
+// stagerBlocks) to one consumer (node 1) on the simulated platform, with two
+// OSTs of ostBandwidth (nodes 3-4) and an MDS (node 5) behind them. wrap, when
+// non-nil, interposes on the producer's transport.
+func stagedSimRig(cfg Config, stagerBlocks int, ostBandwidth float64, wrap func(*simenv.Network) rt.Transport) (*sim.Engine, *Producer, *Consumer) {
+	eng := sim.New()
+	fab := fabric.New(eng, fabric.Config{
+		Nodes: 6, NodesPerLeaf: 16, LinkBandwidth: 1e9, LinkLatency: time.Microsecond, MTU: 256 << 10,
+	})
+	fs := pfs.New(eng, fab, pfs.Config{
+		OSTNodes: []fabric.NodeID{3, 4}, MDSNode: 5, OSTBandwidth: ostBandwidth,
+	})
+	net := simenv.NewNetwork(eng, fab, []fabric.NodeID{1, 2}, 2)
+	store := simenv.NewStore(fs, "zipper")
+	var tr rt.Transport = net
+	if wrap != nil {
+		tr = wrap(net)
+	}
+	cons := NewConsumer(simenv.NewEnv(eng, 1, 0), cfg, 0, 1, net.Inbox(0), store)
+	stg := staging.NewStager(simenv.NewEnv(eng, 2, 0),
+		staging.Config{BufferBlocks: stagerBlocks, MaxBatchBlocks: 2, Producers: 1},
+		0, net.Inbox(1), net, simenv.NewStore(fs, "zipper-stage0"))
+	cfg.StagerLevel = func(addr int) *flow.Level { return stg.Level() }
+	prod := NewStagedProducer(simenv.NewEnv(eng, 0, 0), cfg, 0, 0, 1, tr, store)
+	return eng, prod, cons
+}
+
 // adaptiveStepRun wires one producer through one stager to one consumer on
 // the simulated platform and drives a step-change workload: the consumer
 // analyzes fast, then slows 30× for a mid-stream window while the producer
@@ -49,29 +76,15 @@ func adaptiveStepRun(t *testing.T) (dests []int, times []time.Duration, slowStar
 		slowFrom   = 80
 		slowTo     = 130
 	)
-	eng := sim.New()
-	// Nodes: 0 producer, 1 consumer, 2 stager, 3-4 OSTs, 5 MDS.
-	fab := fabric.New(eng, fabric.Config{
-		Nodes: 6, NodesPerLeaf: 16, LinkBandwidth: 1e9, LinkLatency: time.Microsecond, MTU: 256 << 10,
-	})
-	fs := pfs.New(eng, fab, pfs.Config{
-		OSTNodes: []fabric.NodeID{3, 4}, MDSNode: 5, OSTBandwidth: 8e8,
-	})
-	net := simenv.NewNetwork(eng, fab, []fabric.NodeID{1, 2}, 2)
-	store := simenv.NewStore(fs, "zipper")
-	cap := &routeCapture{inner: net}
-
-	cfg := Config{
+	var cap *routeCapture
+	eng, prod, cons := stagedSimRig(Config{
 		BufferBlocks: 8, HighWater: 6, MaxBatchBlocks: 2,
 		RoutePolicy: RouteAdaptive,
 		Adaptive:    flow.Tuning{Tau: 2 * time.Millisecond, Decay: 10 * time.Millisecond},
-	}
-	cons := NewConsumer(simenv.NewEnv(eng, 1, 0), cfg, 0, 1, net.Inbox(0), store)
-	stg := staging.NewStager(simenv.NewEnv(eng, 2, 0),
-		staging.Config{BufferBlocks: 64, MaxBatchBlocks: 2, Producers: 1},
-		0, net.Inbox(1), net, simenv.NewStore(fs, "zipper-stage0"))
-	cfg.StagerLevel = func(addr int) *flow.Level { return stg.Level() }
-	prod := NewStagedProducer(simenv.NewEnv(eng, 0, 0), cfg, 0, 0, 1, cap, store)
+	}, 64, 8e8, func(net *simenv.Network) rt.Transport {
+		cap = &routeCapture{inner: net}
+		return cap
+	})
 
 	prodEnv := simenv.NewEnv(eng, 0, 0)
 	eng.Spawn("app.prod", func(sp *sim.Proc) {

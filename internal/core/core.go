@@ -9,7 +9,9 @@
 // and a writer thread running the adaptive work-stealing algorithm
 // (Algorithm 1): when the buffer rises above a high-water threshold, the
 // writer steals the oldest block and routes it through the parallel file
-// system — the concurrent dual-channel transfer optimization (§4.3).
+// system — the concurrent dual-channel transfer optimization (§4.3). With a
+// staging tier and a router that arbitrates disk (flow.DiskArbiter), the
+// writer additionally needs the router's election for each steal.
 //
 // Consumer runtime module (§4.2, Figure 9): a receiver thread that splits
 // mixed messages into data blocks and on-disk IDs, a reader thread that
@@ -74,7 +76,10 @@ const (
 	// flow.Adaptive controller tracks per-channel delivered-throughput and
 	// producer-stall EWMAs and continuously rebalances the direct/staging
 	// split so the producer never stalls while the consumer and stagers
-	// run at their service rates. Tune it with Config.Adaptive.
+	// run at their service rates — and elects the third channel too: the
+	// writer thread steals only while disk costs within an order of
+	// magnitude of the network (flow.Adaptive.ElectDisk). Tune it with
+	// Config.Adaptive.
 	RouteAdaptive
 )
 
@@ -102,8 +107,11 @@ type Config struct {
 	// num_slots circular FIFO). Zero selects 8.
 	BufferBlocks int
 	// HighWater is the stealing threshold in blocks: the writer thread
-	// steals while more than this many blocks are queued. Zero selects
-	// 3/4 of BufferBlocks. It must be < BufferBlocks to be reachable.
+	// steals only while more than this many blocks are queued — always,
+	// unless the producer has a staging tier and its router is a
+	// flow.DiskArbiter (RouteAdaptive), which then also has to elect the
+	// file system. Zero selects 3/4 of BufferBlocks. It must be
+	// < BufferBlocks to be reachable.
 	HighWater int
 	// ConsumerBufferBlocks is the consumer buffer capacity. Zero selects 16.
 	ConsumerBufferBlocks int
@@ -129,7 +137,9 @@ type Config struct {
 	// strategy a plug-in rather than another branch in the sender thread.
 	// It is consulted only when a stager is assigned. The producer routes
 	// its Fin through the stager whenever the router relayed any batch, so
-	// a custom policy cannot strand relayed blocks behind a direct Fin.
+	// a custom policy cannot strand relayed blocks behind a direct Fin. A
+	// router that is only a flow.Router leaves stealing to Algorithm 1; one
+	// that is also a flow.DiskArbiter decides it.
 	NewRouter func() flow.Router
 	// StagerLevel exposes the live occupancy gauge of the stager at a
 	// transport address; nil means occupancy is unknown and the routing
@@ -186,7 +196,7 @@ type Config struct {
 	// order, per-stream run order, and wire bytes are identical to inline.
 	ReducePipeline *reduce.Pipeline
 	// DisableSteal turns the writer thread off, yielding the
-	// message-passing-only baseline of §6.2.
+	// message-passing-only baseline of §6.2, whatever the router would elect.
 	DisableSteal bool
 	// Recorder, when non-nil, receives thread activity spans for trace
 	// analysis (Figures 4–6, 17, 19 style views).

@@ -56,6 +56,13 @@ type Producer struct {
 	// the real clock anyway, because it measures how long.
 	clock time.Duration
 	fl    flow.ProducerFlows
+
+	// arbiter is router when it also elects the disk channel and the producer
+	// has a staging tier to weigh disk against; nil leaves the writer thread
+	// on Algorithm 1 (above HighWater, steal). poolEmpty, kept under lk, says
+	// the sender's last pool resolution found no stager to weigh it against.
+	arbiter   flow.DiskArbiter
+	poolEmpty bool
 }
 
 // NewProducer builds the runtime module for one producer rank feeding
@@ -78,6 +85,9 @@ func NewStagedProducer(env rt.Env, cfg Config, rank, to, stager int, tr rt.Trans
 	}
 	p := &Producer{env: env, cfg: cfg, rank: rank, to: to, stager: stager, tr: tr, fs: fs}
 	p.router = cfg.router()
+	if stager != NoStager || cfg.Directory != nil {
+		p.arbiter, _ = p.router.(flow.DiskArbiter)
+	}
 	if cfg.Reduce.Enabled() && !cfg.Reduce.OnPressure {
 		p.enc = reduce.NewEncoder(cfg.Reduce)
 	}
@@ -108,9 +118,12 @@ func (p *Producer) traceName(thread string) string {
 
 // Write hands one block of simulation output to the runtime. data may be nil
 // in simulation mode, with bytes carrying the logical size; in real mode
-// pass the payload and bytes == int64(len(data)). Write blocks only while
-// the producer buffer is full — with stealing enabled the writer thread
-// relieves that condition through the file-system path.
+// pass the payload and bytes == int64(len(data)); the payload is the
+// runtime's from then on, and goes back to the block pool once the block is
+// delivered or stolen. Write blocks only while the producer buffer is full —
+// with stealing enabled the writer thread relieves that condition through the
+// file-system path, whenever the buffer is above HighWater and, if the router
+// arbitrates disk, for as long as it elects it.
 func (p *Producer) Write(c rt.Ctx, step int, offset int64, data []byte, bytes int64) {
 	if data != nil && int64(len(data)) != bytes {
 		panic(fmt.Sprintf("core: Write bytes %d != len(data) %d", bytes, len(data)))
@@ -455,6 +468,7 @@ func (p *Producer) routeLocked(c rt.Ctx, batch int) (dest, to int, route flow.Ro
 // the claim with Done once the send has deposited.
 func (p *Producer) routePoolLocked(c rt.Ctx, to, batch int) (int, flow.Route) {
 	addr, ok := p.cfg.Directory.Peek(p.rank)
+	p.poolEmpty = !ok
 	if !ok {
 		return to, flow.Direct // empty pool: only the direct path exists
 	}
@@ -498,14 +512,30 @@ func (p *Producer) signalsLocked(c rt.Ctx, addr, to, batch int) flow.Signals {
 	return sig
 }
 
+// stealElectedLocked is the writer thread's condition. Algorithm 1 steals
+// whenever the buffer is above the high-water threshold; with a staging tier
+// and a router that arbitrates disk, the router is asked as well, so the three
+// channels answer to one controller instead of the file system being filled
+// behind the router's back.
+func (p *Producer) stealElectedLocked() bool {
+	if len(p.buf) <= p.cfg.HighWater {
+		return false
+	}
+	if p.arbiter == nil || p.poolEmpty {
+		return true
+	}
+	return p.arbiter.ElectDisk()
+}
+
 // writerThread is Algorithm 1: steal the oldest block whenever the buffer is
-// above the high-water threshold and route it through the parallel file
-// system. If a spill fails, the block is returned to the buffer and stealing
-// is disabled so no data is lost.
+// above the high-water threshold — and the router, when it arbitrates disk,
+// elects it — and route it through the parallel file system. If a spill
+// fails, the block is returned to the buffer and stealing is disabled so no
+// data is lost.
 func (p *Producer) writerThread(c rt.Ctx) {
 	for {
 		p.lk.Lock(c)
-		for len(p.buf) <= p.cfg.HighWater && !p.closed {
+		for !p.closed && !p.stealElectedLocked() {
 			p.aboveHW.Wait(c)
 		}
 		if p.closed {
@@ -542,6 +572,10 @@ func (p *Producer) writerThread(c rt.Ctx) {
 		p.diskIDs = append(p.diskIDs, rt.DiskRef{ID: b.ID, Bytes: b.Bytes})
 		p.notEmpty.Signal() // the ID list alone is worth announcing
 		p.lk.Unlock(c)
+		if p.arbiter != nil {
+			p.arbiter.ObserveSend(flow.Disk, now, busy, 1, b.Bytes)
+		}
+		b.Release() // recycle the payload: the file-system copy is authoritative now
 		if p.cfg.Recorder != nil {
 			p.cfg.Recorder.Add(p.traceName("writer"), "steal", start, start+busy)
 		}

@@ -3,6 +3,9 @@ package exp
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"zipper/internal/trace"
 )
 
 // TestAdaptiveSweepShape checks the four-policy comparison's headline
@@ -68,5 +71,29 @@ func TestAdaptiveTraceRendersRoutingSplit(t *testing.T) {
 func TestRoutingSplitTimelineEmpty(t *testing.T) {
 	if got := RoutingSplitTimeline(nil, 8); !strings.Contains(got, "no sender activity") {
 		t.Fatalf("empty trace rendered %q", got)
+	}
+}
+
+// TestRoutingSplitTimelineDiskShare pins the disk row: the writer threads'
+// steal spans render as the disk share of each slice's transfers, a slice
+// with traffic but no steal as '.', and other producer spans are ignored.
+func TestRoutingSplitTimelineDiskShare(t *testing.T) {
+	ms := time.Millisecond
+	spans := []trace.Span{
+		// Slice 0: two relays, no steal.
+		{Proc: "zprod.0.sender", State: "relay", Start: 0, End: ms},
+		{Proc: "zprod.1.sender", State: "relay", Start: ms, End: 2 * ms},
+		// Slice 1: one direct send, one steal — half the transfers.
+		{Proc: "zprod.0.sender", State: "send", Start: 10 * ms, End: 11 * ms},
+		{Proc: "zprod.0.writer", State: "steal", Start: 11 * ms, End: 12 * ms},
+		{Proc: "zprod.0.app", State: "stall", Start: 11 * ms, End: 12 * ms},
+		// Slice 2: idle. Slice 3: steals only.
+		{Proc: "zprod.1.writer", State: "steal", Start: 30 * ms, End: 40 * ms},
+	}
+	got := RoutingSplitTimeline(spans, 4)
+	for _, want := range []string{"[90--]", "disk share", "[.5-9]"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("timeline missing %q:\n%s", want, got)
+		}
 	}
 }

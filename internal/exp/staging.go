@@ -120,12 +120,15 @@ func routingSweep(app string, producers, steps int, modes []core.RoutePolicy) []
 	return rows
 }
 
-// RoutingSplitTimeline renders the direct/staging split over time from a
+// RoutingSplitTimeline renders the three-way channel split over time from a
 // recorded trace: the run is cut into `buckets` equal slices and each cell
-// shows, as a decile digit, the share of producer sender batches that took
-// the staging relay in that slice. It is the zippertrace view of the flow
-// controller's behavior — a reactive policy flips cell to cell where the
-// closed loop holds a plateau and relaxes after the burst.
+// of the first row shows, as a decile digit, the share of producer sender
+// batches that took the staging relay in that slice; the second row shows the
+// share of the slice's transfers (sender batches plus the writer threads'
+// steals) that went through the file system. It is the zippertrace view of
+// the flow controller's behavior — a reactive policy flips cell to cell where
+// the closed loop holds a plateau and relaxes after the burst, and a disk
+// channel the controller has priced out shows as lone probes.
 func RoutingSplitTimeline(spans []trace.Span, buckets int) string {
 	if buckets < 1 {
 		buckets = 32
@@ -141,35 +144,51 @@ func RoutingSplitTimeline(spans []trace.Span, buckets int) string {
 	}
 	direct := make([]int, buckets)
 	relay := make([]int, buckets)
+	steal := make([]int, buckets)
 	for _, sp := range spans {
-		if !strings.HasPrefix(sp.Proc, "zprod.") || !strings.HasSuffix(sp.Proc, ".sender") {
+		if !strings.HasPrefix(sp.Proc, "zprod.") {
 			continue
 		}
 		b := int(int64(sp.Start) * int64(buckets) / int64(end))
 		if b >= buckets {
 			b = buckets - 1
 		}
-		switch sp.State {
-		case "send":
+		switch {
+		case strings.HasSuffix(sp.Proc, ".sender") && sp.State == "send":
 			direct[b]++
-		case "relay":
+		case strings.HasSuffix(sp.Proc, ".sender") && sp.State == "relay":
 			relay[b]++
+		case strings.HasSuffix(sp.Proc, ".writer") && sp.State == "steal":
+			steal[b]++
 		}
 	}
-	var cells strings.Builder
-	for b := 0; b < buckets; b++ {
-		if direct[b]+relay[b] == 0 {
-			cells.WriteByte('-')
-			continue
-		}
-		d := 10 * relay[b] / (direct[b] + relay[b])
+	decile := func(part, whole int) byte {
+		d := 10 * part / whole
 		if d > 9 {
 			d = 9
 		}
-		cells.WriteByte(byte('0' + d))
+		return byte('0' + d)
 	}
-	return fmt.Sprintf("routing split over time (staging share per %.0fms slice, 0=all direct, 9=all relay, -=idle):\n  [%s]",
-		float64(end)/float64(buckets)/1e6, cells.String())
+	var net, disk strings.Builder
+	for b := 0; b < buckets; b++ {
+		sent := direct[b] + relay[b]
+		if sent == 0 {
+			net.WriteByte('-')
+		} else {
+			net.WriteByte(decile(relay[b], sent))
+		}
+		switch {
+		case sent+steal[b] == 0:
+			disk.WriteByte('-')
+		case steal[b] == 0:
+			disk.WriteByte('.')
+		default:
+			disk.WriteByte(decile(steal[b], sent+steal[b]))
+		}
+	}
+	return fmt.Sprintf("routing split over time (staging share per %.0fms slice, 0=all direct, 9=all relay, -=idle):\n  [%s]\n"+
+		"disk share of the same slices (writer steals among all transfers, .=none, 0=under a tenth, 9=all stolen):\n  [%s]",
+		float64(end)/float64(buckets)/1e6, net.String(), disk.String())
 }
 
 // FormatStaging renders the staging sweep.

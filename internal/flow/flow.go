@@ -3,6 +3,16 @@
 // signals, and the routers that consult those signals to pick a channel for
 // every batch a producer's sender thread drains.
 //
+// Three channels, one arbiter. A Router splits the sender thread's batches
+// between the two network channels (Direct, Relay). The third channel, Disk,
+// belongs to the producer's work-stealing writer thread, and who decides a
+// steal depends on the router: one that is only a Router leaves it to the
+// paper's Algorithm 1 (buffer above HighWater ⇒ steal), which treats the file
+// system as a resource independent of the network; a DiskArbiter — Adaptive
+// is the one in this package — is asked each time the buffer is above
+// HighWater, and elects disk only while a steal's measured cost per byte is
+// within an order of magnitude of the cheaper network channel's.
+//
 // Everything here is clocked by caller-supplied timestamps — rt.Ctx.Now()
 // virtual time under simenv, wall time since the platform epoch under
 // realenv — so the same controller runs deterministically inside the

@@ -15,12 +15,21 @@ const (
 	Direct Route = iota
 	// Relay sends through the assigned in-transit stager.
 	Relay
+	// Disk is the work-stealing writer thread's channel: the oldest buffered
+	// block goes through the file system. Route never returns it — the sender
+	// thread only has the two network channels — but a DiskArbiter elects it
+	// for the writer thread, and ObserveSend(Disk, …) reports what a steal
+	// cost.
+	Disk
 )
 
 // String names the route as the trace states do.
 func (r Route) String() string {
-	if r == Relay {
+	switch r {
+	case Relay:
 		return "relay"
+	case Disk:
+		return "steal"
 	}
 	return "send"
 }
@@ -110,6 +119,22 @@ type Router interface {
 	// ObserveStall reports that the application's Write sat blocked on a
 	// full producer buffer for `stall`, ending at now.
 	ObserveStall(now, stall time.Duration)
+}
+
+// DiskArbiter is a Router that also decides the third channel. The paper's
+// Algorithm 1 steals whenever the producer buffer is above HighWater, which
+// assumes the file system is a resource independent of the network; a
+// DiskArbiter is asked instead, each time the writer thread finds the buffer
+// above HighWater, whether a steal is worth what it costs right now. The
+// producer reports every completed steal with ObserveSend(Disk, …). Routers
+// that do not implement it — the fixed and reactive policies, any plug-in
+// written against Router alone — keep Algorithm 1's answer and never see a
+// Disk observation.
+type DiskArbiter interface {
+	Router
+	// ElectDisk reports whether the writer thread should steal the oldest
+	// buffered block now. Called with the producer lock held.
+	ElectDisk() bool
 }
 
 // Static returns the fixed-choice router behind RouteDirect and
@@ -252,7 +277,11 @@ func (e *costEWMA) add(x float64) {
 //   - work conservation: a batch never blocks on its elected channel while
 //     the other channel has a free window slot, and when both are exhausted
 //     it waits on the one with the lower measured blocked-delivery cost,
-//     probing the other every ProbeInterval-th saturated decision.
+//     probing the other every ProbeInterval-th saturated decision;
+//   - disk: the writer thread's steals are the controller's third outcome
+//     (see ElectDisk), priced by the same kind of gauge as the two network
+//     channels, so the file system is not filled behind the router's back
+//     while a cheaper channel has room.
 //
 // All state is clocked by Signals.Now / the observation timestamps, so the
 // controller is deterministic under simenv and shared unchanged by realenv.
@@ -264,11 +293,14 @@ type Adaptive struct {
 	lastRelax time.Duration
 	pressured int // pressured decisions, for the probing cadence
 
-	stall Meter    // ns the producer's Write sat blocked
-	dBlk  costEWMA // fraction of decisions that found the direct window exhausted
-	rBlk  costEWMA // fraction of decisions that found the stager window exhausted
-	dCost costEWMA // direct-channel blocked-delivery cost, ns/byte
-	rCost costEWMA // relay-channel blocked-delivery cost, ns/byte
+	stall    Meter    // ns the producer's Write sat blocked
+	dBlk     costEWMA // fraction of decisions that found the direct window exhausted
+	rBlk     costEWMA // fraction of decisions that found the stager window exhausted
+	dCost    costEWMA // direct-channel blocked-delivery cost, ns/byte
+	rCost    costEWMA // relay-channel blocked-delivery cost, ns/byte
+	diskCost costEWMA // disk-channel cost, ns/byte of the writer thread's steals
+
+	diskDeclined int // steals declined since the last one, for the disk probe
 }
 
 // NewAdaptive returns an adaptive router with the given tuning.
@@ -401,8 +433,58 @@ func (a *Adaptive) relaxLocked(now time.Duration) {
 	a.share = a.tun.MinShare + (a.share-a.tun.MinShare)*f
 }
 
+// diskMargin is how many times the network's cost per byte a steal may cost
+// and still be elected: the writer thread runs beside the sender, so a disk
+// channel as slow as the network, or a few times slower, still adds
+// bandwidth the producer would otherwise wait for, while one that is orders
+// of magnitude slower only takes processor time and file-system work from a
+// network path that was about to drain the buffer anyway.
+const diskMargin = 10
+
+// diskProbeFactor spaces the disk probe: every diskProbeFactor×ProbeInterval
+// declined steals one is elected regardless, so a file system that has
+// recovered is noticed. Far sparser than the network probe because a probe
+// that was not worth it costs a whole file-system round trip on both ends.
+const diskProbeFactor = 16
+
+// ElectDisk implements DiskArbiter: steal while the disk channel's measured
+// cost is within diskMargin of what the network currently costs — the cheaper
+// of the measured network channels, which is where the sender thread would
+// otherwise put the block. An unmeasured disk reads as free, so the first
+// steal explores; with no network channel measured yet there is nothing to
+// weigh disk against and Algorithm 1's answer stands.
+func (a *Adaptive) ElectDisk() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.diskWorthItLocked() {
+		a.diskDeclined = 0
+		return true
+	}
+	a.diskDeclined++
+	if a.diskDeclined >= diskProbeFactor*a.tun.ProbeInterval {
+		a.diskDeclined = 0
+		return true
+	}
+	return false
+}
+
+func (a *Adaptive) diskWorthItLocked() bool {
+	if !a.diskCost.seen {
+		return true
+	}
+	net := math.Inf(1) // no network channel measured: anything is worth it
+	if a.dCost.seen {
+		net = a.dCost.v
+	}
+	if a.rCost.seen {
+		net = math.Min(net, a.rCost.v)
+	}
+	return a.diskCost.v <= diskMargin*net
+}
+
 // ObserveSend implements Router: it feeds the per-channel cost gauges with
-// the busy time (blocking included) per payload byte of every data send.
+// the busy time (blocking included) per payload byte of every data send, and
+// of every steal the writer thread reports as a Disk send.
 func (a *Adaptive) ObserveSend(route Route, now, busy time.Duration, blocks int, bytes int64) {
 	if bytes <= 0 {
 		return // Fins and ID-only sends carry no payload cost signal
@@ -410,9 +492,12 @@ func (a *Adaptive) ObserveSend(route Route, now, busy time.Duration, blocks int,
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	c := float64(busy) / float64(bytes)
-	if route == Relay {
+	switch route {
+	case Relay:
 		a.rCost.add(c)
-	} else {
+	case Disk:
+		a.diskCost.add(c)
+	default:
 		a.dCost.add(c)
 	}
 }

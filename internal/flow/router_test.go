@@ -207,25 +207,156 @@ func TestAdaptiveSaturationPrefersCheaperChannel(t *testing.T) {
 }
 
 // TestAdaptiveDeterministic: two controllers fed the same script must make
-// identical decisions — the property that keeps simenv runs reproducible.
+// identical decisions, on all three channels — the property that keeps simenv
+// runs reproducible. The script's steal costs swing between a disk that is
+// worth electing and one that is not, so the disk outcome is exercised both
+// ways.
 func TestAdaptiveDeterministic(t *testing.T) {
-	script := func() []Route {
-		h := &adaptiveHarness{a: NewAdaptive(Tuning{})}
-		var out []Route
-		for i := 0; i < 200; i++ {
+	script := func() (out []Route, steals []bool) {
+		h := &adaptiveHarness{a: NewAdaptive(Tuning{}), directBusy: 40 * time.Microsecond, relayBusy: 20 * time.Microsecond}
+		for i := 0; i < 600; i++ {
 			stall := time.Duration(0)
 			if i%7 == 3 {
 				stall = time.Duration(i%5) * time.Millisecond
 			}
 			sig := Signals{Credits: i % 3, StagerCredits: (i + 1) % 3, StagerQueued: i % 70, StagerCapacity: 64}
 			out = append(out, h.round(time.Millisecond, stall, sig))
+			steal := h.a.ElectDisk()
+			steals = append(steals, steal)
+			if steal {
+				busy := 100 * time.Microsecond
+				if i/100%2 == 1 {
+					busy = 10 * time.Millisecond
+				}
+				h.a.ObserveSend(Disk, h.now, busy, 1, 1<<15)
+			}
 		}
-		return out
+		return out, steals
 	}
-	a, b := script(), script()
+	a, sa := script()
+	b, sb := script()
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("decision %d diverged: %v vs %v", i, a[i], b[i])
+		if a[i] != b[i] || sa[i] != sb[i] {
+			t.Fatalf("decision %d diverged: %v/%v vs %v/%v", i, a[i], sa[i], b[i], sb[i])
 		}
 	}
+	yes := 0
+	for _, s := range sa {
+		if s {
+			yes++
+		}
+	}
+	if yes == 0 || yes == len(sa) {
+		t.Fatalf("the script elected disk %d of %d times, want both outcomes", yes, len(sa))
+	}
+}
+
+// TestOnlyAdaptiveArbitratesDisk pins who decides a steal: the fixed and
+// reactive policies are not DiskArbiters, so a producer running them — or any
+// plug-in written against Router alone — keeps Algorithm 1's answer (above
+// HighWater, steal).
+func TestOnlyAdaptiveArbitratesDisk(t *testing.T) {
+	for name, r := range map[string]Router{
+		"static direct": Static(Direct), "static relay": Static(Relay), "reactive": Reactive(),
+	} {
+		if _, ok := r.(DiskArbiter); ok {
+			t.Errorf("%s router arbitrates disk, want Algorithm 1's answer", name)
+		}
+	}
+	var _ DiskArbiter = NewAdaptive(Tuning{})
+	if Disk.String() != "steal" {
+		t.Errorf("Disk renders as %q, want the writer thread's trace state", Disk.String())
+	}
+}
+
+// TestAdaptiveDiskElection is the cost rule's decision table: each case
+// teaches the controller what the channels cost per byte (a negative cost
+// leaves the channel unmeasured) and asks once.
+func TestAdaptiveDiskElection(t *testing.T) {
+	const blk = 1 << 15
+	perByte := func(ns float64) time.Duration { return time.Duration(ns * blk) }
+	cases := []struct {
+		name                string
+		direct, relay, disk float64 // ns/byte
+		want                bool
+	}{
+		{"nothing measured: Algorithm 1's answer", -1, -1, -1, true},
+		{"disk unmeasured reads as free: explore", 0.01, 0.01, -1, true},
+		{"no network channel measured: nothing to weigh disk against", -1, -1, 3, true},
+		{"disk three orders slower than a ring relay", 2, 0.005, 3, false},
+		{"disk three orders slower than the only measured channel", 0.005, -1, 3, false},
+		{"disk as fast as the relay: steal in parallel", 40, 3, 3, true},
+		{"disk a few times slower than the cheaper channel", 1, 5, 4, true},
+		{"disk just past an order of magnitude", 0.2, 5, 2.5, false},
+		{"disk cheaper than either network channel", 8, 6, 1, true},
+	}
+	for _, tc := range cases {
+		a := NewAdaptive(Tuning{})
+		for i := 0; i < 20; i++ {
+			if tc.direct >= 0 {
+				a.ObserveSend(Direct, 0, perByte(tc.direct), 1, blk)
+			}
+			if tc.relay >= 0 {
+				a.ObserveSend(Relay, 0, perByte(tc.relay), 1, blk)
+			}
+			if tc.disk >= 0 {
+				a.ObserveSend(Disk, 0, perByte(tc.disk), 1, blk)
+			}
+		}
+		if got := a.ElectDisk(); got != tc.want {
+			t.Errorf("%s: ElectDisk() = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestAdaptiveDiskExploresOnce: an unmeasured disk is elected, and the one
+// steal that follows is the measurement — a disk it shows to be far slower
+// than the network is not elected again.
+func TestAdaptiveDiskExploresOnce(t *testing.T) {
+	a := NewAdaptive(Tuning{})
+	a.ObserveSend(Relay, 0, 300*time.Nanosecond, 1, 1<<15) // ≈ 0.01 ns/byte
+	if !a.ElectDisk() {
+		t.Fatal("unmeasured disk not explored")
+	}
+	a.ObserveSend(Disk, 0, 100*time.Microsecond, 1, 1<<15) // ≈ 3 ns/byte
+	for i := 0; i < 10; i++ {
+		if a.ElectDisk() {
+			t.Fatalf("ask %d after the exploring steal elected disk again", i)
+		}
+	}
+}
+
+// TestAdaptiveDiskProbeCadence: while disk is out of the running, exactly one
+// ask in diskProbeFactor×ProbeInterval is elected anyway, so its gauge does
+// not go stale — and when the probes show the file system has recovered,
+// stealing resumes.
+func TestAdaptiveDiskProbeCadence(t *testing.T) {
+	a := NewAdaptive(Tuning{ProbeInterval: 4})
+	every := diskProbeFactor * 4
+	a.ObserveSend(Relay, 0, 30*time.Microsecond, 1, 1<<15) // ≈ 1 ns/byte
+	a.ObserveSend(Disk, 0, 10*time.Millisecond, 1, 1<<15)  // ≈ 300 ns/byte
+	for ask := 1; ask <= 3*every; ask++ {
+		got := a.ElectDisk()
+		if want := ask%every == 0; got != want {
+			t.Fatalf("ask %d: ElectDisk() = %v, want %v (one probe per %d)", ask, got, want, every)
+		}
+		if got {
+			a.ObserveSend(Disk, 0, 10*time.Millisecond, 1, 1<<15) // still slow
+		}
+	}
+	// The file system recovers: each probe now reads ≈ 1 ns/byte, and the
+	// EWMA has to come down from 300 to within 10× of the relay's 1.
+	// A probe is a lone yes; two in a row mean the rule itself elects disk.
+	probes, last := 0, false
+	for ask := 0; ask < 40*every; ask++ {
+		got := a.ElectDisk()
+		if got && last {
+			return
+		}
+		if last = got; got {
+			probes++
+			a.ObserveSend(Disk, 0, 30*time.Microsecond, 1, 1<<15)
+		}
+	}
+	t.Fatalf("stealing did not resume after %d probes of a recovered file system", probes)
 }

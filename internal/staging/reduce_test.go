@@ -1,9 +1,13 @@
 package staging
 
 import (
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"zipper/internal/block"
 	"zipper/internal/core"
 	"zipper/internal/reduce"
 )
@@ -131,5 +135,69 @@ func TestProducerReducedRelaySurvivesSpill(t *testing.T) {
 	if ps.BytesOnWire+ps.BytesReduced != raw {
 		t.Fatalf("producer accounting leak: %d on wire + %d reduced != %d raw",
 			ps.BytesOnWire, ps.BytesReduced, raw)
+	}
+}
+
+// failingEncoder is a reduction operator that can encode nothing.
+type failingEncoder struct{ calls atomic.Int64 }
+
+func (e *failingEncoder) EncodeBlock(b *block.Block) error {
+	e.calls.Add(1)
+	return fmt.Errorf("block %v: stub operator", b.ID)
+}
+func (*failingEncoder) Stateless() bool { return false }
+
+// TestForwarderEncodeFailureForwardsUnreduced pins the forwarder's error
+// path: a block the pressure rung's operator fails on is no reason to take
+// the process down. It is forwarded as it arrived, every block still reaches
+// the application in order, and Err reports the failure.
+func TestForwarderEncodeFailureForwardsUnreduced(t *testing.T) {
+	r := newRig(t, 1, 1, 1,
+		core.Config{RoutePolicy: core.RouteStaging, DisableSteal: true, BufferBlocks: 32, MaxBatchBlocks: 4},
+		// One block per forwarded message: the gate, which engages at 6 of 8
+		// blocks, is then still engaged once the forwarder has taken its batch.
+		Config{BufferBlocks: 8, MaxBatchBlocks: 1, Reduce: reduce.Config{Operator: reduce.Compress, OnPressure: true}},
+		1)
+	ctx := r.env.Ctx()
+	stub := &failingEncoder{}
+	stg := r.stage[0]
+	// The forwarder reads fwdEnc only once it holds a batch, which takes the
+	// stager lock after this: nothing has been produced yet.
+	stg.lk.Lock(ctx)
+	stg.fwdEnc = stub
+	stg.lk.Unlock(ctx)
+
+	const blocks = 120
+	const blockBytes = 512
+	wg := r.produce(t, blocks, blockBytes)
+	seq := 0
+	for {
+		b, ok := r.cons[0].Read(ctx)
+		if !ok {
+			break
+		}
+		if b.Enc != 0 || int64(len(b.Data)) != blockBytes {
+			t.Fatalf("block %v arrived enc=%d with %d bytes, want raw %d", b.ID, b.Enc, len(b.Data), blockBytes)
+		}
+		if b.ID.Seq != seq {
+			t.Fatalf("out of order: seq %d, want %d", b.ID.Seq, seq)
+		}
+		if b.Data[0] != 0 || b.Data[len(b.Data)-1] != byte(b.ID.Step) {
+			t.Fatalf("block %v corrupted on the unreduced path", b.ID)
+		}
+		seq++
+		time.Sleep(500 * time.Microsecond) // the backpressure that engages the gate
+	}
+	wg.Wait()
+	stg.Wait(ctx)
+	r.cons[0].Wait(ctx)
+	if seq != blocks {
+		t.Fatalf("delivered %d blocks, want %d", seq, blocks)
+	}
+	if stub.calls.Load() == 0 {
+		t.Fatal("the pressure rung never asked the operator despite sustained backpressure")
+	}
+	if err := stg.Err(ctx); err == nil || !strings.Contains(err.Error(), "reducing relayed batch") {
+		t.Fatalf("Err() = %v, want the encode failure", err)
 	}
 }

@@ -251,7 +251,7 @@ type Stager struct {
 	// the PFS rung engages. Without OnPressure, spillAt == HighWater and
 	// the rest are nil.
 	gate     *flow.ReduceGate
-	fwdEnc   *reduce.Encoder
+	fwdEnc   blockEncoder
 	spillEnc *reduce.Encoder
 	spillAt  int
 
@@ -274,6 +274,14 @@ type Stager struct {
 	finished    time.Duration
 	fl          flow.StagerFlows
 	ten         []*tenantState // pre-sized per-tenant states; nil when single-tenant
+}
+
+// blockEncoder is what the forwarder thread needs of a reduce.Encoder (a test
+// substitutes one that fails). A block EncodeBlock returns an error for must
+// be left as it was, so it can still be forwarded unreduced.
+type blockEncoder interface {
+	EncodeBlock(b *block.Block) error
+	Stateless() bool
 }
 
 // NewStager builds the runtime module for stager endpoint id, draining `in`
@@ -432,10 +440,11 @@ func (s *Stager) chargeTenantLocked(now time.Duration, ts *tenantState, delta in
 	ts.level.Set(now, ts.used)
 }
 
-// Err reports a runtime failure (an unwritable or unreadable spill block).
-// After a failure the stager keeps forwarding what it can so streams still
-// terminate, but relayed data may be missing — callers must treat the run
-// as lost.
+// Err reports a runtime failure (an unwritable or unreadable spill block, a
+// relayed block the reduction operator could not encode). After a failure
+// the stager keeps forwarding what it can so streams still terminate — a
+// block that failed to encode goes out unreduced — but after a spill
+// failure relayed data may be missing: callers must treat the run as lost.
 func (s *Stager) Err(c rt.Ctx) error {
 	s.lk.Lock(c)
 	defer s.lk.Unlock(c)
@@ -873,30 +882,33 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		if s.cfg.Recorder != nil && unspillBusy > 0 {
 			s.cfg.Recorder.Add(s.traceName("forwarder"), "unspill", c.Now()-unspillBusy, c.Now())
 		}
+		var encodeErr error
 		if encodeNow && s.fwdEnc != nil {
 			// Compress-instead-of-spill rung: occupancy is past the old spill
 			// threshold, so burn forwarder CPU shrinking what goes on the wire
 			// before the raised PFS rung engages. Blocks that arrived already
-			// encoded pass through untouched.
+			// encoded pass through untouched, and so does one the operator
+			// fails on: it is forwarded unreduced and Err reports the failure.
 			if pp := s.cfg.Pipeline; pp != nil && s.fwdEnc.Stateless() {
 				for _, b := range blocks {
 					if b.Enc == 0 {
 						s.env.CopyDelay(c, b.Bytes)
 					}
 				}
-				if err := pp.EncodeBatch(blocks); err != nil {
-					panic(fmt.Sprintf("staging: reducing relayed batch: %v", err))
-				}
+				encodeErr = pp.EncodeBatch(blocks)
 			} else {
 				for _, b := range blocks {
 					if b.Enc != 0 {
 						continue
 					}
 					s.env.CopyDelay(c, b.Bytes)
-					if err := s.fwdEnc.EncodeBlock(b); err != nil {
-						panic(fmt.Sprintf("staging: reducing relayed block: %v", err))
+					if err := s.fwdEnc.EncodeBlock(b); err != nil && encodeErr == nil {
+						encodeErr = err
 					}
 				}
+			}
+			if encodeErr != nil {
+				encodeErr = fmt.Errorf("staging: reducing relayed batch: %w", encodeErr)
 			}
 		}
 		var rawBytes, wireBytes int64
@@ -934,8 +946,11 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		if saved := rawBytes - wireBytes; saved > 0 {
 			s.fl.SavedBytes.Add(now, saved)
 		}
-		if unspillErr != nil && s.err == nil {
+		if s.err == nil {
 			s.err = unspillErr
+		}
+		if s.err == nil {
+			s.err = encodeErr
 		}
 		s.lk.Unlock(c)
 	}

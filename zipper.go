@@ -112,7 +112,12 @@ const (
 	// RouteAdaptive runs the closed-loop flow controller: per-channel
 	// delivered-throughput and stall EWMAs continuously rebalance the
 	// direct/staging split so the producer never stalls while the consumer
-	// and stagers run at their service rates. Tune it with Config.Adaptive.
+	// and stagers run at their service rates. It is also the one policy
+	// that arbitrates the file-system channel: above HighWater the
+	// work-stealing writer steals only while a steal's measured cost per
+	// byte is within an order of magnitude of the cheaper network
+	// channel's (under every other policy, above HighWater means steal).
+	// Tune it with Config.Adaptive.
 	RouteAdaptive = core.RouteAdaptive
 )
 
@@ -335,7 +340,10 @@ type Config struct {
 	SpoolDir string
 	// BufferBlocks is each producer's buffer capacity (default 8).
 	BufferBlocks int
-	// HighWater is the work-stealing threshold (default ¾ of BufferBlocks).
+	// HighWater is the work-stealing threshold (default ¾ of BufferBlocks):
+	// the writer thread never steals at or below it. Above it a steal is
+	// Algorithm 1's unconditional answer, except under RouteAdaptive with a
+	// staging tier, where the router also has to elect the file system.
 	HighWater int
 	// ConsumerBufferBlocks is each consumer's buffer capacity (default 16).
 	ConsumerBufferBlocks int
@@ -424,7 +432,8 @@ type Config struct {
 	// Preserve keeps every block on the file system for later validation.
 	Preserve bool
 	// DisableSteal turns the dual-channel optimization off
-	// (message-passing-only mode).
+	// (message-passing-only mode): no writer thread, whatever the routing
+	// policy would have elected.
 	DisableSteal bool
 	// Recorder, when non-nil, captures runtime-thread activity spans.
 	Recorder *trace.Recorder
@@ -1436,8 +1445,10 @@ type Producer struct {
 	ctx rt.Ctx
 }
 
-// Write hands one block of output to the runtime. data is retained until
-// delivered; the caller must not modify it afterwards.
+// Write hands one block of output to the runtime, and data with it: the
+// caller must not touch it afterwards. The runtime recycles it into the
+// payload pool once the block is done with it — when the consumer releases
+// it, or as soon as the file system holds the copy of a stolen block.
 func (p *Producer) Write(step int, offset int64, data []byte) {
 	p.p.Write(p.ctx, step, offset, data, int64(len(data)))
 }

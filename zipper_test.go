@@ -1,6 +1,7 @@
 package zipper
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -243,6 +244,72 @@ func TestJobDirectCycleAllocs(t *testing.T) {
 		t.Error("block delivered after Close")
 	}
 	job.Wait()
+}
+
+// TestJobStealCycleAllocs pins what one block costs the allocator on the
+// file-system path: a stolen block's payload goes back to the pool once the
+// file system holds the copy, so it is there for the consumer-side read (or
+// the application's next NewPayload) instead of being dropped to the collector
+// — descriptors, disk refs and what a file costs on either end (handle, stat,
+// path: about 1.1 KB a block until steals share a segment log) are all a
+// steal may allocate.
+func TestJobStealCycleAllocs(t *testing.T) {
+	job, err := NewJob(Config{Producers: 1, Consumers: 1, SpoolDir: t.TempDir(), BufferBlocks: 8, HighWater: 1, Window: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		blocks     = 400
+		blockBytes = 32 << 10
+	)
+	p, c := job.Producer(0), job.Consumer(0)
+	step := 0
+	// With nobody reading, the window and the consumer buffer fill and the
+	// writer thread takes everything else to disk; then the application
+	// catches up. All on one goroutine, so a pass measures only the runtime.
+	pass := func() {
+		for i := 0; i < blocks; i++ {
+			data := NewPayload(blockBytes)
+			data[0], data[blockBytes-1] = byte(step), byte(step>>8)
+			p.Write(step, 0, data)
+			step++
+		}
+		for i := 0; i < blocks; i++ {
+			blk, ok := c.Read()
+			if !ok {
+				t.Fatal("stream ended early")
+			}
+			if s := blk.ID.Step; len(blk.Data) != blockBytes || blk.Data[0] != byte(s) || blk.Data[blockBytes-1] != byte(s>>8) {
+				t.Fatalf("block %+v did not survive the trip", blk.ID)
+			}
+			blk.Release()
+		}
+	}
+	pass() // warm the payload pool
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	pass()
+	runtime.ReadMemStats(&m1)
+	p.Close()
+	if _, ok := c.Read(); ok {
+		t.Error("block delivered after Close")
+	}
+	job.Wait()
+	st := job.Stats()
+	if st.BlocksStolen < st.BlocksWritten/2 {
+		t.Fatalf("only %d of %d blocks were stolen: the job is not steal-heavy", st.BlocksStolen, st.BlocksWritten)
+	}
+	limit := uint64(2 << 10)
+	if raceEnabled {
+		// The pool drops a quarter of what it is handed, and a stolen block
+		// hands its payload over twice (at the steal, and after the read):
+		// half a payload a block, where the parent allocates more than one.
+		limit = blockBytes * 3 / 4
+	}
+	if perBlock := (m1.TotalAlloc - m0.TotalAlloc) / blocks; perBlock >= limit {
+		t.Errorf("a steal-heavy job allocates %d B per %d B block written (%d of %d stolen), want < %d: stolen payloads must be recycled",
+			perBlock, blockBytes, st.BlocksStolen, st.BlocksWritten, limit)
+	}
 }
 
 // TestJobStagingRoundTrip runs the public API through the in-transit tier
