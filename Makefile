@@ -19,12 +19,13 @@ build:
 
 # Fast lane: paper-figure reproductions are skipped (testing.Short); the
 # Preserve tests that share a block with the application run 20 times, the
-# ring- and TCP-window tests, the per-block allocation pins and the disk
-# election (router table, two-regime simulation, bursty job) 10 times.
+# ring- and TCP-window tests, the per-block allocation pins, the disk
+# election (router table, two-regime simulation, bursty job) and the
+# assembly tests (one Spec on both platforms, the two error paths) 10 times.
 test:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=20 -run 'TestJobPreserve|TestJobStagingPreserve' .
-	$(GO) test -race -count=10 -run 'TestRingWindowParksSender|TestJobRingWindowBoundsInFlight|TestTCPWindowParksSender|TestTCPWindowOnePingPong|TestJobTCPWindowBoundsInFlight|TestPayloadCycleDoesNotAllocate|TestGaugeWritesDoNotAllocate|TestJobDirectCycleAllocs|TestJobTCPCompressDecodeAllocs|TestJobStealCycleAllocs|TestAdaptiveDisk|TestAdaptiveDeterministic|TestOnlyAdaptiveArbitratesDisk|TestDiskArbiterTwoRegimes|TestStealLegacyWithoutArbiter|TestJobAdaptiveArbitratesDisk|TestForwarderEncodeFailure' ./internal/rt/realenv ./internal/block ./internal/flow ./internal/core ./internal/staging .
+	$(GO) test -race -count=10 -run 'TestRingWindowParksSender|TestJobRingWindowBoundsInFlight|TestTCPWindowParksSender|TestTCPWindowOnePingPong|TestJobTCPWindowBoundsInFlight|TestPayloadCycleDoesNotAllocate|TestGaugeWritesDoNotAllocate|TestJobDirectCycleAllocs|TestJobTCPCompressDecodeAllocs|TestJobStealCycleAllocs|TestAdaptiveDisk|TestAdaptiveDeterministic|TestOnlyAdaptiveArbitratesDisk|TestDiskArbiterTwoRegimes|TestStealLegacyWithoutArbiter|TestJobAdaptiveArbitratesDisk|TestForwarderEncodeFailure|TestSpecRunsOnBothPlatforms|TestNewJobErrorLeavesNothingRunning|TestFleetSubmitSpoolFailureKeepsGuarantee' ./internal/rt/realenv ./internal/block ./internal/flow ./internal/core ./internal/staging .
 
 # Tier-1: the full suite including the figure reproductions (~15 s).
 test-full:

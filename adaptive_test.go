@@ -33,34 +33,34 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	base := Config{Producers: 1, Consumers: 1, SpoolDir: dir}
 
 	cfg := base
-	cfg.RoutePolicy = RouteAdaptive
+	cfg.Staging.RoutePolicy = RouteAdaptive
 	if _, err := NewJob(cfg); err == nil {
 		t.Error("RouteAdaptive without stagers accepted")
 	}
 	cfg = base
-	cfg.RoutePolicy = RoutePolicy(9)
+	cfg.Staging.RoutePolicy = RoutePolicy(9)
 	if _, err := NewJob(cfg); err == nil || !strings.Contains(err.Error(), "unknown(9)") {
 		t.Errorf("unknown policy error %v, want it to name unknown(9)", err)
 	}
 	cfg = base
-	cfg.Stagers = 1
-	cfg.RoutePolicy = RouteAdaptive
-	cfg.Adaptive.MaxShare = 1.5
+	cfg.Staging.Stagers = 1
+	cfg.Staging.RoutePolicy = RouteAdaptive
+	cfg.Staging.Adaptive.MaxShare = 1.5
 	if _, err := NewJob(cfg); err == nil {
 		t.Error("MaxShare > 1 accepted")
 	}
-	cfg.Adaptive = AdaptiveTuning{Tau: -time.Second}
+	cfg.Staging.Adaptive = AdaptiveTuning{Tau: -time.Second}
 	if _, err := NewJob(cfg); err == nil {
 		t.Error("negative Tau accepted")
 	}
-	cfg.Adaptive = AdaptiveTuning{MinShare: 0.9, MaxShare: 0.5}
+	cfg.Staging.Adaptive = AdaptiveTuning{MinShare: 0.9, MaxShare: 0.5}
 	if _, err := NewJob(cfg); err == nil {
 		t.Error("MinShare > MaxShare accepted (would be silently clamped)")
 	}
 
 	cfg = base
-	cfg.Stagers = 1
-	cfg.RoutePolicy = RouteAdaptive
+	cfg.Staging.Stagers = 1
+	cfg.Staging.RoutePolicy = RouteAdaptive
 	job, err := NewJob(cfg)
 	if err != nil {
 		t.Fatalf("legal adaptive config rejected: %v", err)
@@ -83,9 +83,8 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 func TestJobAdaptiveRoundTrip(t *testing.T) {
 	job, err := NewJob(Config{
 		Producers: 2, Consumers: 1, SpoolDir: t.TempDir(),
-		Stagers: 1, StagerBufferBlocks: 64, RoutePolicy: RouteAdaptive,
+		Staging:      StagingConfig{Stagers: 1, BufferBlocks: 64, RoutePolicy: RouteAdaptive, Adaptive: AdaptiveTuning{Tau: 5 * time.Millisecond}},
 		BufferBlocks: 8, Window: 1, MaxBatchBlocks: 4,
-		Adaptive: AdaptiveTuning{Tau: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 // zipperbench regenerates the paper's tables and figures on the simulated
 // platform. Each subcommand prints the same rows or series the paper
-// reports; compare shapes (ordering, ratios, crossovers) per EXPERIMENTS.md.
+// reports; compare shapes (ordering, ratios, crossovers), which are what
+// the tests of internal/exp assert.
 //
 // Usage:
 //

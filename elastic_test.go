@@ -11,8 +11,7 @@ func TestElasticConfigValidation(t *testing.T) {
 	dir := t.TempDir()
 	base := Config{
 		Producers: 4, Consumers: 1, SpoolDir: dir,
-		Stagers: 4, RoutePolicy: RouteHybrid,
-		Elastic: ElasticConfig{Enabled: true},
+		Staging: StagingConfig{Stagers: 4, RoutePolicy: RouteHybrid, Elastic: ElasticConfig{Enabled: true}},
 	}
 	if _, err := NewJob(base); err != nil {
 		t.Fatalf("valid elastic config rejected: %v", err)
@@ -21,19 +20,19 @@ func TestElasticConfigValidation(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"elastic without stagers", func(c *Config) { c.Stagers = 0 }},
-		{"elastic with RouteDirect", func(c *Config) { c.RoutePolicy = RouteDirect }},
-		{"min above max", func(c *Config) { c.Elastic.MinStagers = 3; c.Elastic.MaxStagers = 2 }},
-		{"max above ceiling", func(c *Config) { c.Elastic.MaxStagers = 5 }},
-		{"min above ceiling", func(c *Config) { c.Elastic.MinStagers = 5 }},
+		{"elastic without stagers", func(c *Config) { c.Staging.Stagers = 0 }},
+		{"elastic with RouteDirect", func(c *Config) { c.Staging.RoutePolicy = RouteDirect }},
+		{"min above max", func(c *Config) { c.Staging.Elastic.MinStagers = 3; c.Staging.Elastic.MaxStagers = 2 }},
+		{"max above ceiling", func(c *Config) { c.Staging.Elastic.MaxStagers = 5 }},
+		{"min above ceiling", func(c *Config) { c.Staging.Elastic.MinStagers = 5 }},
 		{"bounds above producer-clamped ceiling", func(c *Config) {
 			c.Producers = 2 // the tier never outnumbers producers: effective ceiling 2
-			c.Elastic.MinStagers, c.Elastic.MaxStagers = 4, 4
+			c.Staging.Elastic.MinStagers, c.Staging.Elastic.MaxStagers = 4, 4
 		}},
-		{"negative bounds", func(c *Config) { c.Elastic.MinStagers = -1 }},
-		{"occupancy out of range", func(c *Config) { c.Elastic.GrowOccupancy = 1.5 }},
-		{"empty hysteresis band", func(c *Config) { c.Elastic.GrowOccupancy = 0.3; c.Elastic.DrainOccupancy = 0.4 }},
-		{"negative interval", func(c *Config) { c.Elastic.Interval = -time.Millisecond }},
+		{"negative bounds", func(c *Config) { c.Staging.Elastic.MinStagers = -1 }},
+		{"occupancy out of range", func(c *Config) { c.Staging.Elastic.GrowOccupancy = 1.5 }},
+		{"empty hysteresis band", func(c *Config) { c.Staging.Elastic.GrowOccupancy = 0.3; c.Staging.Elastic.DrainOccupancy = 0.4 }},
+		{"negative interval", func(c *Config) { c.Staging.Elastic.Interval = -time.Millisecond }},
 	}
 	for _, tc := range bad {
 		cfg := base
@@ -61,11 +60,13 @@ func elasticChurnRun(t *testing.T) JobStats {
 	job, err := NewJob(Config{
 		Producers: producers, Consumers: 1, SpoolDir: t.TempDir(),
 		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 4,
-		Stagers: 4, StagerBufferBlocks: 32,
-		RoutePolicy: RouteStaging, DisableSteal: true,
-		Elastic: ElasticConfig{
-			Enabled: true, MinStagers: 1, MaxStagers: 4,
-			Interval: 500 * time.Microsecond, Cooldown: 2 * time.Millisecond,
+		DisableSteal: true,
+		Staging: StagingConfig{
+			Stagers: 4, BufferBlocks: 32, RoutePolicy: RouteStaging,
+			Elastic: ElasticConfig{
+				Enabled: true, MinStagers: 1, MaxStagers: 4,
+				Interval: 500 * time.Microsecond, Cooldown: 2 * time.Millisecond,
+			},
 		},
 	})
 	if err != nil {

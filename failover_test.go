@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,21 +29,19 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"negative buffer", "BufferBlocks",
 			Config{Producers: 1, Consumers: 1, SpoolDir: dir, BufferBlocks: -1}},
 		{"negative stagers via flat alias", "Staging.Stagers",
-			Config{Producers: 1, Consumers: 1, SpoolDir: dir, Stagers: -1}},
+			Config{Producers: 1, Consumers: 1, SpoolDir: dir, Staging: StagingConfig{Stagers: -1}}},
 		{"relay policy without stagers", "Staging.Stagers",
-			Config{Producers: 1, Consumers: 1, SpoolDir: dir, RoutePolicy: RouteStaging}},
+			Config{Producers: 1, Consumers: 1, SpoolDir: dir, Staging: StagingConfig{RoutePolicy: RouteStaging}}},
 		{"elastic with RouteDirect", "Staging.Elastic",
-			Config{Producers: 2, Consumers: 1, SpoolDir: dir, Stagers: 2,
-				Elastic: ElasticConfig{Enabled: true}}},
+			Config{Producers: 2, Consumers: 1, SpoolDir: dir, Staging: StagingConfig{Stagers: 2, Elastic: ElasticConfig{Enabled: true}}}},
 		{"fault without staging tier", "Fault",
 			Config{Producers: 1, Consumers: 1, SpoolDir: dir,
 				Fault: FaultConfig{Enabled: true}}},
 		{"fault with RouteDirect", "Fault",
-			Config{Producers: 2, Consumers: 1, SpoolDir: dir, Stagers: 2,
+			Config{Producers: 2, Consumers: 1, SpoolDir: dir, Staging: StagingConfig{Stagers: 2},
 				Fault: FaultConfig{Enabled: true}}},
 		{"fault lease inside heartbeat", "Fault",
-			Config{Producers: 2, Consumers: 1, SpoolDir: dir, Stagers: 2,
-				RoutePolicy: RouteStaging,
+			Config{Producers: 2, Consumers: 1, SpoolDir: dir, Staging: StagingConfig{Stagers: 2, RoutePolicy: RouteStaging},
 				Fault: FaultConfig{Enabled: true,
 					Heartbeat: time.Millisecond, LeaseTTL: time.Millisecond}}},
 	}
@@ -68,43 +65,6 @@ func TestConfigErrorTyped(t *testing.T) {
 		if ce.Error() == "" {
 			t.Errorf("%s: empty Error()", tc.name)
 		}
-	}
-}
-
-// TestConfigStagingAliasEquivalence pins the deprecated flat staging fields
-// to the grouped StagingConfig: a config written entirely through the flat
-// aliases must normalize to exactly the config written through the group,
-// and a non-zero grouped field must win over a conflicting flat alias.
-func TestConfigStagingAliasEquivalence(t *testing.T) {
-	tuning := AdaptiveTuning{Tau: time.Millisecond}
-	el := ElasticConfig{Enabled: true, MinStagers: 2, MaxStagers: 3}
-	flat := Config{
-		Producers: 4, Consumers: 2, SpoolDir: "spool",
-		Stagers: 3, StagerBufferBlocks: 48,
-		RoutePolicy: RouteAdaptive, Placement: LeastOccupancy,
-		Adaptive: tuning, Elastic: el,
-	}
-	grouped := Config{
-		Producers: 4, Consumers: 2, SpoolDir: "spool",
-		Staging: StagingConfig{
-			Stagers: 3, BufferBlocks: 48,
-			RoutePolicy: RouteAdaptive, Placement: LeastOccupancy,
-			Adaptive: tuning, Elastic: el,
-		},
-	}
-	if !reflect.DeepEqual(flat.normalized(), grouped.normalized()) {
-		t.Fatalf("flat aliases and grouped StagingConfig normalize differently:\nflat:    %+v\ngrouped: %+v",
-			flat.normalized(), grouped.normalized())
-	}
-	mixed := grouped
-	mixed.Stagers = 1 // stale flat alias; the grouped field must win
-	n := mixed.normalized()
-	if n.Staging.Stagers != 3 || n.Stagers != 3 {
-		t.Fatalf("grouped Stagers should win over the flat alias: got group=%d flat=%d",
-			n.Staging.Stagers, n.Stagers)
-	}
-	if reflect.DeepEqual(Config{}.normalized(), grouped.normalized()) {
-		t.Fatal("normalized() collapsed distinct configs")
 	}
 }
 
@@ -252,7 +212,7 @@ func TestFaultJobCrashChurn(t *testing.T) {
 func TestFaultOffIsInert(t *testing.T) {
 	job, err := NewJob(Config{
 		Producers: 2, Consumers: 1, SpoolDir: t.TempDir(),
-		Stagers: 2, RoutePolicy: RouteStaging, DisableSteal: true,
+		Staging: StagingConfig{Stagers: 2, RoutePolicy: RouteStaging}, DisableSteal: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,12 +19,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zipper/internal/assembly"
 	"zipper/internal/control"
 	"zipper/internal/core"
-	"zipper/internal/flow"
-	"zipper/internal/rt"
 	"zipper/internal/rt/realenv"
-	"zipper/internal/staging"
 )
 
 // QuotaConfig is a fleet-submitted job's resource envelope: guaranteed
@@ -114,12 +112,9 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 // submitted jobs over it. Build with NewFleet, admit jobs with Submit, Wait
 // each returned Job as usual, and Close once every job has finished.
 type Fleet struct {
-	env     *realenv.Env
-	cfg     FleetConfig // defaults resolved
-	net     *realenv.Network
-	fs      *realenv.FileStore
-	plane   *control.Plane
-	stagers []*staging.Stager // immutable after NewFleet
+	cfg  FleetConfig // defaults resolved
+	pf   *platform
+	tier *assembly.Tier // the shared stagers and their control plane
 
 	// rankTenant maps global producer ranks to tenant ids. Copy-on-write
 	// behind an atomic so the stagers' receiver threads resolve tenants
@@ -127,16 +122,11 @@ type Fleet struct {
 	rankTenant atomic.Value // []int
 
 	mu       sync.Mutex
-	tenants  []*control.Tenant
 	jobs     []*Job
 	nextCons int // next free consumer address in [0, MaxConsumers)
 	nextRank int // next free global producer rank
 	closed   bool
 }
-
-// stagerBase is the transport address of fleet stager 0: the consumer
-// address space [0, MaxConsumers) comes first.
-func (f *Fleet) stagerBase() int { return f.cfg.MaxConsumers }
 
 // NewFleet validates the configuration, builds the shared wire and stager
 // tier, and starts the control plane's reconcile loop.
@@ -163,46 +153,32 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			Reason: fmt.Sprintf("must be ≥ 0 (0 = channel transport, > 0 = SPSC ring lanes of min(RingDepth, Window) messages), got %d", cfg.RingDepth)}
 	}
 	cfg = cfg.withDefaults()
-	env := realenv.New()
-	fs, err := realenv.NewFileStore(cfg.SpoolDir)
+	pf, err := newPlatform(cfg.SpoolDir, "", cfg.RingDepth, cfg.Window, cfg.MaxConsumers+cfg.Stagers, 0)
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{env: env, cfg: cfg, fs: fs}
+	f := &Fleet{cfg: cfg, pf: pf}
 	f.rankTenant.Store([]int(nil))
-	if cfg.RingDepth > 0 {
-		f.net = realenv.NewRingNetwork(cfg.MaxConsumers+cfg.Stagers, min(cfg.RingDepth, cfg.Window))
-	} else {
-		f.net = realenv.NewNetwork(cfg.MaxConsumers+cfg.Stagers, cfg.Window)
+	// The consumer address space [0, MaxConsumers) comes first, the shared
+	// stagers after it.
+	f.tier, err = assembly.NewTier(pf.env.Ctx(), pf, assembly.Spec{
+		Consumers:          cfg.MaxConsumers,
+		Core:               core.Config{MaxBatchBlocks: cfg.MaxBatchBlocks, MaxBatchBytes: cfg.MaxBatchBytes},
+		Stagers:            cfg.Stagers,
+		StagerBufferBlocks: cfg.StagerBufferBlocks,
+		Window:             cfg.Window,
+		Tenants: &assembly.Tenants{
+			Plane: control.Config{
+				Interval:         cfg.Reconcile,
+				PreemptOccupancy: cfg.PreemptOccupancy,
+				MaxTenants:       cfg.MaxJobs,
+			},
+			Of: f.tenantOfRank,
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	for s := 0; s < cfg.Stagers; s++ {
-		spill, err := fs.Partition(fmt.Sprintf("stage%d", s))
-		if err != nil {
-			return nil, err
-		}
-		scfg := staging.Config{
-			BufferBlocks:   cfg.StagerBufferBlocks,
-			MaxBatchBlocks: cfg.MaxBatchBlocks,
-			MaxBatchBytes:  cfg.MaxBatchBytes,
-			Managed:        true,
-			Tenants:        cfg.MaxJobs,
-			Tenant:         f.tenantOfRank,
-		}
-		// Each shared stager's forwarder is one sending thread: its own
-		// port (a private SPSC lane set on the ring wire).
-		f.stagers = append(f.stagers,
-			staging.NewStager(env, scfg, s, f.net.Inbox(f.stagerBase()+s), f.net.Port(), spill))
-	}
-	addrs := make([]int, cfg.Stagers)
-	for s := range addrs {
-		addrs[s] = f.stagerBase() + s
-	}
-	f.plane = control.NewPlane(control.Config{
-		Interval:         cfg.Reconcile,
-		PreemptOccupancy: cfg.PreemptOccupancy,
-		MaxTenants:       cfg.MaxJobs,
-	}, addrs, cfg.StagerBufferBlocks, (*fleetHost)(f))
-	f.plane.Start(env)
 	return f, nil
 }
 
@@ -215,30 +191,6 @@ func (f *Fleet) tenantOfRank(rank int) int {
 		return ranks[rank]
 	}
 	return 0
-}
-
-// fleetHost adapts a Fleet to the control.Host interface without exporting
-// the plane's callbacks on the public API. The stager slice is immutable
-// after NewFleet, so no method needs the fleet mutex.
-type fleetHost Fleet
-
-func (h *fleetHost) stagerAt(addr int) *staging.Stager {
-	return h.stagers[addr-h.cfg.MaxConsumers]
-}
-
-// TenantLevel implements control.Host.
-func (h *fleetHost) TenantLevel(addr, tenant int) *flow.Level {
-	return h.stagerAt(addr).TenantLevel(tenant)
-}
-
-// TenantSpilled implements control.Host.
-func (h *fleetHost) TenantSpilled(addr, tenant int) int64 {
-	return h.stagerAt(addr).TenantSpilled(tenant)
-}
-
-// SetTenantQuota implements control.Host.
-func (h *fleetHost) SetTenantQuota(c rt.Ctx, addr, tenant, blocks int) {
-	h.stagerAt(addr).SetTenantQuota(c, tenant, blocks)
 }
 
 // Submit validates cfg, admits it to the control plane as a new tenant
@@ -255,7 +207,6 @@ func (h *fleetHost) SetTenantQuota(c rt.Ctx, addr, tenant, blocks int) {
 // *ConfigError values; over-subscribed quotas and an exhausted MaxJobs or
 // MaxConsumers reservation are admission rejections, not panics.
 func (f *Fleet) Submit(cfg Config) (*Job, error) {
-	cfg = cfg.normalized()
 	switch {
 	case cfg.Staging.Stagers != 0:
 		return nil, &ConfigError{Field: "Staging.Stagers",
@@ -263,7 +214,7 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 	case cfg.Staging.Placement != RankAffine:
 		return nil, &ConfigError{Field: "Staging.Placement",
 			Reason: "a fleet job's stager placement is the control plane's decision; Placement must be left default"}
-	case cfg.Elastic.Enabled:
+	case cfg.Staging.Elastic.Enabled:
 		return nil, &ConfigError{Field: "Staging.Elastic",
 			Reason: "the shared fleet is fixed-size from a job's point of view; resize it through the fleet, not per job"}
 	case cfg.Fault.Enabled:
@@ -282,12 +233,11 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 		probe.SpoolDir = f.cfg.SpoolDir
 	}
 	probe.Staging.Stagers = f.cfg.Stagers
-	probe = probe.normalized()
 	if err := probe.validate(); err != nil {
 		return nil, err
 	}
 
-	ctx := f.env.Ctx()
+	ctx := f.pf.env.Ctx()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -298,8 +248,21 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 			Reason: fmt.Sprintf("consumer reservation exhausted: %d requested, %d of MaxConsumers %d free",
 				cfg.Consumers, f.cfg.MaxConsumers-f.nextCons, f.cfg.MaxConsumers)}
 	}
-	name := fmt.Sprintf("job%d", len(f.tenants))
-	tenant, err := f.plane.Admit(ctx, control.JobSpec{Name: name, Quota: cfg.Quota})
+	// The job's spool comes before its admission: a tenant admitted and
+	// then abandoned would hold its guaranteed buffer blocks for the
+	// fleet's lifetime.
+	name := fmt.Sprintf("job%d", len(f.jobs))
+	var jobfs *realenv.FileStore
+	var err error
+	if cfg.SpoolDir == "" {
+		jobfs, err = f.pf.fs.Partition(name)
+	} else {
+		jobfs, err = realenv.NewFileStore(cfg.SpoolDir)
+	}
+	if err != nil {
+		return nil, err
+	}
+	tenant, err := f.tier.Admit(ctx, control.JobSpec{Name: name, Quota: cfg.Quota})
 	if err != nil {
 		var ce *control.ConfigError
 		if errors.As(err, &ce) {
@@ -307,7 +270,6 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 		}
 		return nil, err
 	}
-	tid := tenant.ID()
 	// Publish the job's global rank range before its producers exist: the
 	// shared stagers must resolve the very first message's tenant.
 	consBase, rankBase := f.nextCons, f.nextRank
@@ -317,66 +279,12 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 	ranks := make([]int, f.nextRank)
 	copy(ranks, old)
 	for i := rankBase; i < f.nextRank; i++ {
-		ranks[i] = tid
+		ranks[i] = tenant.ID()
 	}
 	f.rankTenant.Store(ranks)
-	f.tenants = append(f.tenants, tenant)
 
-	jobfs := f.fs
-	if cfg.SpoolDir == "" {
-		jobfs, err = f.fs.Partition(name)
-		if err != nil {
-			return nil, err
-		}
-	} else if jobfs, err = realenv.NewFileStore(cfg.SpoolDir); err != nil {
-		return nil, err
-	}
-	ccfg := core.Config{
-		BufferBlocks:         cfg.BufferBlocks,
-		HighWater:            cfg.HighWater,
-		ConsumerBufferBlocks: cfg.ConsumerBufferBlocks,
-		MaxBatchBlocks:       cfg.MaxBatchBlocks,
-		MaxBatchBytes:        cfg.MaxBatchBytes,
-		DisableSteal:         cfg.DisableSteal,
-		RoutePolicy:          cfg.RoutePolicy,
-		Adaptive:             cfg.Adaptive,
-		Recorder:             cfg.Recorder,
-	}
-	if cfg.Preserve {
-		ccfg.Mode = core.Preserve
-	}
-	if cfg.RoutePolicy != RouteDirect {
-		// The tenant's slice of the fleet: an epoch-versioned directory the
-		// control plane edits and the producers Peek/Claim/Done against,
-		// with tenant-scoped occupancy as the routing signal — another
-		// tenant's backlog never shows up in this job's gauges.
-		ccfg.Directory = tenant.Directory()
-		ccfg.StagerLevel = func(addr int) *flow.Level {
-			return (*fleetHost)(f).TenantLevel(addr, tid)
-		}
-	}
-	j := &Job{env: f.env, cfg: cfg, net: f.net, fs: jobfs, fleet: f, tenant: tenant}
-	for q := 0; q < cfg.Consumers; q++ {
-		n := 0
-		for p := 0; p < cfg.Producers; p++ {
-			if p*cfg.Consumers/cfg.Producers == q {
-				n++
-			}
-		}
-		addr := consBase + q
-		j.cons = append(j.cons, &Consumer{
-			c:   core.NewConsumer(f.env, ccfg, addr, n, f.net.Inbox(addr), jobfs),
-			ctx: f.env.Ctx(),
-		})
-	}
-	for p := 0; p < cfg.Producers; p++ {
-		dest := consBase + p*cfg.Consumers/cfg.Producers
-		// Each producer's sender is one sending thread: its own port.
-		j.prod = append(j.prod, &Producer{
-			p:   core.NewStagedProducer(f.env, ccfg, rankBase+p, dest, core.NoStager, f.net.Port(), jobfs),
-			ctx: f.env.Ctx(),
-		})
-	}
+	j := newJob(f.pf, f.tier.Join(f.pf, cfg.spec(), jobfs, consBase, rankBase, tenant))
+	j.fleet, j.tenant = f, tenant
 	f.jobs = append(f.jobs, j)
 	return j, nil
 }
@@ -392,7 +300,7 @@ func (f *Fleet) jobFinished(j *Job) {
 	}
 	j.finished = true
 	f.mu.Unlock()
-	f.plane.Finish(f.env.Ctx(), j.tenant)
+	f.tier.Plane.Finish(f.pf.env.Ctx(), j.tenant)
 }
 
 // Close stops the control plane and retires the shared stager tier: each
@@ -401,25 +309,14 @@ func (f *Fleet) jobFinished(j *Job) {
 // job's Wait has returned; it is then the analogue of the tier shutdown a
 // private Job performs inside its own Wait. Close is idempotent.
 func (f *Fleet) Close() {
-	ctx := f.env.Ctx()
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return
 	}
 	f.closed = true
-	tenants := append([]*control.Tenant(nil), f.tenants...)
 	f.mu.Unlock()
-	f.plane.Stop(ctx)
-	for s, st := range f.stagers {
-		addr := f.stagerBase() + s
-		for _, t := range tenants {
-			t.Directory().Remove(addr)
-			t.Directory().Quiesce(ctx, addr)
-		}
-		f.net.Send(ctx, addr, rt.Message{Retire: true})
-		st.Wait(ctx)
-	}
+	f.tier.Shutdown(f.pf.env.Ctx())
 }
 
 // FleetTenantStats is one tenant's view in FleetStats.
@@ -464,15 +361,16 @@ type FleetStats struct {
 // control plane's event timeline in one call. May be called mid-run; call
 // after Close for final stager totals.
 func (f *Fleet) Stats() FleetStats {
-	ctx := f.env.Ctx()
-	snaps := f.plane.Snapshot()
+	ctx := f.pf.env.Ctx()
+	plane, stagers := f.tier.Plane, f.tier.Instances()
+	snaps := plane.Snapshot()
 	var fs FleetStats
 	fs.JobsAdmitted = len(snaps)
-	fs.Preemptions = f.plane.Preemptions()
-	fs.Events = f.plane.Events()
-	for _, st := range f.stagers {
-		s := st.Stats(ctx)
-		fs.Stagers = append(fs.Stagers, stagerStats(s, false))
+	fs.Preemptions = plane.Preemptions()
+	fs.Events = plane.Events()
+	for _, in := range stagers {
+		s := in.St.Stats(ctx)
+		fs.Stagers = append(fs.Stagers, stagerStats(s, in.Drained))
 		fs.BlocksRelayed += s.BlocksIn
 		fs.BlocksSpilled += s.BlocksSpilled
 		fs.StagerNodeSeconds += s.Finished.Seconds()
@@ -482,9 +380,9 @@ func (f *Fleet) Stats() FleetStats {
 			Name: sn.Name, Priority: sn.Priority.String(), Active: sn.Active,
 			Stagers: len(sn.Stagers), QuotaBlocks: sn.QuotaBlocks, Preempted: sn.Preempted,
 		}
-		for _, st := range f.stagers {
-			t.BlocksRelayed += st.TenantIn(sn.ID)
-			t.BlocksSpilled += st.TenantSpilled(sn.ID)
+		for _, in := range stagers {
+			t.BlocksRelayed += in.St.TenantIn(sn.ID)
+			t.BlocksSpilled += in.St.TenantSpilled(sn.ID)
 		}
 		if sn.Active {
 			fs.JobsActive++

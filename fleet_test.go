@@ -38,15 +38,15 @@ func TestFleetSubmitRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	base := Config{Producers: 1, Consumers: 1, RoutePolicy: RouteStaging}
+	base := Config{Producers: 1, Consumers: 1, Staging: StagingConfig{RoutePolicy: RouteStaging}}
 	bad := []struct {
 		name string
 		mut  func(*Config)
 		want string
 	}{
-		{"private tier", func(c *Config) { c.Stagers = 3 }, "Staging.Stagers"},
-		{"placement", func(c *Config) { c.Placement = LeastOccupancy }, "Staging.Placement"},
-		{"elastic", func(c *Config) { c.Elastic = ElasticConfig{Enabled: true} }, "Staging.Elastic"},
+		{"private tier", func(c *Config) { c.Staging.Stagers = 3 }, "Staging.Stagers"},
+		{"placement", func(c *Config) { c.Staging.Placement = LeastOccupancy }, "Staging.Placement"},
+		{"elastic", func(c *Config) { c.Staging.Elastic = ElasticConfig{Enabled: true} }, "Staging.Elastic"},
 		{"fault", func(c *Config) { c.Fault = FaultConfig{Enabled: true} }, "Fault"},
 		{"reduce", func(c *Config) { c.Staging.Reduce = ReduceConfig{Operator: ReduceCompress} }, "Staging.Reduce"},
 		{"tcp", func(c *Config) { c.TCPAddr = "127.0.0.1:0" }, "TCPAddr"},
@@ -68,7 +68,7 @@ func TestFleetSubmitRejections(t *testing.T) {
 		}
 	}
 	// The consumer reservation runs dry before MaxJobs does here.
-	if _, err := fleet.Submit(Config{Producers: 3, Consumers: 3, RoutePolicy: RouteStaging}); err == nil {
+	if _, err := fleet.Submit(Config{Producers: 3, Consumers: 3, Staging: StagingConfig{RoutePolicy: RouteStaging}}); err == nil {
 		t.Fatal("Submit beyond MaxConsumers succeeded")
 	} else if !strings.Contains(err.Error(), "Consumers") {
 		t.Fatalf("reservation rejection = %v", err)
@@ -82,7 +82,7 @@ func TestFleetMaxJobsLifetimeCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	j, err := fleet.Submit(Config{Producers: 1, Consumers: 1, RoutePolicy: RouteStaging})
+	j, err := fleet.Submit(Config{Producers: 1, Consumers: 1, Staging: StagingConfig{RoutePolicy: RouteStaging}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFleetMaxJobsLifetimeCap(t *testing.T) {
 	j.Wait()
 	// Tenant ids index pre-sized stager state and are never reused: the cap
 	// is a lifetime admission ceiling, not a concurrency limit.
-	if _, err := fleet.Submit(Config{Producers: 1, Consumers: 1, RoutePolicy: RouteStaging}); err == nil {
+	if _, err := fleet.Submit(Config{Producers: 1, Consumers: 1, Staging: StagingConfig{RoutePolicy: RouteStaging}}); err == nil {
 		t.Fatal("Submit beyond MaxJobs succeeded")
 	}
 }
@@ -169,14 +169,14 @@ func TestFleetOfOneMatchesNewJob(t *testing.T) {
 	)
 	cfg := Config{
 		Producers: producers, Consumers: consumers,
-		RoutePolicy: RouteStaging, DisableSteal: true,
+		Staging: StagingConfig{RoutePolicy: RouteStaging}, DisableSteal: true,
 		BufferBlocks: 8, MaxBatchBlocks: 4,
 	}
 
 	privCfg := cfg
 	privCfg.SpoolDir = t.TempDir()
-	privCfg.Stagers = 2
-	privCfg.StagerBufferBlocks = 16
+	privCfg.Staging.Stagers = 2
+	privCfg.Staging.BufferBlocks = 16
 	priv, err := NewJob(privCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestFleetTwoJobsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Producers: 2, Consumers: 1, RoutePolicy: RouteStaging,
+	cfg := Config{Producers: 2, Consumers: 1, Staging: StagingConfig{RoutePolicy: RouteStaging},
 		DisableSteal: true, BufferBlocks: 8, MaxBatchBlocks: 4}
 	a, err := fleet.Submit(cfg)
 	if err != nil {

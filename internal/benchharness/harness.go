@@ -152,8 +152,8 @@ func RunFlow(spoolDir string, v StagingVariant, sc FlowScenario) (zipper.JobStat
 	job, err := zipper.NewJob(zipper.Config{
 		Producers: sc.Producers, Consumers: 1, SpoolDir: spoolDir,
 		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8,
-		Stagers: v.Stagers, StagerBufferBlocks: sc.StagerBufferBlocks,
-		RoutePolicy: v.Policy, DisableSteal: sc.DisableSteal,
+		Staging:      zipper.StagingConfig{Stagers: v.Stagers, BufferBlocks: sc.StagerBufferBlocks, RoutePolicy: v.Policy},
+		DisableSteal: sc.DisableSteal,
 	})
 	if err != nil {
 		return zipper.JobStats{}, err
@@ -250,9 +250,8 @@ func RunElastic(spoolDir string, v ElasticVariant, sc ElasticScenario) (zipper.J
 	job, err := zipper.NewJob(zipper.Config{
 		Producers: sc.Producers, Consumers: 1, SpoolDir: spoolDir,
 		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8,
-		Stagers: v.Stagers, StagerBufferBlocks: sc.StagerBufferBlocks,
-		RoutePolicy: zipper.RouteAdaptive, DisableSteal: true,
-		Elastic: v.Elastic,
+		Staging:      zipper.StagingConfig{Stagers: v.Stagers, BufferBlocks: sc.StagerBufferBlocks, RoutePolicy: zipper.RouteAdaptive, Elastic: v.Elastic},
+		DisableSteal: true,
 	})
 	if err != nil {
 		return zipper.JobStats{}, err
@@ -364,8 +363,7 @@ func RunPlacement(spoolDir string, v PlacementVariant, sc PlacementScenario) (zi
 	job, err := zipper.NewJob(zipper.Config{
 		Producers: sc.Producers, Consumers: sc.Consumers, SpoolDir: spoolDir,
 		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8,
-		Stagers: sc.Stagers, StagerBufferBlocks: sc.StagerBufferBlocks,
-		RoutePolicy: zipper.RouteStaging, Placement: v.Placement,
+		Staging:      zipper.StagingConfig{Stagers: sc.Stagers, BufferBlocks: sc.StagerBufferBlocks, RoutePolicy: zipper.RouteStaging, Placement: v.Placement},
 		DisableSteal: true,
 	})
 	if err != nil {
@@ -428,8 +426,7 @@ func RunStaging(spoolDir string, v StagingVariant, producers, blocks, blockBytes
 	job, err := zipper.NewJob(zipper.Config{
 		Producers: producers, Consumers: 1, SpoolDir: spoolDir,
 		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8,
-		Stagers: v.Stagers, StagerBufferBlocks: producers * blocks,
-		RoutePolicy: v.Policy,
+		Staging: zipper.StagingConfig{Stagers: v.Stagers, BufferBlocks: producers * blocks, RoutePolicy: v.Policy},
 	})
 	if err != nil {
 		return zipper.JobStats{}, err

@@ -4,7 +4,7 @@
 // one runner per experiment that emits the same rows or series the paper
 // reports. Absolute seconds depend on the calibrated substrate, so each
 // runner's output should be compared by shape: ordering, ratios, and
-// crossover points (see EXPERIMENTS.md).
+// crossover points (this package's tests assert them).
 package exp
 
 import (

@@ -10,13 +10,10 @@ import (
 	"fmt"
 	"time"
 
+	"zipper/internal/assembly"
 	"zipper/internal/control"
 	"zipper/internal/core"
-	"zipper/internal/fabric"
-	"zipper/internal/flow"
 	"zipper/internal/rt"
-	"zipper/internal/rt/simenv"
-	"zipper/internal/staging"
 )
 
 // FleetJob is one tenant workload in a FleetSpec.
@@ -120,25 +117,6 @@ type FleetResult struct {
 	Samples []FleetSample
 }
 
-// simControlHost adapts the simulated shared tier to control.Host. All
-// stagers exist before the plane starts, so the slice is immutable.
-type simControlHost struct {
-	stagers []*staging.Stager
-	base    int // transport address of stager 0
-}
-
-func (h *simControlHost) TenantLevel(addr, tenant int) *flow.Level {
-	return h.stagers[addr-h.base].TenantLevel(tenant)
-}
-
-func (h *simControlHost) TenantSpilled(addr, tenant int) int64 {
-	return h.stagers[addr-h.base].TenantSpilled(tenant)
-}
-
-func (h *simControlHost) SetTenantQuota(c rt.Ctx, addr, tenant, blocks int) {
-	h.stagers[addr-h.base].SetTenantQuota(c, tenant, blocks)
-}
-
 // RunFleet executes every job in the spec over one shared stager tier on
 // the simulated platform. Each job's coordinator sleeps to its StartAfter,
 // admits the tenant (the control plane reconciles synchronously, so the
@@ -156,21 +134,14 @@ func RunFleet(spec FleetSpec) FleetResult {
 	}
 	r := build(Spec{Machine: spec.Machine, P: totP, Q: totQ,
 		StagingNodes: spec.StagingNodes, Seed: spec.Seed})
-	window := spec.Window
-	if window <= 0 {
-		window = 4
-	}
-	endpointNodes := append([]fabric.NodeID{}, r.consNodes...)
-	for s := 0; s < spec.Stagers; s++ {
-		endpointNodes = append(endpointNodes, r.stageNode[s%len(r.stageNode)])
-	}
-	net := simenv.NewNetwork(r.eng, r.fab, endpointNodes, window)
-	store := simenv.NewStore(r.fs, "zipper")
+	pf := newSimPlatform(r, spec.Machine.MemBandwidth, totQ, spec.Stagers, spec.Window)
 
 	// Global rank and consumer-address layout: jobs are packed in spec
 	// order, so the tenant of any producer rank is a static table lookup —
 	// the stagers' receiver threads resolve it without reaching into the
-	// registry.
+	// registry. The table is keyed by position in spec.Jobs, which is the
+	// tenant id only when the jobs are admitted in spec order (StartAfter
+	// can reorder them); golden_test.go pins the runs as they are.
 	rankTenant := make([]int, totP)
 	prodBase := make([]int, len(spec.Jobs))
 	consBase := make([]int, len(spec.Jobs))
@@ -186,38 +157,33 @@ func RunFleet(spec FleetSpec) FleetResult {
 		}
 	}
 
-	stagers := make([]*staging.Stager, spec.Stagers)
-	mem := spec.Machine.MemBandwidth
-	for s := 0; s < spec.Stagers; s++ {
-		env := simenv.NewEnv(r.eng, r.stageNode[s%len(r.stageNode)], mem)
-		spill := simenv.NewStore(r.fs, fmt.Sprintf("zipper-stage%d", s))
-		stagers[s] = staging.NewStager(env, staging.Config{
-			BufferBlocks: spec.StagerBufferBlocks,
-			Managed:      true,
-			Tenants:      len(spec.Jobs),
-			Tenant:       func(from int) int { return rankTenant[from%totP] },
-		}, s, net.Inbox(totQ+s), net, spill)
+	// The shared tier: every stager accounts per tenant, and the control
+	// plane splits the buffers among the admitted jobs.
+	tier, err := assembly.NewTier(pf.setup(), pf, assembly.Spec{
+		Consumers:          totQ,
+		Stagers:            spec.Stagers,
+		StagerBufferBlocks: spec.StagerBufferBlocks,
+		Window:             spec.Window,
+		Tenants: &assembly.Tenants{
+			Plane: control.Config{
+				Interval:         spec.Reconcile,
+				PreemptOccupancy: spec.PreemptOccupancy,
+				MaxTenants:       len(spec.Jobs),
+			},
+			Of: func(from int) int { return rankTenant[from%totP] },
+		},
+	})
+	if err != nil {
+		return FleetResult{Fail: err.Error()}
 	}
-	addrs := make([]int, spec.Stagers)
-	for s := range addrs {
-		addrs[s] = totQ + s
-	}
-	host := &simControlHost{stagers: stagers, base: totQ}
-	plane := control.NewPlane(control.Config{
-		Interval:         spec.Reconcile,
-		PreemptOccupancy: spec.PreemptOccupancy,
-		MaxTenants:       len(spec.Jobs),
-	}, addrs, spec.StagerBufferBlocks, host)
-	planeEnv := simenv.NewEnv(r.eng, r.stageNode[0], mem)
-	plane.Start(planeEnv)
+	// The tier's stagers all run from the start and for the whole run.
+	plane, stagers := tier.Plane, tier.Instances()
 
 	// Shared run state: written only under the engine's one-process-at-a-
 	// time scheduling, so no locking is needed.
 	results := make([]FleetJobResult, len(spec.Jobs))
 	jobsDone := 0
-	tenants := make([]*control.Tenant, len(spec.Jobs))
-	producers := make([][]*core.Producer, len(spec.Jobs))
-	consumers := make([][]*core.Consumer, len(spec.Jobs))
+	endpoints := make([]*assembly.Endpoints, len(spec.Jobs))
 
 	for i, job := range spec.Jobs {
 		i, job := i, job
@@ -230,18 +196,16 @@ func RunFleet(spec FleetSpec) FleetResult {
 		if nBlocks < 1 {
 			nBlocks = 1
 		}
-		coord := simenv.NewEnv(r.eng, r.prodNodes[prodBase[i]], mem)
-		coord.Go(fmt.Sprintf("fleet.job%d", i), func(c rt.Ctx) {
+		pf.env(assembly.Producer, prodBase[i]).Go(fmt.Sprintf("fleet.job%d", i), func(c rt.Ctx) {
 			if job.StartAfter > 0 {
 				c.Sleep(job.StartAfter)
 			}
-			tenant, err := plane.Admit(c, control.JobSpec{Name: job.Name, Quota: job.Quota})
+			tenant, err := tier.Admit(c, control.JobSpec{Name: job.Name, Quota: job.Quota})
 			if err != nil {
 				results[i] = FleetJobResult{Name: job.Name, Start: c.Now()}
 				jobsDone++
 				return
 			}
-			tenants[i] = tenant
 			results[i].Name = job.Name
 			results[i].Tenant = tenant.ID()
 			results[i].Start = c.Now()
@@ -254,38 +218,15 @@ func RunFleet(spec FleetSpec) FleetResult {
 			if zcfg.RoutePolicy == core.RouteDirect {
 				zcfg.RoutePolicy = core.RouteStaging
 			}
-			// The tenant's slice of the fleet, with tenant-scoped occupancy
-			// as the routing signal: another tenant's backlog never distorts
-			// this job's gauges.
-			zcfg.Directory = tenant.Directory()
-			zcfg.StagerLevel = func(addr int) *flow.Level {
-				return host.TenantLevel(addr, tenant.ID())
-			}
-			cons := make([]*core.Consumer, job.Q)
-			for q := 0; q < job.Q; q++ {
-				n := 0
-				for p := 0; p < job.P; p++ {
-					if p*job.Q/job.P == q {
-						n++
-					}
-				}
-				env := simenv.NewEnv(r.eng, r.consNodes[consBase[i]+q], mem)
-				cons[q] = core.NewConsumer(env, zcfg, consBase[i]+q, n, net.Inbox(consBase[i]+q), store)
-			}
-			consumers[i] = cons
-			prods := make([]*core.Producer, job.P)
-			for p := 0; p < job.P; p++ {
-				env := simenv.NewEnv(r.eng, r.prodNodes[prodBase[i]+p], mem)
-				dest := consBase[i] + p*job.Q/job.P
-				prods[p] = core.NewStagedProducer(env, zcfg, prodBase[i]+p, dest, core.NoStager, net, store)
-			}
-			producers[i] = prods
+			ep := tier.Join(pf, assembly.Spec{Producers: job.P, Consumers: job.Q, Core: zcfg},
+				pf.store, consBase[i], prodBase[i], tenant)
+			endpoints[i] = ep
+			prods, cons := ep.Producers, ep.Consumers
 			// Producer ranks: the fine-grain write loop of RunZipper, one
 			// engine process per rank.
 			for p := 0; p < job.P; p++ {
 				p := p
-				penv := simenv.NewEnv(r.eng, r.prodNodes[prodBase[i]+p], mem)
-				penv.Go(fmt.Sprintf("fleet.job%d.prod%d", i, p), func(c rt.Ctx) {
+				pf.env(assembly.Producer, prodBase[i]+p).Go(fmt.Sprintf("fleet.job%d.prod%d", i, p), func(c rt.Ctx) {
 					prod := prods[p]
 					rankBlocks := int(float64(nBlocks) * w.skew(p))
 					if rankBlocks < 1 {
@@ -304,8 +245,7 @@ func RunFleet(spec FleetSpec) FleetResult {
 			// Consumer ranks: analyze at AnalyzePerByte.
 			for q := 0; q < job.Q; q++ {
 				q := q
-				cenv := simenv.NewEnv(r.eng, r.consNodes[consBase[i]+q], mem)
-				cenv.Go(fmt.Sprintf("fleet.job%d.cons%d", i, q), func(c rt.Ctx) {
+				pf.env(assembly.Consumer, consBase[i]+q).Go(fmt.Sprintf("fleet.job%d.cons%d", i, q), func(c rt.Ctx) {
 					for {
 						blk, ok := cons[q].Read(c)
 						if !ok {
@@ -334,16 +274,15 @@ func RunFleet(spec FleetSpec) FleetResult {
 	// done — the zippertrace fleet view's input.
 	var samples []FleetSample
 	if spec.Sample > 0 {
-		senv := simenv.NewEnv(r.eng, r.stageNode[0], mem)
-		senv.Go("fleet.sampler", func(c rt.Ctx) {
+		pf.env(assembly.Control, 0).Go("fleet.sampler", func(c rt.Ctx) {
 			for jobsDone < len(spec.Jobs) {
 				c.Sleep(spec.Sample)
 				snap := plane.Snapshot()
 				sm := FleetSample{At: c.Now(), Tenants: make([]TenantSample, len(spec.Jobs))}
 				for _, sn := range snap {
 					ts := TenantSample{Stagers: len(sn.Stagers), QuotaBlocks: sn.QuotaBlocks, Active: sn.Active}
-					for _, st := range stagers {
-						if lv := st.TenantLevel(sn.ID); lv != nil {
+					for _, in := range stagers {
+						if lv := in.St.TenantLevel(sn.ID); lv != nil {
 							q, _ := lv.Get()
 							ts.Resident += q
 						}
@@ -355,11 +294,10 @@ func RunFleet(spec FleetSpec) FleetResult {
 		})
 	}
 
-	// The fleet janitor: once every job released its tenant, stop the plane
-	// and retire the shared tier (the directories are already empty, so the
-	// Retire message is provably last).
-	jenv := simenv.NewEnv(r.eng, r.stageNode[0], mem)
-	jenv.Go("fleet.janitor", func(c rt.Ctx) {
+	// The fleet janitor: once every job has released its tenant, shut the
+	// shared tier down (the directories are already empty, so each Retire
+	// is provably the last message its stager receives).
+	pf.env(assembly.Control, 0).Go("fleet.janitor", func(c rt.Ctx) {
 		interval := spec.Reconcile
 		if interval <= 0 {
 			interval = 2 * time.Millisecond
@@ -367,11 +305,7 @@ func RunFleet(spec FleetSpec) FleetResult {
 		for jobsDone < len(spec.Jobs) {
 			c.Sleep(interval)
 		}
-		plane.Stop(c)
-		for s, st := range stagers {
-			net.Send(c, totQ+s, rt.Message{Retire: true})
-			st.Wait(c)
-		}
+		tier.Shutdown(c)
 	})
 
 	if err := r.eng.Run(); err != nil {
@@ -383,7 +317,11 @@ func RunFleet(spec FleetSpec) FleetResult {
 	snap := plane.Snapshot()
 	for i := range spec.Jobs {
 		jr := &results[i]
-		for _, p := range producers[i] {
+		if endpoints[i] == nil {
+			res.Jobs = append(res.Jobs, *jr) // rejected at admission
+			continue
+		}
+		for _, p := range endpoints[i].Producers {
 			st := p.FinalStats()
 			jr.BlocksWritten += st.BlocksWritten
 			jr.BlocksSent += st.BlocksSent
@@ -393,25 +331,23 @@ func RunFleet(spec FleetSpec) FleetResult {
 				jr.WriteStall = st.WriteStall
 			}
 		}
-		for _, cn := range consumers[i] {
+		for _, cn := range endpoints[i].Consumers {
 			st := cn.FinalStats()
 			jr.BlocksAnalyzed += st.BlocksAnalyzed
 			jr.BlocksLost += st.BlocksLost
 		}
-		if tenants[i] != nil {
-			for _, st := range stagers {
-				jr.BlocksSpilled += st.TenantSpilled(tenants[i].ID())
-			}
-			for _, sn := range snap {
-				if sn.ID == tenants[i].ID() {
-					jr.Preempted = sn.Preempted
-				}
+		for _, in := range stagers {
+			jr.BlocksSpilled += in.St.TenantSpilled(jr.Tenant)
+		}
+		for _, sn := range snap {
+			if sn.ID == jr.Tenant {
+				jr.Preempted = sn.Preempted
 			}
 		}
 		res.Jobs = append(res.Jobs, *jr)
 	}
-	for _, st := range stagers {
-		fs := st.FinalStats()
+	for _, in := range stagers {
+		fs := in.St.FinalStats()
 		res.StagerRelayed = append(res.StagerRelayed, fs.BlocksIn)
 		res.StagerSpills += fs.BlocksSpilled
 		res.StagerNodeSeconds += fs.Finished.Seconds()

@@ -11,18 +11,17 @@ import (
 	"fmt"
 	"time"
 
+	"zipper/internal/assembly"
 	"zipper/internal/core"
 	"zipper/internal/elastic"
 	"zipper/internal/fabric"
 	"zipper/internal/fault"
-	"zipper/internal/flow"
 	"zipper/internal/mpi"
 	"zipper/internal/pfs"
 	"zipper/internal/place"
 	"zipper/internal/rt"
 	"zipper/internal/rt/simenv"
 	"zipper/internal/sim"
-	"zipper/internal/staging"
 	"zipper/internal/trace"
 	"zipper/internal/transport"
 )
@@ -454,286 +453,144 @@ func RunBaseline(spec Spec, method transport.Method) Result {
 	return res
 }
 
-// RunZipper executes the workflow on the Zipper runtime.
-func RunZipper(spec Spec) Result {
-	r := build(spec)
-	w := spec.Workload
-	window := spec.Window
+// simPlatform is the simulated machine as the assembler sees it: every
+// endpoint's threads run on (and charge traffic to) its own fabric node,
+// one credit-windowed network carries every message, and the spool is the
+// PFS model.
+type simPlatform struct {
+	r     *rig
+	mem   float64
+	net   *simenv.Network
+	store *simenv.Store
+}
+
+// newSimPlatform creates the network's endpoints — `consumers` consumer
+// addresses, then `slots` stager addresses placed round-robin on the
+// staging nodes, each with a receive window of `window` messages (default
+// 4) — and the root store.
+func newSimPlatform(r *rig, mem float64, consumers, slots, window int) *simPlatform {
 	if window <= 0 {
 		window = 4
 	}
-	zcfg := spec.Zipper
-	zcfg.Recorder = r.rec
-	// The staging tier only exists when routing can reach it; with
-	// RouteDirect the run is identical to a Stagers: 0 run. A stager with
-	// no assigned producer would never see its Fins, so the tier never
-	// outnumbers the producers.
-	nStage := spec.Stagers
-	if zcfg.RoutePolicy == core.RouteDirect {
-		nStage = 0
+	nodes := append([]fabric.NodeID{}, r.consNodes[:consumers]...)
+	for s := 0; s < slots; s++ {
+		nodes = append(nodes, r.stageNode[s%len(r.stageNode)])
 	}
-	if nStage > spec.P {
-		nStage = spec.P
-	}
-	endpointNodes := append([]fabric.NodeID{}, r.consNodes...)
-	for s := 0; s < nStage; s++ {
-		endpointNodes = append(endpointNodes, r.stageNode[s%len(r.stageNode)])
-	}
-	net := simenv.NewNetwork(r.eng, r.fab, endpointNodes, window)
-	store := simenv.NewStore(r.fs, "zipper")
+	return &simPlatform{r: r, mem: mem,
+		net:   simenv.NewNetwork(r.eng, r.fab, nodes, window),
+		store: simenv.NewStore(r.fs, "zipper")}
+}
 
-	producers := make([]*core.Producer, spec.P)
-	consumers := make([]*core.Consumer, spec.Q)
-	var allStagers []*staging.Stager // every stager instance, for stats
-	var scaler *elastic.Scaler
-	var fixedPool *place.Directory // placement-directed fixed tier (no scaler)
-	elasticOn := spec.Elastic.Enabled && nStage > 0
-	placed := spec.Placement != place.KindRankAffine
-	faultOn := spec.Fault.Enabled && nStage > 0
-	var fcfg fault.Config
-	if faultOn {
-		fcfg = spec.Fault.WithDefaults()
+// env places the role's endpoint i; the tier's control threads run beside
+// its first stager.
+func (pf *simPlatform) env(role assembly.Role, i int) *simenv.Env {
+	node := pf.r.stageNode[0]
+	switch role {
+	case assembly.Consumer:
+		node = pf.r.consNodes[i]
+	case assembly.Producer:
+		node = pf.r.prodNodes[i]
+	case assembly.Stager:
+		node = pf.r.stageNode[i%len(pf.r.stageNode)]
 	}
-	// Pool-managed tier state shared by the fault plane: every spawned
-	// instance with its journal, the pool the leases live in, and the spawn
-	// hook the monitor respawns through. All of it is touched only under the
-	// engine's one-process-at-a-time scheduling, so no locking is needed.
-	var insts []*stagerInst
-	var faultPool *place.Directory
-	var spawnFn func(slot int) *staging.Stager
-	var monitor *fault.Monitor
-	for q := 0; q < spec.Q; q++ {
-		n := 0
-		for p := 0; p < spec.P; p++ {
-			if p*spec.Q/spec.P == q {
-				n++
-			}
-		}
-		if placed {
-			// A placement-resolved consumer can receive from any producer,
-			// and every producer Fin-broadcasts to every consumer.
-			n = spec.P
-		}
-		env := simenv.NewEnv(r.eng, r.consNodes[q], spec.Machine.MemBandwidth)
-		consumers[q] = core.NewConsumer(env, zcfg, q, n, net.Inbox(q), store)
+	return simenv.NewEnv(pf.r.eng, node, pf.mem)
+}
+
+// Env implements assembly.Platform.
+func (pf *simPlatform) Env(role assembly.Role, i int) rt.Env { return pf.env(role, i) }
+
+// Inbox implements assembly.Platform.
+func (pf *simPlatform) Inbox(addr int) rt.Inbox { return pf.net.Inbox(addr) }
+
+// Port implements assembly.Platform: the network serves any sender.
+func (pf *simPlatform) Port(assembly.Role, int) rt.Transport { return pf.net }
+
+// Partition implements assembly.Platform. The partitions keep the file
+// names earlier revisions gave them: the PFS model hashes names onto OSTs.
+func (pf *simPlatform) Partition(name string) (rt.BlockStore, error) {
+	if name == "" {
+		return pf.store, nil
 	}
-	if placed {
-		// The consumer directory: static membership, policy-driven
-		// per-batch resolution fed by the consumer-buffer occupancy gauges.
-		cdir := place.New(spec.Placement.New(), func(addr int) *flow.Level {
-			return consumers[addr].Level()
-		})
-		for q := 0; q < spec.Q; q++ {
-			cdir.Add(q)
-		}
-		zcfg.ConsumerDirectory = cdir
+	return pf.store.Partition("zipper-" + name), nil
+}
+
+// setup is the context of the code that assembles a run before the engine
+// starts: it can read the clock (zero) and must never block.
+func (pf *simPlatform) setup() rt.Ctx { return setupCtx{pf.r.eng} }
+
+type setupCtx struct{ eng *sim.Engine }
+
+func (c setupCtx) Now() time.Duration { return c.eng.Now() }
+func (c setupCtx) Sleep(time.Duration) {
+	panic("workflow: assembling a run must not block")
+}
+
+// assembly converts the spec's runtime half to the platform-neutral
+// topology the assembler builds.
+func (spec Spec) assembly() assembly.Spec {
+	return assembly.Spec{
+		Producers:          spec.P,
+		Consumers:          spec.Q,
+		Core:               spec.Zipper,
+		Stagers:            spec.Stagers,
+		StagerBufferBlocks: spec.StagerBufferBlocks,
+		Elastic:            spec.Elastic,
+		Placement:          spec.Placement,
+		Fault:              spec.Fault,
+		Window:             spec.Window,
 	}
-	// mkManaged builds one pool-managed stager endpoint on a reserved slot,
-	// wiring the fault plane (journal, heartbeat, lease, unlease) when it is
-	// on. Both pool-managed tiers — elastic and fixed — spawn through it, so
-	// the monitor's respawn path reuses the exact construction.
-	mkManaged := func(slot int, slots []*staging.Stager, pool *place.Directory) *staging.Stager {
-		env := simenv.NewEnv(r.eng, r.stageNode[slot%len(r.stageNode)], spec.Machine.MemBandwidth)
-		scfg := staging.Config{
-			BufferBlocks:   spec.StagerBufferBlocks,
-			MaxBatchBlocks: zcfg.MaxBatchBlocks,
-			MaxBatchBytes:  zcfg.MaxBatchBytes,
-			Managed:        true,
-			Reduce:         zcfg.Reduce,
-			Recorder:       r.rec,
-		}
-		// A partition of the root store, so a respawned instance's
-		// write-ahead log gets segment names of its own.
-		spill := store.Partition(fmt.Sprintf("zipper-stage%d", slot))
-		in := &stagerInst{slot: slot, spill: spill}
-		if faultOn {
-			// Each instance gets a fresh write-ahead journal — a respawned
-			// slot must not replay its predecessor's records — and a liveness
-			// lease renewed by its heartbeat thread; a clean drain releases
-			// the lease synchronously, so only a crash ever lapses it.
-			addr := spec.Q + slot
-			in.journal = staging.NewJournal()
-			scfg.Journal = in.journal
-			scfg.HeartbeatInterval = fcfg.Heartbeat
-			scfg.Heartbeat = func(c rt.Ctx) { pool.Beat(addr, c.Now()) }
-			scfg.Unlease = func() { pool.Unlease(addr) }
-			pool.Lease(addr, fcfg.LeaseTTL, r.eng.Now())
-		}
-		st := staging.NewStager(env, scfg, slot, net.Inbox(spec.Q+slot), net, spill)
-		in.st = st
-		slots[slot] = st
-		allStagers = append(allStagers, st)
-		insts = append(insts, in)
-		return st
+}
+
+// RunZipper executes the workflow on the Zipper runtime.
+func RunZipper(spec Spec) Result { return RunAssembly(spec, spec.assembly()) }
+
+// RunAssembly executes the topology `a` — the value zipper.NewJob would
+// assemble on the real machine — on spec's simulated machine, under spec's
+// workload. Of spec it reads the machine, the workload, the node layout and
+// the experiment controls (FaultKillEpoch, Trace, Seed); the runtime
+// configuration is all in a.
+func RunAssembly(spec Spec, a assembly.Spec) Result {
+	spec.P, spec.Q = a.Producers, a.Consumers
+	r := build(spec)
+	w := spec.Workload
+	a.Core.Recorder = r.rec
+	pf := newSimPlatform(r, spec.Machine.MemBandwidth, a.Consumers, a.Slots(), a.Window)
+	asm, err := assembly.Assemble(pf.setup(), pf, a)
+	if err != nil {
+		return Result{Method: "Zipper", Fail: err.Error()}
 	}
-	switch {
-	case elasticOn:
-		// Elastic staging tier: reserve the endpoint ceiling, spawn the
-		// starting pool as managed stagers, and let the scaler grow and
-		// drain ranks at runtime over the StagingNodes headroom. The pool
-		// resolves through the placement policy.
-		ecfg := spec.Elastic.WithDefaults(nStage)
-		if faultOn {
-			// Draining a member that may already be dead is unsound (its
-			// Retire would never be consumed); fault mode trades mid-run
-			// drains for crash safety.
-			ecfg.DisableDrain = true
-		}
-		slots := make([]*staging.Stager, ecfg.MaxStagers)
-		stagerLevel := func(addr int) *flow.Level {
-			if st := slots[addr-spec.Q]; st != nil {
-				return st.Level()
-			}
-			return nil
-		}
-		pool := place.New(spec.Placement.New(), stagerLevel)
-		spawn := func(slot int) *staging.Stager { return mkManaged(slot, slots, pool) }
-		faultPool, spawnFn = pool, spawn
-		var initial []*flow.StagerFlows
-		for s := 0; s < ecfg.MinStagers; s++ {
-			st := spawn(s)
-			pool.Add(spec.Q + s)
-			initial = append(initial, st.Flows())
-		}
-		zcfg.Directory = pool
-		zcfg.StagerLevel = stagerLevel
-		scalerEnv := simenv.NewEnv(r.eng, r.stageNode[0], spec.Machine.MemBandwidth)
-		scaler = elastic.NewScaler(scalerEnv, ecfg, pool,
-			&simHost{spawn: spawn, slots: slots, net: net, base: spec.Q}, spec.Q, initial)
-		scaler.Start()
-	case (placed || faultOn) && nStage > 0:
-		// Placement-directed (or fault-protected) fixed tier: the same
-		// pool-managed endpoints as the elastic tier over a static
-		// membership, no scaler. Producers resolve their stager per drained
-		// batch through the placement policy; a janitor retires the
-		// endpoints once the producers finish and counted termination
-		// completes the consumers' streams from the flushed deliveries. The
-		// fault plane needs this shape even under rank-affine placement: an
-		// eviction is a membership epoch, and counted Fins are what let
-		// replayed blocks land after their relay died.
-		slots := make([]*staging.Stager, nStage)
-		stagerLevel := func(addr int) *flow.Level {
-			if st := slots[addr-spec.Q]; st != nil {
-				return st.Level()
-			}
-			return nil
-		}
-		fixedPool = place.New(spec.Placement.New(), stagerLevel)
-		for s := 0; s < nStage; s++ {
-			mkManaged(s, slots, fixedPool)
-			fixedPool.Add(spec.Q + s)
-		}
-		faultPool = fixedPool
-		spawnFn = func(slot int) *staging.Stager { return mkManaged(slot, slots, fixedPool) }
-		zcfg.Directory = fixedPool
-		zcfg.StagerLevel = stagerLevel
-	case nStage > 0:
-		for s := 0; s < nStage; s++ {
-			n := 0
-			for p := 0; p < spec.P; p++ {
-				if p%nStage == s {
-					n++
-				}
-			}
-			env := simenv.NewEnv(r.eng, r.stageNode[s%len(r.stageNode)], spec.Machine.MemBandwidth)
-			scfg := staging.Config{
-				BufferBlocks:   spec.StagerBufferBlocks,
-				MaxBatchBlocks: zcfg.MaxBatchBlocks,
-				MaxBatchBytes:  zcfg.MaxBatchBytes,
-				Producers:      n,
-				Reduce:         zcfg.Reduce,
-				Recorder:       r.rec,
-			}
-			spill := simenv.NewStore(r.fs, fmt.Sprintf("zipper-stage%d", s))
-			st := staging.NewStager(env, scfg, s, net.Inbox(spec.Q+s), net, spill)
-			allStagers = append(allStagers, st)
-		}
-		fixed := allStagers
-		zcfg.StagerLevel = func(addr int) *flow.Level {
-			return fixed[addr-spec.Q].Level()
-		}
-	}
-	for p := 0; p < spec.P; p++ {
-		env := simenv.NewEnv(r.eng, r.prodNodes[p], spec.Machine.MemBandwidth)
-		stager := core.NoStager
-		if nStage > 0 && !elasticOn && !placed {
-			stager = spec.Q + p%nStage
-		}
-		producers[p] = core.NewStagedProducer(env, zcfg, p, p*spec.Q/spec.P, stager, net, store)
-	}
-	if faultOn && faultPool != nil {
-		// The failure detector: sweeps the lease table every heartbeat,
-		// evicts lapsed members, and drives the fence → replay → respawn
-		// recovery sequence through the simulated host.
-		menv := simenv.NewEnv(r.eng, r.stageNode[0], spec.Machine.MemBandwidth)
-		monitor = fault.NewMonitor(menv, fcfg, faultPool, &simFaultHost{
-			insts: &insts, spawn: spawnFn, net: net, pool: faultPool, scaler: scaler, base: spec.Q,
-		})
-		monitor.Start()
-	}
+	producers, consumers, tier := asm.Producers, asm.Consumers, asm.Tier
 	prodsDone := false
-	if faultOn && spec.FaultKillEpoch > 0 && faultPool != nil {
+	if spec.FaultKillEpoch > 0 && tier != nil && tier.Monitor != nil {
 		// The deterministic kill injector: the first time the pool's
 		// membership epoch reaches FaultKillEpoch, hard-kill the lowest live
 		// member's stager. Clocked on virtual time, so the same spec crashes
 		// at the same instant in every run.
-		kenv := simenv.NewEnv(r.eng, r.stageNode[0], spec.Machine.MemBandwidth)
-		kenv.Go("fault.injector", func(c rt.Ctx) {
+		heartbeat := a.Fault.WithDefaults().Heartbeat
+		pf.env(assembly.Control, 0).Go("fault.injector", func(c rt.Ctx) {
 			for !prodsDone {
-				if faultPool.Epoch() >= int64(spec.FaultKillEpoch) {
-					if members := faultPool.Members(); len(members) > 0 {
-						slot := members[0] - spec.Q
-						for i := len(insts) - 1; i >= 0; i-- {
-							if insts[i].slot == slot {
-								if st := insts[i].st; !st.Killed(c) && !st.Drained(c) {
-									st.Kill(c)
-								}
-								break
-							}
-						}
+				if tier.Pool.Epoch() >= int64(spec.FaultKillEpoch) {
+					if members := tier.Pool.Members(); len(members) > 0 {
+						tier.Kill(c, members[0]-a.Consumers)
 					}
 					return
 				}
-				c.Sleep(fcfg.Heartbeat)
+				c.Sleep(heartbeat)
 			}
 		})
 	}
-	if scaler != nil {
-		// The janitor closes the loop's lifetime: once every producer has
-		// handed off its data, no relay traffic can appear, so the failure
-		// detector runs its final forced sweep (replays must land while the
-		// consumers are still counting, and no respawn may interleave with
-		// the shutdown), then the scaler stops and retires the remaining
-		// pool — the flush completes the consumers' counted streams.
-		jenv := simenv.NewEnv(r.eng, r.stageNode[0], spec.Machine.MemBandwidth)
-		jenv.Go("elastic.janitor", func(c rt.Ctx) {
+	if tier != nil && tier.Pool != nil {
+		// The janitor closes a pool-managed tier's lifetime: once every
+		// producer has handed off its data no relay traffic can appear, and
+		// the tier shuts down — the flush completes the consumers' counted
+		// streams. (A fixed rank-affine tier ends by itself on its
+		// producers' Fins.)
+		pf.env(assembly.Control, 0).Go("tier.janitor", func(c rt.Ctx) {
 			for _, p := range producers {
 				p.Wait(c)
 			}
 			prodsDone = true
-			if monitor != nil {
-				monitor.Stop(c)
-			}
-			scaler.Stop(c)
-		})
-	}
-	if fixedPool != nil {
-		// Same lifetime rule for the pool-managed fixed tier: stop the
-		// failure detector, then retire every endpoint the elastic way (out
-		// of the membership, quiesce in-flight claims, then the
-		// provably-last Retire message) once the producers are done.
-		jenv := simenv.NewEnv(r.eng, r.stageNode[0], spec.Machine.MemBandwidth)
-		jenv.Go("place.janitor", func(c rt.Ctx) {
-			for _, p := range producers {
-				p.Wait(c)
-			}
-			prodsDone = true
-			if monitor != nil {
-				monitor.Stop(c)
-			}
-			fixedPool.RetireAll(c, func(addr int) {
-				net.Send(c, addr, rt.Message{Retire: true})
-			})
+			tier.Shutdown(c)
 		})
 	}
 
@@ -748,10 +605,9 @@ func RunZipper(spec Spec) Result {
 
 	anaBusy := make([]time.Duration, spec.Q)
 	r.prodComm.Launch("sim", func(rank *mpi.Rank) {
-		env := simenv.NewEnv(r.eng, r.prodNodes[rank.Local()], spec.Machine.MemBandwidth)
 		prod := producers[rank.Local()]
 		p := rank.Proc()
-		c := env.WrapProc(p)
+		c := pf.env(assembly.Producer, rank.Local()).WrapProc(p)
 		name := fmt.Sprintf("sim.%d", rank.Local())
 		// Workload.Skew scales this rank's per-step output volume with the
 		// kernel time unchanged: a skewed rank emits more blocks, faster.
@@ -790,9 +646,8 @@ func RunZipper(spec Spec) Result {
 		prod.Wait(c)
 	})
 	r.consComm.Launch("ana", func(rank *mpi.Rank) {
-		env := simenv.NewEnv(r.eng, r.consNodes[rank.Local()], spec.Machine.MemBandwidth)
 		cons := consumers[rank.Local()]
-		c := env.WrapProc(rank.Proc())
+		c := pf.env(assembly.Consumer, rank.Local()).WrapProc(rank.Proc())
 		for {
 			blk, ok := cons.Read(c)
 			if !ok {
@@ -848,13 +703,17 @@ func RunZipper(spec Spec) Result {
 			storeCons = st.StoreBusy
 		}
 	}
-	if monitor != nil {
-		res.Evictions = monitor.Evictions()
-		res.ReplayedBlocks = monitor.ReplayedBlocks()
-		res.FailoverEvents = monitor.Events()
+	var scaler *elastic.Scaler
+	if tier != nil {
+		scaler = tier.Scaler
+		if m := tier.Monitor; m != nil {
+			res.Evictions = m.Evictions()
+			res.ReplayedBlocks = m.ReplayedBlocks()
+			res.FailoverEvents = m.Events()
+		}
 	}
-	for _, s := range allStagers {
-		st := s.FinalStats()
+	for _, in := range tier.Instances() {
+		st := in.St.FinalStats()
 		res.StagerSpills += st.BlocksSpilled
 		res.BytesOnWire += st.BytesOnWire
 		res.BytesReduced += st.BytesReduced
@@ -892,117 +751,6 @@ func RunZipper(spec Spec) Result {
 	res.SenderIdle = res.E2E - maxSend
 	res.XmitWaitProducers = sumXmitWait(r)
 	return res
-}
-
-// simHost adapts the simulated workflow wiring to elastic.Host: spawned
-// stagers are fresh engine-process sets placed round-robin on the staging
-// nodes, and Retire travels the simulated network like any other message.
-// All fields are written only under the engine's one-process-at-a-time
-// scheduling, so no locking is needed.
-type simHost struct {
-	spawn func(slot int) *staging.Stager
-	slots []*staging.Stager
-	net   *simenv.Network
-	base  int // transport address of slot 0
-}
-
-func (h *simHost) Spawn(c rt.Ctx, slot int) (*flow.StagerFlows, error) {
-	return h.spawn(slot).Flows(), nil
-}
-
-func (h *simHost) Retire(c rt.Ctx, slot int) {
-	h.net.Send(c, h.base+slot, rt.Message{Retire: true})
-}
-
-func (h *simHost) Drained(c rt.Ctx, slot int) bool {
-	st := h.slots[slot]
-	return st == nil || st.Drained(c)
-}
-
-// stagerInst tracks one stager endpoint instance and its fault-plane
-// attachments for the lifetime of a run. A slot can accumulate several
-// instances as the monitor respawns replacements into it; the latest entry
-// for a slot is the current occupant.
-type stagerInst struct {
-	slot           int
-	st             *staging.Stager
-	journal        *staging.Journal
-	spill          rt.BlockStore
-	evicted        bool
-	replayed, lost int64
-}
-
-// simFaultHost adapts the simulated workflow wiring to fault.Host: evicted
-// endpoints are fenced and joined in-engine, their journals replayed through
-// the simulated network, and replacements spawned with the same builder the
-// initial tier used. All fields are written only under the engine's
-// one-process-at-a-time scheduling, so no locking is needed.
-type simFaultHost struct {
-	insts  *[]*stagerInst
-	spawn  func(slot int) *staging.Stager
-	net    *simenv.Network
-	pool   *place.Directory
-	scaler *elastic.Scaler
-	base   int // transport address of slot 0
-}
-
-// latest returns the current (most recently spawned) instance on a slot.
-func (h *simFaultHost) latest(slot int) *stagerInst {
-	insts := *h.insts
-	for i := len(insts) - 1; i >= 0; i-- {
-		if insts[i].slot == slot {
-			return insts[i]
-		}
-	}
-	return nil
-}
-
-func (h *simFaultHost) Dead(c rt.Ctx, addr int) bool {
-	in := h.latest(addr - h.base)
-	return in != nil && in.st.Killed(c)
-}
-
-func (h *simFaultHost) Evict(c rt.Ctx, addr int) {
-	in := h.latest(addr - h.base)
-	if in == nil {
-		return
-	}
-	if h.scaler != nil {
-		h.scaler.Crashed(addr - h.base)
-	}
-	if !in.st.Killed(c) {
-		// Fence: a false-positive eviction must not leave a live occupant
-		// flushing blocks the recovery reader is about to replay.
-		in.st.Kill(c)
-	}
-	if in.st.NeedsRetire(c) {
-		h.net.Send(c, addr, rt.Message{Retire: true})
-	}
-	in.st.Wait(c)
-	in.evicted = true
-}
-
-func (h *simFaultHost) Recover(c rt.Ctx, addr int) (replayed, orphans, lost int64) {
-	in := h.latest(addr - h.base)
-	if in == nil || in.journal == nil {
-		return 0, 0, 0
-	}
-	replayed, orphans, lost = staging.Replay(c, in.journal, in.spill, h.net)
-	in.replayed += replayed
-	in.lost += lost
-	return replayed, orphans, lost
-}
-
-func (h *simFaultHost) Respawn(c rt.Ctx, addr int) bool {
-	if h.spawn == nil {
-		return false
-	}
-	st := h.spawn(addr - h.base)
-	h.pool.Add(addr)
-	if h.scaler != nil {
-		h.scaler.Respawned(addr-h.base, st.Flows())
-	}
-	return true
 }
 
 func maxDur(ds []time.Duration) time.Duration {

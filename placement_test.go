@@ -8,12 +8,12 @@ import (
 
 func TestPlacementValidation(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Producers: 2, Consumers: 1, SpoolDir: dir, Placement: Placement(42)}
+	cfg := Config{Producers: 2, Consumers: 1, SpoolDir: dir, Staging: StagingConfig{Placement: Placement(42)}}
 	if _, err := NewJob(cfg); err == nil {
 		t.Fatal("out-of-range Placement accepted")
 	}
 	for _, p := range []Placement{RankAffine, LeastOccupancy, HashRing} {
-		cfg.Placement = p
+		cfg.Staging.Placement = p
 		job, err := NewJob(cfg)
 		if err != nil {
 			t.Fatalf("placement %v rejected: %v", p, err)
@@ -76,7 +76,7 @@ func TestPlacementLeastOccupancyRoundTrip(t *testing.T) {
 	job, err := NewJob(Config{
 		Producers: 2, Consumers: 2, SpoolDir: t.TempDir(),
 		BufferBlocks: 8, Window: 1, MaxBatchBlocks: 4,
-		Placement: LeastOccupancy, DisableSteal: true,
+		Staging: StagingConfig{Placement: LeastOccupancy}, DisableSteal: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,11 +124,13 @@ func TestPlacementHashRingElasticChurn(t *testing.T) {
 	job, err := NewJob(Config{
 		Producers: producers, Consumers: 2, SpoolDir: t.TempDir(),
 		BufferBlocks: 8, Window: 2, MaxBatchBlocks: 4,
-		Stagers: 3, StagerBufferBlocks: 32,
-		RoutePolicy: RouteStaging, Placement: HashRing, DisableSteal: true,
-		Elastic: ElasticConfig{
-			Enabled: true, MinStagers: 1, MaxStagers: 3,
-			Interval: time.Millisecond, Cooldown: 3 * time.Millisecond,
+		DisableSteal: true,
+		Staging: StagingConfig{
+			Stagers: 3, BufferBlocks: 32, RoutePolicy: RouteStaging, Placement: HashRing,
+			Elastic: ElasticConfig{
+				Enabled: true, MinStagers: 1, MaxStagers: 3,
+				Interval: time.Millisecond, Cooldown: 3 * time.Millisecond,
+			},
 		},
 	})
 	if err != nil {

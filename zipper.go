@@ -44,21 +44,21 @@
 // Block.Release close the allocation loop so steady-state transfer reuses
 // payload buffers instead of allocating fresh ones.
 //
-// With Config.Stagers ≥ 1 and a non-direct RoutePolicy, the job adds the
-// in-transit staging tier: the sender picks a channel per batch (direct,
+// With Config.Staging.Stagers ≥ 1 and a non-direct RoutePolicy, the job adds
+// the in-transit staging tier: the sender picks a channel per batch (direct,
 // staging relay, or — implicitly, through backpressure — the work-stealing
 // file-system path), and stagers absorb bursts in memory, re-batch, spill
 // overflow to their own SpoolDir partitions, and forward to the consumers.
 //
-// With Config.Elastic.Enabled the staging tier becomes an autoscaled
-// resource: Stagers turns into a reserved endpoint ceiling, producers
+// With Config.Staging.Elastic.Enabled the staging tier becomes an
+// autoscaled resource: Stagers turns into a reserved endpoint ceiling, producers
 // resolve their stager per batch from an epoch-versioned pool, and a scaler
 // grows and drains endpoints at runtime on the pool-wide occupancy,
 // forward-rate, and spill signals. Job.Stats reports the scaling timeline
 // and the stager node-seconds the pool actually billed.
 //
-// Config.Placement selects the placement plane's policy — how producers
-// resolve their consumer and stager endpoints: RankAffine (the fixed
+// Config.Staging.Placement selects the placement plane's policy — how
+// producers resolve their consumer and stager endpoints: RankAffine (the fixed
 // assignments of earlier revisions, the default), LeastOccupancy (every
 // batch to the emptiest endpoint, shrinking relay imbalance when producer
 // rates diverge), or HashRing (consistent hashing, stable across elastic
@@ -78,8 +78,8 @@ package zipper
 
 import (
 	"fmt"
-	"sync"
 
+	"zipper/internal/assembly"
 	"zipper/internal/block"
 	"zipper/internal/control"
 	"zipper/internal/core"
@@ -91,7 +91,6 @@ import (
 	"zipper/internal/rt"
 	"zipper/internal/rt/realenv"
 	"zipper/internal/staging"
-	"zipper/internal/trace"
 )
 
 // RoutePolicy selects the producer's per-batch channel choice when staging
@@ -117,7 +116,7 @@ const (
 	// work-stealing writer steals only while a steal's measured cost per
 	// byte is within an order of magnitude of the cheaper network
 	// channel's (under every other policy, above HighWater means steal).
-	// Tune it with Config.Adaptive.
+	// Tune it with Config.Staging.Adaptive.
 	RouteAdaptive = core.RouteAdaptive
 )
 
@@ -159,11 +158,7 @@ type ScaleEvent = elastic.Event
 
 // StagingConfig groups the in-transit staging tier's configuration — the
 // endpoint count, buffering, routing, placement, and autoscaling knobs the
-// tier reads as one unit. The flat Config fields of earlier revisions
-// (Config.Stagers, Config.StagerBufferBlocks, Config.RoutePolicy,
-// Config.Placement, Config.Adaptive, Config.Elastic) remain as deprecated
-// aliases: a zero field here inherits the flat value, a non-zero field here
-// wins, so existing callers compile and behave unchanged.
+// tier reads as one unit.
 type StagingConfig struct {
 	// Stagers is the number of in-transit staging endpoints — the third
 	// channel between the in-memory message path and the file-system path.
@@ -387,10 +382,7 @@ type Config struct {
 	// needs delivery ordering across endpoints that concurrent TCP streams
 	// do not provide.
 	TCPAddr string
-	// Staging groups the in-transit staging tier's configuration. The flat
-	// fields below (Stagers through Elastic) are this group's deprecated
-	// aliases, kept so existing callers compile unchanged: a zero field
-	// here inherits the flat value, and a non-zero field here wins.
+	// Staging groups the in-transit staging tier's configuration.
 	Staging StagingConfig
 	// Fault enables and tunes the survivable data plane: leases and
 	// heartbeats on every staging endpoint, write-ahead journaling of
@@ -398,45 +390,12 @@ type Config struct {
 	// endpoint dies. It needs Staging.Stagers ≥ 1 and a RoutePolicy that
 	// can reach the tier.
 	Fault FaultConfig
-	// Stagers is the number of in-transit staging endpoints.
-	//
-	// Deprecated: set Staging.Stagers instead; this alias remains for
-	// existing callers and behaves identically.
-	Stagers int
-	// StagerBufferBlocks is each stager's in-memory buffer capacity.
-	//
-	// Deprecated: set Staging.BufferBlocks instead; this alias remains for
-	// existing callers and behaves identically.
-	StagerBufferBlocks int
-	// RoutePolicy picks the channel for each drained batch when Stagers ≥ 1.
-	//
-	// Deprecated: set Staging.RoutePolicy instead; this alias remains for
-	// existing callers and behaves identically.
-	RoutePolicy RoutePolicy
-	// Placement selects how producers resolve their consumer and stager
-	// endpoints.
-	//
-	// Deprecated: set Staging.Placement instead; this alias remains for
-	// existing callers and behaves identically.
-	Placement Placement
-	// Adaptive tunes the RouteAdaptive controller (ignored otherwise).
-	//
-	// Deprecated: set Staging.Adaptive instead; this alias remains for
-	// existing callers and behaves identically.
-	Adaptive AdaptiveTuning
-	// Elastic enables and tunes the staging-tier autoscaler.
-	//
-	// Deprecated: set Staging.Elastic instead; this alias remains for
-	// existing callers and behaves identically.
-	Elastic ElasticConfig
 	// Preserve keeps every block on the file system for later validation.
 	Preserve bool
 	// DisableSteal turns the dual-channel optimization off
 	// (message-passing-only mode): no writer thread, whatever the routing
 	// policy would have elected.
 	DisableSteal bool
-	// Recorder, when non-nil, captures runtime-thread activity spans.
-	Recorder *trace.Recorder
 	// Quota is the job's resource envelope when submitted to a shared
 	// Fleet: guaranteed stager buffer blocks, weighted bandwidth share, and
 	// preemption priority. NewJob ignores it — a private job owns its whole
@@ -446,35 +405,11 @@ type Config struct {
 
 // Job is a running Zipper workflow.
 type Job struct {
-	env   *realenv.Env
-	cfg   Config
-	net   *realenv.Network
-	fs    *realenv.FileStore
-	prod  []*Producer
-	cons  []*Consumer
-	stage []*staging.Stager // fixed staging tier (Elastic off)
-	pipe  *reduce.Pipeline  // shared parallel-encode pool (Reduce.Workers != 0)
-
-	// Real-TCP wire mode (Config.TCPAddr): the listener hosting every
-	// consumer and stager inbox, plus each producer's dialed connection.
-	// Both nil on the in-process network.
-	ln    *realenv.TCPListener
-	dials []*realenv.TCPTransport
-
-	// Elastic staging tier state. slots maps each reserved endpoint slot to
-	// its current stager instance (a retired slot keeps its last instance
-	// until the scaler reuses it); all records every instance ever spawned,
-	// in spawn order, so retired stagers stay visible in Stats.
-	mu     sync.RWMutex
-	slots  []*staging.Stager
-	all    []*jobStager
-	pool   *elastic.Pool
-	scaler *elastic.Scaler
-
-	// Fault plane (zero/nil with Fault off).
-	faultOn bool
-	fcfg    fault.Config // defaults resolved
-	monitor *fault.Monitor
+	pf   *platform
+	prod []*Producer
+	cons []*Consumer
+	tier *assembly.Tier   // the job's own staging tier; nil without one, and for a fleet tenant
+	pipe *reduce.Pipeline // shared parallel-encode pool (Reduce.Workers != 0)
 
 	// Shared-fleet mode (Fleet.Submit): the fleet this job is a tenant of
 	// and its control-plane handle. Both nil for a private NewJob. finished
@@ -484,59 +419,10 @@ type Job struct {
 	finished bool
 }
 
-// jobStager is one spawned stager instance of a pool-managed tier.
-type jobStager struct {
-	slot    int
-	st      *staging.Stager
-	drained bool // retired from the pool (mid-run drain or shutdown)
-
-	// Fault plane (zero/nil with Fault off).
-	journal   *staging.Journal // this instance's write-ahead journal
-	spill     rt.BlockStore    // the slot's spool partition
-	evicted   bool             // the failure detector evicted this instance
-	recovered bool             // this instance is a respawned replacement
-	replayed  int64            // blocks the recovery reader re-forwarded
-	lost      int64            // blocks declared unrecoverable at replay
-}
-
-// normalized resolves the deprecated flat staging aliases against the
-// grouped StagingConfig — a non-zero grouped field wins, a zero grouped
-// field inherits the flat value — and mirrors the result into both views,
-// so the runtime (and the tests pinning the equivalence) can read either.
-func (cfg Config) normalized() Config {
-	s := &cfg.Staging
-	if s.Stagers == 0 {
-		s.Stagers = cfg.Stagers
-	}
-	if s.BufferBlocks == 0 {
-		s.BufferBlocks = cfg.StagerBufferBlocks
-	}
-	if s.RoutePolicy == RouteDirect {
-		s.RoutePolicy = cfg.RoutePolicy
-	}
-	if s.Placement == RankAffine {
-		s.Placement = cfg.Placement
-	}
-	if s.Adaptive == (AdaptiveTuning{}) {
-		s.Adaptive = cfg.Adaptive
-	}
-	if s.Elastic == (ElasticConfig{}) {
-		s.Elastic = cfg.Elastic
-	}
-	cfg.Stagers = s.Stagers
-	cfg.StagerBufferBlocks = s.BufferBlocks
-	cfg.RoutePolicy = s.RoutePolicy
-	cfg.Placement = s.Placement
-	cfg.Adaptive = s.Adaptive
-	cfg.Elastic = s.Elastic
-	return cfg
-}
-
 // validate rejects configurations that would otherwise hang, panic, or
 // silently misbehave deep inside the runtime. Every rejection is a
 // *ConfigError naming the offending field.
 func (cfg Config) validate() error {
-	cfg = cfg.normalized()
 	if cfg.Producers < 1 {
 		return &ConfigError{Field: "Producers", Reason: fmt.Sprintf("must be ≥ 1, got %d", cfg.Producers)}
 	}
@@ -588,40 +474,40 @@ func (cfg Config) validate() error {
 		return &ConfigError{Field: "Staging.BufferBlocks",
 			Reason: fmt.Sprintf("must be ≥ 0, got %d", cfg.Staging.BufferBlocks)}
 	}
-	switch cfg.RoutePolicy {
+	switch cfg.Staging.RoutePolicy {
 	case RouteDirect, RouteStaging, RouteHybrid, RouteAdaptive:
 	default:
 		// RoutePolicy.String renders out-of-range values as "unknown(N)".
 		return &ConfigError{Field: "Staging.RoutePolicy",
 			Reason: fmt.Sprintf("%v is not a policy (valid: %v, %v, %v, %v)",
-				cfg.RoutePolicy, RouteDirect, RouteStaging, RouteHybrid, RouteAdaptive)}
+				cfg.Staging.RoutePolicy, RouteDirect, RouteStaging, RouteHybrid, RouteAdaptive)}
 	}
-	if cfg.RoutePolicy != RouteDirect && cfg.Staging.Stagers == 0 {
+	if cfg.Staging.RoutePolicy != RouteDirect && cfg.Staging.Stagers == 0 {
 		return &ConfigError{Field: "Staging.Stagers",
-			Reason: fmt.Sprintf("RoutePolicy %v needs Stagers ≥ 1", cfg.RoutePolicy)}
+			Reason: fmt.Sprintf("RoutePolicy %v needs Stagers ≥ 1", cfg.Staging.RoutePolicy)}
 	}
-	if !cfg.Placement.Valid() {
+	if !cfg.Staging.Placement.Valid() {
 		// Placement.String renders out-of-range values as "unknown(N)".
 		return &ConfigError{Field: "Staging.Placement",
 			Reason: fmt.Sprintf("%v is not a policy (valid: %v, %v, %v)",
-				cfg.Placement, RankAffine, LeastOccupancy, HashRing)}
+				cfg.Staging.Placement, RankAffine, LeastOccupancy, HashRing)}
 	}
-	if cfg.Adaptive.MinShare < 0 || cfg.Adaptive.MaxShare < 0 ||
-		cfg.Adaptive.MinShare > 1 || cfg.Adaptive.MaxShare > 1 {
+	if cfg.Staging.Adaptive.MinShare < 0 || cfg.Staging.Adaptive.MaxShare < 0 ||
+		cfg.Staging.Adaptive.MinShare > 1 || cfg.Staging.Adaptive.MaxShare > 1 {
 		return &ConfigError{Field: "Staging.Adaptive",
 			Reason: fmt.Sprintf("shares must lie in [0,1], got min %v max %v",
-				cfg.Adaptive.MinShare, cfg.Adaptive.MaxShare)}
+				cfg.Staging.Adaptive.MinShare, cfg.Staging.Adaptive.MaxShare)}
 	}
-	if cfg.Adaptive.MaxShare > 0 && cfg.Adaptive.MinShare > cfg.Adaptive.MaxShare {
+	if cfg.Staging.Adaptive.MaxShare > 0 && cfg.Staging.Adaptive.MinShare > cfg.Staging.Adaptive.MaxShare {
 		return &ConfigError{Field: "Staging.Adaptive",
 			Reason: fmt.Sprintf("MinShare (%v) exceeds MaxShare (%v)",
-				cfg.Adaptive.MinShare, cfg.Adaptive.MaxShare)}
+				cfg.Staging.Adaptive.MinShare, cfg.Staging.Adaptive.MaxShare)}
 	}
-	if cfg.Adaptive.Tau < 0 || cfg.Adaptive.Decay < 0 {
+	if cfg.Staging.Adaptive.Tau < 0 || cfg.Staging.Adaptive.Decay < 0 {
 		return &ConfigError{Field: "Staging.Adaptive",
 			Reason: "time constants must be ≥ 0 (0 selects the default)"}
 	}
-	if cfg.Elastic.Enabled && cfg.RoutePolicy == RouteDirect {
+	if cfg.Staging.Elastic.Enabled && cfg.Staging.RoutePolicy == RouteDirect {
 		return &ConfigError{Field: "Staging.Elastic",
 			Reason: fmt.Sprintf("elastic staging needs a RoutePolicy that can reach the tier (valid: %v, %v, %v)",
 				RouteStaging, RouteHybrid, RouteAdaptive)}
@@ -634,7 +520,7 @@ func (cfg Config) validate() error {
 	if cfg.Producers < ceiling {
 		ceiling = cfg.Producers
 	}
-	if err := cfg.Elastic.Validate(ceiling); err != nil {
+	if err := cfg.Staging.Elastic.Validate(ceiling); err != nil {
 		return &ConfigError{Field: "Staging.Elastic", Reason: err.Error()}
 	}
 	if cfg.Staging.RingDepth < 0 {
@@ -645,13 +531,13 @@ func (cfg Config) validate() error {
 		return &ConfigError{Field: "Staging.Reduce", Reason: err.Error()}
 	}
 	if cfg.Staging.Reduce.Enabled() {
-		if cfg.Staging.Stagers < 1 || cfg.RoutePolicy == RouteDirect {
+		if cfg.Staging.Stagers < 1 || cfg.Staging.RoutePolicy == RouteDirect {
 			return &ConfigError{Field: "Staging.Reduce",
 				Reason: fmt.Sprintf("reduction applies at relay time; it needs Stagers ≥ 1 and a RoutePolicy that can reach the tier (valid: %v, %v, %v)",
 					RouteStaging, RouteHybrid, RouteAdaptive)}
 		}
 		if cfg.Staging.Reduce.Operator == ReduceDelta &&
-			(cfg.Elastic.Enabled || cfg.Fault.Enabled || cfg.Placement != RankAffine) {
+			(cfg.Staging.Elastic.Enabled || cfg.Fault.Enabled || cfg.Staging.Placement != RankAffine) {
 			return &ConfigError{Field: "Staging.Reduce",
 				Reason: "delta encoding needs a single in-order relay path per stream: it cannot run with Elastic, Fault, or a non-RankAffine Placement"}
 		}
@@ -662,16 +548,16 @@ func (cfg Config) validate() error {
 		// to an endpoint, which holds on the in-process network but not
 		// across independently flushed TCP streams.
 		switch {
-		case cfg.Elastic.Enabled:
+		case cfg.Staging.Elastic.Enabled:
 			return &ConfigError{Field: "TCPAddr",
 				Reason: "elastic staging is pool-managed; its Retire fencing is unsound over TCP streams"}
 		case cfg.Fault.Enabled:
 			return &ConfigError{Field: "TCPAddr",
 				Reason: "the fault plane is pool-managed; its eviction fencing is unsound over TCP streams"}
-		case cfg.Placement != RankAffine:
+		case cfg.Staging.Placement != RankAffine:
 			return &ConfigError{Field: "TCPAddr",
 				Reason: fmt.Sprintf("placement %v runs the tier pool-managed; its Retire fencing is unsound over TCP streams (only %v works over TCP)",
-					cfg.Placement, RankAffine)}
+					cfg.Staging.Placement, RankAffine)}
 		}
 	}
 	if cfg.Fault.Enabled {
@@ -679,7 +565,7 @@ func (cfg Config) validate() error {
 			return &ConfigError{Field: "Fault",
 				Reason: "the fault plane protects the staging tier; it needs Staging.Stagers ≥ 1"}
 		}
-		if cfg.RoutePolicy == RouteDirect {
+		if cfg.Staging.RoutePolicy == RouteDirect {
 			return &ConfigError{Field: "Fault",
 				Reason: fmt.Sprintf("the fault plane needs a RoutePolicy that can reach the staging tier (valid: %v, %v, %v)",
 					RouteStaging, RouteHybrid, RouteAdaptive)}
@@ -691,22 +577,10 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// NewJob validates the configuration, builds the network, staging, and
-// file-system paths, and starts the runtime threads for every endpoint.
-func NewJob(cfg Config) (*Job, error) {
-	cfg = cfg.normalized()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	env := realenv.New()
-	window := cfg.Window
-	if window <= 0 {
-		window = 4
-	}
-	fs, err := realenv.NewFileStore(cfg.SpoolDir)
-	if err != nil {
-		return nil, err
-	}
+// spec converts a validated Config to the platform-neutral topology the
+// assembler builds — the same value runs on the real machine (NewJob) and,
+// through internal/workflow, on the simulator.
+func (cfg Config) spec() assembly.Spec {
 	ccfg := core.Config{
 		BufferBlocks:         cfg.BufferBlocks,
 		HighWater:            cfg.HighWater,
@@ -714,412 +588,175 @@ func NewJob(cfg Config) (*Job, error) {
 		MaxBatchBlocks:       cfg.MaxBatchBlocks,
 		MaxBatchBytes:        cfg.MaxBatchBytes,
 		DisableSteal:         cfg.DisableSteal,
-		RoutePolicy:          cfg.RoutePolicy,
-		Adaptive:             cfg.Adaptive,
+		RoutePolicy:          cfg.Staging.RoutePolicy,
+		Adaptive:             cfg.Staging.Adaptive,
 		Reduce:               cfg.Staging.Reduce,
-		Recorder:             cfg.Recorder,
 	}
 	if cfg.Preserve {
 		ccfg.Mode = core.Preserve
 	}
-	j := &Job{env: env, cfg: cfg, fs: fs}
-	// The wire: the in-process channel network by default, or — with
-	// TCPAddr set — a frame-v6 TCP listener hosting every consumer and
-	// stager inbox, each producer on its own dialed connection, and the
-	// stagers forwarding over the listener's loopback.
-	var inboxAt func(i int) rt.Inbox
-	laneWindow := min(cfg.Staging.RingDepth, window) // the one window rule, see Config.Window
-	if cfg.TCPAddr == "" {
-		var net *realenv.Network
-		if cfg.Staging.RingDepth > 0 {
-			net = realenv.NewRingNetwork(cfg.Consumers+cfg.Stagers, laneWindow)
-		} else {
-			net = realenv.NewNetwork(cfg.Consumers+cfg.Stagers, window)
-		}
-		j.net = net
-		inboxAt = net.Inbox
-	} else {
-		var ln *realenv.TCPListener
-		var err error
-		if cfg.Staging.RingDepth > 0 {
-			ln, err = realenv.ListenTCPRing(cfg.TCPAddr, cfg.Consumers+cfg.Stagers, laneWindow)
-		} else {
-			ln, err = realenv.ListenTCP(cfg.TCPAddr, cfg.Consumers+cfg.Stagers, window)
-		}
+	window := cfg.Window
+	if window <= 0 {
+		window = 4
+	}
+	return assembly.Spec{
+		Producers:          cfg.Producers,
+		Consumers:          cfg.Consumers,
+		Core:               ccfg,
+		Stagers:            cfg.Staging.Stagers,
+		StagerBufferBlocks: cfg.Staging.BufferBlocks,
+		Elastic:            cfg.Staging.Elastic,
+		Placement:          cfg.Staging.Placement,
+		Fault:              cfg.Fault,
+		Window:             window,
+	}
+}
+
+// platform is the real machine as the assembler sees it: one Env shared by
+// every thread, the wire — the in-process network, or with Config.TCPAddr a
+// frame-v6 listener hosting every consumer and stager inbox plus one dialed
+// connection per producer — and the spool directory.
+type platform struct {
+	env   *realenv.Env
+	net   *realenv.Network        // in-process wire; nil on a TCP job
+	ln    *realenv.TCPListener    // TCP wire; nil on the in-process network
+	dials []*realenv.TCPTransport // TCP wire: producer p's connection
+	fs    *realenv.FileStore
+}
+
+// newPlatform opens the spool and the wire for `endpoints` transport
+// addresses. The one window rule (see Config.Window): a ring lane is
+// min(ringDepth, window) messages deep, a channel inbox and a TCP
+// connection `window`. On a TCP job every producer's connection is dialed
+// here, so that nothing that can fail is left for after the first runtime
+// thread has started; on an error nothing is left open.
+func newPlatform(spoolDir, tcpAddr string, ringDepth, window, endpoints, producers int) (*platform, error) {
+	fs, err := realenv.NewFileStore(spoolDir)
+	if err != nil {
+		return nil, err
+	}
+	pf := &platform{env: realenv.New(), fs: fs}
+	lane := min(ringDepth, window)
+	switch {
+	case tcpAddr == "" && ringDepth > 0:
+		pf.net = realenv.NewRingNetwork(endpoints, lane)
+	case tcpAddr == "":
+		pf.net = realenv.NewNetwork(endpoints, window)
+	case ringDepth > 0:
+		pf.ln, err = realenv.ListenTCPRing(tcpAddr, endpoints, lane)
+	default:
+		pf.ln, err = realenv.ListenTCP(tcpAddr, endpoints, window)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for p := 0; pf.ln != nil && p < producers; p++ {
+		t, err := realenv.DialTCP(pf.ln.Addr(), window)
 		if err != nil {
+			pf.close()
 			return nil, err
 		}
-		j.ln = ln
-		inboxAt = ln.Inbox
+		pf.dials = append(pf.dials, t)
 	}
-	// Each stager's forwarder is one sending thread, so it gets its own
-	// relay transport port: on the ring network that is a private wait-free
-	// SPSC lane per consumer; on the channel network (and the channel
-	// loopback) the port is the shared multi-producer-safe transport,
-	// byte-identical to earlier revisions.
-	relayPort := func() rt.Transport {
-		if j.ln != nil {
-			return j.ln.LoopbackPort()
-		}
-		return j.net.Port()
+	return pf, nil
+}
+
+// Env implements assembly.Platform.
+func (pf *platform) Env(assembly.Role, int) rt.Env { return pf.env }
+
+// Inbox implements assembly.Platform.
+func (pf *platform) Inbox(addr int) rt.Inbox {
+	if pf.ln != nil {
+		return pf.ln.Inbox(addr)
+	}
+	return pf.net.Inbox(addr)
+}
+
+// Port implements assembly.Platform. On the ring wire a port is a private
+// wait-free SPSC lane set; on channels it is the shared network. Over TCP
+// the stagers forward, and the tier's control messages travel, over the
+// listener's loopback.
+func (pf *platform) Port(role assembly.Role, i int) rt.Transport {
+	switch {
+	case pf.ln == nil && role == assembly.Control:
+		return pf.net
+	case pf.ln == nil:
+		return pf.net.Port()
+	case role == assembly.Producer:
+		return pf.dials[i]
+	case role == assembly.Control:
+		return pf.ln.Loopback()
+	}
+	return pf.ln.LoopbackPort()
+}
+
+// Partition implements assembly.Platform.
+func (pf *platform) Partition(name string) (rt.BlockStore, error) {
+	if name == "" {
+		return pf.fs, nil
+	}
+	part, err := pf.fs.Partition(name)
+	if err != nil {
+		return nil, err
+	}
+	return part, nil
+}
+
+// close tears down the real-TCP wire, if there is one: every producer's
+// dialed connection, then the listener. A no-op on the in-process network.
+func (pf *platform) close() {
+	for _, t := range pf.dials {
+		_ = t.Close()
+	}
+	if pf.ln != nil {
+		_ = pf.ln.Close()
+	}
+}
+
+// NewJob validates the configuration, opens the spool and the wire, and has
+// the assembler build and start every endpoint's runtime threads.
+func NewJob(cfg Config) (*Job, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	spec := cfg.spec()
+	pf, err := newPlatform(cfg.SpoolDir, cfg.TCPAddr, cfg.Staging.RingDepth, spec.Window,
+		spec.Consumers+spec.Slots(), spec.Producers)
+	if err != nil {
+		return nil, err
 	}
 	// One shared encode pipeline per job when parallel reduction is on:
 	// every producer sender and stager forwarder fans its batch encode out
 	// across the same bounded worker pool. Stateless operators only —
 	// validation already rejected Delta with Workers != 0.
-	if cfg.Staging.Reduce.Enabled() && cfg.Staging.Reduce.Workers != 0 {
-		j.pipe = reduce.NewPipeline(cfg.Staging.Reduce, cfg.Staging.Reduce.Workers)
-		ccfg.ReducePipeline = j.pipe
+	var pipe *reduce.Pipeline
+	if r := cfg.Staging.Reduce; r.Enabled() && r.Workers != 0 {
+		pipe = reduce.NewPipeline(r, r.Workers)
+		spec.Core.ReducePipeline = pipe
 	}
-	placed := cfg.Placement != RankAffine
-	for q := 0; q < cfg.Consumers; q++ {
-		n := 0
-		for p := 0; p < cfg.Producers; p++ {
-			if p*cfg.Consumers/cfg.Producers == q {
-				n++
-			}
+	asm, err := assembly.Assemble(pf.env.Ctx(), pf, spec)
+	if err != nil {
+		if pipe != nil {
+			pipe.Close()
 		}
-		if placed {
-			// A placement-resolved consumer can receive from any producer,
-			// and every producer Fin-broadcasts to every consumer.
-			n = cfg.Producers
-		}
-		j.cons = append(j.cons, &Consumer{
-			c:   core.NewConsumer(env, ccfg, q, n, inboxAt(q), fs),
-			ctx: env.Ctx(),
-		})
+		pf.close()
+		return nil, err
 	}
-	if placed {
-		// The consumer directory: static membership (every consumer
-		// endpoint), policy-driven per-batch resolution fed by the live
-		// consumer-buffer occupancy gauges.
-		cdir := place.New(cfg.Placement.New(), func(addr int) *flow.Level {
-			return j.cons[addr].c.Level()
-		})
-		for q := 0; q < cfg.Consumers; q++ {
-			cdir.Add(q)
-		}
-		ccfg.ConsumerDirectory = cdir
-	}
-	// With RouteDirect no producer would ever address a stager — its
-	// receiver would wait forever for Fins — so the tier is not built and
-	// the job is indistinguishable from a Stagers: 0 run. A stager with no
-	// assigned producer would likewise never terminate, so the tier never
-	// outnumbers the producers.
-	stagers := cfg.Stagers
-	if cfg.RoutePolicy == RouteDirect {
-		stagers = 0
-	}
-	if stagers > cfg.Producers {
-		stagers = cfg.Producers
-	}
-	if cfg.Fault.Enabled && stagers > 0 {
-		j.faultOn = true
-		j.fcfg = cfg.Fault.WithDefaults()
-	}
-	stagerLevel := func(addr int) *flow.Level {
-		j.mu.RLock()
-		defer j.mu.RUnlock()
-		if st := j.slots[addr-cfg.Consumers]; st != nil {
-			return st.Level()
-		}
-		return nil
-	}
-	switch {
-	case cfg.Elastic.Enabled && stagers > 0:
-		// Elastic staging tier: spawn the starting pool, hand producers the
-		// epoch-versioned directory instead of a fixed assignment, and start
-		// the scaler. The pool resolves through the configured Placement
-		// policy, fed by the live stager occupancy gauges.
-		ecfg := cfg.Elastic.WithDefaults(stagers)
-		if j.faultOn {
-			// Draining a member that may already be dead is unsound (its
-			// Retire would never be consumed); fault mode trades mid-run
-			// drains for crash safety.
-			ecfg.DisableDrain = true
-		}
-		j.pool = place.New(cfg.Placement.New(), stagerLevel)
-		j.slots = make([]*staging.Stager, ecfg.MaxStagers)
-		var initial []*flow.StagerFlows
-		for s := 0; s < ecfg.MinStagers; s++ {
-			st, err := j.spawnStager(s)
-			if err != nil {
-				return nil, err
-			}
-			j.pool.Add(cfg.Consumers + s)
-			initial = append(initial, st.Flows())
-		}
-		ccfg.Directory = j.pool
-		ccfg.StagerLevel = stagerLevel
-		j.scaler = elastic.NewScaler(env, ecfg, j.pool, (*jobHost)(j), cfg.Consumers, initial)
-		j.scaler.Start()
-	case (placed || j.faultOn) && stagers > 0:
-		// Placement-directed (or fault-protected) fixed tier: the same
-		// pool-managed endpoints as the elastic tier over a static
-		// membership, no scaler. Producers resolve their stager per drained
-		// batch through the placement policy; Job.Wait retires the endpoints
-		// once the producers finish and counted termination completes the
-		// consumers' streams from the flushed deliveries. The fault plane
-		// needs this shape even under RankAffine placement: an eviction is a
-		// membership epoch, and counted Fins are what let replayed blocks
-		// land after their relay died.
-		j.pool = place.New(cfg.Placement.New(), stagerLevel)
-		j.slots = make([]*staging.Stager, stagers)
-		for s := 0; s < stagers; s++ {
-			if _, err := j.spawnStager(s); err != nil {
-				return nil, err
-			}
-			j.pool.Add(cfg.Consumers + s)
-		}
-		ccfg.Directory = j.pool
-		ccfg.StagerLevel = stagerLevel
-	case stagers > 0:
-		for s := 0; s < stagers; s++ {
-			spill, err := fs.Partition(fmt.Sprintf("stage%d", s))
-			if err != nil {
-				return nil, err
-			}
-			n := 0
-			for p := 0; p < cfg.Producers; p++ {
-				if p%stagers == s {
-					n++
-				}
-			}
-			scfg := staging.Config{
-				BufferBlocks:   cfg.StagerBufferBlocks,
-				MaxBatchBlocks: cfg.MaxBatchBlocks,
-				MaxBatchBytes:  cfg.MaxBatchBytes,
-				Producers:      n,
-				Reduce:         cfg.Staging.Reduce,
-				Pipeline:       j.pipe,
-				Recorder:       cfg.Recorder,
-			}
-			j.stage = append(j.stage, staging.NewStager(env, scfg, s, inboxAt(cfg.Consumers+s), relayPort(), spill))
-		}
-		ccfg.StagerLevel = func(addr int) *flow.Level {
-			return j.stage[addr-cfg.Consumers].Level()
-		}
-	}
-	if j.faultOn && j.pool != nil {
-		// The failure detector: sweeps the lease table every heartbeat,
-		// evicts lapsed members, and drives the fence → replay → respawn
-		// recovery sequence through the job's fault host.
-		j.monitor = fault.NewMonitor(env, j.fcfg, j.pool, (*jobFaultHost)(j))
-		j.monitor.Start()
-	}
-	for p := 0; p < cfg.Producers; p++ {
-		stager := core.NoStager
-		if j.pool == nil && stagers > 0 {
-			stager = cfg.Consumers + p%stagers
-		}
-		// Each producer's sender is one sending thread: its own port.
-		var tr rt.Transport
-		if j.net != nil {
-			tr = j.net.Port()
-		}
-		if j.ln != nil {
-			t, err := realenv.DialTCP(j.ln.Addr(), window)
-			if err != nil {
-				j.closeWire()
-				return nil, err
-			}
-			j.dials = append(j.dials, t)
-			tr = t
-		}
-		j.prod = append(j.prod, &Producer{
-			p:   core.NewStagedProducer(env, ccfg, p, p*cfg.Consumers/cfg.Producers, stager, tr, fs),
-			ctx: env.Ctx(),
-		})
-	}
+	j := newJob(pf, &asm.Endpoints)
+	j.tier, j.pipe = asm.Tier, pipe
 	return j, nil
 }
 
-// closeWire tears down the real-TCP wire, if the job has one: every
-// producer's dialed connection, then the listener. A no-op on the
-// in-process network.
-func (j *Job) closeWire() {
-	for _, t := range j.dials {
-		_ = t.Close()
+// newJob wraps assembled endpoints in the application-facing handles.
+func newJob(pf *platform, ep *assembly.Endpoints) *Job {
+	j := &Job{pf: pf}
+	for _, c := range ep.Consumers {
+		j.cons = append(j.cons, &Consumer{c: c, ctx: pf.env.Ctx()})
 	}
-	if j.ln != nil {
-		_ = j.ln.Close()
+	for _, p := range ep.Producers {
+		j.prod = append(j.prod, &Producer{p: p, ctx: pf.env.Ctx()})
 	}
-}
-
-// spawnStager builds and starts a managed stager endpoint on reserved slot
-// `slot` of a pool-managed tier. A respawned slot reuses its spill
-// partition — a drained occupant flushed it before retiring, and a crashed
-// occupant's leftover spool copies belong to its journal, whose replay
-// removes them.
-func (j *Job) spawnStager(slot int) (*staging.Stager, error) {
-	spill, err := j.fs.Partition(fmt.Sprintf("stage%d", slot))
-	if err != nil {
-		return nil, err
-	}
-	scfg := staging.Config{
-		BufferBlocks:   j.cfg.StagerBufferBlocks,
-		MaxBatchBlocks: j.cfg.MaxBatchBlocks,
-		MaxBatchBytes:  j.cfg.MaxBatchBytes,
-		Managed:        true,
-		Reduce:         j.cfg.Staging.Reduce,
-		Pipeline:       j.pipe,
-		Recorder:       j.cfg.Recorder,
-	}
-	in := &jobStager{slot: slot, spill: spill}
-	if j.faultOn {
-		// Each instance gets a fresh write-ahead journal — a respawned slot
-		// must not replay its predecessor's records — and a liveness lease,
-		// renewed by a heartbeat thread and released synchronously by the
-		// last thread of a clean drain, so only a crash ever lapses it.
-		addr := j.cfg.Consumers + slot
-		in.journal = staging.NewJournal()
-		scfg.Journal = in.journal
-		scfg.HeartbeatInterval = j.fcfg.Heartbeat
-		scfg.Heartbeat = func(c rt.Ctx) { j.pool.Beat(addr, c.Now()) }
-		scfg.Unlease = func() { j.pool.Unlease(addr) }
-		j.pool.Lease(addr, j.fcfg.LeaseTTL, j.env.Ctx().Now())
-	}
-	// A respawned instance's forwarder is a fresh sending thread — it gets
-	// its own port (a new private lane set on the ring network).
-	st := staging.NewStager(j.env, scfg, slot, j.net.Inbox(j.cfg.Consumers+slot), j.net.Port(), spill)
-	in.st = st
-	j.mu.Lock()
-	j.slots[slot] = st
-	j.all = append(j.all, in)
-	j.mu.Unlock()
-	return st, nil
-}
-
-// jobHost adapts a Job to the elastic.Host interface without exporting the
-// scaler's platform callbacks on the public Job API.
-type jobHost Job
-
-// Spawn implements elastic.Host.
-func (h *jobHost) Spawn(c rt.Ctx, slot int) (*flow.StagerFlows, error) {
-	st, err := (*Job)(h).spawnStager(slot)
-	if err != nil {
-		return nil, err
-	}
-	return st.Flows(), nil
-}
-
-// Retire implements elastic.Host: it marks the slot's instance drained for
-// Stats and delivers the Retire control message.
-func (h *jobHost) Retire(c rt.Ctx, slot int) {
-	j := (*Job)(h)
-	j.mu.Lock()
-	st := j.slots[slot]
-	for i := len(j.all) - 1; i >= 0; i-- {
-		if j.all[i].st == st {
-			j.all[i].drained = true
-			break
-		}
-	}
-	j.mu.Unlock()
-	j.net.Send(c, j.cfg.Consumers+slot, rt.Message{Retire: true})
-}
-
-// Drained implements elastic.Host.
-func (h *jobHost) Drained(c rt.Ctx, slot int) bool {
-	j := (*Job)(h)
-	j.mu.RLock()
-	st := j.slots[slot]
-	j.mu.RUnlock()
-	return st == nil || st.Drained(c)
-}
-
-// jobFaultHost adapts a Job to the fault.Host interface — the platform half
-// of the failure detector — without exporting fencing and replay on the
-// public Job API. All methods run on the monitor's thread.
-type jobFaultHost Job
-
-// occupant returns the slot's most recently spawned instance.
-func (h *jobFaultHost) occupant(addr int) *jobStager {
-	j := (*Job)(h)
-	slot := addr - j.cfg.Consumers
-	j.mu.RLock()
-	defer j.mu.RUnlock()
-	for i := len(j.all) - 1; i >= 0; i-- {
-		if j.all[i].slot == slot {
-			return j.all[i]
-		}
-	}
-	return nil
-}
-
-// Dead implements fault.Host: the liveness oracle the shutdown sweep uses
-// to tell an undetected crash from a healthy member about to drain.
-func (h *jobFaultHost) Dead(c rt.Ctx, addr int) bool {
-	in := h.occupant(addr)
-	return in != nil && in.st.Killed(c)
-}
-
-// Evict implements fault.Host: fence the evicted occupant — kill it if the
-// eviction was a false positive, so a still-live flush can never race the
-// journal replay into duplicate deliveries — release its dead-mode receiver
-// with the Retire message, and join every thread. The membership change and
-// claim quiesce already happened.
-func (h *jobFaultHost) Evict(c rt.Ctx, addr int) {
-	j := (*Job)(h)
-	in := h.occupant(addr)
-	if in == nil {
-		return
-	}
-	if j.scaler != nil {
-		j.scaler.Crashed(in.slot)
-	}
-	if !in.st.Killed(c) {
-		in.st.Kill(c)
-	}
-	if in.st.NeedsRetire(c) {
-		j.net.Send(c, addr, rt.Message{Retire: true})
-	}
-	in.st.Wait(c)
-	j.mu.Lock()
-	in.drained = true
-	in.evicted = true
-	j.mu.Unlock()
-}
-
-// Recover implements fault.Host: the recovery reader replays the dead
-// occupant's write-ahead journal and orphan backlog straight to the
-// consumers, where counted Fin accounting absorbs the re-sent blocks.
-func (h *jobFaultHost) Recover(c rt.Ctx, addr int) (replayed, orphans, lost int64) {
-	j := (*Job)(h)
-	in := h.occupant(addr)
-	if in == nil || in.journal == nil {
-		return 0, 0, 0
-	}
-	replayed, orphans, lost = staging.Replay(c, in.journal, in.spill, j.net)
-	j.mu.Lock()
-	in.replayed += replayed
-	in.lost += lost
-	j.mu.Unlock()
-	return replayed, orphans, lost
-}
-
-// Respawn implements fault.Host: build a replacement endpoint on the freed
-// slot and re-admit it to the pool membership. The monitor re-leases it and
-// marks the address Recovered.
-func (h *jobFaultHost) Respawn(c rt.Ctx, addr int) bool {
-	j := (*Job)(h)
-	st, err := j.spawnStager(addr - j.cfg.Consumers)
-	if err != nil {
-		return false
-	}
-	j.mu.Lock()
-	for i := len(j.all) - 1; i >= 0; i-- {
-		if j.all[i].st == st {
-			j.all[i].recovered = true
-			break
-		}
-	}
-	j.mu.Unlock()
-	j.pool.Add(addr)
-	if j.scaler != nil {
-		j.scaler.Respawned(addr-j.cfg.Consumers, st.Flows())
-	}
-	return true
+	return j
 }
 
 // InjectStagerCrash kills the stager instance currently occupying reserved
@@ -1133,21 +770,7 @@ func (h *jobFaultHost) Respawn(c rt.Ctx, addr int) bool {
 // running — a kill landing after Wait's final detector sweep is never
 // recovered.
 func (j *Job) InjectStagerCrash(slot int) bool {
-	if !j.faultOn {
-		return false
-	}
-	ctx := j.env.Ctx()
-	j.mu.RLock()
-	var st *staging.Stager
-	if slot >= 0 && slot < len(j.slots) {
-		st = j.slots[slot]
-	}
-	j.mu.RUnlock()
-	if st == nil || st.Killed(ctx) || st.Drained(ctx) {
-		return false
-	}
-	st.Kill(ctx)
-	return true
+	return j.tier.Kill(j.pf.env.Ctx(), slot)
 }
 
 // Producer returns producer endpoint i.
@@ -1158,51 +781,14 @@ func (j *Job) Consumer(i int) *Consumer { return j.cons[i] }
 
 // Wait blocks until every runtime thread has finished: all producers closed,
 // all data delivered (including through the staging tier), and (in Preserve
-// mode) stored. With Elastic on it also stops the scaler and retires the
-// remaining pool — every relayed block is flushed to its consumer before the
+// mode) stored. Once the producers are done it shuts the job's own staging
+// tier down — every relayed block is flushed to its consumer before the
 // consumers' streams can complete.
 func (j *Job) Wait() {
 	for _, p := range j.prod {
 		p.p.Wait(p.ctx)
 	}
-	ctx := j.env.Ctx()
-	if j.monitor != nil {
-		// Stop the failure detector first: its final forced sweep recovers
-		// kills whose lease never lapsed — the replays must happen while the
-		// consumers are still counting — and stopping it here guarantees no
-		// respawn can land in the middle of the tier shutdown below.
-		j.monitor.Stop(ctx)
-	}
-	if j.scaler == nil && j.pool != nil {
-		// Placement-directed fixed tier: the producers have finished, so no
-		// relay traffic can appear. Retire every endpoint the elastic way —
-		// out of the membership, quiesce in-flight claims, then the
-		// provably-last Retire message — and wait out the flush.
-		j.pool.RetireAll(ctx, func(addr int) {
-			j.net.Send(ctx, addr, rt.Message{Retire: true})
-		})
-		j.mu.Lock()
-		all := append([]*jobStager(nil), j.all...)
-		for _, in := range all {
-			in.drained = true
-		}
-		j.mu.Unlock()
-		for _, in := range all {
-			in.st.Wait(ctx)
-		}
-	}
-	if j.scaler != nil {
-		j.scaler.Stop(ctx)
-		j.mu.RLock()
-		all := append([]*jobStager(nil), j.all...)
-		j.mu.RUnlock()
-		for _, in := range all {
-			in.st.Wait(ctx)
-		}
-	}
-	for _, s := range j.stage {
-		s.Wait(ctx)
-	}
+	j.tier.Shutdown(j.pf.env.Ctx())
 	for _, c := range j.cons {
 		c.c.Wait(c.ctx)
 	}
@@ -1216,7 +802,7 @@ func (j *Job) Wait() {
 		// parallel-encode pool can stop its workers.
 		j.pipe.Close()
 	}
-	j.closeWire()
+	j.pf.close()
 }
 
 // StagerStats summarizes one in-transit stager endpoint's activity,
@@ -1340,26 +926,20 @@ func (j *Job) Stats() JobStats {
 		js.WriteRate += s.WriteRate
 		js.DeliverRate += s.DeliverRate
 	}
-	ctx := j.env.Ctx()
-	if j.pool != nil {
-		j.mu.RLock()
-		insts := make([]jobStager, 0, len(j.all))
-		for _, in := range j.all {
-			insts = append(insts, *in)
-		}
-		j.mu.RUnlock()
-		for _, in := range insts {
-			s := in.st.Stats(ctx)
-			ps := stagerStats(s, in.drained)
-			if j.faultOn {
-				ps.Evicted = in.evicted
-				ps.ReplayedBlocks = in.replayed
-				ps.LostBlocks = in.lost
-				if in.evicted {
+	ctx := j.pf.env.Ctx()
+	if t := j.tier; t != nil {
+		for _, in := range t.Instances() {
+			s := in.St.Stats(ctx)
+			ps := stagerStats(s, in.Drained)
+			if t.Monitor != nil {
+				ps.Evicted = in.Evicted
+				ps.ReplayedBlocks = in.Replayed
+				ps.LostBlocks = in.Lost
+				if in.Evicted {
 					ps.Health = place.Evicted.String()
-				} else if h, ok := j.pool.Health(j.cfg.Consumers + in.slot); ok {
+				} else if h, ok := t.Pool.Health(len(j.cons) + in.Slot); ok {
 					ps.Health = h.String()
-				} else if in.recovered {
+				} else if in.Recovered {
 					ps.Health = place.Recovered.String()
 				} else {
 					ps.Health = place.Live.String()
@@ -1369,32 +949,23 @@ func (j *Job) Stats() JobStats {
 			js.BlocksSpilled += s.BlocksSpilled
 			js.BytesOnWire += s.BytesOnWire
 			js.BytesReduced += s.BytesReduced
-			if j.scaler == nil {
-				// Placement-directed fixed tier: every endpoint is billed to
-				// its finish time, like the legacy fixed pool.
+			if t.Scaler == nil {
+				// Without a scaler every endpoint is billed to its finish time.
 				js.StagerNodeSeconds += s.Finished.Seconds()
 			}
 		}
-		if j.scaler != nil {
-			js.ScaleEvents = j.scaler.Events()
-			js.StagerNodeSeconds = j.scaler.NodeSeconds()
-			if err := j.scaler.Err(); err != nil {
+		if t.Scaler != nil {
+			js.ScaleEvents = t.Scaler.Events()
+			js.StagerNodeSeconds = t.Scaler.NodeSeconds()
+			if err := t.Scaler.Err(); err != nil {
 				js.ElasticSpawnErr = err.Error()
 			}
 		}
-		if j.monitor != nil {
-			js.Evictions = j.monitor.Evictions()
-			js.ReplayedBlocks = j.monitor.ReplayedBlocks()
-			js.FailoverEvents = j.monitor.Events()
+		if t.Monitor != nil {
+			js.Evictions = t.Monitor.Evictions()
+			js.ReplayedBlocks = t.Monitor.ReplayedBlocks()
+			js.FailoverEvents = t.Monitor.Events()
 		}
-	}
-	for _, st := range j.stage {
-		s := st.Stats(ctx)
-		js.Stagers = append(js.Stagers, stagerStats(s, false))
-		js.BlocksSpilled += s.BlocksSpilled
-		js.BytesOnWire += s.BytesOnWire
-		js.BytesReduced += s.BytesReduced
-		js.StagerNodeSeconds += s.Finished.Seconds()
 	}
 	if n := len(js.Stagers); n > 0 {
 		var total, peak int64

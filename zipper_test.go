@@ -26,10 +26,10 @@ func TestJobValidation(t *testing.T) {
 		{"negative MaxBatchBlocks", func(c *Config) { c.MaxBatchBlocks = -2 }},
 		{"negative MaxBatchBytes", func(c *Config) { c.MaxBatchBytes = -1 }},
 		{"negative Window", func(c *Config) { c.Window = -1 }},
-		{"negative Stagers", func(c *Config) { c.Stagers = -1 }},
-		{"negative StagerBufferBlocks", func(c *Config) { c.StagerBufferBlocks = -1 }},
-		{"RoutePolicy out of range", func(c *Config) { c.RoutePolicy = RoutePolicy(7) }},
-		{"staging policy without stagers", func(c *Config) { c.RoutePolicy = RouteHybrid }},
+		{"negative Stagers", func(c *Config) { c.Staging.Stagers = -1 }},
+		{"negative StagerBufferBlocks", func(c *Config) { c.Staging.BufferBlocks = -1 }},
+		{"RoutePolicy out of range", func(c *Config) { c.Staging.RoutePolicy = RoutePolicy(7) }},
+		{"staging policy without stagers", func(c *Config) { c.Staging.RoutePolicy = RouteHybrid }},
 	}
 	for _, tc := range bad {
 		cfg := base
@@ -43,7 +43,7 @@ func TestJobValidation(t *testing.T) {
 	// The boundary cases that must stay legal.
 	ok := []func(*Config){
 		func(c *Config) { c.BufferBlocks = 8; c.HighWater = 8 }, // clamped, not rejected
-		func(c *Config) { c.Stagers = 2; c.RoutePolicy = RouteHybrid },
+		func(c *Config) { c.Staging.Stagers = 2; c.Staging.RoutePolicy = RouteHybrid },
 	}
 	for i, mut := range ok {
 		cfg := base
@@ -320,7 +320,7 @@ func TestJobStagingRoundTrip(t *testing.T) {
 	for _, policy := range []RoutePolicy{RouteStaging, RouteHybrid} {
 		job, err := NewJob(Config{
 			Producers: 4, Consumers: 2, SpoolDir: t.TempDir(),
-			Stagers: 2, StagerBufferBlocks: 16, RoutePolicy: policy,
+			Staging:      StagingConfig{Stagers: 2, BufferBlocks: 16, RoutePolicy: policy},
 			BufferBlocks: 8, Window: 1, MaxBatchBlocks: 4,
 		})
 		if err != nil {
@@ -416,7 +416,7 @@ func TestJobStagingRoundTrip(t *testing.T) {
 func TestJobStagingPreserve(t *testing.T) {
 	job, err := NewJob(Config{
 		Producers: 2, Consumers: 1, SpoolDir: t.TempDir(), Preserve: true,
-		Stagers: 1, StagerBufferBlocks: 8, RoutePolicy: RouteStaging,
+		Staging:      StagingConfig{Stagers: 1, BufferBlocks: 8, RoutePolicy: RouteStaging},
 		BufferBlocks: 8, Window: 1,
 	})
 	if err != nil {
