@@ -206,6 +206,86 @@ func TestFaultJobCrashChurn(t *testing.T) {
 	}
 }
 
+// TestFaultJobCrashWhileOverflowing kills a stager at the point the
+// by-reference journal made new: a consumer an order of magnitude slower
+// than the producers has the tier absorbing, so the victim's queue holds
+// blocks in memory (journaled by reference) and blocks its spiller moved to
+// the log, with an overflow append as likely as not in flight. The run must
+// still analyze every block exactly once and declare none lost.
+func TestFaultJobCrashWhileOverflowing(t *testing.T) {
+	const (
+		producers  = 2
+		blocks     = 400
+		blockBytes = 8 << 10
+	)
+	job, err := NewJob(Config{
+		Producers: producers, Consumers: 1, SpoolDir: t.TempDir(),
+		BufferBlocks: 16, Window: 1, MaxBatchBlocks: 4, DisableSteal: true,
+		Staging: StagingConfig{Stagers: 2, BufferBlocks: 16, RoutePolicy: RouteStaging},
+		Fault:   FaultConfig{Enabled: true, Heartbeat: 2 * time.Millisecond, LeaseTTL: 25 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen [producers][blocks]int
+	var analyzed atomic.Int64
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			blk, ok := job.Consumer(0).Read()
+			if !ok {
+				return
+			}
+			seen[blk.ID.Rank][blk.ID.Step]++
+			analyzed.Add(1)
+			blk.Release()
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	for p := 0; p < producers; p++ {
+		go func(p int) {
+			prod := job.Producer(p)
+			for i := 0; i < blocks; i++ {
+				prod.Write(i, 0, NewPayload(blockBytes))
+			}
+			prod.Close()
+		}(p)
+	}
+	// Wait for a stager that has both overflowed and resident blocks.
+	killed := false
+	for deadline := time.Now().Add(20 * time.Second); !killed && time.Now().Before(deadline); time.Sleep(200 * time.Microsecond) {
+		for slot, sg := range job.Stats().Stagers {
+			if sg.BlocksSpilled > 0 && sg.Queued > 0 && !sg.Drained {
+				killed = job.InjectStagerCrash(slot)
+				break
+			}
+		}
+		if analyzed.Load() == producers*blocks {
+			break
+		}
+	}
+	<-read
+	job.Wait()
+	if !killed {
+		t.Fatal("no stager ever held overflowed and resident blocks at once: the scenario did not form")
+	}
+	st := job.Stats()
+	if st.BlocksAnalyzed != producers*blocks || st.BlocksLost != 0 {
+		t.Fatalf("analyzed %d of %d blocks, %d lost", st.BlocksAnalyzed, producers*blocks, st.BlocksLost)
+	}
+	for p := range seen {
+		for i, n := range seen[p] {
+			if n != 1 {
+				t.Fatalf("producer %d block %d analyzed %d times", p, i, n)
+			}
+		}
+	}
+	if st.Evictions == 0 || st.ReplayedBlocks == 0 {
+		t.Fatalf("%d evictions, %d blocks replayed: the crash went unnoticed", st.Evictions, st.ReplayedBlocks)
+	}
+}
+
 // TestFaultOffIsInert pins that a zero FaultConfig changes nothing: the
 // fault machinery (journals, heartbeats, monitor) must stay out of the
 // data path, and the stats surface must stay zero.
@@ -258,17 +338,36 @@ func TestFaultOffIsInert(t *testing.T) {
 }
 
 // TestFaultJournalSegmentsReclaimed pushes ~23 log segments' worth of blocks
-// through a quiet fault-protected tier, the producers never more than 4 MiB
-// ahead of the analysis: delivery must release the journal's segments as it
-// goes — the spill partitions never hold more than a few — and a clean
-// Job.Wait leaves every stager partition empty.
+// through a fault-protected tier and watches the stager partitions. The log
+// takes only what a stager evicts from memory, and delivery releases that
+// space as it goes.
+//
+// overflowing: an analysis of 100 µs a block behind producers that may run
+// 256 blocks (8 MiB, two segments) ahead each keeps the tier absorbing, so
+// most of the stream crosses the log while it runs — and the partitions must
+// never hold more than a fraction of what was written, or delivered records
+// are not being reclaimed.
+//
+// quiet: the analysis keeps up and the producers are never more than 4 MiB
+// ahead of it, so next to nothing is written: the partitions never hold more
+// than a segment or two and under a tenth of the blocks overflow (a scheduler
+// hiccup may park a forwarder long enough for one).
+//
+// Either way a clean Job.Wait leaves every stager partition empty.
 func TestFaultJournalSegmentsReclaimed(t *testing.T) {
+	t.Run("overflowing", func(t *testing.T) { journalSegmentsReclaimed(t, 256, 100*time.Microsecond) })
+	t.Run("quiet", func(t *testing.T) { journalSegmentsReclaimed(t, 64, 0) })
+}
+
+// journalSegmentsReclaimed runs the stream with producers at most lead blocks
+// ahead of an analysis that takes perBlock a block.
+func journalSegmentsReclaimed(t *testing.T, lead int64, perBlock time.Duration) {
 	const (
 		producers  = 2
 		blocks     = 1500
 		blockBytes = 32 << 10
-		lead       = 64 // blocks a producer may run ahead of the analysis
-		segments   = producers * blocks * blockBytes / (4 << 20)
+		segBytes   = 4 << 20
+		segments   = producers * blocks * blockBytes / segBytes
 	)
 	var analyzed [producers]atomic.Int64
 	dir := t.TempDir()
@@ -314,17 +413,38 @@ func TestFaultJournalSegmentsReclaimed(t *testing.T) {
 		n++
 		analyzed[blk.ID.Rank].Add(1)
 		blk.Release()
+		if perBlock > 0 {
+			time.Sleep(perBlock)
+		}
 	}
 	job.Wait()
 	st := job.Stats()
 	if n != producers*blocks || st.BlocksLost != 0 || st.Evictions != 0 {
 		t.Fatalf("analyzed %d of %d blocks, %d lost, %d evictions", n, producers*blocks, st.BlocksLost, st.Evictions)
 	}
-	if maxFiles == 0 {
-		t.Fatal("never saw a segment file: the journal is not writing to the stager partitions")
+	var spilled int64
+	for _, sg := range st.Stagers {
+		spilled += sg.BlocksSpilled
 	}
-	if maxFiles > segments/2 {
-		t.Fatalf("partitions grew to %d segment files for %d segments of traffic: delivered records are not reclaimed", maxFiles, segments)
+	written := int(spilled * blockBytes / segBytes) // segments' worth that crossed the log
+	t.Logf("%d of %d blocks overflowed (%d of %d segments' worth); at most %d segment files at once", spilled, producers*blocks, written, segments, maxFiles)
+	if perBlock > 0 {
+		if written < segments/3 {
+			t.Fatalf("only %d blocks (%d segments' worth) overflowed behind a slow analysis: the tier never absorbed, so nothing was there to reclaim", spilled, written)
+		}
+		if maxFiles == 0 {
+			t.Fatal("never saw a segment file: the overflow is not reaching the stager partitions")
+		}
+		if maxFiles > written/2 {
+			t.Fatalf("partitions grew to %d segment files for %d segments' worth of overflow: delivered records are not reclaimed", maxFiles, written)
+		}
+	} else {
+		if maxFiles > 4 {
+			t.Fatalf("partitions grew to %d segment files on a quiet tier: the log is taking more than overflow", maxFiles)
+		}
+		if spilled > producers*blocks/10 {
+			t.Fatalf("%d of %d blocks overflowed to the log on a quiet tier", spilled, producers*blocks)
+		}
 	}
 	parts, err := filepath.Glob(filepath.Join(dir, "stage*"))
 	if err != nil || len(parts) == 0 {

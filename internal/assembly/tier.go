@@ -28,7 +28,7 @@ type Instance struct {
 	Replayed  int64 // blocks the recovery reader re-forwarded from its journal
 	Lost      int64 // blocks its journal's replay declared unrecoverable
 
-	journal *staging.Journal // write-ahead journal (fault plane only)
+	journal *staging.Journal // what the instance still owes (fault plane only)
 	spill   rt.BlockStore    // the slot's spool partition
 }
 

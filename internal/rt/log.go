@@ -1,5 +1,5 @@
-// The write-ahead side of the block store: a segment log a fault-protected
-// stager appends whole admitted batches to, in place of one file per block.
+// The log side of the block store: a segment log a fault-protected stager
+// appends whole batches of spill victims to, in place of one file per block.
 
 package rt
 
@@ -23,11 +23,11 @@ type LogRef struct {
 	Len int64
 }
 
-// BlockLog is one stager instance's write-ahead log: fixed-size segments in
-// the instance's spill partition, appended to one admitted batch at a time
-// and reclaimed segment by segment as deliveries release the records. Append
-// is called by one thread (the stager's receiver); Read and Release may run
-// concurrently with it from other threads.
+// BlockLog is one stager instance's segment log: fixed-size segments in the
+// instance's spill partition, appended to one batch at a time and reclaimed
+// segment by segment as deliveries release the records. Append is called by
+// one thread (the stager's spiller); Read and Release may run concurrently
+// with it from other threads.
 type BlockLog interface {
 	// Append persists blocks as consecutive records with a single write and
 	// stores each record's location in refs (len(refs) ≥ len(blocks)). It
@@ -46,7 +46,7 @@ type BlockLog interface {
 	Close(c Ctx)
 }
 
-// LogStore is a BlockStore whose partition can also host write-ahead logs.
+// LogStore is a BlockStore whose partition can also host segment logs.
 type LogStore interface {
 	BlockStore
 	// OpenLog starts a new, empty log. Every log opened on a partition — by

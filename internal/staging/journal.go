@@ -1,16 +1,26 @@
-// The crash-durable journal and its replay reader. A fault-enabled stager
-// writes ahead: every admitted message's blocks are appended — one write per
-// message — to the segment log the journal opens in the stager's spill
-// partition, and a Record per block remembers where (segment, offset,
-// length); disk-ref announcements and Fins get meta Records carrying the
-// declared delivery totals. Delivery drops the record and releases its log
-// space, so the journal holds exactly what a crash right now would owe. The
-// Journal outlives the Stager — the embedder owns it per instance — so after
-// a crash the recovery reader (Replay) re-forwards exactly the records the
-// dead endpoint still owed, and counted per-destination Fin accounting
-// balances without the consumers ever learning a relay died. Message.Lost is
-// the fallback for the genuinely unrecoverable case: a journaled block whose
-// log record cannot be read back.
+// The journal of what a fault-protected stager still owes its consumers, and
+// its replay reader.
+//
+// What survives an endpoint's death is this journal — an in-memory manifest
+// the embedder owns, one per stager instance — and the spill partition it
+// points into. Admission copies nothing: a Record per admitted block holds
+// the resident *block.Block by reference, exactly as AddOrphan keeps the
+// messages a dead receiver drains, and disk-ref announcements and Fins get
+// meta Records carrying the declared delivery totals. The segment log the
+// journal opens in the stager's spill partition takes a payload only when
+// the spiller evicts it from memory (up to MaxBatchBlocks victims in one
+// append); the record then remembers where (segment, offset, length) and
+// drops the pointer. Delivery drops the record and releases any log space,
+// so the journal holds exactly what a crash right now would owe. After a
+// crash the recovery reader (Replay) re-forwards exactly those records —
+// resident ones from memory, overflowed ones read back and checksum-verified
+// — and counted per-destination Fin accounting balances without the
+// consumers ever learning a relay died. Message.Lost is the fallback for the
+// genuinely unrecoverable case: an overflowed block whose log record cannot
+// be read back.
+//
+// Not covered: the death of the process. The manifest is the log's only
+// index, the log is not fsynced, and Close unlinks it.
 
 package staging
 
@@ -23,15 +33,17 @@ import (
 	"zipper/internal/rt"
 )
 
-// Record is one write-ahead journal entry: a relayed block durable in the
-// segment log, or the metadata of one admitted message (disk refs and the
-// Fin with its declared totals).
+// Record is one journal entry: a relayed block the stager still owes —
+// resident (b != nil) or overflowed to the segment log (ref) — or the
+// metadata of one admitted message (disk refs and the Fin with its declared
+// totals).
 type Record struct {
 	// Block entries.
 	id            block.ID
 	offset, bytes int64
 	enc           uint8
-	ref           rt.LogRef // where the log holds the payload; Seg < 0 = nowhere
+	b             *block.Block // the resident payload; nil once overflowed
+	ref           rt.LogRef    // where the log holds the payload; Seg < 0 = nowhere
 	isBlock       bool
 
 	// Meta entries.
@@ -46,20 +58,23 @@ type Record struct {
 	pending    bool
 }
 
-// noRef marks a block record whose write-ahead append failed.
+// noRef marks a block record the log holds no copy of.
 var noRef = rt.LogRef{Seg: -1}
 
 // logged reports whether the log holds the record's payload.
 func (r *Record) logged() bool { return r.isBlock && r.ref.Seg >= 0 }
 
-// Journal is the write-ahead manifest of one stager instance. The embedder
-// owns it (it must survive the endpoint's death) and hands it to the Stager
-// via Config.Journal; the recovery path reads it back with Replay. It keeps
-// only undelivered records. Safe for concurrent use, except that blocks are
-// admitted by one thread only (the owning stager's receiver).
+// Journal is the manifest of one stager instance. The embedder owns it (it
+// must survive the endpoint's death) and hands it to the Stager via
+// Config.Journal; the recovery path reads it back with Replay. It keeps only
+// undelivered records. Safe for concurrent use, except that blocks are
+// admitted by one thread only (the owning stager's receiver) and overflowed
+// by one thread only (its spiller).
 type Journal struct {
-	log  rt.BlockLog // opened by the stager the journal is handed to
-	refs []rt.LogRef // admitBlocks scratch
+	log rt.BlockLog // opened by the stager the journal is handed to
+	// overflow scratch
+	blocks []*block.Block
+	refs   []rt.LogRef
 
 	mu         sync.Mutex
 	head, tail *Record // undelivered records, oldest first
@@ -74,7 +89,7 @@ func NewJournal() *Journal { return &Journal{} }
 func (j *Journal) open(fs rt.BlockStore) {
 	ls, ok := fs.(rt.LogStore)
 	if !ok {
-		panic("staging: a crash journal requires a spill store that hosts write-ahead logs (rt.LogStore)")
+		panic("staging: a crash journal requires a spill store that hosts segment logs (rt.LogStore)")
 	}
 	j.log = ls.OpenLog()
 }
@@ -92,27 +107,14 @@ func (j *Journal) pushLocked(r *Record) {
 	j.pending++
 }
 
-// admitBlocks writes one admitted message's blocks ahead with a single log
-// append and journals a record per block, returned in block order. A failed
-// append degrades gracefully: the records are kept without a log location,
-// the normal forwarding path still delivers the in-memory blocks, and only
-// if the endpoint then crashes does the missing copy surface as a Lost
-// declaration. The append may park the thread, so the journal lock is not
-// held across it.
-func (j *Journal) admitBlocks(c rt.Ctx, from, dest int, blocks []*block.Block) []Record {
-	if cap(j.refs) < len(blocks) {
-		j.refs = make([]rt.LogRef, len(blocks))
-	}
-	refs := j.refs[:len(blocks)]
-	if err := j.log.Append(c, blocks, refs); err != nil {
-		for i := range refs {
-			refs[i] = noRef
-		}
-	}
+// admitBlocks journals one admitted message's blocks by reference — a record
+// per block, returned in block order — and copies nothing: the blocks are
+// resident, and a pointer in the manifest is as durable as the manifest.
+func (j *Journal) admitBlocks(from, dest int, blocks []*block.Block) []Record {
 	recs := make([]Record, len(blocks))
 	for i, b := range blocks {
 		recs[i] = Record{isBlock: true, id: b.ID, offset: b.Offset, bytes: b.Bytes, enc: b.Enc,
-			ref: refs[i], from: from, dest: dest}
+			b: b, ref: noRef, from: from, dest: dest}
 	}
 	j.mu.Lock()
 	for i := range recs {
@@ -120,6 +122,35 @@ func (j *Journal) admitBlocks(c rt.Ctx, from, dest int, blocks []*block.Block) [
 	}
 	j.mu.Unlock()
 	return recs
+}
+
+// overflow moves resident records' payloads to the segment log with a single
+// append, after which the records point at the log and no longer at memory
+// (the caller recycles the payloads). On error nothing changed: the blocks
+// stay resident and journaled. The append may park the thread, so the
+// journal lock is not held across it.
+func (j *Journal) overflow(c rt.Ctx, recs []*Record) error {
+	blocks := j.blocks[:0]
+	for _, r := range recs {
+		blocks = append(blocks, r.b)
+	}
+	j.blocks = blocks
+	if cap(j.refs) < len(recs) {
+		j.refs = make([]rt.LogRef, len(recs))
+	}
+	refs := j.refs[:len(recs)]
+	err := j.log.Append(c, blocks, refs)
+	clear(blocks) // the scratch must not keep payloads alive
+	if err != nil {
+		return err
+	}
+	j.mu.Lock()
+	for i, r := range recs {
+		// The spiller may have reduction-encoded the victim since admission.
+		r.enc, r.ref, r.b = r.b.Enc, refs[i], nil
+	}
+	j.mu.Unlock()
+	return nil
 }
 
 // addMeta journals an undelivered metadata record (disk refs and/or Fin).
@@ -133,7 +164,8 @@ func (j *Journal) addMeta(from, dest int, disk []rt.DiskRef, fin bool, finBlocks
 
 // deliver retires a record: its payload reached the consumer through the
 // normal forwarding path (or was declared Lost there). The record leaves
-// the journal and its log space is released.
+// the journal — the block is the consumer's now — and any log space is
+// released.
 func (j *Journal) deliver(c rt.Ctx, r *Record) {
 	j.mu.Lock()
 	if !r.pending {
@@ -150,7 +182,7 @@ func (j *Journal) deliver(c rt.Ctx, r *Record) {
 	} else {
 		j.tail = r.prev
 	}
-	r.prev, r.next, r.pending = nil, nil, false
+	r.prev, r.next, r.pending, r.b = nil, nil, false, nil
 	j.pending--
 	j.mu.Unlock()
 	j.release(c, r)
@@ -163,12 +195,16 @@ func (j *Journal) release(c rt.Ctx, r *Record) {
 	}
 }
 
-// read loads a journaled block back from the log — a checksum-verified
-// positional read into a pooled payload — and restores what the record
-// knows about it (on the simulated platform the log keeps no contents).
+// read hands back a journaled block: the resident block itself, or — once
+// overflowed — a checksum-verified positional read from the log into a
+// pooled payload, with what the record knows about it restored (on the
+// simulated platform the log keeps no contents).
 func (j *Journal) read(c rt.Ctx, r *Record) (*block.Block, error) {
+	if r.b != nil {
+		return r.b, nil
+	}
 	if !r.logged() {
-		return nil, errors.New("staging: the block's write-ahead append had failed")
+		return nil, errors.New("staging: the journal record holds no payload")
 	}
 	b, err := j.log.Read(c, r.id, r.ref)
 	if err != nil {
@@ -190,9 +226,9 @@ func (j *Journal) close(c rt.Ctx) {
 	}
 }
 
-// AddOrphan records a whole message the dead endpoint's receiver drained
-// after the crash: never admitted, never journaled, blocks still in memory.
-// The recovery reader re-sends it verbatim.
+// AddOrphan records a whole message the dead endpoint's receiver never
+// admitted — drained after the crash, or waiting for buffer room when it
+// landed — blocks still in memory. The recovery reader re-sends it verbatim.
 func (j *Journal) AddOrphan(m rt.Message) {
 	j.mu.Lock()
 	j.orphans = append(j.orphans, m)
@@ -225,16 +261,16 @@ func (j *Journal) drain() (head *Record, orphans []rt.Message) {
 }
 
 // Replay is the recovery reader: it re-forwards everything a dead stager
-// still owed its consumers — journaled blocks read back from the journal's
-// segment log, journaled disk refs and Fins with their declared totals, and
-// the orphaned messages the dead receiver drained — and then retires the
-// log. Call it once the dead endpoint's threads have exited. Journal
-// admission order is preserved; counted stream termination makes
-// cross-producer interleaving irrelevant. A journaled block whose log
-// record cannot be read back is declared via Message.Lost to its
-// destination so the stream still terminates. Returns the blocks
-// re-forwarded (journal + orphans), the orphan messages re-sent, and the
-// blocks declared lost.
+// still owed its consumers — journaled blocks, resident ones from memory and
+// overflowed ones read back from the journal's segment log, journaled disk
+// refs and Fins with their declared totals, and the orphaned messages the
+// dead receiver never admitted — and then retires the log. Call it once the
+// dead endpoint's threads have exited. Journal admission order is preserved;
+// counted stream termination makes cross-producer interleaving irrelevant.
+// An overflowed block whose log record cannot be read back is declared via
+// Message.Lost to its destination so the stream still terminates. Returns
+// the blocks re-forwarded (journal + orphans), the orphan messages re-sent,
+// and the blocks declared lost.
 //
 // The store argument is unused — the journal opened its log in the stager's
 // spill partition when the stager started — and stays only because the
@@ -256,6 +292,7 @@ func Replay(c rt.Ctx, j *Journal, _ rt.BlockStore, tr rt.Transport) (replayed, o
 			replayed++
 		}
 		j.release(c, r)
+		r.b = nil // the consumer's now
 		r = next
 	}
 	for _, m := range orphaned {

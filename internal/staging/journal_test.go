@@ -29,6 +29,9 @@ type walRig struct {
 	spill   *realenv.FileStore // the stager's spill partition
 	journal *Journal
 	st      *Stager
+	spawned []*Stager        // every instance, for shutdown
+	arrived []int            // sequence numbers in the order drain saw them
+	cons    []*core.Consumer // consumers a test put on endpoint 0
 }
 
 func newWalRig(t *testing.T, cfg Config) *walRig {
@@ -39,8 +42,47 @@ func newWalRig(t *testing.T, cfg Config) *walRig {
 	}
 	r := &walRig{t: t, env: realenv.New(), net: realenv.NewNetwork(2, 1), root: root}
 	r.c = r.env.Ctx()
+	t.Cleanup(r.shutdown)
 	r.journal, r.st = r.spawn(cfg)
 	return r
+}
+
+// consumer puts a runtime consumer on endpoint 0, expecting one producer.
+func (r *walRig) consumer(ccfg core.Config) *core.Consumer {
+	cons := core.NewConsumer(r.env, ccfg, 0, 1, r.net.Inbox(0), r.root)
+	r.cons = append(r.cons, cons)
+	return cons
+}
+
+// shutdown is the rig's t.Cleanup: a test that ends in t.Fatal must not
+// leave stager threads running into the tests after it (see rig.shutdown).
+// Every instance still running is evicted — with endpoint 0 drained
+// meanwhile, so a forwarder parked on its window can see the kill — and a
+// test's consumers are read for as long as they deliver.
+func (r *walRig) shutdown() {
+	joinWithin(r.t, "walRig", func() {
+		for _, cons := range r.cons {
+			go func() {
+				for x := r.env.Ctx(); ; {
+					if _, ok := cons.Read(x); !ok {
+						return
+					}
+				}
+			}()
+		}
+		var wait func() (map[int]*block.Block, int64)
+		if len(r.cons) == 0 {
+			wait = r.drain(nil)
+		}
+		for _, st := range r.spawned {
+			if !st.Drained(r.c) {
+				r.evict(st)
+			}
+		}
+		if wait != nil {
+			wait()
+		}
+	})
 }
 
 // spawn starts a stager instance with a fresh journal on the rig's one
@@ -54,7 +96,9 @@ func (r *walRig) spawn(cfg Config) (*Journal, *Stager) {
 	r.spill = spill
 	cfg.Managed = true
 	cfg.Journal = NewJournal()
-	return cfg.Journal, NewStager(r.env, cfg, 0, r.net.Inbox(1), r.net, spill)
+	st := NewStager(r.env, cfg, 0, r.net.Inbox(1), r.net, spill)
+	r.spawned = append(r.spawned, st)
+	return cfg.Journal, st
 }
 
 // walPayload is block seq's payload: recognizable, and different per seq.
@@ -94,6 +138,20 @@ func (r *walRig) waitAdmitted(st *Stager, blocks int64) {
 			r.t.Fatalf("stager admitted %d of %d blocks", st.Stats(r.c).BlocksIn, blocks)
 		}
 		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// waitSpilledDownTo waits until the spiller has brought the buffer down to
+// its high-water mark.
+func (r *walRig) waitSpilledDownTo(highWater int) {
+	r.t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if q, _ := r.st.Occupancy(); q <= highWater {
+			return
+		}
+		if time.Now().After(deadline) {
+			r.t.Fatal("spiller never brought the buffer under its high-water mark")
+		}
 	}
 }
 
@@ -233,6 +291,48 @@ func TestKillReplaySpansSegments(t *testing.T) {
 	}
 }
 
+// TestKillReplayKeepsAdmissionOrder is the kill sweep's real-platform leg
+// for the state every overflow leaves: one producer's stream partly resident
+// and partly in the log. Whatever the forwarder delivered before the kill,
+// whatever the replay re-sends from memory and whatever it reads back must
+// reach the consumer as one ascending sequence — admission order — with
+// nothing lost or doubled, and the replay must really have used both sources.
+func TestKillReplayKeepsAdmissionOrder(t *testing.T) {
+	const blocks, batch, size = 96, 8, 16 << 10
+	r := newWalRig(t, Config{BufferBlocks: 32, MaxBatchBlocks: batch})
+	r.send(0, blocks, batch, size)
+	r.waitAdmitted(r.st, blocks)
+	r.waitSpilledDownTo(24)
+	logged, resident := r.loggedRecords()
+	if len(logged) == 0 || resident == 0 {
+		t.Fatalf("%d records logged, %d resident at the kill: the scenario needs both", len(logged), resident)
+	}
+	// Hold the consumer until the kill is in: a forwarder that drained its
+	// queue first would leave the replay nothing to stitch.
+	crashed := make(chan struct{})
+	wait := r.drain(crashed)
+	r.st.Kill(r.c)
+	close(crashed)
+	r.evict(r.st)
+	replayed, _, lost := Replay(r.c, r.journal, r.spill, r.net)
+	got, declared := wait()
+	if lost != 0 || declared != 0 || len(got) != blocks {
+		t.Fatalf("%d of %d blocks arrived, %d lost (%d declared)", len(got), blocks, lost, declared)
+	}
+	// The batch parked in the forwarder's Send is journaled too, and is
+	// delivered by that Send, not by the replay.
+	if replayed < int64(len(logged)+resident-batch) {
+		t.Fatalf("replay re-sent %d blocks, the journal owed %d logged + %d resident", replayed, len(logged), resident)
+	}
+	for i, seq := range r.arrived {
+		if seq != i {
+			t.Fatalf("arrival %d is block %d: the stream left admission order (%v)", i, seq, r.arrived)
+		}
+	}
+	r.checkExact(got, 0, blocks, size)
+	r.partitionEmpty()
+}
+
 // TestRespawnBeforePredecessorReplay: a replacement stager starts on the
 // same slot — same partition, own journal — while the dead instance's
 // records are still unreplayed, relays its own traffic and drains cleanly.
@@ -284,12 +384,56 @@ func TestRespawnBeforePredecessorReplay(t *testing.T) {
 	r.partitionEmpty()
 }
 
-// TestCorruptSegmentDeclaredLost flips bytes inside two records of a segment
-// under a stalled stream. Whether the records are re-read by the live
-// forwarder (their payloads were dropped from memory) or, after a kill, by
-// the recovery reader, the read fails its checksum, the blocks are declared
-// via Message.Lost, and the consumer's counted stream still terminates with
-// everything else delivered.
+// loggedRecords snapshots the journal's undelivered block records the log
+// holds, oldest first, and counts the ones still resident.
+func (r *walRig) loggedRecords() (logged []rt.LogRef, resident int) {
+	j := r.journal
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for rec := j.head; rec != nil; rec = rec.next {
+		switch {
+		case rec.logged():
+			logged = append(logged, rec.ref)
+		case rec.b != nil:
+			resident++
+		}
+	}
+	return logged, resident
+}
+
+// corruptRecord flips one payload byte of the log record at ref.
+func (r *walRig) corruptRecord(ref rt.LogRef) {
+	r.t.Helper()
+	names, err := filepath.Glob(filepath.Join(r.spill.Dir(), fmt.Sprintf("wal-*-%d.seg", ref.Seg)))
+	if err != nil || len(names) != 1 {
+		r.t.Fatalf("segment %d: files %v (%v), want exactly one", ref.Seg, names, err)
+	}
+	f, err := os.OpenFile(names[0], os.O_RDWR, 0)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	defer f.Close()
+	at := ref.Off + rt.RecordHeaderBytes + ref.Len/2
+	var one [1]byte
+	if _, err := f.ReadAt(one[:], at); err != nil {
+		r.t.Fatal(err)
+	}
+	one[0] ^= 0x40
+	if _, err := f.WriteAt(one[:], at); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// TestCorruptSegmentDeclaredLost pins what the log holds and what happens
+// when it rots. A stalled consumer makes the stager absorb a 120-block
+// stream into a 32-block buffer, so the spiller overflows most of it: the
+// log then holds exactly the evicted blocks — the ones still in memory are
+// journaled by reference and appear in no segment. Two of the logged records
+// get a flipped byte. Whether they are re-read by the live forwarder or,
+// after a kill, by the recovery reader, the read fails its checksum, the
+// two blocks are declared via Message.Lost, and the consumer's counted
+// stream still terminates with everything else — every resident block
+// included — delivered intact.
 func TestCorruptSegmentDeclaredLost(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -298,41 +442,35 @@ func TestCorruptSegmentDeclaredLost(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const blocks, batch, size = 120, 8, 64 << 10
 			r := newWalRig(t, Config{BufferBlocks: 32, MaxBatchBlocks: batch})
-			ccfg := core.Config{ConsumerBufferBlocks: 2}
-			cons := core.NewConsumer(r.env, ccfg, 0, 1, r.net.Inbox(0), r.root)
+			cons := r.consumer(core.Config{ConsumerBufferBlocks: 2})
 			r.send(0, blocks, batch, size)
 			r.net.Send(r.c, 1, rt.Message{From: 0, Dest: 0, Fin: true, FinBlocks: blocks})
 			r.waitAdmitted(r.st, blocks)
-			// Let the spiller finish dropping the newest payloads.
-			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-				if q, _ := r.st.Occupancy(); q <= 24 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("spiller never brought the buffer under its high-water mark")
-				}
-			}
+			r.waitSpilledDownTo(24)
 
-			// The newest segment holds the newest blocks: undelivered, and —
-			// the spiller drops newest first — not resident either. Records
-			// of raw blocks there are fixed-size, so records 0 and 1 start at
-			// multiples of header+size... unless one is the encoded fifth;
-			// corrupting by offset inside the first two raw-sized slots hits
-			// two distinct records either way.
-			segs := r.segFiles()
-			if len(segs) < 2 {
-				t.Fatalf("%d segment files, want ≥ 2", len(segs))
+			logged, resident := r.loggedRecords()
+			if len(logged) < blocks/2 || resident == 0 {
+				t.Fatalf("%d records logged, %d resident: want most of the stream overflowed and the head still in memory",
+					len(logged), resident)
 			}
-			victim := newestSegment(t, segs)
-			raw, err := os.ReadFile(victim)
-			if err != nil {
-				t.Fatal(err)
+			var logBytes int64
+			for _, ref := range logged {
+				logBytes += rt.RecordHeaderBytes + ref.Len
 			}
-			raw[rt.RecordHeaderBytes+100] ^= 0x40
-			raw[2*(rt.RecordHeaderBytes+size)-200] ^= 0x40
-			if err := os.WriteFile(victim, raw, 0o644); err != nil {
-				t.Fatal(err)
+			var fileBytes int64
+			for _, seg := range r.segFiles() {
+				fi, err := os.Stat(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fileBytes += fi.Size()
 			}
+			if fileBytes != logBytes {
+				t.Fatalf("segment files hold %d bytes, the %d overflowed records %d: the log took something besides the overflow",
+					fileBytes, len(logged), logBytes)
+			}
+			r.corruptRecord(logged[1])
+			r.corruptRecord(logged[len(logged)-2])
 
 			if tc.kill {
 				go func() {
@@ -377,22 +515,6 @@ func TestCorruptSegmentDeclaredLost(t *testing.T) {
 	}
 }
 
-// newestSegment picks the segment file with the highest segment number.
-func newestSegment(t *testing.T, segs []string) string {
-	t.Helper()
-	best, bestN := "", -1
-	for _, s := range segs {
-		var gen, n int
-		if _, err := fmt.Sscanf(filepath.Base(s), "wal-%d-%d.seg", &gen, &n); err != nil {
-			t.Fatalf("unexpected segment file name %q", s)
-		}
-		if n > bestN {
-			best, bestN = s, n
-		}
-	}
-	return best
-}
-
 // TestJournalKeepsOnlyUndelivered runs 100,000 admit→deliver cycles with a
 // bounded number of messages in flight: the journal must hold exactly the
 // in-flight records at every step — nothing delivered is retained — and
@@ -426,7 +548,12 @@ func TestJournalKeepsOnlyUndelivered(t *testing.T) {
 			block.New(block.ID{Step: i, Seq: 0}, 0, payload),
 			block.New(block.ID{Step: i, Seq: 1}, 0, payload),
 		}
-		a := admitted{recs: j.admitBlocks(c, 0, 0, blocks)}
+		a := admitted{recs: j.admitBlocks(0, 0, blocks)}
+		// Every pair is evicted, so the whole stream (100 MB) crosses the
+		// log and delivery has segments to reclaim.
+		if err := j.overflow(c, []*Record{&a.recs[0], &a.recs[1]}); err != nil {
+			t.Fatalf("cycle %d: overflow: %v", i, err)
+		}
 		if i%10 == 0 {
 			a.meta = j.addMeta(0, 0, []rt.DiskRef{{}}, false, 0, 0)
 		}
@@ -455,6 +582,11 @@ func TestJournalKeepsOnlyUndelivered(t *testing.T) {
 			if n := listLen(); n != want {
 				t.Fatalf("cycle %d: the journal retains %d records, want the %d in flight", i, n, want)
 			}
+			// Reclaim runs with the stream, not at close: the in-flight
+			// records span at most two segments at any time.
+			if segs, _ := filepath.Glob(filepath.Join(fs.Dir(), "wal-*.seg")); len(segs) == 0 || len(segs) > 3 {
+				t.Fatalf("cycle %d: %d segment files for %d in-flight records", i, len(segs), want)
+			}
 		}
 	}
 	for _, a := range window {
@@ -481,7 +613,8 @@ func TestJournalKeepsOnlyUndelivered(t *testing.T) {
 
 // TestDeliverAfterDrainIsNoop: a record the replay has taken is no longer
 // pending, so a late delivery of it neither re-links the drained chain nor
-// drives the pending count negative nor releases its log space twice.
+// drives the pending count negative nor releases its log space twice — for
+// a record the log holds and for one still resident alike.
 func TestDeliverAfterDrainIsNoop(t *testing.T) {
 	fs, err := realenv.NewFileStore(t.TempDir())
 	if err != nil {
@@ -490,18 +623,28 @@ func TestDeliverAfterDrainIsNoop(t *testing.T) {
 	c := realenv.New().Ctx()
 	j := NewJournal()
 	j.open(fs)
-	payload := make([]byte, 512)
-	recs := j.admitBlocks(c, 0, 0, []*block.Block{
-		block.New(block.ID{Seq: 0}, 0, payload),
-		block.New(block.ID{Seq: 1}, 0, payload),
-		block.New(block.ID{Seq: 2}, 0, payload),
+	// A payload of its own per block: read hands resident blocks back as
+	// they are, and the loop below releases each to the shared pool.
+	recs := j.admitBlocks(0, 0, []*block.Block{
+		block.New(block.ID{Seq: 0}, 0, walPayload(0, 512)),
+		block.New(block.ID{Seq: 1}, 0, walPayload(1, 512)),
+		block.New(block.ID{Seq: 2}, 0, walPayload(2, 512)),
 	})
+	// The first two overflow to the log; the third stays resident.
+	evicted := []*block.Block{recs[0].b, recs[1].b}
+	if err := j.overflow(c, []*Record{&recs[0], &recs[1]}); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range evicted {
+		b.Release()
+	}
 	head, _ := j.drain()
 	if head != &recs[0] {
 		t.Fatal("drain did not return the oldest record")
 	}
 	j.deliver(c, &recs[1])
 	j.deliver(c, &recs[0])
+	j.deliver(c, &recs[2])
 	if n, _ := j.Pending(); n != 0 || j.head != nil || j.tail != nil {
 		t.Fatalf("late delivery disturbed the drained journal: pending %d, head %p, tail %p", n, j.head, j.tail)
 	}
@@ -510,6 +653,9 @@ func TestDeliverAfterDrainIsNoop(t *testing.T) {
 		b, err := j.read(c, r)
 		if err != nil {
 			t.Fatalf("record %d unreadable after a late delivery: %v", n, err)
+		}
+		if !bytes.Equal(b.Data, walPayload(n, 512)) {
+			t.Fatalf("record %d read back with the wrong payload", n)
 		}
 		b.Release()
 		n++

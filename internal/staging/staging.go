@@ -5,15 +5,29 @@
 //
 // A producer whose routing policy elects the relay addresses its mixed
 // message to the stager's transport endpoint and sets Message.Dest to the
-// consumer the data is for. The stager absorbs the burst into a bounded
-// in-memory buffer (its receiver thread), re-batches buffered blocks into
-// larger mixed messages and forwards them to their destination consumers
-// (its forwarder thread), and — past a high-water mark — overflows the
-// newest buffered blocks to its own spill partition of the parallel file
-// system (its spiller thread), reading them back in order once the consumer
-// catches up. Consumers drain a stager exactly like a producer: relayed
-// messages arrive in their ordinary inbox, so Preserve mode, disk-ref
-// announcements, and Fin accounting work unchanged end to end.
+// consumer the data is for. The stager's receiver thread admits it into a
+// bounded in-memory buffer, its forwarder thread re-batches buffered blocks
+// into larger mixed messages and forwards them to their destination
+// consumers, and its spiller thread can overflow the newest buffered blocks
+// to the stager's own spill partition of the parallel file system, to be
+// read back in order once the consumer catches up. Consumers drain a stager
+// exactly like a producer: relayed messages arrive in their ordinary inbox,
+// so Preserve mode, disk-ref announcements, and Fin accounting work
+// unchanged end to end.
+//
+// How much is buffered, and whether anything is spilled, follows from one
+// question — is the consumer, or the disk, what the forwarder would be
+// waiting for? — answered from state the stager holds at that moment: the
+// destination's receive credit, and how long the forwarder has been waiting
+// on a full window (electLocked, turnLocked). While the window has credit
+// the stager is pass-through: it admits only a few batches' worth and spills
+// nothing, so a flood back-pressures its producers instead of building a
+// queue, or an on-disk backlog whose re-reads would then gate the forwarder.
+// While the window is full, and the consumer takes longer to free it than
+// the spill store takes to write and re-read a batch, the stager is
+// absorbing: it admits up to BufferBlocks and overflows above the high-water
+// mark — the burst a staging tier exists for. The rule is the same with and
+// without a crash journal.
 //
 // The stager preserves per-producer arrival order, so a Fin routed through
 // the relay trails every block that producer relayed — the property the
@@ -37,8 +51,8 @@
 package staging
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"zipper/internal/block"
@@ -113,16 +127,19 @@ type Config struct {
 	// park (a table lookup, not a platform call).
 	Tenant func(from int) int
 
-	// Journal, when non-nil, makes the stager crash-durable: every admitted
-	// message's blocks are written ahead — one append — to a segment log the
-	// journal opens in the spill partition and journaled before they are
-	// queued, metadata (disk refs, Fins) gets journal records carrying the
-	// declared totals, and delivery drops the records and releases their
-	// log space. The journal is owned by the embedder, one per stager
-	// instance — it must survive the endpoint's death so the recovery
-	// reader (Replay) can re-forward what the crash stranded. Requires
-	// Managed and a spill store that hosts logs (rt.LogStore). Enables
-	// Kill-based fault injection.
+	// Journal, when non-nil, lets the stager's death lose nothing: every
+	// admitted message is journaled as it is queued — a record per block
+	// holding the resident block by reference, metadata (disk refs, Fins)
+	// with the declared totals — the spiller's overflow goes, up to
+	// MaxBatchBlocks victims per append, to a segment log the journal opens
+	// in the spill partition instead of to one file per block, and delivery
+	// drops the records and releases any log space. The journal is owned by
+	// the embedder, one per stager instance: it and the spill partition are
+	// what survives the endpoint, so the recovery reader (Replay) can
+	// re-forward what the crash stranded. The death of the whole process is
+	// not covered and never was (see journal.go). Requires Managed and a
+	// spill store that hosts logs (rt.LogStore). Enables Kill-based fault
+	// injection.
 	Journal *Journal
 	// Heartbeat, when non-nil, is invoked every HeartbeatInterval by a
 	// dedicated thread while the stager is healthy — the lease renewal. A
@@ -188,11 +205,11 @@ type Stats struct {
 }
 
 // relayBlock is one buffered block: resident in memory, being spilled, or
-// spilled (b == nil) awaiting re-read by the forwarder — from the spill
-// store, or in fault mode from the write-ahead log, where "spilling" only
-// drops the in-memory payload. The enc/encBytes pair snapshots the block's
-// reduction stamp at spill time so the forwarder's re-read can restore it
-// on platforms whose store keeps no payload (the simulated PFS).
+// spilled (b == nil) awaiting re-read by the forwarder — from its spill
+// file, or in fault mode from the journal's segment log, which holds exactly
+// the spilled blocks and nothing else. The enc/encBytes pair snapshots the
+// block's reduction stamp at spill time so the forwarder's re-read can
+// restore it on platforms whose store keeps no payload (the simulated PFS).
 type relayBlock struct {
 	b        *block.Block
 	id       block.ID
@@ -202,7 +219,7 @@ type relayBlock struct {
 	encBytes int64
 	spilling bool
 	spilled  bool
-	rec      *Record      // write-ahead journal entry (fault mode only)
+	rec      *Record      // journal entry (fault mode only)
 	ten      *tenantState // tenant charged for the resident block (multi-tenant only)
 }
 
@@ -235,12 +252,13 @@ type slot struct {
 
 // Stager is one in-transit staging endpoint.
 type Stager struct {
-	env rt.Env
-	cfg Config
-	id  int
-	in  rt.Inbox
-	tr  rt.Transport
-	fs  rt.BlockStore // spill partition; nil disables spilling
+	env    rt.Env
+	cfg    Config
+	id     int
+	in     rt.Inbox
+	tr     rt.Transport
+	credit rt.CreditTransport // tr's credit view; nil without credit visibility
+	fs     rt.BlockStore      // spill partition; nil disables spilling
 
 	// Compress-instead-of-spill rung (Config.Reduce with OnPressure):
 	// gate flips under the stager lock as occupancy crosses its thresholds,
@@ -261,6 +279,22 @@ type Stager struct {
 	spillWork rt.Cond // occupancy rose above the spill threshold
 
 	done rt.Cond // a runtime thread exited
+
+	// The arbiter's state (electLocked, turnLocked). parkedOn is the
+	// destination whose full window the forwarder is waiting on (-1: none),
+	// parkedSince when that wait began, and lastPark how long the last one
+	// that ended took (0: none has). absorbing says the consumer is the
+	// slower of consumer and spill store: the receiver admits up to
+	// BufferBlocks and the spiller may overflow; otherwise the stager is
+	// pass-through — admit only passDepth blocks, spill nothing. passDepth is
+	// a few batches: enough that the forwarder never finds the queue empty
+	// while producers have more, shallow enough that nothing piles up behind
+	// it.
+	absorbing   bool
+	passDepth   int
+	parkedOn    int
+	parkedSince time.Duration
+	lastPark    time.Duration
 
 	queue       []*slot
 	memBlocks   int // blocks resident in memory (mirrored in fl.Queue)
@@ -300,6 +334,12 @@ func NewStager(env rt.Env, cfg Config, id int, in rt.Inbox, tr rt.Transport, fs 
 		cfg.Journal.open(fs)
 	}
 	s := &Stager{env: env, cfg: cfg, id: id, in: in, tr: tr, fs: fs}
+	s.credit, _ = tr.(rt.CreditTransport)
+	s.passDepth = min(4*cfg.MaxBatchBlocks, cfg.BufferBlocks)
+	s.parkedOn = -1
+	// Without credit visibility every Send may be a wait on the consumer:
+	// the stager absorbs throughout.
+	s.absorbing = s.credit == nil
 	s.spillAt = cfg.HighWater
 	if cfg.Reduce.Enabled() && cfg.Reduce.OnPressure {
 		s.gate = flow.NewReduceGate(cfg.HighWater)
@@ -474,13 +514,13 @@ func (s *Stager) Drained(c rt.Ctx) bool {
 
 // Kill crashes the endpoint for fault injection, SIGKILL-style: the
 // forwarder and spiller stop at their next batch boundary without flushing
-// (an in-flight Send completes — the network never tears a message), and
-// the receiver switches to dead mode: it keeps draining the inbox so
-// producers parked in Send never deadlock, hands everything that arrives
-// to the journal as orphans, and exits only when the eviction path's
-// Retire lands. Nothing is lost: the write-ahead journal owns every block
-// the crash strands, and the recovery reader replays it. Requires fault
-// mode (Config.Journal).
+// (an in-flight Send or overflow append completes — neither the network nor
+// the log tears a batch), and the receiver switches to dead mode: it keeps
+// draining the inbox so producers parked in Send never deadlock, hands
+// everything that arrives to the journal as orphans, and exits only when the
+// eviction path's Retire lands. Nothing is lost: the journal owns every
+// block the crash strands — in memory or in the log — and the recovery
+// reader replays it. Requires fault mode (Config.Journal).
 func (s *Stager) Kill(c rt.Ctx) {
 	if s.cfg.Journal == nil {
 		panic("staging: Kill requires a crash journal (fault mode)")
@@ -638,39 +678,32 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 			sl.blocks = append(sl.blocks, &relayBlock{b: b, id: b.ID, offset: b.Offset,
 				bytes: b.Bytes, enc: b.Enc, encBytes: b.EncBytes, ten: ts})
 		}
-		if s.cfg.Journal != nil {
-			// Write ahead, outside the lock: the message is fully durable
-			// (blocks in the segment log, metadata journaled) before it can
-			// become visible to the forwarder.
-			s.lk.Unlock(c)
-			walStart := now
-			now = s.walSlot(c, sl, m.Blocks)
-			s.lk.Lock(c)
-			s.fl.SpillBusy.AddDur(now, now-walStart)
-			if s.killed {
-				// The crash landed mid-journaling: the records already cover
-				// this message, so admitting it too would replay duplicates.
-				s.lk.Unlock(c)
-				continue
-			}
-		}
-		// Admission is whole-message against both caps: the shared buffer,
-		// and — multi-tenant — the sender's own quota. Each cap yields when
-		// the relevant occupancy is zero so oversized batches still make
-		// progress, and a tenant with nothing resident is never blocked by
-		// another tenant's quota arithmetic.
+		// Admission is whole-message against both caps: the buffer — all of
+		// it while the stager is absorbing, the pass-through depth while the
+		// consumer keeps up, so a flood back-pressures its producers instead
+		// of queueing here — and, multi-tenant, the sender's own quota. Each
+		// cap yields when the relevant occupancy is zero so oversized batches
+		// still make progress, and a tenant with nothing resident is never
+		// blocked by another tenant's quota arithmetic.
 		need := len(m.Blocks)
 		for need > 0 && !s.killed &&
-			((s.memBlocks > 0 && s.memBlocks+need > s.cfg.BufferBlocks) ||
+			((s.memBlocks > 0 && s.memBlocks+need > s.admitLimitLocked()) ||
 				(ts != nil && ts.quota > 0 && ts.used > 0 && ts.used+need > ts.quota)) {
 			s.space.Wait(c)
 			now = c.Now()
 		}
 		if s.killed {
-			// Crashed while waiting for buffer room: the journal owns the
-			// message now (fault mode is the only way killed can be set).
+			// Crashed while waiting for buffer room: never admitted, so the
+			// message is the recovery reader's, like everything dead mode
+			// drains after it (fault mode is the only way killed can be set).
 			s.lk.Unlock(c)
+			s.cfg.Journal.AddOrphan(m)
 			continue
+		}
+		if s.cfg.Journal != nil {
+			// Journaled as it is queued, by reference: from here on a crash
+			// owes the message to the recovery reader.
+			s.journalSlot(sl, m.Blocks)
 		}
 		s.queue = append(s.queue, sl)
 		s.setOccLocked(now, s.memBlocks+need)
@@ -685,7 +718,7 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 		if s.gate != nil {
 			s.gate.Observe(s.memBlocks)
 		}
-		if s.memBlocks > s.spillAt {
+		if s.memBlocks > s.spillFromLocked() {
 			s.spillWork.Signal()
 		}
 		if m.Fin && !s.cfg.Managed {
@@ -704,13 +737,11 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 	s.lk.Unlock(c)
 }
 
-// walSlot writes one admitted message ahead: its blocks with a single log
-// append plus a journal record each, and one meta record for disk refs and
-// Fins. Runs without the stager lock (the append parks) and returns the
-// clock once the message is durable.
-func (s *Stager) walSlot(c rt.Ctx, sl *slot, blocks []*block.Block) time.Duration {
+// journalSlot journals one admitted message: a record per block, holding
+// the block by reference, and one meta record for disk refs and Fins.
+func (s *Stager) journalSlot(sl *slot, blocks []*block.Block) {
 	if len(blocks) > 0 {
-		recs := s.cfg.Journal.admitBlocks(c, sl.from, sl.dest, blocks)
+		recs := s.cfg.Journal.admitBlocks(sl.from, sl.dest, blocks)
 		for i, rb := range sl.blocks {
 			rb.rec = &recs[i]
 		}
@@ -718,7 +749,120 @@ func (s *Stager) walSlot(c rt.Ctx, sl *slot, blocks []*block.Block) time.Duratio
 	if len(sl.disk) > 0 || sl.fin {
 		sl.meta = s.cfg.Journal.addMeta(sl.from, sl.dest, sl.disk, sl.fin, sl.finBlocks, sl.finDisk)
 	}
-	return c.Now()
+}
+
+// admitLimitLocked is how many resident blocks the receiver may admit up
+// to: the whole buffer while the stager is absorbing, the pass-through depth
+// otherwise.
+func (s *Stager) admitLimitLocked() int {
+	if s.absorbing {
+		return s.cfg.BufferBlocks
+	}
+	return s.passDepth
+}
+
+// electLocked is the arbiter behind the stager's two pressure valves — how
+// deep the receiver admits and whether the spiller may overflow — and it
+// answers one question: is the consumer, or the disk, what the forwarder
+// would be waiting for? The forwarder asks it each time it assembles a
+// batch, about dest, the oldest queued destination.
+//
+// The state it reads is dest's receive credit right now. Credit means the
+// consumer keeps up and the forwarder itself — or its re-reads of an on-log
+// backlog at the head of the queue — is the slow stage. The stager is
+// pass-through: the receiver admits only passDepth blocks and nothing more
+// is spilled, because a deeper queue or a longer on-disk backlog would only
+// put latency and re-reads in front of a consumer that is waiting for data;
+// a flood back-pressures its producers instead.
+//
+// Zero credit means the forwarder is about to wait on the consumer. That
+// wait is a state — parked on dest since parkedSince — which turnLocked can
+// read while the Send is still inside the transport, so the verdict never
+// depends on the Send coming back. An absorbing stager stays so until dest
+// shows credit again.
+func (s *Stager) electLocked(dest int, now time.Duration) {
+	if s.credit == nil {
+		return
+	}
+	if s.credit.Credits(dest) > 0 {
+		s.parkedOn, s.absorbing = -1, false
+		return
+	}
+	if s.parkedOn != dest {
+		s.parkedOn, s.parkedSince = dest, now
+	}
+	if s.turnLocked(now) > 0 {
+		s.spillWork.Signal() // the spiller watches the clock while the forwarder is away
+	}
+}
+
+// turnLocked decides whether the forwarder's wait on a full window turns a
+// pass-through stager absorbing, and reports how long is left when the
+// answer is not yet. Both sides of the comparison are waits on that window:
+// the last one that ended (lastPark) and the one running now.
+//
+// A consumer that is merely the marginally slowest stage of a flood fills
+// its window all the time, yet evicting blocks to a store slower than that
+// consumer would gate the forwarder on its own re-reads (measured: the flood
+// ran 2–4 times longer, or not, run by run). So the turn is taken at once
+// only if the last wait was as long as the store takes to write and re-read
+// a batch (storeLocked) — the consumer is the slower of the two. Otherwise it
+// is refused, but only for as long as the store would need for the whole
+// buffer: once the running wait has cost that much, the consumer has not
+// slowed down, it has stopped, and a wrong turn can no longer cost more than
+// the waiting already did. A store that has never been timed takes no time,
+// so unknown means absorb — which is also what a forwarder that never comes
+// back from its first full window gets.
+func (s *Stager) turnLocked(now time.Duration) (left time.Duration) {
+	if s.absorbing || s.parkedOn < 0 {
+		return 0
+	}
+	if s.lastPark < s.storeLocked(s.cfg.MaxBatchBlocks) {
+		if left = s.parkedSince + s.storeLocked(s.cfg.BufferBlocks) - now; left > 0 {
+			return left
+		}
+	}
+	s.absorbing = true
+	s.space.Broadcast() // a receiver held at the pass-through depth may go on
+	if s.memBlocks > s.spillFromLocked() {
+		s.spillWork.Signal()
+	}
+	return 0
+}
+
+// unparkLocked ends the forwarder's wait on dest's window: its Send is back.
+func (s *Stager) unparkLocked(dest int, now time.Duration) {
+	if s.parkedOn == dest {
+		s.parkedOn, s.lastPark = -1, now-s.parkedSince
+	}
+}
+
+// storeLocked is how long the spill store has so far taken to write and read
+// back n blocks; 0 before anything was spilled.
+func (s *Stager) storeLocked(n int) time.Duration {
+	spilled := s.fl.Spilled.Total()
+	if spilled == 0 {
+		return 0
+	}
+	return s.fl.SpillBusy.TotalDur() * time.Duration(n) / time.Duration(spilled)
+}
+
+// spillFromLocked is the occupancy above which an absorbing stager
+// overflows: the spill threshold — except for the first overflow of a stager
+// whose forwarder has come back from a full window (the consumer is alive),
+// which is taken at half of it. That overflow is what times the store, and
+// until it exists every full window is a reason to absorb; a flood then
+// fills the buffer to the threshold within a millisecond of starting, on
+// every stager of the tier at once, only to learn that the store was too
+// slow to be worth it (measured on the fault-on flood: peak resident set
+// 25.6 MB at the full threshold, 20 MB at half). A stager whose forwarder has
+// never come back keeps the whole threshold: there the buffer is what is
+// wanted.
+func (s *Stager) spillFromLocked() int {
+	if s.lastPark > 0 && s.fl.Spilled.Total() == 0 {
+		return (s.spillAt + 1) / 2
+	}
+	return s.spillAt
 }
 
 // assembleLocked removes the next outgoing batch from the head of the
@@ -743,14 +887,17 @@ func (s *Stager) walSlot(c rt.Ctx, sl *slot, blocks []*block.Block) time.Duratio
 // the natural backpressure. Single-tenant stagers keep strict FIFO so the
 // private-tier forwarding order is untouched.
 func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []rt.DiskRef, from, dest int, fin bool, finBlocks, finDisk int64, metas []*Record, ok bool) {
+	// The oldest queued destination is the one the arbiter watches: on a
+	// multi-tenant stager the batch may skip past it, but only because it
+	// has no credit — the head is then waiting on that window while other
+	// tenants' batches go out, and only a Send to it ends the wait.
+	s.electLocked(s.queue[0].dest, now)
 	start := 0
-	if s.cfg.Tenants > 1 {
-		if ct, hasCredit := s.tr.(rt.CreditTransport); hasCredit {
-			for i, sl := range s.queue {
-				if ct.Credits(sl.dest) > 0 {
-					start = i
-					break
-				}
+	if s.cfg.Tenants > 1 && s.credit != nil {
+		for i, sl := range s.queue {
+			if s.credit.Credits(sl.dest) > 0 {
+				start = i
+				break
 			}
 		}
 	}
@@ -824,9 +971,9 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		var metas []*Record
 		for {
 			if s.killed {
-				// Crashed: abandon the queue without flushing — the
-				// write-ahead journal owns every stranded block and the
-				// recovery reader replays it.
+				// Crashed: abandon the queue without flushing — the journal
+				// owns every stranded block and the recovery reader replays
+				// it.
 				s.forwardDone = true
 				s.finished = c.Now()
 				s.done.Broadcast()
@@ -927,8 +1074,8 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		}
 
 		if s.cfg.Journal != nil {
-			// Delivery retires the write-ahead records and releases their
-			// log space (lost blocks were declared in the message).
+			// Delivery retires the journal records and releases any log
+			// space (lost blocks were declared in the message).
 			for _, rb := range taken {
 				s.cfg.Journal.deliver(c, rb.rec)
 			}
@@ -938,6 +1085,7 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		}
 
 		s.lk.Lock(c)
+		s.unparkLocked(dest, now)
 		s.fl.ForwardBusy.AddDur(now, busy)
 		s.fl.SpillBusy.AddDur(now, unspillBusy)
 		s.fl.MessagesOut.Add(now, 1)
@@ -959,8 +1107,8 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 // unspill brings a spilled block back into memory. Without a journal the
 // block comes from its spill file, which is reclaimed, and is handed on as a
 // fresh in-memory block: the consumer must not mistake the stager's private
-// spill copy for one that arrived through the file system. In fault mode
-// the write-ahead log already holds it; the record stays until delivery.
+// spill copy for one that arrived through the file system. In fault mode the
+// overflow went to the journal's log; the record stays until delivery.
 func (s *Stager) unspill(c rt.Ctx, rb *relayBlock) (*block.Block, error) {
 	if rb.rec != nil {
 		return s.cfg.Journal.read(c, rb.rec)
@@ -987,26 +1135,37 @@ func (s *Stager) unspill(c rt.Ctx, rb *relayBlock) (*block.Block, error) {
 }
 
 // spillerThread overflows the newest in-memory blocks to the spill store
-// while occupancy is above the high-water mark: the queue head keeps
-// streaming from memory while the tail — the data the consumer will want
-// last — rides out the burst on the parallel file system. A failed spill
-// disables the thread (data stays in memory; the buffer simply stops
-// absorbing past its capacity).
+// while the stager is absorbing and occupancy is above the spill threshold —
+// and, while the forwarder waits on a full window, keeps the time that turns
+// the stager absorbing (turnLocked): the queue head keeps streaming from memory while the tail
+// — the data the consumer will want last — rides out the burst on the
+// parallel file system. A plain stager writes one spill file per victim; a
+// journaling one moves up to MaxBatchBlocks victims to its segment log with
+// a single append — the only payloads that log ever takes. A failed spill
+// disables the thread: the victims stay in memory (and journaled), and the
+// buffer simply stops absorbing past its capacity.
 func (s *Stager) spillerThread(c rt.Ctx) {
+	batch := 1
+	if s.cfg.Journal != nil {
+		batch = s.cfg.MaxBatchBlocks
+	}
+	var victims []*relayBlock
+	var recs []*Record
 	for {
 		s.lk.Lock(c)
-		var victim *relayBlock
-		for victim == nil {
+		victims = victims[:0]
+		for {
 			if s.killed {
 				s.spillDone = true
 				s.done.Broadcast()
 				s.lk.Unlock(c)
 				return
 			}
-			if s.memBlocks > s.spillAt {
-				victim = s.newestResidentLocked()
+			left := s.turnLocked(c.Now())
+			if s.absorbing {
+				victims = s.takeVictimsLocked(victims, min(batch, s.memBlocks-s.spillFromLocked()))
 			}
-			if victim != nil {
+			if len(victims) > 0 {
 				break
 			}
 			if s.recvDone {
@@ -1016,49 +1175,62 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 				s.lk.Unlock(c)
 				return
 			}
+			if left > 0 {
+				// The forwarder is inside a Send and the receiver may be
+				// held at the pass-through depth: nothing else would wake
+				// the stager when the wait comes of age.
+				s.lk.Unlock(c)
+				c.Sleep(left)
+				s.lk.Lock(c)
+				continue
+			}
 			s.spillWork.Wait(c)
 		}
-		victim.spilling = true
 		s.lk.Unlock(c)
 
-		// In fault mode the write-ahead copy made at admission already sits
-		// in the segment log, so "spilling" is just dropping the in-memory
-		// payload — unless that append had failed and memory holds the only
-		// copy.
 		var err error
-		var busy time.Duration
-		if s.cfg.Journal != nil {
-			if !victim.rec.logged() {
-				err = errors.New("the block has no write-ahead copy to fall back on")
-			}
-		} else {
-			if s.spillEnc != nil && victim.b.Enc == 0 {
-				// Even once the raised rung engages, shrink the spill I/O
-				// itself: the victim rides to the PFS (and later back and
-				// onto the wire) encoded. Stateless operators only — the
-				// spiller takes blocks out of stream order.
-				s.env.CopyDelay(c, victim.b.Bytes)
-				if encErr := s.spillEnc.EncodeBlock(victim.b); encErr != nil {
+		if s.spillEnc != nil {
+			// Even once the raised rung engages, shrink the spill I/O
+			// itself: the victims ride to the PFS (and later back and onto
+			// the wire) encoded. Stateless operators only — the spiller
+			// takes blocks out of stream order.
+			for _, v := range victims {
+				if v.b.Enc != 0 || err != nil {
+					continue
+				}
+				s.env.CopyDelay(c, v.b.Bytes)
+				if encErr := s.spillEnc.EncodeBlock(v.b); encErr != nil {
 					err = fmt.Errorf("reducing the spill victim: %w", encErr)
 				}
 			}
-			if err == nil {
-				start := c.Now()
-				err = s.fs.WriteBlock(c, victim.b)
-				busy = c.Now() - start
-				if s.cfg.Recorder != nil {
-					s.cfg.Recorder.Add(s.traceName("spiller"), "spill", start, start+busy)
+		}
+		var busy time.Duration
+		if err == nil {
+			start := c.Now()
+			if s.cfg.Journal != nil {
+				recs = recs[:0]
+				for _, v := range victims {
+					recs = append(recs, v.rec)
 				}
+				err = s.cfg.Journal.overflow(c, recs)
+			} else {
+				err = s.fs.WriteBlock(c, victims[0].b)
+			}
+			busy = c.Now() - start
+			if s.cfg.Recorder != nil {
+				s.cfg.Recorder.Add(s.traceName("spiller"), "spill", start, start+busy)
 			}
 		}
 
 		s.lk.Lock(c)
 		now := c.Now()
 		s.fl.SpillBusy.AddDur(now, busy)
-		victim.spilling = false
+		for _, v := range victims {
+			v.spilling = false
+		}
 		if err != nil {
 			if s.err == nil {
-				s.err = fmt.Errorf("staging: spilling block %v: %w", victim.id, err)
+				s.err = fmt.Errorf("staging: spilling block %v: %w", victims[0].id, err)
 			}
 			s.spillDone = true
 			s.work.Broadcast()
@@ -1067,26 +1239,43 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 			s.lk.Unlock(c)
 			return
 		}
-		victim.enc = victim.b.Enc
-		victim.encBytes = victim.b.EncBytes
-		spillBytes := victim.b.WireBytes()
-		victim.b.Release() // recycle the payload: the spill copy is authoritative now
-		victim.b = nil
-		victim.spilled = true
-		if victim.ten != nil {
-			// The spill moves the block off the tenant's resident account —
-			// the spill-heavy tenant pays the PFS detour, and its spilled
-			// meter is the signal the control plane's preemption rule reads.
-			s.chargeTenantLocked(now, victim.ten, -1)
-			victim.ten.spilled.Add(now, 1)
+		for _, v := range victims {
+			v.enc = v.b.Enc
+			v.encBytes = v.b.EncBytes
+			s.fl.SpilledBytes.Add(now, v.b.WireBytes())
+			v.b.Release() // recycle the payload: the spill copy is authoritative now
+			v.b = nil
+			v.spilled = true
+			if v.ten != nil {
+				// The spill moves the block off the tenant's resident account —
+				// the spill-heavy tenant pays the PFS detour, and its spilled
+				// meter is the signal the control plane's preemption rule reads.
+				s.chargeTenantLocked(now, v.ten, -1)
+				v.ten.spilled.Add(now, 1)
+			}
 		}
-		s.fl.Spilled.Add(now, 1)
-		s.fl.SpilledBytes.Add(now, spillBytes)
-		s.setOccLocked(now, s.memBlocks-1)
+		s.fl.Spilled.Add(now, int64(len(victims)))
+		s.setOccLocked(now, s.memBlocks-len(victims))
 		s.space.Broadcast()
 		s.work.Broadcast() // a forwarder parked on a mid-spill head can move again
 		s.lk.Unlock(c)
 	}
+}
+
+// takeVictimsLocked marks up to n of the newest resident blocks as being
+// spilled and appends them to victims, oldest first (the order they are
+// wanted back in).
+func (s *Stager) takeVictimsLocked(victims []*relayBlock, n int) []*relayBlock {
+	for len(victims) < n {
+		v := s.newestResidentLocked()
+		if v == nil {
+			break
+		}
+		v.spilling = true
+		victims = append(victims, v)
+	}
+	slices.Reverse(victims)
+	return victims
 }
 
 // newestResidentLocked finds the youngest in-memory block — the one whose

@@ -19,13 +19,73 @@ import (
 // network, with each stager spilling into its own partition of the spool
 // directory.
 type rig struct {
-	env    *realenv.Env
-	net    *realenv.Network
-	prod   []*core.Producer
-	cons   []*core.Consumer
-	stage  []*Stager
-	spool  string
-	window int
+	env      *realenv.Env
+	net      *realenv.Network
+	prod     []*core.Producer
+	cons     []*core.Consumer
+	stage    []*Stager
+	spool    string
+	window   int
+	produced []*sync.WaitGroup // every produce call's writers
+}
+
+// windDown bounds how long a rig's cleanup waits for its threads.
+const windDown = 20 * time.Second
+
+// joinWithin runs join and fails the test if it has not returned within
+// windDown: a rig that cannot wind down is a deadlock worth a message, not a
+// package timeout.
+func joinWithin(t *testing.T, what string, join func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		join()
+	}()
+	select {
+	case <-done:
+	case <-time.After(windDown):
+		t.Errorf("%s did not wind down within %v", what, windDown)
+	}
+}
+
+// shutdown is the rig's t.Cleanup. A test that ends in t.Fatal leaves its
+// pipeline mid-stream, and threads left running keep taking payloads from,
+// and returning them to, the pool every later test in the package shares.
+// So: read every consumer to the end of its stream (which un-parks the
+// stagers and the writers behind them), then join writers, stagers and
+// consumers. After a test that ran to completion all of this returns at
+// once.
+func (r *rig) shutdown(t *testing.T) {
+	joinWithin(t, "rig", func() {
+		c := r.env.Ctx()
+		var readers sync.WaitGroup
+		for _, cons := range r.cons {
+			readers.Add(1)
+			go func(cons *core.Consumer) {
+				defer readers.Done()
+				x := r.env.Ctx()
+				for {
+					if _, ok := cons.Read(x); !ok {
+						return
+					}
+				}
+			}(cons)
+		}
+		readers.Wait()
+		for _, wg := range r.produced {
+			wg.Wait()
+		}
+		for _, p := range r.prod {
+			p.Close(c)
+			p.Wait(c)
+		}
+		for _, s := range r.stage {
+			s.Wait(c)
+		}
+		for _, cons := range r.cons {
+			cons.Wait(c)
+		}
+	})
 }
 
 func newRig(t *testing.T, producers, consumers, stagers int, ccfg core.Config, scfg Config, window int) *rig {
@@ -38,6 +98,7 @@ func newRig(t *testing.T, producers, consumers, stagers int, ccfg core.Config, s
 		t.Fatal(err)
 	}
 	r := &rig{env: env, net: net, spool: dir, window: window}
+	t.Cleanup(func() { r.shutdown(t) })
 	for q := 0; q < consumers; q++ {
 		n := 0
 		for p := 0; p < producers; p++ {
@@ -77,6 +138,7 @@ func newRig(t *testing.T, producers, consumers, stagers int, ccfg core.Config, s
 func (r *rig) produce(t *testing.T, blocks, blockBytes int) *sync.WaitGroup {
 	t.Helper()
 	var wg sync.WaitGroup
+	r.produced = append(r.produced, &wg)
 	for i, p := range r.prod {
 		wg.Add(1)
 		go func(rank int, p *core.Producer) {

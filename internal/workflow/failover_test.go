@@ -30,6 +30,16 @@ func faultElasticSpec() Spec {
 	return spec
 }
 
+// faultOverflowSpec shrinks the elastic pool's buffers to a quarter, so a
+// victim's queue mixes blocks still in memory — journaled by reference —
+// with blocks its spiller already moved to the log: the state the recovery
+// reader has to stitch back together.
+func faultOverflowSpec() Spec {
+	spec := faultElasticSpec()
+	spec.StagerBufferBlocks = 16
+	return spec
+}
+
 func faultTotal(spec Spec) int64 {
 	w := spec.Workload
 	return int64(spec.P) * int64(w.Steps) * (w.BytesPerStep / w.BlockBytes)
@@ -48,9 +58,10 @@ func TestZipperFaultKillEverySweep(t *testing.T) {
 	}{
 		{"fixed", faultTestSpec},
 		{"elastic", faultElasticSpec},
+		{"overflowing", faultOverflowSpec},
 	} {
 		total := faultTotal(tier.mk())
-		kills := 0
+		kills, overflowed := 0, 0
 		for epoch := 1; epoch <= 8; epoch++ {
 			spec := tier.mk()
 			spec.FaultKillEpoch = epoch
@@ -58,6 +69,8 @@ func TestZipperFaultKillEverySweep(t *testing.T) {
 			if !res.OK {
 				t.Fatalf("%s kill@epoch %d: run failed: %s", tier.name, epoch, res.Fail)
 			}
+			// Analyzed counts deliveries: a block the replay sent twice would
+			// push it past the total just as a lost one leaves it short.
 			if res.BlocksAnalyzed != total {
 				t.Fatalf("%s kill@epoch %d: analyzed %d of %d blocks", tier.name, epoch, res.BlocksAnalyzed, total)
 			}
@@ -71,6 +84,9 @@ func TestZipperFaultKillEverySweep(t *testing.T) {
 				continue
 			}
 			kills++
+			if res.StagerSpills > 0 && res.ReplayedBlocks > 0 {
+				overflowed++
+			}
 			if res.Evictions != 1 {
 				t.Fatalf("%s kill@epoch %d: Evictions = %d after a single kill", tier.name, epoch, res.Evictions)
 			}
@@ -95,6 +111,9 @@ func TestZipperFaultKillEverySweep(t *testing.T) {
 		}
 		if kills == 0 {
 			t.Fatalf("%s: no epoch in the sweep produced a kill", tier.name)
+		}
+		if tier.name == "overflowing" && overflowed == 0 {
+			t.Fatalf("overflowing: none of the %d kills met a tier that had both overflowed and owed a replay", kills)
 		}
 	}
 }

@@ -67,13 +67,14 @@
 //
 // Config.Fault turns the staging tier into a survivable data plane: every
 // stager holds a lease in the placement directory renewed by heartbeats,
-// write-ahead journals its admitted traffic into its spool partition, and a
-// failure detector evicts members whose lease lapses — producers re-resolve
-// to the survivors on their very next batch, the dead endpoint's journal is
-// replayed straight to the consumers so the counted per-destination Fin
-// totals balance, and a replacement is respawned into the freed slot. An
-// injected crash (Job.InjectStagerCrash) therefore completes the run with
-// zero blocks lost; JobStats reports the eviction/recovery timeline.
+// journals its admitted traffic (by reference while it is in memory, in its
+// spool partition once it overflows), and a failure detector evicts members
+// whose lease lapses — producers re-resolve to the survivors on their very
+// next batch, the dead endpoint's journal is replayed straight to the
+// consumers so the counted per-destination Fin totals balance, and a
+// replacement is respawned into the freed slot. An injected crash
+// (Job.InjectStagerCrash) therefore completes the run with zero blocks lost;
+// JobStats reports the eviction/recovery timeline.
 package zipper
 
 import (
@@ -255,7 +256,7 @@ const (
 )
 
 // FaultConfig enables and tunes the survivable data plane — leases,
-// heartbeats, write-ahead journaling, and spool replay over the staging
+// heartbeats, journaling, and journal replay over the staging
 // tier (see the fault package). With Enabled the tier always runs
 // pool-managed behind an epoch-versioned directory (even a fixed RankAffine
 // tier), so an eviction is just another membership epoch to the producers.
@@ -385,8 +386,8 @@ type Config struct {
 	// Staging groups the in-transit staging tier's configuration.
 	Staging StagingConfig
 	// Fault enables and tunes the survivable data plane: leases and
-	// heartbeats on every staging endpoint, write-ahead journaling of
-	// admitted traffic, and eviction/replay/respawn recovery when an
+	// heartbeats on every staging endpoint, journaling of admitted
+	// traffic, and eviction/replay/respawn recovery when an
 	// endpoint dies. It needs Staging.Stagers ≥ 1 and a RoutePolicy that
 	// can reach the tier.
 	Fault FaultConfig
