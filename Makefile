@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test test-full fuzz-smoke bench-smoke bench-batching bench-staging bench-adaptive bench-elastic bench-placement bench-failover bench-wire bench-control bench-ring
+.PHONY: ci fmt vet build test test-repeat test-full fuzz-smoke bench-smoke bench-batching bench-staging bench-adaptive bench-elastic bench-placement bench-failover bench-wire bench-control bench-ring
 
 ci: fmt vet build test
 
@@ -18,23 +18,48 @@ build:
 	$(GO) build ./...
 
 # Fast lane: paper-figure reproductions are skipped (testing.Short); the
-# Preserve tests that share a block with the application run 20 times, the
-# ring- and TCP-window tests, the per-block allocation pins, the disk
-# election (router table, two-regime simulation, bursty job) and the
-# assembly tests (one Spec on both platforms, the two error paths) 10 times.
-test:
+# Preserve tests that share a block with the application run 20 times and
+# the tests of test-repeat 10 times.
+test: test-repeat
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=20 -run 'TestJobPreserve|TestJobStagingPreserve' .
-	$(GO) test -race -count=10 -run 'TestRingWindowParksSender|TestJobRingWindowBoundsInFlight|TestTCPWindowParksSender|TestTCPWindowOnePingPong|TestJobTCPWindowBoundsInFlight|TestPayloadCycleDoesNotAllocate|TestGaugeWritesDoNotAllocate|TestJobDirectCycleAllocs|TestJobTCPCompressDecodeAllocs|TestJobStealCycleAllocs|TestAdaptiveDisk|TestAdaptiveDeterministic|TestOnlyAdaptiveArbitratesDisk|TestDiskArbiterTwoRegimes|TestStealLegacyWithoutArbiter|TestJobAdaptiveArbitratesDisk|TestForwarderEncodeFailure|TestSpecRunsOnBothPlatforms|TestNewJobErrorLeavesNothingRunning|TestFleetSubmitSpoolFailureKeepsGuarantee' ./internal/rt/realenv ./internal/block ./internal/flow ./internal/core ./internal/staging .
+
+# The tests worth repeating under the race detector, in one place for `make
+# test` and the CI step alike: the send window of a ring lane and of a TCP
+# connection, the per-block allocation pins, the disk election (router
+# table, two-regime simulation, bursty job), the assembly (one Spec on both
+# platforms, the two error paths), the stager's arbiter and by-reference
+# journal (the regimes, a kill at every state a record can be in, the rotten
+# log, the failed append, log space reclaimed while the stream runs), both
+# encode-failure paths, and the codec's word-wide kernels.
+REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCPWindowParksSender \
+	TestTCPWindowOnePingPong TestJobTCPWindowBoundsInFlight TestPayloadCycleDoesNotAllocate \
+	TestGaugeWritesDoNotAllocate TestJobDirectCycleAllocs TestJobTCPCompressDecodeAllocs \
+	TestJobStealCycleAllocs TestAdaptiveDisk TestAdaptiveDeterministic TestOnlyAdaptiveArbitratesDisk \
+	TestDiskArbiterTwoRegimes TestStealLegacyWithoutArbiter TestJobAdaptiveArbitratesDisk \
+	TestForwarderEncodeFailure TestSenderEncodeFailureSendsUnreduced TestSpecRunsOnBothPlatforms \
+	TestNewJobErrorLeavesNothingRunning TestFleetSubmitSpoolFailureKeepsGuarantee TestArbiter \
+	TestOverflowAppendFailure TestKillDuringOverflowAppend TestKillWithResidentAndLoggedRecords \
+	TestKillBetweenSendAndDeliver TestKillReplay TestCorruptSegmentDeclaredLost \
+	TestJournalKeepsOnlyUndelivered TestFaultJournalSegmentsReclaimed TestFaultJobCrashWhileOverflowing \
+	TestZipperFaultKillEverySweep TestLZOverlapOffsets TestLZMatchLenTiers TestLZDoesNotAllocate
+REPEAT_PKGS = ./internal/rt/realenv ./internal/block ./internal/flow ./internal/core ./internal/staging \
+	./internal/reduce ./internal/workflow .
+empty :=
+space := $(empty) $(empty)
+
+test-repeat:
+	$(GO) test -race -count=10 -run '$(subst $(space),|,$(strip $(REPEAT_TESTS)))' $(REPEAT_PKGS)
 
 # Tier-1: the full suite including the figure reproductions (~15 s).
 test-full:
 	$(GO) build ./... && $(GO) test ./...
 
 # 10 s of each decoder fuzz target: the store readers (spill file, log) and
-# the block codec (arbitrary bytes into the decoder; encode/decode round trip).
+# the frame reader, and the block codec (arbitrary bytes into the decoder;
+# encode/decode round trip).
 fuzz-smoke:
-	for f in FuzzReadBlock FuzzLogRead; do \
+	for f in FuzzReadBlock FuzzLogRead FuzzReadFrame; do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/rt/realenv || exit 1; done
 	for f in FuzzLZDecode FuzzLZRoundTrip; do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/reduce || exit 1; done

@@ -25,7 +25,7 @@ type Producer struct {
 	// enc reduces relayed payloads at the sender (nil when reduction is off
 	// or deferred to the stager's pressure gate). Owned by the sender
 	// thread, which is what gives the Delta operator its in-order stream.
-	enc *reduce.Encoder
+	enc blockEncoder
 
 	// Per-destination delivery totals, maintained by the sender thread when
 	// a ConsumerDirectory resolves the consumer per batch: each consumer's
@@ -47,6 +47,7 @@ type Producer struct {
 	closed     bool
 	senderDone bool
 	writerDone bool
+	err        error // the first relayed batch the operator could not encode
 	finished   time.Duration
 	// clock is the latest platform time any of the module's threads read,
 	// kept under lk. A Write that finds room in the buffer stamps its gauges
@@ -63,6 +64,15 @@ type Producer struct {
 	// the sender's last pool resolution found no stager to weigh it against.
 	arbiter   flow.DiskArbiter
 	poolEmpty bool
+}
+
+// blockEncoder is what the sender thread needs of a reduce.Encoder (a test
+// substitutes one that fails), the same two methods a stager's forwarder
+// asks for. A block EncodeBlock returns an error for must be left as it was,
+// so it can still be sent unreduced.
+type blockEncoder interface {
+	EncodeBlock(b *block.Block) error
+	Stateless() bool
 }
 
 // NewProducer builds the runtime module for one producer rank feeding
@@ -187,6 +197,15 @@ func (p *Producer) Wait(c rt.Ctx) {
 	p.lk.Unlock(c)
 }
 
+// Err reports a runtime failure: a relayed block the reduction operator could
+// not encode. The block went out unreduced and nothing is lost; the run was
+// only less reduced than its Config asked for.
+func (p *Producer) Err(c rt.Ctx) error {
+	p.lk.Lock(c)
+	defer p.lk.Unlock(c)
+	return p.err
+}
+
 // Flows exposes the module's live flow gauges: totals plus EWMA rates that
 // the flow-control plane (and any external observer) can read while the run
 // is in flight.
@@ -253,10 +272,13 @@ func (p *Producer) senderThread(c rt.Ctx) {
 		dest, to, route := p.routeLocked(c, len(blocks))
 		p.lk.Unlock(c)
 
+		var encodeErr error
 		if route == flow.Relay && p.enc != nil {
 			// Reduce the batch before it hits the wire. The encoder touches
 			// every raw byte, so the simulated platform charges the pass at
-			// memory bandwidth; decode happens once, at the consumer edge.
+			// memory bandwidth; decode happens once, at the consumer edge. A
+			// block the operator fails on is left as it was and goes out
+			// unreduced; Err keeps the first failure.
 			if pp := p.cfg.ReducePipeline; pp != nil && p.enc.Stateless() {
 				// Parallel encode across the job's shared worker pool:
 				// in-place and joined before the send, so batch order and
@@ -264,16 +286,17 @@ func (p *Producer) senderThread(c rt.Ctx) {
 				for _, b := range blocks {
 					p.env.CopyDelay(c, b.Bytes)
 				}
-				if err := pp.EncodeBatch(blocks); err != nil {
-					panic(fmt.Sprintf("core: reducing batch: %v", err))
-				}
+				encodeErr = pp.EncodeBatch(blocks)
 			} else {
 				for _, b := range blocks {
 					p.env.CopyDelay(c, b.Bytes)
-					if err := p.enc.EncodeBlock(b); err != nil {
-						panic(fmt.Sprintf("core: reducing block %v: %v", b.ID, err))
+					if err := p.enc.EncodeBlock(b); err != nil && encodeErr == nil {
+						encodeErr = err
 					}
 				}
+			}
+			if encodeErr != nil {
+				encodeErr = fmt.Errorf("core: reducing relayed batch: %w", encodeErr)
 			}
 		}
 		var payload, wire int64
@@ -294,6 +317,9 @@ func (p *Producer) senderThread(c rt.Ctx) {
 
 		p.lk.Lock(c)
 		p.clock = max(p.clock, now)
+		if p.err == nil {
+			p.err = encodeErr
+		}
 		p.fl.SendBusy.AddDur(now, busy)
 		p.fl.Messages.Add(now, 1)
 		p.fl.WireBytes.Add(now, wire)

@@ -62,18 +62,31 @@ func lzLenBytes(n int) int {
 	return (n-15)/255 + 1
 }
 
-// lzPutLen writes the continuation bytes of a length whose nibble was 15.
-func lzPutLen(dst []byte, d, n int) int {
-	for n -= 15; n >= 255; n -= 255 {
+// lzPutLen writes the continuation bytes of a length n whose nibble was 15:
+// count of them — lzLenBytes(n), which the caller has already worked out for
+// its room check — all 255 but the last, which is below 255 and ends the
+// length.
+func lzPutLen(dst []byte, d, n, count int) int {
+	last := d + count - 1
+	for ; d < last; d++ {
 		dst[d] = 255
-		d++
 	}
-	dst[d] = byte(n)
+	dst[d] = byte(n - 15 - (count-1)*255)
 	return d + 1
 }
 
+// lzWide is how long a match or a run must be before the runtime's
+// vectorised routines (memequal, memmove) take over from 8-byte steps:
+// short matches, which are most of what float fields give, never pay for a
+// call.
+const lzWide = 64
+
 // lzMatchLen counts how many bytes at src[a:] repeat src[b:] (b < a) without
-// reading at or past limit.
+// reading at or past limit. A match that has run lzWide bytes is extended
+// through the runtime's vectorised memequal — the comparison of two string
+// conversions compiles to it without copying — a KiB at a time, then 64
+// bytes at a time, and the 8-byte step finds the mismatch inside the last
+// chunk.
 func lzMatchLen(src []byte, a, b, limit int) int {
 	start := a
 	for a+8 <= limit {
@@ -81,6 +94,14 @@ func lzMatchLen(src []byte, a, b, limit int) int {
 			return a - start + bits.TrailingZeros64(x)>>3
 		}
 		a, b = a+8, b+8
+		if a-start == lzWide {
+			for a+1024 <= limit && string(src[a:a+1024]) == string(src[b:b+1024]) {
+				a, b = a+1024, b+1024
+			}
+			for a+64 <= limit && string(src[a:a+64]) == string(src[b:b+64]) {
+				a, b = a+64, b+64
+			}
+		}
 	}
 	for a < limit && src[a] == src[b] {
 		a, b = a+1, b+1
@@ -128,25 +149,38 @@ func lzEncode(t *lzTable, dst, src []byte) (int, bool) {
 			for {
 				lit := ip - anchor
 				ml := lzMatchLen(src, ip+lzMinMatch, ref+lzMinMatch, matchEnd)
-				if d+1+lzLenBytes(lit)+lit+2+lzLenBytes(ml) > len(dst) {
+				// One room check for the whole sequence — token, literals,
+				// offset, and what each length spills past its nibble — with
+				// the two spill counts kept for the writes below.
+				litBytes, mlBytes := lzLenBytes(lit), lzLenBytes(ml)
+				if d+1+litBytes+lit+2+mlBytes > len(dst) {
 					return 0, false
 				}
 				tok := d
 				d++
-				if lit >= 15 {
-					dst[tok] = 15 << 4
-					d = lzPutLen(dst, d, lit)
-				} else {
+				if litBytes == 0 {
 					dst[tok] = byte(lit << 4)
+				} else {
+					dst[tok] = 15 << 4
+					d = lzPutLen(dst, d, lit, litBytes)
 				}
-				d += copy(dst[d:], src[anchor:ip])
+				// src holds lzTailStart bytes past any match start, so eight
+				// literals or fewer are one load; the store needs the room in
+				// dst, and what it writes past the literals the offset and the
+				// next sequence overwrite.
+				if lit <= 8 && d+8 <= len(dst) {
+					binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(src[anchor:]))
+					d += lit
+				} else {
+					d += copy(dst[d:], src[anchor:ip])
+				}
 				dst[d], dst[d+1] = byte(ip-ref), byte((ip-ref)>>8)
 				d += 2
-				if ml >= 15 {
-					dst[tok] |= 15
-					d = lzPutLen(dst, d, ml)
-				} else {
+				if mlBytes == 0 {
 					dst[tok] |= byte(ml)
+				} else {
+					dst[tok] |= 15
+					d = lzPutLen(dst, d, ml, mlBytes)
 				}
 				ip += lzMinMatch + ml
 				anchor = ip
@@ -170,12 +204,13 @@ func lzEncode(t *lzTable, dst, src []byte) (int, bool) {
 		}
 	}
 	lit := n - anchor
-	if d+1+lzLenBytes(lit)+lit > len(dst) {
+	litBytes := lzLenBytes(lit)
+	if d+1+litBytes+lit > len(dst) {
 		return 0, false
 	}
-	if lit >= 15 {
+	if litBytes > 0 {
 		dst[d] = 15 << 4
-		d = lzPutLen(dst, d+1, lit)
+		d = lzPutLen(dst, d+1, lit, litBytes)
 	} else {
 		dst[d] = byte(lit << 4)
 		d++
@@ -183,6 +218,9 @@ func lzEncode(t *lzTable, dst, src []byte) (int, bool) {
 	d += copy(dst[d:], src[anchor:])
 	return d, true
 }
+
+// lzRunStep is the largest multiple of a run's period that fits a word.
+var lzRunStep = [8]uint8{1: 8, 2: 8, 3: 6, 4: 8, 5: 5, 6: 6, 7: 7}
 
 var (
 	errLZTruncated = errors.New("encoded payload is truncated")
@@ -209,6 +247,13 @@ func lzLen(src []byte, s, n int) (int, int, error) {
 // lzDecode decodes src into dst. It succeeds only when src is a whole
 // encoded block that produces exactly len(dst) bytes; it reads nothing
 // outside src and writes nothing outside dst whatever src holds.
+//
+// Short literals, short matches and runs move as 8-byte words. A word store
+// may land past the bytes it was for, but only inside dst and only ahead of
+// the decoded front, where the next sequence writes over it: a block decodes
+// only if its sequences go on to cover every byte of dst, and nothing is
+// ever read from ahead of the front. The last seven bytes of either slice
+// have no room for a word and take the plain copies.
 func lzDecode(dst, src []byte) error {
 	d, s := 0, 0
 	for {
@@ -218,19 +263,23 @@ func lzDecode(dst, src []byte) error {
 		tok := src[s]
 		s++
 		lit := int(tok >> 4)
-		if lit == 15 {
-			var err error
-			if lit, s, err = lzLen(src, s, lit); err != nil {
-				return err
+		if lit <= 8 && s+8 <= len(src) && d+8 <= len(dst) {
+			binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(src[s:]))
+		} else {
+			if lit == 15 {
+				var err error
+				if lit, s, err = lzLen(src, s, lit); err != nil {
+					return err
+				}
 			}
+			if lit > len(src)-s {
+				return errLZTruncated
+			}
+			if lit > len(dst)-d {
+				return errLZOverrun
+			}
+			copy(dst[d:], src[s:s+lit])
 		}
-		if lit > len(src)-s {
-			return errLZTruncated
-		}
-		if lit > len(dst)-d {
-			return errLZOverrun
-		}
-		copy(dst[d:], src[s:s+lit])
 		d, s = d+lit, s+lit
 		if s == len(src) {
 			break // the last sequence carries no match
@@ -254,12 +303,33 @@ func lzDecode(dst, src []byte) error {
 		if ml > len(dst)-d {
 			return errLZOverrun
 		}
-		// A match may overlap the bytes it produces: copy what exists, which
-		// doubles what the next round can copy.
 		from, end := d-off, d+ml
+		if wide := d+8 <= len(dst); wide && off >= 8 && ml <= 8 {
+			binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(dst[from:]))
+			d = end
+			continue
+		} else if wide && off < 8 {
+			// An offset below 8 is a run of its off bytes: replicate them
+			// into one word and store it at steps that are a multiple of off,
+			// so every store is in phase with the run. A run that outgrows
+			// lzWide is by then a match at an offset memmove handles better,
+			// and the loop below finishes it.
+			p := binary.LittleEndian.Uint64(dst[from:]) & (1<<(8*uint(off)) - 1)
+			p |= p << (8 * uint(off))
+			p |= p << (16 * uint(off))
+			p |= p << (32 * uint(off))
+			stop := min(end, from+lzWide, len(dst)-7)
+			for step := int(lzRunStep[off]); d < stop; d += step {
+				binary.LittleEndian.PutUint64(dst[d:], p)
+			}
+		}
+		// A match may overlap the bytes it produces: copy what exists, which
+		// doubles what the next round can copy. Without overlap that is one
+		// copy, and after a run whose last store passed end it is none.
 		for d < end {
 			d += copy(dst[d:end], dst[from:d])
 		}
+		d = end
 	}
 	if d != len(dst) {
 		return errLZShort

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"zipper/internal/block"
@@ -197,6 +198,10 @@ func FuzzLZDecode(f *testing.F) {
 	f.Add([]byte{0x00}, uint16(0))
 	f.Add([]byte{0x1f, 'a', 1, 0, 255, 255, 0, 0x00}, uint16(530))
 	f.Add([]byte{0x10, 'a', 2, 0, 0x00}, uint16(5)) // offset past the output
+	for off := 1; off < 8; off++ {                  // runs, which the decoder fills by the word
+		enc, size := lzRunStream(off, 40, 3)
+		f.Add(enc, uint16(size))
+	}
 	f.Fuzz(func(t *testing.T, src []byte, size uint16) {
 		const guard = 32
 		buf := bytes.Repeat([]byte{0xa5}, int(size)+guard)
@@ -217,33 +222,211 @@ func FuzzLZDecode(f *testing.F) {
 	})
 }
 
-func BenchmarkLZEncode(b *testing.B) {
-	src := lzField(b, "plateau", 64<<10)
-	dst := make([]byte, len(src)-1)
-	var tab lzTable
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := lzEncode(&tab, dst, src); !ok {
-			b.Fatal("the plateau field did not shrink")
+// lzAppendSeq appends one sequence to an encoded block: the literals, then —
+// unless off is 0, which makes it the block's last sequence — a match of ml
+// bytes at offset off.
+func lzAppendSeq(enc, lits []byte, off, ml int) []byte {
+	length := func(n int) {
+		for n -= 15; n >= 255; n -= 255 {
+			enc = append(enc, 255)
+		}
+		enc = append(enc, byte(n))
+	}
+	tok := len(enc)
+	enc = append(enc, byte(min(len(lits), 15)<<4))
+	if len(lits) >= 15 {
+		length(len(lits))
+	}
+	enc = append(enc, lits...)
+	if off == 0 {
+		return enc
+	}
+	enc = append(enc, byte(off), byte(off>>8))
+	enc[tok] |= byte(min(ml-lzMinMatch, 15))
+	if ml-lzMinMatch >= 15 {
+		length(ml - lzMinMatch)
+	}
+	return enc
+}
+
+// lzRunStream hand-builds a block: off+5 distinct literals, a match of ml
+// bytes at offset off, and tail closing literals. It returns the encoding and
+// the size it decodes to.
+func lzRunStream(off, ml, tail int) ([]byte, int) {
+	lits := make([]byte, off+5+tail)
+	for i := range lits {
+		lits[i] = byte(i*7 + 1)
+	}
+	enc := lzAppendSeq(nil, lits[:off+5], off, ml)
+	enc = lzAppendSeq(enc, lits[off+5:], 0, 0)
+	return enc, len(lits) + ml
+}
+
+// TestLZOverlapOffsets is the wide-store overrun case: matches at every
+// offset from 1 to 32 and every length from 4 to 300, ending 0 to 16 bytes
+// before the end of the destination, must decode to what the byte-at-a-time
+// reference produces and leave the bytes after the destination alone.
+func TestLZOverlapOffsets(t *testing.T) {
+	const guard = 32
+	buf := make([]byte, 32+5+300+16+guard)
+	for off := 1; off <= 32; off++ {
+		for ml := 4; ml <= 300; ml++ {
+			for tail := 0; tail <= 16; tail++ {
+				enc, size := lzRunStream(off, ml, tail)
+				want, ok := lzReference(enc, size)
+				if !ok || len(want) != size {
+					t.Fatalf("offset %d length %d tail %d: the hand-built stream is malformed", off, ml, tail)
+				}
+				// One byte less room is an error; the right room is the
+				// reference's bytes; neither writes past the room it was given.
+				for _, room := range []int{size - 1, size} {
+					for i := range buf {
+						buf[i] = 0xa5
+					}
+					err := lzDecode(buf[:room], enc)
+					for i, c := range buf[room:] {
+						if c != 0xa5 {
+							t.Fatalf("offset %d length %d tail %d: wrote %d bytes past a %d-byte destination", off, ml, tail, i+1, room)
+						}
+					}
+					if (err == nil) != (room == size) {
+						t.Fatalf("offset %d length %d tail %d: %d bytes into %d: %v", off, ml, tail, size, room, err)
+					}
+				}
+				if !bytes.Equal(buf[:size], want) {
+					t.Fatalf("offset %d length %d tail %d: decoder and reference disagree", off, ml, tail)
+				}
+			}
 		}
 	}
 }
 
-func BenchmarkLZDecode(b *testing.B) {
-	src := lzField(b, "plateau", 64<<10)
-	enc := make([]byte, lzBound(len(src)))
-	var tab lzTable
-	n, _ := lzEncode(&tab, enc, src)
-	dst := make([]byte, len(src))
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := lzDecode(dst, enc[:n]); err != nil {
-			b.Fatal(err)
+// TestLZMatchLenTiers puts the first mismatch at every position the tiers of
+// lzMatchLen can meet it — inside the 8-byte steps, the 64-byte and the KiB
+// compares, at their seams and at the limit — and holds the count to a byte
+// loop's, for a match far back and for a run (offset 1).
+func TestLZMatchLenTiers(t *testing.T) {
+	const span = 2300
+	r := rand.New(rand.NewSource(1))
+	far := make([]byte, 2*span)
+	r.Read(far[:span])
+	copy(far[span:], far[:span])
+	run := bytes.Repeat([]byte{0x5a}, span+1)
+	limits := []int{0, 1, 7, 8, 9, 63, 64, 65, 71, 72, 73, 127, 128, 129, 135, 136, 137,
+		1087, 1088, 1089, 1095, 1096, 1097, 1100, 1151, 1152, 1153, 2111, 2112, 2113, span}
+	for _, c := range []struct {
+		name string
+		src  []byte
+		a, b int
+	}{{"far", far, span, 0}, {"run", run, 1, 0}} {
+		for _, lim := range limits {
+			for k := 0; k <= 1100 && k <= lim; k++ {
+				// k == lim leaves the whole span equal: the limit ends the match.
+				if k < lim {
+					c.src[c.a+k] ^= 0xff
+				}
+				want := 0
+				for c.a+want < c.a+lim && c.src[c.a+want] == c.src[c.b+want] {
+					want++
+				}
+				got := lzMatchLen(c.src, c.a, c.b, c.a+lim)
+				if k < lim {
+					c.src[c.a+k] ^= 0xff
+				}
+				if got != want {
+					t.Fatalf("%s: mismatch at %d, limit %d: counted %d, a byte loop counts %d", c.name, k, lim, got, want)
+				}
+			}
 		}
+	}
+}
+
+// TestLZDecodesParentStreams holds the decoder to blocks it did not encode:
+// testdata/parent_streams.bin is what the encoder of the revision before the
+// wide kernels produced for every lzFields x lzLengths pair (records of name
+// length, name, u32 raw size, u32 encoded size, encoding). Each must still
+// decode byte-exact, and on the plateau field today's encoder must not come
+// out larger.
+func TestLZDecodesParentStreams(t *testing.T) {
+	data, err := os.ReadFile("testdata/parent_streams.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tab lzTable
+	for _, f := range lzFields {
+		for _, n := range lzLengths {
+			if len(data) < 1 || len(data) < 1+int(data[0])+8 {
+				t.Fatalf("%s/%d: the stream file ends early", f.name, n)
+			}
+			name := string(data[1 : 1+data[0]])
+			data = data[1+data[0]:]
+			raw, encLen := int(binary.LittleEndian.Uint32(data)), int(binary.LittleEndian.Uint32(data[4:]))
+			data = data[8:]
+			if name != f.name || raw != n || encLen > len(data) {
+				t.Fatalf("%s/%d: the stream file holds %s/%d (%d encoded bytes) here", f.name, n, name, raw, encLen)
+			}
+			enc := data[:encLen]
+			data = data[encLen:]
+			src := lzField(t, f.name, n)
+			got := make([]byte, n)
+			if err := lzDecode(got, enc); err != nil {
+				t.Fatalf("%s/%d: %v", f.name, n, err)
+			}
+			if !bytes.Equal(got, src) {
+				t.Fatalf("%s/%d: the parent's stream decodes to something else", f.name, n)
+			}
+			if f.name == "plateau" {
+				if m, ok := lzEncode(&tab, make([]byte, lzBound(n)), src); !ok || m > encLen {
+					t.Errorf("plateau/%d codes to %d bytes, the parent's encoder made %d", n, m, encLen)
+				}
+			}
+		}
+	}
+	if len(data) != 0 {
+		t.Fatalf("%d bytes left over in the stream file", len(data))
+	}
+}
+
+// The two benchmarks run every lzFields shape, so a win on the plateau field
+// cannot hide a loss on short-match or incompressible data. The encoder gets
+// the room the Compress operator gives it — one byte less than the block —
+// and "does not fit" is then the measured path for the fields that do not
+// shrink.
+func BenchmarkLZEncode(b *testing.B) {
+	for _, f := range lzFields {
+		b.Run(f.name, func(b *testing.B) {
+			src := lzField(b, f.name, 64<<10)
+			dst := make([]byte, len(src)-1)
+			var tab lzTable
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := lzEncode(&tab, dst, src); !ok && f.shrink {
+					b.Fatalf("the %s field did not shrink", f.name)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkLZDecode(b *testing.B) {
+	for _, f := range lzFields {
+		b.Run(f.name, func(b *testing.B) {
+			src := lzField(b, f.name, 64<<10)
+			enc := make([]byte, lzBound(len(src)))
+			var tab lzTable
+			n, _ := lzEncode(&tab, enc, src)
+			dst := make([]byte, len(src))
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := lzDecode(dst, enc[:n]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -20,6 +20,7 @@
 package reduce
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 
@@ -290,9 +291,7 @@ func (e *Encoder) encodeDelta(b *block.Block) error {
 			e.xor = make([]byte, len(b.Data))
 		}
 		e.xor = e.xor[:len(b.Data)]
-		for i, v := range b.Data {
-			e.xor[i] = v ^ prev.data[i]
-		}
+		subtle.XORBytes(e.xor, b.Data, prev.data)
 		src = e.xor
 	}
 	out, fits := e.lzInto(src, lzBound(len(src)))
@@ -448,9 +447,7 @@ func (d *Decoder) decodeDelta(b *block.Block) error {
 		return err
 	}
 	if marker == deltaXOR {
-		for i := range raw {
-			raw[i] ^= prev.data[i]
-		}
+		subtle.XORBytes(raw, raw, prev.data)
 	}
 	// Retain a private copy as the next step's base, reusing the outgoing
 	// base's buffer when it fits.

@@ -284,3 +284,69 @@ func TestCorruptPayloadDoesNotLeakOrBalloon(t *testing.T) {
 		t.Fatalf("%d failed decodes allocated %d MiB: the raw payload is not going back to the pool", tries, got>>20)
 	}
 }
+
+// deltaBenchFields are two adjacent steps of a 64 KiB smooth field: encoding
+// them alternately on one stream keeps every block on the XOR path.
+func deltaBenchFields() [2][]byte { return [2][]byte{smoothField(0, 8192), smoothField(1, 8192)} }
+
+// pooledBlock wraps a pooled copy of data, which the operator under test
+// consumes, as step `step` of one stream.
+func pooledBlock(step int, data []byte, raw int64) *block.Block {
+	b := mkBlock(0, step, 0, append(block.GetPayload(len(data))[:0], data...))
+	b.Bytes = raw
+	return b
+}
+
+// No bench workload runs Delta, so these two are its only numbers: the XOR
+// pass against the retained base plus the codec over the sparse difference.
+func BenchmarkDeltaEncode(b *testing.B) {
+	fields := deltaBenchFields()
+	e := NewEncoder(Config{Operator: Delta})
+	b.SetBytes(int64(len(fields[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk := pooledBlock(i&1, fields[i&1], int64(len(fields[0])))
+		if err := e.EncodeBlock(blk); err != nil {
+			b.Fatal(err)
+		}
+		blk.Release()
+	}
+}
+
+func BenchmarkDeltaDecode(b *testing.B) {
+	fields := deltaBenchFields()
+	raw := int64(len(fields[0]))
+	// Steps 0, 1, 0: the first goes out whole, the other two as differences
+	// against each other, which a decoder can then take in turn for ever.
+	e := NewEncoder(Config{Operator: Delta})
+	var encoded [3][]byte
+	for i := range encoded {
+		blk := pooledBlock(i&1, fields[i&1], raw)
+		if err := e.EncodeBlock(blk); err != nil {
+			b.Fatal(err)
+		}
+		encoded[i] = append([]byte(nil), blk.Data...)
+	}
+	d := NewDecoder()
+	decode := func(step int, enc []byte, check bool) {
+		blk := pooledBlock(step, enc, raw)
+		blk.Enc, blk.EncBytes = uint8(Delta), int64(len(enc))
+		if err := d.DecodeBlock(blk); err != nil {
+			b.Fatal(err)
+		}
+		if check && !bytes.Equal(blk.Data, fields[step]) {
+			b.Fatal("delta round-trip corrupted payload")
+		}
+		blk.Release()
+	}
+	for i, enc := range encoded {
+		decode(i&1, enc, true)
+	}
+	b.SetBytes(raw)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode((i+1)&1, encoded[1+i&1], false)
+	}
+}

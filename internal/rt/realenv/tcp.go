@@ -192,10 +192,11 @@ func (l *TCPListener) acceptLoop() {
 			port := l.eps.Port()
 			endpoints := l.eps.Endpoints()
 			r := bufio.NewReaderSize(conn, 1<<20)
+			frames := frameReader{r: r}
 			var ack [4]byte
 			deposited := uint32(0) // messages not yet acknowledged
 			for {
-				to, m, err := readFrame(r)
+				to, m, err := frames.next()
 				if err != nil {
 					return // EOF or peer failure: connection done
 				}
@@ -481,114 +482,134 @@ func readPayload(r io.Reader, n int64) ([]byte, error) {
 	return buf, nil
 }
 
-func readFrame(r io.Reader) (int, rt.Message, error) {
+// Frame layout sizes: the fixed header runs from the magic through nDisk,
+// then come the disk refs, the nBlocks word and the block descriptors.
+const (
+	frameFixedLen = 4 + 4 + 7*8
+	diskRefLen    = 4 * 8
+	blockDescLen  = 8 * 8
+	// tableChunk is how much of a descriptor table is read at once: every
+	// frame a sender builds fits one chunk, and a corrupt count costs the
+	// reader's scratch one chunk, not maxBatchLen descriptors.
+	tableChunk = 64 << 10
+)
+
+// frameReader decodes frames off one connection. It owns the scratch the
+// header and the descriptor tables are read into — one io.ReadFull each,
+// parsed from the slice — so a steady-state frame allocates only what it
+// hands on: the message's slices, its blocks, and their pooled payloads.
+type frameReader struct {
+	r    io.Reader
+	buf  []byte  // header and descriptor-table scratch, at most tableChunk
+	lens []int64 // each block's payload length, until the payloads are read
+}
+
+// fill reads the next n bytes (n ≤ tableChunk) into the scratch.
+func (fr *frameReader) fill(n int) ([]byte, error) {
+	if cap(fr.buf) < n {
+		fr.buf = make([]byte, max(n, 4<<10))
+	}
+	buf := fr.buf[:n]
+	_, err := io.ReadFull(fr.r, buf)
+	return buf, err
+}
+
+// i64At reads descriptor word i of a table row.
+func i64At(row []byte, i int) int64 { return int64(binary.LittleEndian.Uint64(row[8*i:])) }
+
+// readFrame decodes one frame with a scratch of its own; a connection's
+// reader keeps a frameReader and calls next.
+func readFrame(r io.Reader) (int, rt.Message, error) { return (&frameReader{r: r}).next() }
+
+func (fr *frameReader) next() (int, rt.Message, error) {
 	var m rt.Message
-	u32 := func() (uint32, error) {
-		var buf [4]byte
-		_, err := io.ReadFull(r, buf[:])
-		return binary.LittleEndian.Uint32(buf[:]), err
-	}
-	i64 := func() (int64, error) {
-		var buf [8]byte
-		_, err := io.ReadFull(r, buf[:])
-		return int64(binary.LittleEndian.Uint64(buf[:])), err
-	}
-	magic, err := u32()
+	hdr, err := fr.fill(frameFixedLen)
 	if err != nil {
 		return 0, m, err
 	}
-	if magic != frameMagic {
+	if magic := binary.LittleEndian.Uint32(hdr); magic != frameMagic {
 		return 0, m, fmt.Errorf("realenv: bad frame magic %#x", magic)
 	}
-	flags, err := u32()
-	if err != nil {
-		return 0, m, err
-	}
-	to, err := i64()
-	if err != nil {
-		return 0, m, err
-	}
-	from, err := i64()
-	if err != nil {
-		return 0, m, err
-	}
-	dest, err := i64()
-	if err != nil {
-		return 0, m, err
-	}
-	finBlocks, err := i64()
-	if err != nil {
-		return 0, m, err
-	}
-	finDisk, err := i64()
-	if err != nil {
-		return 0, m, err
-	}
-	lost, err := i64()
-	if err != nil {
-		return 0, m, err
-	}
-	m.From = int(from)
-	m.Dest = int(dest)
+	flags := binary.LittleEndian.Uint32(hdr[4:])
+	words := hdr[8:]
+	to := i64At(words, 0)
+	m.From = int(i64At(words, 1))
+	m.Dest = int(i64At(words, 2))
 	m.Fin = flags&flagFin != 0
 	m.Retire = flags&flagRetire != 0
-	m.FinBlocks = finBlocks
-	m.FinDisk = finDisk
-	m.Lost = lost
-	nDisk, err := i64()
-	if err != nil || nDisk < 0 || nDisk > maxBatchLen {
-		return 0, m, fmt.Errorf("realenv: bad disk-ref count %d: %v", nDisk, err)
+	m.FinBlocks = i64At(words, 3)
+	m.FinDisk = i64At(words, 4)
+	m.Lost = i64At(words, 5)
+	nDisk := i64At(words, 6)
+	if nDisk < 0 || nDisk > maxBatchLen {
+		return 0, m, fmt.Errorf("realenv: bad disk-ref count %d", nDisk)
 	}
-	for i := int64(0); i < nDisk; i++ {
-		var dr, ds, dq, db int64
-		for _, dst := range []*int64{&dr, &ds, &dq, &db} {
-			if *dst, err = i64(); err != nil {
-				return 0, m, err
-			}
+	for left := int(nDisk); left > 0; {
+		rows := min(left, tableChunk/diskRefLen)
+		table, err := fr.fill(rows * diskRefLen)
+		if err != nil {
+			return 0, m, err
 		}
-		m.Disk = append(m.Disk, rt.DiskRef{
-			ID:    block.ID{Rank: int(dr), Step: int(ds), Seq: int(dq)},
-			Bytes: db,
-		})
+		if m.Disk == nil {
+			m.Disk = make([]rt.DiskRef, 0, rows)
+		}
+		for ; len(table) > 0; table = table[diskRefLen:] {
+			m.Disk = append(m.Disk, rt.DiskRef{
+				ID:    block.ID{Rank: int(i64At(table, 0)), Step: int(i64At(table, 1)), Seq: int(i64At(table, 2))},
+				Bytes: i64At(table, 3),
+			})
+		}
+		left -= rows
 	}
-	nBlocks, err := i64()
-	if err != nil || nBlocks < 0 || nBlocks > maxBatchLen {
-		return 0, m, fmt.Errorf("realenv: bad block count %d: %v", nBlocks, err)
+	word, err := fr.fill(8)
+	if err != nil {
+		return 0, m, err
+	}
+	nBlocks := i64At(word, 0)
+	if nBlocks < 0 || nBlocks > maxBatchLen {
+		return 0, m, fmt.Errorf("realenv: bad block count %d", nBlocks)
 	}
 	// Pass 1: the contiguous descriptor table. A corrupt header must not
 	// demand unbounded allocation, so descriptors are validated (and the
 	// aggregate payload capped) before any payload byte is read.
-	lens := make([]int64, 0, nBlocks)
+	lens := fr.lens[:0]
 	var frameData int64
-	for i := int64(0); i < nBlocks; i++ {
-		var rank, step, seq, offset, bytes, onDisk, enc, dataLen int64
-		for _, dst := range []*int64{&rank, &step, &seq, &offset, &bytes, &onDisk, &enc, &dataLen} {
-			if *dst, err = i64(); err != nil {
-				return 0, m, err
+	for left := int(nBlocks); left > 0; {
+		rows := min(left, tableChunk/blockDescLen)
+		table, err := fr.fill(rows * blockDescLen)
+		if err != nil {
+			return 0, m, err
+		}
+		if m.Blocks == nil {
+			m.Blocks = make([]*block.Block, 0, rows)
+		}
+		for ; len(table) > 0; table = table[blockDescLen:] {
+			enc, dataLen := i64At(table, 6), i64At(table, 7)
+			if dataLen < 0 || dataLen > maxFrameLen {
+				return 0, m, fmt.Errorf("realenv: bad block data length %d", dataLen)
 			}
+			if frameData += dataLen; frameData > maxFrameLen {
+				return 0, m, fmt.Errorf("realenv: frame payload exceeds %d bytes", int64(maxFrameLen))
+			}
+			if enc < 0 || enc > 255 {
+				return 0, m, fmt.Errorf("realenv: bad block encoding %d", enc)
+			}
+			blk := &block.Block{
+				ID:     block.ID{Rank: int(i64At(table, 0)), Step: int(i64At(table, 1)), Seq: int(i64At(table, 2))},
+				Offset: i64At(table, 3),
+				Bytes:  i64At(table, 4),
+				OnDisk: i64At(table, 5) == 1,
+				Enc:    uint8(enc),
+			}
+			if blk.Enc != 0 {
+				blk.EncBytes = dataLen
+			}
+			m.Blocks = append(m.Blocks, blk)
+			lens = append(lens, dataLen)
 		}
-		if dataLen < 0 || dataLen > maxFrameLen {
-			return 0, m, fmt.Errorf("realenv: bad block data length %d", dataLen)
-		}
-		if frameData += dataLen; frameData > maxFrameLen {
-			return 0, m, fmt.Errorf("realenv: frame payload exceeds %d bytes", int64(maxFrameLen))
-		}
-		if enc < 0 || enc > 255 {
-			return 0, m, fmt.Errorf("realenv: bad block encoding %d", enc)
-		}
-		blk := &block.Block{
-			ID:     block.ID{Rank: int(rank), Step: int(step), Seq: int(seq)},
-			Offset: offset,
-			Bytes:  bytes,
-			OnDisk: onDisk == 1,
-			Enc:    uint8(enc),
-		}
-		if blk.Enc != 0 {
-			blk.EncBytes = dataLen
-		}
-		m.Blocks = append(m.Blocks, blk)
-		lens = append(lens, dataLen)
+		left -= rows
 	}
+	fr.lens = lens // keep the grown scratch for the next frame
 	// Pass 2: the concatenated payloads, in descriptor order.
 	for i, blk := range m.Blocks {
 		if lens[i] == 0 {
@@ -596,7 +617,7 @@ func readFrame(r io.Reader) (int, rt.Message, error) {
 		}
 		// Pooled payload: the consumer releases it after analysis, so
 		// steady-state TCP receive allocates nothing for data.
-		if blk.Data, err = readPayload(r, lens[i]); err != nil {
+		if blk.Data, err = readPayload(fr.r, lens[i]); err != nil {
 			return 0, m, err
 		}
 	}
