@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test test-repeat test-full fuzz-smoke bench-smoke bench-batching bench-staging bench-adaptive bench-elastic bench-placement bench-failover bench-wire bench-control bench-ring
+.PHONY: ci fmt vet build test test-repeat test-cpus test-full fuzz-smoke bench-smoke bench-batching bench-staging bench-adaptive bench-elastic bench-placement bench-failover bench-wire bench-control bench-ring
 
 ci: fmt vet build test
 
@@ -20,9 +20,15 @@ build:
 # Fast lane: paper-figure reproductions are skipped (testing.Short); the
 # Preserve tests that share a block with the application run 20 times and
 # the tests of test-repeat 10 times.
-test: test-repeat
+test: test-repeat test-cpus
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=20 -run 'TestJobPreserve|TestJobStagingPreserve' .
+
+# The handover under one, two and four scheduler threads: with one the
+# application and the runtime threads take turns, with more they overlap, and
+# the message path has to be right (and was measured) in both regimes.
+test-cpus:
+	$(GO) test -short -cpu 1,2,4 -run 'TestTrickle|TestOpenBatch|TestClaim|TestStealSeesOpenBatch|TestJobDirectCycleAllocs|TestBatched' ./internal/core .
 
 # The tests worth repeating under the race detector, in one place for `make
 # test` and the CI step alike: the send window of a ring lane and of a TCP
@@ -31,7 +37,10 @@ test: test-repeat
 # platforms, the two error paths), the stager's arbiter and by-reference
 # journal (the regimes, a kill at every state a record can be in, the rotten
 # log, the failed append, log space reclaimed while the stream runs), both
-# encode-failure paths, and the codec's word-wide kernels.
+# encode-failure paths, the codec's word-wide kernels, and the handover
+# (Write's lock-free ring, Read's claim, the recycled headers: the lone
+# block, both buffer bounds, the steal, the Stats lag, the stale Release,
+# Job.Err).
 REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCPWindowParksSender \
 	TestTCPWindowOnePingPong TestJobTCPWindowBoundsInFlight TestPayloadCycleDoesNotAllocate \
 	TestGaugeWritesDoNotAllocate TestJobDirectCycleAllocs TestJobTCPCompressDecodeAllocs \
@@ -42,7 +51,10 @@ REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCP
 	TestOverflowAppendFailure TestKillDuringOverflowAppend TestKillWithResidentAndLoggedRecords \
 	TestKillBetweenSendAndDeliver TestKillReplay TestCorruptSegmentDeclaredLost \
 	TestJournalKeepsOnlyUndelivered TestFaultJournalSegmentsReclaimed TestFaultJobCrashWhileOverflowing \
-	TestZipperFaultKillEverySweep TestLZOverlapOffsets TestLZMatchLenTiers TestLZDoesNotAllocate
+	TestZipperFaultKillEverySweep TestLZOverlapOffsets TestLZMatchLenTiers TestLZDoesNotAllocate \
+	TestTrickleWriteIsDelivered TestOpenBatchCountsAgainstBuffer TestClaimKeepsOccupancyBound \
+	TestStealSeesOpenBatch TestStatsLagBounded TestReleaseTwiceAfterHeaderReuse \
+	TestJobErrReportsSenderEncodeFailure TestLevelDebit
 REPEAT_PKGS = ./internal/rt/realenv ./internal/block ./internal/flow ./internal/core ./internal/staging \
 	./internal/reduce ./internal/workflow .
 empty :=

@@ -8,6 +8,8 @@
 package zipper_test
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -527,6 +529,62 @@ func BenchmarkRealJobThroughput(b *testing.B) {
 	p.Close()
 	<-done
 	job.Wait()
+}
+
+// BenchmarkMessagePath is the shape of bench's insitu-flood workload — two
+// producers into one consumer, 4 KiB pooled blocks, BufferBlocks 64, Window 4,
+// MaxBatchBlocks 8, no stealing — with nothing but Write, Read and Release in
+// the loop: what one block costs the message path end to end (ns/block) and
+// what it costs the allocator (allocs/block, zero once the job is warm). b.N
+// counts blocks.
+func BenchmarkMessagePath(b *testing.B) {
+	const (
+		producers  = 2
+		blockBytes = 4 << 10
+	)
+	job, err := zipper.NewJob(zipper.Config{Producers: producers, Consumers: 1, SpoolDir: b.TempDir(),
+		BufferBlocks: 64, Window: 4, MaxBatchBlocks: 8, DisableSteal: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.SetBytes(blockBytes)
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for rank := 0; rank < producers; rank++ {
+		n := b.N / producers
+		if rank == 0 {
+			n += b.N % producers
+		}
+		wg.Add(1)
+		go func(p *zipper.Producer, n int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				data := zipper.NewPayload(blockBytes)
+				data[0] = byte(i)
+				p.Write(i/4096, int64(i)*blockBytes, data)
+			}
+			p.Close()
+		}(job.Producer(rank), n)
+	}
+	read := 0
+	for c := job.Consumer(0); ; read++ {
+		blk, ok := c.Read()
+		if !ok {
+			break
+		}
+		blk.Release()
+	}
+	wg.Wait()
+	job.Wait()
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	if read != b.N || job.Err() != nil {
+		b.Fatalf("read %d of %d blocks, err %v", read, b.N, job.Err())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "allocs/block")
 }
 
 func byteSize(n int64) string {

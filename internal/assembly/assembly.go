@@ -21,6 +21,7 @@ package assembly
 import (
 	"fmt"
 
+	"zipper/internal/block"
 	"zipper/internal/control"
 	"zipper/internal/core"
 	"zipper/internal/elastic"
@@ -147,6 +148,7 @@ func Assemble(c rt.Ctx, pf Platform, spec Spec) (*Assembly, error) {
 		return nil, err
 	}
 	cfg := spec.Core
+	cfg.Recycler = block.NewRecycler(cfg.MaxBatchBlocks)
 	a := &Assembly{Tier: tier}
 	a.Consumers = startConsumers(pf, spec, &cfg, store, 0)
 	fixed := 0
@@ -188,6 +190,7 @@ func NewTier(c rt.Ctx, pf Platform, spec Spec) (*Tier, error) {
 // backlog never shows in this job's routing signals.
 func (t *Tier) Join(pf Platform, spec Spec, store rt.BlockStore, consBase, rankBase int, tenant *control.Tenant) *Endpoints {
 	cfg := spec.Core
+	cfg.Recycler = block.NewRecycler(cfg.MaxBatchBlocks)
 	if cfg.RoutePolicy != core.RouteDirect {
 		tid := tenant.ID()
 		cfg.Directory = tenant.Directory()

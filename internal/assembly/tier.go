@@ -229,8 +229,8 @@ func (t *Tier) Instances() []Instance {
 }
 
 // Spawn implements elastic.Host.
-func (t *Tier) Spawn(c rt.Ctx, slot int) (*flow.StagerFlows, error) {
-	return t.spawn(c, slot).St.Flows(), nil
+func (t *Tier) Spawn(c rt.Ctx, slot int) *flow.StagerFlows {
+	return t.spawn(c, slot).St.Flows()
 }
 
 // Retire implements elastic.Host: the Retire control message, which the

@@ -45,6 +45,10 @@ type Block struct {
 	// mode EncBytes == int64(len(Data)); in simulation mode Data stays nil
 	// and EncBytes carries the modeled reduced size.
 	EncBytes int64
+
+	// gen counts how many times the header has been retired for reuse (see
+	// Recycler); accessed atomically.
+	gen uint32
 }
 
 // WireBytes reports the bytes this block occupies on the wire: the encoded

@@ -329,7 +329,7 @@ func TestReleaseBlockDefersUntilStored(t *testing.T) {
 				t.Fatalf("step %d payload corrupted before release: %d", step, v)
 			}
 		}
-		cons.ReleaseBlock(c, b)
+		cons.ReleaseBlock(c, b, b.Gen())
 		// Churn the pool so a premature release would get overwritten.
 		scratch := block.GetPayload(512)
 		for i := range scratch {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"zipper/internal/block"
@@ -72,9 +73,37 @@ type Consumer struct {
 	// yet freed, which in Preserve mode can be fewer than the queue holds (a
 	// freed entry waits behind an older one the output thread still owes).
 	q         entryQueue
-	next      uint64 // position of the first entry Read has not returned
+	next      uint64 // position of the first entry Read has not claimed
 	store     uint64 // output thread's cursor: nothing unstored lies before it
 	occupancy int
+
+	// The claim. Read takes up to half the buffer's blocks per visit to lk
+	// and returns them one by one without it (Read is one goroutine's, see
+	// Read). A claimed block stays in the buffer — it counts against
+	// occupancy and the entry keeps its place — until Read has returned it:
+	// the application publishes how many it has returned in handed, and
+	// whoever next holds lk and has to know (an insert that finds the buffer
+	// full, the output thread, Stats, the application's own next visit)
+	// settles the entries up to there, so the buffer every decision reads is
+	// the one a lock per Read would have left. A thread that parks for space
+	// raises spaceWanted first; the application looks at it after every
+	// block and comes in to settle and wake.
+	claim       []*block.Block // the application's: the blocks of the current claim
+	taken       int            // the application's: how many of them Read has returned
+	claimAt     uint64         // under lk: queue position of claim[0]
+	settled     int            // under lk: how many of the claim are marked analyzed
+	handed      atomic.Int64   // taken, published
+	spaceWanted atomic.Bool    // a thread is parked on space (set and cleared under lk)
+	// announce: what the threads that insert owe the ones that wait, paid
+	// once per message (and before any wait for space) instead of per block.
+	newAvail, newStore bool
+
+	// rec is the job's free list (Config.Recycler) or the consumer's own;
+	// spent collects the headers of released blocks until they fill a batch.
+	// Both are the application's in NoPreserve mode and under lk in Preserve
+	// mode, where the output thread releases too.
+	rec   *block.Recycler
+	spent []*block.Block
 	// clock is the latest platform time any of the module's threads read,
 	// kept under lk. A Read that finds a block waiting stamps its gauges
 	// with it instead of reading the clock: a gauge stamp only has to land
@@ -120,7 +149,12 @@ func NewConsumer(env rt.Env, cfg Config, id int, producers int, in rt.Inbox, fs 
 		panic("core: consumer needs at least one producer")
 	}
 	c := &Consumer{env: env, cfg: cfg, id: id, in: in, fs: fs, finsExpected: producers,
-		dec: reduce.NewDecoder()}
+		dec: reduce.NewDecoder(), rec: cfg.Recycler}
+	if c.rec == nil {
+		c.rec = block.NewRecycler(cfg.MaxBatchBlocks)
+	}
+	c.spent = c.rec.Slice()
+	c.claim = make([]*block.Block, 0, max(1, cfg.ConsumerBufferBlocks/2))
 	c.fl.Queue.SetCapacity(cfg.ConsumerBufferBlocks)
 	c.lk = env.NewLock(fmt.Sprintf("zcons.%d", id))
 	c.avail = c.lk.NewCond(fmt.Sprintf("zcons.%d.avail", id))
@@ -149,9 +183,43 @@ func (c *Consumer) traceName(thread string) string {
 // analyzed. ok=false means the stream is complete (or failed; check Err).
 // Blocks are delivered in arrival order, which may interleave steps and
 // producers — each block carries its identity, so the analysis can place it.
+//
+// Read, ReleaseBlock and the blocks they pass belong to one goroutine. That
+// is what lets Read claim several blocks per visit to the consumer lock and
+// hand the rest out without it.
 func (c *Consumer) Read(x rt.Ctx) (*block.Block, bool) {
+	if c.taken == len(c.claim) {
+		return c.claimMore(x)
+	}
+	b := c.claim[c.taken]
+	c.handOut()
+	if c.spaceWanted.Load() {
+		// Someone is waiting for the room this block just left.
+		c.lk.Lock(x)
+		c.settleLocked(c.clock)
+		c.lk.Unlock(x)
+	}
+	return b, true
+}
+
+// handOut publishes that Read is returning the next block of the claim. In
+// NoPreserve mode that block is thereby gone from the buffer, whenever that
+// is settled, so the occupancy gauge's readers are told at once.
+func (c *Consumer) handOut() {
+	c.taken++
+	c.handed.Store(int64(c.taken))
+	if c.cfg.Mode == NoPreserve {
+		c.fl.Queue.Debit(1)
+	}
+}
+
+// claimMore settles the claim Read has used up, waits for the next one — up
+// to cap(claim) of the blocks that have arrived — and returns its first
+// block. ok=false when no more can arrive (end of stream, or failure).
+func (c *Consumer) claimMore(x rt.Ctx) (*block.Block, bool) {
 	c.lk.Lock(x)
 	now := c.clock
+	c.settleLocked(now)
 	if c.next == c.q.tail {
 		stallStart := x.Now()
 		now = stallStart
@@ -174,16 +242,18 @@ func (c *Consumer) Read(x rt.Ctx) (*block.Block, bool) {
 			}
 		}
 	}
-	e := c.q.at(c.next)
-	c.next++
-	e.analyzed = true
-	b := e.b
-	c.fl.Analyzed.Add(now, 1)
-	if e.stored {
-		c.freeLocked(now)
+	n := min(int(c.q.tail-c.next), cap(c.claim))
+	c.claim = c.claim[:0]
+	for i := 0; i < n; i++ {
+		c.claim = append(c.claim, c.q.at(c.next+uint64(i)).b)
 	}
+	c.claimAt, c.settled = c.next, 0
+	c.next += uint64(n)
+	c.taken = 0
+	c.handOut()
+	c.settleLocked(now)
 	c.lk.Unlock(x)
-	return b, true
+	return c.claim[0], true
 }
 
 // drainedLocked reports whether no more analyzable blocks can appear.
@@ -191,29 +261,79 @@ func (c *Consumer) drainedLocked() bool {
 	return c.recvDone && c.readerDone && c.next == c.q.tail
 }
 
-// freeLocked accounts for one entry that just completed its lifecycle
-// (analyzed and stored) and vacates every freed entry at the queue head.
-func (c *Consumer) freeLocked(now time.Duration) {
+// settleLocked brings the buffer up to date with the blocks Read has returned
+// since lk was last held: each is marked analyzed and, if it is stored too,
+// leaves the buffer.
+func (c *Consumer) settleLocked(now time.Duration) {
+	handed := int(c.handed.Load())
+	if handed == c.settled {
+		return
+	}
+	c.fl.Analyzed.Add(now, int64(handed-c.settled))
+	freed := 0
+	for ; c.settled < handed; c.settled++ {
+		e := c.q.at(c.claimAt + uint64(c.settled))
+		e.analyzed = true
+		if e.stored {
+			freed++
+		}
+	}
+	if freed > 0 {
+		debited := 0
+		if c.cfg.Mode == NoPreserve {
+			debited = freed // Read debited the gauge for each as it returned it
+		}
+		c.freeLocked(now, freed, debited)
+	}
+}
+
+// freeLocked accounts for n entries that just completed their lifecycle
+// (analyzed and stored), debited of them already taken off the occupancy
+// gauge by Read, and vacates every freed entry at the queue head.
+func (c *Consumer) freeLocked(now time.Duration, n, debited int) {
 	for c.q.head != c.q.tail && c.q.at(c.q.head).freed() {
 		c.q.at(c.q.head).b = nil
 		c.q.head++
 	}
-	c.occupancy--
-	c.fl.Queue.Set(now, c.occupancy)
+	c.occupancy -= n
+	c.fl.Queue.SetAbsorbing(now, c.occupancy, debited)
+	c.spaceWanted.Store(false)
 	c.space.Broadcast()
 }
 
+// announceLocked pays what the inserts since the last call owe: the occupancy
+// gauge, the application if blocks became available, the output thread if
+// any of them is unstored. The threads that insert call it before they let go
+// of lk — to wait for space, or for good.
+func (c *Consumer) announceLocked(now time.Duration) {
+	if c.newAvail {
+		c.newAvail = false
+		c.fl.Queue.Set(now, c.occupancy)
+		c.avail.Signal()
+	}
+	if c.newStore {
+		c.newStore = false
+		c.storeWork.Signal()
+	}
+}
+
 // insertLocked waits for buffer space and appends a new entry, returning the
-// clock (now, re-read if it had to wait). Once the consumer has failed
-// (c.err set) space may never free again — the output thread is gone and
-// analyzed-but-unstored entries occupy the buffer forever — so the wait
-// gives up and the entry is appended over capacity: the stream is already
-// lost, but the receiver must keep draining so Wait and the producers' Fins
-// can complete.
+// clock (now, re-read if it had to wait); the caller announces. Once the
+// consumer has failed (c.err set) space may never free again — the output
+// thread is gone and analyzed-but-unstored entries occupy the buffer forever
+// — so the wait gives up and the entry is appended over capacity: the stream
+// is already lost, but the receiver must keep draining so Wait and the
+// producers' Fins can complete.
 func (c *Consumer) insertLocked(x rt.Ctx, now time.Duration, b *block.Block) time.Duration {
-	if c.occupancy >= c.cfg.ConsumerBufferBlocks && c.err == nil {
-		for c.occupancy >= c.cfg.ConsumerBufferBlocks && c.err == nil {
-			c.space.Wait(x)
+	if c.fullLocked(now) {
+		c.announceLocked(now)
+		for c.fullLocked(now) {
+			// Flag first, then look again: a Read that published after the
+			// look above and before the flag went up saw no one to wake.
+			c.spaceWanted.Store(true)
+			if int(c.handed.Load()) == c.settled {
+				c.space.Wait(x)
+			}
 		}
 		now = x.Now()
 		c.clock = max(c.clock, now)
@@ -221,38 +341,66 @@ func (c *Consumer) insertLocked(x rt.Ctx, now time.Duration, b *block.Block) tim
 	stored := b.OnDisk || c.cfg.Mode == NoPreserve
 	c.q.push(entry{b: b, stored: stored})
 	c.occupancy++
-	c.fl.Queue.Set(now, c.occupancy)
-	c.avail.Signal()
+	c.newAvail = true
 	if !stored {
-		c.storeWork.Signal()
+		c.newStore = true
 	}
 	return now
 }
 
-// ReleaseBlock hands b's payload back for recycling once the runtime is done
-// with it. In NoPreserve mode the buffer let go of the block when Read
-// returned it, so the payload goes back to the pool immediately, with no
-// lock taken; while the Preserve-mode output thread still needs the bytes,
-// the release is deferred and happens right after the store completes. Call
-// it from the analysis application when it has finished with a block
-// obtained from Read; releasing a block whose payload the caller still reads
+// fullLocked reports whether an insert has to wait, after settling what the
+// application has returned since lk was last held.
+func (c *Consumer) fullLocked(now time.Duration) bool {
+	if c.occupancy >= c.cfg.ConsumerBufferBlocks {
+		c.settleLocked(now)
+	}
+	return c.occupancy >= c.cfg.ConsumerBufferBlocks && c.err == nil
+}
+
+// ReleaseBlock hands b back once the analysis is done with it: the payload
+// goes to the payload pool and the header to the job's free list. gen is the
+// header's generation when Read returned it (b.Gen()): a release that comes
+// after the header has moved on — a second one, or one through a copy of the
+// handle — finds another generation and does nothing. In NoPreserve mode the
+// buffer let go of the block when Read returned it, so all of this happens at
+// once, with no lock taken; while the Preserve-mode output thread still needs
+// the bytes the release is deferred, and happens right after the store
+// completes. Call it from the goroutine that calls Read, when it has finished
+// with a block; releasing a block whose payload the caller still reads
 // corrupts the stream.
-func (c *Consumer) ReleaseBlock(x rt.Ctx, b *block.Block) {
+func (c *Consumer) ReleaseBlock(x rt.Ctx, b *block.Block, gen uint32) {
 	if b == nil {
 		return
 	}
-	if c.cfg.Mode == Preserve {
-		c.lk.Lock(x)
-		for pos := c.q.head; pos != c.next; pos++ {
-			if e := c.q.at(pos); e.b == b && !e.stored {
-				e.release = true // output thread releases after storing
-				c.lk.Unlock(x)
-				return
-			}
+	if c.cfg.Mode == NoPreserve {
+		if b.Gen() == gen {
+			c.recycle(b)
 		}
-		c.lk.Unlock(x)
+		return
 	}
+	c.lk.Lock(x)
+	defer c.lk.Unlock(x)
+	if b.Gen() != gen {
+		return
+	}
+	for pos := c.q.head; pos != c.next; pos++ {
+		if e := c.q.at(pos); e.b == b && !e.stored {
+			e.release = true // output thread releases after storing
+			return
+		}
+	}
+	c.recycle(b)
+}
+
+// recycle releases b's payload, retires its header and hands headers in a
+// batch at a time.
+func (c *Consumer) recycle(b *block.Block) {
 	b.Release()
+	b.Retire()
+	c.spent = append(c.spent, b)
+	if len(c.spent) == cap(c.spent) {
+		c.spent = c.rec.PutHeaders(c.spent)
+	}
 }
 
 // Err reports a runtime failure (for example, an unreadable spilled block).
@@ -309,7 +457,9 @@ func (c *Consumer) snapshot(now time.Duration, live bool) ConsumerStats {
 // totals.
 func (c *Consumer) Stats(x rt.Ctx) ConsumerStats {
 	c.lk.Lock(x)
-	s := c.snapshot(x.Now(), true)
+	now := x.Now()
+	c.settleLocked(now)
+	s := c.snapshot(now, true)
 	c.lk.Unlock(x)
 	return s
 }
@@ -375,7 +525,10 @@ func (c *Consumer) receiverThread(x rt.Ctx) {
 		for _, b := range m.Blocks {
 			now = c.insertLocked(x, now, b)
 		}
+		c.announceLocked(now)
 		c.fl.Received.Add(now, int64(len(m.Blocks)))
+		// The blocks are in the buffer; the slice that listed them is spent.
+		c.rec.PutSlice(m.Blocks)
 		c.seenLost += m.Lost
 		if m.Fin {
 			c.finsGot++
@@ -438,7 +591,7 @@ func (c *Consumer) readerThread(x rt.Ctx) {
 			break
 		}
 		c.fl.Read.Add(now, 1)
-		c.insertLocked(x, now, b)
+		c.announceLocked(c.insertLocked(x, now, b))
 	}
 	c.readerDone = true
 	c.finished = x.Now()
@@ -483,15 +636,16 @@ func (c *Consumer) outputThread(x rt.Ctx) {
 			c.err = fmt.Errorf("core: preserving block %v: %w", b.ID, err)
 			break
 		}
+		c.settleLocked(now) // whether the block is analyzed decides what follows
 		// An unstored entry is never freed, so the cursor still names it.
 		target := c.q.at(c.store)
 		target.stored = true
 		c.fl.Stored.Add(now, 1)
 		if target.release {
-			b.Release()
+			c.recycle(b)
 		}
 		if target.analyzed {
-			c.freeLocked(now)
+			c.freeLocked(now, 1, 0)
 		}
 	}
 	c.outputDone = true

@@ -21,15 +21,28 @@
 // become available. A block is freed only once it has been analyzed and —
 // in Preserve mode — stored.
 //
+// The message path costs one synchronisation per batch at every hop. Write
+// fills the producer buffer, a ring, without the producer lock (it takes it to
+// wait for room, and to wake a runtime thread it finds parked); the sender
+// visits the lock once per message; the receiver inserts a message's blocks
+// under one hold of the consumer lock and wakes Read once; Read claims several
+// blocks per visit and hands them out without the lock, publishing how many it
+// has returned so that any thread that needs the buffer's exact state can
+// settle it. Block headers and message slices go round a job-local free list
+// (block.Recycler). All of it leans on Write/Close belonging to one goroutine
+// and Read/ReleaseBlock to one.
+//
 // The runtime is written against the rt platform interfaces and runs
 // unchanged on the real machine (realenv) and inside the discrete-event
-// simulator (simenv).
+// simulator (simenv) — the same Write and Read, with every wake-up at the
+// instant a lock per block would have produced it.
 package core
 
 import (
 	"fmt"
 	"time"
 
+	"zipper/internal/block"
 	"zipper/internal/flow"
 	"zipper/internal/place"
 	"zipper/internal/reduce"
@@ -195,6 +208,13 @@ type Config struct {
 	// The pipeline encodes in place and joins before the send, so batch
 	// order, per-stream run order, and wire bytes are identical to inline.
 	ReducePipeline *reduce.Pipeline
+	// Recycler, when non-nil, is the job's free list of block headers and
+	// message slices: the consumers hand in what their applications release
+	// and what their receivers have emptied, the producers build the next
+	// blocks and messages from it, so the in-process path allocates nothing
+	// per block once it is warm. Endpoints built without one recycle within
+	// themselves only, which for a producer means allocating in batches.
+	Recycler *block.Recycler
 	// DisableSteal turns the writer thread off, yielding the
 	// message-passing-only baseline of §6.2, whatever the router would elect.
 	DisableSteal bool

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"sync/atomic"
 	"time"
 
 	"zipper/internal/block"
@@ -25,7 +27,7 @@ type Producer struct {
 	// enc reduces relayed payloads at the sender (nil when reduction is off
 	// or deferred to the stager's pressure gate). Owned by the sender
 	// thread, which is what gives the Delta operator its in-order stream.
-	enc blockEncoder
+	enc BlockEncoder
 
 	// Per-destination delivery totals, maintained by the sender thread when
 	// a ConsumerDirectory resolves the consumer per batch: each consumer's
@@ -35,28 +37,53 @@ type Producer struct {
 	destBlocks map[int]int64
 	destDisk   map[int]int64
 
+	// rec is where headers and message slices come from and go back to:
+	// the job's (Config.Recycler), or one of the producer's own.
+	rec *block.Recycler
+
 	lk       rt.Lock
-	notEmpty rt.Cond // buffer or disk-ID list gained content, or state change
-	notFull  rt.Cond // buffer lost a block
-	aboveHW  rt.Cond // buffer rose above the high-water mark
+	notEmpty rt.Cond // the sender's: buffer or disk-ID list gained content, or state change
+	notFull  rt.Cond // the application's: the buffer lost a block
+	aboveHW  rt.Cond // the writer's: the buffer rose above the high-water mark
 	done     rt.Cond // a runtime thread exited
 
-	buf        []*block.Block
+	// The producer buffer is a ring the application fills without taking lk:
+	// it writes the slot at tail and then publishes tail, so the buffer every
+	// decision reads — whether Write blocks, what the sender drains, whether
+	// the writer steals — is [head, tail) at the instant of the decision.
+	// Only the application stores tail; head moves under lk (the sender and
+	// the writer thread both take from it). len(ring) is a power of two
+	// above BufferBlocks: the one block a failed steal puts back fits.
+	ring []*block.Block
+	tail atomic.Uint64
+	_    [56]byte // the application stores tail per block: keep it off head's line
+	head atomic.Uint64
+	// senderIdle and writerIdle say the thread is parked on its condition
+	// (set and cleared under lk). The application reads them after publishing
+	// tail and takes lk only to wake a parked thread; a thread parks only
+	// after re-reading tail with its flag up, so one of the two always sees
+	// the other.
+	senderIdle atomic.Bool
+	writerIdle atomic.Bool
+	_          [48]byte
+
+	// app is the application's side of Write: touched by the goroutine that
+	// calls Write and Close and by nothing else.
+	app struct {
+		head    uint64         // head as last read: at most the one block a failed steal put back ahead of it
+		pending int64          // blocks written since Written last heard
+		stock   []*block.Block // headers to build the next blocks in
+		closed  bool
+	}
+
 	diskIDs    []rt.DiskRef // spilled but not yet announced to the consumer
-	seq        int          // next block sequence number
+	seq        int          // next block sequence number (the application's)
 	closed     bool
 	senderDone bool
 	writerDone bool
 	err        error // the first relayed batch the operator could not encode
 	finished   time.Duration
-	// clock is the latest platform time any of the module's threads read,
-	// kept under lk. A Write that finds room in the buffer stamps its gauges
-	// with it instead of reading the clock: a gauge stamp only has to land
-	// in the right fold quantum (see the flow package), the sender thread
-	// refreshes clock with every message, and a Write that has to wait reads
-	// the real clock anyway, because it measures how long.
-	clock time.Duration
-	fl    flow.ProducerFlows
+	fl         flow.ProducerFlows
 
 	// arbiter is router when it also elects the disk channel and the producer
 	// has a staging tier to weigh disk against; nil leaves the writer thread
@@ -66,13 +93,22 @@ type Producer struct {
 	poolEmpty bool
 }
 
-// blockEncoder is what the sender thread needs of a reduce.Encoder (a test
+// BlockEncoder is what the sender thread needs of a reduce.Encoder (a test
 // substitutes one that fails), the same two methods a stager's forwarder
 // asks for. A block EncodeBlock returns an error for must be left as it was,
 // so it can still be sent unreduced.
-type blockEncoder interface {
+type BlockEncoder interface {
 	EncodeBlock(b *block.Block) error
 	Stateless() bool
+}
+
+// SetEncoder replaces the operator the sender thread reduces relayed batches
+// with. Call it before the first Write: the sender reads the operator only
+// once it holds a batch, which takes the producer lock after this.
+func (p *Producer) SetEncoder(c rt.Ctx, enc BlockEncoder) {
+	p.lk.Lock(c)
+	p.enc = enc
+	p.lk.Unlock(c)
 }
 
 // NewProducer builds the runtime module for one producer rank feeding
@@ -93,7 +129,11 @@ func NewStagedProducer(env rt.Env, cfg Config, rank, to, stager int, tr rt.Trans
 	if stager < 0 {
 		stager = NoStager
 	}
-	p := &Producer{env: env, cfg: cfg, rank: rank, to: to, stager: stager, tr: tr, fs: fs}
+	p := &Producer{env: env, cfg: cfg, rank: rank, to: to, stager: stager, tr: tr, fs: fs, rec: cfg.Recycler}
+	if p.rec == nil {
+		p.rec = block.NewRecycler(cfg.MaxBatchBlocks)
+	}
+	p.ring = make([]*block.Block, 1<<bits.Len(uint(cfg.BufferBlocks)))
 	p.router = cfg.router()
 	if stager != NoStager || cfg.Directory != nil {
 		p.arbiter, _ = p.router.(flow.DiskArbiter)
@@ -134,31 +174,104 @@ func (p *Producer) traceName(thread string) string {
 // with stealing enabled the writer thread relieves that condition through the
 // file-system path, whenever the buffer is above HighWater and, if the router
 // arbitrates disk, for as long as it elects it.
+//
+// Write and Close belong to one goroutine, and that is what makes the common
+// case cheap: the block goes into the ring with one atomic store and no lock.
+// The application takes lk only to wait for room, and to wake the sender or
+// the writer thread when it finds one parked — so a block written into an idle
+// runtime leaves at once, and one written behind a busy sender leaves with
+// that sender's next batch.
 func (p *Producer) Write(c rt.Ctx, step int, offset int64, data []byte, bytes int64) {
 	if data != nil && int64(len(data)) != bytes {
 		panic(fmt.Sprintf("core: Write bytes %d != len(data) %d", bytes, len(data)))
 	}
 	p.env.CopyDelay(c, bytes)
-	p.lk.Lock(c)
-	if p.closed {
-		p.lk.Unlock(c)
+	a := &p.app
+	if a.closed {
 		panic("core: Write after Close")
 	}
-	b := &block.Block{
-		ID:     block.ID{Rank: p.rank, Step: step, Seq: p.seq},
-		Offset: offset,
-		Bytes:  bytes,
-		Data:   data,
+	tail := p.tail.Load() // the application's own last store
+	if tail-a.head >= uint64(p.cfg.BufferBlocks) {
+		// Out of known room: see how far the runtime has come since.
+		if a.head = p.head.Load(); tail-a.head >= uint64(p.cfg.BufferBlocks) {
+			p.waitRoom(c, tail)
+		}
 	}
+	if len(a.stock) == 0 {
+		a.stock = p.rec.Headers(a.stock)
+	}
+	b := a.stock[len(a.stock)-1]
+	a.stock[len(a.stock)-1] = nil
+	a.stock = a.stock[:len(a.stock)-1]
+	// Field by field: the header's generation survives its reuse.
+	b.ID = block.ID{Rank: p.rank, Step: step, Seq: p.seq}
+	b.Offset, b.Bytes, b.Data = offset, bytes, data
+	b.OnDisk, b.Enc, b.EncBytes = false, 0, 0
 	p.seq++
-	now := p.clock
-	if len(p.buf) >= p.cfg.BufferBlocks {
+	p.ring[tail&uint64(len(p.ring)-1)] = b
+	tail++
+	p.tail.Store(tail)
+	a.pending++
+
+	wakeSender := p.senderIdle.Load()
+	wakeWriter := p.writerIdle.Load() && tail-p.head.Load() > uint64(p.cfg.HighWater)
+	if wakeSender || wakeWriter {
+		p.lk.Lock(c)
+		p.flushWritten(c.Now())
+		p.wakeSenderLocked()
+		if wakeWriter {
+			p.wakeWriterLocked()
+		}
+		p.lk.Unlock(c)
+	} else if a.pending >= int64(p.cfg.MaxBatchBlocks) {
+		p.flushWritten(c.Now())
+	}
+}
+
+// wakeSenderLocked signals the sender if it is parked. The flag comes down
+// with the signal, not when the thread gets to run again, so the Writes in
+// between do not queue on lk behind a thread that is already on its way.
+func (p *Producer) wakeSenderLocked() {
+	if p.senderIdle.Load() {
+		p.senderIdle.Store(false)
+		p.notEmpty.Signal()
+	}
+}
+
+// wakeWriterLocked is wakeSenderLocked for the writer thread.
+func (p *Producer) wakeWriterLocked() {
+	if p.writerIdle.Load() {
+		p.writerIdle.Store(false)
+		p.aboveHW.Signal()
+	}
+}
+
+// flushWritten tells the Written gauge about the blocks written since it last
+// heard: once per batch rather than once per block, so a live BlocksWritten
+// trails the application by less than MaxBatchBlocks. The application's.
+func (p *Producer) flushWritten(now time.Duration) {
+	if a := &p.app; a.pending > 0 {
+		p.fl.Written.Add(now, a.pending)
+		a.pending = 0
+	}
+}
+
+// waitRoom parks the application until the buffer has room for one more
+// block, and accounts the stall.
+func (p *Producer) waitRoom(c rt.Ctx, tail uint64) {
+	a := &p.app
+	full := func() bool {
+		a.head = p.head.Load()
+		return tail-a.head >= uint64(p.cfg.BufferBlocks)
+	}
+	p.lk.Lock(c)
+	if full() {
 		stallStart := c.Now()
-		for len(p.buf) >= p.cfg.BufferBlocks {
+		p.flushWritten(stallStart)
+		for full() {
 			p.notFull.Wait(c)
 		}
-		now = c.Now()
-		p.clock = max(p.clock, now)
+		now := c.Now()
 		if stall := now - stallStart; stall > 0 {
 			p.fl.WriteStall.AddDur(now, stall)
 			p.router.ObserveStall(now, stall)
@@ -167,12 +280,6 @@ func (p *Producer) Write(c rt.Ctx, step int, offset int64, data []byte, bytes in
 			}
 		}
 	}
-	p.buf = append(p.buf, b)
-	p.fl.Written.Add(now, 1)
-	p.notEmpty.Signal()
-	if len(p.buf) > p.cfg.HighWater {
-		p.aboveHW.Signal()
-	}
 	p.lk.Unlock(c)
 }
 
@@ -180,10 +287,12 @@ func (p *Producer) Write(c rt.Ctx, step int, offset int64, data []byte, bytes in
 // drains the buffer and announces end-of-stream to the consumer; Close does
 // not wait for that — use Wait.
 func (p *Producer) Close(c rt.Ctx) {
+	p.app.closed = true
+	p.flushWritten(c.Now())
 	p.lk.Lock(c)
 	p.closed = true
-	p.notEmpty.Broadcast()
-	p.aboveHW.Broadcast()
+	p.wakeSenderLocked()
+	p.wakeWriterLocked()
 	p.lk.Unlock(c)
 }
 
@@ -253,21 +362,34 @@ func (p *Producer) Stats(c rt.Ctx) ProducerStats {
 // engine's Run returned); rates are reported as of each gauge's last event.
 func (p *Producer) FinalStats() ProducerStats { return p.snapshot(0, false) }
 
+// queuedLocked is the producer buffer's length as of the tail the caller read.
+func (p *Producer) queuedLocked(tail uint64) int { return int(tail - p.head.Load()) }
+
 // senderThread drains the producer buffer to the network in batches of up to
 // MaxBatchBlocks / MaxBatchBytes, piggybacking the IDs of spilled blocks, and
-// finally emits the Fin message.
+// finally emits the Fin message. It visits lk once per message: what a send
+// leaves to record under the lock is recorded when the next drain takes it.
 func (p *Producer) senderThread(c rt.Ctx) {
+	p.lk.Lock(c)
 	for {
-		p.lk.Lock(c)
-		for len(p.buf) == 0 && len(p.diskIDs) == 0 && !(p.closed && p.writerDone) {
-			p.notEmpty.Wait(c)
-		}
-		if len(p.buf) == 0 && len(p.diskIDs) == 0 && p.closed && p.writerDone {
-			p.lk.Unlock(c)
-			break
+		for {
+			tail := p.tail.Load()
+			if p.queuedLocked(tail) > 0 || len(p.diskIDs) > 0 || (p.closed && p.writerDone) {
+				break
+			}
+			// Flag first, then look again: a Write that published after the
+			// look above and before the flag went up saw no one to wake.
+			p.senderIdle.Store(true)
+			if p.tail.Load() == tail {
+				p.notEmpty.Wait(c)
+			}
+			p.senderIdle.Store(false)
 		}
 		blocks := p.drainBatchLocked()
 		ids := p.diskIDs
+		if blocks == nil && len(ids) == 0 {
+			break // closed, the writer gone, nothing left
+		}
 		p.diskIDs = nil
 		dest, to, route := p.routeLocked(c, len(blocks))
 		p.lk.Unlock(c)
@@ -299,6 +421,9 @@ func (p *Producer) senderThread(c rt.Ctx) {
 				encodeErr = fmt.Errorf("core: reducing relayed batch: %w", encodeErr)
 			}
 		}
+		// The message's blocks, and the slice that lists them, are the
+		// receiver's once Send returns: count first.
+		n := int64(len(blocks))
 		var payload, wire int64
 		for _, b := range blocks {
 			payload += b.Bytes
@@ -313,10 +438,15 @@ func (p *Producer) senderThread(c rt.Ctx) {
 		}
 		now := c.Now()
 		busy := now - start
-		p.router.ObserveSend(route, now, busy, len(blocks), payload)
+		p.router.ObserveSend(route, now, busy, int(n), payload)
+		if p.cfg.Recorder != nil {
+			p.cfg.Recorder.Add(p.traceName("sender"), route.String(), start, start+busy)
+		}
 
+		// The send's bookkeeping opens the critical section the next drain
+		// (or the wait for one) runs in, so Stats still sees a message's
+		// counters move together.
 		p.lk.Lock(c)
-		p.clock = max(p.clock, now)
 		if p.err == nil {
 			p.err = encodeErr
 		}
@@ -327,19 +457,16 @@ func (p *Producer) senderThread(c rt.Ctx) {
 			p.fl.SavedBytes.Add(now, saved)
 		}
 		if route == flow.Relay {
-			p.fl.Relayed.Add(now, int64(len(blocks)))
+			p.fl.Relayed.Add(now, n)
 		} else {
-			p.fl.Sent.Add(now, int64(len(blocks)))
+			p.fl.Sent.Add(now, n)
 		}
 		if p.destBlocks != nil {
-			p.destBlocks[to] += int64(len(blocks))
+			p.destBlocks[to] += n
 			p.destDisk[to] += int64(len(ids))
 		}
-		p.lk.Unlock(c)
-		if p.cfg.Recorder != nil {
-			p.cfg.Recorder.Add(p.traceName("sender"), route.String(), start, start+busy)
-		}
 	}
+	p.lk.Unlock(c)
 	// Fin carries any last spilled IDs implicitly not needed: loop ensures
 	// diskIDs is empty before exit.
 	//
@@ -388,10 +515,8 @@ func (p *Producer) sendFins(c rt.Ctx) {
 			p.tr.Send(c, q, rt.Message{From: p.rank, Dest: q, Fin: true,
 				FinBlocks: p.destBlocks[q], FinDisk: p.destDisk[q]})
 			now := c.Now()
-			p.lk.Lock(c)
 			p.fl.Messages.Add(now, 1)
 			p.fl.SendBusy.AddDur(now, now-start)
-			p.lk.Unlock(c)
 		}
 		return
 	}
@@ -405,40 +530,41 @@ func (p *Producer) sendFins(c rt.Ctx) {
 		FinBlocks: p.fl.Sent.Total() + p.fl.Relayed.Total(),
 		FinDisk:   p.fl.Stolen.Total()})
 	now := c.Now()
-	p.lk.Lock(c)
 	p.fl.Messages.Add(now, 1)
 	p.fl.SendBusy.AddDur(now, now-start)
-	p.lk.Unlock(c)
 }
 
 // drainBatchLocked removes up to MaxBatchBlocks / MaxBatchBytes blocks from
-// the head of the producer buffer. The head block is always taken so an
-// oversized block cannot wedge the sender; the byte cap applies only to
-// growing the batch past it. Returns nil when the buffer is empty (a send
-// that only announces spilled IDs).
+// the head of the producer buffer — everything the application has published
+// by now counts. The head block is always taken so an oversized block cannot
+// wedge the sender; the byte cap applies only to growing the batch past it.
+// Returns nil when the buffer is empty (a send that only announces spilled
+// IDs). The slice is the job's to recycle once the receiver has the blocks.
 func (p *Producer) drainBatchLocked() []*block.Block {
-	if len(p.buf) == 0 {
+	head := p.head.Load()
+	queued := int(p.tail.Load() - head)
+	if queued == 0 {
 		return nil
 	}
+	mask := uint64(len(p.ring) - 1)
 	n := 1
-	bytes := p.buf[0].Bytes
-	for n < len(p.buf) && n < p.cfg.MaxBatchBlocks {
-		next := p.buf[n]
+	bytes := p.ring[head&mask].Bytes
+	for n < queued && n < p.cfg.MaxBatchBlocks {
+		next := p.ring[(head+uint64(n))&mask]
 		if p.cfg.MaxBatchBytes > 0 && bytes+next.Bytes > p.cfg.MaxBatchBytes {
 			break
 		}
 		bytes += next.Bytes
 		n++
 	}
-	blocks := make([]*block.Block, n)
-	copy(blocks, p.buf[:n])
-	if n == len(p.buf) {
-		// Keep the array: an emptied buffer refills without allocating.
-		clear(p.buf)
-		p.buf = p.buf[:0]
-	} else {
-		p.buf = p.buf[n:]
+	blocks := p.rec.Slice()
+	if cap(blocks) < n {
+		blocks = make([]*block.Block, 0, n)
 	}
+	for i := uint64(0); i < uint64(n); i++ {
+		blocks = append(blocks, p.ring[(head+i)&mask])
+	}
+	p.head.Store(head + uint64(n))
 	if n > 1 {
 		p.notFull.Broadcast()
 	} else {
@@ -454,8 +580,8 @@ func (p *Producer) drainBatchLocked() []*block.Block {
 // It assembles the live backpressure signals — window credit from the
 // transport, stager occupancy from its flow gauge, and the remaining buffer
 // backlog — and lets the configured flow.Router elect the channel. Called
-// with the producer lock held, after drainBatchLocked, so len(p.buf) is the
-// remaining backlog.
+// with the producer lock held, after drainBatchLocked, so what the buffer
+// holds is the remaining backlog.
 func (p *Producer) routeLocked(c rt.Ctx, batch int) (dest, to int, route flow.Route) {
 	to = p.to
 	if p.cfg.ConsumerDirectory != nil {
@@ -517,7 +643,7 @@ func (p *Producer) routePoolLocked(c rt.Ctx, to, batch int) (int, flow.Route) {
 func (p *Producer) signalsLocked(c rt.Ctx, addr, to, batch int) flow.Signals {
 	sig := flow.Signals{
 		Now:            c.Now(),
-		Backlog:        len(p.buf),
+		Backlog:        p.queuedLocked(p.tail.Load()),
 		Capacity:       p.cfg.BufferBlocks,
 		HighWater:      p.cfg.HighWater,
 		Credits:        flow.CreditsUnknown,
@@ -538,13 +664,13 @@ func (p *Producer) signalsLocked(c rt.Ctx, addr, to, batch int) flow.Signals {
 	return sig
 }
 
-// stealElectedLocked is the writer thread's condition. Algorithm 1 steals
-// whenever the buffer is above the high-water threshold; with a staging tier
-// and a router that arbitrates disk, the router is asked as well, so the three
-// channels answer to one controller instead of the file system being filled
-// behind the router's back.
-func (p *Producer) stealElectedLocked() bool {
-	if len(p.buf) <= p.cfg.HighWater {
+// stealElectedLocked is the writer thread's condition, on the buffer as of
+// the tail the caller read. Algorithm 1 steals whenever the buffer is above
+// the high-water threshold; with a staging tier and a router that arbitrates
+// disk, the router is asked as well, so the three channels answer to one
+// controller instead of the file system being filled behind the router's back.
+func (p *Producer) stealElectedLocked(tail uint64) bool {
+	if p.queuedLocked(tail) <= p.cfg.HighWater {
 		return false
 	}
 	if p.arbiter == nil || p.poolEmpty {
@@ -559,21 +685,32 @@ func (p *Producer) stealElectedLocked() bool {
 // fails, the block is returned to the buffer and stealing is disabled so no
 // data is lost.
 func (p *Producer) writerThread(c rt.Ctx) {
+	mask := uint64(len(p.ring) - 1)
 	for {
 		p.lk.Lock(c)
-		for !p.closed && !p.stealElectedLocked() {
-			p.aboveHW.Wait(c)
+		for !p.closed {
+			tail := p.tail.Load()
+			if p.stealElectedLocked(tail) {
+				break
+			}
+			// As the sender parks: flag, look again, wait.
+			p.writerIdle.Store(true)
+			if p.tail.Load() == tail {
+				p.aboveHW.Wait(c)
+			}
+			p.writerIdle.Store(false)
 		}
 		if p.closed {
 			p.writerDone = true
 			p.finished = c.Now()
-			p.notEmpty.Broadcast()
+			p.wakeSenderLocked()
 			p.done.Broadcast()
 			p.lk.Unlock(c)
 			return
 		}
-		b := p.buf[0]
-		p.buf = p.buf[1:]
+		head := p.head.Load()
+		b := p.ring[head&mask]
+		p.head.Store(head + 1)
 		p.notFull.Signal()
 		p.lk.Unlock(c)
 
@@ -586,17 +723,21 @@ func (p *Producer) writerThread(c rt.Ctx) {
 		p.fl.StealBusy.AddDur(now, busy)
 		if err != nil {
 			// Put the block back at the front: order within the network path
-			// is not load-bearing, but data must not be lost.
-			p.buf = append([]*block.Block{b}, p.buf...)
+			// is not load-bearing, but data must not be lost. Its slot is
+			// free whatever the application wrote meanwhile — the ring has at
+			// least one more than BufferBlocks.
+			head = p.head.Load() - 1
+			p.ring[head&mask] = b
+			p.head.Store(head)
 			p.writerDone = true
-			p.notEmpty.Broadcast()
+			p.wakeSenderLocked()
 			p.done.Broadcast()
 			p.lk.Unlock(c)
 			return
 		}
 		p.fl.Stolen.Add(now, 1)
 		p.diskIDs = append(p.diskIDs, rt.DiskRef{ID: b.ID, Bytes: b.Bytes})
-		p.notEmpty.Signal() // the ID list alone is worth announcing
+		p.wakeSenderLocked() // the ID list alone is worth announcing
 		p.lk.Unlock(c)
 		if p.arbiter != nil {
 			p.arbiter.ObserveSend(flow.Disk, now, busy, 1, b.Bytes)

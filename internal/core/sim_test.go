@@ -26,7 +26,28 @@ type simRig struct {
 // newSimRig places each rank on its own node; PFS OSTs live on trailing
 // nodes.
 func newSimRig(cfg Config, producers, consumers, window int) *simRig {
-	eng := sim.New()
+	r := newSimRigNodes(sim.New(), producers, consumers, window)
+	for i := 0; i < consumers; i++ {
+		n := 0
+		for p := 0; p < producers; p++ {
+			if p*consumers/producers == i {
+				n++
+			}
+		}
+		env := simenv.NewEnv(r.eng, fabric.NodeID(producers+i), 0)
+		r.cons = append(r.cons, NewConsumer(env, cfg, i, n, r.net.Inbox(i), r.st))
+	}
+	for p := 0; p < producers; p++ {
+		env := simenv.NewEnv(r.eng, fabric.NodeID(p), 0)
+		r.prod = append(r.prod, NewProducer(env, cfg, p, p*consumers/producers, r.net, r.st))
+	}
+	return r
+}
+
+// newSimRigNodes builds the machine of newSimRig — fabric, file system,
+// network, store — and leaves the endpoints to the caller: producer p on
+// node p, consumer i on node producers+i.
+func newSimRigNodes(eng *sim.Engine, producers, consumers, window int) *simRig {
 	nodes := producers + consumers + 3 // +2 OSTs +1 MDS
 	fab := fabric.New(eng, fabric.Config{
 		Nodes:         nodes,
@@ -44,24 +65,8 @@ func newSimRig(cfg Config, producers, consumers, window int) *simRig {
 	for i := 0; i < consumers; i++ {
 		consNodes = append(consNodes, fabric.NodeID(producers+i))
 	}
-	net := simenv.NewNetwork(eng, fab, consNodes, window)
-	st := simenv.NewStore(fs, "zipper")
-	r := &simRig{eng: eng, fab: fab, fs: fs, net: net, st: st}
-	for i := 0; i < consumers; i++ {
-		n := 0
-		for p := 0; p < producers; p++ {
-			if p*consumers/producers == i {
-				n++
-			}
-		}
-		env := simenv.NewEnv(eng, consNodes[i], 0)
-		r.cons = append(r.cons, NewConsumer(env, cfg, i, n, net.Inbox(i), st))
-	}
-	for p := 0; p < producers; p++ {
-		env := simenv.NewEnv(eng, fabric.NodeID(p), 0)
-		r.prod = append(r.prod, NewProducer(env, cfg, p, p*consumers/producers, net, st))
-	}
-	return r
+	return &simRig{eng: eng, fab: fab, fs: fs, net: simenv.NewNetwork(eng, fab, consNodes, window),
+		st: simenv.NewStore(fs, "zipper")}
 }
 
 // runSimWorkflow drives producers that emit blocksPerStep blocks of

@@ -181,10 +181,10 @@ func NewPool() *Pool { return place.New(place.RankAffine(), nil) }
 // base+s. All three methods are called from the scaler's thread only.
 type Host interface {
 	// Spawn builds and starts a managed stager endpoint on reserved slot
-	// `slot` and returns its flow gauges for pool-wide observation. On
-	// error the grow is abandoned; the scaler records the error (see
-	// Scaler.Err) and backs off for a cooldown before retrying.
-	Spawn(c rt.Ctx, slot int) (*flow.StagerFlows, error)
+	// `slot` and returns its flow gauges for pool-wide observation. It
+	// cannot fail: everything a slot needs that could (its spill partition)
+	// was acquired when the slot was reserved.
+	Spawn(c rt.Ctx, slot int) *flow.StagerFlows
 	// Retire sends the Retire control message to slot's endpoint.
 	Retire(c rt.Ctx, slot int)
 	// Drained reports whether slot's endpoint has finished flushing after
@@ -226,9 +226,8 @@ type Scaler struct {
 	base int // transport address of slot 0
 
 	mu        sync.Mutex
-	stopReq   bool // Stop asked the loop to shut the tier down
-	stopped   bool // shutdown complete: every endpoint flushed
-	spawnErr  error
+	stopReq   bool                      // Stop asked the loop to shut the tier down
+	stopped   bool                      // shutdown complete: every endpoint flushed
 	live      map[int]*flow.StagerFlows // slot → gauges of the running endpoint
 	draining  map[int]bool              // Retire sent, flush not yet confirmed
 	free      []int                     // reusable slots, ascending
@@ -419,22 +418,15 @@ func (s *Scaler) liveSlots() []int {
 
 // grow spawns a stager on the lowest free slot and admits it to the pool.
 // The endpoint is live before the membership change, so the first batch
-// resolved to it finds a running receiver. A failed spawn is recorded (Err)
-// and charged as an action so retries back off by the cooldown instead of
-// hammering the failing platform every tick.
+// resolved to it finds a running receiver.
 func (s *Scaler) grow(c rt.Ctx, now time.Duration, occ float64) {
 	if len(s.free) == 0 {
 		return
 	}
 	slot := s.free[0]
-	fl, err := s.host.Spawn(c, slot) // may park: no mutex held
+	fl := s.host.Spawn(c, slot) // may park: no mutex held
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err != nil {
-		s.spawnErr = err
-		s.lastAct = now
-		return
-	}
 	s.free = s.free[1:]
 	s.live[slot] = fl
 	s.spawnedAt[slot] = now
@@ -541,15 +533,6 @@ func (s *Scaler) Stop(c rt.Ctx) {
 		}
 		c.Sleep(s.cfg.Interval)
 	}
-}
-
-// Err reports the most recent endpoint-spawn failure, if any: the scaler
-// holds (and retries after a cooldown) when the platform cannot build a new
-// stager, and this surfaces why the pool is not growing.
-func (s *Scaler) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spawnErr
 }
 
 // Events returns the scaling timeline in action order.

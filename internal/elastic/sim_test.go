@@ -25,8 +25,8 @@ type simHost struct {
 	base  int
 }
 
-func (h *simHost) Spawn(c rt.Ctx, slot int) (*flow.StagerFlows, error) {
-	return h.spawn(slot).Flows(), nil
+func (h *simHost) Spawn(c rt.Ctx, slot int) *flow.StagerFlows {
+	return h.spawn(slot).Flows()
 }
 func (h *simHost) Retire(c rt.Ctx, slot int) {
 	h.net.Send(c, h.base+slot, rt.Message{Retire: true})

@@ -24,7 +24,7 @@
 // take no other lock while held, so callers may update them under their own
 // module locks.
 //
-// The fold rule. Writers run once per block or per message; readers are few
+// The fold rule. Writers run once per batch or per message; readers are few
 // and slow — AggregatePool's ForwardRate (the elastic scaler, once per
 // interval), the adaptive router's stall fraction (once per routing
 // decision) and the Stats snapshots. So the write side (Meter.Add,
@@ -36,15 +36,17 @@
 // (Rate, Frac, Avg, LastRate) blends whatever has accumulated since the last
 // fold into the value it returns, without mutating the gauge, so a read is
 // always current and an idle gauge still decays toward zero. Because events
-// inside a quantum are not told apart, a writer on a path that never blocks
-// may stamp with the latest clock reading its module already has instead of
-// taking a fresh one (core's Write and Read do); a stamp older than the
-// gauge's latest event counts as that event's instant.
+// inside a quantum are not told apart, a writer may report several at once
+// (core's Write and Read report a batch of blocks with one Add) and, on a
+// path that never blocks, may stamp with the latest clock reading its module
+// already has instead of taking a fresh one (core's Read does); a stamp older
+// than the gauge's latest event counts as that event's instant.
 package flow
 
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -196,6 +198,9 @@ type Level struct {
 	last     time.Duration
 	mark     time.Duration // latest Set time (≥ last): cur has held since
 	started  bool
+	// debit counts the units that have left since the Sets so far absorbed
+	// any (see Debit); it changes downward only under mu.
+	debit atomic.Int64
 }
 
 // NewLevel returns a level gauge with the given capacity and EWMA time
@@ -215,8 +220,21 @@ func (l *Level) SetCapacity(c int) {
 // Set records the occupancy v at time now. Set is O(1): between folds it
 // integrates the occupancy that held since the previous Set, so the average
 // stays time-weighted however rarely it is folded.
-func (l *Level) Set(now time.Duration, v int) {
+func (l *Level) Set(now time.Duration, v int) { l.SetAbsorbing(now, v, 0) }
+
+// Debit notes that n units have left the queue, without the gauge's lock and
+// without a timestamp. It is for an owner that lets several units go per
+// visit to its own lock and accounts for them at the next one, with
+// SetAbsorbing: Get subtracts what is outstanding, so the policies that poll
+// the occupancy see the units gone at once, while the time-weighted average
+// and the peak learn of them at the absorbing Set.
+func (l *Level) Debit(n int) { l.debit.Add(int64(n)) }
+
+// SetAbsorbing is Set for an occupancy v that accounts for n of the units
+// debited so far.
+func (l *Level) SetAbsorbing(now time.Duration, v, n int) {
 	l.mu.Lock()
+	l.debit.Add(-int64(n))
 	if !l.started {
 		l.started = true
 		l.last, l.mark = now, now
@@ -252,7 +270,7 @@ func (l *Level) avgLocked(now, tau time.Duration) float64 {
 func (l *Level) Get() (queued, capacity int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.cur, l.capacity
+	return l.cur - int(l.debit.Load()), l.capacity
 }
 
 // Avg returns the time-weighted EWMA occupancy as of now, without mutating

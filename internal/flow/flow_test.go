@@ -311,8 +311,38 @@ func TestGaugeWritesDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		now += 200
 		m.Add(now, 1)
+		m.Add(now, 8) // a batch's worth, as Write and Read report
 		l.Set(now, int(now)&63)
+		l.Debit(3)
+		l.SetAbsorbing(now, int(now)&31, 3)
 	}); n != 0 {
-		t.Fatalf("Meter.Add + Level.Set allocate %.1f times per call, want 0", n)
+		t.Fatalf("the gauges' write side allocates %.1f times per round, want 0", n)
+	}
+	if m.Total() != 9*1001 {
+		t.Fatalf("Meter total %d after 1001 rounds of 1+8", m.Total())
+	}
+}
+
+// TestLevelDebit: units debited without the lock are gone for Get at once
+// and stay gone, no more and no less, once a Set has absorbed them.
+func TestLevelDebit(t *testing.T) {
+	l := NewLevel(16, 0)
+	l.Set(0, 10)
+	l.Debit(1)
+	l.Debit(2)
+	if q, c := l.Get(); q != 7 || c != 16 {
+		t.Fatalf("Get = %d/%d after debiting 3 of 10, want 7/16", q, c)
+	}
+	l.SetAbsorbing(time.Millisecond, 8, 2) // two of the three accounted for
+	if q, _ := l.Get(); q != 7 {
+		t.Fatalf("Get = %d after absorbing 2 debits into 8, want 7", q)
+	}
+	l.Set(2*time.Millisecond, 9) // an insert: the last debit is still owed
+	if q, _ := l.Get(); q != 8 {
+		t.Fatalf("Get = %d, want 8", q)
+	}
+	l.SetAbsorbing(3*time.Millisecond, 8, 1)
+	if q, _ := l.Get(); q != 8 || l.Max() != 10 {
+		t.Fatalf("Get = %d, Max = %d, want 8 and 10", q, l.Max())
 	}
 }

@@ -76,7 +76,9 @@ type DiskRef struct {
 // fine-grain pipelining: a block still leaves as soon as the sender thread
 // gets to it, it just shares the wire trip with whatever else is queued.
 type Message struct {
-	From   int // producer rank
+	From int // producer rank
+	// Blocks, the slice as well as the blocks, belongs to the receiver once
+	// Send has returned: a consumer recycles both (block.Recycler).
 	Blocks []*block.Block
 	Disk   []DiskRef
 	Fin    bool // the producer has sent everything

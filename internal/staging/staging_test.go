@@ -300,7 +300,7 @@ func TestPreserveThroughRelay(t *testing.T) {
 		if !ok {
 			break
 		}
-		r.cons[0].ReleaseBlock(ctx, b)
+		r.cons[0].ReleaseBlock(ctx, b, b.Gen())
 		n++
 		time.Sleep(300 * time.Microsecond)
 	}

@@ -40,9 +40,18 @@
 //
 // The sender thread drains whole batches of buffered blocks into single
 // "mixed messages" when Config.MaxBatchBlocks allows it, amortizing the
-// per-message overhead of the fine-grain protocol; NewPayload and
-// Block.Release close the allocation loop so steady-state transfer reuses
-// payload buffers instead of allocating fresh ones.
+// per-message overhead of the fine-grain protocol, and the two edges the
+// application touches cost as little: a Producer's methods belong to one
+// goroutine and so do a Consumer's (Block.Release included), which lets
+// Write put a block into the producer buffer without a lock — it takes one
+// only to wait for room or to wake a parked runtime thread — and lets Read
+// claim up to half the consumer buffer per visit to its lock and hand the
+// rest out without it. NewPayload and Block.Release close the allocation
+// loop: steady-state transfer reuses payload buffers, block headers and
+// message slices instead of allocating fresh ones. The counters a running
+// job's Stats report are told of blocks a batch at a time, so a live
+// BlocksWritten trails the application by less than MaxBatchBlocks; after
+// Close (and, for a consumer, once Read has returned false) they are exact.
 //
 // With Config.Staging.Stagers ≥ 1 and a non-direct RoutePolicy, the job adds
 // the in-transit staging tier: the sender picks a channel per batch (direct,
@@ -299,21 +308,27 @@ type Block struct {
 	ViaDisk bool
 
 	inner *block.Block
+	gen   uint32 // inner's generation when Read returned it
 	owner *Consumer
 }
 
-// Release recycles the block's payload into the runtime's payload pool. Call
-// it once the analysis is completely done with Data: afterwards the payload
-// may back another producer's NewPayload at any moment, so retaining a
-// reference to Data corrupts the stream. In Preserve mode the recycle is
-// deferred until the output thread has stored the block, so Release is always
-// safe to call right after analyzing. Releasing twice is a no-op.
+// Release recycles the block: its payload into the runtime's payload pool,
+// its header into the job's free list, from which a later Write builds
+// another block. Call it once the analysis is completely done with Data:
+// afterwards the payload may back another producer's NewPayload at any
+// moment, so retaining a reference to Data corrupts the stream. In Preserve
+// mode the recycle is deferred until the output thread has stored the block,
+// so Release is always safe to call right after analyzing. Releasing twice is
+// a no-op, also through a copy of the Block taken before the first Release:
+// the handle remembers which generation of the header it was issued for.
+// Call it from the goroutine that calls the consumer's Read — that is what
+// keeps it free of locks.
 func (b *Block) Release() {
 	if b.inner == nil {
 		return
 	}
 	b.Data = nil
-	b.owner.c.ReleaseBlock(b.owner.ctx, b.inner)
+	b.owner.c.ReleaseBlock(b.owner.ctx, b.inner, b.gen)
 }
 
 // NewPayload returns a payload slice of length n, reusing a buffer released
@@ -784,7 +799,8 @@ func (j *Job) Consumer(i int) *Consumer { return j.cons[i] }
 // all data delivered (including through the staging tier), and (in Preserve
 // mode) stored. Once the producers are done it shuts the job's own staging
 // tier down — every relayed block is flushed to its consumer before the
-// consumers' streams can complete.
+// consumers' streams can complete. Wait returns whether or not an endpoint
+// failed on the way; Err says if one did.
 func (j *Job) Wait() {
 	for _, p := range j.prod {
 		p.p.Wait(p.ctx)
@@ -804,6 +820,39 @@ func (j *Job) Wait() {
 		j.pipe.Close()
 	}
 	j.pf.close()
+}
+
+// Err reports a runtime failure of any of the job's endpoints, or nil: the
+// first one found going down the data path — a producer whose reduction
+// operator could not encode a relayed batch (the batch went out unreduced),
+// a stager of the tier the job relays through (its own, or the fleet's) that
+// could not spill, re-read or encode a block, a consumer that could not
+// restore, re-read or preserve one. Each endpoint keeps its first failure and
+// keeps the stream moving where it can, so Wait still returns; after Wait,
+// Err says whether what it waited for can be trusted. A consumer's failure
+// is also what ends its Read loop early (Consumer.Err). Safe to call from
+// any goroutine, while the job runs or after.
+func (j *Job) Err() error {
+	for _, p := range j.prod {
+		if err := p.p.Err(p.ctx); err != nil {
+			return err
+		}
+	}
+	tier, ctx := j.tier, j.pf.env.Ctx()
+	if tier == nil && j.fleet != nil {
+		tier = j.fleet.tier
+	}
+	for _, in := range tier.Instances() {
+		if err := in.St.Err(ctx); err != nil {
+			return err
+		}
+	}
+	for _, c := range j.cons {
+		if err := c.c.Err(c.ctx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // StagerStats summarizes one in-transit stager endpoint's activity,
@@ -892,10 +941,6 @@ type JobStats struct {
 	// instance when its drain flushes). Fixed pool: each stager's finish
 	// time, available after Wait.
 	StagerNodeSeconds float64
-	// ElasticSpawnErr reports the autoscaler's most recent endpoint-spawn
-	// failure ("" = none): the pool holds at its current size and retries
-	// after a cooldown, and this is where that condition becomes visible.
-	ElasticSpawnErr string
 	// Fault plane (zero/empty with Fault off).
 	// Evictions is the failure detector's lifetime eviction count and
 	// ReplayedBlocks the blocks the recovery reader re-forwarded from dead
@@ -958,9 +1003,6 @@ func (j *Job) Stats() JobStats {
 		if t.Scaler != nil {
 			js.ScaleEvents = t.Scaler.Events()
 			js.StagerNodeSeconds = t.Scaler.NodeSeconds()
-			if err := t.Scaler.Err(); err != nil {
-				js.ElasticSpawnErr = err.Error()
-			}
 		}
 		if t.Monitor != nil {
 			js.Evictions = t.Monitor.Evictions()
@@ -1011,7 +1053,11 @@ func stagerStats(s staging.Stats, drained bool) StagerStats {
 }
 
 // Producer is the application-facing producer endpoint. Its methods must be
-// called from a single goroutine (the producing application's).
+// called from a single goroutine (the producing application's). The runtime
+// leans on that: Write fills the producer buffer without taking a lock, and
+// takes one only to wait for room or to wake a runtime thread it finds
+// parked, so a block written into an idle runtime leaves at once and one
+// written behind a busy sender leaves with that sender's next batch.
 type Producer struct {
 	p   *core.Producer
 	ctx rt.Ctx
@@ -1029,7 +1075,9 @@ func (p *Producer) Write(step int, offset int64, data []byte) {
 func (p *Producer) Close() { p.p.Close(p.ctx) }
 
 // Stats returns the producer runtime module's flow gauges: totals plus the
-// live EWMA rates at call time.
+// live EWMA rates at call time. While the stream is open BlocksWritten trails
+// the Writes made by less than MaxBatchBlocks (Write reports to the gauge a
+// batch at a time); it is exact once Close has returned.
 func (p *Producer) Stats() ProducerStats {
 	s := p.p.Stats(p.ctx)
 	return ProducerStats{
@@ -1066,8 +1114,13 @@ type ProducerStats struct {
 	StallFrac   float64 // fraction of recent time Write sat blocked
 }
 
-// Consumer is the application-facing consumer endpoint. Its methods must be
-// called from a single goroutine (the analyzing application's).
+// Consumer is the application-facing consumer endpoint. Its methods, and the
+// Release of the blocks it returns, must be called from a single goroutine
+// (the analyzing application's). The runtime leans on that: Read claims up to
+// half the consumer buffer per visit to the consumer's lock and hands the
+// claim out without it — a claimed block keeps its place in the buffer until
+// Read has returned it, so ConsumerBufferBlocks bounds what it always did —
+// and Release recycles without a lock.
 type Consumer struct {
 	c   *core.Consumer
 	ctx rt.Ctx
@@ -1087,6 +1140,7 @@ func (c *Consumer) Read() (Block, bool) {
 		Data:    b.Data,
 		ViaDisk: b.OnDisk,
 		inner:   b,
+		gen:     b.Gen(),
 		owner:   c,
 	}, true
 }
