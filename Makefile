@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test test-repeat test-cpus test-full fuzz-smoke bench-smoke bench-batching bench-staging bench-adaptive bench-elastic bench-placement bench-failover bench-wire bench-control bench-ring
+.PHONY: ci fmt vet build test test-repeat test-cpus test-full fuzz-smoke bench-smoke
 
 ci: fmt vet build test
 
@@ -76,50 +76,10 @@ fuzz-smoke:
 	for f in FuzzLZDecode FuzzLZRoundTrip; do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/reduce || exit 1; done
 
-# One iteration of every benchmark — catches bit-rot, measures nothing.
+# One iteration of every Go benchmark — catches bit-rot, measures nothing —
+# then the repo's benchmark at 1 % of its size: all four bench/ workloads,
+# every block verified, failing on any damaged block, consumer error or
+# stager eviction (about half a minute on two cores).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-
-# Regenerate the committed batching baseline.
-bench-batching:
-	$(GO) run ./cmd/benchbatch -o BENCH_batching.json
-
-# Regenerate the committed staging baseline (in-situ vs in-transit vs hybrid).
-bench-staging:
-	$(GO) run ./cmd/benchstaging -o BENCH_staging.json
-
-# Regenerate the committed adaptive-routing baseline (hybrid vs closed-loop).
-bench-adaptive:
-	$(GO) run ./cmd/benchadaptive -o BENCH_adaptive.json
-
-# Regenerate the committed elastic-staging baseline (fixed-small vs
-# fixed-large vs autoscaled pool).
-bench-elastic:
-	$(GO) run ./cmd/benchelastic -o BENCH_elastic.json
-
-# Regenerate the committed placement baseline (rank-affine vs
-# least-occupancy vs hash-ring on the skewed-rate workload).
-bench-placement:
-	$(GO) run ./cmd/benchplacement -o BENCH_placement.json
-
-# Regenerate the committed failover baseline (fault plane off / quiet / with
-# injected stager kills; gates blocks-lost == 0 and mean recovery time).
-bench-failover:
-	$(GO) run ./cmd/benchfailover -o BENCH_failover.json
-
-# Regenerate the committed wire baseline (vectored vs copy frame writer;
-# raw vs compressed bytes over a real-TCP staged job).
-bench-wire:
-	$(GO) run ./cmd/benchwire -o BENCH_wire.json
-
-# Regenerate the committed intra-node fast-path baseline (SPSC ring vs
-# channel transport ns/message; parallel vs inline reduction throughput;
-# ring + parallel-reduce accounting identity).
-bench-ring:
-	$(GO) run ./cmd/benchring -o BENCH_ring.json
-
-# Regenerate the committed multi-job control-plane baseline (shared fleet vs
-# peak-provisioned private tiers; gates ≥25% node-second saving, the
-# high-priority tenant within 1.5x its fair-share stall yardstick, zero loss).
-bench-control:
-	$(GO) run ./cmd/benchcontrol -o BENCH_control.json
+	$(GO) run ./bench -scale 0.01

@@ -1,10 +1,13 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// at reduced scale (one bench per experiment), plus ablation benches for the
-// design choices DESIGN.md calls out. Run specific figures with e.g.
+// at reduced scale (one bench per experiment), ablations of the runtime's
+// design choices (block size, stealing, high-water mark, buffer depth,
+// Preserve, the dataflow hand-off), and the public API's message path on the
+// real platform. Run specific figures with e.g.
 //
 //	go test -bench BenchmarkFig16 -benchmem
 //
 // Paper-scale runs are available through cmd/zipperbench with -full/-scale 1.
+// The repo's end-to-end benchmark is bench/ (bash bench/run.sh).
 package zipper_test
 
 import (
@@ -15,7 +18,6 @@ import (
 
 	"zipper"
 	"zipper/internal/apps/synthetic"
-	"zipper/internal/benchharness"
 	"zipper/internal/core"
 	"zipper/internal/exp"
 	"zipper/internal/model"
@@ -221,7 +223,7 @@ func BenchmarkModelValidation(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §4) ---
+// --- Ablations of the design choices ---
 
 // BenchmarkAblationBlockSize compares fine-grain blocks against
 // one-big-block-per-step (what the baseline systems do).
@@ -346,159 +348,6 @@ func BenchmarkAblationBarrier(b *testing.B) {
 			b.ReportMetric(res.E2E.Seconds(), "virt-s/run")
 		}
 	})
-}
-
-// --- Batched dual-channel transfers (the per-message-overhead ablation) ---
-
-// BenchmarkBatching pushes blocks through a one-deep receive window (the
-// regime where the producer runs ahead of the network) under the canonical
-// protocol variants: the seed's one-block-per-message protocol with a fresh
-// allocation per payload ("seed"), the pooled unbatched protocol, and pooled
-// batched sends. The msgs/block metric shows batching amortizing the
-// per-message overhead; B/op shows the payload pool closing the allocation
-// loop (~32 KiB/block for the seed vs a few hundred bytes pooled). The
-// workload itself lives in internal/benchharness, shared with cmd/benchbatch
-// so the committed BENCH_batching.json baseline measures the same thing.
-func BenchmarkBatching(b *testing.B) {
-	const blockBytes = 32 << 10
-	for _, v := range benchharness.Variants {
-		v := v
-		b.Run(v.Name, func(b *testing.B) {
-			dir := b.TempDir()
-			b.ReportAllocs()
-			b.SetBytes(blockBytes)
-			b.ResetTimer()
-			st, err := benchharness.Run(dir, v, b.N, blockBytes)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.BlocksSent > 0 {
-				b.ReportMetric(float64(st.Messages)/float64(st.BlocksSent), "msgs/block")
-			}
-		})
-	}
-}
-
-// BenchmarkStaging runs the consumer-bound staging workload under the three
-// routing modes on the real platform. The stall/op metric is the producer
-// liberation the in-transit tier buys; viaDisk/op the file-system traffic it
-// avoids. The workload lives in internal/benchharness, shared with
-// cmd/benchstaging so the committed BENCH_staging.json baseline measures the
-// same thing.
-func BenchmarkStaging(b *testing.B) {
-	const blockBytes = 32 << 10
-	for _, v := range benchharness.StagingVariants {
-		v := v
-		b.Run(v.Name, func(b *testing.B) {
-			dir := b.TempDir()
-			b.SetBytes(2 * blockBytes) // two producers
-			b.ResetTimer()
-			st, err := benchharness.RunStaging(dir, v, 2, b.N, blockBytes, 50*time.Microsecond)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(st.WriteStall/float64(b.N), "stall-s/op")
-			b.ReportMetric(float64(st.BlocksStolen)/float64(b.N), "viaDisk/op")
-			b.ReportMetric(float64(st.BlocksRelayed)/float64(b.N), "relayed/op")
-		})
-	}
-}
-
-// BenchmarkAdaptive runs the bursty flow scenario under the reactive hybrid
-// policy and the closed-loop adaptive controller. The workload lives in
-// internal/benchharness, shared with cmd/benchadaptive so the committed
-// BENCH_adaptive.json baseline measures the same thing. (The benchmark uses
-// the bursty scenario scaled to b.N; the slow-consumer gate scenario runs at
-// its committed size in the baseline tool only.)
-func BenchmarkAdaptive(b *testing.B) {
-	sc := benchharness.FlowScenarios[1] // bursty
-	for _, v := range benchharness.AdaptiveVariants {
-		v := v
-		b.Run(v.Name, func(b *testing.B) {
-			dir := b.TempDir()
-			run := sc
-			run.Blocks = b.N
-			b.SetBytes(int64(run.Producers) * int64(run.BlockBytes))
-			b.ResetTimer()
-			st, err := benchharness.RunFlow(dir, v, run)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(st.WriteStall/float64(b.N), "stall-s/op")
-			b.ReportMetric(float64(st.BlocksStolen)/float64(b.N), "viaDisk/op")
-			b.ReportMetric(float64(st.BlocksRelayed)/float64(b.N), "relayed/op")
-		})
-	}
-}
-
-// BenchmarkElastic runs the bursty elastic-staging scenario under the three
-// pool-sizing variants on the real platform. The stall/op metric is the
-// producer liberation the pool buys; node-s/op the stager provisioning it
-// costs — elastic should land between the fixed pools on neither axis's bad
-// side. The workload lives in internal/benchharness, shared with
-// cmd/benchelastic so the committed BENCH_elastic.json baseline measures
-// the same thing. (The benchmark scales burst length to b.N; the committed
-// gate runs at the baseline size in the tool only.)
-func BenchmarkElastic(b *testing.B) {
-	sc := benchharness.ElasticScenarioDefault
-	sc.Bursts = 2
-	sc.BurstPause = 50 * time.Millisecond
-	for _, v := range benchharness.ElasticVariants {
-		v := v
-		b.Run(v.Name, func(b *testing.B) {
-			run := sc
-			run.BurstBlocks = (b.N + run.Bursts - 1) / run.Bursts
-			total := run.Producers * run.Bursts * run.BurstBlocks
-			b.SetBytes(int64(run.Producers) * int64(run.BlockBytes))
-			b.ResetTimer()
-			st, err := benchharness.RunElastic(b.TempDir(), v, run)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(st.WriteStall/float64(total), "stall-s/op")
-			b.ReportMetric(st.StagerNodeSeconds/float64(total), "node-s/op")
-			b.ReportMetric(float64(st.BlocksRelayed)/float64(total), "relayed/op")
-		})
-	}
-}
-
-// BenchmarkPlacement compares the placement policies on the skewed-rate
-// staging workload: imbalance is the per-stager relayed max/mean ratio the
-// load-aware policy exists to shrink, stall-s/op the producer liberation it
-// buys. The workload lives in internal/benchharness, shared with
-// cmd/benchplacement so the committed BENCH_placement.json baseline
-// measures the same thing. (The benchmark scales the skewed burst to b.N;
-// the committed ≥2x-imbalance gate runs at the baseline size in the tool
-// only.)
-func BenchmarkPlacement(b *testing.B) {
-	sc := benchharness.PlacementScenarioDefault
-	sc.Bursts = 2
-	sc.BurstPause = 30 * time.Millisecond
-	for _, v := range benchharness.PlacementVariants {
-		v := v
-		b.Run(v.Name, func(b *testing.B) {
-			run := sc
-			fast := (b.N + run.Bursts - 1) / run.Bursts
-			if fast < 10 {
-				fast = 10 // keep the 10:1 skew shape at benchtime 1x
-			}
-			run.BurstBlocks = []int{fast, fast / 10, fast / 10, fast / 10}
-			total := run.Total()
-			b.SetBytes(total * int64(run.BlockBytes) / int64(b.N))
-			b.ResetTimer()
-			st, err := benchharness.RunPlacement(b.TempDir(), v, run)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(st.RelayImbalance, "imbalance")
-			b.ReportMetric(st.WriteStall/float64(total), "stall-s/op")
-		})
-	}
 }
 
 // --- Real-platform throughput of the public API ---

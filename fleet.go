@@ -348,8 +348,8 @@ type FleetStats struct {
 	BlocksSpilled int64
 	// StagerNodeSeconds is the shared tier's provisioned cost: each
 	// stager's finish time summed, complete after Close. The number the
-	// shared fleet is judged on against N private tiers — see
-	// BENCH_control.json.
+	// shared fleet is judged on against N private tiers (see
+	// TestFleetConsolidationSaving in internal/exp).
 	StagerNodeSeconds float64
 	// Preemptions is the control plane's lifetime preemption count, and
 	// Events its admit/finish/assign/preempt/resize timeline.

@@ -10,10 +10,10 @@ import (
 )
 
 // FleetScenario is the shared-fleet scenario rendered by `zippertrace
-// fleet` and measured by cmd/benchcontrol: a steady normal-priority job and
-// a latency-sensitive high-priority job run from t=0, then a spill-heavy
-// low-priority batch job joins the live fleet and floods its slice. steps
-// scales every job's workload length.
+// fleet` and measured by TestFleetConsolidationSaving: a steady
+// normal-priority job and a latency-sensitive high-priority job run from
+// t=0, then a spill-heavy low-priority batch job joins the live fleet and
+// floods its slice. steps scales every job's workload length.
 func FleetScenario(steps int) workflow.FleetSpec {
 	noisy := workflow.FleetJob{
 		Name: "noisy",

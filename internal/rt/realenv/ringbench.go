@@ -23,8 +23,8 @@ type TransportBenchResult struct {
 // so the comparison differs only in the transport underneath. The blocks
 // travel by pointer on both paths — the measurement is per-message
 // synchronization overhead, which is exactly what the ring exists to cut.
-// It backs cmd/benchring; the committed BENCH_ring.json gates on its
-// numbers.
+// It backs bench's realenv.chan_ns_per_msg and realenv.ring_ns_per_msg
+// layer metrics.
 func BenchTransport(ring bool, messages, blocksPerMsg, depth int) TransportBenchResult {
 	var net *Network
 	if ring {

@@ -177,8 +177,8 @@ func TestWriteFrameAllocs(t *testing.T) {
 
 // BenchmarkWriteFrame measures the two send paths over a discard sink so
 // the numbers isolate framing cost: header assembly plus either the bufio
-// memcpy (copy) or iovec assembly (vectored). The committed BENCH_wire.json
-// gates the vectored path at ≥20% lower ns/block on this workload.
+// memcpy (copy) or iovec assembly (vectored), one row each; the vectored
+// path's allocations are pinned by TestWriteFrameAllocs.
 func BenchmarkWriteFrame(b *testing.B) {
 	for _, bench := range []struct {
 		name        string

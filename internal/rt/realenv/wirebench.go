@@ -36,7 +36,7 @@ type WireBenchResult struct {
 // sink. vectoredMin is handed to SetVectoredMin — pass a negative value to
 // force the buffered-copy path (the pre-v5 behavior) and 0 for the default
 // vectored threshold, so callers can put the two paths side by side. It
-// backs cmd/benchwire; the committed BENCH_wire.json gates on its numbers.
+// backs bench's realenv.frame_write_ns_per_block layer metric.
 func BenchWriteFrame(frames, blocks, blockBytes, vectoredMin int) WireBenchResult {
 	sink := &sinkConn{}
 	tr := newTCPTransport(sink, 0)

@@ -4,7 +4,7 @@ package workflow
 // jobs share one in-transit stager tier under the control plane, clocked
 // entirely by virtual time so admission, fair-share reconciles, and
 // preemptions land at bit-for-bit reproducible instants. This is the
-// harness the multi-tenant acceptance tests and cmd/benchcontrol drive.
+// harness the multi-tenant acceptance tests and `zippertrace fleet` drive.
 
 import (
 	"fmt"

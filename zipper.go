@@ -392,11 +392,11 @@ type Config struct {
 	// producer its own dialed connection. Stagers forward to consumers over
 	// the listener's loopback. Endpoints still share the process; what
 	// changes is that payloads traverse the kernel TCP stack through the
-	// vectored zero-copy frame writer — the configuration cmd/benchwire
-	// measures. Pool-managed staging tiers (Elastic, Fault, or a
-	// non-RankAffine Placement) are rejected over TCP: their Retire fencing
-	// needs delivery ordering across endpoints that concurrent TCP streams
-	// do not provide.
+	// vectored zero-copy frame writer — the configuration bench's
+	// wire-compress workload runs. Pool-managed staging tiers (Elastic,
+	// Fault, or a non-RankAffine Placement) are rejected over TCP: their
+	// Retire fencing needs delivery ordering across endpoints that
+	// concurrent TCP streams do not provide.
 	TCPAddr string
 	// Staging groups the in-transit staging tier's configuration.
 	Staging StagingConfig
@@ -926,7 +926,8 @@ type JobStats struct {
 	// traffic, S means one stager carried everything. Zero when no staging
 	// tier exists or nothing was relayed. It is the number the load-aware
 	// Placement policies exist to shrink when producers' output rates
-	// diverge — see BENCH_placement.json for the gated comparison.
+	// diverge (TestZipperPlacementLeastOccupancyRebalances pins least-occupancy
+	// at half rank-affine's on a skewed workload).
 	RelayImbalance float64
 	// Live EWMA rates summed across endpoints (blocks/s at snapshot time).
 	WriteRate   float64 // application write rate across producers
