@@ -64,19 +64,7 @@ func TestSpecRunsOnBothPlatforms(t *testing.T) {
 			}
 			real := job.Stats()
 
-			// The simulated machine and application; the runtime is cfg's.
-			sim := workflow.RunAssembly(workflow.Spec{
-				Machine: workflow.Machine{
-					Name: "testrig", CoresPerNode: 4, LinkBandwidth: 2e9, LinkLatency: 2 * time.Microsecond,
-					NodesPerLeaf: 8, MTU: 512 << 10, OSTs: 2, OSTBandwidth: 1e9, MemBandwidth: 10e9,
-				},
-				Workload: workflow.Workload{
-					Steps: blocks / 8, StepTime: 4 * time.Millisecond,
-					BytesPerStep: 8 * payload, BlockBytes: payload,
-					AnalyzePerByte: 2 * time.Nanosecond,
-				},
-				StagingNodes: 2,
-			}, cfg.spec())
+			sim := workflow.RunAssembly(testrig(blocks, payload), cfg.spec())
 			if !sim.OK {
 				t.Fatalf("simenv run failed: %s", sim.Fail)
 			}
@@ -94,18 +82,37 @@ func TestSpecRunsOnBothPlatforms(t *testing.T) {
 	}
 }
 
-// settleGoroutines waits for the goroutine count to come back down to
-// `want`: closed connections unwind their reader threads asynchronously.
-func settleGoroutines(t *testing.T, want int) {
+// testrig is the simulated machine and application a Config's spec runs on
+// in these tests: each producer writes `blocks` blocks of `payload` bytes,
+// eight per 4 ms step; the runtime is the Config's.
+func testrig(blocks, payload int) workflow.Spec {
+	return workflow.Spec{
+		Machine: workflow.Machine{
+			Name: "testrig", CoresPerNode: 4, LinkBandwidth: 2e9, LinkLatency: 2 * time.Microsecond,
+			NodesPerLeaf: 8, MTU: 512 << 10, OSTs: 2, OSTBandwidth: 1e9, MemBandwidth: 10e9,
+		},
+		Workload: workflow.Workload{
+			Steps: blocks / 8, StepTime: 4 * time.Millisecond,
+			BytesPerStep: int64(8 * payload), BlockBytes: int64(payload),
+			AnalyzePerByte: 2 * time.Nanosecond,
+		},
+		StagingNodes: 2,
+	}
+}
+
+// settleGoroutines waits up to `within` for the goroutine count to come back
+// down to `want`: closed connections unwind their reader threads
+// asynchronously.
+func settleGoroutines(t *testing.T, want int, within time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(within)
 	for runtime.NumGoroutine() > want {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines still running, %d before the call:\n%s",
-				runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+			t.Fatalf("%d goroutines still running %v later, %d before the call:\n%s",
+				runtime.NumGoroutine(), within, want, buf[:runtime.Stack(buf, true)])
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -129,7 +136,7 @@ func TestNewJobErrorLeavesNothingRunning(t *testing.T) {
 		job.Wait()
 		t.Fatal("NewJob succeeded over a spool whose stage0 partition is a regular file")
 	}
-	settleGoroutines(t, before)
+	settleGoroutines(t, before, 5*time.Second)
 }
 
 // TestFleetSubmitSpoolFailureKeepsGuarantee: a Submit that fails on its

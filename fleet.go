@@ -289,25 +289,13 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 	return j, nil
 }
 
-// jobFinished releases a fleet job's tenant capacity: Job.Wait calls it
-// after the job's streams complete, and the plane's synchronous reconcile
-// redistributes the slice to the remaining tenants.
-func (f *Fleet) jobFinished(j *Job) {
-	f.mu.Lock()
-	if j.finished {
-		f.mu.Unlock()
-		return
-	}
-	j.finished = true
-	f.mu.Unlock()
-	f.tier.Plane.Finish(f.pf.env.Ctx(), j.tenant)
-}
-
-// Close stops the control plane and retires the shared stager tier: each
-// endpoint leaves every tenant directory, in-flight claims quiesce, and the
-// provably-last Retire message flushes it. Call Close after every submitted
-// job's Wait has returned; it is then the analogue of the tier shutdown a
-// private Job performs inside its own Wait. Close is idempotent.
+// Close stops the control plane — its reconcile loop wakes and exits at
+// once — and retires the shared stager tier: each endpoint leaves every
+// tenant directory, in-flight claims quiesce, and the provably-last Retire
+// message flushes it. When Close returns, no runtime goroutine of the fleet
+// is left. Call Close after every submitted job's Wait has returned; it is
+// then the analogue of the tier shutdown a private Job performs inside its
+// own Wait. Close is idempotent.
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	if f.closed {

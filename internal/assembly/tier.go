@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"zipper/internal/control"
 	"zipper/internal/elastic"
@@ -250,6 +251,13 @@ func (t *Tier) Drained(c rt.Ctx, slot int) bool {
 	return in == nil || in.St.Drained(c)
 }
 
+// WaitDrained implements elastic.Host.
+func (t *Tier) WaitDrained(c rt.Ctx, slot int) time.Duration {
+	st := t.occupant(slot).St
+	st.Wait(c)
+	return st.Stats(c).Finished
+}
+
 // Dead implements fault.Host: the liveness oracle the shutdown sweep uses
 // to tell an undetected crash from a healthy member about to drain.
 func (t *Tier) Dead(c rt.Ctx, addr int) bool {
@@ -367,8 +375,10 @@ func (t *Tier) Kill(c rt.Ctx, slot int) bool {
 // counting, and no respawn may interleave with what follows; then every
 // remaining stager leaves the membership, has its in-flight claims
 // quiesced and gets the provably-last Retire; then every stager is joined,
-// its flush delivered. A fixed rank-affine tier ends by itself on its
-// producers' Fins and is only joined. A nil tier has nothing to end.
+// its flush delivered and its heartbeat exited. Every controller wakes on
+// its Stop, so no step waits for a tick. A fixed rank-affine tier ends by
+// itself on its producers' Fins and is only joined. A nil tier has nothing
+// to end.
 func (t *Tier) Shutdown(c rt.Ctx) {
 	if t == nil {
 		return

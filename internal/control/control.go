@@ -21,7 +21,8 @@
 //
 // Everything is clocked by rt.Ctx, so the same reconcile loop runs
 // deterministically inside the discrete-event simulator and live on the
-// real machine. The loop follows the elastic.Scaler concurrency template:
+// real machine, and it stops on Stop's wake-up rather than on its next tick
+// (rt.Loop). The loop follows the elastic.Scaler concurrency template:
 // the plane's mutex guards registry state and is never held across a call
 // that can park the thread (Host.SetTenantQuota takes a stager's platform
 // lock); quota pushes are computed under the mutex and applied after it is
@@ -223,9 +224,7 @@ type Plane struct {
 	preempted    []int // per-tenant victim counts, indexed by id
 	events       []Event
 	preemptions  int
-	started      bool
-	stopReq      bool
-	stopped      bool
+	loop         *rt.Loop // nil until Start
 }
 
 // NewPlane builds a plane over the fleet's live stager addresses, each with
@@ -325,44 +324,29 @@ func (p *Plane) Resize(c rt.Ctx, fleet []int) {
 
 // Start launches the periodic reconcile loop as a runtime thread.
 func (p *Plane) Start(env rt.Env) {
+	loop := rt.StartLoop(env, "control.reconcile", p.cfg.Interval, p.reconcile, nil)
 	p.mu.Lock()
-	p.started = true
+	p.loop = loop
 	p.mu.Unlock()
-	env.Go("control.reconcile", p.run)
 }
 
-func (p *Plane) run(c rt.Ctx) {
-	for {
-		c.Sleep(p.cfg.Interval)
-		p.mu.Lock()
-		if p.stopReq {
-			p.stopped = true
-			p.mu.Unlock()
-			return
-		}
-		pushes := p.reconcileLocked(c.Now())
-		p.mu.Unlock()
-		p.apply(c, pushes)
-	}
+// reconcile is the loop's periodic pass.
+func (p *Plane) reconcile(c rt.Ctx) {
+	p.mu.Lock()
+	pushes := p.reconcileLocked(c.Now())
+	p.mu.Unlock()
+	p.apply(c, pushes)
 }
 
-// Stop halts the periodic loop. Like elastic.Scaler.Stop it only posts the
-// request and polls, so it can never contend with a parked mutex holder.
+// Stop wakes the periodic loop and returns once it has exited: a reconcile
+// in progress completes, no other starts. A plane never started has nothing
+// to stop.
 func (p *Plane) Stop(c rt.Ctx) {
 	p.mu.Lock()
-	if !p.started {
-		p.stopped = true
-	}
-	p.stopReq = true
+	loop := p.loop
 	p.mu.Unlock()
-	for {
-		p.mu.Lock()
-		done := p.stopped
-		p.mu.Unlock()
-		if done {
-			return
-		}
-		c.Sleep(p.cfg.Interval)
+	if loop != nil {
+		loop.Stop(c)
 	}
 }
 

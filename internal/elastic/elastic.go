@@ -178,7 +178,7 @@ func NewPool() *Pool { return place.New(place.RankAffine(), nil) }
 // slots and knows how to build a stager on one (fresh goroutine set on the
 // real machine, fresh engine processes in the simulator) and how to deliver
 // the Retire control message. Slot s corresponds to transport address
-// base+s. All three methods are called from the scaler's thread only.
+// base+s. Every method is called from the scaler's thread only.
 type Host interface {
 	// Spawn builds and starts a managed stager endpoint on reserved slot
 	// `slot` and returns its flow gauges for pool-wide observation. It
@@ -190,6 +190,11 @@ type Host interface {
 	// Drained reports whether slot's endpoint has finished flushing after
 	// Retire (its threads exited); the slot is then reusable.
 	Drained(c rt.Ctx, slot int) bool
+	// WaitDrained blocks until Drained would report true and every one of
+	// the endpoint's threads, its heartbeat included, has exited, and
+	// returns the instant the endpoint finished its flush — the end of its
+	// provisioned lifetime, as a fixed pool bills it.
+	WaitDrained(c rt.Ctx, slot int) time.Duration
 }
 
 // Event is one scaling action on the pool, for the Job.Stats timeline and
@@ -207,27 +212,27 @@ type Event struct {
 
 // Scaler is the elastic control loop. Build it with NewScaler, Start it
 // once the initial pool members are live, and Stop it after the producers
-// have finished; Stop asks the loop to retire every remaining endpoint and
+// have finished; Stop wakes the loop to retire every remaining endpoint and
 // returns when the tier has fully flushed.
 //
 // Concurrency: the scaler thread is the only mutator of the pool-state
 // fields; the mutex exists for the cross-thread readers (Events,
-// NodeSeconds, PoolSize, Err, the Stop handshake) and is held only for
-// quick state access — NEVER across an operation that can park the thread
-// on a platform primitive (Quiesce, Host calls, sleeps). A parked holder of
-// a raw mutex would block any other runtime thread that touches it, and
-// inside the discrete-event engine that stalls the entire simulation: the
-// engine resumes one process at a time and a raw mutex wait never parks.
+// NodeSeconds, PoolSize, the fault plane's notifications) and is held only
+// for quick state access — NEVER across an operation that can park the
+// thread on a platform primitive (Quiesce, Host calls, sleeps). A parked
+// holder of a raw mutex would block any other runtime thread that touches
+// it, and inside the discrete-event engine that stalls the entire
+// simulation: the engine resumes one process at a time and a raw mutex wait
+// never parks.
 type Scaler struct {
 	env  rt.Env
 	cfg  Config
 	pool *Pool
 	host Host
 	base int // transport address of slot 0
+	loop *rt.Loop
 
 	mu        sync.Mutex
-	stopReq   bool                      // Stop asked the loop to shut the tier down
-	stopped   bool                      // shutdown complete: every endpoint flushed
 	live      map[int]*flow.StagerFlows // slot → gauges of the running endpoint
 	draining  map[int]bool              // Retire sent, flush not yet confirmed
 	free      []int                     // reusable slots, ascending
@@ -292,23 +297,10 @@ func (s *Scaler) SetOnResize(fn func(c rt.Ctx, members []int)) {
 	s.onResize = fn
 }
 
-// Start launches the control loop as a runtime thread.
+// Start launches the control loop as a runtime thread: a tick every
+// Interval, the shutdown on Stop.
 func (s *Scaler) Start() {
-	s.env.Go("elastic.scaler", s.run)
-}
-
-func (s *Scaler) run(c rt.Ctx) {
-	for {
-		c.Sleep(s.cfg.Interval)
-		s.mu.Lock()
-		stop := s.stopReq
-		s.mu.Unlock()
-		if stop {
-			s.shutdown(c)
-			return
-		}
-		s.tick(c)
-	}
+	s.loop = rt.StartLoop(s.env, "elastic.scaler", s.cfg.Interval, s.tick, s.shutdown)
 }
 
 // Crashed tells the scaler that slot's endpoint was evicted by the failure
@@ -460,13 +452,8 @@ func (s *Scaler) drain(c rt.Ctx, now time.Duration, occ float64) {
 // provisioned lifetime. Drained is polled in slot order so the engine's
 // event sequence stays deterministic.
 func (s *Scaler) reap(c rt.Ctx, now time.Duration) {
-	slots := make([]int, 0, len(s.draining))
-	for slot := range s.draining {
-		slots = append(slots, slot)
-	}
-	sort.Ints(slots)
 	var flushed []int
-	for _, slot := range slots {
+	for _, slot := range s.drainingSlots() {
 		if s.host.Drained(c, slot) { // may park: no mutex held
 			flushed = append(flushed, slot)
 		}
@@ -477,16 +464,33 @@ func (s *Scaler) reap(c rt.Ctx, now time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, slot := range flushed {
-		delete(s.draining, slot)
-		s.nodeTime += now - s.spawnedAt[slot]
-		delete(s.spawnedAt, slot)
-		s.free = append(s.free, slot)
+		s.freeLocked(slot, now)
 	}
+}
+
+// drainingSlots returns the slots whose Retire was sent, ascending.
+func (s *Scaler) drainingSlots() []int {
+	slots := make([]int, 0, len(s.draining))
+	for slot := range s.draining {
+		slots = append(slots, slot)
+	}
+	sort.Ints(slots)
+	return slots
+}
+
+// freeLocked books a flushed slot's provisioned lifetime up to now and
+// returns the slot to the free list.
+func (s *Scaler) freeLocked(slot int, now time.Duration) {
+	delete(s.draining, slot)
+	s.nodeTime += now - s.spawnedAt[slot]
+	delete(s.spawnedAt, slot)
+	s.free = append(s.free, slot)
 	sort.Ints(s.free)
 }
 
 // shutdown retires every remaining endpoint (teardown, not control
-// decisions — no events are logged) and waits for the tier to flush.
+// decisions — no events are logged), then joins every retiring endpoint in
+// slot order, booking each one's lifetime up to the end of its own flush.
 func (s *Scaler) shutdown(c rt.Ctx) {
 	s.applyPending(c.Now())
 	for _, slot := range s.liveSlots() {
@@ -498,42 +502,21 @@ func (s *Scaler) shutdown(c rt.Ctx) {
 		s.draining[slot] = true
 		s.mu.Unlock()
 	}
-	for {
-		s.reap(c, c.Now())
+	for _, slot := range s.drainingSlots() {
+		end := s.host.WaitDrained(c, slot) // may park: no mutex held
 		s.mu.Lock()
-		n := len(s.draining)
+		s.freeLocked(slot, end)
 		s.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		c.Sleep(s.cfg.Interval)
 	}
-	s.mu.Lock()
-	s.stopped = true
-	s.mu.Unlock()
 }
 
-// Stop asks the control loop to retire every remaining endpoint and blocks
-// until the whole tier has flushed. Call it after Start, and only once all
+// Stop wakes the control loop to retire every remaining endpoint and returns
+// when the whole tier has flushed. Call it after Start, and only once all
 // producers have finished (no new relay traffic can appear); the consumers'
 // counted termination then completes from the flushed deliveries. The
-// retirement work runs on the scaler's own thread — Stop only posts the
-// request and polls for completion, so it can never contend with a parked
-// mutex holder.
-func (s *Scaler) Stop(c rt.Ctx) {
-	s.mu.Lock()
-	s.stopReq = true
-	s.mu.Unlock()
-	for {
-		s.mu.Lock()
-		done := s.stopped
-		s.mu.Unlock()
-		if done {
-			return
-		}
-		c.Sleep(s.cfg.Interval)
-	}
-}
+// retirement work runs on the scaler's own thread, so Stop never contends
+// with a parked mutex holder.
+func (s *Scaler) Stop(c rt.Ctx) { s.loop.Stop(c) }
 
 // Events returns the scaling timeline in action order.
 func (s *Scaler) Events() []Event {

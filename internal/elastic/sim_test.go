@@ -35,6 +35,11 @@ func (h *simHost) Drained(c rt.Ctx, slot int) bool {
 	st := h.slots[slot]
 	return st == nil || st.Drained(c)
 }
+func (h *simHost) WaitDrained(c rt.Ctx, slot int) time.Duration {
+	st := h.slots[slot]
+	st.Wait(c)
+	return st.Stats(c).Finished
+}
 
 // elasticStepRun drives the canonical step-change workload on the simulated
 // platform: a fast burst saturates the staging tier (scale-up), a long calm

@@ -139,9 +139,9 @@ type Monitor struct {
 	dir  *place.Directory
 	host Host
 
+	loop *rt.Loop
+
 	mu       sync.Mutex
-	stopReq  bool
-	stopped  bool
 	attempts map[int]int // respawns used per address
 	events   []Event
 	fl       flow.FailoverFlows
@@ -153,35 +153,25 @@ func NewMonitor(env rt.Env, cfg Config, dir *place.Directory, host Host) *Monito
 	return &Monitor{env: env, cfg: cfg, dir: dir, host: host, attempts: map[int]int{}}
 }
 
-// Start launches the detector loop as a runtime thread.
+// Start launches the detector loop as a runtime thread: a sweep every
+// heartbeat, the shutdown sweep on Stop.
 func (m *Monitor) Start() {
-	m.env.Go("fault.monitor", m.run)
+	m.loop = rt.StartLoop(m.env, "fault.monitor", m.cfg.Heartbeat, m.sweep, m.shutdownSweep)
 }
 
-func (m *Monitor) run(c rt.Ctx) {
-	for {
-		c.Sleep(m.cfg.Heartbeat)
-		m.mu.Lock()
-		stop := m.stopReq
-		m.mu.Unlock()
-		var evicted []int
-		if stop {
-			// The shutdown sweep: evict exactly the members that actually
-			// crashed, however young their lease — their journals must be
-			// replayed before consumers can balance their counted Fins.
-			evicted = m.dir.EvictIf(func(addr int) bool { return m.host.Dead(c, addr) })
-		} else {
-			evicted = m.dir.Sweep(c.Now())
-		}
-		for _, addr := range evicted {
-			m.recover(c, addr, !stop)
-		}
-		if stop {
-			m.mu.Lock()
-			m.stopped = true
-			m.mu.Unlock()
-			return
-		}
+// sweep evicts the members whose lease lapsed and recovers each.
+func (m *Monitor) sweep(c rt.Ctx) {
+	for _, addr := range m.dir.Sweep(c.Now()) {
+		m.recover(c, addr, true)
+	}
+}
+
+// shutdownSweep evicts exactly the members that actually crashed, however
+// young their lease — their journals must be replayed before consumers can
+// balance their counted Fins — and respawns none: the run is ending.
+func (m *Monitor) shutdownSweep(c rt.Ctx) {
+	for _, addr := range m.dir.EvictIf(func(addr int) bool { return m.host.Dead(c, addr) }) {
+		m.recover(c, addr, false)
 	}
 }
 
@@ -232,24 +222,11 @@ func (m *Monitor) event(ev Event) {
 	m.mu.Unlock()
 }
 
-// Stop asks the detector to run its final forced sweep — recovering kills
-// whose TTL never lapsed, without respawning — and blocks until it has.
-// Call it after the producers have finished and before the staging tier
-// is retired.
-func (m *Monitor) Stop(c rt.Ctx) {
-	m.mu.Lock()
-	m.stopReq = true
-	m.mu.Unlock()
-	for {
-		m.mu.Lock()
-		done := m.stopped
-		m.mu.Unlock()
-		if done {
-			return
-		}
-		c.Sleep(m.cfg.Heartbeat)
-	}
-}
+// Stop wakes the detector at once to run its final forced sweep —
+// recovering kills whose TTL never lapsed, without respawning — and returns
+// when that sweep is done. Call it after the producers have finished and
+// before the staging tier is retired.
+func (m *Monitor) Stop(c rt.Ctx) { m.loop.Stop(c) }
 
 // Events returns the eviction/recovery timeline in step order.
 func (m *Monitor) Events() []Event {

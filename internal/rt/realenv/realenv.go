@@ -73,6 +73,29 @@ func (c *cond) Wait(rt.Ctx) { c.c.Wait() }
 func (c *cond) Signal()     { c.c.Signal() }
 func (c *cond) Broadcast()  { c.c.Broadcast() }
 
+// WaitFor arms a timer whose callback broadcasts under the lock, so it cannot
+// fire between arming and the wait. A wake-up that beats the timer stops it;
+// one that does not lets the callback finish first, so neither the timer nor
+// its goroutine outlives the wait.
+func (c *cond) WaitFor(_ rt.Ctx, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	fired := make(chan struct{})
+	t := time.AfterFunc(d, func() {
+		c.c.L.Lock()
+		c.c.Broadcast()
+		c.c.L.Unlock()
+		close(fired)
+	})
+	c.c.Wait()
+	if !t.Stop() {
+		c.c.L.Unlock()
+		<-fired
+		c.c.L.Lock()
+	}
+}
+
 // Network is the in-process message path: `endpoints` receive endpoints
 // (consumers first, then any in-transit stagers) over a pluggable endpoint
 // set. The default set is one buffered channel per endpoint whose capacity

@@ -56,6 +56,11 @@ type Lock interface {
 // re-check predicates in a loop.
 type Cond interface {
 	Wait(Ctx)
+	// WaitFor is Wait bounded by d: it returns after a Signal or Broadcast,
+	// or once d has elapsed, whichever comes first. Unsignalled it costs what
+	// Sleep(d) costs — on the simulator exactly the one event Sleep(d) would
+	// schedule — and nothing it arms outlives it.
+	WaitFor(c Ctx, d time.Duration)
 	Signal()
 	Broadcast()
 }

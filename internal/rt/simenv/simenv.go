@@ -95,6 +95,8 @@ func (c *cond) Wait(x rt.Ctx) { c.c.Wait(proc(x).P) }
 func (c *cond) Signal()       { c.c.Signal() }
 func (c *cond) Broadcast()    { c.c.Broadcast() }
 
+func (c *cond) WaitFor(x rt.Ctx, d time.Duration) { c.c.WaitFor(proc(x).P, d) }
+
 // messageOverhead is the wire header charged per mixed message (it includes
 // the descriptor of the first data block), diskIDWireBytes the per-entry cost
 // of the on-disk ID list, and blockWireBytes the descriptor of each batched

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Mutex is a FIFO mutual-exclusion lock for simulated processes. Ownership is
 // handed directly to the longest-waiting process on Unlock, so lock
@@ -55,7 +58,15 @@ func (m *Mutex) Waiters() int { return len(m.waiters) }
 type Cond struct {
 	M       *Mutex
 	name    string
-	waiters []*Proc
+	waiters []condWaiter
+}
+
+// condWaiter is one process parked on a Cond. A timed waiter (WaitFor) also
+// holds the timeout event it scheduled; a plain waiter has none and is
+// blocked.
+type condWaiter struct {
+	p       *Proc
+	timeout *event
 }
 
 // NewCond returns a condition variable using m as its lock.
@@ -67,13 +78,52 @@ func NewCond(m *Mutex, name string) *Cond {
 // re-acquires the mutex before returning. As with sync.Cond, callers must
 // re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
-	if c.M.owner != p {
-		panic(fmt.Sprintf("sim: cond %q Wait without holding mutex (process %q)", c.name, p.name))
-	}
-	c.waiters = append(c.waiters, p)
+	c.mustHold(p, "Wait")
+	c.waiters = append(c.waiters, condWaiter{p: p})
 	c.M.Unlock(p)
 	p.block("cond:" + c.name)
 	c.M.Lock(p)
+}
+
+// WaitFor is Wait bounded by d: it returns after a Signal or Broadcast, or
+// once d has elapsed, whichever comes first. Unsignalled it is Unlock,
+// Delay(d), Lock: it schedules exactly the one event Delay(d) would, at the
+// same (time, sequence) position. A signal cancels that event and wakes the
+// process at the signal's time; on timeout the process leaves the wait
+// queue, so a later Signal wakes the next waiter. A timed waiter always has
+// its event pending, so it never appears in a DeadlockError.
+func (c *Cond) WaitFor(p *Proc, d time.Duration) {
+	c.mustHold(p, "WaitFor")
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative wait %v on cond %q in process %q", d, c.name, p.name))
+	}
+	c.M.Unlock(p)
+	c.waiters = append(c.waiters, condWaiter{p: p, timeout: p.eng.schedule(p, p.eng.now+d)})
+	p.yield()
+	for i, w := range c.waiters {
+		if w.p == p {
+			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			break
+		}
+	}
+	c.M.Lock(p)
+}
+
+func (c *Cond) mustHold(p *Proc, op string) {
+	if c.M.owner != p {
+		panic(fmt.Sprintf("sim: cond %q %s without holding mutex (process %q)", c.name, op, p.name))
+	}
+}
+
+// wake resumes one dequeued waiter at the current time: a timed waiter's
+// timeout event is cancelled in favour of an immediate one.
+func (c *Cond) wake(w condWaiter) {
+	if w.timeout == nil {
+		c.M.eng.wake(w.p)
+		return
+	}
+	w.timeout.canceled = true
+	c.M.eng.schedule(w.p, c.M.eng.now)
 }
 
 // Signal wakes the longest-waiting process, if any.
@@ -83,7 +133,7 @@ func (c *Cond) Signal() {
 	}
 	w := c.waiters[0]
 	c.waiters = c.waiters[1:]
-	c.M.eng.wake(w)
+	c.wake(w)
 }
 
 // Broadcast wakes every waiting process in FIFO order.
@@ -91,7 +141,7 @@ func (c *Cond) Broadcast() {
 	ws := c.waiters
 	c.waiters = nil
 	for _, w := range ws {
-		c.M.eng.wake(w)
+		c.wake(w)
 	}
 }
 

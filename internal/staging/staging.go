@@ -280,6 +280,11 @@ type Stager struct {
 
 	done rt.Cond // a runtime thread exited
 
+	// beat renews the lease every HeartbeatInterval; it is halted the moment
+	// the stager drains or is killed, and Wait joins it. nil without a
+	// heartbeat.
+	beat *rt.Loop
+
 	// The arbiter's state (electLocked, turnLocked). parkedOn is the
 	// destination whose full window the forwarder is waiting on (-1: none),
 	// parkedSince when that wait began, and lastPark how long the last one
@@ -379,7 +384,7 @@ func NewStager(env rt.Env, cfg Config, id int, in rt.Inbox, tr rt.Transport, fs 
 		s.spillDone = true
 	}
 	if cfg.Heartbeat != nil && cfg.HeartbeatInterval > 0 {
-		env.Go(fmt.Sprintf("zstage.%d.heartbeat", id), s.heartbeatThread)
+		s.beat = rt.StartLoop(env, fmt.Sprintf("zstage.%d.heartbeat", id), cfg.HeartbeatInterval, cfg.Heartbeat, nil)
 	}
 	return s
 }
@@ -492,14 +497,18 @@ func (s *Stager) Err(c rt.Ctx) error {
 }
 
 // Wait blocks until the receiver, forwarder, and spiller threads have
-// exited: every assigned producer sent its Fin (or, for a managed stager,
-// the Retire arrived) and all relayed data was delivered.
+// exited — every assigned producer sent its Fin (or, for a managed stager,
+// the Retire arrived) and all relayed data was delivered — and then joins
+// the heartbeat, which the drain (or a Kill) has already halted.
 func (s *Stager) Wait(c rt.Ctx) {
 	s.lk.Lock(c)
 	for !(s.recvDone && s.forwardDone && s.spillDone) {
 		s.done.Wait(c)
 	}
 	s.lk.Unlock(c)
+	if s.beat != nil {
+		s.beat.Join(c)
+	}
 }
 
 // Drained reports, without blocking, whether every runtime thread has exited
@@ -531,6 +540,10 @@ func (s *Stager) Kill(c rt.Ctx) {
 	s.space.Broadcast()
 	s.spillWork.Broadcast()
 	s.done.Broadcast()
+	if s.beat != nil {
+		// A crash stops the beats silently: the lease lapses into eviction.
+		s.beat.Halt(c)
+	}
 	s.lk.Unlock(c)
 }
 
@@ -557,28 +570,17 @@ func (s *Stager) NeedsRetire(c rt.Ctx) bool {
 // thread to exit — and only on a genuine drain, never a crash — hands the
 // lease back synchronously, so by the time Wait/Drained observe the
 // endpoint as done the failure detector already knows the silence is
-// planned.
-func (s *Stager) maybeUnleaseLocked() {
-	if s.recvDone && s.forwardDone && s.spillDone && !s.killed && !s.unleased && s.cfg.Unlease != nil {
-		s.unleased = true
+// planned, and halts the heartbeat there and then.
+func (s *Stager) maybeUnleaseLocked(c rt.Ctx) {
+	if !(s.recvDone && s.forwardDone && s.spillDone) || s.killed || s.unleased {
+		return
+	}
+	s.unleased = true
+	if s.cfg.Unlease != nil {
 		s.cfg.Unlease()
 	}
-}
-
-// heartbeatThread renews the endpoint's lease every HeartbeatInterval. A
-// crash stops the beats silently (the lease lapses and the failure
-// detector evicts); a clean drain stops them after Unlease already ran.
-func (s *Stager) heartbeatThread(c rt.Ctx) {
-	for {
-		c.Sleep(s.cfg.HeartbeatInterval)
-		s.lk.Lock(c)
-		killed := s.killed
-		done := s.recvDone && s.forwardDone && s.spillDone
-		s.lk.Unlock(c)
-		if killed || done {
-			return
-		}
-		s.cfg.Heartbeat(c)
+	if s.beat != nil {
+		s.beat.Halt(c)
 	}
 }
 
@@ -732,7 +734,7 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 	s.recvDone = true
 	s.work.Broadcast()
 	s.spillWork.Broadcast()
-	s.maybeUnleaseLocked()
+	s.maybeUnleaseLocked(c)
 	s.done.Broadcast()
 	s.lk.Unlock(c)
 }
@@ -993,7 +995,7 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 				}
 				s.forwardDone = true
 				s.finished = c.Now()
-				s.maybeUnleaseLocked()
+				s.maybeUnleaseLocked(c)
 				s.done.Broadcast()
 				s.lk.Unlock(c)
 				return
@@ -1170,7 +1172,7 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 			}
 			if s.recvDone {
 				s.spillDone = true
-				s.maybeUnleaseLocked()
+				s.maybeUnleaseLocked(c)
 				s.done.Broadcast()
 				s.lk.Unlock(c)
 				return
@@ -1234,7 +1236,7 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 			}
 			s.spillDone = true
 			s.work.Broadcast()
-			s.maybeUnleaseLocked()
+			s.maybeUnleaseLocked(c)
 			s.done.Broadcast()
 			s.lk.Unlock(c)
 			return

@@ -180,10 +180,20 @@ func RunFleet(spec FleetSpec) FleetResult {
 	plane, stagers := tier.Plane, tier.Instances()
 
 	// Shared run state: written only under the engine's one-process-at-a-
-	// time scheduling, so no locking is needed.
+	// time scheduling, so no locking is needed. The harness lock exists for
+	// allDone, which the last job to finish broadcasts.
 	results := make([]FleetJobResult, len(spec.Jobs))
-	jobsDone := 0
 	endpoints := make([]*assembly.Endpoints, len(spec.Jobs))
+	harness := pf.env(assembly.Control, 0).NewLock("harness")
+	allDone := harness.NewCond("harness.allDone")
+	jobsDone := 0
+	jobDone := func(c rt.Ctx) {
+		harness.Lock(c)
+		if jobsDone++; jobsDone == len(spec.Jobs) {
+			allDone.Broadcast()
+		}
+		harness.Unlock(c)
+	}
 
 	for i, job := range spec.Jobs {
 		i, job := i, job
@@ -203,7 +213,7 @@ func RunFleet(spec FleetSpec) FleetResult {
 			tenant, err := tier.Admit(c, control.JobSpec{Name: job.Name, Quota: job.Quota})
 			if err != nil {
 				results[i] = FleetJobResult{Name: job.Name, Start: c.Now()}
-				jobsDone++
+				jobDone(c)
 				return
 			}
 			results[i].Name = job.Name
@@ -266,44 +276,44 @@ func RunFleet(spec FleetSpec) FleetResult {
 			}
 			plane.Finish(c, tenant)
 			results[i].End = c.Now()
-			jobsDone++
+			jobDone(c)
 		})
 	}
 
-	// The sampler records the per-tenant timeline until the last job is
-	// done — the zippertrace fleet view's input.
+	// The sampler records the per-tenant timeline every Sample until the
+	// last job is done — the zippertrace fleet view's input.
 	var samples []FleetSample
+	var sampler *rt.Loop
 	if spec.Sample > 0 {
-		pf.env(assembly.Control, 0).Go("fleet.sampler", func(c rt.Ctx) {
-			for jobsDone < len(spec.Jobs) {
-				c.Sleep(spec.Sample)
-				snap := plane.Snapshot()
-				sm := FleetSample{At: c.Now(), Tenants: make([]TenantSample, len(spec.Jobs))}
-				for _, sn := range snap {
-					ts := TenantSample{Stagers: len(sn.Stagers), QuotaBlocks: sn.QuotaBlocks, Active: sn.Active}
-					for _, in := range stagers {
-						if lv := in.St.TenantLevel(sn.ID); lv != nil {
-							q, _ := lv.Get()
-							ts.Resident += q
-						}
+		sampler = rt.StartLoop(pf.env(assembly.Control, 0), "fleet.sampler", spec.Sample, func(c rt.Ctx) {
+			snap := plane.Snapshot()
+			sm := FleetSample{At: c.Now(), Tenants: make([]TenantSample, len(spec.Jobs))}
+			for _, sn := range snap {
+				ts := TenantSample{Stagers: len(sn.Stagers), QuotaBlocks: sn.QuotaBlocks, Active: sn.Active}
+				for _, in := range stagers {
+					if lv := in.St.TenantLevel(sn.ID); lv != nil {
+						q, _ := lv.Get()
+						ts.Resident += q
 					}
-					sm.Tenants[sn.ID] = ts
 				}
-				samples = append(samples, sm)
+				sm.Tenants[sn.ID] = ts
 			}
-		})
+			samples = append(samples, sm)
+		}, nil)
 	}
 
-	// The fleet janitor: once every job has released its tenant, shut the
-	// shared tier down (the directories are already empty, so each Retire
-	// is provably the last message its stager receives).
+	// The fleet janitor: the moment every job has released its tenant, stop
+	// the sampler and shut the shared tier down (the directories are already
+	// empty, so each Retire is provably the last message its stager
+	// receives).
 	pf.env(assembly.Control, 0).Go("fleet.janitor", func(c rt.Ctx) {
-		interval := spec.Reconcile
-		if interval <= 0 {
-			interval = 2 * time.Millisecond
-		}
+		harness.Lock(c)
 		for jobsDone < len(spec.Jobs) {
-			c.Sleep(interval)
+			allDone.Wait(c)
+		}
+		harness.Unlock(c)
+		if sampler != nil {
+			sampler.Stop(c)
 		}
 		tier.Shutdown(c)
 	})

@@ -157,7 +157,11 @@ type Result struct {
 	OK     bool
 	Fail   string // crash reason when OK is false
 	E2E    time.Duration
-	Stages StageTimes
+	// DataEnd (Zipper runs) is the end of the run as the data sees it: the
+	// later of the last application rank's return and the last stager's
+	// drain. E2E is later only if a control thread outlived the data.
+	DataEnd time.Duration
+	Stages  StageTimes
 	// ProducerStall is the maximum time a producer spent blocked handing
 	// data to the transport.
 	ProducerStall time.Duration
@@ -560,23 +564,31 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 		return Result{Method: "Zipper", Fail: err.Error()}
 	}
 	producers, consumers, tier := asm.Producers, asm.Consumers, asm.Tier
+	// prodsDone is set, and prodsDoneCond broadcast, by the janitor once
+	// every producer has handed off its data.
+	harness := pf.env(assembly.Control, 0).NewLock("harness")
+	prodsDoneCond := harness.NewCond("harness.prodsDone")
 	prodsDone := false
 	if spec.FaultKillEpoch > 0 && tier != nil && tier.Monitor != nil {
 		// The deterministic kill injector: the first time the pool's
 		// membership epoch reaches FaultKillEpoch, hard-kill the lowest live
 		// member's stager. Clocked on virtual time, so the same spec crashes
-		// at the same instant in every run.
+		// at the same instant in every run; it looks every heartbeat and
+		// leaves the moment the producers are done.
 		heartbeat := a.Fault.WithDefaults().Heartbeat
 		pf.env(assembly.Control, 0).Go("fault.injector", func(c rt.Ctx) {
+			harness.Lock(c)
 			for !prodsDone {
 				if tier.Pool.Epoch() >= int64(spec.FaultKillEpoch) {
+					harness.Unlock(c)
 					if members := tier.Pool.Members(); len(members) > 0 {
 						tier.Kill(c, members[0]-a.Consumers)
 					}
 					return
 				}
-				c.Sleep(heartbeat)
+				prodsDoneCond.WaitFor(c, heartbeat)
 			}
+			harness.Unlock(c)
 		})
 	}
 	if tier != nil && tier.Pool != nil {
@@ -589,7 +601,10 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 			for _, p := range producers {
 				p.Wait(c)
 			}
+			harness.Lock(c)
 			prodsDone = true
+			prodsDoneCond.Broadcast()
+			harness.Unlock(c)
 			tier.Shutdown(c)
 		})
 	}
@@ -604,6 +619,7 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 	}
 
 	anaBusy := make([]time.Duration, spec.Q)
+	var dataEnd time.Duration
 	r.prodComm.Launch("sim", func(rank *mpi.Rank) {
 		prod := producers[rank.Local()]
 		p := rank.Proc()
@@ -644,6 +660,7 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 		}
 		prod.Close(c)
 		prod.Wait(c)
+		dataEnd = max(dataEnd, p.Now())
 	})
 	r.consComm.Launch("ana", func(rank *mpi.Rank) {
 		cons := consumers[rank.Local()]
@@ -661,16 +678,18 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 			}
 		}
 		cons.Wait(c)
+		dataEnd = max(dataEnd, c.Now())
 	})
 	if err := r.eng.Run(); err != nil {
 		return Result{Method: "Zipper", Fail: err.Error()}
 	}
 
 	res := Result{
-		Method: "Zipper",
-		OK:     true,
-		E2E:    r.eng.Now(),
-		Rec:    r.rec,
+		Method:  "Zipper",
+		OK:      true,
+		E2E:     r.eng.Now(),
+		DataEnd: dataEnd,
+		Rec:     r.rec,
 	}
 	var maxSend, maxStall, maxStore time.Duration
 	for _, p := range producers {
@@ -718,6 +737,7 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 		res.BytesOnWire += st.BytesOnWire
 		res.BytesReduced += st.BytesReduced
 		res.StagerRelayed = append(res.StagerRelayed, st.BlocksIn)
+		res.DataEnd = max(res.DataEnd, st.Finished)
 		if st.MaxQueued > res.StagerMaxQueued {
 			res.StagerMaxQueued = st.MaxQueued
 		}

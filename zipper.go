@@ -87,7 +87,9 @@
 package zipper
 
 import (
+	"context"
 	"fmt"
+	"sync"
 
 	"zipper/internal/assembly"
 	"zipper/internal/block"
@@ -427,12 +429,15 @@ type Job struct {
 	tier *assembly.Tier   // the job's own staging tier; nil without one, and for a fleet tenant
 	pipe *reduce.Pipeline // shared parallel-encode pool (Reduce.Workers != 0)
 
+	// The work of waiting runs once, on a goroutine of its own that the
+	// first Wait or WaitContext starts; finished closes when it is done.
+	waitOnce sync.Once
+	finished chan struct{}
+
 	// Shared-fleet mode (Fleet.Submit): the fleet this job is a tenant of
-	// and its control-plane handle. Both nil for a private NewJob. finished
-	// (under fleet.mu) keeps the tenant's capacity release idempotent.
-	fleet    *Fleet
-	tenant   *control.Tenant
-	finished bool
+	// and its control-plane handle. Both nil for a private NewJob.
+	fleet  *Fleet
+	tenant *control.Tenant
 }
 
 // validate rejects configurations that would otherwise hang, panic, or
@@ -765,7 +770,7 @@ func NewJob(cfg Config) (*Job, error) {
 
 // newJob wraps assembled endpoints in the application-facing handles.
 func newJob(pf *platform, ep *assembly.Endpoints) *Job {
-	j := &Job{pf: pf}
+	j := &Job{pf: pf, finished: make(chan struct{})}
 	for _, c := range ep.Consumers {
 		j.cons = append(j.cons, &Consumer{c: c, ctx: pf.env.Ctx()})
 	}
@@ -799,9 +804,40 @@ func (j *Job) Consumer(i int) *Consumer { return j.cons[i] }
 // all data delivered (including through the staging tier), and (in Preserve
 // mode) stored. Once the producers are done it shuts the job's own staging
 // tier down — every relayed block is flushed to its consumer before the
-// consumers' streams can complete. Wait returns whether or not an endpoint
-// failed on the way; Err says if one did.
-func (j *Job) Wait() {
+// consumers' streams can complete — and the tier's controllers (failure
+// detector, autoscaler) and every stager heartbeat stop on that event, not
+// on their next tick, so Wait returns as soon as the last block is analysed
+// and no runtime goroutine of the job outlives it. Wait returns whether or
+// not an endpoint failed on the way; Err says if one did. It may be called
+// more than once, from any goroutine: the work of waiting runs once.
+func (j *Job) Wait() { _ = j.WaitContext(context.Background()) }
+
+// WaitContext is Wait bounded by ctx: it returns nil once the job has
+// finished, or ctx.Err() if ctx is done first. Giving up does not abandon
+// the job — it goes on to completion, and a later Wait or WaitContext
+// returns when it has.
+func (j *Job) WaitContext(ctx context.Context) error {
+	j.waitOnce.Do(func() {
+		go func() {
+			j.wait()
+			close(j.finished)
+		}()
+	})
+	select {
+	case <-j.finished:
+		return nil
+	case <-ctx.Done():
+		select {
+		case <-j.finished:
+			return nil
+		default:
+			return ctx.Err()
+		}
+	}
+}
+
+// wait is the work of waiting, run once.
+func (j *Job) wait() {
 	for _, p := range j.prod {
 		p.p.Wait(p.ctx)
 	}
@@ -812,7 +848,7 @@ func (j *Job) Wait() {
 	if j.fleet != nil {
 		// Fleet tenant: the shared stagers outlive this job. Release its
 		// capacity so the control plane redistributes the slice.
-		j.fleet.jobFinished(j)
+		j.fleet.tier.Plane.Finish(j.pf.env.Ctx(), j.tenant)
 	}
 	if j.pipe != nil {
 		// Every encoding thread (producers, stagers) has joined: the shared
