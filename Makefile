@@ -71,12 +71,13 @@ test-full:
 	$(GO) build ./... && $(GO) test ./...
 
 # 10 s of each decoder fuzz target: the store readers (spill file, log) and
-# the frame reader, and the block codec (arbitrary bytes into the decoder;
-# encode/decode round trip).
+# the frame reader, the block codec (arbitrary bytes into the decoder;
+# encode/decode round trip), and the block decode a frame's enc word reaches
+# (any tag, any claimed raw size, any bytes).
 fuzz-smoke:
 	for f in FuzzReadBlock FuzzLogRead FuzzReadFrame; do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/rt/realenv || exit 1; done
-	for f in FuzzLZDecode FuzzLZRoundTrip; do \
+	for f in FuzzLZDecode FuzzLZRoundTrip FuzzDecodeBlock; do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/reduce || exit 1; done
 
 # One iteration of every Go benchmark — catches bit-rot, measures nothing —

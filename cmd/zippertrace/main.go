@@ -11,7 +11,7 @@
 //	zippertrace compare-lammps [-cores N]       # Figure 19
 //	zippertrace staging [-steps N]              # in-transit stager threads
 //	zippertrace elastic [-steps N]              # autoscaled stager pool
-//	zippertrace placement [-steps N]            # endpoint placement policies
+//	zippertrace placement [-steps N]            # rank-affine vs least-occupancy placement
 //	zippertrace failover [-steps N]             # crash, replay, respawn
 //	zippertrace fleet [-steps N]                # multi-job shared-fleet control plane
 package main

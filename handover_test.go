@@ -144,7 +144,6 @@ type failingEncoder struct{}
 func (failingEncoder) EncodeBlock(b *block.Block) error {
 	return fmt.Errorf("block %v: stub operator", b.ID)
 }
-func (failingEncoder) Stateless() bool { return false }
 
 // TestJobErrReportsSenderEncodeFailure is core's
 // TestSenderEncodeFailureSendsUnreduced through the public API: every block

@@ -78,12 +78,6 @@ func newTier(pf Platform, spec Spec) (*Tier, error) {
 	}
 	if spec.Tenants == nil && spec.Elastic.Enabled {
 		t.ecfg = spec.Elastic.WithDefaults(n)
-		if t.fcfg.Enabled {
-			// Draining a member that may already be dead is unsound (its
-			// Retire would never be consumed): the fault plane trades
-			// mid-run drains for crash safety.
-			t.ecfg.DisableDrain = true
-		}
 		n = t.ecfg.MaxStagers
 	}
 	t.slots = make([]atomic.Pointer[Instance], n)
@@ -135,6 +129,9 @@ func (t *Tier) start(c rt.Ctx) {
 		t.Plane.Start(t.pf.Env(Control, 0))
 	case t.ecfg.Enabled:
 		t.Scaler = elastic.NewScaler(t.pf.Env(Control, 0), t.ecfg, t.Pool, t, t.base, initial)
+		if t.fcfg.Enabled {
+			t.Scaler.GrowOnly() // a member may already be dead: no mid-run drains
+		}
 		t.Scaler.Start()
 	}
 }

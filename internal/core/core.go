@@ -143,7 +143,8 @@ type Config struct {
 	// producer has a stager assigned (see NewProducer's stager argument).
 	RoutePolicy RoutePolicy
 	// Adaptive tunes the RouteAdaptive controller; the zero value selects
-	// the flow package's defaults.
+	// the flow package's defaults, which is what every job runs. The
+	// simulated-platform tests set it to clock the controller faster.
 	Adaptive flow.Tuning
 	// NewRouter, when non-nil, overrides the policy-based router: each
 	// producer gets its own instance from this factory, making any routing
@@ -202,11 +203,9 @@ type Config struct {
 	// ReducePipeline, when non-nil, fans the sender thread's relay-path
 	// encode out across the pipeline's shared worker pool instead of
 	// encoding inline (Reduce.Workers != 0 selects it; zipper builds one
-	// pipeline per job and hands it to every producer and stager). Only
-	// consulted for stateless operators — Delta keeps its single in-order
-	// encode path on the sender thread regardless (see reduce.Pipeline).
-	// The pipeline encodes in place and joins before the send, so batch
-	// order, per-stream run order, and wire bytes are identical to inline.
+	// pipeline per job and hands it to every producer and stager). The
+	// pipeline encodes in place and joins before the send, so batch order
+	// and wire bytes are identical to inline.
 	ReducePipeline *reduce.Pipeline
 	// Recycler, when non-nil, is the job's free list of block headers and
 	// message slices: the consumers hand in what their applications release

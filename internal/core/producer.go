@@ -25,8 +25,7 @@ type Producer struct {
 	fs     rt.BlockStore
 	router flow.Router
 	// enc reduces relayed payloads at the sender (nil when reduction is off
-	// or deferred to the stager's pressure gate). Owned by the sender
-	// thread, which is what gives the Delta operator its in-order stream.
+	// or deferred to the stager's pressure gate). Owned by the sender thread.
 	enc BlockEncoder
 
 	// Per-destination delivery totals, maintained by the sender thread when
@@ -94,12 +93,11 @@ type Producer struct {
 }
 
 // BlockEncoder is what the sender thread needs of a reduce.Encoder (a test
-// substitutes one that fails), the same two methods a stager's forwarder
-// asks for. A block EncodeBlock returns an error for must be left as it was,
-// so it can still be sent unreduced.
+// substitutes one that fails), the same method a stager's forwarder asks
+// for. A block EncodeBlock returns an error for must be left as it was, so it
+// can still be sent unreduced.
 type BlockEncoder interface {
 	EncodeBlock(b *block.Block) error
-	Stateless() bool
 }
 
 // SetEncoder replaces the operator the sender thread reduces relayed batches
@@ -401,7 +399,7 @@ func (p *Producer) senderThread(c rt.Ctx) {
 			// memory bandwidth; decode happens once, at the consumer edge. A
 			// block the operator fails on is left as it was and goes out
 			// unreduced; Err keeps the first failure.
-			if pp := p.cfg.ReducePipeline; pp != nil && p.enc.Stateless() {
+			if pp := p.cfg.ReducePipeline; pp != nil {
 				// Parallel encode across the job's shared worker pool:
 				// in-place and joined before the send, so batch order and
 				// wire bytes match the inline path exactly.

@@ -18,7 +18,6 @@ func (e *failingEncoder) EncodeBlock(b *block.Block) error {
 	e.calls.Add(1)
 	return fmt.Errorf("block %v: stub operator", b.ID)
 }
-func (*failingEncoder) Stateless() bool { return false }
 
 // TestSenderEncodeFailureSendsUnreduced pins the sender's error path: a block
 // the operator fails on is no reason to take the process down. It goes to the

@@ -7,10 +7,9 @@
 //   - Pool, an epoch-versioned stager directory — since the placement plane
 //     landed it IS a place.Directory (the type below is an alias), so the
 //     assignment rule is pluggable: rank-affine by default, or any
-//     place.Policy (least-occupancy, consistent hashing across epochs) the
-//     embedder configures. Producers resolve their stager from the live
-//     membership per drained batch, so membership changes compose with
-//     every flow.Router unchanged. The directory also counts
+//     place.Policy (least-occupancy) the embedder configures. Producers
+//     resolve their stager from the live membership per drained batch, so
+//     membership changes compose with every flow.Router unchanged. The directory also counts
 //     claimed-but-undelivered relay sends per endpoint, which is what makes
 //     retirement race-free: Quiesce waits for the last straggler to deposit
 //     before the Retire control message is sent, so Retire is provably the
@@ -70,13 +69,6 @@ type Config struct {
 	// (default 10×Interval); together with the hysteresis band it keeps the
 	// pool from thrashing on transients.
 	Interval, Cooldown time.Duration
-	// DisableDrain removes the scale-down verdict: the pool only grows (and
-	// respawns crashed slots) until shutdown. The fault plane sets it —
-	// draining a member that may already be dead is unsound without fencing
-	// (its Retire would never be consumed and the quiesce handshake would
-	// wedge against a crashed receiver), so fault mode trades mid-run drains
-	// for crash safety.
-	DisableDrain bool
 }
 
 // WithDefaults resolves zero fields against the reserved endpoint ceiling.
@@ -156,7 +148,7 @@ func (c Config) Decide(occ float64, spillDelta int64, size int, cooled bool) int
 	if (occ >= c.GrowOccupancy || spillDelta > 0) && size < c.MaxStagers {
 		return 1
 	}
-	if occ <= c.DrainOccupancy && spillDelta == 0 && size > c.MinStagers && !c.DisableDrain {
+	if occ <= c.DrainOccupancy && spillDelta == 0 && size > c.MinStagers {
 		return -1
 	}
 	return 0
@@ -249,6 +241,9 @@ type Scaler struct {
 	// catches membership edits the fault plane made directly on the pool.
 	onResize  func(c rt.Ctx, members []int)
 	lastEpoch int64
+
+	// growOnly (set before Start via GrowOnly) drops the drain verdict.
+	growOnly bool
 }
 
 // poolChange is one fault-plane notification: fl == nil records a crash
@@ -296,6 +291,14 @@ func NewScaler(env rt.Env, cfg Config, pool *Pool, host Host, base int, initial 
 func (s *Scaler) SetOnResize(fn func(c rt.Ctx, members []int)) {
 	s.onResize = fn
 }
+
+// GrowOnly removes the scale-down verdict: the pool only grows (and
+// respawns crashed slots) until shutdown. A fault-protected tier asks for
+// it — draining a member that may already be dead is unsound without
+// fencing (its Retire would never be consumed and the quiesce handshake
+// would wedge against a crashed receiver), so fault mode trades mid-run
+// drains for crash safety. Call before Start.
+func (s *Scaler) GrowOnly() { s.growOnly = true }
 
 // Start launches the control loop as a runtime thread: a tick every
 // Interval, the shutdown on Stop.
@@ -369,7 +372,9 @@ func (s *Scaler) tick(c rt.Ctx) {
 	case 1:
 		s.grow(c, now, sig.Occupancy)
 	case -1:
-		s.drain(c, now, sig.Occupancy)
+		if !s.growOnly {
+			s.drain(c, now, sig.Occupancy)
+		}
 	}
 	s.notifyResize(c)
 }

@@ -11,9 +11,8 @@ import (
 )
 
 // PlacementRow is one placement policy of the placement sweep: the same
-// skewed-rate staged workload resolved rank-affine, least-occupancy, and
-// hash-ring, with the per-stager relay split that shows where the traffic
-// actually landed.
+// skewed-rate staged workload resolved rank-affine and least-occupancy, with
+// the per-stager relay split that shows where the traffic actually landed.
 type PlacementRow struct {
 	Policy string
 	OK     bool
@@ -46,12 +45,11 @@ func placementSpec(steps int) workflow.Spec {
 
 // RunPlacementSweep runs the skewed workload under each placement policy on
 // the simulated platform. Rank-affine funnels rank 0's torrent through one
-// stager (the imbalance the load-aware policies exist to shrink);
-// least-occupancy spreads it by live buffer occupancy; hash-ring shows the
-// churn-stable-but-load-blind middle ground.
+// stager (the imbalance the load-aware policy exists to shrink);
+// least-occupancy spreads it by live buffer occupancy.
 func RunPlacementSweep(steps int) []PlacementRow {
 	var rows []PlacementRow
-	for _, kind := range []place.Kind{place.KindRankAffine, place.KindLeastOccupancy, place.KindHashRing} {
+	for _, kind := range []place.Kind{place.KindRankAffine, place.KindLeastOccupancy} {
 		spec := placementSpec(steps)
 		spec.Placement = kind
 		res := workflow.RunZipper(spec)
@@ -73,7 +71,7 @@ func RunPlacementSweep(steps int) []PlacementRow {
 // per row, so the funnel-vs-spread difference is visible at a glance.
 func FormatPlacement(rows []PlacementRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Placement sweep: skewed 4-producer staged workload (rank 0 emits 6x its peers)\n")
+	fmt.Fprintf(&b, "Placement sweep: rank-affine against least-occupancy, skewed 4-producer staged workload (rank 0 emits 6x its peers)\n")
 	fmt.Fprintf(&b, "%-16s %-10s %-12s %-10s %-8s %s\n",
 		"policy", "e2e", "write-stall", "imbalance", "spills", "relayed per stager")
 	for _, r := range rows {

@@ -27,7 +27,7 @@ func TestPlacementSweepRebalances(t *testing.T) {
 			lo.Imbalance, ra.Imbalance)
 	}
 	out := FormatPlacement(rows)
-	for _, want := range []string{"rank-affine", "least-occupancy", "hash-ring", "imbalance"} {
+	for _, want := range []string{"rank-affine", "least-occupancy", "imbalance"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered sweep missing %q:\n%s", want, out)
 		}

@@ -195,12 +195,10 @@ type Tuning struct {
 	// throughput gauges (default 20ms — virtual time under simenv).
 	Tau time.Duration
 	// Decay is the relaxation time constant of the staging share: while the
-	// producer runs stall-free the share falls toward MinShare with this
+	// producer runs stall-free the share falls toward zero with this
 	// half-life-ish constant, handing traffic back to the lower-latency
 	// direct path (default 10×Tau).
 	Decay time.Duration
-	// MinShare and MaxShare clamp the staging share (defaults 0 and 1).
-	MinShare, MaxShare float64
 	// ProbeInterval is how often, in decisions, the controller probes the
 	// minority channel while both channels are saturated, so a recovery on
 	// the idle channel is noticed (default every 16th decision).
@@ -213,15 +211,6 @@ func (t Tuning) withDefaults() Tuning {
 	}
 	if t.Decay <= 0 {
 		t.Decay = 10 * t.Tau
-	}
-	if t.MaxShare <= 0 || t.MaxShare > 1 {
-		t.MaxShare = 1
-	}
-	if t.MinShare < 0 {
-		t.MinShare = 0
-	}
-	if t.MinShare > t.MaxShare {
-		t.MinShare = t.MaxShare
 	}
 	if t.ProbeInterval <= 0 {
 		t.ProbeInterval = 16
@@ -272,7 +261,7 @@ func (e *costEWMA) add(x float64) {
 //   - back off: when the relay congests more than the direct path the share
 //     falls multiplicatively harder than it climbs, so the split hovers at
 //     the staging tier's actual service capacity instead of funneling;
-//   - relax: while healthy the share decays toward MinShare with time
+//   - relax: while healthy the share decays toward zero with time
 //     constant Decay, handing traffic back to the low-latency direct path;
 //   - work conservation: a batch never blocks on its elected channel while
 //     the other channel has a free window slot, and when both are exhausted
@@ -288,7 +277,7 @@ func (e *costEWMA) add(x float64) {
 type Adaptive struct {
 	mu        sync.Mutex
 	tun       Tuning
-	share     float64 // current staging share in [MinShare, MaxShare]
+	share     float64 // current staging share in [0, 1]
 	acc       float64 // deterministic weighted-interleave accumulator
 	lastRelax time.Duration
 	pressured int // pressured decisions, for the probing cadence
@@ -351,7 +340,7 @@ func (a *Adaptive) Route(s Signals) Route {
 	stallFrac := a.stall.Frac(s.Now)
 	pressure := blocked || stallFrac > stallEps
 	if !pressure {
-		// Healthy: the share relaxes toward MinShare and traffic follows
+		// Healthy: the share relaxes toward zero and traffic follows
 		// it home to the low-latency direct path.
 		a.relaxLocked(s.Now)
 		if a.share < minActiveShare {
@@ -365,10 +354,10 @@ func (a *Adaptive) Route(s Signals) Route {
 	// so an oversubscribed relay sheds load quickly.
 	a.lastRelax = s.Now
 	if a.rBlk.v > a.dBlk.v+congestionMargin {
-		a.share = a.tun.MinShare + (a.share-a.tun.MinShare)*0.7
+		a.share *= 0.7
 	} else {
 		climb := 0.01 + 0.1*math.Min(1, stallFrac)
-		a.share = math.Min(a.tun.MaxShare, a.share+climb)
+		a.share = math.Min(1, a.share+climb)
 	}
 	a.pressured++
 	probe := a.pressured%a.tun.ProbeInterval == 0
@@ -421,7 +410,7 @@ func (a *Adaptive) interleaveLocked() Route {
 	return Direct
 }
 
-// relaxLocked decays the staging share toward MinShare while the producer is
+// relaxLocked decays the staging share toward zero while the producer is
 // healthy (no recent stall).
 func (a *Adaptive) relaxLocked(now time.Duration) {
 	if !(now > a.lastRelax) {
@@ -429,8 +418,7 @@ func (a *Adaptive) relaxLocked(now time.Duration) {
 	}
 	dt := now - a.lastRelax
 	a.lastRelax = now
-	f := math.Exp(-dt.Seconds() / a.tun.Decay.Seconds())
-	a.share = a.tun.MinShare + (a.share-a.tun.MinShare)*f
+	a.share *= math.Exp(-dt.Seconds() / a.tun.Decay.Seconds())
 }
 
 // diskMargin is how many times the network's cost per byte a steal may cost

@@ -12,12 +12,6 @@
 //   - LeastOccupancy routes each batch to the emptiest endpoint, read from
 //     the flow.Level occupancy gauges every runtime module already
 //     publishes — the SDN-style "least-loaded access point" rule.
-//   - HashRing is consistent hashing across membership epochs: when the
-//     elastic tier drains an endpoint only the ranks mapped to it move, and
-//     when the endpoint regrows exactly those ranks return, so churn never
-//     reshuffles the whole workload. (Implemented as rendezvous /
-//     highest-random-weight hashing, which carries the same minimal-
-//     disruption guarantee as a sorted ring without maintaining one.)
 //
 // The Directory also owns the in-flight claim accounting that makes elastic
 // retirement race-free (it is the generalization of the former
@@ -122,47 +116,6 @@ func occupancyFrac(load func(int) (int, int, bool), addr int) float64 {
 	return float64(q) / float64(capacity)
 }
 
-// hashRing is consistent hashing across epochs.
-type hashRing struct{}
-
-// HashRing returns the consistent-hashing policy: rank r resolves to the
-// member with the highest hash score h(r, member). Removing a member moves
-// only the ranks it owned (each falls to its second-highest score), and
-// adding it back restores exactly the original assignment — the property
-// that keeps elastic grow/drain churn from reshuffling every producer the
-// way a mod-map does.
-func HashRing() Policy { return hashRing{} }
-
-func (hashRing) Name() string { return "hash-ring" }
-
-func (hashRing) Pick(rank int, v View) (int, bool) {
-	if len(v.Members) == 0 {
-		return 0, false
-	}
-	// Members are ascending, so keeping only strictly greater scores also
-	// breaks score ties toward the lowest address, deterministically.
-	best, bestScore := v.Members[0], rendezvousScore(rank, v.Members[0])
-	for _, addr := range v.Members[1:] {
-		if s := rendezvousScore(rank, addr); s > bestScore {
-			best, bestScore = addr, s
-		}
-	}
-	return best, true
-}
-
-// rendezvousScore is FNV-1a over the (rank, member) pair.
-func rendezvousScore(rank, addr int) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, v := range [2]uint64{uint64(int64(rank)), uint64(int64(addr))} {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	return h
-}
-
 // Kind names a built-in policy on configuration surfaces (zipper.Config,
 // workflow.Spec). The zero value is KindRankAffine, which preserves the
 // fixed assignments of earlier revisions byte-identically.
@@ -173,13 +126,11 @@ const (
 	KindRankAffine Kind = iota
 	// KindLeastOccupancy routes every batch to the emptiest endpoint.
 	KindLeastOccupancy
-	// KindHashRing is consistent hashing across membership epochs.
-	KindHashRing
 )
 
 // Valid reports whether k names a built-in policy.
 func (k Kind) Valid() bool {
-	return k >= KindRankAffine && k <= KindHashRing
+	return k == KindRankAffine || k == KindLeastOccupancy
 }
 
 // String names the policy; out-of-range values render as "unknown(N)" so a
@@ -191,8 +142,6 @@ func (k Kind) String() string {
 		return "rank-affine"
 	case KindLeastOccupancy:
 		return "least-occupancy"
-	case KindHashRing:
-		return "hash-ring"
 	default:
 		return fmt.Sprintf("unknown(%d)", int(k))
 	}
@@ -201,14 +150,10 @@ func (k Kind) String() string {
 // New builds the policy k names; out-of-range kinds fall back to
 // RankAffine (Validate configurations before this point).
 func (k Kind) New() Policy {
-	switch k {
-	case KindLeastOccupancy:
+	if k == KindLeastOccupancy {
 		return LeastOccupancy()
-	case KindHashRing:
-		return HashRing()
-	default:
-		return RankAffine()
 	}
+	return RankAffine()
 }
 
 // Endpoints is the per-batch resolution surface a runtime module consults

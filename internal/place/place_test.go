@@ -1,6 +1,7 @@
 package place_test
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -57,48 +58,10 @@ func TestLeastOccupancyPick(t *testing.T) {
 	}
 }
 
-// TestHashRingMinimalDisruption pins the property the policy exists for:
-// removing a member moves only the ranks it owned, and adding it back
-// restores exactly the original assignment — elastic grow/drain churn never
-// reshuffles the whole workload.
-func TestHashRingMinimalDisruption(t *testing.T) {
-	const ranks = 64
-	pol := place.HashRing()
-	full := place.View{Members: []int{10, 11, 12, 13}}
-	before := make([]int, ranks)
-	for r := range before {
-		before[r], _ = pol.Pick(r, full)
-	}
-	// Drain member 12.
-	drained := place.View{Members: []int{10, 11, 13}}
-	moved := 0
-	for r := 0; r < ranks; r++ {
-		after, _ := pol.Pick(r, drained)
-		if before[r] == 12 {
-			moved++
-			if after == 12 {
-				t.Fatalf("rank %d still resolves to the drained member", r)
-			}
-		} else if after != before[r] {
-			t.Fatalf("rank %d moved %d→%d although its member stayed live", r, before[r], after)
-		}
-	}
-	if moved == 0 {
-		t.Fatal("no rank was ever mapped to the drained member — the hash never spread")
-	}
-	// Regrow member 12: the original assignment returns exactly.
-	for r := 0; r < ranks; r++ {
-		if again, _ := pol.Pick(r, full); again != before[r] {
-			t.Fatalf("regrow reshuffled rank %d: %d→%d", r, before[r], again)
-		}
-	}
-}
-
 func TestKindNamesAndValidation(t *testing.T) {
 	cases := map[place.Kind]string{
 		place.KindRankAffine:     "rank-affine",
 		place.KindLeastOccupancy: "least-occupancy",
-		place.KindHashRing:       "hash-ring",
 	}
 	for k, want := range cases {
 		if !k.Valid() || k.String() != want || k.New().Name() != want {
@@ -106,8 +69,10 @@ func TestKindNamesAndValidation(t *testing.T) {
 				int(k), k.Valid(), k, k.New().Name(), want)
 		}
 	}
-	if bad := place.Kind(42); bad.Valid() || bad.String() != "unknown(42)" {
-		t.Fatalf("out-of-range kind: valid=%v string=%q", bad.Valid(), bad)
+	for _, n := range []int{2, 42, -1} {
+		if bad := place.Kind(n); bad.Valid() || bad.String() != fmt.Sprintf("unknown(%d)", n) {
+			t.Fatalf("out-of-range kind %d: valid=%v string=%q", n, bad.Valid(), bad)
+		}
 	}
 	var zero place.Kind
 	if zero != place.KindRankAffine {

@@ -6,7 +6,7 @@ import (
 	"math/bits"
 )
 
-// The block codec behind Compress and Delta: byte-oriented LZ77 in the LZ4
+// The block codec behind Compress: byte-oriented LZ77 in the LZ4
 // block layout. An encoded block is a run of sequences
 //
 //	token | [literal-length bytes] | literals | u16 offset | [match-length bytes]

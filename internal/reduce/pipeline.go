@@ -12,22 +12,14 @@ import (
 // path: a producer's sender thread (or a stager's forwarder under the
 // pressure gate) hands its drained batch to EncodeBatch and gets every
 // block back encoded, having burned sender-thread CPU only on its share.
-//
-// Only stateless operators (Compress, Stride) may run here — each block
-// encodes in isolation, in any order, so the workers race nothing. Delta is
-// excluded by construction (NewPipeline panics; Config.Validate rejects the
-// combination first): a Delta encode consumes the retained raw payload of
-// the same stream's previous step as its XOR base and then replaces it, so
-// step N+1's encode has a true data dependency on step N's, and the decoder
-// replays that exact base chain in step order. Delta therefore stays on its
-// single in-order path — one owning encoder per stream path, as before.
+// Each block encodes in isolation, in any order, so the workers race
+// nothing.
 //
 // Ordering and byte-identity: EncodeBatch encodes blocks IN PLACE and
-// returns only after the whole batch is done, so the caller's slice order —
-// and with it the per-{rank,seq} stream run order the consumer's decoder
-// relies on — is untouched. Per-block encoder output is deterministic, so a
-// pipelined run produces byte-identical wire traffic to an inline run; only
-// the wall-clock cost moves.
+// returns only after the whole batch is done, so the caller's slice order
+// is untouched. Per-block encoder output is deterministic, so a pipelined
+// run produces byte-identical wire traffic to an inline run; only the
+// wall-clock cost moves.
 type Pipeline struct {
 	cfg     Config
 	workers int
@@ -64,12 +56,8 @@ func (pe *pipeErr) get() error {
 }
 
 // NewPipeline starts a worker pool for cfg. workers ≤ 0 scales the pool to
-// GOMAXPROCS (the cfg.Workers == -1 contract). cfg must validate and must
-// name a stateless operator.
+// GOMAXPROCS (the cfg.Workers == -1 contract). cfg must validate.
 func NewPipeline(cfg Config, workers int) *Pipeline {
-	if !cfg.Operator.Stateless() {
-		panic("reduce: pipeline requires a stateless operator (Delta needs its single in-order path)")
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

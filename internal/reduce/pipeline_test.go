@@ -29,10 +29,7 @@ func compressible(n int, seed int64) []byte {
 // through the worker pool come out exactly as the inline encoder produces —
 // same bytes, same Enc/EncBytes accounting, same slice order.
 func TestPipelineMatchesInline(t *testing.T) {
-	for _, cfg := range []Config{
-		{Operator: Compress},
-		{Operator: Stride, Stride: 4},
-	} {
+	for _, cfg := range []Config{{Operator: Compress}} {
 		t.Run(cfg.Operator.String(), func(t *testing.T) {
 			const blocks = 64
 			mk := func() []*block.Block {
@@ -110,98 +107,4 @@ func TestPipelineSaturation(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestPipelineRejectsDelta pins the documented exclusion at both layers:
-// config validation and pipeline construction.
-func TestPipelineRejectsDelta(t *testing.T) {
-	if err := (Config{Operator: Delta, Workers: 2}).Validate(); err == nil {
-		t.Fatal("Validate accepted Delta with Workers != 0")
-	}
-	if err := (Config{Operator: Compress, Workers: -1}).Validate(); err != nil {
-		t.Fatalf("Validate rejected Compress with Workers -1: %v", err)
-	}
-	if err := (Config{Operator: Compress, Workers: -2}).Validate(); err == nil {
-		t.Fatal("Validate accepted Workers -2")
-	}
-	if err := (Config{Workers: 2}).Validate(); err == nil {
-		t.Fatal("Validate accepted Workers without an operator")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewPipeline accepted Delta")
-		}
-	}()
-	NewPipeline(Config{Operator: Delta}, 2)
-}
-
-// TestDeltaOrderingProperty is the property test behind Delta's exclusion
-// from the pipeline: with the encoder on its single in-order path feeding a
-// decoder that replays steps in order — while unrelated Compress pipeline
-// traffic churns the payload pool on other goroutines — every stream
-// round-trips exactly. Run under -race this also proves concurrent encoders
-// share nothing but that pool.
-func TestDeltaOrderingProperty(t *testing.T) {
-	const (
-		streams = 6
-		steps   = 40
-		size    = 4096
-	)
-	payload := func(rank, seq, step int) []byte {
-		base := compressible(size, int64(rank*100+seq))
-		// Smooth per-step drift, the regime Delta is built for.
-		for i := 0; i < len(base); i += 128 {
-			base[i] = byte(int(base[i]) + step)
-		}
-		return base
-	}
-
-	// Background churn: a Compress pipeline hammering the shared pools.
-	churnDone := make(chan struct{})
-	churn := NewPipeline(Config{Operator: Compress}, 2)
-	go func() {
-		defer close(churnDone)
-		for round := 0; round < 30; round++ {
-			batch := make([]*block.Block, 8)
-			for i := range batch {
-				batch[i] = mkBlock(90+i, round, 0, compressible(1024, int64(round*10+i)))
-			}
-			if err := churn.EncodeBatch(batch); err != nil {
-				panic(err)
-			}
-		}
-	}()
-
-	wire := make(chan *block.Block, 16)
-	go func() {
-		enc := NewEncoder(Config{Operator: Delta})
-		for step := 0; step < steps; step++ {
-			for s := 0; s < streams; s++ {
-				rank, seq := s/2, s%2
-				b := mkBlock(rank, step, seq, payload(rank, seq, step))
-				if err := enc.EncodeBlock(b); err != nil {
-					panic(err)
-				}
-				wire <- b
-			}
-		}
-		close(wire)
-	}()
-	dec := NewDecoder()
-	got := 0
-	for b := range wire {
-		if err := dec.DecodeBlock(b); err != nil {
-			t.Fatalf("decode %v: %v", b.ID, err)
-		}
-		want := payload(b.ID.Rank, b.ID.Seq, b.ID.Step)
-		if !bytes.Equal(b.Data, want) {
-			t.Fatalf("stream (%d,%d) step %d did not round-trip", b.ID.Rank, b.ID.Seq, b.ID.Step)
-		}
-		got++
-	}
-	if got != streams*steps {
-		t.Fatalf("decoded %d blocks, want %d", got, streams*steps)
-	}
-	<-churnDone
-	churn.Close()
 }

@@ -3,10 +3,13 @@ package reduce
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"zipper/internal/block"
 )
@@ -73,113 +76,9 @@ func TestCompressSkipsIncompressible(t *testing.T) {
 	}
 }
 
-func TestDeltaRoundTripAcrossSteps(t *testing.T) {
-	e := NewEncoder(Config{Operator: Delta})
-	d := NewDecoder()
-	var fullSize, deltaSize int64
-	for step := 0; step < 5; step++ {
-		raw := smoothField(step, 4096)
-		b := mkBlock(2, step, 7, append([]byte(nil), raw...))
-		if err := e.EncodeBlock(b); err != nil {
-			t.Fatal(err)
-		}
-		if b.Enc != uint8(Delta) {
-			t.Fatalf("step %d not encoded", step)
-		}
-		if step == 0 {
-			fullSize = b.EncBytes
-		} else if step == 1 {
-			deltaSize = b.EncBytes
-		}
-		if err := d.DecodeBlock(b); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if !bytes.Equal(b.Data, raw) {
-			t.Fatalf("step %d: delta round-trip corrupted payload", step)
-		}
-	}
-	if deltaSize >= fullSize {
-		t.Fatalf("delta step (%d B) not smaller than full step (%d B)", deltaSize, fullSize)
-	}
-}
-
-func TestDeltaStreamsAreIndependent(t *testing.T) {
-	e := NewEncoder(Config{Operator: Delta})
-	d := NewDecoder()
-	// Interleave two (rank, seq) streams: each must delta against its own
-	// previous step, not whatever encoded last.
-	for step := 0; step < 3; step++ {
-		for _, seq := range []int{0, 1} {
-			raw := smoothField(step+seq*100, 1024)
-			b := mkBlock(0, step, seq, append([]byte(nil), raw...))
-			if err := e.EncodeBlock(b); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.DecodeBlock(b); err != nil {
-				t.Fatalf("step %d seq %d: %v", step, seq, err)
-			}
-			if !bytes.Equal(b.Data, raw) {
-				t.Fatalf("step %d seq %d corrupted", step, seq)
-			}
-		}
-	}
-}
-
-func TestDeltaBaseMismatchErrors(t *testing.T) {
-	e := NewEncoder(Config{Operator: Delta})
-	b0 := mkBlock(0, 0, 0, smoothField(0, 512))
-	b1 := mkBlock(0, 1, 0, smoothField(1, 512))
-	if err := e.EncodeBlock(b0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.EncodeBlock(b1); err != nil {
-		t.Fatal(err)
-	}
-	// Decode the delta frame without its base: must error, never emit a
-	// silently corrupt field.
-	d := NewDecoder()
-	if err := d.DecodeBlock(b1); err == nil {
-		t.Fatal("decoding a delta with no base succeeded")
-	}
-}
-
-func TestStrideRoundTripIsExpansion(t *testing.T) {
-	const n = 1024
-	raw := smoothField(0, n)
-	b := mkBlock(0, 0, 0, append([]byte(nil), raw...))
-	e := NewEncoder(Config{Operator: Stride, Stride: 4})
-	if err := e.EncodeBlock(b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Enc != uint8(Stride) {
-		t.Fatal("stride did not encode")
-	}
-	if b.EncBytes >= b.Bytes/3 {
-		t.Fatalf("stride 4 left %d of %d bytes", b.EncBytes, b.Bytes)
-	}
-	d := NewDecoder()
-	if err := d.DecodeBlock(b); err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(b.Data)) != b.Bytes {
-		t.Fatalf("expanded to %d bytes, want %d", len(b.Data), b.Bytes)
-	}
-	// Every kept sample must survive exactly; dropped samples are filled
-	// from the nearest kept value on the left.
-	for i := 0; i < n; i++ {
-		got := b.Data[i*8 : i*8+8]
-		want := raw[(i/4)*4*8 : (i/4)*4*8+8]
-		if !bytes.Equal(got, want) {
-			t.Fatalf("sample %d: stride expansion wrong", i)
-		}
-	}
-}
-
 func TestSimModeModelsReduction(t *testing.T) {
 	for _, cfg := range []Config{
 		{Operator: Compress},
-		{Operator: Delta},
-		{Operator: Stride, Stride: 8},
 		{Operator: Compress, ModelRatio: 0.5},
 	} {
 		b := block.NewSized(block.ID{Rank: 1, Step: 2, Seq: 3}, 0, 1<<20)
@@ -210,44 +109,82 @@ func TestConfigValidate(t *testing.T) {
 	good := []Config{
 		{},
 		{Operator: Compress},
-		{Operator: Delta, OnPressure: true},
-		{Operator: Stride, Stride: 2},
+		{Operator: Compress, OnPressure: true},
+		{Operator: Compress, ModelRatio: 0.5},
+		{Operator: Compress, Workers: -1},
+		{Operator: Compress, Workers: 2},
 	}
 	for _, c := range good {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%+v: unexpected error %v", c, err)
 		}
 	}
-	bad := []Config{
-		{Operator: Kind(9)},
-		{Operator: Stride},
-		{Operator: Stride, Stride: 1},
-		{Operator: Compress, Stride: 2},
-		{Operator: Compress, ModelRatio: 1.5},
+	bad := map[Config]string{
+		{Operator: Kind(2)}:                    "unknown(2)",
+		{Operator: Kind(3)}:                    "unknown(3)",
+		{Operator: Kind(9)}:                    "unknown(9)",
+		{Operator: Compress, ModelRatio: 1.5}:  "ModelRatio",
+		{Operator: Compress, Workers: -2}:      "Workers",
+		{Workers: 2}:                           "Workers",
+		{Operator: Compress, ModelRatio: -0.1}: "ModelRatio",
 	}
-	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("%+v: validated", c)
+	for c, want := range bad {
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v: error %v, want one naming %q", c, err, want)
 		}
 	}
 }
 
+// TestCorruptEncodedPayloadErrors: a frame's enc tag and raw size are the
+// peer's word. Codec garbage, and tags that name no operator — 2 and 3 were
+// the delta and stride operators of earlier revisions, and two of the rows
+// are frames those revisions decoded — must surface as errors, not panics or
+// silent corruption, and leave the block as it was: its payload neither
+// replaced nor handed back to the pool, so the caller releases it once.
 func TestCorruptEncodedPayloadErrors(t *testing.T) {
-	// Codec garbage, truncated delta headers, and wrong stride sizes must
-	// all surface as errors, not panics or silent corruption.
-	cases := []*block.Block{
-		{ID: block.ID{}, Bytes: 64, Data: []byte{1, 2, 3}, Enc: uint8(Compress), EncBytes: 3},
-		{ID: block.ID{}, Bytes: 64, Data: []byte{}, Enc: uint8(Delta), EncBytes: 0},
-		{ID: block.ID{}, Bytes: 64, Data: []byte{deltaXOR, 1, 2}, Enc: uint8(Delta), EncBytes: 3},
-		{ID: block.ID{}, Bytes: 64, Data: []byte{7}, Enc: uint8(Delta), EncBytes: 1},
-		{ID: block.ID{}, Bytes: 64, Data: []byte{0}, Enc: uint8(Stride), EncBytes: 1},
-		{ID: block.ID{}, Bytes: 64, Data: []byte{4, 9}, Enc: uint8(Stride), EncBytes: 2},
-		{ID: block.ID{}, Bytes: 64, Data: []byte{1, 2, 3}, Enc: 200, EncBytes: 3},
+	cases := []struct {
+		name string
+		enc  uint8
+		raw  int64
+		data []byte
+	}{
+		{"compress garbage", uint8(Compress), 64, []byte{1, 2, 3}},
+		{"tag 2, a whole-block delta frame", 2, 4, []byte{0, 0x40, 'a', 'b', 'c', 'd'}},
+		{"tag 2, truncated", 2, 64, []byte{1, 2}},
+		{"tag 2, empty", 2, 64, nil},
+		{"tag 3, a stride-2 frame", 3, 16, []byte{2, 1, 2, 3, 4, 5, 6, 7, 8}},
+		{"tag 3, claiming a megabyte", 3, 1 << 20, []byte{4, 9}},
+		{"tag 200", 200, 64, []byte{1, 2, 3}},
 	}
-	for i, b := range cases {
-		if err := NewDecoder().DecodeBlock(b); err == nil {
-			t.Errorf("case %d: corrupt payload decoded", i)
+	for _, tc := range cases {
+		data := append(block.GetPayload(512)[:0], tc.data...)
+		b := &block.Block{ID: block.ID{Rank: 1, Step: 2, Seq: 3}, Bytes: tc.raw, Data: data,
+			Enc: tc.enc, EncBytes: int64(len(data))}
+		err := NewDecoder().DecodeBlock(b)
+		if err == nil {
+			t.Errorf("%s: decoded", tc.name)
+			continue
 		}
+		if tc.enc != uint8(Compress) && !strings.Contains(err.Error(), fmt.Sprintf("unknown encoding %d", tc.enc)) {
+			t.Errorf("%s: error %q, want an unknown encoding", tc.name, err)
+		}
+		if b.Enc != tc.enc || b.Bytes != tc.raw || b.EncBytes != int64(len(tc.data)) ||
+			len(b.Data) != len(tc.data) || unsafe.SliceData(b.Data) != unsafe.SliceData(data) {
+			t.Errorf("%s: the failed decode changed the block: %+v", tc.name, b)
+		}
+		// Nor was the payload released behind the caller's back: the next
+		// payloads of its class on this goroutine would include it.
+		var next [4][]byte
+		for i := range next {
+			next[i] = block.GetPayload(512)
+			if unsafe.SliceData(next[i]) == unsafe.SliceData(data) {
+				t.Errorf("%s: the failed decode released a payload its caller still owns", tc.name)
+			}
+		}
+		for _, p := range next {
+			(&block.Block{Data: p}).Release()
+		}
+		b.Release()
 	}
 }
 
@@ -272,81 +209,59 @@ func TestCorruptPayloadDoesNotLeakOrBalloon(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	const tries = 64
 	for i := 0; i < tries; i++ {
-		bad := &block.Block{Bytes: size, Data: cut, Enc: uint8(Compress), EncBytes: int64(len(cut))}
-		if err := d.DecodeBlock(bad); err == nil {
-			t.Fatal("a truncated payload decoded")
+		// The same bytes under the tags that name no operator are refused
+		// before a raw payload is even taken.
+		for _, enc := range []uint8{uint8(Compress), 2, 3} {
+			bad := &block.Block{Bytes: size, Data: cut, Enc: enc, EncBytes: int64(len(cut))}
+			if err := d.DecodeBlock(bad); err == nil {
+				t.Fatalf("a truncated payload tagged %d decoded", enc)
+			}
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// A leak allocates a fresh megabyte per try. (Not zero: under -race
-	// sync.Pool drops a quarter of what it is handed.)
+	// A leak allocates a fresh megabyte per try and tag. (Not zero: under
+	// -race sync.Pool drops a quarter of what it is handed.)
 	if got := after.TotalAlloc - before.TotalAlloc; got > tries*size/2 {
 		t.Fatalf("%d failed decodes allocated %d MiB: the raw payload is not going back to the pool", tries, got>>20)
 	}
 }
 
-// deltaBenchFields are two adjacent steps of a 64 KiB smooth field: encoding
-// them alternately on one stream keeps every block on the XOR path.
-func deltaBenchFields() [2][]byte { return [2][]byte{smoothField(0, 8192), smoothField(1, 8192)} }
-
-// pooledBlock wraps a pooled copy of data, which the operator under test
-// consumes, as step `step` of one stream.
-func pooledBlock(step int, data []byte, raw int64) *block.Block {
-	b := mkBlock(0, step, 0, append(block.GetPayload(len(data))[:0], data...))
-	b.Bytes = raw
-	return b
-}
-
-// No bench workload runs Delta, so these two are its only numbers: the XOR
-// pass against the retained base plus the codec over the sparse difference.
-func BenchmarkDeltaEncode(b *testing.B) {
-	fields := deltaBenchFields()
-	e := NewEncoder(Config{Operator: Delta})
-	b.SetBytes(int64(len(fields[0])))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blk := pooledBlock(i&1, fields[i&1], int64(len(fields[0])))
-		if err := e.EncodeBlock(blk); err != nil {
-			b.Fatal(err)
+// FuzzDecodeBlock drives the entry point a frame's enc word reaches: an
+// arbitrary tag, an arbitrary claimed raw size and arbitrary bytes. The
+// decoder must not panic, nor allocate what the bytes cannot stand for (the
+// size check in decodeLZ); it may succeed only on an unencoded block, which
+// passes through, or a Compress block, which must then come back exactly the
+// claimed size; and a failure must leave the block as it was. The committed
+// corpus (testdata/fuzz/FuzzDecodeBlock) adds frames the delta and stride
+// operators of earlier revisions wrote, which a peer may still send.
+func FuzzDecodeBlock(f *testing.F) {
+	src := smoothField(0, 512)
+	b := mkBlock(0, 0, 0, append([]byte(nil), src...))
+	if err := NewEncoder(Config{Operator: Compress}).EncodeBlock(b); err != nil || b.Enc == 0 {
+		f.Fatalf("the seed field did not encode: %v", err)
+	}
+	f.Add(uint8(Compress), int64(len(src)), b.Data)
+	f.Add(uint8(Compress), int64(len(src)-1), b.Data)
+	f.Add(uint8(Compress), int64(1)<<40, b.Data[:8])
+	f.Add(uint8(0), int64(3), []byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, enc uint8, raw int64, data []byte) {
+		// Never nil, even empty: a nil payload is the simulated platform's.
+		payload := append(make([]byte, 0, len(data)), data...)
+		b := &block.Block{Bytes: raw, Data: payload, Enc: enc, EncBytes: int64(len(payload))}
+		err := NewDecoder().DecodeBlock(b)
+		switch {
+		case enc == 0:
+			if err != nil || !bytes.Equal(b.Data, data) {
+				t.Fatalf("an unencoded block did not pass through: %v", err)
+			}
+		case err != nil:
+			if b.Enc != enc || b.Bytes != raw || b.EncBytes != int64(len(data)) || !bytes.Equal(b.Data, data) {
+				t.Fatalf("a failed decode changed the block: %v", err)
+			}
+		case Kind(enc) != Compress:
+			t.Fatalf("tag %d names no operator, yet %d bytes decoded", enc, len(data))
+		case b.Enc != 0 || b.EncBytes != 0 || int64(len(b.Data)) != raw:
+			t.Fatalf("decoded to %d bytes with enc %d/%d, want %d raw and no stamp", len(b.Data), b.Enc, b.EncBytes, raw)
 		}
-		blk.Release()
-	}
-}
-
-func BenchmarkDeltaDecode(b *testing.B) {
-	fields := deltaBenchFields()
-	raw := int64(len(fields[0]))
-	// Steps 0, 1, 0: the first goes out whole, the other two as differences
-	// against each other, which a decoder can then take in turn for ever.
-	e := NewEncoder(Config{Operator: Delta})
-	var encoded [3][]byte
-	for i := range encoded {
-		blk := pooledBlock(i&1, fields[i&1], raw)
-		if err := e.EncodeBlock(blk); err != nil {
-			b.Fatal(err)
-		}
-		encoded[i] = append([]byte(nil), blk.Data...)
-	}
-	d := NewDecoder()
-	decode := func(step int, enc []byte, check bool) {
-		blk := pooledBlock(step, enc, raw)
-		blk.Enc, blk.EncBytes = uint8(Delta), int64(len(enc))
-		if err := d.DecodeBlock(blk); err != nil {
-			b.Fatal(err)
-		}
-		if check && !bytes.Equal(blk.Data, fields[step]) {
-			b.Fatal("delta round-trip corrupted payload")
-		}
-		blk.Release()
-	}
-	for i, enc := range encoded {
-		decode(i&1, enc, true)
-	}
-	b.SetBytes(raw)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		decode((i+1)&1, encoded[1+i&1], false)
-	}
+	})
 }

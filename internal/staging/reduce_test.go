@@ -145,7 +145,6 @@ func (e *failingEncoder) EncodeBlock(b *block.Block) error {
 	e.calls.Add(1)
 	return fmt.Errorf("block %v: stub operator", b.ID)
 }
-func (*failingEncoder) Stateless() bool { return false }
 
 // TestForwarderEncodeFailureForwardsUnreduced pins the forwarder's error
 // path: a block the pressure rung's operator fails on is no reason to take

@@ -97,7 +97,7 @@ type Config struct {
 	// untouched. With OnPressure set, the stager's pressure ladder gains a
 	// middle rung: when occupancy crosses HighWater a flow.ReduceGate
 	// engages and the forwarder reduction-encodes what it sends (and the
-	// spiller what it spills, for stateless operators), while the PFS spill
+	// spiller what it spills), while the PFS spill
 	// rung is pushed up to halfway between HighWater and the buffer top —
 	// bursts burn CPU before they burn PFS bandwidth. Without OnPressure
 	// the stager encodes nothing itself (producer-side reduction is where
@@ -106,8 +106,8 @@ type Config struct {
 	// Pipeline, when non-nil, fans the forwarder's gated encode out across
 	// a shared worker pool instead of encoding inline on the forwarder
 	// thread (Reduce.Workers != 0 selects it; zipper builds one pipeline
-	// per job). Stateless operators only — and the spiller always encodes
-	// its single victim inline, where a pool buys nothing. The pipeline
+	// per job). The spiller always encodes its single victim inline, where
+	// a pool buys nothing. The pipeline
 	// encodes in place and joins before the send, so forwarded batch order
 	// and wire bytes are identical to inline.
 	Pipeline *reduce.Pipeline
@@ -263,8 +263,8 @@ type Stager struct {
 	// Compress-instead-of-spill rung (Config.Reduce with OnPressure):
 	// gate flips under the stager lock as occupancy crosses its thresholds,
 	// fwdEnc encodes forwarded blocks while the gate is engaged (owned by
-	// the forwarder thread), spillEnc encodes spill victims for stateless
-	// operators (owned by the spiller thread), and spillAt is the raised
+	// the forwarder thread), spillEnc encodes spill victims (owned by the
+	// spiller thread), and spillAt is the raised
 	// spill threshold — reduction gets a chance to absorb the burst before
 	// the PFS rung engages. Without OnPressure, spillAt == HighWater and
 	// the rest are nil.
@@ -320,7 +320,6 @@ type Stager struct {
 // be left as it was, so it can still be forwarded unreduced.
 type blockEncoder interface {
 	EncodeBlock(b *block.Block) error
-	Stateless() bool
 }
 
 // NewStager builds the runtime module for stager endpoint id, draining `in`
@@ -349,9 +348,7 @@ func NewStager(env rt.Env, cfg Config, id int, in rt.Inbox, tr rt.Transport, fs 
 	if cfg.Reduce.Enabled() && cfg.Reduce.OnPressure {
 		s.gate = flow.NewReduceGate(cfg.HighWater)
 		s.fwdEnc = reduce.NewEncoder(cfg.Reduce)
-		if cfg.Reduce.Operator.Stateless() {
-			s.spillEnc = reduce.NewEncoder(cfg.Reduce)
-		}
+		s.spillEnc = reduce.NewEncoder(cfg.Reduce)
 		// Give reduction headroom to absorb the burst before the PFS rung:
 		// spill only from halfway between the old threshold and the top.
 		s.spillAt = cfg.HighWater + (cfg.BufferBlocks-cfg.HighWater)/2
@@ -1038,7 +1035,7 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 			// before the raised PFS rung engages. Blocks that arrived already
 			// encoded pass through untouched, and so does one the operator
 			// fails on: it is forwarded unreduced and Err reports the failure.
-			if pp := s.cfg.Pipeline; pp != nil && s.fwdEnc.Stateless() {
+			if pp := s.cfg.Pipeline; pp != nil {
 				for _, b := range blocks {
 					if b.Enc == 0 {
 						s.env.CopyDelay(c, b.Bytes)
@@ -1194,8 +1191,7 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 		if s.spillEnc != nil {
 			// Even once the raised rung engages, shrink the spill I/O
 			// itself: the victims ride to the PFS (and later back and onto
-			// the wire) encoded. Stateless operators only — the spiller
-			// takes blocks out of stream order.
+			// the wire) encoded.
 			for _, v := range victims {
 				if v.b.Enc != 0 || err != nil {
 					continue

@@ -75,7 +75,6 @@ func TestGoldenZipper(t *testing.T) {
 		{"staging/adaptive", with(stagingTestSpec(), func(s *Spec) { s.Zipper.RoutePolicy = core.RouteAdaptive }), "e2e=4038773913 msgs=173 sent=50 relayed=129 stolen=13 analyzed=192 lost=0 spills=66 scale=0 evict=0 replayed=0 stagers=[129]"},
 		{"elastic", elasticTestSpec(), "e2e=4039314265 msgs=196 sent=0 relayed=192 stolen=0 analyzed=192 lost=0 spills=40 scale=4 evict=0 replayed=0 stagers=[150 0 21 21]"},
 		{"skewed/least-occupancy", with(skewedSpec(), func(s *Spec) { s.Placement = place.KindLeastOccupancy }), "e2e=14016602275 msgs=440 sent=0 relayed=432 stolen=0 analyzed=432 lost=0 spills=172 scale=0 evict=0 replayed=0 stagers=[137 109 94 92]"},
-		{"skewed/hash-ring", with(skewedSpec(), func(s *Spec) { s.Placement = place.KindHashRing }), "e2e=14095705603 msgs=365 sent=0 relayed=421 stolen=11 analyzed=432 lost=0 spills=245 scale=0 evict=0 replayed=0 stagers=[48 48 0 325]"},
 		{"fault/kill@1", with(faultTestSpec(), func(s *Spec) { s.FaultKillEpoch = 1 }), "e2e=4040374809 msgs=196 sent=0 relayed=192 stolen=0 analyzed=192 lost=0 spills=20 scale=0 evict=1 replayed=0 stagers=[0 48 48 96]"},
 		{"fault/kill@2", with(faultTestSpec(), func(s *Spec) { s.FaultKillEpoch = 2 }), "e2e=4040374809 msgs=196 sent=0 relayed=192 stolen=0 analyzed=192 lost=0 spills=20 scale=0 evict=1 replayed=0 stagers=[0 48 48 96]"},
 		{"fault-elastic/kill@1", with(faultElasticSpec(), func(s *Spec) { s.FaultKillEpoch = 1 }), "e2e=4039314265 msgs=196 sent=0 relayed=192 stolen=0 analyzed=192 lost=0 spills=27 scale=4 evict=1 replayed=0 stagers=[0 134 43 15]"},

@@ -97,23 +97,3 @@ func TestZipperPlacementLeastOccupancyRebalances(t *testing.T) {
 		t.Fatalf("least-occupancy runs diverged:\n%+v\n%+v", a, b)
 	}
 }
-
-// TestZipperPlacementHashRingWorkflow runs the consistent-hashing policy end
-// to end on the simulated platform: conservation through the directory-
-// placed tier and deterministic replay.
-func TestZipperPlacementHashRingWorkflow(t *testing.T) {
-	spec := skewedSpec()
-	spec.Placement = place.KindHashRing
-	a := RunZipper(spec)
-	b := RunZipper(spec)
-	if !a.OK || !b.OK {
-		t.Fatalf("runs failed: %v / %v", a.Fail, b.Fail)
-	}
-	total := skewedTotal(spec)
-	if got := a.BlocksSent + a.BlocksRelayed + a.BlocksStolen; got != total {
-		t.Fatalf("conservation broken: %d of %d blocks", got, total)
-	}
-	if a.E2E != b.E2E || a.RelayImbalance != b.RelayImbalance {
-		t.Fatalf("hash-ring runs diverged:\n%+v\n%+v", a, b)
-	}
-}

@@ -118,9 +118,9 @@ type Spec struct {
 	// Placement selects the placement-plane policy (RunZipper only): how
 	// producers resolve their consumer and stager endpoints per drained
 	// batch. The zero value (rank-affine) reproduces the fixed assignments
-	// of earlier revisions byte-identically; KindLeastOccupancy and
-	// KindHashRing run the endpoints behind epoch-versioned directories
-	// with counted stream termination.
+	// of earlier revisions byte-identically; KindLeastOccupancy runs the
+	// endpoints behind epoch-versioned directories with counted stream
+	// termination.
 	Placement place.Kind
 	// Fault enables and tunes the survivable data plane (RunZipper only):
 	// leases renewed by heartbeats on every pool-managed stager, write-ahead
@@ -195,7 +195,7 @@ type Result struct {
 	// order), and RelayImbalance their max/mean ratio — 1.0 means every
 	// stager carried an equal share of the relay traffic, S means one
 	// stager carried everything; zero when nothing was relayed. It is the
-	// number the load-aware placement policies shrink when producer output
+	// number the load-aware placement policy shrinks when producer output
 	// rates diverge.
 	StagerRelayed  []int64
 	RelayImbalance float64

@@ -1,18 +1,40 @@
 package zipper
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+// TestPlacementValidation: the two policies run, and a value naming neither —
+// 2 was consistent hashing in earlier revisions — is a typed rejection, as
+// is an operator number past Compress (2 and 3 were delta and stride).
 func TestPlacementValidation(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Producers: 2, Consumers: 1, SpoolDir: dir, Staging: StagingConfig{Placement: Placement(42)}}
-	if _, err := NewJob(cfg); err == nil {
-		t.Fatal("out-of-range Placement accepted")
+	base := Config{Producers: 2, Consumers: 1, SpoolDir: dir}
+	bad := []struct {
+		field, reason string
+		edit          func(*Config)
+	}{
+		{"Staging.Placement", "unknown(2)", func(c *Config) { c.Staging.Placement = Placement(2) }},
+		{"Staging.Placement", "unknown(42)", func(c *Config) { c.Staging.Placement = Placement(42) }},
+		{"Staging.Reduce", "unknown(2)", func(c *Config) { c.Staging.Reduce.Operator = ReduceOperator(2) }},
+		{"Staging.Reduce", "unknown(3)", func(c *Config) { c.Staging.Reduce.Operator = ReduceOperator(3) }},
 	}
-	for _, p := range []Placement{RankAffine, LeastOccupancy, HashRing} {
+	for _, tc := range bad {
+		cfg := base
+		cfg.Staging.Stagers, cfg.Staging.RoutePolicy = 1, RouteStaging
+		tc.edit(&cfg)
+		_, err := NewJob(cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != tc.field || !strings.Contains(ce.Reason, tc.reason) {
+			t.Errorf("%s = %s: got %v, want a *ConfigError on %s naming %s", tc.field, tc.reason, err, tc.field, tc.reason)
+		}
+	}
+	cfg := base
+	for _, p := range []Placement{RankAffine, LeastOccupancy} {
 		cfg.Staging.Placement = p
 		job, err := NewJob(cfg)
 		if err != nil {
@@ -27,9 +49,8 @@ func TestPlacementValidation(t *testing.T) {
 		}
 		job.Wait()
 	}
-	if RankAffine.String() != "rank-affine" || LeastOccupancy.String() != "least-occupancy" ||
-		HashRing.String() != "hash-ring" {
-		t.Fatalf("placement names drifted: %v %v %v", RankAffine, LeastOccupancy, HashRing)
+	if RankAffine.String() != "rank-affine" || LeastOccupancy.String() != "least-occupancy" {
+		t.Fatalf("placement names drifted: %v %v", RankAffine, LeastOccupancy)
 	}
 }
 
@@ -109,12 +130,13 @@ func TestPlacementLeastOccupancyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlacementHashRingElasticChurn is the realenv churn test: consistent
-// hashing over an elastic pool that grows and drains mid-run. Bursty
-// producers force membership epochs to turn over while every batch
-// re-resolves its stager and its consumer; counted termination must land
-// every block regardless of which epoch relayed it. Run under -race in CI.
-func TestPlacementHashRingElasticChurn(t *testing.T) {
+// TestPlacementElasticChurn is the realenv churn test: directory placement
+// over an elastic pool that grows and drains mid-run. Bursty producers force
+// membership epochs to turn over while every batch re-resolves its stager
+// and its consumer through the load-aware policy; counted termination must
+// land every block regardless of which epoch relayed it. Run under -race in
+// CI.
+func TestPlacementElasticChurn(t *testing.T) {
 	const (
 		producers   = 4
 		bursts      = 3
@@ -126,7 +148,7 @@ func TestPlacementHashRingElasticChurn(t *testing.T) {
 		BufferBlocks: 8, Window: 2, MaxBatchBlocks: 4,
 		DisableSteal: true,
 		Staging: StagingConfig{
-			Stagers: 3, BufferBlocks: 32, RoutePolicy: RouteStaging, Placement: HashRing,
+			Stagers: 3, BufferBlocks: 32, RoutePolicy: RouteStaging, Placement: LeastOccupancy,
 			Elastic: ElasticConfig{
 				Enabled: true, MinStagers: 1, MaxStagers: 3,
 				Interval: time.Millisecond, Cooldown: 3 * time.Millisecond,

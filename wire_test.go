@@ -8,8 +8,8 @@ import (
 )
 
 // TestWireValidation pins the typed rejections the wire-path options add:
-// reduction needs a reachable staging tier, delta encoding needs a single
-// in-order relay path, and pool-managed tiers cannot run over TCP.
+// reduction needs a reachable staging tier, and pool-managed tiers cannot run
+// over TCP.
 func TestWireValidation(t *testing.T) {
 	dir := t.TempDir()
 	bad := []struct {
@@ -23,25 +23,6 @@ func TestWireValidation(t *testing.T) {
 		{"reduce with RouteDirect", "Staging.Reduce",
 			Config{Producers: 2, Consumers: 1, SpoolDir: dir,
 				Staging: StagingConfig{Stagers: 1, Reduce: ReduceConfig{Operator: ReduceCompress}}}},
-		{"stride without a stride", "Staging.Reduce",
-			Config{Producers: 2, Consumers: 1, SpoolDir: dir,
-				Staging: StagingConfig{Stagers: 1, RoutePolicy: RouteStaging,
-					Reduce: ReduceConfig{Operator: ReduceStride}}}},
-		{"delta over an elastic tier", "Staging.Reduce",
-			Config{Producers: 4, Consumers: 1, SpoolDir: dir,
-				Staging: StagingConfig{Stagers: 2, RoutePolicy: RouteStaging,
-					Elastic: ElasticConfig{Enabled: true},
-					Reduce:  ReduceConfig{Operator: ReduceDelta}}}},
-		{"delta over a fault-protected tier", "Staging.Reduce",
-			Config{Producers: 4, Consumers: 1, SpoolDir: dir,
-				Staging: StagingConfig{Stagers: 2, RoutePolicy: RouteStaging,
-					Reduce: ReduceConfig{Operator: ReduceDelta}},
-				Fault: FaultConfig{Enabled: true}}},
-		{"delta under load-aware placement", "Staging.Reduce",
-			Config{Producers: 4, Consumers: 1, SpoolDir: dir,
-				Staging: StagingConfig{Stagers: 2, RoutePolicy: RouteStaging,
-					Placement: LeastOccupancy,
-					Reduce:    ReduceConfig{Operator: ReduceDelta}}}},
 		{"elastic tier over TCP", "TCPAddr",
 			Config{Producers: 4, Consumers: 1, SpoolDir: dir, TCPAddr: "127.0.0.1:0",
 				Staging: StagingConfig{Stagers: 2, RoutePolicy: RouteStaging,
@@ -53,7 +34,7 @@ func TestWireValidation(t *testing.T) {
 		{"placement-directed tier over TCP", "TCPAddr",
 			Config{Producers: 4, Consumers: 1, SpoolDir: dir, TCPAddr: "127.0.0.1:0",
 				Staging: StagingConfig{Stagers: 2, RoutePolicy: RouteStaging,
-					Placement: HashRing}}},
+					Placement: LeastOccupancy}}},
 	}
 	for _, tc := range bad {
 		_, err := NewJob(tc.cfg)

@@ -68,11 +68,10 @@
 //
 // Config.Staging.Placement selects the placement plane's policy — how
 // producers resolve their consumer and stager endpoints: RankAffine (the fixed
-// assignments of earlier revisions, the default), LeastOccupancy (every
+// assignments of earlier revisions, the default) or LeastOccupancy (every
 // batch to the emptiest endpoint, shrinking relay imbalance when producer
-// rates diverge), or HashRing (consistent hashing, stable across elastic
-// membership epochs). Job.Stats reports the per-stager RelayImbalance the
-// load-aware policies exist to shrink.
+// rates diverge). Job.Stats reports the per-stager RelayImbalance the
+// load-aware policy exists to shrink.
 //
 // Config.Fault turns the staging tier into a survivable data plane: every
 // stager holds a lease in the placement directory renewed by heartbeats,
@@ -97,7 +96,6 @@ import (
 	"zipper/internal/core"
 	"zipper/internal/elastic"
 	"zipper/internal/fault"
-	"zipper/internal/flow"
 	"zipper/internal/place"
 	"zipper/internal/reduce"
 	"zipper/internal/rt"
@@ -128,13 +126,11 @@ const (
 	// work-stealing writer steals only while a steal's measured cost per
 	// byte is within an order of magnitude of the cheaper network
 	// channel's (under every other policy, above HighWater means steal).
-	// Tune it with Config.Staging.Adaptive.
+	// The controller has no knobs: its gauges average over 20 ms, the
+	// staging share relaxes over 200 ms, and a saturated producer probes
+	// the minority channel every 16th decision.
 	RouteAdaptive = core.RouteAdaptive
 )
-
-// AdaptiveTuning parameterizes the RouteAdaptive controller; the zero value
-// selects sensible defaults (see the flow package).
-type AdaptiveTuning = flow.Tuning
 
 // Placement selects the policy of the placement plane: how producers are
 // assigned to consumer endpoints and (when a staging tier exists) to stager
@@ -153,10 +149,6 @@ const (
 	// consumer and stager publishes — the load-aware rule that keeps
 	// divergent producer rates from piling work onto a few relays.
 	LeastOccupancy = place.KindLeastOccupancy
-	// HashRing is consistent hashing across membership epochs: when the
-	// elastic tier drains a stager only the producers mapped to it move,
-	// and when the endpoint regrows exactly those producers return.
-	HashRing = place.KindHashRing
 )
 
 // ElasticConfig tunes the elastic staging tier — the autoscaler that grows
@@ -186,8 +178,10 @@ type StagingConfig struct {
 	// batch through the Placement policy.
 	Stagers int
 	// BufferBlocks is each stager's in-memory buffer capacity in blocks
-	// (default 64). Past ¾ of it the stager spills its newest buffered
-	// blocks to its own SpoolDir partition.
+	// (default 64): what it may hold while it absorbs a burst its consumer
+	// cannot take, overflowing its newest buffered blocks to its own SpoolDir
+	// partition past ¾ of it. While the consumer keeps up the stager is
+	// pass-through — it admits only a few batches and spills nothing.
 	BufferBlocks int
 	// RoutePolicy picks the channel for each drained batch when Stagers ≥ 1:
 	// RouteDirect (never relay), RouteStaging (always relay), RouteHybrid
@@ -196,17 +190,14 @@ type StagingConfig struct {
 	RoutePolicy RoutePolicy
 	// Placement selects how producers resolve their consumer and stager
 	// endpoints: RankAffine (the default — the fixed assignments of earlier
-	// revisions, byte-identical), LeastOccupancy (every batch to the
-	// emptiest endpoint, read from the live occupancy gauges), or HashRing
-	// (consistent hashing, stable across elastic membership epochs). With a
-	// non-default placement the runtime routes through epoch-versioned
+	// revisions, byte-identical) or LeastOccupancy (every batch to the
+	// emptiest endpoint, read from the live occupancy gauges). With
+	// LeastOccupancy the runtime routes through epoch-versioned
 	// place.Directory instances — consumers resolved per batch, stagers run
 	// pool-managed even when the tier is fixed-size — and stream
 	// termination is counted (per-destination Fin totals) rather than
 	// ordered, so mid-run reassignment never strands blocks.
 	Placement Placement
-	// Adaptive tunes the RouteAdaptive controller (ignored otherwise).
-	Adaptive AdaptiveTuning
 	// Elastic enables and tunes the staging-tier autoscaler. It needs
 	// Stagers ≥ 1 (the reserved endpoint ceiling) and a RoutePolicy that
 	// can reach the tier. Off (the default), the staging tier is the fixed
@@ -252,18 +243,10 @@ const (
 	// ReduceNone disables payload reduction (the default).
 	ReduceNone = reduce.None
 	// ReduceCompress LZ-compresses each relayed block, skipping blocks
-	// that don't shrink. Lossless; the safe default for unknown payloads.
+	// that don't shrink. Lossless; every block codes on its own, so it
+	// composes with every tier shape: elastic, fault-protected, any
+	// Placement, parallel encode.
 	ReduceCompress = reduce.Compress
-	// ReduceDelta XOR-encodes each block against the previous step of the
-	// same (rank, seq) stream, then LZ-compresses the sparse residue.
-	// Lossless; strongest on smooth time-evolving fields. It needs a single
-	// in-order relay path per stream, so it is rejected with elastic,
-	// fault-protected, or non-RankAffine-placed tiers.
-	ReduceDelta = reduce.Delta
-	// ReduceStride keeps every k-th float64 word (ReduceConfig.Stride).
-	// Lossy: the consumer sees a nearest-left expansion. For analyses that
-	// subsample anyway.
-	ReduceStride = reduce.Stride
 )
 
 // FaultConfig enables and tunes the survivable data plane — leases,
@@ -510,23 +493,8 @@ func (cfg Config) validate() error {
 	if !cfg.Staging.Placement.Valid() {
 		// Placement.String renders out-of-range values as "unknown(N)".
 		return &ConfigError{Field: "Staging.Placement",
-			Reason: fmt.Sprintf("%v is not a policy (valid: %v, %v, %v)",
-				cfg.Staging.Placement, RankAffine, LeastOccupancy, HashRing)}
-	}
-	if cfg.Staging.Adaptive.MinShare < 0 || cfg.Staging.Adaptive.MaxShare < 0 ||
-		cfg.Staging.Adaptive.MinShare > 1 || cfg.Staging.Adaptive.MaxShare > 1 {
-		return &ConfigError{Field: "Staging.Adaptive",
-			Reason: fmt.Sprintf("shares must lie in [0,1], got min %v max %v",
-				cfg.Staging.Adaptive.MinShare, cfg.Staging.Adaptive.MaxShare)}
-	}
-	if cfg.Staging.Adaptive.MaxShare > 0 && cfg.Staging.Adaptive.MinShare > cfg.Staging.Adaptive.MaxShare {
-		return &ConfigError{Field: "Staging.Adaptive",
-			Reason: fmt.Sprintf("MinShare (%v) exceeds MaxShare (%v)",
-				cfg.Staging.Adaptive.MinShare, cfg.Staging.Adaptive.MaxShare)}
-	}
-	if cfg.Staging.Adaptive.Tau < 0 || cfg.Staging.Adaptive.Decay < 0 {
-		return &ConfigError{Field: "Staging.Adaptive",
-			Reason: "time constants must be ≥ 0 (0 selects the default)"}
+			Reason: fmt.Sprintf("%v is not a policy (valid: %v, %v)",
+				cfg.Staging.Placement, RankAffine, LeastOccupancy)}
 	}
 	if cfg.Staging.Elastic.Enabled && cfg.Staging.RoutePolicy == RouteDirect {
 		return &ConfigError{Field: "Staging.Elastic",
@@ -551,17 +519,10 @@ func (cfg Config) validate() error {
 	if err := cfg.Staging.Reduce.Validate(); err != nil {
 		return &ConfigError{Field: "Staging.Reduce", Reason: err.Error()}
 	}
-	if cfg.Staging.Reduce.Enabled() {
-		if cfg.Staging.Stagers < 1 || cfg.Staging.RoutePolicy == RouteDirect {
-			return &ConfigError{Field: "Staging.Reduce",
-				Reason: fmt.Sprintf("reduction applies at relay time; it needs Stagers ≥ 1 and a RoutePolicy that can reach the tier (valid: %v, %v, %v)",
-					RouteStaging, RouteHybrid, RouteAdaptive)}
-		}
-		if cfg.Staging.Reduce.Operator == ReduceDelta &&
-			(cfg.Staging.Elastic.Enabled || cfg.Fault.Enabled || cfg.Staging.Placement != RankAffine) {
-			return &ConfigError{Field: "Staging.Reduce",
-				Reason: "delta encoding needs a single in-order relay path per stream: it cannot run with Elastic, Fault, or a non-RankAffine Placement"}
-		}
+	if cfg.Staging.Reduce.Enabled() && (cfg.Staging.Stagers < 1 || cfg.Staging.RoutePolicy == RouteDirect) {
+		return &ConfigError{Field: "Staging.Reduce",
+			Reason: fmt.Sprintf("reduction applies at relay time; it needs Stagers ≥ 1 and a RoutePolicy that can reach the tier (valid: %v, %v, %v)",
+				RouteStaging, RouteHybrid, RouteAdaptive)}
 	}
 	if cfg.TCPAddr != "" {
 		// The frame codec's Retire caveat, enforced: a pool-managed tier's
@@ -610,7 +571,6 @@ func (cfg Config) spec() assembly.Spec {
 		MaxBatchBytes:        cfg.MaxBatchBytes,
 		DisableSteal:         cfg.DisableSteal,
 		RoutePolicy:          cfg.Staging.RoutePolicy,
-		Adaptive:             cfg.Staging.Adaptive,
 		Reduce:               cfg.Staging.Reduce,
 	}
 	if cfg.Preserve {
@@ -748,8 +708,7 @@ func NewJob(cfg Config) (*Job, error) {
 	}
 	// One shared encode pipeline per job when parallel reduction is on:
 	// every producer sender and stager forwarder fans its batch encode out
-	// across the same bounded worker pool. Stateless operators only —
-	// validation already rejected Delta with Workers != 0.
+	// across the same bounded worker pool.
 	var pipe *reduce.Pipeline
 	if r := cfg.Staging.Reduce; r.Enabled() && r.Workers != 0 {
 		pipe = reduce.NewPipeline(r, r.Workers)
