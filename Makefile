@@ -3,7 +3,10 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test test-repeat test-cpus test-full fuzz-smoke bench-smoke
+empty :=
+space := $(empty) $(empty)
+
+.PHONY: ci fmt vet build test test-lists test-repeat test-cpus test-full fuzz-smoke bench-smoke
 
 ci: fmt vet build test
 
@@ -20,15 +23,18 @@ build:
 # Fast lane: paper-figure reproductions are skipped (testing.Short); the
 # Preserve tests that share a block with the application run 20 times and
 # the tests of test-repeat 10 times.
-test: test-repeat test-cpus
+test: test-lists test-repeat test-cpus
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=20 -run 'TestJobPreserve|TestJobStagingPreserve' .
 
 # The handover under one, two and four scheduler threads: with one the
 # application and the runtime threads take turns, with more they overlap, and
 # the message path has to be right (and was measured) in both regimes.
+CPU_TESTS = TestTrickle TestOpenBatch TestClaim TestStealSeesOpenBatch TestJobDirectCycleAllocs TestBatched
+CPU_PKGS = ./internal/core .
+
 test-cpus:
-	$(GO) test -short -cpu 1,2,4 -run 'TestTrickle|TestOpenBatch|TestClaim|TestStealSeesOpenBatch|TestJobDirectCycleAllocs|TestBatched' ./internal/core .
+	$(GO) test -short -cpu 1,2,4 -run '$(subst $(space),|,$(strip $(CPU_TESTS)))' $(CPU_PKGS)
 
 # The tests worth repeating under the race detector, in one place for `make
 # test` and the CI step alike: the send window of a ring lane and of a TCP
@@ -60,11 +66,26 @@ REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCP
 	TestJobWaitContext TestNoGoroutineOutlivesWait TestPromptShutdown
 REPEAT_PKGS = ./internal/sim ./internal/rt ./internal/rt/realenv ./internal/block ./internal/flow ./internal/core \
 	./internal/staging ./internal/reduce ./internal/workflow .
-empty :=
-space := $(empty) $(empty)
 
 test-repeat:
 	$(GO) test -race -count=10 -run '$(subst $(space),|,$(strip $(REPEAT_TESTS)))' $(REPEAT_PKGS)
+
+# A name in a lane's list that matches no test drops that test out of the
+# lane without a word, so every list is checked against `go test -list`: a
+# run-list name must match some test the way -run matches (a substring of its
+# name), a fuzz target must exist by its exact name.
+test-lists:
+	@$(call check-list,$(REPEAT_TESTS),$(REPEAT_PKGS),)
+	@$(call check-list,$(CPU_TESTS),$(CPU_PKGS),)
+	@$(call check-list,$(FUZZ_REALENV),./internal/rt/realenv,x)
+	@$(call check-list,$(FUZZ_REDUCE),./internal/reduce,x)
+
+# $(call check-list,names,packages,x) checks names against the tests of
+# packages; the third argument x asks for exact matches.
+check-list = names=$$($(GO) test -list . $(2)) || { echo "$$names"; exit 1; }; \
+	for n in $(1); do \
+		echo "$$names" | grep -q$(3)E "$$n" || { echo "test-lists: $$n matches no test in $(2)"; exit 1; }; \
+	done
 
 # Tier-1: the full suite including the figure reproductions (~15 s).
 test-full:
@@ -74,10 +95,13 @@ test-full:
 # the frame reader, the block codec (arbitrary bytes into the decoder;
 # encode/decode round trip), and the block decode a frame's enc word reaches
 # (any tag, any claimed raw size, any bytes).
+FUZZ_REALENV = FuzzReadBlock FuzzLogRead FuzzReadFrame
+FUZZ_REDUCE = FuzzLZDecode FuzzLZRoundTrip FuzzDecodeBlock
+
 fuzz-smoke:
-	for f in FuzzReadBlock FuzzLogRead FuzzReadFrame; do \
+	for f in $(FUZZ_REALENV); do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/rt/realenv || exit 1; done
-	for f in FuzzLZDecode FuzzLZRoundTrip FuzzDecodeBlock; do \
+	for f in $(FUZZ_REDUCE); do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/reduce || exit 1; done
 
 # One iteration of every Go benchmark — catches bit-rot, measures nothing —

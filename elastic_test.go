@@ -30,8 +30,6 @@ func TestElasticConfigValidation(t *testing.T) {
 			c.Staging.Elastic.MinStagers, c.Staging.Elastic.MaxStagers = 4, 4
 		}},
 		{"negative bounds", func(c *Config) { c.Staging.Elastic.MinStagers = -1 }},
-		{"occupancy out of range", func(c *Config) { c.Staging.Elastic.GrowOccupancy = 1.5 }},
-		{"empty hysteresis band", func(c *Config) { c.Staging.Elastic.GrowOccupancy = 0.3; c.Staging.Elastic.DrainOccupancy = 0.4 }},
 		{"negative interval", func(c *Config) { c.Staging.Elastic.Interval = -time.Millisecond }},
 	}
 	for _, tc := range bad {

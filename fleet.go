@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"zipper/internal/assembly"
 	"zipper/internal/control"
@@ -45,10 +44,14 @@ const (
 )
 
 // FleetEvent is one control-plane action on the shared fleet — admit,
-// finish, assign, preempt, or resize — reported in FleetStats.Events.
+// finish, assign, or preempt — reported in FleetStats.Events.
 type FleetEvent = control.Event
 
-// FleetConfig configures a shared stager fleet.
+// FleetConfig configures a shared stager fleet. The shared wire is the
+// in-process channel network with a receive window of 4 messages per
+// endpoint. The control plane reconciles every 2 ms, and a tenant counts as
+// pressured — the trigger for preempting a lower-priority, spill-heavy
+// tenant — once it fills 75 % of its quota on any stager of its slice.
 type FleetConfig struct {
 	// Stagers is the shared in-transit tier's size (≥ 1). Every submitted
 	// job relays through a control-plane-assigned slice of these endpoints.
@@ -70,26 +73,14 @@ type FleetConfig struct {
 	// each Submit allocates its job's consumer endpoints from this pool and
 	// is rejected once it runs dry.
 	MaxConsumers int
-	// MaxBatchBlocks / MaxBatchBytes bound the stagers' re-batched
-	// forwarded messages (defaults as in staging.Config).
+	// MaxBatchBlocks bounds the stagers' re-batched forwarded messages
+	// (default as in staging.Config).
 	MaxBatchBlocks int
-	MaxBatchBytes  int64
-	// Window is each endpoint's receive window in messages (default 4), on
-	// either transport (see Config.Window).
-	Window int
-	// RingDepth selects the intra-node fast path for the shared wire: when
-	// > 0 every sending thread gets private lock-free SPSC ring lanes
-	// instead of the buffered-channel endpoints, each lane
-	// min(RingDepth, Window) messages deep (see StagingConfig.RingDepth).
-	// 0 keeps channels, byte-identical.
-	RingDepth int
-	// Reconcile is the control plane's reconcile period (default 2ms).
-	Reconcile time.Duration
-	// PreemptOccupancy is the quota-fraction at which a tenant counts as
-	// pressured, triggering preemption of a lower-priority spill-heavy
-	// tenant (default 0.75).
-	PreemptOccupancy float64
 }
+
+// fleetWindow is each endpoint's receive window on a fleet's shared wire, in
+// messages (see Config.Window).
+const fleetWindow = 4
 
 // withDefaults resolves zero fields.
 func (cfg FleetConfig) withDefaults() FleetConfig {
@@ -101,9 +92,6 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 	}
 	if cfg.MaxConsumers <= 0 {
 		cfg.MaxConsumers = 4 * cfg.MaxJobs
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 4
 	}
 	return cfg
 }
@@ -143,17 +131,16 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, &ConfigError{Field: "SpoolDir",
 			Reason: "required: the directory standing in for the parallel file system"}
 	}
-	if cfg.MaxJobs < 0 || cfg.MaxConsumers < 0 {
+	if cfg.MaxJobs < 0 {
 		return nil, &ConfigError{Field: "MaxJobs",
-			Reason: fmt.Sprintf("reservations must be ≥ 0 (0 selects the default), got MaxJobs %d MaxConsumers %d",
-				cfg.MaxJobs, cfg.MaxConsumers)}
+			Reason: fmt.Sprintf("must be ≥ 0 (0 selects the default), got %d", cfg.MaxJobs)}
 	}
-	if cfg.RingDepth < 0 {
-		return nil, &ConfigError{Field: "RingDepth",
-			Reason: fmt.Sprintf("must be ≥ 0 (0 = channel transport, > 0 = SPSC ring lanes of min(RingDepth, Window) messages), got %d", cfg.RingDepth)}
+	if cfg.MaxConsumers < 0 {
+		return nil, &ConfigError{Field: "MaxConsumers",
+			Reason: fmt.Sprintf("must be ≥ 0 (0 selects the default), got %d", cfg.MaxConsumers)}
 	}
 	cfg = cfg.withDefaults()
-	pf, err := newPlatform(cfg.SpoolDir, "", cfg.RingDepth, cfg.Window, cfg.MaxConsumers+cfg.Stagers, 0)
+	pf, err := newPlatform(cfg.SpoolDir, "", 0, fleetWindow, cfg.MaxConsumers+cfg.Stagers, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -163,17 +150,13 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	// stagers after it.
 	f.tier, err = assembly.NewTier(pf.env.Ctx(), pf, assembly.Spec{
 		Consumers:          cfg.MaxConsumers,
-		Core:               core.Config{MaxBatchBlocks: cfg.MaxBatchBlocks, MaxBatchBytes: cfg.MaxBatchBytes},
+		Core:               core.Config{MaxBatchBlocks: cfg.MaxBatchBlocks},
 		Stagers:            cfg.Stagers,
 		StagerBufferBlocks: cfg.StagerBufferBlocks,
-		Window:             cfg.Window,
+		Window:             fleetWindow,
 		Tenants: &assembly.Tenants{
-			Plane: control.Config{
-				Interval:         cfg.Reconcile,
-				PreemptOccupancy: cfg.PreemptOccupancy,
-				MaxTenants:       cfg.MaxJobs,
-			},
-			Of: f.tenantOfRank,
+			Plane: control.Config{MaxTenants: cfg.MaxJobs},
+			Of:    f.tenantOfRank,
 		},
 	})
 	if err != nil {
@@ -216,7 +199,7 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 			Reason: "a fleet job's stager placement is the control plane's decision; Placement must be left default"}
 	case cfg.Staging.Elastic.Enabled:
 		return nil, &ConfigError{Field: "Staging.Elastic",
-			Reason: "the shared fleet is fixed-size from a job's point of view; resize it through the fleet, not per job"}
+			Reason: "the shared fleet is fixed-size: its stagers are FleetConfig.Stagers for its whole life"}
 	case cfg.Fault.Enabled:
 		return nil, &ConfigError{Field: "Fault",
 			Reason: "the fault plane protects a private staging tier; it is not available per fleet job"}
@@ -340,7 +323,7 @@ type FleetStats struct {
 	// TestFleetConsolidationSaving in internal/exp).
 	StagerNodeSeconds float64
 	// Preemptions is the control plane's lifetime preemption count, and
-	// Events its admit/finish/assign/preempt/resize timeline.
+	// Events its admit/finish/assign/preempt timeline.
 	Preemptions int
 	Events      []FleetEvent
 }

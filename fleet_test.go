@@ -18,6 +18,7 @@ func TestFleetValidation(t *testing.T) {
 		{"no spool", FleetConfig{Stagers: 1}, "SpoolDir"},
 		{"negative buffer", FleetConfig{Stagers: 1, SpoolDir: dir, StagerBufferBlocks: -1}, "StagerBufferBlocks"},
 		{"negative reservation", FleetConfig{Stagers: 1, SpoolDir: dir, MaxJobs: -1}, "MaxJobs"},
+		{"negative consumer reservation", FleetConfig{Stagers: 1, SpoolDir: dir, MaxConsumers: -1}, "MaxConsumers"},
 	}
 	for _, tc := range bad {
 		_, err := NewFleet(tc.cfg)

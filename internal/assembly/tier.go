@@ -154,7 +154,6 @@ func (t *Tier) spawn(c rt.Ctx, slot int) *Instance {
 	scfg := staging.Config{
 		BufferBlocks:   t.spec.StagerBufferBlocks,
 		MaxBatchBlocks: t.spec.Core.MaxBatchBlocks,
-		MaxBatchBytes:  t.spec.Core.MaxBatchBytes,
 		Managed:        t.managed(),
 		Reduce:         t.spec.Core.Reduce,
 		Pipeline:       t.spec.Core.ReducePipeline,
@@ -290,17 +289,17 @@ func (t *Tier) Evict(c rt.Ctx, addr int) {
 // Recover implements fault.Host: the recovery reader replays the dead
 // occupant's journal and orphan backlog straight to the consumers, where
 // counted Fin accounting absorbs the re-sent blocks.
-func (t *Tier) Recover(c rt.Ctx, addr int) (replayed, orphans, lost int64) {
+func (t *Tier) Recover(c rt.Ctx, addr int) (replayed, lost int64) {
 	in := t.occupant(addr - t.base)
 	if in == nil || in.journal == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
-	replayed, orphans, lost = staging.Replay(c, in.journal, in.spill, t.wire)
+	replayed, _, lost = staging.Replay(c, in.journal, in.spill, t.wire)
 	t.mu.Lock()
 	in.Replayed += replayed
 	in.Lost += lost
 	t.mu.Unlock()
-	return replayed, orphans, lost
+	return replayed, lost
 }
 
 // Respawn implements fault.Host: a replacement on the freed slot,

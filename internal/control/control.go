@@ -10,8 +10,8 @@
 // engine: desired state in a registry, an engine that continuously diffs it
 // against the live fleet and repairs the delta) assigns each tenant a slice
 // of stager capacity through its own place.Directory and recomputes the
-// weighted-fair share whenever jobs arrive, finish, or the elastic pool
-// resizes. Priority preemption evicts spill-heavy low-priority tenants'
+// weighted-fair share whenever jobs arrive or finish, and every reconcile
+// period. Priority preemption evicts spill-heavy low-priority tenants'
 // claims first: when a higher-priority tenant is pressured against its
 // quota, the noisiest lower-priority tenant's effective weight is halved,
 // shrinking both its stager slice and its buffer quota on the next
@@ -109,31 +109,23 @@ func (e *ConfigError) Error() string {
 
 // Config tunes the plane.
 type Config struct {
-	// Interval is the reconcile period (0 selects 2ms). Admission, finish,
-	// and resize also reconcile synchronously; the periodic loop exists for
-	// preemption and convergence while the tenant set is static.
-	Interval time.Duration
-	// PreemptOccupancy is the quota-fraction at which a tenant counts as
-	// pressured: when a tenant's worst per-stager tenant-occupancy reaches
-	// this fraction of its quota, the plane looks for a lower-priority
-	// spill-heavy victim to preempt. 0 selects 0.75.
-	PreemptOccupancy float64
 	// MaxTenants caps lifetime admissions (tenant ids index pre-sized
 	// per-tenant state at every stager, so ids are never reused). 0 means
 	// the embedder pre-sized for unlimited growth — fleets always set it.
 	MaxTenants int
 }
 
-// withDefaults resolves zero fields.
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Millisecond
-	}
-	if c.PreemptOccupancy <= 0 {
-		c.PreemptOccupancy = 0.75
-	}
-	return c
-}
+const (
+	// interval is the reconcile period. Admission and finish also reconcile
+	// synchronously; the periodic loop exists for preemption and convergence
+	// while the tenant set is static.
+	interval = 2 * time.Millisecond
+	// preemptOccupancy is the quota-fraction at which a tenant counts as
+	// pressured: when a tenant's worst per-stager tenant-occupancy reaches
+	// this fraction of its quota, the plane looks for a lower-priority
+	// spill-heavy victim to preempt.
+	preemptOccupancy = 0.75
+)
 
 // Host is the fleet half of the plane: it owns the shared stagers and
 // exposes their per-tenant gauges and quota knobs by transport address.
@@ -155,10 +147,10 @@ type Host interface {
 // fleet view.
 type Event struct {
 	At      time.Duration
-	Kind    string // "admit", "finish", "assign", "preempt", or "resize"
-	Tenant  int    // subject tenant id (-1 for resize)
+	Kind    string // "admit", "finish", "assign", or "preempt"
+	Tenant  int    // subject tenant id
 	Victim  int    // preempted tenant id (kind "preempt"; -1 otherwise)
-	Stagers int    // subject's slice size after the action (fleet size for resize)
+	Stagers int    // subject's slice size after the action
 	Blocks  int    // subject's total buffer quota across its slice after the action
 }
 
@@ -183,9 +175,6 @@ type Tenant struct {
 // ID returns the tenant id: the index of this tenant's pre-sized state at
 // every stager.
 func (t *Tenant) ID() int { return t.id }
-
-// Spec returns the admitted spec.
-func (t *Tenant) Spec() JobSpec { return t.spec }
 
 // Directory returns the tenant's stager directory — the core.StagerDirectory
 // its producers route through.
@@ -233,7 +222,7 @@ type Plane struct {
 func NewPlane(cfg Config, fleet []int, bufPerStager int, host Host) *Plane {
 	f := append([]int(nil), fleet...)
 	sort.Ints(f)
-	return &Plane{cfg: cfg.withDefaults(), host: host, fleet: f, bufPerStager: bufPerStager}
+	return &Plane{cfg: cfg, host: host, fleet: f, bufPerStager: bufPerStager}
 }
 
 // capacityLocked is the fleet's aggregate in-memory buffer in blocks.
@@ -306,25 +295,9 @@ func (p *Plane) Finish(c rt.Ctx, t *Tenant) {
 	p.apply(c, pushes)
 }
 
-// Resize replaces the fleet membership — the elastic pool grew, drained, or
-// recovered a stager — and reconciles every tenant's slice against the new
-// capacity. Guarantees admitted against the old capacity are kept (the
-// fleet may run oversubscribed after a shrink; the reconcile still splits
-// what remains proportionally).
-func (p *Plane) Resize(c rt.Ctx, fleet []int) {
-	p.mu.Lock()
-	f := append([]int(nil), fleet...)
-	sort.Ints(f)
-	p.fleet = f
-	p.events = append(p.events, Event{At: c.Now(), Kind: "resize", Tenant: -1, Victim: -1, Stagers: len(f)})
-	pushes := p.reconcileLocked(c.Now())
-	p.mu.Unlock()
-	p.apply(c, pushes)
-}
-
 // Start launches the periodic reconcile loop as a runtime thread.
 func (p *Plane) Start(env rt.Env) {
-	loop := rt.StartLoop(env, "control.reconcile", p.cfg.Interval, p.reconcile, nil)
+	loop := rt.StartLoop(env, "control.reconcile", interval, p.reconcile, nil)
 	p.mu.Lock()
 	p.loop = loop
 	p.mu.Unlock()
@@ -586,7 +559,7 @@ func (p *Plane) preemptLocked(now time.Duration, act []*Tenant) {
 	}
 	claimant := -1
 	for i, t := range act {
-		if pressure[i] < p.cfg.PreemptOccupancy {
+		if pressure[i] < preemptOccupancy {
 			continue
 		}
 		if claimant < 0 || t.spec.Quota.Priority > act[claimant].spec.Quota.Priority {

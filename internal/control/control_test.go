@@ -209,7 +209,7 @@ func TestPreemptionAndDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reconcile := func() { p.Resize(ctx, fleet) } // forces a synchronous pass
+	reconcile := func() { p.reconcile(ctx) } // forces a synchronous pass
 
 	// Script the gauges: the high-priority tenant is pressed against its
 	// quota on its first stager while the low-priority tenant spills.

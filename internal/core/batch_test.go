@@ -110,75 +110,6 @@ func TestBatchLargerThanBuffer(t *testing.T) {
 	}
 }
 
-func TestMaxBatchBytesSmallerThanOneBlock(t *testing.T) {
-	// A byte cap below the block size degenerates to one block per message
-	// but must never wedge the sender.
-	cfg := Config{BufferBlocks: 8, MaxBatchBlocks: 8, MaxBatchBytes: 100, DisableSteal: true}
-	env, prod, cons, tr := batchRig(t, cfg, 2)
-	c := env.Ctx()
-	const n = 20
-	go func() {
-		for s := 0; s < n; s++ {
-			prod.Write(c, s, 0, make([]byte, 1024), 1024)
-		}
-		prod.Close(c)
-	}()
-	seen := 0
-	for {
-		if _, ok := cons.Read(c); !ok {
-			break
-		}
-		seen++
-	}
-	prod.Wait(c)
-	cons.Wait(c)
-	if seen != n {
-		t.Fatalf("analyzed %d blocks, want %d", seen, n)
-	}
-	for _, s := range tr.batchSizes() {
-		if s > 1 {
-			t.Fatalf("byte cap of 100 allowed a %d-block batch", s)
-		}
-	}
-	ps := prod.Stats(c)
-	if ps.BlocksSent != n {
-		t.Fatalf("sent %d blocks, want %d", ps.BlocksSent, n)
-	}
-}
-
-func TestMaxBatchBytesSplitsBatches(t *testing.T) {
-	// With 1 KiB blocks and a 2.5 KiB cap, no batch may carry more than two
-	// blocks even though MaxBatchBlocks would allow eight.
-	cfg := Config{BufferBlocks: 16, MaxBatchBlocks: 8, MaxBatchBytes: 2560, DisableSteal: true}
-	env, prod, cons, tr := batchRig(t, cfg, 1)
-	c := env.Ctx()
-	const n = 30
-	go func() {
-		for s := 0; s < n; s++ {
-			prod.Write(c, s, 0, make([]byte, 1024), 1024)
-		}
-		prod.Close(c)
-	}()
-	seen := 0
-	for {
-		if _, ok := cons.Read(c); !ok {
-			break
-		}
-		seen++
-		time.Sleep(200 * time.Microsecond)
-	}
-	prod.Wait(c)
-	cons.Wait(c)
-	if seen != n {
-		t.Fatalf("analyzed %d blocks, want %d", seen, n)
-	}
-	for _, s := range tr.batchSizes() {
-		if s > 2 {
-			t.Fatalf("2.5 KiB cap allowed a %d-block batch of 1 KiB blocks", s)
-		}
-	}
-}
-
 func TestFinRacingPartialBatch(t *testing.T) {
 	// Close immediately after a burst smaller than one batch: every block
 	// must still arrive, with the Fin strictly after the data. Run many

@@ -419,9 +419,6 @@ func (c *Consumer) Wait(x rt.Ctx) {
 	c.lk.Unlock(x)
 }
 
-// Flows exposes the module's live flow gauges.
-func (c *Consumer) Flows() *flow.ConsumerFlows { return &c.fl }
-
 // Level exposes the consumer-buffer occupancy gauge so the placement plane
 // (a least-occupancy consumer directory) and any external observer can read
 // both the instantaneous fill and its time-weighted average.

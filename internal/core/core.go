@@ -117,7 +117,7 @@ func (r RoutePolicy) String() string {
 // Config tunes one side (producer or consumer) of the runtime.
 type Config struct {
 	// BufferBlocks is the producer buffer capacity in blocks (the paper's
-	// num_slots circular FIFO). Zero selects 8.
+	// num_slots circular FIFO). Zero selects DefaultBufferBlocks.
 	BufferBlocks int
 	// HighWater is the stealing threshold in blocks: the writer thread
 	// steals only while more than this many blocks are queued — always,
@@ -133,10 +133,6 @@ type Config struct {
 	// one-block-per-message protocol; larger values amortize the per-message
 	// overhead (header, window credit, send call) when the buffer runs deep.
 	MaxBatchBlocks int
-	// MaxBatchBytes caps a batch's total payload bytes. Zero means unlimited.
-	// The head block of a batch is always taken, even when it alone exceeds
-	// the cap, so oversized blocks still make progress.
-	MaxBatchBytes int64
 	// Mode selects Preserve or NoPreserve.
 	Mode Mode
 	// RoutePolicy picks the channel for each drained batch when the
@@ -222,9 +218,13 @@ type Config struct {
 	Recorder *trace.Recorder
 }
 
+// DefaultBufferBlocks is the producer buffer capacity a zero
+// Config.BufferBlocks selects.
+const DefaultBufferBlocks = 8
+
 func (c Config) withDefaults() Config {
 	if c.BufferBlocks <= 0 {
-		c.BufferBlocks = 8
+		c.BufferBlocks = DefaultBufferBlocks
 	}
 	if c.HighWater <= 0 {
 		c.HighWater = c.BufferBlocks * 3 / 4
@@ -240,9 +240,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchBlocks <= 0 {
 		c.MaxBatchBlocks = 1
-	}
-	if c.MaxBatchBytes < 0 {
-		c.MaxBatchBytes = 0
 	}
 	return c
 }

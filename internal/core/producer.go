@@ -313,11 +313,6 @@ func (p *Producer) Err(c rt.Ctx) error {
 	return p.err
 }
 
-// Flows exposes the module's live flow gauges: totals plus EWMA rates that
-// the flow-control plane (and any external observer) can read while the run
-// is in flight.
-func (p *Producer) Flows() *flow.ProducerFlows { return &p.fl }
-
 // snapshot assembles a stats snapshot with rates evaluated at `now`.
 func (p *Producer) snapshot(now time.Duration, live bool) ProducerStats {
 	s := ProducerStats{
@@ -364,7 +359,7 @@ func (p *Producer) FinalStats() ProducerStats { return p.snapshot(0, false) }
 func (p *Producer) queuedLocked(tail uint64) int { return int(tail - p.head.Load()) }
 
 // senderThread drains the producer buffer to the network in batches of up to
-// MaxBatchBlocks / MaxBatchBytes, piggybacking the IDs of spilled blocks, and
+// MaxBatchBlocks, piggybacking the IDs of spilled blocks, and
 // finally emits the Fin message. It visits lk once per message: what a send
 // leaves to record under the lock is recorded when the next drain takes it.
 func (p *Producer) senderThread(c rt.Ctx) {
@@ -532,10 +527,8 @@ func (p *Producer) sendFins(c rt.Ctx) {
 	p.fl.SendBusy.AddDur(now, now-start)
 }
 
-// drainBatchLocked removes up to MaxBatchBlocks / MaxBatchBytes blocks from
-// the head of the producer buffer — everything the application has published
-// by now counts. The head block is always taken so an oversized block cannot
-// wedge the sender; the byte cap applies only to growing the batch past it.
+// drainBatchLocked removes up to MaxBatchBlocks blocks from the head of the
+// producer buffer — everything the application has published by now counts.
 // Returns nil when the buffer is empty (a send that only announces spilled
 // IDs). The slice is the job's to recycle once the receiver has the blocks.
 func (p *Producer) drainBatchLocked() []*block.Block {
@@ -545,16 +538,7 @@ func (p *Producer) drainBatchLocked() []*block.Block {
 		return nil
 	}
 	mask := uint64(len(p.ring) - 1)
-	n := 1
-	bytes := p.ring[head&mask].Bytes
-	for n < queued && n < p.cfg.MaxBatchBlocks {
-		next := p.ring[(head+uint64(n))&mask]
-		if p.cfg.MaxBatchBytes > 0 && bytes+next.Bytes > p.cfg.MaxBatchBytes {
-			break
-		}
-		bytes += next.Bytes
-		n++
-	}
+	n := min(queued, p.cfg.MaxBatchBlocks)
 	blocks := p.rec.Slice()
 	if cap(blocks) < n {
 		blocks = make([]*block.Block, 0, n)

@@ -4,16 +4,16 @@
 //
 // It has three cooperating parts:
 //
-//   - Pool, an epoch-versioned stager directory — since the placement plane
-//     landed it IS a place.Directory (the type below is an alias), so the
-//     assignment rule is pluggable: rank-affine by default, or any
+//   - The pool, an epoch-versioned stager directory (a place.Directory), so
+//     the assignment rule is pluggable: rank-affine by default, or any
 //     place.Policy (least-occupancy) the embedder configures. Producers
 //     resolve their stager from the live membership per drained batch, so
-//     membership changes compose with every flow.Router unchanged. The directory also counts
-//     claimed-but-undelivered relay sends per endpoint, which is what makes
-//     retirement race-free: Quiesce waits for the last straggler to deposit
-//     before the Retire control message is sent, so Retire is provably the
-//     final message a draining endpoint receives. That proof leans on a
+//     membership changes compose with every flow.Router unchanged. The
+//     directory also counts claimed-but-undelivered relay sends per
+//     endpoint, which is what makes retirement race-free: Quiesce waits for
+//     the last straggler to deposit before the Retire control message is
+//     sent, so Retire is provably the final message a draining endpoint
+//     receives. That proof leans on a
 //     transport whose Send returns only after the message is deposited in
 //     the destination inbox — true of the in-process channel network and
 //     the simulated network, NOT of the TCP transport (frames from
@@ -28,7 +28,7 @@
 //     consumer holds its stream open until the counts are met.
 //
 //   - Scaler, the control loop. It observes the pool-wide flow gauges
-//     (occupancy, forward rate, spill growth — flow.PoolSignals), applies a
+//     (occupancy and spill growth — flow.PoolSignals), applies a
 //     hysteresis band plus a cooldown, and spawns or retires endpoints
 //     through a platform Host, up to the reserved endpoint ceiling. The
 //     loop is clocked purely by rt.Ctx time, so the identical controller
@@ -58,12 +58,6 @@ type Config struct {
 	// at (default 1). MaxStagers is the growth ceiling (default: the number
 	// of reserved stager endpoints).
 	MinStagers, MaxStagers int
-	// GrowOccupancy and DrainOccupancy bound the hysteresis band on
-	// pool-wide buffer occupancy (fractions of summed capacity, defaults
-	// 0.75 and 0.20): above the former — or whenever the tier spilled to
-	// disk since the last tick — the pool grows; below the latter with no
-	// spill pressure it drains. Between them the scaler holds.
-	GrowOccupancy, DrainOccupancy float64
 	// Interval is the control period (default 2ms — virtual time under the
 	// simulator). Cooldown is the minimum time between scaling actions
 	// (default 10×Interval); together with the hysteresis band it keeps the
@@ -81,12 +75,6 @@ func (c Config) WithDefaults(ceiling int) Config {
 	}
 	if c.MinStagers > c.MaxStagers {
 		c.MinStagers = c.MaxStagers
-	}
-	if c.GrowOccupancy <= 0 {
-		c.GrowOccupancy = 0.75
-	}
-	if c.DrainOccupancy <= 0 {
-		c.DrainOccupancy = 0.20
 	}
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Millisecond
@@ -121,19 +109,20 @@ func (c Config) Validate(ceiling int) error {
 		return fmt.Errorf("elastic MinStagers (%d) exceeds the reserved Stagers ceiling (%d)",
 			c.MinStagers, ceiling)
 	}
-	if c.GrowOccupancy < 0 || c.GrowOccupancy > 1 || c.DrainOccupancy < 0 || c.DrainOccupancy > 1 {
-		return fmt.Errorf("elastic occupancy targets must lie in [0,1], got grow %v drain %v",
-			c.GrowOccupancy, c.DrainOccupancy)
-	}
-	if c.GrowOccupancy > 0 && c.DrainOccupancy > 0 && c.DrainOccupancy >= c.GrowOccupancy {
-		return fmt.Errorf("elastic DrainOccupancy (%v) must lie below GrowOccupancy (%v): the hysteresis band would be empty",
-			c.DrainOccupancy, c.GrowOccupancy)
-	}
 	if c.Interval < 0 || c.Cooldown < 0 {
 		return errors.New("elastic time constants must be ≥ 0 (0 selects the default)")
 	}
 	return nil
 }
+
+// The hysteresis band on pool-wide buffer occupancy (fractions of summed
+// capacity): at or above growOccupancy — or whenever the tier spilled to disk
+// since the last tick — the pool grows; at or below drainOccupancy with no
+// spill pressure it drains. Between them the scaler holds.
+const (
+	growOccupancy  = 0.75
+	drainOccupancy = 0.20
+)
 
 // Decide is the scaler's per-tick verdict, exposed as a pure function so the
 // hysteresis band is unit-testable without a platform: +1 grow, -1 drain, 0
@@ -145,26 +134,14 @@ func (c Config) Decide(occ float64, spillDelta int64, size int, cooled bool) int
 	if !cooled {
 		return 0
 	}
-	if (occ >= c.GrowOccupancy || spillDelta > 0) && size < c.MaxStagers {
+	if (occ >= growOccupancy || spillDelta > 0) && size < c.MaxStagers {
 		return 1
 	}
-	if occ <= c.DrainOccupancy && spillDelta == 0 && size > c.MinStagers {
+	if occ <= drainOccupancy && spillDelta == 0 && size > c.MinStagers {
 		return -1
 	}
 	return 0
 }
-
-// Pool is the epoch-versioned stager directory: the live membership of the
-// elastic staging tier plus the in-flight relay accounting that makes
-// retirement race-free. It is the placement plane's place.Directory — the
-// generalization extracted from the original elastic pool — and implements
-// core.StagerDirectory.
-type Pool = place.Directory
-
-// NewPool returns an empty rank-affine pool; the embedder Adds the initial
-// membership. Pools resolving through another assignment policy (or fed by
-// per-endpoint occupancy gauges) are built directly with place.New.
-func NewPool() *Pool { return place.New(place.RankAffine(), nil) }
 
 // Host is the platform half of the scaler: it owns the reserved endpoint
 // slots and knows how to build a stager on one (fresh goroutine set on the
@@ -209,7 +186,7 @@ type Event struct {
 //
 // Concurrency: the scaler thread is the only mutator of the pool-state
 // fields; the mutex exists for the cross-thread readers (Events,
-// NodeSeconds, PoolSize, the fault plane's notifications) and is held only
+// NodeSeconds, the fault plane's notifications) and is held only
 // for quick state access — NEVER across an operation that can park the
 // thread on a platform primitive (Quiesce, Host calls, sleeps). A parked
 // holder of a raw mutex would block any other runtime thread that touches
@@ -219,7 +196,7 @@ type Event struct {
 type Scaler struct {
 	env  rt.Env
 	cfg  Config
-	pool *Pool
+	pool *place.Directory
 	host Host
 	base int // transport address of slot 0
 	loop *rt.Loop
@@ -234,13 +211,6 @@ type Scaler struct {
 	lastAct   time.Duration
 	lastSpill int64
 	pending   []poolChange // fault-plane notifications awaiting the scaler thread
-
-	// onResize (set before Start via SetOnResize) fires after every
-	// pool-membership change; lastEpoch is the pool epoch it last fired
-	// for. Scaler thread only (single-writer rule) — epoch comparison also
-	// catches membership edits the fault plane made directly on the pool.
-	onResize  func(c rt.Ctx, members []int)
-	lastEpoch int64
 
 	// growOnly (set before Start via GrowOnly) drops the drain verdict.
 	growOnly bool
@@ -263,7 +233,7 @@ type poolChange struct {
 // its defaults resolved via WithDefaults — an unresolved config has no
 // ceiling (MaxStagers 0) and a zero Interval, neither of which NewScaler
 // repairs.
-func NewScaler(env rt.Env, cfg Config, pool *Pool, host Host, base int, initial []*flow.StagerFlows) *Scaler {
+func NewScaler(env rt.Env, cfg Config, pool *place.Directory, host Host, base int, initial []*flow.StagerFlows) *Scaler {
 	s := &Scaler{
 		env: env, cfg: cfg, pool: pool, host: host, base: base,
 		live:      map[int]*flow.StagerFlows{},
@@ -277,19 +247,7 @@ func NewScaler(env rt.Env, cfg Config, pool *Pool, host Host, base int, initial 
 	for slot := len(initial); slot < cfg.MaxStagers; slot++ {
 		s.free = append(s.free, slot)
 	}
-	s.lastEpoch = pool.Epoch()
 	return s
-}
-
-// SetOnResize registers a hook invoked on the scaler thread after every
-// pool-membership change — grow, drain, crash, respawn — with the live
-// membership (transport addresses, ascending). It is the bridge to the
-// multi-job control plane: a fleet passes control.Plane.Resize here so
-// tenant fair shares are recomputed whenever the shared pool changes size.
-// The hook may park (it runs with no scaler mutex held); it must not call
-// back into the scaler. Call before Start.
-func (s *Scaler) SetOnResize(fn func(c rt.Ctx, members []int)) {
-	s.onResize = fn
 }
 
 // GrowOnly removes the scale-down verdict: the pool only grows (and
@@ -362,10 +320,9 @@ func (s *Scaler) tick(c rt.Ctx) {
 	s.applyPending(now)
 	s.reap(c, now)
 	if !(s.lastAct == 0 || now-s.lastAct >= s.cfg.Cooldown) {
-		s.notifyResize(c) // fault-plane edits surface even inside a cooldown
 		return
 	}
-	sig := s.observe(now)
+	sig := s.observe()
 	spillDelta := sig.Spilled - s.lastSpill
 	s.lastSpill = sig.Spilled
 	switch s.cfg.Decide(sig.Occupancy, spillDelta, len(s.live), true) {
@@ -376,30 +333,15 @@ func (s *Scaler) tick(c rt.Ctx) {
 			s.drain(c, now, sig.Occupancy)
 		}
 	}
-	s.notifyResize(c)
-}
-
-// notifyResize fires the SetOnResize hook when the pool membership changed
-// since the last notification — whether this tick's grow/drain did it or
-// the fault plane edited the pool directly (epoch comparison sees both).
-// Runs on the scaler thread with no mutex held: the hook may park.
-func (s *Scaler) notifyResize(c rt.Ctx) {
-	if s.onResize == nil {
-		return
-	}
-	if ep := s.pool.Epoch(); ep != s.lastEpoch {
-		s.lastEpoch = ep
-		s.onResize(c, s.pool.Members())
-	}
 }
 
 // observe aggregates the live members' gauges.
-func (s *Scaler) observe(now time.Duration) flow.PoolSignals {
+func (s *Scaler) observe() flow.PoolSignals {
 	members := make([]*flow.StagerFlows, 0, len(s.live))
 	for _, slot := range s.liveSlots() {
 		members = append(members, s.live[slot])
 	}
-	return flow.AggregatePool(now, members)
+	return flow.AggregatePool(members)
 }
 
 // liveSlots returns the live slots ascending (map order is not
@@ -538,11 +480,4 @@ func (s *Scaler) NodeSeconds() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.nodeTime.Seconds()
-}
-
-// PoolSize returns the current live pool size.
-func (s *Scaler) PoolSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.live)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"zipper/internal/place"
 	"zipper/internal/rt/realenv"
 )
 
@@ -11,7 +12,7 @@ import (
 // resolution over the sorted live membership, and an epoch bump on every
 // change.
 func TestPoolMembershipAndEpoch(t *testing.T) {
-	p := NewPool()
+	p := place.New(place.RankAffine(), nil)
 	if _, ok := p.Peek(0); ok {
 		t.Fatal("empty pool resolved a stager")
 	}
@@ -48,7 +49,7 @@ func TestPoolMembershipAndEpoch(t *testing.T) {
 // the retiring endpoint.
 func TestPoolClaimQuiesce(t *testing.T) {
 	env := realenv.New()
-	p := NewPool()
+	p := place.New(place.RankAffine(), nil)
 	p.Add(7)
 	addr, ok := p.Claim(0)
 	if !ok || addr != 7 {
@@ -116,9 +117,6 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 	if d.MinStagers != 1 || d.MaxStagers != 6 {
 		t.Fatalf("default bounds %d..%d, want 1..6", d.MinStagers, d.MaxStagers)
 	}
-	if d.GrowOccupancy <= d.DrainOccupancy {
-		t.Fatalf("default band empty: grow %v drain %v", d.GrowOccupancy, d.DrainOccupancy)
-	}
 	if d.Interval <= 0 || d.Cooldown < d.Interval {
 		t.Fatalf("default clocks broken: interval %v cooldown %v", d.Interval, d.Cooldown)
 	}
@@ -130,8 +128,6 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 		{Enabled: true, MinStagers: 3, MaxStagers: 2},               // min > max
 		{Enabled: true, MaxStagers: 9},                              // max > ceiling
 		{Enabled: true, MinStagers: -1},                             // negative
-		{Enabled: true, GrowOccupancy: 2},                           // out of [0,1]
-		{Enabled: true, GrowOccupancy: 0.3, DrainOccupancy: 0.5},    // empty band
 		{Enabled: true, Interval: -time.Second},                     // negative clock
 		{Enabled: true, MinStagers: 7, MaxStagers: 0 /* default */}, // min > ceiling
 	}

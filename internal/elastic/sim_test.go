@@ -10,6 +10,7 @@ import (
 	"zipper/internal/fabric"
 	"zipper/internal/flow"
 	"zipper/internal/pfs"
+	"zipper/internal/place"
 	"zipper/internal/rt"
 	"zipper/internal/rt/simenv"
 	"zipper/internal/sim"
@@ -70,7 +71,7 @@ func elasticStepRun(t *testing.T) (events []elastic.Event, analyzed int, end tim
 		Enabled: true, MinStagers: 1, MaxStagers: 3,
 		Interval: time.Millisecond, Cooldown: 4 * time.Millisecond,
 	}.WithDefaults(3)
-	pool := elastic.NewPool()
+	pool := place.New(place.RankAffine(), nil)
 	slots := make([]*staging.Stager, 3)
 	spawn := func(slot int) *staging.Stager {
 		env := simenv.NewEnv(eng, fabric.NodeID(2+slot), 0)

@@ -59,7 +59,6 @@ func FleetScenario(steps int) workflow.FleetSpec {
 		Stagers:            2,
 		StagerBufferBlocks: 24,
 		StagingNodes:       2,
-		Reconcile:          2 * time.Millisecond,
 		Window:             2,
 		Sample:             10 * time.Millisecond,
 	}

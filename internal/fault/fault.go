@@ -14,7 +14,7 @@
 // refs, Fins with their declared totals, and the orphan messages its dead
 // receiver absorbed — so counted per-destination Fin accounting balances
 // without consumers ever learning a relay died. Finally a replacement is
-// respawned into the freed slot (up to MaxRecoveries per slot) and
+// respawned into the freed slot (up to maxRecoveries per slot) and
 // re-leased.
 //
 // At Stop the Monitor runs one forced sweep with the host's liveness
@@ -29,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"zipper/internal/flow"
 	"zipper/internal/place"
 	"zipper/internal/rt"
 )
@@ -47,11 +46,11 @@ type Config struct {
 	// is evicted (default 4×Heartbeat). Must exceed Heartbeat: a TTL inside
 	// the renewal period would evict healthy members between beats.
 	LeaseTTL time.Duration
-	// MaxRecoveries caps how many replacement endpoints may be respawned
-	// into one slot (default 3). -1 disables respawning entirely: evicted
-	// slots are replayed but stay empty.
-	MaxRecoveries int
 }
+
+// maxRecoveries caps how many replacement endpoints may be respawned into
+// one slot; an eviction past it is replayed and the slot stays empty.
+const maxRecoveries = 3
 
 // WithDefaults resolves zero fields.
 func (c Config) WithDefaults() Config {
@@ -60,9 +59,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 4 * c.Heartbeat
-	}
-	if c.MaxRecoveries == 0 {
-		c.MaxRecoveries = 3
 	}
 	return c
 }
@@ -84,9 +80,6 @@ func (c Config) Validate() error {
 		if c.LeaseTTL <= hb {
 			return fmt.Errorf("fault LeaseTTL (%v) must exceed the heartbeat interval (%v): a lease shorter than its renewal period evicts healthy members", c.LeaseTTL, hb)
 		}
-	}
-	if c.MaxRecoveries < -1 {
-		return fmt.Errorf("fault MaxRecoveries must be ≥ -1 (-1 disables respawn, 0 selects the default), got %d", c.MaxRecoveries)
 	}
 	return nil
 }
@@ -119,9 +112,9 @@ type Host interface {
 	// have already happened when Evict is called.
 	Evict(c rt.Ctx, addr int)
 	// Recover replays the dead occupant's write-ahead journal and orphan
-	// backlog to the consumers. Returns blocks re-forwarded, orphan
-	// messages re-sent, and blocks declared unrecoverable.
-	Recover(c rt.Ctx, addr int) (replayed, orphans, lost int64)
+	// backlog to the consumers. Returns blocks re-forwarded and blocks
+	// declared unrecoverable.
+	Recover(c rt.Ctx, addr int) (replayed, lost int64)
 	// Respawn builds a replacement endpoint on the freed address and
 	// re-admits it to the directory membership. Returns false when the
 	// platform cannot (the slot then stays empty).
@@ -141,10 +134,11 @@ type Monitor struct {
 
 	loop *rt.Loop
 
-	mu       sync.Mutex
-	attempts map[int]int // respawns used per address
-	events   []Event
-	fl       flow.FailoverFlows
+	mu        sync.Mutex
+	attempts  map[int]int // respawns used per address
+	events    []Event
+	evictions int64 // leases expired and swept from the membership
+	replayed  int64 // blocks re-forwarded from dead stagers' journals
 }
 
 // NewMonitor wires a failure detector over dir and host. cfg must already
@@ -179,8 +173,10 @@ func (m *Monitor) shutdownSweep(c rt.Ctx) {
 // evicted address. Evictions are processed serially, so at most one
 // endpoint instance ever occupies an address at a time.
 func (m *Monitor) recover(c rt.Ctx, addr int, respawn bool) {
+	m.mu.Lock()
+	m.evictions++
+	m.mu.Unlock()
 	m.event(Event{At: c.Now(), Kind: "evict", Addr: addr})
-	m.fl.Evictions.Add(c.Now(), 1)
 
 	// The membership change happened in the sweep; drain the claims that
 	// were already in flight (the dead receiver keeps absorbing them), then
@@ -188,10 +184,10 @@ func (m *Monitor) recover(c rt.Ctx, addr int, respawn bool) {
 	m.dir.Quiesce(c, addr)
 	m.host.Evict(c, addr)
 
-	replayed, orphans, lost := m.host.Recover(c, addr)
-	m.fl.Replayed.Add(c.Now(), replayed)
-	m.fl.Orphaned.Add(c.Now(), orphans)
-	m.fl.Lost.Add(c.Now(), lost)
+	replayed, lost := m.host.Recover(c, addr)
+	m.mu.Lock()
+	m.replayed += replayed
+	m.mu.Unlock()
 	m.event(Event{At: c.Now(), Kind: "replay", Addr: addr, Replayed: replayed, Lost: lost})
 
 	if !respawn {
@@ -199,14 +195,14 @@ func (m *Monitor) recover(c rt.Ctx, addr int, respawn bool) {
 	}
 	m.mu.Lock()
 	used := m.attempts[addr]
+	if used < maxRecoveries {
+		m.attempts[addr]++
+	}
 	m.mu.Unlock()
-	if m.cfg.MaxRecoveries < 0 || used >= m.cfg.MaxRecoveries {
+	if used >= maxRecoveries {
 		m.event(Event{At: c.Now(), Kind: "abandon", Addr: addr})
 		return
 	}
-	m.mu.Lock()
-	m.attempts[addr]++
-	m.mu.Unlock()
 	if !m.host.Respawn(c, addr) {
 		m.event(Event{At: c.Now(), Kind: "abandon", Addr: addr})
 		return
@@ -235,15 +231,17 @@ func (m *Monitor) Events() []Event {
 	return append([]Event(nil), m.events...)
 }
 
-// Flows exposes the fault plane's live gauges.
-func (m *Monitor) Flows() *flow.FailoverFlows { return &m.fl }
-
 // Evictions returns the lifetime eviction count.
-func (m *Monitor) Evictions() int64 { return m.fl.Evictions.Total() }
+func (m *Monitor) Evictions() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.evictions
+}
 
 // ReplayedBlocks returns the lifetime count of blocks the recovery reader
 // re-forwarded (journal replays plus orphaned-message blocks).
-func (m *Monitor) ReplayedBlocks() int64 { return m.fl.Replayed.Total() }
-
-// LostBlocks returns the lifetime count of blocks declared unrecoverable.
-func (m *Monitor) LostBlocks() int64 { return m.fl.Lost.Total() }
+func (m *Monitor) ReplayedBlocks() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.replayed
+}

@@ -25,8 +25,7 @@
 // module locks.
 //
 // The fold rule. Writers run once per batch or per message; readers are few
-// and slow — AggregatePool's ForwardRate (the elastic scaler, once per
-// interval), the adaptive router's stall fraction (once per routing
+// and slow — the adaptive router's stall fraction (once per routing
 // decision) and the Stats snapshots. So the write side (Meter.Add,
 // Level.Set) only accumulates: totals, occupancy and peak are exact at
 // every instant, and the moving average is folded — one math.Exp — only

@@ -1,7 +1,5 @@
 package flow
 
-import "time"
-
 // The three runtime modules — producer, consumer, stager — used to keep
 // three parallel structs of plain int64/time.Duration counters, each guarded
 // by its module lock and readable only as terminal totals. The flows structs
@@ -70,47 +68,30 @@ type StagerFlows struct {
 	Queue Level // in-memory buffer fill in blocks, with capacity and peak
 }
 
-// FailoverFlows gauges the fault plane of one job: the failure detector's
-// evictions and the recovery reader's outcome per block. The same
-// must-not-copy rule as the module flows applies; fault.Monitor holds the
-// struct and hands out a pointer.
-type FailoverFlows struct {
-	Evictions Meter // leases expired and swept from the membership
-	Replayed  Meter // blocks re-forwarded from dead stagers' journals
-	Orphaned  Meter // whole messages drained off dead receivers and re-sent
-	Lost      Meter // blocks genuinely unrecoverable (spool read failed)
-}
-
 // PoolSignals is the staging tier seen as one resource: the pool-wide
 // aggregate of every live stager's gauges at one instant. It is the
 // observation vector the elastic scaler steers on — occupancy and spill
 // pressure say the tier is undersized, a near-empty pool says it is
-// oversized — and any external observer can read the same aggregate.
+// oversized.
 type PoolSignals struct {
-	Stagers      int     // live stager endpoints aggregated
-	Queued       int     // blocks resident across all in-memory buffers
-	Capacity     int     // summed buffer capacity in blocks
-	Occupancy    float64 // Queued/Capacity, 0 when the pool is empty
-	ForwardRate  float64 // summed live EWMA delivery rate, blocks/s
-	Spilled      int64   // lifetime blocks spilled across the pool
-	SpilledBytes int64   // lifetime payload bytes spilled across the pool
+	Occupancy float64 // resident blocks / summed buffer capacity, 0 when the pool is empty
+	Spilled   int64   // lifetime blocks spilled across the pool
 }
 
-// AggregatePool folds the live members' gauges into one PoolSignals as of
-// now. Members' gauges are individually thread-safe, so the aggregate is a
+// AggregatePool folds the live members' gauges into one PoolSignals.
+// Members' gauges are individually thread-safe, so the aggregate is a
 // consistent-enough snapshot for control decisions without any global lock.
-func AggregatePool(now time.Duration, members []*StagerFlows) PoolSignals {
-	ps := PoolSignals{Stagers: len(members)}
+func AggregatePool(members []*StagerFlows) PoolSignals {
+	var ps PoolSignals
+	queued, capacity := 0, 0
 	for _, m := range members {
 		q, c := m.Queue.Get()
-		ps.Queued += q
-		ps.Capacity += c
-		ps.ForwardRate += m.Forwarded.Rate(now)
+		queued += q
+		capacity += c
 		ps.Spilled += m.Spilled.Total()
-		ps.SpilledBytes += m.SpilledBytes.Total()
 	}
-	if ps.Capacity > 0 {
-		ps.Occupancy = float64(ps.Queued) / float64(ps.Capacity)
+	if capacity > 0 {
+		ps.Occupancy = float64(queued) / float64(capacity)
 	}
 	return ps
 }

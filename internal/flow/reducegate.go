@@ -51,9 +51,6 @@ func (g *ReduceGate) Observe(occupancy int) bool {
 	return g.engaged
 }
 
-// Engaged reports the gate state without updating it.
-func (g *ReduceGate) Engaged() bool { return g.engaged }
-
 // Engagements counts how many times the gate has switched on — the number
 // of pressure bursts reduction absorbed.
 func (g *ReduceGate) Engagements() int64 { return g.engagements }

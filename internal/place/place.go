@@ -14,9 +14,8 @@
 //     publishes — the SDN-style "least-loaded access point" rule.
 //
 // The Directory also owns the in-flight claim accounting that makes elastic
-// retirement race-free (it is the generalization of the former
-// elastic.Pool): Claim atomically resolves an endpoint in the current
-// membership AND registers the upcoming send as in flight there, so a
+// retirement race-free: Claim atomically resolves an endpoint in the
+// current membership AND registers the upcoming send as in flight there, so a
 // drained member can be quiesced — every message bound for it deposited —
 // before its Retire control message is sent.
 package place
@@ -224,9 +223,6 @@ func New(pol Policy, levelOf func(addr int) *flow.Level) *Directory {
 	return d
 }
 
-// Policy returns the directory's assignment policy.
-func (d *Directory) Policy() Policy { return d.pol }
-
 // Add admits the endpoint at addr to the membership and bumps the epoch.
 // Adding a present member is a no-op.
 func (d *Directory) Add(addr int) {
@@ -333,13 +329,6 @@ func (d *Directory) Epoch() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.epoch
-}
-
-// Size returns the live membership count.
-func (d *Directory) Size() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.members)
 }
 
 // Members returns a copy of the live membership, ascending.

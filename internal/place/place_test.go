@@ -91,8 +91,8 @@ func TestDirectoryMembershipAndClaims(t *testing.T) {
 	if got := d.Members(); len(got) != 2 || got[0] != 3 || got[1] != 7 {
 		t.Fatalf("members = %v, want [3 7]", got)
 	}
-	if d.Epoch() != 2 || d.Size() != 2 {
-		t.Fatalf("epoch %d size %d, want 2 2", d.Epoch(), d.Size())
+	if d.Epoch() != 2 || len(d.Members()) != 2 {
+		t.Fatalf("epoch %d members %v, want 2 and two", d.Epoch(), d.Members())
 	}
 	addr, ok := d.Claim(1)
 	if !ok || addr != 7 {
@@ -215,7 +215,7 @@ func TestDirectoryConcurrentClaimChurn(t *testing.T) {
 		d.Remove(addr)
 		d.Quiesce(ctx, addr)
 	}
-	if n := d.Size(); n != 0 {
+	if n := len(d.Members()); n != 0 {
 		t.Fatalf("membership %d after full drain, want 0", n)
 	}
 }

@@ -21,12 +21,11 @@ import (
 // run produces byte-identical wire traffic to an inline run; only the
 // wall-clock cost moves.
 type Pipeline struct {
-	cfg     Config
-	workers int
-	jobs    chan pipeJob
-	wg      sync.WaitGroup
-	encs    sync.Pool // caller-side *Encoder instances
-	once    sync.Once
+	cfg  Config
+	jobs chan pipeJob
+	wg   sync.WaitGroup
+	encs sync.Pool // caller-side *Encoder instances
+	once sync.Once
 }
 
 type pipeJob struct {
@@ -61,7 +60,7 @@ func NewPipeline(cfg Config, workers int) *Pipeline {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pipeline{cfg: cfg, workers: workers, jobs: make(chan pipeJob, 4*workers)}
+	p := &Pipeline{cfg: cfg, jobs: make(chan pipeJob, 4*workers)}
 	p.encs.New = func() any { return NewEncoder(cfg) }
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -69,9 +68,6 @@ func NewPipeline(cfg Config, workers int) *Pipeline {
 	}
 	return p
 }
-
-// Workers reports the pool size.
-func (p *Pipeline) Workers() int { return p.workers }
 
 func (p *Pipeline) worker() {
 	defer p.wg.Done()

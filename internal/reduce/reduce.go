@@ -14,8 +14,8 @@
 // so an operator may run at any hop, in any order, on any thread.
 //
 // In simulation mode blocks carry no payload bytes, so EncodeBlock instead
-// models the reduction: it stamps Enc and a deterministic EncBytes derived
-// from ModelRatio, and DecodeBlock strips the stamp. Virtual-time wire and
+// models the reduction: it stamps Enc and a deterministic EncBytes of
+// modelRatio × Bytes, and DecodeBlock strips the stamp. Virtual-time wire and
 // spill costs then reflect the reduced sizes exactly as real mode does.
 package reduce
 
@@ -60,9 +60,6 @@ type Config struct {
 	// high-water mark — the "compress instead of spill" rung. Off means
 	// reduce everything at the producer relay path.
 	OnPressure bool
-	// ModelRatio overrides the simulated encoded-size ratio
-	// (EncBytes = ModelRatio × Bytes). 0 means the default, 0.35.
-	ModelRatio float64
 	// Workers parallelizes the encode across a shared bounded worker pool
 	// (see Pipeline): 0 keeps every encode inline on its sending thread —
 	// the pinned default — -1 scales the pool to GOMAXPROCS, and N > 0 uses
@@ -80,9 +77,6 @@ func (c Config) Validate() error {
 	if c.Operator != None && c.Operator != Compress {
 		return fmt.Errorf("reduce: %v is not an operator (valid: %v, %v)", c.Operator, None, Compress)
 	}
-	if c.ModelRatio < 0 || c.ModelRatio > 1 {
-		return fmt.Errorf("reduce: ModelRatio %v out of [0,1]", c.ModelRatio)
-	}
 	if c.Workers < -1 {
 		return fmt.Errorf("reduce: Workers %d out of range (-1 = GOMAXPROCS, 0 = inline, N > 0 = fixed pool)", c.Workers)
 	}
@@ -92,12 +86,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func (c Config) modelRatio() float64 {
-	if c.ModelRatio > 0 {
-		return c.ModelRatio
-	}
-	return 0.35
-}
+// modelRatio is the encoded-size ratio a simulated block is stamped with.
+const modelRatio = 0.35
 
 // Encoder applies one operator to blocks in place. Not safe for concurrent
 // use: each sending thread (a producer's sender, a stager's forwarder or
@@ -112,9 +102,6 @@ type Encoder struct {
 // NewEncoder returns an encoder for cfg. cfg must validate.
 func NewEncoder(cfg Config) *Encoder { return &Encoder{cfg: cfg} }
 
-// Kind reports the configured operator.
-func (e *Encoder) Kind() Kind { return e.cfg.Operator }
-
 // EncodeBlock reduces b's payload in place. Blocks already carrying an
 // encoding, and blocks the operator cannot shrink, are left untouched. In
 // simulation mode (b.Data == nil) the reduction is modeled: Enc and EncBytes
@@ -126,7 +113,7 @@ func (e *Encoder) EncodeBlock(b *block.Block) error {
 	}
 	if b.Data == nil {
 		// Simulation mode: model the encoded size deterministically.
-		enc := max(int64(float64(b.Bytes)*e.cfg.modelRatio()), 1)
+		enc := max(int64(float64(b.Bytes)*modelRatio), 1)
 		if enc >= b.Bytes {
 			return nil // doesn't pay; leave raw like the real path would
 		}

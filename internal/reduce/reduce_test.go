@@ -77,31 +77,25 @@ func TestCompressSkipsIncompressible(t *testing.T) {
 }
 
 func TestSimModeModelsReduction(t *testing.T) {
-	for _, cfg := range []Config{
-		{Operator: Compress},
-		{Operator: Compress, ModelRatio: 0.5},
-	} {
-		b := block.NewSized(block.ID{Rank: 1, Step: 2, Seq: 3}, 0, 1<<20)
-		e := NewEncoder(cfg)
-		if err := e.EncodeBlock(b); err != nil {
-			t.Fatal(err)
-		}
-		if b.Enc != uint8(cfg.Operator) {
-			t.Fatalf("%v: sim block not stamped", cfg.Operator)
-		}
-		want := int64(float64(b.Bytes) * cfg.modelRatio())
-		if b.EncBytes != want {
-			t.Fatalf("%v: modeled %d bytes, want %d", cfg.Operator, b.EncBytes, want)
-		}
-		if b.Data != nil {
-			t.Fatal("sim encode materialized a payload")
-		}
-		if err := NewDecoder().DecodeBlock(b); err != nil {
-			t.Fatal(err)
-		}
-		if b.Enc != 0 || b.EncBytes != 0 {
-			t.Fatal("sim decode left the stamp")
-		}
+	b := block.NewSized(block.ID{Rank: 1, Step: 2, Seq: 3}, 0, 1<<20)
+	e := NewEncoder(Config{Operator: Compress})
+	if err := e.EncodeBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Enc != uint8(Compress) {
+		t.Fatal("sim block not stamped")
+	}
+	if want := int64(float64(b.Bytes) * 0.35); b.EncBytes != want {
+		t.Fatalf("modeled %d bytes, want %d (a ratio of 0.35)", b.EncBytes, want)
+	}
+	if b.Data != nil {
+		t.Fatal("sim encode materialized a payload")
+	}
+	if err := NewDecoder().DecodeBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Enc != 0 || b.EncBytes != 0 {
+		t.Fatal("sim decode left the stamp")
 	}
 }
 
@@ -110,7 +104,6 @@ func TestConfigValidate(t *testing.T) {
 		{},
 		{Operator: Compress},
 		{Operator: Compress, OnPressure: true},
-		{Operator: Compress, ModelRatio: 0.5},
 		{Operator: Compress, Workers: -1},
 		{Operator: Compress, Workers: 2},
 	}
@@ -120,13 +113,11 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	bad := map[Config]string{
-		{Operator: Kind(2)}:                    "unknown(2)",
-		{Operator: Kind(3)}:                    "unknown(3)",
-		{Operator: Kind(9)}:                    "unknown(9)",
-		{Operator: Compress, ModelRatio: 1.5}:  "ModelRatio",
-		{Operator: Compress, Workers: -2}:      "Workers",
-		{Workers: 2}:                           "Workers",
-		{Operator: Compress, ModelRatio: -0.1}: "ModelRatio",
+		{Operator: Kind(2)}:               "unknown(2)",
+		{Operator: Kind(3)}:               "unknown(3)",
+		{Operator: Kind(9)}:               "unknown(9)",
+		{Operator: Compress, Workers: -2}: "Workers",
+		{Workers: 2}:                      "Workers",
 	}
 	for c, want := range bad {
 		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), want) {

@@ -68,20 +68,15 @@ type Config struct {
 	// The receiver admits a message only when its blocks fit; a producer
 	// sending to a full stager blocks on the stager's receive window, which
 	// is the backpressure the hybrid routing policy reads via Occupancy.
+	// Above ¾ of it (the high-water mark) the spiller thread overflows the
+	// newest buffered blocks to the spill store so the head of the queue
+	// keeps flowing from memory.
 	BufferBlocks int
-	// HighWater is the spill threshold in blocks (default ¾ of
-	// BufferBlocks): above it the spiller thread overflows the newest
-	// buffered blocks to the spill store so the head of the queue keeps
-	// flowing from memory.
-	HighWater int
 	// MaxBatchBlocks caps how many buffered blocks one forwarded mixed
 	// message may carry (default 16). Re-batching inside the stager is the
 	// second half of the tier's job: many small producer sends leave as few
 	// large consumer deliveries.
 	MaxBatchBlocks int
-	// MaxBatchBytes caps a forwarded batch's payload bytes (0 = unlimited);
-	// the head block is always taken so oversized blocks make progress.
-	MaxBatchBytes int64
 	// Producers is the number of upstream producers assigned to this stager
 	// (its expected Fin count). Required (≥ 1) unless Managed is set.
 	Producers int
@@ -95,10 +90,10 @@ type Config struct {
 	// Reduce selects in-transit payload reduction at this endpoint. Blocks
 	// that arrive already encoded (producer-side reduction) pass through
 	// untouched. With OnPressure set, the stager's pressure ladder gains a
-	// middle rung: when occupancy crosses HighWater a flow.ReduceGate
-	// engages and the forwarder reduction-encodes what it sends (and the
-	// spiller what it spills), while the PFS spill
-	// rung is pushed up to halfway between HighWater and the buffer top —
+	// middle rung: when occupancy crosses the high-water mark a
+	// flow.ReduceGate engages and the forwarder reduction-encodes what it
+	// sends (and the spiller what it spills), while the PFS spill rung is
+	// pushed up to halfway between the high-water mark and the buffer top —
 	// bursts burn CPU before they burn PFS bandwidth. Without OnPressure
 	// the stager encodes nothing itself (producer-side reduction is where
 	// non-gated encoding lives).
@@ -161,20 +156,8 @@ func (c Config) withDefaults() Config {
 	if c.BufferBlocks <= 0 {
 		c.BufferBlocks = 64
 	}
-	if c.HighWater <= 0 {
-		c.HighWater = c.BufferBlocks * 3 / 4
-	}
-	if c.HighWater >= c.BufferBlocks {
-		c.HighWater = c.BufferBlocks - 1
-	}
-	if c.HighWater < 1 {
-		c.HighWater = 1
-	}
 	if c.MaxBatchBlocks <= 0 {
 		c.MaxBatchBlocks = 16
-	}
-	if c.MaxBatchBytes < 0 {
-		c.MaxBatchBytes = 0
 	}
 	return c
 }
@@ -266,7 +249,7 @@ type Stager struct {
 	// the forwarder thread), spillEnc encodes spill victims (owned by the
 	// spiller thread), and spillAt is the raised
 	// spill threshold — reduction gets a chance to absorb the burst before
-	// the PFS rung engages. Without OnPressure, spillAt == HighWater and
+	// the PFS rung engages. Without OnPressure, spillAt is the high-water mark and
 	// the rest are nil.
 	gate     *flow.ReduceGate
 	fwdEnc   blockEncoder
@@ -344,14 +327,15 @@ func NewStager(env rt.Env, cfg Config, id int, in rt.Inbox, tr rt.Transport, fs 
 	// Without credit visibility every Send may be a wait on the consumer:
 	// the stager absorbs throughout.
 	s.absorbing = s.credit == nil
-	s.spillAt = cfg.HighWater
+	highWater := max(1, cfg.BufferBlocks*3/4)
+	s.spillAt = highWater
 	if cfg.Reduce.Enabled() && cfg.Reduce.OnPressure {
-		s.gate = flow.NewReduceGate(cfg.HighWater)
+		s.gate = flow.NewReduceGate(highWater)
 		s.fwdEnc = reduce.NewEncoder(cfg.Reduce)
 		s.spillEnc = reduce.NewEncoder(cfg.Reduce)
 		// Give reduction headroom to absorb the burst before the PFS rung:
 		// spill only from halfway between the old threshold and the top.
-		s.spillAt = cfg.HighWater + (cfg.BufferBlocks-cfg.HighWater)/2
+		s.spillAt = highWater + (cfg.BufferBlocks-highWater)/2
 		if s.spillAt >= cfg.BufferBlocks {
 			s.spillAt = cfg.BufferBlocks - 1
 		}
@@ -385,9 +369,6 @@ func NewStager(env rt.Env, cfg Config, id int, in rt.Inbox, tr rt.Transport, fs 
 	}
 	return s
 }
-
-// ID returns the stager endpoint id.
-func (s *Stager) ID() int { return s.id }
 
 func (s *Stager) traceName(thread string) string {
 	return fmt.Sprintf("zstage.%d.%s", s.id, thread)
@@ -865,11 +846,10 @@ func (s *Stager) spillFromLocked() int {
 }
 
 // assembleLocked removes the next outgoing batch from the head of the
-// queue: blocks for a single destination, up to MaxBatchBlocks /
-// MaxBatchBytes, merging consecutive slots (re-batching) and stopping once
-// a Fin is included or a block still being spilled is reached. The head
-// block is always taken. Returns ok=false when nothing is consumable right
-// now (head block mid-spill).
+// queue: blocks for a single destination, up to MaxBatchBlocks, merging
+// consecutive slots (re-batching) and stopping once a Fin is included or a
+// block still being spilled is reached. Returns ok=false when nothing is
+// consumable right now (head block mid-spill).
 //
 // A merged message can carry blocks from several producers — blocks
 // self-identify through their IDs, so the outgoing From is informational:
@@ -902,7 +882,6 @@ func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []
 	}
 	head := s.queue[start]
 	from, dest = head.from, head.dest
-	var bytes int64
 	freed := 0
 	end := start
 	for end < len(s.queue) && !fin {
@@ -917,14 +896,12 @@ func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []
 				blocked = true
 				break
 			}
-			if len(taken) > 0 && (len(taken) >= s.cfg.MaxBatchBlocks ||
-				(s.cfg.MaxBatchBytes > 0 && bytes+rb.bytes > s.cfg.MaxBatchBytes)) {
+			if len(taken) >= s.cfg.MaxBatchBlocks {
 				blocked = true
 				break
 			}
 			sl.blocks = sl.blocks[1:]
 			taken = append(taken, rb)
-			bytes += rb.bytes
 			if !rb.spilled {
 				freed++
 				s.chargeTenantLocked(now, rb.ten, -1)

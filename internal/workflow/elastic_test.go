@@ -104,7 +104,6 @@ func TestZipperElasticOffPinned(t *testing.T) {
 	populated.Zipper.RoutePolicy = core.RouteHybrid
 	populated.Elastic = elastic.Config{
 		Enabled: false, MinStagers: 2, MaxStagers: 3,
-		GrowOccupancy: 0.5, DrainOccupancy: 0.1,
 		Interval: time.Millisecond, Cooldown: time.Millisecond,
 	}
 	b := RunZipper(populated)

@@ -159,7 +159,6 @@ func TestZipperFaultOffPinned(t *testing.T) {
 	populated.Fault = fault.Config{
 		Enabled:   false,
 		Heartbeat: time.Millisecond, LeaseTTL: 10 * time.Millisecond,
-		MaxRecoveries: 5,
 	}
 	b := RunZipper(populated)
 

@@ -27,9 +27,6 @@ type FleetJob struct {
 	// StartAfter delays the job's admission: the tenant joins the running
 	// fleet at this virtual instant, and the fair share reconverges.
 	StartAfter time.Duration
-	// RoutePolicy is the producer's channel policy (default RouteStaging —
-	// everything relays through the shared tier).
-	RoutePolicy core.RoutePolicy
 	// BufferBlocks is each producer's buffer capacity (default 8), and
 	// MaxBatchBlocks the drain-batch cap.
 	BufferBlocks   int
@@ -48,17 +45,11 @@ type FleetSpec struct {
 	StagerBufferBlocks int
 	// StagingNodes is the node count the shared tier is placed on.
 	StagingNodes int
-	// Reconcile is the control plane's period (0 selects 2ms virtual) and
-	// PreemptOccupancy its pressure threshold (0 selects 0.75).
-	Reconcile        time.Duration
-	PreemptOccupancy float64
 	// Window is each endpoint's receive window in messages (default 4).
 	Window int
 	// Sample, when > 0, records the per-tenant share/occupancy timeline at
 	// this virtual period — the zippertrace fleet view's input.
 	Sample time.Duration
-	// Seed drives PFS background-load jitter.
-	Seed int64
 }
 
 // TenantSample is one tenant's state at a sample instant.
@@ -133,7 +124,7 @@ func RunFleet(spec FleetSpec) FleetResult {
 		totQ += j.Q
 	}
 	r := build(Spec{Machine: spec.Machine, P: totP, Q: totQ,
-		StagingNodes: spec.StagingNodes, Seed: spec.Seed})
+		StagingNodes: spec.StagingNodes})
 	pf := newSimPlatform(r, spec.Machine.MemBandwidth, totQ, spec.Stagers, spec.Window)
 
 	// Global rank and consumer-address layout: jobs are packed in spec
@@ -165,12 +156,8 @@ func RunFleet(spec FleetSpec) FleetResult {
 		StagerBufferBlocks: spec.StagerBufferBlocks,
 		Window:             spec.Window,
 		Tenants: &assembly.Tenants{
-			Plane: control.Config{
-				Interval:         spec.Reconcile,
-				PreemptOccupancy: spec.PreemptOccupancy,
-				MaxTenants:       len(spec.Jobs),
-			},
-			Of: func(from int) int { return rankTenant[from%totP] },
+			Plane: control.Config{MaxTenants: len(spec.Jobs)},
+			Of:    func(from int) int { return rankTenant[from%totP] },
 		},
 	})
 	if err != nil {
@@ -219,14 +206,12 @@ func RunFleet(spec FleetSpec) FleetResult {
 			results[i].Name = job.Name
 			results[i].Tenant = tenant.ID()
 			results[i].Start = c.Now()
+			// Everything relays through the shared tier.
 			zcfg := core.Config{
 				BufferBlocks:   job.BufferBlocks,
 				MaxBatchBlocks: job.MaxBatchBlocks,
-				RoutePolicy:    job.RoutePolicy,
+				RoutePolicy:    core.RouteStaging,
 				DisableSteal:   job.DisableSteal,
-			}
-			if zcfg.RoutePolicy == core.RouteDirect {
-				zcfg.RoutePolicy = core.RouteStaging
 			}
 			ep := tier.Join(pf, assembly.Spec{Producers: job.P, Consumers: job.Q, Core: zcfg},
 				pf.store, consBase[i], prodBase[i], tenant)

@@ -64,7 +64,6 @@ func fleetTestSpec() FleetSpec {
 		Stagers:            2,
 		StagerBufferBlocks: 24,
 		StagingNodes:       2,
-		Reconcile:          2 * time.Millisecond,
 		Window:             2,
 	}
 }

@@ -85,7 +85,9 @@ func TestJobWaitContext(t *testing.T) {
 // elastic job is gone 10 ms after Job.Wait returns, and every one of a
 // two-tenant fleet 10 ms after Fleet.Close — heartbeats, the failure
 // detector, the scaler and the control plane stop on the shutdown, not on
-// their next tick (100 ms and 50 ms away here).
+// their next tick (100 ms and 50 ms away for the job; the fleet's control
+// plane runs on its fixed 2 ms period, and rt.Loop's stop on an event is
+// TestLoopStopsOnTheEvent's to pin).
 func TestNoGoroutineOutlivesWait(t *testing.T) {
 	const (
 		producers = 2
@@ -104,8 +106,7 @@ func TestNoGoroutineOutlivesWait(t *testing.T) {
 	settleGoroutines(t, before, 10*time.Millisecond) // after Job.Wait
 
 	before = runtime.NumGoroutine()
-	fleet, err := NewFleet(FleetConfig{Stagers: 2, StagerBufferBlocks: 32, SpoolDir: t.TempDir(),
-		Reconcile: 50 * time.Millisecond})
+	fleet, err := NewFleet(FleetConfig{Stagers: 2, StagerBufferBlocks: 32, SpoolDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,9 +62,9 @@
 // With Config.Staging.Elastic.Enabled the staging tier becomes an
 // autoscaled resource: Stagers turns into a reserved endpoint ceiling, producers
 // resolve their stager per batch from an epoch-versioned pool, and a scaler
-// grows and drains endpoints at runtime on the pool-wide occupancy,
-// forward-rate, and spill signals. Job.Stats reports the scaling timeline
-// and the stager node-seconds the pool actually billed.
+// grows and drains endpoints at runtime on the pool-wide occupancy and spill
+// signals. Job.Stats reports the scaling timeline and the stager
+// node-seconds the pool actually billed.
 //
 // Config.Staging.Placement selects the placement plane's policy — how
 // producers resolve their consumer and stager endpoints: RankAffine (the fixed
@@ -80,12 +80,14 @@
 // whose lease lapses — producers re-resolve to the survivors on their very
 // next batch, the dead endpoint's journal is replayed straight to the
 // consumers so the counted per-destination Fin totals balance, and a
-// replacement is respawned into the freed slot. An injected crash
+// replacement is respawned into the freed slot — up to three times per
+// slot; a fourth eviction leaves the slot empty. An injected crash
 // (Job.InjectStagerCrash) therefore completes the run with zero blocks lost;
 // JobStats reports the eviction/recovery timeline.
 package zipper
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -153,7 +155,9 @@ const (
 
 // ElasticConfig tunes the elastic staging tier — the autoscaler that grows
 // and drains stager endpoints at runtime (see the elastic package). The zero
-// value of every field but Enabled selects a sensible default.
+// value of every field but Enabled selects a sensible default. The
+// hysteresis band is fixed: grow at 75 % pool-wide occupancy (or on any
+// spill since the last tick), drain at 20 %.
 type ElasticConfig = elastic.Config
 
 // ScaleEvent is one autoscaler action on the stager pool, reported in
@@ -233,7 +237,8 @@ type StagingConfig struct {
 // stager encodes only while its buffer occupancy is above the spill
 // high-water mark — the "compress instead of spill" rung, which also pushes
 // the actual PFS spill threshold higher so bursts burn CPU before they burn
-// file-system bandwidth.
+// file-system bandwidth. On the simulated platform, where blocks carry no
+// payload, an encoded block is modelled at 0.35 of its raw size.
 type ReduceConfig = reduce.Config
 
 // ReduceOperator names one in-transit payload reduction operator.
@@ -254,7 +259,9 @@ const (
 // tier (see the fault package). With Enabled the tier always runs
 // pool-managed behind an epoch-versioned directory (even a fixed RankAffine
 // tier), so an eviction is just another membership epoch to the producers.
-// The zero value of every field but Enabled selects a sensible default.
+// The zero value of every field but Enabled selects a sensible default. Each
+// slot is respawned at most three times; its fourth eviction is replayed and
+// the slot stays empty.
 type FaultConfig = fault.Config
 
 // FailoverEvent is one entry on the fault plane's eviction/recovery
@@ -349,10 +356,6 @@ type Config struct {
 	// send, cutting message count and per-message overhead when the producer
 	// runs ahead of the network.
 	MaxBatchBlocks int
-	// MaxBatchBytes caps a batch's total payload bytes (0 = unlimited). The
-	// head block of a batch is always sent, even when it alone exceeds the
-	// cap.
-	MaxBatchBytes int64
 	// Window is the receive window in messages (default 4): how many
 	// undelivered messages a sender may have queued at an endpoint before
 	// Send blocks — the backpressure every routing, stealing and scaling
@@ -449,10 +452,10 @@ func (cfg Config) validate() error {
 		return &ConfigError{Field: "HighWater",
 			Reason: fmt.Sprintf("must be ≥ 0 (0 selects ¾ of BufferBlocks), got %d", cfg.HighWater)}
 	}
-	if cfg.BufferBlocks > 0 && cfg.HighWater > cfg.BufferBlocks {
+	if buffer := cmp.Or(cfg.BufferBlocks, core.DefaultBufferBlocks); cfg.HighWater > buffer {
 		return &ConfigError{Field: "HighWater",
-			Reason: fmt.Sprintf("%d exceeds BufferBlocks (%d): the stealing threshold would be unreachable",
-				cfg.HighWater, cfg.BufferBlocks)}
+			Reason: fmt.Sprintf("%d exceeds the producer buffer (%d blocks): the stealing threshold would be unreachable",
+				cfg.HighWater, buffer)}
 	}
 	if cfg.ConsumerBufferBlocks < 0 {
 		return &ConfigError{Field: "ConsumerBufferBlocks",
@@ -461,10 +464,6 @@ func (cfg Config) validate() error {
 	if cfg.MaxBatchBlocks < 0 {
 		return &ConfigError{Field: "MaxBatchBlocks",
 			Reason: fmt.Sprintf("must be ≥ 0 (0 selects one block per message), got %d", cfg.MaxBatchBlocks)}
-	}
-	if cfg.MaxBatchBytes < 0 {
-		return &ConfigError{Field: "MaxBatchBytes",
-			Reason: fmt.Sprintf("must be ≥ 0 (0 means unlimited), got %d", cfg.MaxBatchBytes)}
 	}
 	if cfg.Window < 0 {
 		return &ConfigError{Field: "Window",
@@ -568,7 +567,6 @@ func (cfg Config) spec() assembly.Spec {
 		HighWater:            cfg.HighWater,
 		ConsumerBufferBlocks: cfg.ConsumerBufferBlocks,
 		MaxBatchBlocks:       cfg.MaxBatchBlocks,
-		MaxBatchBytes:        cfg.MaxBatchBytes,
 		DisableSteal:         cfg.DisableSteal,
 		RoutePolicy:          cfg.Staging.RoutePolicy,
 		Reduce:               cfg.Staging.Reduce,

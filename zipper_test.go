@@ -22,9 +22,9 @@ func TestJobValidation(t *testing.T) {
 		{"negative BufferBlocks", func(c *Config) { c.BufferBlocks = -1 }},
 		{"negative HighWater", func(c *Config) { c.HighWater = -4 }},
 		{"HighWater above BufferBlocks", func(c *Config) { c.BufferBlocks = 8; c.HighWater = 9 }},
+		{"HighWater above the default buffer", func(c *Config) { c.HighWater = 9 }},
 		{"negative ConsumerBufferBlocks", func(c *Config) { c.ConsumerBufferBlocks = -1 }},
 		{"negative MaxBatchBlocks", func(c *Config) { c.MaxBatchBlocks = -2 }},
-		{"negative MaxBatchBytes", func(c *Config) { c.MaxBatchBytes = -1 }},
 		{"negative Window", func(c *Config) { c.Window = -1 }},
 		{"negative Stagers", func(c *Config) { c.Staging.Stagers = -1 }},
 		{"negative StagerBufferBlocks", func(c *Config) { c.Staging.BufferBlocks = -1 }},
@@ -43,6 +43,7 @@ func TestJobValidation(t *testing.T) {
 	// The boundary cases that must stay legal.
 	ok := []func(*Config){
 		func(c *Config) { c.BufferBlocks = 8; c.HighWater = 8 }, // clamped, not rejected
+		func(c *Config) { c.HighWater = 8 },                     // the default buffer: clamped too
 		func(c *Config) { c.Staging.Stagers = 2; c.Staging.RoutePolicy = RouteHybrid },
 	}
 	for i, mut := range ok {
