@@ -46,7 +46,8 @@ test-cpus:
 # encode-failure paths, the codec's word-wide kernels, and the handover
 # (Write's lock-free ring, Read's claim, the recycled headers: the lone
 # block, both buffer bounds, the steal, the Stats lag, the stale Release,
-# Job.Err), and shutdown on an event (the timed Cond wait on both platforms,
+# Job.Err), Stats without an endpoint lock and the gauges under concurrent
+# writers and readers, and shutdown on an event (the timed Cond wait on both platforms,
 # the stoppable loop, WaitContext, no goroutine outliving Wait or Close,
 # Wait within 20 ms of the final Read).
 REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCPWindowParksSender \
@@ -62,8 +63,8 @@ REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCP
 	TestZipperFaultKillEverySweep TestLZOverlapOffsets TestLZMatchLenTiers TestLZDoesNotAllocate \
 	TestTrickleWriteIsDelivered TestOpenBatchCountsAgainstBuffer TestClaimKeepsOccupancyBound \
 	TestStealSeesOpenBatch TestStatsLagBounded TestReleaseTwiceAfterHeaderReuse \
-	TestJobErrReportsSenderEncodeFailure TestLevelDebit TestCondWaitFor TestLoopStopsOnTheEvent \
-	TestJobWaitContext TestNoGoroutineOutlivesWait TestPromptShutdown
+	TestJobErrReportsSenderEncodeFailure TestLevelDebit TestStatsTakesNoEndpointLock TestGaugesConcurrent \
+	TestCondWaitFor TestLoopStopsOnTheEvent TestJobWaitContext TestNoGoroutineOutlivesWait TestPromptShutdown
 REPEAT_PKGS = ./internal/sim ./internal/rt ./internal/rt/realenv ./internal/block ./internal/flow ./internal/core \
 	./internal/staging ./internal/reduce ./internal/workflow .
 

@@ -153,53 +153,6 @@ func TestJobAdaptiveRoundTrip(t *testing.T) {
 	if ss.Queued != 0 {
 		t.Fatalf("stager still holds %d blocks after drain", ss.Queued)
 	}
-	if st.WriteRate < 0 || st.AnalyzeRate < 0 || st.DeliverRate < 0 {
-		t.Fatalf("negative live rates: %+v", st)
-	}
-}
-
-// TestJobStatsLiveRates checks the mid-run observability the flow gauges
-// added: while a stream is moving, Job.Stats reports nonzero EWMA rates,
-// not just terminal totals.
-func TestJobStatsLiveRates(t *testing.T) {
-	job, err := NewJob(Config{
-		Producers: 1, Consumers: 1, SpoolDir: t.TempDir(),
-		BufferBlocks: 8, Window: 2, DisableSteal: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const blocks = 400
-	go func() {
-		p := job.Producer(0)
-		for s := 0; s < blocks; s++ {
-			p.Write(s, 0, NewPayload(512))
-			time.Sleep(200 * time.Microsecond)
-		}
-		p.Close()
-	}()
-	var midWrite, midAnalyze float64
-	n := 0
-	for {
-		blk, ok := job.Consumer(0).Read()
-		if !ok {
-			break
-		}
-		blk.Release()
-		n++
-		if n == blocks/2 {
-			st := job.Stats()
-			midWrite, midAnalyze = st.WriteRate, st.AnalyzeRate
-		}
-	}
-	job.Wait()
-	if n != blocks {
-		t.Fatalf("analyzed %d blocks, want %d", n, blocks)
-	}
-	// ~5000 blocks/s are flowing at mid-stream; the EWMAs must see them.
-	if midWrite < 100 || midAnalyze < 100 {
-		t.Fatalf("mid-run rates write=%.0f analyze=%.0f blocks/s, want ≫ 0", midWrite, midAnalyze)
-	}
 }
 
 // TestJobAdaptiveArbitratesDisk runs the three-channel election end to end on

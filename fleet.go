@@ -2,7 +2,7 @@ package zipper
 
 // Multi-job control plane: a Fleet is one shared in-transit stager tier that
 // many concurrent Jobs multiplex over, with per-tenant admission quotas,
-// weighted fair share, and priority preemption (see internal/control). Each
+// fair share, and priority preemption (see internal/control). Each
 // Submit admits one job as a tenant: the control plane assigns it a slice of
 // the fleet through its own epoch-versioned place.Directory, the shared
 // stagers account its buffer residency and spills on its own tenant state,
@@ -25,7 +25,7 @@ import (
 )
 
 // QuotaConfig is a fleet-submitted job's resource envelope: guaranteed
-// stager buffer blocks, weighted bandwidth share, and preemption priority.
+// stager buffer blocks and preemption priority.
 // See the control package for the semantics; NewJob ignores it.
 type QuotaConfig = control.Quota
 
@@ -344,8 +344,8 @@ func (f *Fleet) Stats() FleetStats {
 		fs.Stagers = append(fs.Stagers, stagerStats(s, in.Drained))
 		fs.BlocksRelayed += s.BlocksIn
 		fs.BlocksSpilled += s.BlocksSpilled
-		fs.StagerNodeSeconds += s.Finished.Seconds()
 	}
+	fs.StagerNodeSeconds = f.tier.NodeSeconds()
 	for _, sn := range snaps {
 		t := FleetTenantStats{
 			Name: sn.Name, Priority: sn.Priority.String(), Active: sn.Active,

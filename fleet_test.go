@@ -53,7 +53,6 @@ func TestFleetSubmitRejections(t *testing.T) {
 		{"tcp", func(c *Config) { c.TCPAddr = "127.0.0.1:0" }, "TCPAddr"},
 		{"core validation", func(c *Config) { c.Producers = 0 }, "Producers"},
 		{"over-subscribed quota", func(c *Config) { c.Quota.BufferBlocks = 17 }, "Quota.BufferBlocks"},
-		{"bad share", func(c *Config) { c.Quota.Share = -1 }, "Quota.Share"},
 		{"bad priority", func(c *Config) { c.Quota.Priority = Priority(9) }, "Quota.Priority"},
 	}
 	for _, tc := range bad {

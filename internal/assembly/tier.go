@@ -225,6 +225,38 @@ func (t *Tier) Instances() []Instance {
 	return out
 }
 
+// RelayImbalance is the max/mean ratio of the blocks each instance ever
+// spawned received: 1 when every stager carried an equal share of the relay
+// traffic, the instance count when one carried everything, 0 with no tier or
+// nothing relayed.
+func (t *Tier) RelayImbalance() float64 {
+	ins := t.Instances()
+	var total, peak int64
+	for _, in := range ins {
+		n := in.St.Stats(nil).BlocksIn
+		total += n
+		peak = max(peak, n)
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(peak) * float64(len(ins)) / float64(total)
+}
+
+// NodeSeconds is the tier's provisioned cost in stager-seconds: what the
+// scaler billed, or, without one, each instance's finish time summed. It is
+// complete once the tier has shut down.
+func (t *Tier) NodeSeconds() float64 {
+	if t != nil && t.Scaler != nil {
+		return t.Scaler.NodeSeconds()
+	}
+	var sum float64
+	for _, in := range t.Instances() {
+		sum += in.St.Stats(nil).Finished.Seconds()
+	}
+	return sum
+}
+
 // Spawn implements elastic.Host.
 func (t *Tier) Spawn(c rt.Ctx, slot int) *flow.StagerFlows {
 	return t.spawn(c, slot).St.Flows()

@@ -4,7 +4,7 @@
 //
 // It has three parts. The registry + admission layer (Plane.Admit) accepts
 // job specs carrying per-tenant quotas — a guaranteed buffer-block
-// reservation, a weighted bandwidth share, and a priority class — and
+// reservation and a priority class — and
 // rejects over-subscription with typed *ConfigErrors before a single block
 // moves. The reconcile loop (modeled on coreos-fleet's offer/reconcile
 // engine: desired state in a registry, an engine that continuously diffs it
@@ -32,7 +32,6 @@ package control
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -78,10 +77,6 @@ type Quota struct {
 	// oversubscribe the fleet's aggregate buffer. 0 means best-effort (no
 	// guarantee, only the fair share).
 	BufferBlocks int
-	// Share is the tenant's weight in the fair-share split of buffer and
-	// stager bandwidth. 0 selects 1. A tenant with Share 2 holds twice the
-	// slice of a tenant with Share 1, all else equal.
-	Share float64
 	// Priority is the preemption class (default PriorityLow — the zero
 	// value; latency-sensitive tenants opt up).
 	Priority Priority
@@ -167,7 +162,7 @@ type Tenant struct {
 	active      bool
 	stagers     []int       // assigned stager addrs, ascending
 	quotaAt     map[int]int // addr → pushed admission cap
-	penalty     uint        // preemption throttle: effective weight is Share/2^penalty
+	penalty     uint        // preemption throttle: effective weight is 1/2^penalty
 	lastSpilled int64       // fleet-wide spilled total at last reconcile
 	lastTotal   int         // total buffer quota across the slice at last reconcile
 }
@@ -180,14 +175,10 @@ func (t *Tenant) ID() int { return t.id }
 // its producers route through.
 func (t *Tenant) Directory() *place.Directory { return t.dir }
 
-// weight is the tenant's effective fair-share weight after preemption
-// penalties.
+// weight is the tenant's effective fair-share weight: every tenant starts
+// at 1, and each preemption strike halves it.
 func (t *Tenant) weight() float64 {
-	w := t.spec.Quota.Share
-	if w <= 0 {
-		w = 1
-	}
-	return w / float64(uint(1)<<t.penalty)
+	return 1 / float64(uint(1)<<t.penalty)
 }
 
 // TenantSnapshot is one tenant's current assignment, for FleetStats.
@@ -239,9 +230,6 @@ func (p *Plane) Admit(c rt.Ctx, spec JobSpec) (*Tenant, error) {
 	case !q.Priority.valid():
 		p.mu.Unlock()
 		return nil, &ConfigError{"Quota.Priority", fmt.Sprintf("unknown class %d", int(q.Priority))}
-	case q.Share < 0 || math.IsNaN(q.Share) || math.IsInf(q.Share, 0):
-		p.mu.Unlock()
-		return nil, &ConfigError{"Quota.Share", fmt.Sprintf("must be a finite weight ≥ 0, got %v", q.Share)}
 	case q.BufferBlocks < 0:
 		p.mu.Unlock()
 		return nil, &ConfigError{"Quota.BufferBlocks", fmt.Sprintf("must be ≥ 0, got %d", q.BufferBlocks)}
@@ -606,7 +594,7 @@ func (p *Plane) preemptLocked(now time.Duration, act []*Tenant) {
 }
 
 // maxPenalty bounds the preemption throttle: a victim's effective weight
-// never drops below Share/2^6, so it always retains a sliver of capacity
+// never drops below 1/2^6, so it always retains a sliver of capacity
 // and its stream can finish.
 const maxPenalty = 6
 

@@ -2,7 +2,6 @@ package control
 
 import (
 	"errors"
-	"math"
 	"sync"
 	"testing"
 
@@ -73,8 +72,6 @@ func TestAdmissionValidation(t *testing.T) {
 		field string
 	}{
 		{"priority", Quota{Priority: Priority(7)}, "Quota.Priority"},
-		{"negative share", Quota{Share: -1}, "Quota.Share"},
-		{"nan share", Quota{Share: math.NaN()}, "Quota.Share"},
 		{"negative guarantee", Quota{BufferBlocks: -1}, "Quota.BufferBlocks"},
 		{"oversubscribed", Quota{BufferBlocks: 17}, "Quota.BufferBlocks"},
 	}
@@ -113,19 +110,19 @@ func TestWeightedFairShare(t *testing.T) {
 	fleet := []int{10, 11, 12, 13}
 	p := NewPlane(Config{}, fleet, 16, host)
 
-	a, err := p.Admit(ctx, JobSpec{Name: "a", Quota: Quota{Share: 1}})
+	a, err := p.Admit(ctx, JobSpec{Name: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Admit(ctx, JobSpec{Name: "b", Quota: Quota{Share: 3}})
+	b, err := p.Admit(ctx, JobSpec{Name: "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 stagers split 1:3 → a holds 1, b holds 3, disjointly (each tenant
+	// 4 stagers split evenly → a holds 2, b holds 2, disjointly (each tenant
 	// alone on its stagers gets the full buffer).
 	sa, sb := a.Directory().Members(), b.Directory().Members()
-	if len(sa) != 1 || len(sb) != 3 {
-		t.Fatalf("slices %v / %v, want sizes 1 / 3", sa, sb)
+	if len(sa) != 2 || len(sb) != 2 {
+		t.Fatalf("slices %v / %v, want sizes 2 / 2", sa, sb)
 	}
 	seen := map[int]bool{}
 	for _, addr := range append(append([]int(nil), sa...), sb...) {
@@ -222,9 +219,9 @@ func TestPreemptionAndDecay(t *testing.T) {
 			lv.SetCapacity(capacity)
 		}
 		if on {
-			lv.Set(ctx.Now(), capacity)
+			lv.Set(capacity)
 		} else {
-			lv.Set(ctx.Now(), 0)
+			lv.Set(0)
 		}
 	}
 	press(true)

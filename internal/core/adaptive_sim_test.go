@@ -123,7 +123,7 @@ func adaptiveStepRun(t *testing.T) (dests []int, times []time.Duration, slowStar
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return cap.dests, cap.times, slowStart, slowEnd, prod.FinalStats()
+	return cap.dests, cap.times, slowStart, slowEnd, prod.Stats()
 }
 
 // relayShare counts the fraction of sends addressed to the stager (endpoint

@@ -69,7 +69,7 @@ func diskRegimeRun(t *testing.T, rg diskRegime, newRouter func() flow.Router) (P
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ps := prod.FinalStats()
+	ps := prod.Stats()
 	if ps.BlocksWritten != bursts*burst || analyzed != bursts*burst {
 		t.Fatalf("wrote %d and analyzed %d blocks, want %d", ps.BlocksWritten, analyzed, bursts*burst)
 	}
@@ -137,7 +137,7 @@ func TestStealLegacyWithoutArbiter(t *testing.T) {
 	run := func(cfg Config) ProducerStats {
 		r := newSimRig(cfg, 1, 1, 2)
 		runSimWorkflow(t, r, 6, 40, 64<<10, 2*time.Millisecond, 300*time.Microsecond)
-		return r.prod[0].FinalStats()
+		return r.prod[0].Stats()
 	}
 	base := Config{BufferBlocks: 8, HighWater: 6, MaxBatchBlocks: 2}
 	want := run(base)

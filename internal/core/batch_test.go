@@ -56,12 +56,12 @@ func TestSimBatchingReducesMessages(t *testing.T) {
 		r := newSimRig(cfg, 2, 1, 2)
 		runSimWorkflow(t, r, 10, 8, 1<<20, 200*time.Microsecond, 5*time.Millisecond)
 		for _, p := range r.prod {
-			st := p.FinalStats()
+			st := p.Stats()
 			msgs += st.Messages
 			sent += st.BlocksSent
 		}
 		for _, c := range r.cons {
-			analyzed += c.FinalStats().BlocksAnalyzed
+			analyzed += c.Stats().BlocksAnalyzed
 		}
 		return
 	}

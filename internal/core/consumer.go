@@ -81,18 +81,18 @@ type Consumer struct {
 	// and returns them one by one without it (Read is one goroutine's, see
 	// Read). A claimed block stays in the buffer — it counts against
 	// occupancy and the entry keeps its place — until Read has returned it:
-	// the application publishes how many it has returned in handed, and
-	// whoever next holds lk and has to know (an insert that finds the buffer
-	// full, the output thread, Stats, the application's own next visit)
-	// settles the entries up to there, so the buffer every decision reads is
-	// the one a lock per Read would have left. A thread that parks for space
-	// raises spaceWanted first; the application looks at it after every
-	// block and comes in to settle and wake.
+	// the application publishes the queue position past the last block it
+	// has returned in handed, which is also how many blocks Read has ever
+	// returned (Stats' BlocksAnalyzed), and whoever next holds lk and has to
+	// know (an insert that finds the buffer full, the output thread, the
+	// application's own next visit) settles the entries up to there, so the
+	// buffer every decision reads is the one a lock per Read would have left.
+	// A thread that parks for space raises spaceWanted first; the application
+	// looks at it after every block and comes in to settle and wake.
 	claim       []*block.Block // the application's: the blocks of the current claim
 	taken       int            // the application's: how many of them Read has returned
-	claimAt     uint64         // under lk: queue position of claim[0]
-	settled     int            // under lk: how many of the claim are marked analyzed
-	handed      atomic.Int64   // taken, published
+	settled     uint64         // under lk: position past the last entry marked analyzed
+	handed      atomic.Uint64  // position past the last block Read returned
 	spaceWanted atomic.Bool    // a thread is parked on space (set and cleared under lk)
 	// announce: what the threads that insert owe the ones that wait, paid
 	// once per message (and before any wait for space) instead of per block.
@@ -102,16 +102,8 @@ type Consumer struct {
 	// spent collects the headers of released blocks until they fill a batch.
 	// Both are the application's in NoPreserve mode and under lk in Preserve
 	// mode, where the output thread releases too.
-	rec   *block.Recycler
-	spent []*block.Block
-	// clock is the latest platform time any of the module's threads read,
-	// kept under lk. A Read that finds a block waiting stamps its gauges
-	// with it instead of reading the clock: a gauge stamp only has to land
-	// in the right fold quantum (see the flow package), the receiver thread
-	// refreshes clock with every message and after every wait for space,
-	// and a Read that has to wait reads the real clock anyway, because it
-	// measures how long.
-	clock        time.Duration
+	rec          *block.Recycler
+	spent        []*block.Block
 	pendingDisk  []pendingRead
 	finsExpected int
 	finsGot      int
@@ -119,18 +111,17 @@ type Consumer struct {
 	// refs each producer emitted; the receiver holds the stream open until
 	// the declared deliveries have arrived, so relayed blocks trailing a Fin
 	// through an elastic stager pool are never dropped. Fixed configurations
-	// satisfy the counts exactly when the last Fin arrives. seenLost counts
+	// satisfy the counts exactly when the last Fin arrives. fl.Lost counts
 	// blocks an upstream relay declared dropped (spill-store failure) — they
 	// satisfy the declared totals so a lossy stream still terminates.
 	declaredBlocks int64
 	declaredDisk   int64
 	seenDisk       int64
-	seenLost       int64
 	recvDone       bool
 	readerDone     bool
 	outputDone     bool
 	err            error
-	finished       time.Duration
+	finished       atomic.Int64 // when the last runtime thread exited, as a time.Duration
 	fl             flow.ConsumerFlows
 }
 
@@ -196,7 +187,7 @@ func (c *Consumer) Read(x rt.Ctx) (*block.Block, bool) {
 	if c.spaceWanted.Load() {
 		// Someone is waiting for the room this block just left.
 		c.lk.Lock(x)
-		c.settleLocked(c.clock)
+		c.settleLocked()
 		c.lk.Unlock(x)
 	}
 	return b, true
@@ -207,7 +198,7 @@ func (c *Consumer) Read(x rt.Ctx) (*block.Block, bool) {
 // is settled, so the occupancy gauge's readers are told at once.
 func (c *Consumer) handOut() {
 	c.taken++
-	c.handed.Store(int64(c.taken))
+	c.handed.Add(1)
 	if c.cfg.Mode == NoPreserve {
 		c.fl.Queue.Debit(1)
 	}
@@ -218,28 +209,18 @@ func (c *Consumer) handOut() {
 // block. ok=false when no more can arrive (end of stream, or failure).
 func (c *Consumer) claimMore(x rt.Ctx) (*block.Block, bool) {
 	c.lk.Lock(x)
-	now := c.clock
-	c.settleLocked(now)
+	c.settleLocked()
 	if c.next == c.q.tail {
 		stallStart := x.Now()
-		now = stallStart
 		for c.next == c.q.tail {
 			if c.drainedLocked() || c.err != nil {
-				if stall := now - stallStart; stall > 0 {
-					c.fl.ReadStall.AddDur(now, stall)
-				}
 				c.lk.Unlock(x)
 				return nil, false
 			}
 			c.avail.Wait(x)
-			now = x.Now()
 		}
-		c.clock = max(c.clock, now)
-		if stall := now - stallStart; stall > 0 {
-			c.fl.ReadStall.AddDur(now, stall)
-			if c.cfg.Recorder != nil {
-				c.cfg.Recorder.Add(c.traceName("app"), "stall", stallStart, now)
-			}
+		if now := x.Now(); c.cfg.Recorder != nil && now > stallStart {
+			c.cfg.Recorder.Add(c.traceName("app"), "stall", stallStart, now)
 		}
 	}
 	n := min(int(c.q.tail-c.next), cap(c.claim))
@@ -247,11 +228,10 @@ func (c *Consumer) claimMore(x rt.Ctx) (*block.Block, bool) {
 	for i := 0; i < n; i++ {
 		c.claim = append(c.claim, c.q.at(c.next+uint64(i)).b)
 	}
-	c.claimAt, c.settled = c.next, 0
 	c.next += uint64(n)
 	c.taken = 0
 	c.handOut()
-	c.settleLocked(now)
+	c.settleLocked()
 	c.lk.Unlock(x)
 	return c.claim[0], true
 }
@@ -264,15 +244,11 @@ func (c *Consumer) drainedLocked() bool {
 // settleLocked brings the buffer up to date with the blocks Read has returned
 // since lk was last held: each is marked analyzed and, if it is stored too,
 // leaves the buffer.
-func (c *Consumer) settleLocked(now time.Duration) {
-	handed := int(c.handed.Load())
-	if handed == c.settled {
-		return
-	}
-	c.fl.Analyzed.Add(now, int64(handed-c.settled))
+func (c *Consumer) settleLocked() {
+	handed := c.handed.Load()
 	freed := 0
 	for ; c.settled < handed; c.settled++ {
-		e := c.q.at(c.claimAt + uint64(c.settled))
+		e := c.q.at(c.settled)
 		e.analyzed = true
 		if e.stored {
 			freed++
@@ -283,20 +259,20 @@ func (c *Consumer) settleLocked(now time.Duration) {
 		if c.cfg.Mode == NoPreserve {
 			debited = freed // Read debited the gauge for each as it returned it
 		}
-		c.freeLocked(now, freed, debited)
+		c.freeLocked(freed, debited)
 	}
 }
 
 // freeLocked accounts for n entries that just completed their lifecycle
 // (analyzed and stored), debited of them already taken off the occupancy
 // gauge by Read, and vacates every freed entry at the queue head.
-func (c *Consumer) freeLocked(now time.Duration, n, debited int) {
+func (c *Consumer) freeLocked(n, debited int) {
 	for c.q.head != c.q.tail && c.q.at(c.q.head).freed() {
 		c.q.at(c.q.head).b = nil
 		c.q.head++
 	}
 	c.occupancy -= n
-	c.fl.Queue.SetAbsorbing(now, c.occupancy, debited)
+	c.fl.Queue.SetAbsorbing(c.occupancy, debited)
 	c.spaceWanted.Store(false)
 	c.space.Broadcast()
 }
@@ -305,10 +281,10 @@ func (c *Consumer) freeLocked(now time.Duration, n, debited int) {
 // gauge, the application if blocks became available, the output thread if
 // any of them is unstored. The threads that insert call it before they let go
 // of lk — to wait for space, or for good.
-func (c *Consumer) announceLocked(now time.Duration) {
+func (c *Consumer) announceLocked() {
 	if c.newAvail {
 		c.newAvail = false
-		c.fl.Queue.Set(now, c.occupancy)
+		c.fl.Queue.Set(c.occupancy)
 		c.avail.Signal()
 	}
 	if c.newStore {
@@ -317,26 +293,24 @@ func (c *Consumer) announceLocked(now time.Duration) {
 	}
 }
 
-// insertLocked waits for buffer space and appends a new entry, returning the
-// clock (now, re-read if it had to wait); the caller announces. Once the
+// insertLocked waits for buffer space and appends a new entry; the caller
+// announces. Once the
 // consumer has failed (c.err set) space may never free again — the output
 // thread is gone and analyzed-but-unstored entries occupy the buffer forever
 // — so the wait gives up and the entry is appended over capacity: the stream
 // is already lost, but the receiver must keep draining so Wait and the
 // producers' Fins can complete.
-func (c *Consumer) insertLocked(x rt.Ctx, now time.Duration, b *block.Block) time.Duration {
-	if c.fullLocked(now) {
-		c.announceLocked(now)
-		for c.fullLocked(now) {
+func (c *Consumer) insertLocked(x rt.Ctx, b *block.Block) {
+	if c.fullLocked() {
+		c.announceLocked()
+		for c.fullLocked() {
 			// Flag first, then look again: a Read that published after the
 			// look above and before the flag went up saw no one to wake.
 			c.spaceWanted.Store(true)
-			if int(c.handed.Load()) == c.settled {
+			if c.handed.Load() == c.settled {
 				c.space.Wait(x)
 			}
 		}
-		now = x.Now()
-		c.clock = max(c.clock, now)
 	}
 	stored := b.OnDisk || c.cfg.Mode == NoPreserve
 	c.q.push(entry{b: b, stored: stored})
@@ -345,14 +319,13 @@ func (c *Consumer) insertLocked(x rt.Ctx, now time.Duration, b *block.Block) tim
 	if !stored {
 		c.newStore = true
 	}
-	return now
 }
 
 // fullLocked reports whether an insert has to wait, after settling what the
 // application has returned since lk was last held.
-func (c *Consumer) fullLocked(now time.Duration) bool {
+func (c *Consumer) fullLocked() bool {
 	if c.occupancy >= c.cfg.ConsumerBufferBlocks {
-		c.settleLocked(now)
+		c.settleLocked()
 	}
 	return c.occupancy >= c.cfg.ConsumerBufferBlocks && c.err == nil
 }
@@ -421,50 +394,25 @@ func (c *Consumer) Wait(x rt.Ctx) {
 
 // Level exposes the consumer-buffer occupancy gauge so the placement plane
 // (a least-occupancy consumer directory) and any external observer can read
-// both the instantaneous fill and its time-weighted average.
+// the live fill and its peak.
 func (c *Consumer) Level() *flow.Level { return &c.fl.Queue }
 
-// snapshot assembles a stats snapshot with rates evaluated at `now`.
-func (c *Consumer) snapshot(now time.Duration, live bool) ConsumerStats {
+// Stats returns a snapshot of the module's counters, taking none of the
+// module's locks. BlocksAnalyzed is exact to the last block Read returned;
+// the snapshot is final once Wait has returned.
+func (c *Consumer) Stats() ConsumerStats {
 	s := ConsumerStats{
 		BlocksReceived: c.fl.Received.Total(),
 		BlocksRead:     c.fl.Read.Total(),
-		BlocksAnalyzed: c.fl.Analyzed.Total(),
+		BlocksAnalyzed: int64(c.handed.Load()),
 		BlocksStored:   c.fl.Stored.Total(),
-		BlocksLost:     c.seenLost,
-		ReadStall:      c.fl.ReadStall.TotalDur(),
-		RecvBusy:       c.fl.RecvBusy.TotalDur(),
-		DiskBusy:       c.fl.DiskBusy.TotalDur(),
-		StoreBusy:      c.fl.StoreBusy.TotalDur(),
-		Finished:       c.finished,
-	}
-	if live {
-		s.AnalyzeRate = c.fl.Analyzed.Rate(now)
-		s.StallFrac = c.fl.ReadStall.Frac(now)
-	} else {
-		s.AnalyzeRate = c.fl.Analyzed.LastRate()
-		s.StallFrac = c.fl.ReadStall.LastRate() / float64(time.Second)
+		BlocksLost:     c.fl.Lost.Total(),
+		StoreBusy:      time.Duration(c.fl.StoreBusy.Total()),
+		Finished:       time.Duration(c.finished.Load()),
 	}
 	s.Queued, s.Capacity = c.fl.Queue.Get()
 	return s
 }
-
-// Stats returns a snapshot of the module's flow gauges: totals plus live
-// EWMA rates as of the calling thread's clock. Call after Wait for final
-// totals.
-func (c *Consumer) Stats(x rt.Ctx) ConsumerStats {
-	c.lk.Lock(x)
-	now := x.Now()
-	c.settleLocked(now)
-	s := c.snapshot(now, true)
-	c.lk.Unlock(x)
-	return s
-}
-
-// FinalStats returns the counters without a platform clock. It is safe only
-// once the platform has fully stopped (for example, after the simulation
-// engine's Run returned); rates are reported as of each gauge's last event.
-func (c *Consumer) FinalStats() ConsumerStats { return c.snapshot(0, false) }
 
 // receiverThread splits mixed messages into buffer entries and disk work
 // until every upstream producer has sent Fin.
@@ -480,13 +428,11 @@ func (c *Consumer) receiverThread(x rt.Ctx) {
 		// reduction trade — and the simulated platform charges the pass at
 		// memory bandwidth.
 		var decErr error
-		decoded := false
 		if ok {
 			for _, b := range m.Blocks {
 				if b.Enc == 0 {
 					continue
 				}
-				decoded = true
 				c.env.CopyDelay(x, b.Bytes)
 				if err := c.dec.DecodeBlock(b); err != nil {
 					decErr = err
@@ -494,12 +440,7 @@ func (c *Consumer) receiverThread(x rt.Ctx) {
 				}
 			}
 		}
-		if decoded {
-			now = x.Now() // decoding took time (virtual time under simenv)
-		}
 		c.lk.Lock(x)
-		c.clock = max(c.clock, now)
-		c.fl.RecvBusy.AddDur(now, busy)
 		if !ok {
 			break // inbox closed under us: treat as end of stream
 		}
@@ -520,13 +461,13 @@ func (c *Consumer) receiverThread(x rt.Ctx) {
 			c.diskWork.Broadcast()
 		}
 		for _, b := range m.Blocks {
-			now = c.insertLocked(x, now, b)
+			c.insertLocked(x, b)
 		}
-		c.announceLocked(now)
-		c.fl.Received.Add(now, int64(len(m.Blocks)))
+		c.announceLocked()
+		c.fl.Received.Add(int64(len(m.Blocks)))
 		// The blocks are in the buffer; the slice that listed them is spent.
 		c.rec.PutSlice(m.Blocks)
-		c.seenLost += m.Lost
+		c.fl.Lost.Add(m.Lost)
 		if m.Fin {
 			c.finsGot++
 			c.declaredBlocks += m.FinBlocks
@@ -538,13 +479,13 @@ func (c *Consumer) receiverThread(x rt.Ctx) {
 		// hand-built test messages) trivially satisfy the count, reproducing
 		// the pure Fin-counted termination exactly.
 		if c.finsGot == c.finsExpected &&
-			c.fl.Received.Total()+c.seenLost >= c.declaredBlocks && c.seenDisk >= c.declaredDisk {
+			c.fl.Received.Total()+c.fl.Lost.Total() >= c.declaredBlocks && c.seenDisk >= c.declaredDisk {
 			break
 		}
 		c.lk.Unlock(x)
 	}
 	c.recvDone = true
-	c.finished = x.Now()
+	c.finished.Store(int64(x.Now()))
 	c.diskWork.Broadcast()
 	c.storeWork.Broadcast()
 	c.avail.Broadcast()
@@ -581,17 +522,16 @@ func (c *Consumer) readerThread(x rt.Ctx) {
 		}
 
 		c.lk.Lock(x)
-		now := x.Now()
-		c.fl.DiskBusy.AddDur(now, busy)
 		if err != nil {
 			c.err = fmt.Errorf("core: reading spilled block %v: %w", pr.id, err)
 			break
 		}
-		c.fl.Read.Add(now, 1)
-		c.announceLocked(c.insertLocked(x, now, b))
+		c.fl.Read.Add(1)
+		c.insertLocked(x, b)
+		c.announceLocked()
 	}
 	c.readerDone = true
-	c.finished = x.Now()
+	c.finished.Store(int64(x.Now()))
 	c.avail.Broadcast()
 	c.storeWork.Broadcast()
 	c.space.Broadcast() // on error, free a receiver stuck in insertLocked
@@ -627,26 +567,25 @@ func (c *Consumer) outputThread(x rt.Ctx) {
 		}
 
 		c.lk.Lock(x)
-		now := x.Now()
-		c.fl.StoreBusy.AddDur(now, busy)
+		c.fl.StoreBusy.Add(int64(busy))
 		if err != nil {
 			c.err = fmt.Errorf("core: preserving block %v: %w", b.ID, err)
 			break
 		}
-		c.settleLocked(now) // whether the block is analyzed decides what follows
+		c.settleLocked() // whether the block is analyzed decides what follows
 		// An unstored entry is never freed, so the cursor still names it.
 		target := c.q.at(c.store)
 		target.stored = true
-		c.fl.Stored.Add(now, 1)
+		c.fl.Stored.Add(1)
 		if target.release {
 			c.recycle(b)
 		}
 		if target.analyzed {
-			c.freeLocked(now, 1, 0)
+			c.freeLocked(1, 0)
 		}
 	}
 	c.outputDone = true
-	c.finished = x.Now()
+	c.finished.Store(int64(x.Now()))
 	c.space.Broadcast()
 	c.done.Broadcast()
 	c.lk.Unlock(x)

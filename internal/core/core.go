@@ -86,7 +86,7 @@ const (
 	// the work-stealing writer drains the overflow to the file system).
 	RouteHybrid
 	// RouteAdaptive closes the loop that RouteHybrid only reacts to: a
-	// flow.Adaptive controller tracks per-channel delivered-throughput and
+	// flow.Adaptive controller tracks per-channel delivery-cost and
 	// producer-stall EWMAs and continuously rebalances the direct/staging
 	// split so the producer never stalls while the consumer and stagers
 	// run at their service rates — and elects the third channel too: the
@@ -269,10 +269,9 @@ func (c Config) router() flow.Router {
 // pool is empty (route direct).
 type StagerDirectory = place.Endpoints
 
-// ProducerStats is a snapshot of one producer runtime module's flow gauges:
-// lifetime totals plus the live EWMA rates at snapshot time. Snapshots taken
-// via Stats mid-run report the current delivery rates; after Wait the totals
-// are final and the rates reflect the end of the stream.
+// ProducerStats is a snapshot of one producer runtime module's counters.
+// Taken mid-run, each total is one the run has reached; after Wait they are
+// final.
 type ProducerStats struct {
 	BlocksWritten int64         // blocks the application handed to Write
 	BlocksSent    int64         // blocks that left directly via the network path
@@ -285,29 +284,17 @@ type ProducerStats struct {
 	SendBusy      time.Duration // sender thread time spent in Send
 	StealBusy     time.Duration // writer thread time spent spilling
 	Finished      time.Duration // when both threads had exited
-
-	// Live EWMA gauges at snapshot time.
-	WriteRate   float64 // blocks/s the application is writing
-	DeliverRate float64 // blocks/s leaving by any channel (sent+relayed+stolen)
-	StallFrac   float64 // fraction of recent time Write sat blocked
 }
 
-// ConsumerStats is a snapshot of one consumer runtime module's flow gauges.
+// ConsumerStats is a snapshot of one consumer runtime module's counters.
 type ConsumerStats struct {
 	BlocksReceived int64         // blocks that arrived via the network path
 	BlocksRead     int64         // blocks fetched from the file system path
 	BlocksAnalyzed int64         // blocks handed to the analysis application
 	BlocksStored   int64         // blocks persisted by the output thread
 	BlocksLost     int64         // blocks an upstream relay declared unrecoverable
-	ReadStall      time.Duration // time Read blocked waiting for data
-	RecvBusy       time.Duration // receiver thread time in Recv
-	DiskBusy       time.Duration // reader thread time in ReadBlock
 	StoreBusy      time.Duration // output thread time in WriteBlock
 	Finished       time.Duration // when all threads had exited
-
-	// Live EWMA gauges at snapshot time.
-	AnalyzeRate float64 // blocks/s delivered to the analysis application
-	StallFrac   float64 // fraction of recent time Read sat blocked
-	Queued      int     // blocks currently resident in the consumer buffer
-	Capacity    int     // the consumer buffer's capacity in blocks
+	Queued         int           // blocks currently resident in the consumer buffer
+	Capacity       int           // the consumer buffer's capacity in blocks
 }

@@ -122,14 +122,14 @@ func TestRealStealingUnderSlowConsumer(t *testing.T) {
 	if seen != n {
 		t.Fatalf("analyzed %d blocks, want %d", seen, n)
 	}
-	ps := p.Stats(c)
+	ps := p.Stats()
 	if ps.BlocksStolen == 0 {
 		t.Fatal("slow consumer never triggered stealing")
 	}
 	if ps.BlocksSent+ps.BlocksStolen != n {
 		t.Fatalf("sent %d + stolen %d != %d", ps.BlocksSent, ps.BlocksStolen, n)
 	}
-	cs := r.cons[0].Stats(c)
+	cs := r.cons[0].Stats()
 	if cs.BlocksRead != ps.BlocksStolen {
 		t.Fatalf("disk reads %d != steals %d", cs.BlocksRead, ps.BlocksStolen)
 	}
@@ -159,7 +159,7 @@ func TestRealDisableStealNeverSpills(t *testing.T) {
 	if n != 20 {
 		t.Fatalf("analyzed %d, want 20", n)
 	}
-	if s := p.Stats(c); s.BlocksStolen != 0 {
+	if s := p.Stats(); s.BlocksStolen != 0 {
 		t.Fatalf("stolen %d with stealing disabled", s.BlocksStolen)
 	}
 }
@@ -196,8 +196,8 @@ func TestRealPreserveStoresEveryBlock(t *testing.T) {
 			t.Fatalf("preserved block %v corrupt: %v", id, vals)
 		}
 	}
-	cs := r.cons[0].Stats(c)
-	if ps := p.Stats(c); cs.BlocksStored+ps.BlocksStolen != n {
+	cs := r.cons[0].Stats()
+	if ps := p.Stats(); cs.BlocksStored+ps.BlocksStolen != n {
 		t.Fatalf("stored %d + spilled %d != %d", cs.BlocksStored, ps.BlocksStolen, n)
 	}
 }
@@ -306,7 +306,7 @@ func TestRealWriterSpillFailureLosesNoData(t *testing.T) {
 	if seen != n {
 		t.Fatalf("analyzed %d blocks, want %d (spill failure must not lose data)", seen, n)
 	}
-	if s := prod.Stats(c); s.BlocksStolen != 0 {
+	if s := prod.Stats(); s.BlocksStolen != 0 {
 		t.Fatalf("stolen %d despite failing store", s.BlocksStolen)
 	}
 }
@@ -336,7 +336,7 @@ func TestRealReaderFailureSurfacesError(t *testing.T) {
 		time.Sleep(2 * time.Millisecond) // force spills, hence disk reads
 	}
 	prod.Wait(c)
-	if prod.Stats(c).BlocksStolen == 0 {
+	if prod.Stats().BlocksStolen == 0 {
 		t.Skip("no spill happened; cannot exercise read failure")
 	}
 	if cons.Err(c) == nil {
@@ -397,7 +397,7 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	p.Wait(c)
 	r.cons[0].Wait(c)
-	ps, cs := p.Stats(c), r.cons[0].Stats(c)
+	ps, cs := p.Stats(), r.cons[0].Stats()
 	if ps.BlocksWritten != n {
 		t.Fatalf("written %d", ps.BlocksWritten)
 	}

@@ -72,7 +72,7 @@ func TestFanInOrderingUnderBatching(t *testing.T) {
 
 	var sent, msgs int64
 	for _, p := range r.prod {
-		st := p.Stats(c)
+		st := p.Stats()
 		if st.BlocksSent != blocks {
 			t.Fatalf("producer sent %d blocks, want %d", st.BlocksSent, blocks)
 		}
@@ -87,7 +87,7 @@ func TestFanInOrderingUnderBatching(t *testing.T) {
 		sent += st.BlocksSent
 		msgs += st.Messages
 	}
-	cs := r.cons[0].Stats(c)
+	cs := r.cons[0].Stats()
 	if cs.BlocksReceived != sent {
 		t.Fatalf("credit accounting broken: consumer received %d of %d sent", cs.BlocksReceived, sent)
 	}

@@ -245,7 +245,7 @@ func residentLocked(c *Consumer) int {
 	n := 0
 	for pos := c.q.head; pos != c.q.tail; pos++ {
 		e := c.q.at(pos)
-		handed := pos < c.claimAt+uint64(c.handed.Load())
+		handed := pos < c.handed.Load()
 		if !(handed && e.stored) {
 			n++
 		}
@@ -328,7 +328,7 @@ func TestClaimKeepsOccupancyBound(t *testing.T) {
 					// A consumer slower than the producer, so the buffer is
 					// full and the receiver waits for room most of the time.
 					runSimWorkflow(t, r, total/8, 8, 64<<10, 100*time.Microsecond, 200*time.Microsecond)
-					if got := cons.FinalStats().BlocksAnalyzed; got != total {
+					if got := cons.Stats().BlocksAnalyzed; got != total {
 						t.Fatalf("analyzed %d blocks, want %d", got, total)
 					}
 					if peak != capacity {
@@ -402,7 +402,7 @@ func TestStealSeesOpenBatch(t *testing.T) {
 		}
 		prod.Wait(c)
 		cons.Wait(c)
-		ps := prod.Stats(c)
+		ps := prod.Stats()
 		if seen != n || ps.BlocksSent+ps.BlocksStolen != n {
 			t.Fatalf("analyzed %d, sent %d + stolen %d, want %d", seen, ps.BlocksSent, ps.BlocksStolen, n)
 		}
@@ -417,7 +417,7 @@ func TestStealSeesOpenBatch(t *testing.T) {
 		r.cons = []*Consumer{NewConsumer(simenv.NewEnv(eng, 1, 0), cfg, 0, 1, r.net.Inbox(0), r.st)}
 		r.prod = []*Producer{NewProducer(simenv.NewEnv(eng, 0, 0), cfg, 0, 0, log, log)}
 		runSimWorkflow(t, r, n, 1, 1<<20, 100*time.Microsecond, 20*time.Millisecond)
-		ps := r.prod[0].FinalStats()
+		ps := r.prod[0].Stats()
 		if ps.BlocksStolen == 0 || ps.BlocksSent+ps.BlocksStolen != n {
 			t.Fatalf("sent %d + stolen %d, want %d with some stolen", ps.BlocksSent, ps.BlocksStolen, n)
 		}
@@ -442,15 +442,36 @@ func TestStealSeesOpenBatch(t *testing.T) {
 	})
 }
 
-// TestStatsLagBounded: Write tells the Written gauge once per batch, so a
+// TestStatsLagBounded: Write tells the Written counter once per batch, so a
 // live BlocksWritten trails what the application has written by less than
-// MaxBatchBlocks — and not at all once Close has returned.
+// MaxBatchBlocks — and not at all once Close has returned; a live
+// BlocksAnalyzed does not trail at all: after every Read it counts exactly
+// the blocks Read has returned, though Read hands most of them out of a
+// claim without the consumer lock and Stats takes none.
 func TestStatsLagBounded(t *testing.T) {
 	cfg := Config{BufferBlocks: 64, MaxBatchBlocks: 8, DisableSteal: true}
 	lag := func(t *testing.T, written int, got int64) {
 		t.Helper()
 		if d := int64(written) - got; d < 0 || d >= int64(cfg.MaxBatchBlocks) {
 			t.Errorf("BlocksWritten = %d after %d Writes: it must trail by less than %d", got, written, cfg.MaxBatchBlocks)
+		}
+	}
+	// readAll reads the stream to its end, checking BlocksAnalyzed after
+	// every Read.
+	readAll := func(t *testing.T, c rt.Ctx, cons *Consumer) {
+		t.Helper()
+		reads := int64(0)
+		for {
+			_, ok := cons.Read(c)
+			if ok {
+				reads++
+			}
+			if got := cons.Stats().BlocksAnalyzed; got != reads {
+				t.Errorf("BlocksAnalyzed = %d after %d Reads", got, reads)
+			}
+			if !ok {
+				return
+			}
 		}
 	}
 	t.Run("real", func(t *testing.T) {
@@ -464,20 +485,16 @@ func TestStatsLagBounded(t *testing.T) {
 		c := env.Ctx()
 		for i := 1; i <= 50; i++ {
 			prod.Write(c, i, 0, []byte{1}, 1)
-			lag(t, i, prod.Stats(c).BlocksWritten)
+			lag(t, i, prod.Stats().BlocksWritten)
 		}
 		prod.Close(c)
-		if got := prod.Stats(c).BlocksWritten; got != 50 {
+		if got := prod.Stats().BlocksWritten; got != 50 {
 			t.Errorf("BlocksWritten = %d after Close, want 50", got)
 		}
 		for i := 0; i < 64; i++ {
 			open <- struct{}{}
 		}
-		for {
-			if _, ok := cons.Read(c); !ok {
-				break
-			}
-		}
+		readAll(t, c, cons)
 		prod.Wait(c)
 		cons.Wait(c)
 	})
@@ -488,24 +505,63 @@ func TestStatsLagBounded(t *testing.T) {
 			c := env.WrapProc(sp)
 			for i := 1; i <= 50; i++ {
 				r.prod[0].Write(c, i, 0, nil, 1<<20)
-				lag(t, i, r.prod[0].Stats(c).BlocksWritten)
+				lag(t, i, r.prod[0].Stats().BlocksWritten)
 			}
 			r.prod[0].Close(c)
-			if got := r.prod[0].Stats(c).BlocksWritten; got != 50 {
+			if got := r.prod[0].Stats().BlocksWritten; got != 50 {
 				t.Errorf("BlocksWritten = %d after Close, want 50", got)
 			}
 		})
 		r.eng.Spawn("app.cons", func(sp *sim.Proc) {
-			c := simenv.NewEnv(r.eng, 1, 0).WrapProc(sp)
-			for {
-				if _, ok := r.cons[0].Read(c); !ok {
-					return
-				}
-			}
+			readAll(t, simenv.NewEnv(r.eng, 1, 0).WrapProc(sp), r.cons[0])
 		})
 		runSim(t, r.eng)
-		if got := r.cons[0].FinalStats().BlocksAnalyzed; got != 50 {
+		if got := r.cons[0].Stats().BlocksAnalyzed; got != 50 {
 			t.Errorf("analyzed %d blocks, want 50", got)
 		}
 	})
+}
+
+// TestStatsTakesNoEndpointLock: Stats reads counters and gauges only, so a
+// caller polling it never waits on — and never holds up — the module's own
+// threads: with the producer's lock held, and then the consumer's, both
+// Stats still return at once.
+func TestStatsTakesNoEndpointLock(t *testing.T) {
+	r := newRealRig(t, Config{BufferBlocks: 8, MaxBatchBlocks: 4, DisableSteal: true}, 1, 1, 4)
+	prod, cons, c := r.prod[0], r.cons[0], r.env.Ctx()
+	for i := 0; i < 6; i++ {
+		prod.Write(c, i, 0, []byte{byte(i)}, 1)
+	}
+	for _, held := range []struct {
+		name string
+		lk   rt.Lock
+	}{{"producer", prod.lk}, {"consumer", cons.lk}} {
+		held.lk.Lock(c)
+		done := make(chan struct{})
+		go func() {
+			prod.Stats()
+			cons.Stats()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Errorf("Stats did not return within 1s while the %s lock was held", held.name)
+		}
+		held.lk.Unlock(c)
+		<-done
+	}
+	prod.Close(c)
+	n := 0
+	for {
+		if _, ok := cons.Read(c); !ok {
+			break
+		}
+		n++
+	}
+	prod.Wait(c)
+	cons.Wait(c)
+	if n != 6 {
+		t.Fatalf("read %d blocks, want 6", n)
+	}
 }

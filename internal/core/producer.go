@@ -80,8 +80,8 @@ type Producer struct {
 	closed     bool
 	senderDone bool
 	writerDone bool
-	err        error // the first relayed batch the operator could not encode
-	finished   time.Duration
+	err        error        // the first relayed batch the operator could not encode
+	finished   atomic.Int64 // when the last runtime thread exited, as a time.Duration
 	fl         flow.ProducerFlows
 
 	// arbiter is router when it also elects the disk channel and the producer
@@ -215,14 +215,14 @@ func (p *Producer) Write(c rt.Ctx, step int, offset int64, data []byte, bytes in
 	wakeWriter := p.writerIdle.Load() && tail-p.head.Load() > uint64(p.cfg.HighWater)
 	if wakeSender || wakeWriter {
 		p.lk.Lock(c)
-		p.flushWritten(c.Now())
+		p.flushWritten()
 		p.wakeSenderLocked()
 		if wakeWriter {
 			p.wakeWriterLocked()
 		}
 		p.lk.Unlock(c)
 	} else if a.pending >= int64(p.cfg.MaxBatchBlocks) {
-		p.flushWritten(c.Now())
+		p.flushWritten()
 	}
 }
 
@@ -244,12 +244,12 @@ func (p *Producer) wakeWriterLocked() {
 	}
 }
 
-// flushWritten tells the Written gauge about the blocks written since it last
+// flushWritten tells the Written counter about the blocks written since it last
 // heard: once per batch rather than once per block, so a live BlocksWritten
 // trails the application by less than MaxBatchBlocks. The application's.
-func (p *Producer) flushWritten(now time.Duration) {
+func (p *Producer) flushWritten() {
 	if a := &p.app; a.pending > 0 {
-		p.fl.Written.Add(now, a.pending)
+		p.fl.Written.Add(a.pending)
 		a.pending = 0
 	}
 }
@@ -265,13 +265,13 @@ func (p *Producer) waitRoom(c rt.Ctx, tail uint64) {
 	p.lk.Lock(c)
 	if full() {
 		stallStart := c.Now()
-		p.flushWritten(stallStart)
+		p.flushWritten()
 		for full() {
 			p.notFull.Wait(c)
 		}
 		now := c.Now()
 		if stall := now - stallStart; stall > 0 {
-			p.fl.WriteStall.AddDur(now, stall)
+			p.fl.WriteStall.Add(int64(stall))
 			p.router.ObserveStall(now, stall)
 			if p.cfg.Recorder != nil {
 				p.cfg.Recorder.Add(p.traceName("app"), "stall", stallStart, now)
@@ -286,7 +286,7 @@ func (p *Producer) waitRoom(c rt.Ctx, tail uint64) {
 // not wait for that — use Wait.
 func (p *Producer) Close(c rt.Ctx) {
 	p.app.closed = true
-	p.flushWritten(c.Now())
+	p.flushWritten()
 	p.lk.Lock(c)
 	p.closed = true
 	p.wakeSenderLocked()
@@ -313,9 +313,12 @@ func (p *Producer) Err(c rt.Ctx) error {
 	return p.err
 }
 
-// snapshot assembles a stats snapshot with rates evaluated at `now`.
-func (p *Producer) snapshot(now time.Duration, live bool) ProducerStats {
-	s := ProducerStats{
+// Stats returns a snapshot of the module's counters, taking none of the
+// module's locks: each total is one the run has reached, and the snapshot is
+// final once Wait has returned. BlocksWritten trails the blocks Write
+// accepted by less than MaxBatchBlocks until Close, which makes it exact.
+func (p *Producer) Stats() ProducerStats {
+	return ProducerStats{
 		BlocksWritten: p.fl.Written.Total(),
 		BlocksSent:    p.fl.Sent.Total(),
 		BlocksRelayed: p.fl.Relayed.Total(),
@@ -323,37 +326,12 @@ func (p *Producer) snapshot(now time.Duration, live bool) ProducerStats {
 		Messages:      p.fl.Messages.Total(),
 		BytesOnWire:   p.fl.WireBytes.Total(),
 		BytesReduced:  p.fl.SavedBytes.Total(),
-		WriteStall:    p.fl.WriteStall.TotalDur(),
-		SendBusy:      p.fl.SendBusy.TotalDur(),
-		StealBusy:     p.fl.StealBusy.TotalDur(),
-		Finished:      p.finished,
+		WriteStall:    time.Duration(p.fl.WriteStall.Total()),
+		SendBusy:      time.Duration(p.fl.SendBusy.Total()),
+		StealBusy:     time.Duration(p.fl.StealBusy.Total()),
+		Finished:      time.Duration(p.finished.Load()),
 	}
-	if live {
-		s.WriteRate = p.fl.Written.Rate(now)
-		s.DeliverRate = p.fl.Sent.Rate(now) + p.fl.Relayed.Rate(now) + p.fl.Stolen.Rate(now)
-		s.StallFrac = p.fl.WriteStall.Frac(now)
-	} else {
-		s.WriteRate = p.fl.Written.LastRate()
-		s.DeliverRate = p.fl.Sent.LastRate() + p.fl.Relayed.LastRate() + p.fl.Stolen.LastRate()
-		s.StallFrac = p.fl.WriteStall.LastRate() / float64(time.Second)
-	}
-	return s
 }
-
-// Stats returns a snapshot of the module's flow gauges: totals plus live
-// EWMA rates as of the calling thread's clock. Call after Wait for final
-// totals.
-func (p *Producer) Stats(c rt.Ctx) ProducerStats {
-	p.lk.Lock(c)
-	s := p.snapshot(c.Now(), true)
-	p.lk.Unlock(c)
-	return s
-}
-
-// FinalStats returns the counters without a platform clock. It is safe only
-// once the platform has fully stopped (for example, after the simulation
-// engine's Run returned); rates are reported as of each gauge's last event.
-func (p *Producer) FinalStats() ProducerStats { return p.snapshot(0, false) }
 
 // queuedLocked is the producer buffer's length as of the tail the caller read.
 func (p *Producer) queuedLocked(tail uint64) int { return int(tail - p.head.Load()) }
@@ -437,22 +415,21 @@ func (p *Producer) senderThread(c rt.Ctx) {
 		}
 
 		// The send's bookkeeping opens the critical section the next drain
-		// (or the wait for one) runs in, so Stats still sees a message's
-		// counters move together.
+		// (or the wait for one) runs in.
 		p.lk.Lock(c)
 		if p.err == nil {
 			p.err = encodeErr
 		}
-		p.fl.SendBusy.AddDur(now, busy)
-		p.fl.Messages.Add(now, 1)
-		p.fl.WireBytes.Add(now, wire)
+		p.fl.SendBusy.Add(int64(busy))
+		p.fl.Messages.Add(1)
+		p.fl.WireBytes.Add(wire)
 		if saved := payload - wire; saved > 0 {
-			p.fl.SavedBytes.Add(now, saved)
+			p.fl.SavedBytes.Add(saved)
 		}
 		if route == flow.Relay {
-			p.fl.Relayed.Add(now, n)
+			p.fl.Relayed.Add(n)
 		} else {
-			p.fl.Sent.Add(now, n)
+			p.fl.Sent.Add(n)
 		}
 		if p.destBlocks != nil {
 			p.destBlocks[to] += n
@@ -491,7 +468,7 @@ func (p *Producer) senderThread(c rt.Ctx) {
 	p.sendFins(c)
 	p.lk.Lock(c)
 	p.senderDone = true
-	p.finished = c.Now()
+	p.finished.Store(int64(c.Now()))
 	p.done.Broadcast()
 	p.lk.Unlock(c)
 }
@@ -507,9 +484,8 @@ func (p *Producer) sendFins(c rt.Ctx) {
 			start := c.Now()
 			p.tr.Send(c, q, rt.Message{From: p.rank, Dest: q, Fin: true,
 				FinBlocks: p.destBlocks[q], FinDisk: p.destDisk[q]})
-			now := c.Now()
-			p.fl.Messages.Add(now, 1)
-			p.fl.SendBusy.AddDur(now, now-start)
+			p.fl.Messages.Add(1)
+			p.fl.SendBusy.Add(int64(c.Now() - start))
 		}
 		return
 	}
@@ -522,9 +498,8 @@ func (p *Producer) sendFins(c rt.Ctx) {
 	p.tr.Send(c, finDest, rt.Message{From: p.rank, Dest: p.to, Fin: true,
 		FinBlocks: p.fl.Sent.Total() + p.fl.Relayed.Total(),
 		FinDisk:   p.fl.Stolen.Total()})
-	now := c.Now()
-	p.fl.Messages.Add(now, 1)
-	p.fl.SendBusy.AddDur(now, now-start)
+	p.fl.Messages.Add(1)
+	p.fl.SendBusy.Add(int64(c.Now() - start))
 }
 
 // drainBatchLocked removes up to MaxBatchBlocks blocks from the head of the
@@ -684,7 +659,7 @@ func (p *Producer) writerThread(c rt.Ctx) {
 		}
 		if p.closed {
 			p.writerDone = true
-			p.finished = c.Now()
+			p.finished.Store(int64(c.Now()))
 			p.wakeSenderLocked()
 			p.done.Broadcast()
 			p.lk.Unlock(c)
@@ -702,7 +677,7 @@ func (p *Producer) writerThread(c rt.Ctx) {
 
 		p.lk.Lock(c)
 		now := c.Now()
-		p.fl.StealBusy.AddDur(now, busy)
+		p.fl.StealBusy.Add(int64(busy))
 		if err != nil {
 			// Put the block back at the front: order within the network path
 			// is not load-bearing, but data must not be lost. Its slot is
@@ -717,7 +692,7 @@ func (p *Producer) writerThread(c rt.Ctx) {
 			p.lk.Unlock(c)
 			return
 		}
-		p.fl.Stolen.Add(now, 1)
+		p.fl.Stolen.Add(1)
 		p.diskIDs = append(p.diskIDs, rt.DiskRef{ID: b.ID, Bytes: b.Bytes})
 		p.wakeSenderLocked() // the ID list alone is worth announcing
 		p.lk.Unlock(c)

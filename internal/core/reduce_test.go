@@ -73,7 +73,7 @@ func TestSenderEncodeFailureSendsUnreduced(t *testing.T) {
 	if err := prod.Err(ctx); err == nil || !strings.Contains(err.Error(), "reducing relayed batch") {
 		t.Fatalf("Err() = %v, want the encode failure", err)
 	}
-	if st := prod.Stats(ctx); st.BlocksRelayed != blocks || st.BytesReduced != 0 {
+	if st := prod.Stats(); st.BlocksRelayed != blocks || st.BytesReduced != 0 {
 		t.Fatalf("relayed %d blocks and saved %d bytes, want %d and none", st.BlocksRelayed, st.BytesReduced, blocks)
 	}
 }

@@ -83,7 +83,7 @@ func TestCustomRouterPlugin(t *testing.T) {
 	if n != blocks {
 		t.Fatalf("delivered %d blocks, want %d — relayed data stranded behind a direct Fin?", n, blocks)
 	}
-	ps := prod.FinalStats()
+	ps := prod.Stats()
 	if ps.BlocksSent == 0 || ps.BlocksRelayed == 0 {
 		t.Fatalf("custom router not in charge: sent=%d relayed=%d", ps.BlocksSent, ps.BlocksRelayed)
 	}

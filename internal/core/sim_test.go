@@ -118,13 +118,13 @@ func TestSimDeliveryCounts(t *testing.T) {
 	runSimWorkflow(t, r, 10, 3, 1<<20, time.Millisecond, 100*time.Microsecond)
 	var analyzed, written int64
 	for _, cons := range r.cons {
-		analyzed += cons.FinalStats().BlocksAnalyzed
+		analyzed += cons.Stats().BlocksAnalyzed
 		if cons.err != nil {
 			t.Fatal(cons.err)
 		}
 	}
 	for _, p := range r.prod {
-		written += p.FinalStats().BlocksWritten
+		written += p.Stats().BlocksWritten
 	}
 	if written != 4*10*3 || analyzed != written {
 		t.Fatalf("written %d analyzed %d, want both %d", written, analyzed, 4*10*3)
@@ -138,7 +138,7 @@ func TestSimStealingRelievesStall(t *testing.T) {
 		r := newSimRig(cfg, 2, 1, 2)
 		runSimWorkflow(t, r, 20, 4, 4<<20, 500*time.Microsecond, 30*time.Millisecond)
 		for _, p := range r.prod {
-			st := p.FinalStats()
+			st := p.Stats()
 			stall += st.WriteStall
 			stolen += st.BlocksStolen
 		}
@@ -164,7 +164,7 @@ func TestSimFastConsumerNeverSteals(t *testing.T) {
 	r := newSimRig(cfg, 2, 2, 8)
 	runSimWorkflow(t, r, 10, 2, 1<<20, 5*time.Millisecond, 10*time.Microsecond)
 	for _, p := range r.prod {
-		if stolen := p.FinalStats().BlocksStolen; stolen != 0 {
+		if stolen := p.Stats().BlocksStolen; stolen != 0 {
 			t.Fatalf("producer %d stole %d blocks with a fast consumer", p.rank, stolen)
 		}
 	}
@@ -194,10 +194,10 @@ func TestSimPreserveStoresAll(t *testing.T) {
 	runSimWorkflow(t, r, 5, 2, 1<<20, time.Millisecond, 100*time.Microsecond)
 	var stored, stolen int64
 	for _, cons := range r.cons {
-		stored += cons.FinalStats().BlocksStored
+		stored += cons.Stats().BlocksStored
 	}
 	for _, p := range r.prod {
-		stolen += p.FinalStats().BlocksStolen
+		stolen += p.Stats().BlocksStolen
 	}
 	if stored+stolen != 2*5*2 {
 		t.Fatalf("stored %d + spilled %d != %d blocks", stored, stolen, 2*5*2)
@@ -214,7 +214,7 @@ func TestSimDeterministic(t *testing.T) {
 		d := runSimWorkflow(t, r, 8, 3, 2<<20, 300*time.Microsecond, 2*time.Millisecond)
 		var stolen int64
 		for _, p := range r.prod {
-			stolen += p.FinalStats().BlocksStolen
+			stolen += p.Stats().BlocksStolen
 		}
 		return d, stolen
 	}
@@ -233,7 +233,7 @@ func TestSimTraceRecorderCapturesThreadActivity(t *testing.T) {
 	if rec.Total("zprod.0.sender", "send") == 0 {
 		t.Fatal("no send spans recorded")
 	}
-	if r.prod[0].FinalStats().BlocksStolen > 0 && rec.Total("zprod.0.writer", "steal") == 0 {
+	if r.prod[0].Stats().BlocksStolen > 0 && rec.Total("zprod.0.writer", "steal") == 0 {
 		t.Fatal("steals happened but no steal spans recorded")
 	}
 	if rec.CountSpans("zcons.0.receiver", "recv") == 0 {

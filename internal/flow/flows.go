@@ -1,69 +1,61 @@
 package flow
 
-// The three runtime modules — producer, consumer, stager — used to keep
-// three parallel structs of plain int64/time.Duration counters, each guarded
-// by its module lock and readable only as terminal totals. The flows structs
-// below replace them with one shared gauge vocabulary: every counter is a
-// Meter (total + live EWMA rate) and every occupancy is a Level, so
-// Job.Stats() can report delivered throughput and stall fractions while the
-// run is still in flight, and the adaptive router can read the same gauges
-// it steers.
+// The three runtime modules — producer, consumer, stager — keep their
+// counts in the flows structs below: every count is a Counter and every
+// occupancy a Level, one vocabulary for all three. A module's Stats reads
+// them and nothing else of the module's, so Job.Stats() takes no endpoint
+// lock while the run is in flight, and the policies that steer — placement,
+// the stager's arbiter, the elastic scaler, the control plane — read the
+// same totals and occupancies.
 //
-// A flows struct embeds Meters by value and therefore must not be copied
-// after first use; modules hold it as a field and hand out pointers.
+// A flows struct embeds its gauges by value and therefore must not be
+// copied after first use; modules hold it as a field and hand out pointers.
 
-// ProducerFlows gauges one producer runtime module.
+// ProducerFlows counts one producer runtime module's traffic.
 type ProducerFlows struct {
-	Written  Meter // blocks the application handed to Write
-	Sent     Meter // blocks that left directly via the network path
-	Relayed  Meter // blocks that left via the in-transit staging relay
-	Stolen   Meter // blocks the writer thread routed via the file system
-	Messages Meter // mixed messages sent (including the Fin)
+	Written  Counter // blocks the application handed to Write
+	Sent     Counter // blocks that left directly via the network path
+	Relayed  Counter // blocks that left via the in-transit staging relay
+	Stolen   Counter // blocks the writer thread routed via the file system
+	Messages Counter // mixed messages sent (including the Fin)
 
-	WriteStall Meter // ns Write sat blocked on a full buffer
-	SendBusy   Meter // ns the sender thread spent in Send
-	StealBusy  Meter // ns the writer thread spent spilling
+	WriteStall Counter // ns Write sat blocked on a full buffer
+	SendBusy   Counter // ns the sender thread spent in Send
+	StealBusy  Counter // ns the writer thread spent spilling
 
-	WireBytes  Meter // payload bytes put on the wire (encoded size when reduced)
-	SavedBytes Meter // payload bytes reduction kept off the wire (raw − encoded)
+	WireBytes  Counter // payload bytes put on the wire (encoded size when reduced)
+	SavedBytes Counter // payload bytes reduction kept off the wire (raw − encoded)
 }
 
-// ConsumerFlows gauges one consumer runtime module. Queue is the live
-// consumer-buffer occupancy published into the placement plane: a
+// ConsumerFlows counts one consumer runtime module's traffic. Queue is the
+// live consumer-buffer occupancy published into the placement plane: a
 // least-occupancy consumer directory steers each producer batch toward the
 // analysis endpoint with the most headroom by reading it.
 type ConsumerFlows struct {
-	Received Meter // blocks that arrived via the network path
-	Read     Meter // blocks fetched from the file-system path
-	Analyzed Meter // blocks handed to the analysis application
-	Stored   Meter // blocks persisted by the output thread
+	Received Counter // blocks that arrived via the network path
+	Read     Counter // blocks fetched from the file-system path
+	Stored   Counter // blocks persisted by the output thread
+	Lost     Counter // blocks an upstream relay declared unrecoverable
 
-	ReadStall Meter // ns Read sat blocked waiting for data
-	RecvBusy  Meter // ns the receiver thread spent in Recv
-	DiskBusy  Meter // ns the reader thread spent in ReadBlock
-	StoreBusy Meter // ns the output thread spent in WriteBlock
+	StoreBusy Counter // ns the output thread spent in WriteBlock
 
 	Queue Level // consumer buffer fill in blocks, with capacity and peak
 }
 
-// StagerFlows gauges one in-transit stager endpoint. Queue is the live
-// in-memory buffer occupancy the routing policies poll — the gauge that
-// replaced the ad-hoc occupancy probe func.
+// StagerFlows counts one in-transit stager endpoint's traffic. Queue is the
+// live in-memory buffer occupancy the routing policies poll.
 type StagerFlows struct {
-	In           Meter // blocks received from producers
-	Forwarded    Meter // blocks delivered to consumers
-	Spilled      Meter // blocks that overflowed to the spill store
-	SpilledBytes Meter // payload bytes that overflowed to the spill store
-	DiskRefs     Meter // producer disk-ref announcements relayed
-	MessagesIn   Meter // mixed messages received
-	MessagesOut  Meter // mixed messages forwarded (re-batched)
+	In           Counter // blocks received from producers
+	Forwarded    Counter // blocks delivered to consumers
+	Spilled      Counter // blocks that overflowed to the spill store
+	SpilledBytes Counter // payload bytes that overflowed to the spill store
+	MessagesIn   Counter // mixed messages received
+	MessagesOut  Counter // mixed messages forwarded (re-batched)
 
-	RecvBusy    Meter // ns the receiver thread spent in Recv
-	ForwardBusy Meter // ns the forwarder thread spent in Send
-	SpillBusy   Meter // ns spent writing + re-reading spilled blocks
+	SpillBusy Counter // ns spent writing + re-reading spilled blocks
 
-	WireBytes  Meter // payload bytes forwarded on the wire (encoded size when reduced)
-	SavedBytes Meter // payload bytes reduction kept off the wire (raw − encoded)
+	WireBytes  Counter // payload bytes forwarded on the wire (encoded size when reduced)
+	SavedBytes Counter // payload bytes reduction kept off the wire (raw − encoded)
 
 	Queue Level // in-memory buffer fill in blocks, with capacity and peak
 }

@@ -13,14 +13,14 @@ package flow
 // only when occupancy falls back to half of it, so a queue hovering at the
 // threshold doesn't flap the encoder on and off per block.
 //
-// Callers drive it under their own module lock; the gate itself holds no
-// synchronization.
+// Callers drive it under their own module lock; only the engagement count,
+// a Counter, may be read without it.
 type ReduceGate struct {
 	engageAt  int // occupancy (blocks) at or above which reduction engages
 	releaseAt int // occupancy at or below which it disengages
 
 	engaged     bool
-	engagements int64
+	engagements Counter
 }
 
 // NewReduceGate builds a gate that engages at highWater blocks and releases
@@ -46,11 +46,11 @@ func (g *ReduceGate) Observe(occupancy int) bool {
 		}
 	} else if occupancy >= g.engageAt {
 		g.engaged = true
-		g.engagements++
+		g.engagements.Add(1)
 	}
 	return g.engaged
 }
 
 // Engagements counts how many times the gate has switched on — the number
 // of pressure bursts reduction absorbed.
-func (g *ReduceGate) Engagements() int64 { return g.engagements }
+func (g *ReduceGate) Engagements() int64 { return g.engagements.Total() }

@@ -191,8 +191,8 @@ func (reactiveRouter) ObserveStall(time.Duration, time.Duration)                
 // Tuning parameterizes the adaptive controller. The zero value selects the
 // defaults noted on each field.
 type Tuning struct {
-	// Tau is the EWMA time constant of the controller's stall and
-	// throughput gauges (default 20ms — virtual time under simenv).
+	// Tau is the EWMA time constant of the controller's stall gauge
+	// (default 20ms — virtual time under simenv).
 	Tau time.Duration
 	// Decay is the relaxation time constant of the staging share: while the
 	// producer runs stall-free the share falls toward zero with this
@@ -282,7 +282,7 @@ type Adaptive struct {
 	lastRelax time.Duration
 	pressured int // pressured decisions, for the probing cadence
 
-	stall    Meter    // ns the producer's Write sat blocked
+	stall    meter    // ns the producer's Write sat blocked
 	dBlk     costEWMA // fraction of decisions that found the direct window exhausted
 	rBlk     costEWMA // fraction of decisions that found the stager window exhausted
 	dCost    costEWMA // direct-channel blocked-delivery cost, ns/byte
@@ -295,7 +295,7 @@ type Adaptive struct {
 // NewAdaptive returns an adaptive router with the given tuning.
 func NewAdaptive(t Tuning) *Adaptive {
 	t = t.withDefaults()
-	return &Adaptive{tun: t, stall: NewMeter(t.Tau)}
+	return &Adaptive{tun: t, stall: meter{tau: t.Tau}}
 }
 
 // costLocked reports a channel's measured blocked-delivery cost; an
@@ -337,7 +337,7 @@ func (a *Adaptive) Route(s Signals) Route {
 	blocked, relayBlk := s.directBlocked(), s.relayBlocked()
 	a.dBlk.add(b2f(blocked))
 	a.rBlk.add(b2f(relayBlk))
-	stallFrac := a.stall.Frac(s.Now)
+	stallFrac := a.stall.frac(s.Now)
 	pressure := blocked || stallFrac > stallEps
 	if !pressure {
 		// Healthy: the share relaxes toward zero and traffic follows
@@ -495,7 +495,7 @@ func (a *Adaptive) ObserveSend(route Route, now, busy time.Duration, blocks int,
 func (a *Adaptive) ObserveStall(now, stall time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.stall.AddDur(now, stall)
+	a.stall.add(now, int64(stall))
 }
 
 // Share returns the controller's current staging share target.
@@ -505,7 +505,102 @@ func (a *Adaptive) Share() float64 {
 	return a.share
 }
 
-// StallFrac returns the stall gauge's EWMA fraction as of now.
-func (a *Adaptive) StallFrac(now time.Duration) float64 {
-	return a.stall.Frac(now)
+// meter is the producer-stall gauge an Adaptive router steers on: a running
+// count (stalled nanoseconds) with an exponentially weighted moving average of
+// its rate, time constant tau. It has no lock of its own; Adaptive.mu guards
+// it.
+//
+// The fold rule. Stalls are reported per Write that blocked and the average
+// is read once per routing decision, so add only accumulates, and the
+// average is folded — one math.Exp — only when tau/foldsPerTau of gauge time
+// has passed since the last fold. Events closer together than that quantum
+// are averaged over the window they fell in; events at least a quantum apart
+// are still folded one by one. A read blends whatever has accumulated since
+// the last fold into the value it returns, without mutating the gauge, so a
+// read is always current and an idle gauge still decays toward zero. A stamp
+// older than the gauge's latest event counts as that event's instant.
+type meter struct {
+	tau     time.Duration
+	rate    float64 // units per second, folded up to `last`
+	pending int64   // units observed in (last, seen], not yet folded
+	last    time.Duration
+	seen    time.Duration // latest event time (≥ last)
+	started bool
+}
+
+// foldsPerTau sets the fold quantum, tau/foldsPerTau. Events inside one
+// quantum are averaged over it instead of weighted individually, which moves
+// a rate by at most about 1/(2·foldsPerTau) of what that quantum contributed
+// — under 2% even for a burst out of silence.
+const foldsPerTau = 32
+
+// blend returns avg moved toward mean by the weight an exponential filter
+// with time constant tau gives a window of length dt.
+func blend(avg, mean float64, dt, tau time.Duration) float64 {
+	alpha := 1 - math.Exp(-dt.Seconds()/tau.Seconds())
+	return avg + alpha*(mean-avg)
+}
+
+// add records n units at time now. Timestamps may repeat (several events in
+// the same instant) but must not go backwards; a stale now is treated as the
+// latest event time. Once a quantum has passed since the last fold it closes
+// the window at the event before this one, so a burst followed by silence is
+// folded where it happened, not smeared over the gap; and if that silence is
+// itself a quantum or longer it folds this event over it, so sparse traffic
+// is folded event by event.
+func (m *meter) add(now time.Duration, n int64) {
+	quantum := m.tau / foldsPerTau
+	if m.started && now-m.last >= quantum && m.seen > m.last && now > m.seen {
+		m.fold() // the window of earlier events
+	}
+	m.pending += n
+	if !m.started {
+		m.started = true
+		m.last, m.seen = now, now
+	} else if now > m.seen {
+		m.seen = now
+		if now-m.last >= quantum {
+			m.fold() // this event, over the silence before it
+		}
+	}
+}
+
+// fold blends the pending window (last, seen] into the rate.
+func (m *meter) fold() {
+	m.rate = m.at(m.seen)
+	m.pending = 0
+	m.last = m.seen
+}
+
+// at returns the rate as of now (≥ seen): the pending units blended in over
+// the window they arrived in, (last, seen], then decayed over the silence
+// since. Units that all carry the timestamp of the last fold (the meter's
+// first instant, or more events in an instant a fold just closed) enter as
+// that blend's limit for a vanishing window.
+func (m *meter) at(now time.Duration) float64 {
+	r, from := m.rate, m.last
+	if m.pending != 0 {
+		if dt := m.seen - m.last; dt > 0 {
+			r = blend(r, float64(m.pending)/dt.Seconds(), dt, m.tau)
+		} else {
+			r += float64(m.pending) / m.tau.Seconds()
+		}
+		from = m.seen
+	}
+	if now > from && r != 0 {
+		r = blend(r, 0, now-from, m.tau)
+	}
+	return r
+}
+
+// rateAt returns the EWMA rate in units per second as of now: it decays
+// toward zero while no events arrive, without mutating the meter.
+func (m *meter) rateAt(now time.Duration) float64 {
+	return m.at(max(now, m.seen))
+}
+
+// frac interprets the meter as accumulated nanoseconds and returns the EWMA
+// fraction of recent time spent accumulating (1.0 = permanently stalled).
+func (m *meter) frac(now time.Duration) float64 {
+	return m.rateAt(now) / float64(time.Second)
 }

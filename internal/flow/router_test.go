@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -359,4 +361,148 @@ func TestAdaptiveDiskProbeCadence(t *testing.T) {
 		}
 	}
 	t.Fatalf("stealing did not resume after %d probes of a recovered file system", probes)
+}
+
+// The stall gauge (meter) against its eager reference.
+
+func TestMeterTotalAndRate(t *testing.T) {
+	m := meter{tau: 100 * time.Millisecond}
+	// 10 events per 10ms = 1000 events/s, sustained for 40 taus.
+	for i := 1; i <= 400; i++ {
+		m.add(time.Duration(i)*10*time.Millisecond, 10)
+	}
+	now := 400 * 10 * time.Millisecond
+	if r := m.rateAt(now); r < 900 || r > 1100 {
+		t.Fatalf("steady-state rate %.1f, want ≈1000", r)
+	}
+	// After 5 time constants of silence the rate must have decayed hard.
+	later := now + 500*time.Millisecond
+	if r := m.rateAt(later); r > 50 {
+		t.Fatalf("rate %.1f after 5τ of silence, want ≈0", r)
+	}
+	if m.rateAt(later) != m.rateAt(later) || m.rateAt(now) < 900 {
+		t.Fatal("a read must not mutate the meter")
+	}
+}
+
+func TestMeterSameInstantEvents(t *testing.T) {
+	m := meter{tau: 50 * time.Millisecond}
+	for i := 0; i < 5; i++ {
+		m.add(time.Millisecond, 2) // several events in the same instant
+	}
+	m.add(2*time.Millisecond, 2)
+	if m.rateAt(2*time.Millisecond) <= 0 {
+		t.Fatal("rate should be positive once time advances")
+	}
+}
+
+func TestMeterDurationHelpers(t *testing.T) {
+	m := meter{tau: 50 * time.Millisecond}
+	// Stalled 5ms out of every 10ms: a 50% stall fraction.
+	for i := 1; i <= 100; i++ {
+		m.add(time.Duration(i)*10*time.Millisecond, int64(5*time.Millisecond))
+	}
+	if f := m.frac(time.Second); f < 0.4 || f > 0.6 {
+		t.Fatalf("stall fraction %.2f, want ≈0.5", f)
+	}
+}
+
+// eagerMeter is the straightforward reference the lazy meter is checked
+// against: an EWMA fold on every event whose timestamp advanced, exactly what
+// the meter did before the fold quantum.
+type eagerMeter struct {
+	tau     time.Duration
+	rate    float64
+	pending int64
+	last    time.Duration
+	started bool
+}
+
+func (m *eagerMeter) add(now time.Duration, n int64) {
+	if !m.started {
+		m.started, m.last = true, now
+	}
+	m.pending += n
+	if now > m.last {
+		m.rate = m.rateAt(now)
+		m.pending, m.last = 0, now
+	}
+}
+
+func (m *eagerMeter) rateAt(now time.Duration) float64 {
+	if !m.started || now <= m.last {
+		return m.rate
+	}
+	dt := now - m.last
+	return blend(m.rate, float64(m.pending)/dt.Seconds(), dt, m.tau)
+}
+
+// gaugeStream is a random event stream shaped like the runtime's: dense
+// bursts a few hundred nanoseconds apart, timestamps that repeat (several
+// events inside one critical section, or one simenv instant), and idle gaps
+// far longer than tau.
+func gaugeStream(seed int64, tau time.Duration, events int) []time.Duration {
+	r := rand.New(rand.NewSource(seed))
+	at := make([]time.Duration, events)
+	now := time.Duration(r.Intn(1000)) * time.Microsecond
+	for i := range at {
+		switch p := r.Intn(1000); {
+		case p < 2:
+			now += tau * time.Duration(3+r.Intn(40)) // idle ≫ tau
+		case p < 300:
+			// same instant
+		case p < 990:
+			now += time.Duration(50 + r.Intn(2000)) // burst
+		default:
+			now += tau / time.Duration(1+r.Intn(64)) // a lull around the quantum
+		}
+		at[i] = now
+	}
+	return at
+}
+
+// within reports whether got is within 2% of want, relative to the largest
+// value the reference has shown so far (a rate decaying through zero has no
+// meaningful relative error of its own).
+func within(got, want, scale float64) bool {
+	return math.Abs(got-want) <= 0.02*math.Max(scale, math.Abs(want))
+}
+
+// TestGaugesMatchEagerReference drives the lazy stall meter and its eager
+// reference with the same random streams and checks, at every point a reader
+// could look, the rate and the stall fraction within 2% of the reference, and
+// decay toward zero while idle.
+func TestGaugesMatchEagerReference(t *testing.T) {
+	for _, tau := range []time.Duration{50 * time.Millisecond, 20 * time.Millisecond, time.Millisecond} {
+		for seed := int64(1); seed <= 8; seed++ {
+			r := rand.New(rand.NewSource(seed * 7919))
+			m, em := meter{tau: tau}, eagerMeter{tau: tau}
+			var peakRate float64
+			for i, now := range gaugeStream(seed, tau, 20000) {
+				n := int64(1 + r.Intn(16))
+				m.add(now, n)
+				em.add(now, n)
+				// The reference folds units that share a fold's timestamp only
+				// once time moves on, and would smear them over whatever
+				// silence follows: let a nanosecond pass on a copy of it first.
+				// Then read right after the event, a quantum later and well
+				// into an idle stretch.
+				ref := em
+				ref.add(now+1, 0)
+				for _, at := range []time.Duration{now + 1, now + tau/foldsPerTau, now + 3*tau} {
+					want := ref.rateAt(at)
+					peakRate = math.Max(peakRate, want)
+					if got := m.rateAt(at); !within(got, want, peakRate) {
+						t.Fatalf("tau %v seed %d event %d: rate(+%v) %.4g, reference %.4g", tau, seed, i, at-now, got, want)
+					}
+					if got, want := m.frac(at), want/float64(time.Second); !within(got, want, peakRate/float64(time.Second)) {
+						t.Fatalf("tau %v seed %d event %d: frac(+%v) %.4g, reference %.4g", tau, seed, i, at-now, got, want)
+					}
+				}
+				if idle := m.rateAt(now + 20*tau); idle > 1e-6*peakRate {
+					t.Fatalf("tau %v seed %d event %d: rate %.4g after 20 tau of silence (peak %.4g)", tau, seed, i, idle, peakRate)
+				}
+			}
+		}
+	}
 }

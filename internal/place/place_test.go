@@ -142,13 +142,13 @@ func TestDirectoryLeastOccupancyReadsLevels(t *testing.T) {
 	d := place.New(place.LeastOccupancy(), func(addr int) *flow.Level { return levels[addr] })
 	d.Add(4)
 	d.Add(5)
-	levels[4].Set(0, 9)
-	levels[5].Set(0, 1)
+	levels[4].Set(9)
+	levels[5].Set(1)
 	if a, _ := d.Peek(0); a != 5 {
 		t.Fatalf("Peek(0) = %d, want the emptier 5", a)
 	}
-	levels[4].Set(time.Millisecond, 0)
-	levels[5].Set(time.Millisecond, 9)
+	levels[4].Set(0)
+	levels[5].Set(9)
 	if a, _ := d.Peek(1); a != 4 {
 		t.Fatalf("after the fill flipped, Peek(1) = %d, want 4", a)
 	}

@@ -343,7 +343,7 @@ func TestTCPStagedWorkflow(t *testing.T) {
 	if seq != n {
 		t.Fatalf("received %d blocks, want %d", seq, n)
 	}
-	ps := prod.Stats(c)
+	ps := prod.Stats()
 	if ps.BlocksRelayed != n || ps.BlocksSent != 0 {
 		t.Fatalf("relay accounting: relayed=%d sent=%d", ps.BlocksRelayed, ps.BlocksSent)
 	}

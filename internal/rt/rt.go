@@ -22,10 +22,11 @@ import (
 // simulated threads wrap their engine process.
 type Ctx interface {
 	// Now reports elapsed time since the platform epoch. This is the only
-	// clock the runtime reads: the flow-control plane's EWMA gauges and the
-	// adaptive routing controller are driven entirely by these timestamps
-	// (virtual time under simenv), never by a wall clock of their own, so
-	// control behavior is identical — and deterministic — on both platforms.
+	// clock the runtime reads: the adaptive routing controller, the stager's
+	// arbiter and every busy and stall total are driven entirely by these
+	// timestamps (virtual time under simenv), never by a wall clock of their
+	// own, so control behavior is identical — and deterministic — on both
+	// platforms.
 	Now() time.Duration
 	// Sleep pauses the calling thread for d.
 	Sleep(d time.Duration)

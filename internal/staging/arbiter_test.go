@@ -352,7 +352,7 @@ func TestArbiterFloodWithOneHiccup(t *testing.T) {
 		r.checkDelivered()
 		out, back := r.store.spillOps()
 		t.Logf("overflowed %d of %d blocks; peak %d resident, %d after the backlog cleared; producers stalled %v",
-			out, r.sent, r.st.FinalStats().MaxQueued, r.maxAfter, r.stall)
+			out, r.sent, r.st.Stats(nil).MaxQueued, r.maxAfter, r.stall)
 		if out == 0 || back != out {
 			t.Fatalf("%d blocks overflowed, %d re-read: the hiccup should have spilled, and all of it must come back", out, back)
 		}
@@ -365,7 +365,7 @@ func TestArbiterFloodWithOneHiccup(t *testing.T) {
 		if limit := r.st.passDepth + simBatch; r.maxAfter > limit {
 			t.Fatalf("after the backlog cleared the buffer held %d blocks, want ≤ pass-through depth + one message = %d", r.maxAfter, limit)
 		}
-		if st := r.st.FinalStats(); st.MaxQueued <= int64(r.st.passDepth+simBatch) {
+		if st := r.st.Stats(nil); st.MaxQueued <= int64(r.st.passDepth+simBatch) {
 			t.Fatalf("peak occupancy %d: the hiccup never pushed the buffer past the pass-through depth, so the test shows nothing", st.MaxQueued)
 		}
 	})
@@ -389,7 +389,7 @@ func TestArbiterQuietFloodWritesNothing(t *testing.T) {
 		if out, _ := r.store.spillOps(); out != 0 || r.store.appends != 0 {
 			t.Fatalf("a quiet flood put %d blocks on the PFS (%d log appends), want none", out, r.store.appends)
 		}
-		if st := r.st.FinalStats(); st.MaxQueued > int64(r.st.passDepth+simBatch) {
+		if st := r.st.Stats(nil); st.MaxQueued > int64(r.st.passDepth+simBatch) {
 			t.Fatalf("peak occupancy %d on a quiet flood, want ≤ pass-through depth + one message = %d", st.MaxQueued, r.st.passDepth+simBatch)
 		}
 	})

@@ -507,7 +507,7 @@ func TestCorruptSegmentDeclaredLost(t *testing.T) {
 				t.Fatal("stream with corrupted log records never terminated")
 			}
 			cons.Wait(r.c)
-			cs := cons.Stats(r.c)
+			cs := cons.Stats()
 			if cs.BlocksLost != 2 || received != blocks-2 {
 				t.Fatalf("received %d blocks, %d declared lost; want %d / 2", received, cs.BlocksLost, blocks-2)
 			}

@@ -128,7 +128,7 @@ func TestProducerReducedRelaySurvivesSpill(t *testing.T) {
 	if st.BytesOnWire >= raw {
 		t.Fatalf("forwarded %d bytes, want under the %d raw (producer encoded)", st.BytesOnWire, raw)
 	}
-	ps := r.prod[0].Stats(ctx)
+	ps := r.prod[0].Stats()
 	if ps.BytesReduced == 0 {
 		t.Fatal("producer reports no reduction despite Reduce configured")
 	}

@@ -53,6 +53,7 @@ package staging
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"zipper/internal/block"
@@ -162,29 +163,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a snapshot of one stager endpoint's flow gauges: lifetime totals
-// plus the live buffer occupancy and EWMA forwarding rate at snapshot time.
+// Stats is a snapshot of one stager endpoint's counters: lifetime totals
+// plus the live buffer occupancy at snapshot time.
 type Stats struct {
 	BlocksIn        int64         // blocks received from producers
 	BlocksForwarded int64         // blocks delivered to consumers
 	BlocksSpilled   int64         // blocks that overflowed to the spill store
 	SpilledBytes    int64         // payload bytes that overflowed to the spill store
-	DiskRefs        int64         // producer disk-ref announcements relayed
 	MessagesIn      int64         // mixed messages received
 	MessagesOut     int64         // mixed messages forwarded (re-batched)
 	BytesOnWire     int64         // payload bytes forwarded (encoded size when reduced)
 	BytesReduced    int64         // payload bytes reduction kept off the wire (raw − encoded)
 	ReduceBursts    int64         // times the compress-instead-of-spill gate engaged
 	MaxQueued       int64         // peak in-memory buffer occupancy in blocks
-	RecvBusy        time.Duration // receiver thread time in Recv
-	ForwardBusy     time.Duration // forwarder thread time in Send
 	SpillBusy       time.Duration // spiller time writing + forwarder time re-reading
 	Finished        time.Duration // when the forwarder delivered the last batch
-
-	// Live gauges at snapshot time.
-	Queued      int     // blocks currently resident in the in-memory buffer
-	Capacity    int     // the buffer's capacity in blocks
-	ForwardRate float64 // blocks/s the forwarder is delivering (EWMA)
+	Queued          int           // blocks currently resident in the in-memory buffer
+	Capacity        int           // the buffer's capacity in blocks
 }
 
 // relayBlock is one buffered block: resident in memory, being spilled, or
@@ -212,11 +207,11 @@ type relayBlock struct {
 // another job's routing signals. quota/used mutate only under the stager
 // lock; the gauges are lock-order leaves readable from any thread.
 type tenantState struct {
-	quota   int        // admission cap in resident blocks; 0 = uncapped
-	used    int        // resident blocks charged to this tenant
-	level   flow.Level // used vs quota (capacity falls back to BufferBlocks)
-	in      flow.Meter // lifetime blocks admitted
-	spilled flow.Meter // lifetime blocks spilled off this tenant's account
+	quota   int          // admission cap in resident blocks; 0 = uncapped
+	used    int          // resident blocks charged to this tenant
+	level   flow.Level   // used vs quota (capacity falls back to BufferBlocks)
+	in      flow.Counter // lifetime blocks admitted
+	spilled flow.Counter // lifetime blocks spilled off this tenant's account
 }
 
 // slot is one received mixed message, decomposed and queued in arrival
@@ -293,7 +288,7 @@ type Stager struct {
 	killed      bool // crashed via Kill; threads stop at their next boundary
 	unleased    bool // clean-drain Unlease already ran
 	err         error
-	finished    time.Duration
+	finished    atomic.Int64 // when the forwarder exited, as a time.Duration
 	fl          flow.StagerFlows
 	ten         []*tenantState // pre-sized per-tenant states; nil when single-tenant
 }
@@ -381,12 +376,11 @@ func (s *Stager) Occupancy() (queued, capacity int) {
 	return s.fl.Queue.Get()
 }
 
-// Level exposes the buffer-occupancy gauge itself so the flow-control plane
-// can read both the instantaneous fill and its time-weighted average. This
-// is what core.Config.StagerLevel should return.
+// Level exposes the buffer-occupancy gauge itself, the live fill and its
+// peak. This is what core.Config.StagerLevel should return.
 func (s *Stager) Level() *flow.Level { return &s.fl.Queue }
 
-// Flows exposes the module's live flow gauges.
+// Flows exposes the module's live counters and occupancy.
 func (s *Stager) Flows() *flow.StagerFlows { return &s.fl }
 
 // TenantLevel exposes tenant's occupancy gauge (resident blocks vs its
@@ -455,12 +449,12 @@ func (s *Stager) tenantOf(from int) *tenantState {
 
 // chargeTenantLocked moves delta resident blocks onto (or off) ts's account
 // and refreshes its occupancy gauge.
-func (s *Stager) chargeTenantLocked(now time.Duration, ts *tenantState, delta int) {
+func (s *Stager) chargeTenantLocked(ts *tenantState, delta int) {
 	if ts == nil {
 		return
 	}
 	ts.used += delta
-	ts.level.Set(now, ts.used)
+	ts.level.Set(ts.used)
 }
 
 // Err reports a runtime failure (an unwritable or unreadable spill block, a
@@ -562,54 +556,33 @@ func (s *Stager) maybeUnleaseLocked(c rt.Ctx) {
 	}
 }
 
-// snapshot assembles a stats snapshot with rates evaluated at `now`.
-func (s *Stager) snapshot(now time.Duration, live bool) Stats {
+// Stats returns a snapshot of the module's counters and buffer occupancy,
+// taking none of the module's locks; it is final once Wait has returned. c is
+// unused (pass nil if there is none) and stays for the callers that pass one.
+func (s *Stager) Stats(c rt.Ctx) Stats {
 	st := Stats{
 		BlocksIn:        s.fl.In.Total(),
 		BlocksForwarded: s.fl.Forwarded.Total(),
 		BlocksSpilled:   s.fl.Spilled.Total(),
 		SpilledBytes:    s.fl.SpilledBytes.Total(),
-		DiskRefs:        s.fl.DiskRefs.Total(),
 		MessagesIn:      s.fl.MessagesIn.Total(),
 		MessagesOut:     s.fl.MessagesOut.Total(),
 		BytesOnWire:     s.fl.WireBytes.Total(),
 		BytesReduced:    s.fl.SavedBytes.Total(),
 		MaxQueued:       s.fl.Queue.Max(),
-		RecvBusy:        s.fl.RecvBusy.TotalDur(),
-		ForwardBusy:     s.fl.ForwardBusy.TotalDur(),
-		SpillBusy:       s.fl.SpillBusy.TotalDur(),
-		Finished:        s.finished,
+		SpillBusy:       time.Duration(s.fl.SpillBusy.Total()),
+		Finished:        time.Duration(s.finished.Load()),
 	}
 	if s.gate != nil {
 		st.ReduceBursts = s.gate.Engagements()
 	}
 	st.Queued, st.Capacity = s.fl.Queue.Get()
-	if live {
-		st.ForwardRate = s.fl.Forwarded.Rate(now)
-	} else {
-		st.ForwardRate = s.fl.Forwarded.LastRate()
-	}
 	return st
 }
 
-// Stats returns a snapshot of the module's flow gauges: totals plus the live
-// buffer occupancy and forwarding rate as of the calling thread's clock.
-// Call after Wait for final totals.
-func (s *Stager) Stats(c rt.Ctx) Stats {
-	s.lk.Lock(c)
-	st := s.snapshot(c.Now(), true)
-	s.lk.Unlock(c)
-	return st
-}
-
-// FinalStats returns the counters without a platform clock. It is safe only
-// once the platform has fully stopped; rates are reported as of each gauge's
-// last event.
-func (s *Stager) FinalStats() Stats { return s.snapshot(0, false) }
-
-func (s *Stager) setOccLocked(now time.Duration, n int) {
+func (s *Stager) setOccLocked(n int) {
 	s.memBlocks = n
-	s.fl.Queue.Set(now, n)
+	s.fl.Queue.Set(n)
 }
 
 // receiverThread admits relayed mixed messages into the queue until every
@@ -621,10 +594,8 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 	for {
 		start := c.Now()
 		m, ok := s.in.Recv(c)
-		now := c.Now()
-		busy := now - start
+		end := c.Now()
 		s.lk.Lock(c)
-		s.fl.RecvBusy.AddDur(now, busy)
 		if !ok {
 			break // inbox closed under us: treat as end of stream
 		}
@@ -643,7 +614,7 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 			continue
 		}
 		if s.cfg.Recorder != nil && len(m.Blocks) > 0 {
-			s.cfg.Recorder.Add(s.traceName("receiver"), "recv", start, start+busy)
+			s.cfg.Recorder.Add(s.traceName("receiver"), "recv", start, end)
 		}
 		if m.Retire {
 			// The scaler retires this endpoint: the pool membership change
@@ -670,7 +641,6 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 			((s.memBlocks > 0 && s.memBlocks+need > s.admitLimitLocked()) ||
 				(ts != nil && ts.quota > 0 && ts.used > 0 && ts.used+need > ts.quota)) {
 			s.space.Wait(c)
-			now = c.Now()
 		}
 		if s.killed {
 			// Crashed while waiting for buffer room: never admitted, so the
@@ -686,14 +656,13 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 			s.journalSlot(sl, m.Blocks)
 		}
 		s.queue = append(s.queue, sl)
-		s.setOccLocked(now, s.memBlocks+need)
+		s.setOccLocked(s.memBlocks + need)
 		if ts != nil && need > 0 {
-			s.chargeTenantLocked(now, ts, need)
-			ts.in.Add(now, int64(need))
+			s.chargeTenantLocked(ts, need)
+			ts.in.Add(int64(need))
 		}
-		s.fl.MessagesIn.Add(now, 1)
-		s.fl.In.Add(now, int64(need))
-		s.fl.DiskRefs.Add(now, int64(len(m.Disk)))
+		s.fl.MessagesIn.Add(1)
+		s.fl.In.Add(int64(need))
 		s.work.Signal()
 		if s.gate != nil {
 			s.gate.Observe(s.memBlocks)
@@ -824,7 +793,7 @@ func (s *Stager) storeLocked(n int) time.Duration {
 	if spilled == 0 {
 		return 0
 	}
-	return s.fl.SpillBusy.TotalDur() * time.Duration(n) / time.Duration(spilled)
+	return time.Duration(s.fl.SpillBusy.Total()) * time.Duration(n) / time.Duration(spilled)
 }
 
 // spillFromLocked is the occupancy above which an absorbing stager
@@ -904,7 +873,7 @@ func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []
 			taken = append(taken, rb)
 			if !rb.spilled {
 				freed++
-				s.chargeTenantLocked(now, rb.ten, -1)
+				s.chargeTenantLocked(rb.ten, -1)
 			}
 		}
 		if blocked {
@@ -927,7 +896,7 @@ func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []
 		s.queue = append(s.queue[:start], s.queue[end:]...)
 	}
 	if freed > 0 {
-		s.setOccLocked(now, s.memBlocks-freed)
+		s.setOccLocked(s.memBlocks - freed)
 		s.space.Broadcast()
 	}
 	ok = len(taken) > 0 || len(disk) > 0 || fin
@@ -951,7 +920,7 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 				// owns every stranded block and the recovery reader replays
 				// it.
 				s.forwardDone = true
-				s.finished = c.Now()
+				s.finished.Store(int64(c.Now()))
 				s.done.Broadcast()
 				s.lk.Unlock(c)
 				return
@@ -968,7 +937,7 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 					s.cfg.Journal.close(c)
 				}
 				s.forwardDone = true
-				s.finished = c.Now()
+				s.finished.Store(int64(c.Now()))
 				s.maybeUnleaseLocked(c)
 				s.done.Broadcast()
 				s.lk.Unlock(c)
@@ -1044,9 +1013,8 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		s.tr.Send(c, dest, rt.Message{From: from, Dest: dest, Blocks: blocks, Disk: disk,
 			Fin: fin, FinBlocks: finBlocks, FinDisk: finDisk, Lost: lost})
 		now := c.Now()
-		busy := now - start
 		if s.cfg.Recorder != nil && len(blocks) > 0 {
-			s.cfg.Recorder.Add(s.traceName("forwarder"), "forward", start, start+busy)
+			s.cfg.Recorder.Add(s.traceName("forwarder"), "forward", start, now)
 		}
 
 		if s.cfg.Journal != nil {
@@ -1062,13 +1030,12 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 
 		s.lk.Lock(c)
 		s.unparkLocked(dest, now)
-		s.fl.ForwardBusy.AddDur(now, busy)
-		s.fl.SpillBusy.AddDur(now, unspillBusy)
-		s.fl.MessagesOut.Add(now, 1)
-		s.fl.Forwarded.Add(now, int64(len(blocks)))
-		s.fl.WireBytes.Add(now, wireBytes)
+		s.fl.SpillBusy.Add(int64(unspillBusy))
+		s.fl.MessagesOut.Add(1)
+		s.fl.Forwarded.Add(int64(len(blocks)))
+		s.fl.WireBytes.Add(wireBytes)
 		if saved := rawBytes - wireBytes; saved > 0 {
-			s.fl.SavedBytes.Add(now, saved)
+			s.fl.SavedBytes.Add(saved)
 		}
 		if s.err == nil {
 			s.err = unspillErr
@@ -1198,8 +1165,7 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 		}
 
 		s.lk.Lock(c)
-		now := c.Now()
-		s.fl.SpillBusy.AddDur(now, busy)
+		s.fl.SpillBusy.Add(int64(busy))
 		for _, v := range victims {
 			v.spilling = false
 		}
@@ -1217,7 +1183,7 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 		for _, v := range victims {
 			v.enc = v.b.Enc
 			v.encBytes = v.b.EncBytes
-			s.fl.SpilledBytes.Add(now, v.b.WireBytes())
+			s.fl.SpilledBytes.Add(v.b.WireBytes())
 			v.b.Release() // recycle the payload: the spill copy is authoritative now
 			v.b = nil
 			v.spilled = true
@@ -1225,12 +1191,12 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 				// The spill moves the block off the tenant's resident account —
 				// the spill-heavy tenant pays the PFS detour, and its spilled
 				// meter is the signal the control plane's preemption rule reads.
-				s.chargeTenantLocked(now, v.ten, -1)
-				v.ten.spilled.Add(now, 1)
+				s.chargeTenantLocked(v.ten, -1)
+				v.ten.spilled.Add(1)
 			}
 		}
-		s.fl.Spilled.Add(now, int64(len(victims)))
-		s.setOccLocked(now, s.memBlocks-len(victims))
+		s.fl.Spilled.Add(int64(len(victims)))
+		s.setOccLocked(s.memBlocks - len(victims))
 		s.space.Broadcast()
 		s.work.Broadcast() // a forwarder parked on a mid-spill head can move again
 		s.lk.Unlock(c)

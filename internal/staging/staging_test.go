@@ -221,7 +221,7 @@ func TestRelayRoundTrip(t *testing.T) {
 		t.Fatalf("no re-batching: %d messages in, %d out", st.MessagesIn, st.MessagesOut)
 	}
 	for i, p := range r.prod {
-		ps := p.Stats(ctx)
+		ps := p.Stats()
 		if ps.BlocksSent != 0 || ps.BlocksRelayed != blocks {
 			t.Fatalf("producer %d: sent=%d relayed=%d, want 0/%d", i, ps.BlocksSent, ps.BlocksRelayed, blocks)
 		}
@@ -313,7 +313,7 @@ func TestPreserveThroughRelay(t *testing.T) {
 	if n != 2*blocks {
 		t.Fatalf("analyzed %d blocks, want %d", n, 2*blocks)
 	}
-	cs := r.cons[0].Stats(ctx)
+	cs := r.cons[0].Stats()
 	if cs.BlocksStored != 2*blocks {
 		t.Fatalf("preserved %d blocks, want %d", cs.BlocksStored, 2*blocks)
 	}
@@ -376,7 +376,7 @@ func TestFanInCreditAccounting(t *testing.T) {
 
 	var relayed, msgs int64
 	for _, p := range r.prod {
-		ps := p.Stats(ctx)
+		ps := p.Stats()
 		relayed += ps.BlocksRelayed
 		msgs += ps.Messages
 	}
@@ -387,7 +387,7 @@ func TestFanInCreditAccounting(t *testing.T) {
 		stOut += st.BlocksForwarded
 		stMsgsIn += st.MessagesIn
 	}
-	cs := r.cons[0].Stats(ctx)
+	cs := r.cons[0].Stats()
 	total := int64(producers * blocks)
 	if relayed != total || stIn != total || stOut != total || cs.BlocksReceived != total || cs.BlocksAnalyzed != total {
 		t.Fatalf("counter chain broken: relayed=%d stagerIn=%d stagerOut=%d received=%d analyzed=%d want %d",
@@ -444,7 +444,7 @@ func TestHybridPrefersDirectWhenConsumerKeepsUp(t *testing.T) {
 	if n != blocks {
 		t.Fatalf("delivered %d blocks, want %d", n, blocks)
 	}
-	ps := r.prod[0].Stats(ctx)
+	ps := r.prod[0].Stats()
 	if ps.BlocksSent < int64(blocks)*9/10 {
 		t.Fatalf("hybrid relayed under an open window: direct=%d relayed=%d", ps.BlocksSent, ps.BlocksRelayed)
 	}
@@ -516,7 +516,7 @@ func TestLossyRelayStillTerminates(t *testing.T) {
 	prod.Wait(ctx)
 	stg.Wait(ctx)
 	cons.Wait(ctx)
-	st := stg.FinalStats()
+	st := stg.Stats(nil)
 	if st.BlocksSpilled == 0 {
 		t.Skip("no spills this run; loss path not exercised")
 	}
@@ -527,4 +527,28 @@ func TestLossyRelayStillTerminates(t *testing.T) {
 		t.Fatalf("received %d blocks, want %d (sent %d, lost %d spilled)",
 			received, blocks-st.BlocksSpilled, blocks, st.BlocksSpilled)
 	}
+}
+
+// TestStatsTakesNoEndpointLock: a stager's Stats reads counters and gauges
+// only, so polling it never waits on — and never holds up — the stager's own
+// threads: with the stager's lock held, Stats still returns at once.
+func TestStatsTakesNoEndpointLock(t *testing.T) {
+	r := newRig(t, 1, 1, 1,
+		core.Config{RoutePolicy: core.RouteStaging, DisableSteal: true, BufferBlocks: 8, MaxBatchBlocks: 4},
+		Config{BufferBlocks: 64}, 2)
+	r.produce(t, 32, 64)
+	st, c := r.stage[0], r.env.Ctx()
+	st.lk.Lock(c)
+	done := make(chan struct{})
+	go func() {
+		st.Stats(nil)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Error("Stats did not return within 1s while the stager lock was held")
+	}
+	st.lk.Unlock(c)
+	<-done
 }

@@ -317,7 +317,7 @@ func RunFleet(spec FleetSpec) FleetResult {
 			continue
 		}
 		for _, p := range endpoints[i].Producers {
-			st := p.FinalStats()
+			st := p.Stats()
 			jr.BlocksWritten += st.BlocksWritten
 			jr.BlocksSent += st.BlocksSent
 			jr.BlocksRelayed += st.BlocksRelayed
@@ -327,7 +327,7 @@ func RunFleet(spec FleetSpec) FleetResult {
 			}
 		}
 		for _, cn := range endpoints[i].Consumers {
-			st := cn.FinalStats()
+			st := cn.Stats()
 			jr.BlocksAnalyzed += st.BlocksAnalyzed
 			jr.BlocksLost += st.BlocksLost
 		}
@@ -342,10 +342,10 @@ func RunFleet(spec FleetSpec) FleetResult {
 		res.Jobs = append(res.Jobs, *jr)
 	}
 	for _, in := range stagers {
-		fs := in.St.FinalStats()
+		fs := in.St.Stats(nil)
 		res.StagerRelayed = append(res.StagerRelayed, fs.BlocksIn)
 		res.StagerSpills += fs.BlocksSpilled
-		res.StagerNodeSeconds += fs.Finished.Seconds()
 	}
+	res.StagerNodeSeconds = tier.NodeSeconds()
 	return res
 }

@@ -693,7 +693,7 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 	}
 	var maxSend, maxStall, maxStore time.Duration
 	for _, p := range producers {
-		st := p.FinalStats()
+		st := p.Stats()
 		res.BlocksSent += st.BlocksSent
 		res.BlocksRelayed += st.BlocksRelayed
 		res.BlocksStolen += st.BlocksStolen
@@ -715,24 +715,25 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 	}
 	var storeCons time.Duration
 	for _, c := range consumers {
-		st := c.FinalStats()
+		st := c.Stats()
 		res.BlocksAnalyzed += st.BlocksAnalyzed
 		res.BlocksLost += st.BlocksLost
 		if st.StoreBusy > storeCons {
 			storeCons = st.StoreBusy
 		}
 	}
-	var scaler *elastic.Scaler
 	if tier != nil {
-		scaler = tier.Scaler
 		if m := tier.Monitor; m != nil {
 			res.Evictions = m.Evictions()
 			res.ReplayedBlocks = m.ReplayedBlocks()
 			res.FailoverEvents = m.Events()
 		}
+		if tier.Scaler != nil {
+			res.ScaleEvents = tier.Scaler.Events()
+		}
 	}
 	for _, in := range tier.Instances() {
-		st := in.St.FinalStats()
+		st := in.St.Stats(nil)
 		res.StagerSpills += st.BlocksSpilled
 		res.BytesOnWire += st.BytesOnWire
 		res.BytesReduced += st.BytesReduced
@@ -741,26 +742,9 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 		if st.MaxQueued > res.StagerMaxQueued {
 			res.StagerMaxQueued = st.MaxQueued
 		}
-		if scaler == nil {
-			res.StagerNodeSeconds += st.Finished.Seconds()
-		}
 	}
-	if n := len(res.StagerRelayed); n > 0 {
-		var total, peak int64
-		for _, v := range res.StagerRelayed {
-			total += v
-			if v > peak {
-				peak = v
-			}
-		}
-		if total > 0 {
-			res.RelayImbalance = float64(peak) * float64(n) / float64(total)
-		}
-	}
-	if scaler != nil {
-		res.ScaleEvents = scaler.Events()
-		res.StagerNodeSeconds = scaler.NodeSeconds()
-	}
+	res.RelayImbalance = tier.RelayImbalance()
+	res.StagerNodeSeconds = tier.NodeSeconds()
 	res.Stages = StageTimes{
 		Simulation: time.Duration(w.Steps) * w.StepTime,
 		Transfer:   maxSend,

@@ -32,7 +32,7 @@ func TestPublicKnobs(t *testing.T) {
 			"Staging.RingDepth",
 			"Fault.Enabled", "Fault.Heartbeat", "Fault.LeaseTTL",
 			"Preserve", "DisableSteal",
-			"Quota.BufferBlocks", "Quota.Share", "Quota.Priority",
+			"Quota.BufferBlocks", "Quota.Priority",
 		}},
 		{FleetConfig{}, []string{
 			"Stagers", "StagerBufferBlocks", "SpoolDir", "MaxJobs", "MaxConsumers", "MaxBatchBlocks",

@@ -48,10 +48,12 @@
 // claim up to half the consumer buffer per visit to its lock and hand the
 // rest out without it. NewPayload and Block.Release close the allocation
 // loop: steady-state transfer reuses payload buffers, block headers and
-// message slices instead of allocating fresh ones. The counters a running
-// job's Stats report are told of blocks a batch at a time, so a live
-// BlocksWritten trails the application by less than MaxBatchBlocks; after
-// Close (and, for a consumer, once Read has returned false) they are exact.
+// message slices instead of allocating fresh ones. Every endpoint counts with
+// atomic counters, so a running job's Stats reads them without taking any
+// endpoint's lock: polling it costs the application nothing. A producer's
+// Writes reach its counter a batch at a time, so a live BlocksWritten trails
+// the application by less than MaxBatchBlocks and is exact after Close; a
+// consumer's BlocksAnalyzed is exact to the last block Read returned.
 //
 // With Config.Staging.Stagers ≥ 1 and a non-direct RoutePolicy, the job adds
 // the in-transit staging tier: the sender picks a channel per batch (direct,
@@ -121,14 +123,14 @@ const (
 	// relieves through the file system).
 	RouteHybrid = core.RouteHybrid
 	// RouteAdaptive runs the closed-loop flow controller: per-channel
-	// delivered-throughput and stall EWMAs continuously rebalance the
+	// delivery-cost and producer-stall averages continuously rebalance the
 	// direct/staging split so the producer never stalls while the consumer
 	// and stagers run at their service rates. It is also the one policy
 	// that arbitrates the file-system channel: above HighWater the
 	// work-stealing writer steals only while a steal's measured cost per
 	// byte is within an order of magnitude of the cheaper network
 	// channel's (under every other policy, above HighWater means steal).
-	// The controller has no knobs: its gauges average over 20 ms, the
+	// The controller has no knobs: its stall average spans 20 ms, the
 	// staging share relaxes over 200 ms, and a saturated producer probes
 	// the minority channel every 16th decision.
 	RouteAdaptive = core.RouteAdaptive
@@ -401,9 +403,8 @@ type Config struct {
 	// policy would have elected.
 	DisableSteal bool
 	// Quota is the job's resource envelope when submitted to a shared
-	// Fleet: guaranteed stager buffer blocks, weighted bandwidth share, and
-	// preemption priority. NewJob ignores it — a private job owns its whole
-	// staging tier.
+	// Fleet: guaranteed stager buffer blocks and preemption priority. NewJob
+	// ignores it — a private job owns its whole staging tier.
 	Quota QuotaConfig
 }
 
@@ -869,9 +870,8 @@ type StagerStats struct {
 	// mid-run drain or the shutdown sweep); its totals are final.
 	Drained bool
 
-	Queued      int     // blocks currently resident in the in-memory buffer
-	Capacity    int     // the buffer's capacity in blocks
-	ForwardRate float64 // blocks/s the forwarder is delivering (live EWMA)
+	Queued   int // blocks currently resident in the in-memory buffer
+	Capacity int // the buffer's capacity in blocks
 
 	// Fault plane (zero with Fault off).
 	// Health is the fault plane's liveness state of this instance: "live",
@@ -887,11 +887,10 @@ type StagerStats struct {
 	LostBlocks     int64 // blocks declared unrecoverable at replay
 }
 
-// JobStats aggregates every endpoint's flow gauges in one call: per-endpoint
-// slices plus the workflow-wide totals and live rates a caller usually
-// wants. It may be called mid-run — the rates are EWMAs of the current
-// delivered throughput, not averages over terminal totals. Call after Wait
-// for final totals.
+// JobStats aggregates every endpoint's counters in one call: per-endpoint
+// slices plus the workflow-wide totals a caller usually wants. It may be
+// called mid-run, as often as wanted — a rate is the difference of two
+// snapshots over the time between them. Call after Wait for final totals.
 type JobStats struct {
 	Producers []ProducerStats
 	Consumers []ConsumerStats
@@ -922,10 +921,6 @@ type JobStats struct {
 	// diverge (TestZipperPlacementLeastOccupancyRebalances pins least-occupancy
 	// at half rank-affine's on a skewed workload).
 	RelayImbalance float64
-	// Live EWMA rates summed across endpoints (blocks/s at snapshot time).
-	WriteRate   float64 // application write rate across producers
-	DeliverRate float64 // delivery rate across producers, all channels
-	AnalyzeRate float64 // analysis rate across consumers
 	// Elastic staging tier (empty/zero with Elastic off).
 	// ScaleEvents is the autoscaler's action timeline so far.
 	ScaleEvents []ScaleEvent
@@ -949,7 +944,9 @@ type JobStats struct {
 	FailoverEvents []FailoverEvent
 }
 
-// Stats aggregates producer, consumer, and stager counters in one call.
+// Stats aggregates producer, consumer, and stager counters in one call. It
+// takes none of the endpoints' locks, so polling it does not hold up the
+// simulation's Writes, the runtime threads or the analysis' Reads.
 func (j *Job) Stats() JobStats {
 	var js JobStats
 	for _, p := range j.prod {
@@ -963,8 +960,6 @@ func (j *Job) Stats() JobStats {
 		js.BytesOnWire += s.BytesOnWire
 		js.BytesReduced += s.BytesReduced
 		js.WriteStall += s.WriteStall
-		js.WriteRate += s.WriteRate
-		js.DeliverRate += s.DeliverRate
 	}
 	ctx := j.pf.env.Ctx()
 	if t := j.tier; t != nil {
@@ -989,14 +984,11 @@ func (j *Job) Stats() JobStats {
 			js.BlocksSpilled += s.BlocksSpilled
 			js.BytesOnWire += s.BytesOnWire
 			js.BytesReduced += s.BytesReduced
-			if t.Scaler == nil {
-				// Without a scaler every endpoint is billed to its finish time.
-				js.StagerNodeSeconds += s.Finished.Seconds()
-			}
 		}
+		js.RelayImbalance = t.RelayImbalance()
+		js.StagerNodeSeconds = t.NodeSeconds()
 		if t.Scaler != nil {
 			js.ScaleEvents = t.Scaler.Events()
-			js.StagerNodeSeconds = t.Scaler.NodeSeconds()
 		}
 		if t.Monitor != nil {
 			js.Evictions = t.Monitor.Evictions()
@@ -1004,24 +996,11 @@ func (j *Job) Stats() JobStats {
 			js.FailoverEvents = t.Monitor.Events()
 		}
 	}
-	if n := len(js.Stagers); n > 0 {
-		var total, peak int64
-		for _, s := range js.Stagers {
-			total += s.BlocksIn
-			if s.BlocksIn > peak {
-				peak = s.BlocksIn
-			}
-		}
-		if total > 0 {
-			js.RelayImbalance = float64(peak) * float64(n) / float64(total)
-		}
-	}
 	for _, c := range j.cons {
 		s := c.Stats()
 		js.Consumers = append(js.Consumers, s)
 		js.BlocksAnalyzed += s.BlocksAnalyzed
 		js.BlocksLost += s.BlocksLost
-		js.AnalyzeRate += s.AnalyzeRate
 	}
 	return js
 }
@@ -1042,7 +1021,6 @@ func stagerStats(s staging.Stats, drained bool) StagerStats {
 		Drained:         drained,
 		Queued:          s.Queued,
 		Capacity:        s.Capacity,
-		ForwardRate:     s.ForwardRate,
 	}
 }
 
@@ -1068,12 +1046,12 @@ func (p *Producer) Write(step int, offset int64, data []byte) {
 // Close declares the stream finished. Write must not be called afterwards.
 func (p *Producer) Close() { p.p.Close(p.ctx) }
 
-// Stats returns the producer runtime module's flow gauges: totals plus the
-// live EWMA rates at call time. While the stream is open BlocksWritten trails
-// the Writes made by less than MaxBatchBlocks (Write reports to the gauge a
-// batch at a time); it is exact once Close has returned.
+// Stats returns the producer runtime module's counters, taking none of its
+// locks. While the stream is open BlocksWritten trails the Writes made by
+// less than MaxBatchBlocks (Write reports to its counter a batch at a time);
+// it is exact once Close has returned. Safe from any goroutine.
 func (p *Producer) Stats() ProducerStats {
-	s := p.p.Stats(p.ctx)
+	s := p.p.Stats()
 	return ProducerStats{
 		BlocksWritten: s.BlocksWritten,
 		BlocksSent:    s.BlocksSent,
@@ -1083,9 +1061,6 @@ func (p *Producer) Stats() ProducerStats {
 		BytesOnWire:   s.BytesOnWire,
 		BytesReduced:  s.BytesReduced,
 		WriteStall:    s.WriteStall.Seconds(),
-		WriteRate:     s.WriteRate,
-		DeliverRate:   s.DeliverRate,
-		StallFrac:     s.StallFrac,
 	}
 }
 
@@ -1102,10 +1077,6 @@ type ProducerStats struct {
 	BytesOnWire  int64   // payload bytes this producer put on the network paths (encoded size when reduced)
 	BytesReduced int64   // payload bytes reduction kept off the wire (raw − encoded)
 	WriteStall   float64 // seconds Write spent blocked on a full buffer
-	// Live EWMA gauges at snapshot time.
-	WriteRate   float64 // blocks/s the application is writing
-	DeliverRate float64 // blocks/s leaving by any channel
-	StallFrac   float64 // fraction of recent time Write sat blocked
 }
 
 // Consumer is the application-facing consumer endpoint. Its methods, and the
@@ -1142,17 +1113,17 @@ func (c *Consumer) Read() (Block, bool) {
 // Err reports a runtime failure, if any.
 func (c *Consumer) Err() error { return c.c.Err(c.ctx) }
 
-// Stats returns the consumer runtime module's flow gauges: totals plus the
-// live EWMA analysis rate at call time.
+// Stats returns the consumer runtime module's counters, taking none of its
+// locks. BlocksAnalyzed is exact to the last block Read returned. Safe from
+// any goroutine.
 func (c *Consumer) Stats() ConsumerStats {
-	s := c.c.Stats(c.ctx)
+	s := c.c.Stats()
 	return ConsumerStats{
 		BlocksReceived: s.BlocksReceived,
 		BlocksRead:     s.BlocksRead,
 		BlocksAnalyzed: s.BlocksAnalyzed,
 		BlocksStored:   s.BlocksStored,
 		BlocksLost:     s.BlocksLost,
-		AnalyzeRate:    s.AnalyzeRate,
 		Queued:         s.Queued,
 		Capacity:       s.Capacity,
 	}
@@ -1163,9 +1134,8 @@ type ConsumerStats struct {
 	BlocksReceived int64 // via the network path
 	BlocksRead     int64 // via the file-system path
 	BlocksAnalyzed int64
-	BlocksLost     int64   // blocks an upstream relay declared unrecoverable
-	BlocksStored   int64   // persisted by the Preserve-mode output thread
-	AnalyzeRate    float64 // blocks/s delivered to the analysis (live EWMA)
-	Queued         int     // blocks currently resident in the consumer buffer
-	Capacity       int     // the buffer's capacity in blocks
+	BlocksLost     int64 // blocks an upstream relay declared unrecoverable
+	BlocksStored   int64 // persisted by the Preserve-mode output thread
+	Queued         int   // blocks currently resident in the consumer buffer
+	Capacity       int   // the buffer's capacity in blocks
 }
