@@ -38,7 +38,7 @@ test-cpus:
 
 # The tests worth repeating under the race detector, in one place for `make
 # test` and the CI step alike: the send window of a ring lane and of a TCP
-# connection, the per-block allocation pins, the disk election (router
+# connection, the window credit every transport handle reports, the per-block allocation pins, the disk election (router
 # table, two-regime simulation, bursty job), the assembly (one Spec on both
 # platforms, the two error paths), the stager's arbiter and by-reference
 # journal (the regimes, a kill at every state a record can be in, the rotten
@@ -51,7 +51,8 @@ test-cpus:
 # the stoppable loop, WaitContext, no goroutine outliving Wait or Close,
 # Wait within 20 ms of the final Read).
 REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCPWindowParksSender \
-	TestTCPWindowOnePingPong TestJobTCPWindowBoundsInFlight TestPayloadCycleDoesNotAllocate \
+	TestTCPWindowOnePingPong TestJobTCPWindowBoundsInFlight TestTransportsReportWindowCredit \
+	TestPayloadCycleDoesNotAllocate \
 	TestGaugeWritesDoNotAllocate TestJobDirectCycleAllocs TestJobTCPCompressDecodeAllocs \
 	TestJobStealCycleAllocs TestAdaptiveDisk TestAdaptiveDeterministic TestOnlyAdaptiveArbitratesDisk \
 	TestDiskArbiterTwoRegimes TestStealLegacyWithoutArbiter TestJobAdaptiveArbitratesDisk \

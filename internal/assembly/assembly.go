@@ -62,7 +62,8 @@ type Platform interface {
 	Port(role Role, i int) rt.Transport
 	// Partition returns the named partition of the job's spool, "" being
 	// the spool itself. Asking twice for a name yields the same partition.
-	// A partition that is to hold a journal must be an rt.LogStore.
+	// Every partition hosts segment logs (rt.BlockStore.OpenLog), so any
+	// stager slot's partition can hold its journal.
 	Partition(name string) (rt.BlockStore, error)
 }
 

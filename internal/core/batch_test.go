@@ -25,6 +25,8 @@ func (t *captureTransport) Send(c rt.Ctx, to int, m rt.Message) {
 	t.inner.Send(c, to, m)
 }
 
+func (t *captureTransport) Credits(to int) int { return t.inner.Credits(to) }
+
 func (t *captureTransport) batchSizes() []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -153,7 +153,7 @@ type Config struct {
 	NewRouter func() flow.Router
 	// StagerLevel exposes the live occupancy gauge of the stager at a
 	// transport address; nil means occupancy is unknown and the routing
-	// policies fall back to window credit and producer buffer depth alone.
+	// policies read window credit alone.
 	StagerLevel func(addr int) *flow.Level
 	// Directory, when non-nil, replaces the fixed per-producer stager
 	// assignment with an epoch-versioned pool: the sender thread resolves

@@ -112,6 +112,8 @@ func (g *gate) Send(c rt.Ctx, to int, m rt.Message) {
 	g.inner.Send(c, to, m)
 }
 
+func (g *gate) Credits(to int) int { return g.inner.Credits(to) }
+
 // tokenGate lets one Send through per token put in the returned channel.
 func tokenGate(inner rt.Transport) (*gate, chan<- struct{}) {
 	open := make(chan struct{}, 1024)
@@ -364,6 +366,8 @@ func (l *stealLog) Send(c rt.Ctx, to int, m rt.Message) {
 	l.mu.Unlock()
 	l.inner.Send(c, to, m)
 }
+
+func (l *stealLog) Credits(to int) int { return l.inner.Credits(to) }
 
 // TestStealSeesOpenBatch: the writer thread's buffer is the one Write fills.
 // Under a slow consumer it is woken by the Write that takes the buffer above

@@ -362,7 +362,7 @@ func (p *Producer) senderThread(c rt.Ctx) {
 			break // closed, the writer gone, nothing left
 		}
 		p.diskIDs = nil
-		dest, to, route := p.routeLocked(c, len(blocks))
+		dest, to, route := p.routeLocked(c)
 		p.lk.Unlock(c)
 
 		var encodeErr error
@@ -535,11 +535,10 @@ func (p *Producer) drainBatchLocked() []*block.Block {
 // the ConsumerDirectory by the placement policy), and the transport address
 // `dest` the message is sent to (the consumer itself, or a staging relay).
 // It assembles the live backpressure signals — window credit from the
-// transport, stager occupancy from its flow gauge, and the remaining buffer
-// backlog — and lets the configured flow.Router elect the channel. Called
-// with the producer lock held, after drainBatchLocked, so what the buffer
-// holds is the remaining backlog.
-func (p *Producer) routeLocked(c rt.Ctx, batch int) (dest, to int, route flow.Route) {
+// transport and stager occupancy from its flow gauge — and lets the
+// configured flow.Router elect the channel. Called with the producer lock
+// held, after drainBatchLocked.
+func (p *Producer) routeLocked(c rt.Ctx) (dest, to int, route flow.Route) {
 	to = p.to
 	if p.cfg.ConsumerDirectory != nil {
 		if q, ok := p.cfg.ConsumerDirectory.Peek(p.rank); ok {
@@ -547,7 +546,7 @@ func (p *Producer) routeLocked(c rt.Ctx, batch int) (dest, to int, route flow.Ro
 		}
 	}
 	if p.cfg.Directory != nil {
-		dest, route = p.routePoolLocked(c, to, batch)
+		dest, route = p.routePoolLocked(c, to)
 		return dest, to, route
 	}
 	if p.stager == NoStager {
@@ -562,7 +561,7 @@ func (p *Producer) routeLocked(c rt.Ctx, batch int) (dest, to int, route flow.Ro
 		}
 		return to, to, flow.Direct
 	}
-	sig := p.signalsLocked(c, p.stager, to, batch)
+	sig := p.signalsLocked(c, p.stager, to)
 	if p.router.Route(sig) == flow.Relay {
 		return p.stager, to, flow.Relay
 	}
@@ -575,7 +574,7 @@ func (p *Producer) routeLocked(c rt.Ctx, batch int) (dest, to int, route flow.Ro
 // membership change between the signal read and the commit can redirect the
 // batch but never lands it on a retired endpoint — and the sender releases
 // the claim with Done once the send has deposited.
-func (p *Producer) routePoolLocked(c rt.Ctx, to, batch int) (int, flow.Route) {
+func (p *Producer) routePoolLocked(c rt.Ctx, to int) (int, flow.Route) {
 	addr, ok := p.cfg.Directory.Peek(p.rank)
 	p.poolEmpty = !ok
 	if !ok {
@@ -585,7 +584,7 @@ func (p *Producer) routePoolLocked(c rt.Ctx, to, batch int) (int, flow.Route) {
 	if r, fixed := flow.StaticRoute(p.router); fixed {
 		relay = r == flow.Relay
 	} else {
-		relay = p.router.Route(p.signalsLocked(c, addr, to, batch)) == flow.Relay
+		relay = p.router.Route(p.signalsLocked(c, addr, to)) == flow.Relay
 	}
 	if relay {
 		if a, ok := p.cfg.Directory.Claim(p.rank); ok {
@@ -597,21 +596,13 @@ func (p *Producer) routePoolLocked(c rt.Ctx, to, batch int) (int, flow.Route) {
 
 // signalsLocked assembles the live backpressure signals for a routing
 // decision against the stager at addr, for a batch destined to consumer to.
-func (p *Producer) signalsLocked(c rt.Ctx, addr, to, batch int) flow.Signals {
+func (p *Producer) signalsLocked(c rt.Ctx, addr, to int) flow.Signals {
 	sig := flow.Signals{
 		Now:            c.Now(),
-		Backlog:        p.queuedLocked(p.tail.Load()),
-		Capacity:       p.cfg.BufferBlocks,
-		HighWater:      p.cfg.HighWater,
-		Credits:        flow.CreditsUnknown,
-		StagerCredits:  flow.CreditsUnknown,
+		Credits:        p.tr.Credits(to),
+		StagerCredits:  p.tr.Credits(addr),
 		StagerQueued:   flow.OccupancyUnknown,
 		StagerCapacity: flow.OccupancyUnknown,
-		Batch:          batch,
-	}
-	if ct, ok := p.tr.(rt.CreditTransport); ok {
-		sig.Credits = ct.Credits(to)
-		sig.StagerCredits = ct.Credits(addr)
 	}
 	if p.cfg.StagerLevel != nil {
 		if lv := p.cfg.StagerLevel(addr); lv != nil {

@@ -34,12 +34,9 @@ func (r Route) String() string {
 	return "send"
 }
 
-// CreditsUnknown and OccupancyUnknown mark Signals fields for which the
-// platform offers no visibility (for example, window credit over TCP).
-const (
-	CreditsUnknown   = -1
-	OccupancyUnknown = -1
-)
+// OccupancyUnknown marks the stager occupancy fields of Signals when the
+// stager has no occupancy gauge (an empty tier slot).
+const OccupancyUnknown = -1
 
 // Signals is the live backpressure state visible at one routing decision.
 // The producer's sender thread assembles it, with the producer lock held,
@@ -47,63 +44,36 @@ const (
 type Signals struct {
 	// Now is the platform clock (virtual time under simenv).
 	Now time.Duration
-	// Backlog is the number of blocks still queued in the producer buffer
-	// after the drain; Capacity and HighWater are the buffer's limits.
-	Backlog   int
-	Capacity  int
-	HighWater int
-	// Credits is the consumer receive window's remaining credit, or
-	// CreditsUnknown without credit visibility.
+	// Credits is the consumer receive window's remaining credit.
 	Credits int
 	// StagerCredits is the stager endpoint's remaining receive-window
-	// credit, or CreditsUnknown. A free slot means a relay send deposits
-	// and returns immediately even while the stager's admission is
-	// working through a backlog — the most direct "would a relay block?"
-	// signal the platform offers.
+	// credit. A free slot means a relay send deposits and returns
+	// immediately even while the stager's admission is working through a
+	// backlog — the most direct "would a relay block?" signal the platform
+	// offers.
 	StagerCredits int
 	// StagerQueued / StagerCapacity are the assigned stager's live buffer
 	// occupancy, or OccupancyUnknown without an occupancy gauge.
 	StagerQueued   int
 	StagerCapacity int
-	// Batch is the number of blocks in the batch being routed. The stager
-	// admits a message only when all of its blocks fit, so Batch lets a
-	// router predict an admission wait the bare occupancy hides.
-	Batch int
+	// Backlog, Capacity, HighWater and Batch are read by no router and
+	// filled by no producer; they stay declared for bench/'s probe only.
+	Backlog, Capacity, HighWater, Batch int
 }
 
-// directBlocked reports whether a direct send would (likely) block: the
-// window is out of credit, or — without credit visibility — the producer's
-// own buffer depth says the consumer is not keeping up.
-func (s Signals) directBlocked() bool {
-	if s.Credits != CreditsUnknown {
-		return s.Credits == 0
-	}
-	return s.Backlog >= s.HighWater
-}
+// directBlocked reports whether a direct send would block: the consumer's
+// window is out of credit.
+func (s Signals) directBlocked() bool { return s.Credits == 0 }
 
-// stagerFull reports whether the stager's in-memory buffer is at capacity —
-// the reactive policy's (deliberately batch-blind, legacy-exact) predicate.
+// stagerFull reports whether the stager's in-memory buffer is at capacity:
+// the reactive policy's second signal.
 func (s Signals) stagerFull() bool {
 	return s.StagerQueued != OccupancyUnknown && s.StagerQueued >= s.StagerCapacity
 }
 
-// relayBlocked reports whether a relay send would (likely) block: with
-// credit visibility, an exhausted stager window means the send waits for a
-// slot; without it, a buffer too full to admit the whole batch predicts an
-// admission wait (the stager admits a message only when every block fits).
-func (s Signals) relayBlocked() bool {
-	if s.StagerCredits != CreditsUnknown {
-		return s.StagerCredits == 0
-	}
-	if s.StagerQueued == OccupancyUnknown {
-		return false
-	}
-	need := s.Batch
-	if need < 1 {
-		need = 1
-	}
-	return s.StagerQueued+need > s.StagerCapacity
-}
+// relayBlocked reports whether a relay send would block: the stager's
+// window is out of credit, so the send waits for a slot.
+func (s Signals) relayBlocked() bool { return s.StagerCredits == 0 }
 
 // Router elects a channel for each drained batch and absorbs the feedback
 // the producer reports afterwards. Implementations must be safe for
@@ -168,21 +138,12 @@ func Reactive() Router { return reactiveRouter{} }
 type reactiveRouter struct{}
 
 func (reactiveRouter) Route(s Signals) Route {
-	if s.Credits != CreditsUnknown {
-		if s.Credits > 0 {
-			return Direct
-		}
-		if s.stagerFull() {
-			return Direct // stager saturated too: block here, the writer steals
-		}
-		return Relay
+	// Credit means a direct send will not block. Without it, a saturated
+	// stager would block the relay too: block here, and the writer steals.
+	if s.Credits > 0 || s.stagerFull() {
+		return Direct
 	}
-	// No credit visibility: infer consumer backpressure from the producer's
-	// own buffer depth instead.
-	if s.Backlog >= s.HighWater {
-		return Relay
-	}
-	return Direct
+	return Relay
 }
 
 func (reactiveRouter) ObserveSend(Route, time.Duration, time.Duration, int, int64) {}

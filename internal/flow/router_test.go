@@ -9,7 +9,7 @@ import (
 
 // TestStaticRouters pins the fixed policies.
 func TestStaticRouters(t *testing.T) {
-	sig := Signals{Credits: 0, Backlog: 99, HighWater: 6}
+	sig := Signals{Credits: 0, StagerCredits: 5}
 	if Static(Direct).Route(sig) != Direct {
 		t.Fatal("Static(Direct) relayed")
 	}
@@ -32,8 +32,6 @@ func TestReactiveRouterMatchesLegacyCascade(t *testing.T) {
 		{"no credit, stager room", Signals{Credits: 0, StagerQueued: 10, StagerCapacity: 64}, Relay},
 		{"no credit, stager full", Signals{Credits: 0, StagerQueued: 64, StagerCapacity: 64}, Direct},
 		{"no credit, occupancy unknown", Signals{Credits: 0, StagerQueued: OccupancyUnknown, StagerCapacity: OccupancyUnknown}, Relay},
-		{"no visibility, shallow buffer", Signals{Credits: CreditsUnknown, Backlog: 2, HighWater: 6}, Direct},
-		{"no visibility, deep buffer", Signals{Credits: CreditsUnknown, Backlog: 6, HighWater: 6}, Relay},
 	}
 	for _, tc := range cases {
 		if got := r.Route(tc.sig); got != tc.want {

@@ -46,16 +46,6 @@ type BlockLog interface {
 	Close(c Ctx)
 }
 
-// LogStore is a BlockStore whose partition can also host segment logs.
-type LogStore interface {
-	BlockStore
-	// OpenLog starts a new, empty log. Every log opened on a partition — by
-	// this store or by another store over the same partition — uses segment
-	// names of its own, so a respawned stager never touches the segments a
-	// dead predecessor's replay still owns.
-	OpenLog() BlockLog
-}
-
 // Segments is the platform-independent bookkeeping behind a BlockLog: where
 // the next batch goes and when a segment can be reclaimed. The platforms map
 // segment ids to files (realenv) or PFS objects (simenv). Not safe for

@@ -284,8 +284,8 @@ func (n *ringEndpoints) Inbox(i int) rt.Inbox { return n.eps[i] }
 func (n *ringEndpoints) Endpoints() int { return len(n.eps) }
 
 var (
-	_ endpointSet        = (*chanEndpoints)(nil)
-	_ endpointSet        = (*ringEndpoints)(nil)
-	_ rt.CreditTransport = (*ringPort)(nil)
-	_ rt.Inbox           = (*ringEndpoint)(nil)
+	_ endpointSet  = (*chanEndpoints)(nil)
+	_ endpointSet  = (*ringEndpoints)(nil)
+	_ rt.Transport = (*ringPort)(nil)
+	_ rt.Inbox     = (*ringEndpoint)(nil)
 )

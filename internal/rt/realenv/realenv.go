@@ -321,7 +321,7 @@ func (s *FileStore) RemoveBlock(c rt.Ctx, id block.ID) error {
 }
 
 var (
-	_ rt.Env             = (*Env)(nil)
-	_ rt.CreditTransport = (*Network)(nil)
-	_ rt.LogStore        = (*FileStore)(nil)
+	_ rt.Env        = (*Env)(nil)
+	_ rt.Transport  = (*Network)(nil)
+	_ rt.BlockStore = (*FileStore)(nil)
 )

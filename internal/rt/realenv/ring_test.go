@@ -146,7 +146,7 @@ func TestTransportBackpressure(t *testing.T) {
 				env.Go(fmt.Sprintf("sender%d", s), func(c rt.Ctx) {
 					for i := 0; i < perSend; i++ {
 						port.Send(c, endpoint, msg(s, i))
-						if cr := port.(rt.CreditTransport).Credits(endpoint); cr < 0 || cr > depth {
+						if cr := port.Credits(endpoint); cr < 0 || cr > depth {
 							panic(fmt.Sprintf("sender %d: credits %d outside [0,%d]", s, cr, depth))
 						}
 					}
@@ -235,7 +235,7 @@ func TestRingWindowParksSender(t *testing.T) {
 	const window, total = 4, 2000
 	env := New()
 	net := NewRingNetwork(1, window)
-	port := net.Port().(rt.CreditTransport)
+	port := net.Port()
 	if got := port.Credits(0); got != window {
 		t.Fatalf("fresh lane reports %d credits, want %d", got, window)
 	}

@@ -226,12 +226,11 @@ func (l *TCPListener) acceptLoop() {
 // steady-state Send performs zero allocations and never copies payload
 // bytes.
 type TCPTransport struct {
-	mu          sync.Mutex // serializes senders: one frame on the wire at a time
-	w           *bufio.Writer
-	c           net.Conn
-	hdr         []byte   // reusable frame-header scratch
-	vecs        [][]byte // reusable backing for the vectored write
-	vectoredMin int
+	mu   sync.Mutex // serializes senders: one frame on the wire at a time
+	w    *bufio.Writer
+	c    net.Conn
+	hdr  []byte   // reusable frame-header scratch
+	vecs [][]byte // reusable backing for the vectored write
 
 	// The send window: Send parks while `window` messages are
 	// unacknowledged. 0 means unbounded and no acknowledgement reader — for
@@ -260,10 +259,9 @@ func DialTCP(addr string, window int) (*TCPTransport, error) {
 
 func newTCPTransport(c net.Conn, window int) *TCPTransport {
 	t := &TCPTransport{
-		w:           bufio.NewWriterSize(c, 1<<20),
-		c:           c,
-		vectoredMin: defaultVectoredMin,
-		window:      window,
+		w:      bufio.NewWriterSize(c, 1<<20),
+		c:      c,
+		window: window,
 	}
 	if window > 0 {
 		t.ackCv = sync.NewCond(&t.ackMu)
@@ -328,20 +326,6 @@ func (t *TCPTransport) Credits(to int) int {
 	t.ackMu.Lock()
 	defer t.ackMu.Unlock()
 	return t.window - t.unacked
-}
-
-// SetVectoredMin adjusts the payload size at which Send switches to the
-// vectored (writev) path: 0 restores the default, a negative value disables
-// the vectored path entirely so every frame takes the buffered-copy path —
-// the pre-v5 behavior, kept reachable for benchmarking the two against
-// each other.
-func (t *TCPTransport) SetVectoredMin(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n == 0 {
-		n = defaultVectoredMin
-	}
-	t.vectoredMin = n
 }
 
 // Send frames and writes the message. It is safe for concurrent use by the
@@ -413,7 +397,7 @@ func (t *TCPTransport) writeFrame(to int, m rt.Message) error {
 	}
 	t.hdr = hdr // keep the grown scratch for the next frame
 
-	if t.vectoredMin >= 0 && payload >= int64(t.vectoredMin) {
+	if payload >= defaultVectoredMin {
 		// Vectored path: nothing is buffered (Send always leaves the bufio
 		// writer flushed), so the whole frame — header segment plus every
 		// payload in place — leaves in one writev.
@@ -624,4 +608,4 @@ func (fr *frameReader) next() (int, rt.Message, error) {
 	return int(to), m, nil
 }
 
-var _ rt.CreditTransport = (*TCPTransport)(nil)
+var _ rt.Transport = (*TCPTransport)(nil)

@@ -88,23 +88,58 @@ func frameMessages() []rt.Message {
 	return ms
 }
 
+// frameMessageSets returns frameMessages twice, keyed by the write path the
+// payload size sends it down: as built, where every frame carries less than
+// defaultVectoredMin and takes the buffered copy, and with every non-empty
+// payload grown past defaultVectoredMin, so every frame that carries data
+// goes out vectored. It fails t if either premise does not hold.
+func frameMessageSets(t *testing.T) map[string][]rt.Message {
+	t.Helper()
+	grown := frameMessages()
+	for _, m := range grown {
+		for _, b := range m.Blocks {
+			// Messages share blocks, so grow each one once.
+			if n := len(b.Data); n > 0 && n <= defaultVectoredMin {
+				b.Data = bytes.Repeat(b.Data, defaultVectoredMin/n+1)
+				if b.Enc != 0 {
+					b.EncBytes = int64(len(b.Data))
+					b.Bytes += b.EncBytes
+				} else {
+					b.Bytes = int64(len(b.Data))
+				}
+			}
+		}
+	}
+	sets := map[string][]rt.Message{"copy": frameMessages(), "vectored": grown}
+	for path, ms := range sets {
+		for i, m := range ms {
+			var payload int
+			for _, b := range m.Blocks {
+				payload += len(b.Data)
+			}
+			if vectored := payload >= defaultVectoredMin; payload > 0 && vectored != (path == "vectored") {
+				t.Fatalf("%s frame %d carries %d payload bytes", path, i, payload)
+			}
+		}
+	}
+	return sets
+}
+
 // TestFrameV5RoundTrip proves encode→decode is the identity for every
 // flag/field combination, on both the buffered-copy and vectored write
 // paths.
 func TestFrameV5RoundTrip(t *testing.T) {
-	for _, vectoredMin := range []int{-1, 1} {
+	for path, msgs := range frameMessageSets(t) {
 		conn := &memConn{}
 		tr := newTCPTransport(conn, 0)
-		tr.SetVectoredMin(vectoredMin)
 		c := New().Ctx()
-		msgs := frameMessages()
 		for i, m := range msgs {
 			tr.Send(c, i%7, m)
 		}
 		for i, want := range msgs {
 			to, got, err := readFrame(&conn.buf)
 			if err != nil {
-				t.Fatalf("vectoredMin=%d frame %d: %v", vectoredMin, i, err)
+				t.Fatalf("%s frame %d: %v", path, i, err)
 			}
 			if to != i%7 {
 				t.Fatalf("frame %d: to=%d want %d", i, to, i%7)
@@ -177,21 +212,22 @@ func TestWriteFrameAllocs(t *testing.T) {
 
 // BenchmarkWriteFrame measures the two send paths over a discard sink so
 // the numbers isolate framing cost: header assembly plus either the bufio
-// memcpy (copy) or iovec assembly (vectored), one row each; the vectored
-// path's allocations are pinned by TestWriteFrameAllocs.
+// memcpy or iovec assembly. The frames sit on either side of the 16 KiB
+// defaultVectoredMin, so the 4 KiB row takes the copy and the 256 KiB row
+// the vectored write; the vectored path's allocations are pinned by
+// TestWriteFrameAllocs.
 func BenchmarkWriteFrame(b *testing.B) {
 	for _, bench := range []struct {
-		name        string
-		vectoredMin int
+		name              string
+		blocks, blockSize int
 	}{
-		{"copy", -1},
-		{"vectored", 1},
+		{"copy-4KiB", 4, 1 << 10},
+		{"vectored-256KiB", 16, 16 << 10},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			tr := newTCPTransport(&discardConn{}, 0)
-			tr.SetVectoredMin(bench.vectoredMin)
 			c := New().Ctx()
-			m := benchMessage(16, 256<<10)
+			m := benchMessage(bench.blocks, bench.blockSize)
 			b.SetBytes(m.PayloadBytes())
 			b.ReportAllocs()
 			b.ResetTimer()

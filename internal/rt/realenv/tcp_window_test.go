@@ -151,13 +151,11 @@ func ackingPeer(conn net.Conn, per int, got chan<- rt.Message) {
 // — so the sender parks on every other Send and a coalesced count reopens
 // the whole window.
 func TestFrameAckedRoundTrip(t *testing.T) {
-	for _, vectoredMin := range []int{-1, 1} {
+	for path, msgs := range frameMessageSets(t) {
 		near, far := net.Pipe()
 		tr := newTCPTransport(near, 2)
-		tr.SetVectoredMin(vectoredMin)
 		got := make(chan rt.Message)
 		go ackingPeer(far, 2, got)
-		msgs := frameMessages()
 		go func() {
 			c := New().Ctx()
 			for i, m := range msgs {
@@ -169,7 +167,7 @@ func TestFrameAckedRoundTrip(t *testing.T) {
 		}
 		for deadline := time.Now().Add(5 * time.Second); tr.Credits(0) != 2; {
 			if time.Now().After(deadline) {
-				t.Fatalf("vectoredMin=%d: %d credits after every frame was acknowledged, want 2", vectoredMin, tr.Credits(0))
+				t.Fatalf("%s: %d credits after every frame was acknowledged, want 2", path, tr.Credits(0))
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -33,14 +33,13 @@ type WireBenchResult struct {
 
 // BenchWriteFrame measures the frame-v5 send path: `frames` Sends of a
 // message carrying `blocks` payloads of blockBytes each into a discard
-// sink. vectoredMin is handed to SetVectoredMin — pass a negative value to
-// force the buffered-copy path (the pre-v5 behavior) and 0 for the default
-// vectored threshold, so callers can put the two paths side by side. It
-// backs bench's realenv.frame_write_ns_per_block layer metric.
-func BenchWriteFrame(frames, blocks, blockBytes, vectoredMin int) WireBenchResult {
+// sink. The payload size alone picks the write path: a frame carrying
+// 16 KiB or more goes out vectored, a smaller one through the buffered copy.
+// It backs bench's realenv.frame_write_ns_per_block layer metric. The fourth
+// parameter is ignored; it is kept only for that caller, which passes 0.
+func BenchWriteFrame(frames, blocks, blockBytes, _ int) WireBenchResult {
 	sink := &sinkConn{}
 	tr := newTCPTransport(sink, 0)
-	tr.SetVectoredMin(vectoredMin)
 	c := New().Ctx()
 
 	m := rt.Message{From: 1, Dest: 2}

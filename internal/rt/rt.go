@@ -8,6 +8,10 @@
 //   - simenv: the discrete-event engine with the fabric and PFS models — for
 //     re-running the paper's cluster-scale experiments in virtual time.
 //
+// Every platform implements the whole contract — a Transport's window
+// credit and a BlockStore's segment logs included — so nothing probes for a
+// part of it, and both platforms run the same code path.
+//
 // Everything that blocks takes a Ctx so the simulated platform can park the
 // calling virtual process.
 package rt
@@ -140,23 +144,16 @@ func (m Message) WireBytes() int64 {
 
 // Transport sends mixed messages to consumer endpoints over the low-latency
 // network path. Send blocks while the destination's receive window is full —
-// the backpressure that ultimately stalls producers and triggers stealing.
+// the backpressure that ultimately stalls producers and triggers stealing —
+// and Credits reports that window, so the producer's routing policy and the
+// stager's arbiter can tell, without sending, whether a send would block.
 // With a staging tier the same address space carries stager endpoints after
 // the consumer endpoints (addresses Q..Q+S-1).
 type Transport interface {
 	Send(c Ctx, to int, m Message)
-}
-
-// CreditTransport is optionally implemented by transports that can report
-// the remaining receive-window credit of an endpoint without sending. The
-// producer's hybrid routing policy uses it as its first live-backpressure
-// signal: credit available means the direct path will not block. All three
-// realenv transports implement it — a TCP connection reports the free part
-// of its acknowledged send window — and a transport without credit
-// visibility simply does not, and the policy falls back to local signals.
-type CreditTransport interface {
-	Transport
-	// Credits reports how many messages endpoint `to` can accept right now.
+	// Credits reports how many messages endpoint `to` can accept right now:
+	// the free part of its receive window (over TCP, of the connection's
+	// acknowledged send window).
 	Credits(to int) int
 }
 
@@ -167,7 +164,7 @@ type Inbox interface {
 }
 
 // BlockStore is the parallel-file-system path for spilling, preserving, and
-// re-reading blocks.
+// re-reading blocks. Its partition also hosts segment logs (log.go).
 type BlockStore interface {
 	// WriteBlock persists a block.
 	WriteBlock(c Ctx, b *block.Block) error
@@ -176,4 +173,9 @@ type BlockStore interface {
 	ReadBlock(c Ctx, id block.ID, bytes int64) (*block.Block, error)
 	// RemoveBlock deletes a spilled block (No-Preserve mode reclamation).
 	RemoveBlock(c Ctx, id block.ID) error
+	// OpenLog starts a new, empty log. Every log opened on a partition — by
+	// this store or by another store over the same partition — uses segment
+	// names of its own, so a respawned stager never touches the segments a
+	// dead predecessor's replay still owns.
+	OpenLog() BlockLog
 }

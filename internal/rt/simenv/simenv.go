@@ -289,7 +289,7 @@ func (l *segLog) Release(c rt.Ctx, ref rt.LogRef) { l.tab.Release(ref.Seg) }
 func (l *segLog) Close(c rt.Ctx) { l.tab = rt.Segments{} }
 
 var (
-	_ rt.Env             = (*Env)(nil)
-	_ rt.CreditTransport = (*Network)(nil)
-	_ rt.LogStore        = (*Store)(nil)
+	_ rt.Env        = (*Env)(nil)
+	_ rt.Transport  = (*Network)(nil)
+	_ rt.BlockStore = (*Store)(nil)
 )

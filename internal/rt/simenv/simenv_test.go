@@ -105,6 +105,51 @@ func TestNetworkWindowBackpressureAndXmitWait(t *testing.T) {
 	}
 }
 
+// TestNetworkReportsWindowCredit is realenv's TestTransportsReportWindowCredit
+// on the simulated network: the whole window fresh, within [0, window] while
+// a receiver that takes nothing for 100ms lets a flood back up — and empty
+// by the time it does — and whole again once everything has been received.
+func TestNetworkReportsWindowCredit(t *testing.T) {
+	const window, total = 3, 20
+	e, f, _ := rig()
+	net := NewNetwork(e, f, []fabric.NodeID{1}, window)
+	if got := net.Credits(0); got != window {
+		t.Fatalf("fresh network reports %d credits, want %d", got, window)
+	}
+	var ranDry bool
+	NewEnv(e, 0, 0).Go("sender", func(c rt.Ctx) {
+		for i := 0; i < total; i++ {
+			cr := net.Credits(0)
+			if cr < 0 || cr > window {
+				t.Errorf("before send %d: %d credits, window %d", i, cr, window)
+			}
+			ranDry = ranDry || cr == 0
+			net.Send(c, 0, rt.Message{From: 0, Blocks: []*block.Block{block.NewSized(block.ID{Seq: i}, 0, 4<<10)}})
+		}
+	})
+	NewEnv(e, 1, 0).Go("receiver", func(c rt.Ctx) {
+		c.Sleep(100 * time.Millisecond)
+		if cr := net.Credits(0); cr != 0 {
+			t.Errorf("after 100ms of flood with nothing received: %d credits, want 0", cr)
+		}
+		for i := 0; i < total; i++ {
+			if m, ok := net.Inbox(0).Recv(c); !ok || m.Blocks[0].ID.Seq != i {
+				t.Errorf("receive %d: ok=%v", i, ok)
+			}
+			c.Sleep(time.Millisecond)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ranDry {
+		t.Fatal("the sender never saw the window run dry")
+	}
+	if got := net.Credits(0); got != window {
+		t.Fatalf("%d credits after everything was received, want %d", got, window)
+	}
+}
+
 func TestStoreUsesCallerNode(t *testing.T) {
 	e, f, fs := rig()
 	st := NewStore(fs, "t")

@@ -407,7 +407,7 @@ func TestArbiterFirstOverflowTimesTheStore(t *testing.T) {
 		r := newSimRig(t, fault, Config{BufferBlocks: 128}) // spill threshold 96
 		var at []int                                        // resident blocks as each overflow starts
 		r.store.onSpill = func() {
-			q, _ := r.st.Occupancy()
+			q, _ := r.st.Level().Get()
 			at = append(at, q)
 		}
 		var done int

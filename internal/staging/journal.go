@@ -86,13 +86,7 @@ type Journal struct {
 func NewJournal() *Journal { return &Journal{} }
 
 // open starts the journal's segment log in the stager's spill partition.
-func (j *Journal) open(fs rt.BlockStore) {
-	ls, ok := fs.(rt.LogStore)
-	if !ok {
-		panic("staging: a crash journal requires a spill store that hosts segment logs (rt.LogStore)")
-	}
-	j.log = ls.OpenLog()
-}
+func (j *Journal) open(fs rt.BlockStore) { j.log = fs.OpenLog() }
 
 // pushLocked appends r to the undelivered list.
 func (j *Journal) pushLocked(r *Record) {

@@ -146,7 +146,7 @@ func (r *walRig) waitAdmitted(st *Stager, blocks int64) {
 func (r *walRig) waitSpilledDownTo(highWater int) {
 	r.t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if q, _ := r.st.Occupancy(); q <= highWater {
+		if q, _ := r.st.Level().Get(); q <= highWater {
 			return
 		}
 		if time.Now().After(deadline) {

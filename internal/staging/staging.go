@@ -68,7 +68,7 @@ type Config struct {
 	// BufferBlocks is the in-memory buffer capacity in blocks (default 64).
 	// The receiver admits a message only when its blocks fit; a producer
 	// sending to a full stager blocks on the stager's receive window, which
-	// is the backpressure the hybrid routing policy reads via Occupancy.
+	// is the backpressure the hybrid routing policy reads via Level.
 	// Above ¾ of it (the high-water mark) the spiller thread overflows the
 	// newest buffered blocks to the spill store so the head of the queue
 	// keeps flowing from memory.
@@ -133,9 +133,8 @@ type Config struct {
 	// the embedder, one per stager instance: it and the spill partition are
 	// what survives the endpoint, so the recovery reader (Replay) can
 	// re-forward what the crash stranded. The death of the whole process is
-	// not covered and never was (see journal.go). Requires Managed and a
-	// spill store that hosts logs (rt.LogStore). Enables Kill-based fault
-	// injection.
+	// not covered and never was (see journal.go). Requires Managed.
+	// Enables Kill-based fault injection.
 	Journal *Journal
 	// Heartbeat, when non-nil, is invoked every HeartbeatInterval by a
 	// dedicated thread while the stager is healthy — the lease renewal. A
@@ -230,13 +229,12 @@ type slot struct {
 
 // Stager is one in-transit staging endpoint.
 type Stager struct {
-	env    rt.Env
-	cfg    Config
-	id     int
-	in     rt.Inbox
-	tr     rt.Transport
-	credit rt.CreditTransport // tr's credit view; nil without credit visibility
-	fs     rt.BlockStore      // spill partition; nil disables spilling
+	env rt.Env
+	cfg Config
+	id  int
+	in  rt.Inbox
+	tr  rt.Transport
+	fs  rt.BlockStore // spill partition
 
 	// Compress-instead-of-spill rung (Config.Reduce with OnPressure):
 	// gate flips under the stager lock as occupancy crosses its thresholds,
@@ -302,26 +300,22 @@ type blockEncoder interface {
 
 // NewStager builds the runtime module for stager endpoint id, draining `in`
 // and forwarding over `tr` to consumer endpoints, spilling overflow through
-// fs (nil disables the spill path), and starts its receiver, forwarder, and
-// spiller threads.
+// fs, its spill partition, and starts its receiver, forwarder, and spiller
+// threads.
 func NewStager(env rt.Env, cfg Config, id int, in rt.Inbox, tr rt.Transport, fs rt.BlockStore) *Stager {
 	cfg = cfg.withDefaults()
 	if !cfg.Managed && cfg.Producers < 1 {
 		panic("staging: stager needs at least one producer")
 	}
 	if cfg.Journal != nil {
-		if !cfg.Managed || fs == nil {
-			panic("staging: a crash journal requires a managed stager with a spill store")
+		if !cfg.Managed {
+			panic("staging: a crash journal requires a managed stager")
 		}
 		cfg.Journal.open(fs)
 	}
 	s := &Stager{env: env, cfg: cfg, id: id, in: in, tr: tr, fs: fs}
-	s.credit, _ = tr.(rt.CreditTransport)
 	s.passDepth = min(4*cfg.MaxBatchBlocks, cfg.BufferBlocks)
 	s.parkedOn = -1
-	// Without credit visibility every Send may be a wait on the consumer:
-	// the stager absorbs throughout.
-	s.absorbing = s.credit == nil
 	highWater := max(1, cfg.BufferBlocks*3/4)
 	s.spillAt = highWater
 	if cfg.Reduce.Enabled() && cfg.Reduce.OnPressure {
@@ -354,11 +348,7 @@ func NewStager(env rt.Env, cfg Config, id int, in rt.Inbox, tr rt.Transport, fs 
 	s.done = s.lk.NewCond(fmt.Sprintf("zstage.%d.done", id))
 	env.Go(fmt.Sprintf("zstage.%d.receiver", id), s.receiverThread)
 	env.Go(fmt.Sprintf("zstage.%d.forwarder", id), s.forwarderThread)
-	if fs != nil {
-		env.Go(fmt.Sprintf("zstage.%d.spiller", id), s.spillerThread)
-	} else {
-		s.spillDone = true
-	}
+	env.Go(fmt.Sprintf("zstage.%d.spiller", id), s.spillerThread)
 	if cfg.Heartbeat != nil && cfg.HeartbeatInterval > 0 {
 		s.beat = rt.StartLoop(env, fmt.Sprintf("zstage.%d.heartbeat", id), cfg.HeartbeatInterval, cfg.Heartbeat, nil)
 	}
@@ -367,13 +357,6 @@ func NewStager(env rt.Env, cfg Config, id int, in rt.Inbox, tr rt.Transport, fs 
 
 func (s *Stager) traceName(thread string) string {
 	return fmt.Sprintf("zstage.%d.%s", s.id, thread)
-}
-
-// Occupancy reports the live in-memory buffer fill (blocks) and its
-// capacity. It is safe to call from any thread without the stager lock —
-// producers poll it on every routing decision.
-func (s *Stager) Occupancy() (queued, capacity int) {
-	return s.fl.Queue.Get()
 }
 
 // Level exposes the buffer-occupancy gauge itself, the live fill and its
@@ -730,10 +713,7 @@ func (s *Stager) admitLimitLocked() int {
 // depends on the Send coming back. An absorbing stager stays so until dest
 // shows credit again.
 func (s *Stager) electLocked(dest int, now time.Duration) {
-	if s.credit == nil {
-		return
-	}
-	if s.credit.Credits(dest) > 0 {
+	if s.tr.Credits(dest) > 0 {
 		s.parkedOn, s.absorbing = -1, false
 		return
 	}
@@ -827,12 +807,11 @@ func (s *Stager) spillFromLocked() int {
 //
 // On a multi-tenant stager the batch does not have to start at the head:
 // one tenant's slow consumer must not stall every other tenant's traffic
-// behind it. When the transport reports receive credits, the batch starts
-// at the earliest run whose destination can accept a message right now —
-// per-destination FIFO order is preserved because a destination's earliest
-// slot is always its first in the queue. With no credit anywhere (or no
-// credit visibility) the head run is taken and the send blocks: that is
-// the natural backpressure. Single-tenant stagers keep strict FIFO so the
+// behind it. The batch starts at the earliest run whose destination can
+// accept a message right now — per-destination FIFO order is preserved
+// because a destination's earliest slot is always its first in the queue.
+// With no credit anywhere the head run is taken and the send blocks: that
+// is the natural backpressure. Single-tenant stagers keep strict FIFO so the
 // private-tier forwarding order is untouched.
 func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []rt.DiskRef, from, dest int, fin bool, finBlocks, finDisk int64, metas []*Record, ok bool) {
 	// The oldest queued destination is the one the arbiter watches: on a
@@ -841,9 +820,9 @@ func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []
 	// tenants' batches go out, and only a Send to it ends the wait.
 	s.electLocked(s.queue[0].dest, now)
 	start := 0
-	if s.cfg.Tenants > 1 && s.credit != nil {
+	if s.cfg.Tenants > 1 {
 		for i, sl := range s.queue {
-			if s.credit.Credits(sl.dest) > 0 {
+			if s.tr.Credits(sl.dest) > 0 {
 				start = i
 				break
 			}

@@ -459,6 +459,7 @@ func (s lossyStore) ReadBlock(c rt.Ctx, id block.ID, bytes int64) (*block.Block,
 	return nil, errors.New("injected spill-read failure")
 }
 func (s lossyStore) RemoveBlock(c rt.Ctx, id block.ID) error { return s.inner.RemoveBlock(c, id) }
+func (s lossyStore) OpenLog() rt.BlockLog                    { return s.inner.OpenLog() }
 
 // TestLossyRelayStillTerminates pins the counted-termination escape hatch:
 // when a stager cannot re-read spilled blocks, the relayed stream loses data
