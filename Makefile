@@ -40,9 +40,10 @@ test-cpus:
 # test` and the CI step alike: the send window of a ring lane and of a TCP
 # connection, the window credit every transport handle reports, the per-block allocation pins, the disk election (router
 # table, two-regime simulation, bursty job), the assembly (one Spec on both
-# platforms, the two error paths), the stager's arbiter and by-reference
-# journal (the regimes, a kill at every state a record can be in, the rotten
-# log, the failed append, log space reclaimed while the stream runs), both
+# platforms, the two error paths), the stager's arbiter and its crash journal
+# (the regimes, a kill at every state a queued block can be in, the rotten
+# log, the failed append, log space reclaimed while the stream runs, and
+# what the journal costs the allocator per relayed block), both
 # encode-failure paths, the codec's word-wide kernels, and the handover
 # (Write's lock-free ring, Read's claim, the recycled headers: the lone
 # block, both buffer bounds, the steal, the Stats lag, the stale Release,
@@ -53,14 +54,14 @@ test-cpus:
 REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCPWindowParksSender \
 	TestTCPWindowOnePingPong TestJobTCPWindowBoundsInFlight TestTransportsReportWindowCredit \
 	TestPayloadCycleDoesNotAllocate \
-	TestGaugeWritesDoNotAllocate TestJobDirectCycleAllocs TestJobTCPCompressDecodeAllocs \
+	TestGaugeWritesDoNotAllocate TestJobDirectCycleAllocs TestJobRelayCycleAllocs TestJobTCPCompressDecodeAllocs \
 	TestJobStealCycleAllocs TestAdaptiveDisk TestAdaptiveDeterministic TestOnlyAdaptiveArbitratesDisk \
 	TestDiskArbiterTwoRegimes TestStealLegacyWithoutArbiter TestJobAdaptiveArbitratesDisk \
 	TestForwarderEncodeFailure TestSenderEncodeFailureSendsUnreduced TestSpecRunsOnBothPlatforms \
 	TestNewJobErrorLeavesNothingRunning TestFleetSubmitSpoolFailureKeepsGuarantee TestArbiter \
 	TestOverflowAppendFailure TestKillDuringOverflowAppend TestKillWithResidentAndLoggedRecords \
 	TestKillBetweenSendAndDeliver TestKillReplay TestCorruptSegmentDeclaredLost \
-	TestJournalKeepsOnlyUndelivered TestFaultJournalSegmentsReclaimed TestFaultJobCrashWhileOverflowing \
+	TestFaultJournalSegmentsReclaimed TestFaultJobCrashWhileOverflowing \
 	TestZipperFaultKillEverySweep TestLZOverlapOffsets TestLZMatchLenTiers TestLZDoesNotAllocate \
 	TestTrickleWriteIsDelivered TestOpenBatchCountsAgainstBuffer TestClaimKeepsOccupancyBound \
 	TestStealSeesOpenBatch TestStatsLagBounded TestReleaseTwiceAfterHeaderReuse \
@@ -81,6 +82,7 @@ test-lists:
 	@$(call check-list,$(CPU_TESTS),$(CPU_PKGS),)
 	@$(call check-list,$(FUZZ_REALENV),./internal/rt/realenv,x)
 	@$(call check-list,$(FUZZ_REDUCE),./internal/reduce,x)
+	@$(call check-list,$(FUZZ_STAGING),./internal/staging,x)
 
 # $(call check-list,names,packages,x) checks names against the tests of
 # packages; the third argument x asks for exact matches.
@@ -93,18 +95,23 @@ check-list = names=$$($(GO) test -list . $(2)) || { echo "$$names"; exit 1; }; \
 test-full:
 	$(GO) build ./... && $(GO) test ./...
 
-# 10 s of each decoder fuzz target: the store readers (spill file, log) and
-# the frame reader, the block codec (arbitrary bytes into the decoder;
-# encode/decode round trip), and the block decode a frame's enc word reaches
-# (any tag, any claimed raw size, any bytes).
+# 10 s of each fuzz target: the decoders — the store readers (spill file,
+# log) and the frame reader, the block codec (arbitrary bytes into the
+# decoder; encode/decode round trip), and the block decode a frame's enc word
+# reaches (any tag, any claimed raw size, any bytes) — and the stager's
+# recovery reader (a kill at any admission, log append or forwarder Send of a
+# simulated relay, then Replay).
 FUZZ_REALENV = FuzzReadBlock FuzzLogRead FuzzReadFrame
 FUZZ_REDUCE = FuzzLZDecode FuzzLZRoundTrip FuzzDecodeBlock
+FUZZ_STAGING = FuzzKillReplay
 
 fuzz-smoke:
 	for f in $(FUZZ_REALENV); do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/rt/realenv || exit 1; done
 	for f in $(FUZZ_REDUCE); do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/reduce || exit 1; done
+	for f in $(FUZZ_STAGING); do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/staging || exit 1; done
 
 # One iteration of every Go benchmark — catches bit-rot, measures nothing —
 # then the repo's benchmark at 1 % of its size: all four bench/ workloads,

@@ -9,10 +9,11 @@
 // through the placement policy automatically), fenced (the occupant is
 // killed if it is somehow still moving, so a false-positive eviction can
 // never race a live flush into duplicates), drained of its in-flight
-// claims, and retired. The recovery reader then replays the dead
-// endpoint's write-ahead journal — blocks from its spool partition, disk
-// refs, Fins with their declared totals, and the orphan messages its dead
-// receiver absorbed — so counted per-destination Fin accounting balances
+// claims, and retired. The recovery reader then replays what the dead
+// endpoint still queued, through its journal — resident blocks from memory,
+// overflowed ones from the log in its spool partition, disk refs, Fins with
+// their declared totals — and the orphan messages its dead receiver
+// absorbed, so counted per-destination Fin accounting balances
 // without consumers ever learning a relay died. Finally a replacement is
 // respawned into the freed slot (up to maxRecoveries per slot) and
 // re-leased.
@@ -111,7 +112,7 @@ type Host interface {
 	// thread to exit. The directory membership change and claim quiesce
 	// have already happened when Evict is called.
 	Evict(c rt.Ctx, addr int)
-	// Recover replays the dead occupant's write-ahead journal and orphan
+	// Recover replays what the dead occupant still queued and its orphan
 	// backlog to the consumers. Returns blocks re-forwarded and blocks
 	// declared unrecoverable.
 	Recover(c rt.Ctx, addr int) (replayed, lost int64)

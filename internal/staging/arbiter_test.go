@@ -24,12 +24,13 @@ import (
 // journaling one: the rule is one rule.
 
 // countingStore counts what reaches the spill medium: file-per-block writes
-// and reads, and the log's appends and reads.
+// and reads, and the log's appends, reads and releases.
 type countingStore struct {
 	*simenv.Store
 	writes, reads     int
 	appends, appended int
 	logReads          int
+	released          int
 	failAppends       bool         // every log append fails
 	onAppend          func(rt.Ctx) // called inside every log append, before it writes
 	onSpill           func()       // called as each spill write or log append starts
@@ -75,6 +76,11 @@ func (l *countingLog) Read(c rt.Ctx, id block.ID, ref rt.LogRef) (*block.Block, 
 	return l.BlockLog.Read(c, id, ref)
 }
 
+func (l *countingLog) Release(c rt.Ctx, ref rt.LogRef) {
+	l.s.released++
+	l.BlockLog.Release(c, ref)
+}
+
 // spillOps is how many blocks went to the medium and came back, whichever
 // path the stager uses.
 func (s *countingStore) spillOps() (out, back int) {
@@ -106,6 +112,7 @@ type simRig struct {
 	sent     int
 	got      map[block.ID]int // deliveries per block
 	order    []block.ID       // in arrival order
+	fins     []finSeen        // Fins in arrival order
 	lost     int64
 	maxAfter int // peak resident blocks after `settled` was set
 	settled  bool
@@ -143,6 +150,13 @@ func (h forwardHook) Send(c rt.Ctx, to int, m rt.Message) {
 	}
 }
 
+// finSeen is a Fin as the consumer saw it: the producer's declared block
+// total, and how many of its blocks had arrived by then.
+type finSeen struct {
+	rank            int
+	declared, after int64
+}
+
 // produce starts producer rank: msgs messages of simBatch blocks for
 // consumer endpoint 0, one every gap, each timed from when it was due.
 func (r *simRig) produce(rank, msgs int, gap time.Duration, done *int) {
@@ -150,20 +164,29 @@ func (r *simRig) produce(rank, msgs int, gap time.Duration, done *int) {
 }
 
 func (r *simRig) produceFor(dest, rank, msgs int, gap time.Duration, done *int) {
+	r.produceStream(dest, rank, msgs*simBatch, gap, false, done)
+}
+
+// produceStream starts producer rank: `blocks` blocks for endpoint dest in
+// messages of up to simBatch, one every gap, the last one carrying the
+// producer's Fin when fin is set (alone, when there are no blocks).
+func (r *simRig) produceStream(dest, rank, blocks int, gap time.Duration, fin bool, done *int) {
 	env := simenv.NewEnv(r.eng, fabric.NodeID(rank), 0)
 	r.eng.Spawn("prod", func(sp *sim.Proc) {
 		c := env.WrapProc(sp)
-		seq := 0
-		for i := 0; i < msgs; i++ {
+		for seq, finSent := 0, !fin; seq < blocks || !finSent; {
 			sp.Delay(gap)
 			m := rt.Message{From: rank, Dest: dest}
-			for k := 0; k < simBatch; k, seq = k+1, seq+1 {
+			for k := 0; k < simBatch && seq < blocks; k, seq = k+1, seq+1 {
 				m.Blocks = append(m.Blocks, block.NewSized(block.ID{Rank: rank, Seq: seq}, 0, simBlockBytes))
+			}
+			if seq == blocks && !finSent {
+				m.Fin, m.FinBlocks, finSent = true, int64(blocks), true
 			}
 			start := sp.Now()
 			r.net.Send(c, 1, m)
 			r.stall += sp.Now() - start
-			r.sent += simBatch
+			r.sent += len(m.Blocks)
 		}
 		*done++
 	})
@@ -189,6 +212,15 @@ func (r *simRig) consumeAt(ep int, perBlock func(n int) time.Duration) {
 				r.order = append(r.order, b.ID)
 				sp.Delay(perBlock(n))
 				n++
+			}
+			if m.Fin {
+				f := finSeen{rank: m.From, declared: m.FinBlocks}
+				for _, id := range r.order {
+					if id.Rank == m.From {
+						f.after++
+					}
+				}
+				r.fins = append(r.fins, f)
 			}
 		}
 	})
@@ -733,11 +765,12 @@ func TestOverflowAppendFailure(t *testing.T) {
 	r.checkDelivered()
 }
 
-// The kill sweep over the states this journal added: a record can now be
-// resident, on its way to the log, or in the log, and a batch can be sent
-// but not yet retired. In each, a kill followed by the eviction sequence
-// must deliver every block exactly once, each producer's in the order it
-// was admitted (checkDelivered), with nothing declared lost.
+// The kill sweep over the states a fault-mode stager's queue can strand: a
+// queued block can be resident, on its way to the log, or in the log, and a
+// sent batch can still hold log space. In each, a kill followed by the
+// eviction sequence must deliver every block exactly once, each producer's
+// in the order it was admitted (checkDelivered), with nothing declared lost.
+// FuzzKillReplay sweeps the kill point itself.
 
 // TestKillDuringOverflowAppend lands the kill inside the spiller's first log
 // append. The append completes, its victims' records point at the log, and
@@ -854,4 +887,93 @@ func TestKillBetweenSendAndDeliver(t *testing.T) {
 	if want := int64(r.sent - 3*simBatch); replayed > want {
 		t.Fatalf("replay re-sent %d blocks, but only %d were not yet delivered when the kill landed", replayed, want)
 	}
+}
+
+// FuzzKillReplay lands a kill wherever the input says — never, right after
+// the nth admitted message, inside the nth log append, or after the nth
+// forwarder Send of blocks — on a journaling stager in front of a consumer
+// that spends the input's delay on every block, with each of two producers
+// relaying the input's number of blocks and closing its stream with a Fin,
+// through a buffer of the input's size. Whatever the stager forwarded before
+// the kill and whatever the replay re-sends must reach the consumer exactly
+// once, each producer's blocks in admission order and its Fin after the last
+// of them, with nothing lost and no log record left live.
+func FuzzKillReplay(f *testing.F) {
+	for trigger := range uint8(4) {
+		f.Add(trigger, uint8(3), uint8(40), uint8(37), uint8(24), uint8(20))
+		f.Add(trigger, uint8(1), uint8(64), uint8(0), uint8(8), uint8(50))
+	}
+	f.Fuzz(func(t *testing.T, trigger, nth, blocks0, blocks1, buffer, delayUs uint8) {
+		n := int(nth%32) + 1
+		blocks := []int{int(blocks0 % 97), int(blocks1 % 97)}
+		r := newSimRig(t, true, Config{BufferBlocks: 8 + int(buffer%57)})
+		killed := false
+		kill := func(c rt.Ctx) {
+			if !killed {
+				killed = true
+				r.st.Kill(c)
+			}
+		}
+		appends, sends := 0, 0
+		switch trigger % 4 {
+		case 2:
+			r.store.onAppend = func(c rt.Ctx) {
+				if appends++; appends == n {
+					kill(c)
+				}
+			}
+		case 3:
+			r.afterForward = func(c rt.Ctx, _ int) {
+				if sends++; sends == n {
+					kill(c)
+				}
+			}
+		}
+		var done int
+		for rank, k := range blocks {
+			r.produceStream(0, rank, k, 10*time.Microsecond, true, &done)
+		}
+		delay := time.Duration(delayUs%64) * time.Microsecond
+		r.consume(func(int) time.Duration { return delay })
+		env := simenv.NewEnv(r.eng, 3, 0)
+		var replayed, lost int64
+		r.eng.Spawn("probe", func(sp *sim.Proc) {
+			c := env.WrapProc(sp)
+			// Producers parked on a dead endpoint still finish: its receiver
+			// keeps draining their messages as orphans.
+			for done < len(blocks) {
+				if trigger%4 == 1 && r.st.Stats(c).MessagesIn >= int64(n) {
+					kill(c)
+				}
+				sp.Delay(time.Microsecond)
+			}
+			// A Retire either starts the clean drain or releases the dead
+			// receiver; a kill can still land in the drain's flush.
+			if r.st.NeedsRetire(c) {
+				r.net.Send(c, 1, rt.Message{Retire: true})
+			}
+			r.st.Wait(c)
+			replayed, _, lost = Replay(c, r.journal, r.store, r.net)
+			r.net.Send(c, 0, rt.Message{Retire: true})
+		})
+		r.run()
+		r.checkDelivered()
+		if lost != 0 {
+			t.Fatalf("replay declared %d blocks lost", lost)
+		}
+		if !killed && replayed != 0 {
+			t.Fatalf("a stager that drained cleanly left %d blocks to replay", replayed)
+		}
+		if live := r.store.appended - r.store.released; live != 0 {
+			t.Fatalf("%d log records still live after the replay (%d appended, %d released)", live, r.store.appended, r.store.released)
+		}
+		if len(r.fins) != len(blocks) {
+			t.Fatalf("%d Fins arrived, want one per producer: %+v", len(r.fins), r.fins)
+		}
+		for _, f := range r.fins {
+			if want := int64(blocks[f.rank]); f.declared != want || f.after != want {
+				t.Fatalf("rank %d's Fin declared %d blocks and arrived after %d of them, want %d", f.rank, f.declared, f.after, want)
+			}
+		}
+	})
 }

@@ -266,7 +266,7 @@ func TestKillReplaySpansSegments(t *testing.T) {
 	if ents, _ := os.ReadDir(r.spill.Dir()); len(ents) != len(r.segFiles()) {
 		t.Fatalf("partition holds %d entries but %d segments: the log is not the only write-ahead path", len(ents), len(r.segFiles()))
 	}
-	pending, _ := r.journal.Pending()
+	pending, _ := pendingOf(r.c, r.journal)
 	if pending < blocks-2*batch {
 		t.Fatalf("journal holds %d records with the consumer stalled, want nearly all %d", pending, blocks)
 	}
@@ -282,7 +282,7 @@ func TestKillReplaySpansSegments(t *testing.T) {
 		t.Fatalf("%d blocks arrived (%d replayed), want %d", len(got), replayed, blocks)
 	}
 	r.checkExact(got, 0, blocks, size)
-	if n, o := r.journal.Pending(); n != 0 || o != 0 {
+	if n, o := pendingOf(r.c, r.journal); n != 0 || o != 0 {
 		t.Fatalf("journal still owes %d records, %d orphans after replay", n, o)
 	}
 	r.partitionEmpty()
@@ -353,7 +353,7 @@ func TestRespawnBeforePredecessorReplay(t *testing.T) {
 	r.st.Kill(r.c)
 	close(crashed)
 	r.evict(r.st)
-	owed, _ := r.journal.Pending()
+	owed, _ := pendingOf(r.c, r.journal)
 	if owed == 0 {
 		t.Fatal("the dead instance owes nothing: the scenario needs unreplayed records")
 	}
@@ -384,21 +384,38 @@ func TestRespawnBeforePredecessorReplay(t *testing.T) {
 	r.partitionEmpty()
 }
 
-// loggedRecords snapshots the journal's undelivered block records the log
-// holds, oldest first, and counts the ones still resident.
+// loggedRecords snapshots where the log holds the queued blocks it holds,
+// oldest first, and counts the ones still resident.
 func (r *walRig) loggedRecords() (logged []rt.LogRef, resident int) {
-	j := r.journal
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for rec := j.head; rec != nil; rec = rec.next {
-		switch {
-		case rec.logged():
-			logged = append(logged, rec.ref)
-		case rec.b != nil:
-			resident++
+	s := r.journal.s
+	s.lk.Lock(r.c)
+	defer s.lk.Unlock(r.c)
+	for _, sl := range s.queue {
+		for _, rb := range sl.blocks {
+			if rb.spilled {
+				logged = append(logged, rb.ref)
+			} else {
+				resident++
+			}
 		}
 	}
 	return logged, resident
+}
+
+// pendingOf reports what a crash right now would owe the recovery reader: a
+// record per queued block and per queued slot's disk refs and Fin, and the
+// orphans (read only once the instance's receiver has exited).
+func pendingOf(c rt.Ctx, j *Journal) (records, orphans int) {
+	s := j.s
+	s.lk.Lock(c)
+	defer s.lk.Unlock(c)
+	for _, sl := range s.queue {
+		records += len(sl.blocks)
+		if len(sl.disk) > 0 || sl.fin {
+			records++
+		}
+	}
+	return records, len(j.orphans)
 }
 
 // corruptRecord flips one payload byte of the log record at ref.
@@ -513,155 +530,4 @@ func TestCorruptSegmentDeclaredLost(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestJournalKeepsOnlyUndelivered runs 100,000 admit→deliver cycles with a
-// bounded number of messages in flight: the journal must hold exactly the
-// in-flight records at every step — nothing delivered is retained — and
-// Pending must not have to walk anything.
-func TestJournalKeepsOnlyUndelivered(t *testing.T) {
-	fs, err := realenv.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := realenv.New().Ctx()
-	j := NewJournal()
-	j.open(fs)
-	const cycles, inFlight = 100_000, 8
-	payload := make([]byte, 512)
-	type admitted struct {
-		recs []Record
-		meta *Record
-	}
-	var window []admitted
-	listLen := func() int {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		n := 0
-		for r := j.head; r != nil; r = r.next {
-			n++
-		}
-		return n
-	}
-	for i := 0; i < cycles; i++ {
-		blocks := []*block.Block{
-			block.New(block.ID{Step: i, Seq: 0}, 0, payload),
-			block.New(block.ID{Step: i, Seq: 1}, 0, payload),
-		}
-		a := admitted{recs: j.admitBlocks(0, 0, blocks)}
-		// Every pair is evicted, so the whole stream (100 MB) crosses the
-		// log and delivery has segments to reclaim.
-		if err := j.overflow(c, []*Record{&a.recs[0], &a.recs[1]}); err != nil {
-			t.Fatalf("cycle %d: overflow: %v", i, err)
-		}
-		if i%10 == 0 {
-			a.meta = j.addMeta(0, 0, []rt.DiskRef{{}}, false, 0, 0)
-		}
-		window = append(window, a)
-		if len(window) > inFlight {
-			old := window[0]
-			window = window[1:]
-			for k := range old.recs {
-				j.deliver(c, &old.recs[k])
-			}
-			if old.meta != nil {
-				j.deliver(c, old.meta)
-			}
-		}
-		want := 0
-		for _, a := range window {
-			want += len(a.recs)
-			if a.meta != nil {
-				want++
-			}
-		}
-		if got, _ := j.Pending(); got != want {
-			t.Fatalf("cycle %d: Pending = %d, want the %d in-flight records", i, got, want)
-		}
-		if i%5000 == 0 {
-			if n := listLen(); n != want {
-				t.Fatalf("cycle %d: the journal retains %d records, want the %d in flight", i, n, want)
-			}
-			// Reclaim runs with the stream, not at close: the in-flight
-			// records span at most two segments at any time.
-			if segs, _ := filepath.Glob(filepath.Join(fs.Dir(), "wal-*.seg")); len(segs) == 0 || len(segs) > 3 {
-				t.Fatalf("cycle %d: %d segment files for %d in-flight records", i, len(segs), want)
-			}
-		}
-	}
-	for _, a := range window {
-		for k := range a.recs {
-			j.deliver(c, &a.recs[k])
-			j.deliver(c, &a.recs[k]) // a second delivery is a no-op
-		}
-		if a.meta != nil {
-			j.deliver(c, a.meta)
-		}
-	}
-	if n, _ := j.Pending(); n != 0 || listLen() != 0 {
-		t.Fatalf("journal retains %d records (%d linked) with nothing in flight", n, listLen())
-	}
-	// 100 MB went through the log; everything was released.
-	if segs, _ := filepath.Glob(filepath.Join(fs.Dir(), "wal-*.seg")); len(segs) > 2 {
-		t.Fatalf("%d segment files with nothing in flight", len(segs))
-	}
-	j.close(c)
-	if ents, _ := os.ReadDir(fs.Dir()); len(ents) != 0 {
-		t.Fatalf("%d entries left after close", len(ents))
-	}
-}
-
-// TestDeliverAfterDrainIsNoop: a record the replay has taken is no longer
-// pending, so a late delivery of it neither re-links the drained chain nor
-// drives the pending count negative nor releases its log space twice — for
-// a record the log holds and for one still resident alike.
-func TestDeliverAfterDrainIsNoop(t *testing.T) {
-	fs, err := realenv.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := realenv.New().Ctx()
-	j := NewJournal()
-	j.open(fs)
-	// A payload of its own per block: read hands resident blocks back as
-	// they are, and the loop below releases each to the shared pool.
-	recs := j.admitBlocks(0, 0, []*block.Block{
-		block.New(block.ID{Seq: 0}, 0, walPayload(0, 512)),
-		block.New(block.ID{Seq: 1}, 0, walPayload(1, 512)),
-		block.New(block.ID{Seq: 2}, 0, walPayload(2, 512)),
-	})
-	// The first two overflow to the log; the third stays resident.
-	evicted := []*block.Block{recs[0].b, recs[1].b}
-	if err := j.overflow(c, []*Record{&recs[0], &recs[1]}); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range evicted {
-		b.Release()
-	}
-	head, _ := j.drain()
-	if head != &recs[0] {
-		t.Fatal("drain did not return the oldest record")
-	}
-	j.deliver(c, &recs[1])
-	j.deliver(c, &recs[0])
-	j.deliver(c, &recs[2])
-	if n, _ := j.Pending(); n != 0 || j.head != nil || j.tail != nil {
-		t.Fatalf("late delivery disturbed the drained journal: pending %d, head %p, tail %p", n, j.head, j.tail)
-	}
-	n := 0
-	for r := head; r != nil; r = r.next {
-		b, err := j.read(c, r)
-		if err != nil {
-			t.Fatalf("record %d unreadable after a late delivery: %v", n, err)
-		}
-		if !bytes.Equal(b.Data, walPayload(n, 512)) {
-			t.Fatalf("record %d read back with the wrong payload", n)
-		}
-		b.Release()
-		n++
-	}
-	if n != len(recs) {
-		t.Fatalf("drained chain holds %d records, want %d", n, len(recs))
-	}
-	j.close(c)
 }

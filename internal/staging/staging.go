@@ -29,6 +29,11 @@
 // mark — the burst a staging tier exists for. The rule is the same with and
 // without a crash journal.
 //
+// With a crash journal (Config.Journal) the queue is also what a crash owes:
+// a killed stager's threads stop and leave the queue as it stands — resident
+// blocks, blocks in the segment log, each message's disk refs and Fin — and
+// the recovery reader (Replay) re-forwards it (see journal.go).
+//
 // The stager preserves per-producer arrival order, so a Fin routed through
 // the relay trails every block that producer relayed — the property the
 // producer's sender thread relies on when it closes a staged stream.
@@ -123,15 +128,15 @@ type Config struct {
 	// park (a table lookup, not a platform call).
 	Tenant func(from int) int
 
-	// Journal, when non-nil, lets the stager's death lose nothing: every
-	// admitted message is journaled as it is queued — a record per block
-	// holding the resident block by reference, metadata (disk refs, Fins)
-	// with the declared totals — the spiller's overflow goes, up to
-	// MaxBatchBlocks victims per append, to a segment log the journal opens
-	// in the spill partition instead of to one file per block, and delivery
-	// drops the records and releases any log space. The journal is owned by
-	// the embedder, one per stager instance: it and the spill partition are
-	// what survives the endpoint, so the recovery reader (Replay) can
+	// Journal, when non-nil, lets the stager's death lose nothing: the
+	// spiller's overflow goes, up to MaxBatchBlocks victims per append, to a
+	// segment log the stager opens in the spill partition instead of to one
+	// file per block, delivery releases that log space, and the queue —
+	// resident blocks by reference, spilled ones by their place in the log,
+	// each slot's disk refs and Fin with the declared totals — is the
+	// manifest of what is still owed. The journal is owned by the embedder,
+	// one per stager instance: through it the stopped instance's queue and
+	// log outlive the endpoint, so the recovery reader (Replay) can
 	// re-forward what the crash stranded. The death of the whole process is
 	// not covered and never was (see journal.go). Requires Managed.
 	// Enables Kill-based fault injection.
@@ -183,20 +188,21 @@ type Stats struct {
 
 // relayBlock is one buffered block: resident in memory, being spilled, or
 // spilled (b == nil) awaiting re-read by the forwarder — from its spill
-// file, or in fault mode from the journal's segment log, which holds exactly
-// the spilled blocks and nothing else. The enc/encBytes pair snapshots the
-// block's reduction stamp at spill time so the forwarder's re-read can
-// restore it on platforms whose store keeps no payload (the simulated PFS).
+// file, or in fault mode from the segment log, which holds exactly the
+// spilled blocks and nothing else, at ref. In a dead fault-mode stager's
+// queue it is what the recovery reader owes. ref.Len is the spilled size
+// (the encoded size when reduced) on both paths; with enc it snapshots the
+// block's reduction stamp at spill time so the re-read can restore it on
+// platforms whose store keeps no payload (the simulated PFS).
 type relayBlock struct {
 	b        *block.Block
 	id       block.ID
 	offset   int64
 	bytes    int64
+	ref      rt.LogRef // once spilled; only Len on the spill-file path
 	enc      uint8
-	encBytes int64
 	spilling bool
 	spilled  bool
-	rec      *Record      // journal entry (fault mode only)
 	ten      *tenantState // tenant charged for the resident block (multi-tenant only)
 }
 
@@ -224,7 +230,6 @@ type slot struct {
 	// finBlocks/finDisk are the Fin's declared delivery totals, carried
 	// through the relay so counted stream termination survives the hop.
 	finBlocks, finDisk int64
-	meta               *Record // journaled disk refs + Fin (fault mode only)
 }
 
 // Stager is one in-transit staging endpoint.
@@ -307,13 +312,13 @@ func NewStager(env rt.Env, cfg Config, id int, in rt.Inbox, tr rt.Transport, fs 
 	if !cfg.Managed && cfg.Producers < 1 {
 		panic("staging: stager needs at least one producer")
 	}
-	if cfg.Journal != nil {
-		if !cfg.Managed {
-			panic("staging: a crash journal requires a managed stager")
-		}
-		cfg.Journal.open(fs)
+	if cfg.Journal != nil && !cfg.Managed {
+		panic("staging: a crash journal requires a managed stager")
 	}
 	s := &Stager{env: env, cfg: cfg, id: id, in: in, tr: tr, fs: fs}
+	if j := cfg.Journal; j != nil {
+		j.s, j.log = s, fs.OpenLog()
+	}
 	s.passDepth = min(4*cfg.MaxBatchBlocks, cfg.BufferBlocks)
 	s.parkedOn = -1
 	highWater := max(1, cfg.BufferBlocks*3/4)
@@ -482,9 +487,10 @@ func (s *Stager) Drained(c rt.Ctx) bool {
 // the log tears a batch), and the receiver switches to dead mode: it keeps
 // draining the inbox so producers parked in Send never deadlock, hands
 // everything that arrives to the journal as orphans, and exits only when the
-// eviction path's Retire lands. Nothing is lost: the journal owns every
-// block the crash strands — in memory or in the log — and the recovery
-// reader replays it. Requires fault mode (Config.Journal).
+// eviction path's Retire lands. Nothing is lost: the stopped queue still
+// holds every block the crash strands — in memory or in the log — and the
+// recovery reader replays it through the journal. Requires fault mode
+// (Config.Journal).
 func (s *Stager) Kill(c rt.Ctx) {
 	if s.cfg.Journal == nil {
 		panic("staging: Kill requires a crash journal (fault mode)")
@@ -610,7 +616,7 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 			finBlocks: m.FinBlocks, finDisk: m.FinDisk}
 		for _, b := range m.Blocks {
 			sl.blocks = append(sl.blocks, &relayBlock{b: b, id: b.ID, offset: b.Offset,
-				bytes: b.Bytes, enc: b.Enc, encBytes: b.EncBytes, ten: ts})
+				bytes: b.Bytes, enc: b.Enc, ten: ts})
 		}
 		// Admission is whole-message against both caps: the buffer — all of
 		// it while the stager is absorbing, the pass-through depth while the
@@ -633,11 +639,8 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 			s.cfg.Journal.AddOrphan(m)
 			continue
 		}
-		if s.cfg.Journal != nil {
-			// Journaled as it is queued, by reference: from here on a crash
-			// owes the message to the recovery reader.
-			s.journalSlot(sl, m.Blocks)
-		}
+		// Queued: from here on a crash owes the message to the recovery
+		// reader (fault mode).
 		s.queue = append(s.queue, sl)
 		s.setOccLocked(s.memBlocks + need)
 		if ts != nil && need > 0 {
@@ -667,20 +670,6 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 	s.maybeUnleaseLocked(c)
 	s.done.Broadcast()
 	s.lk.Unlock(c)
-}
-
-// journalSlot journals one admitted message: a record per block, holding
-// the block by reference, and one meta record for disk refs and Fins.
-func (s *Stager) journalSlot(sl *slot, blocks []*block.Block) {
-	if len(blocks) > 0 {
-		recs := s.cfg.Journal.admitBlocks(sl.from, sl.dest, blocks)
-		for i, rb := range sl.blocks {
-			rb.rec = &recs[i]
-		}
-	}
-	if len(sl.disk) > 0 || sl.fin {
-		sl.meta = s.cfg.Journal.addMeta(sl.from, sl.dest, sl.disk, sl.fin, sl.finBlocks, sl.finDisk)
-	}
 }
 
 // admitLimitLocked is how many resident blocks the receiver may admit up
@@ -813,7 +802,7 @@ func (s *Stager) spillFromLocked() int {
 // With no credit anywhere the head run is taken and the send blocks: that
 // is the natural backpressure. Single-tenant stagers keep strict FIFO so the
 // private-tier forwarding order is untouched.
-func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []rt.DiskRef, from, dest int, fin bool, finBlocks, finDisk int64, metas []*Record, ok bool) {
+func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []rt.DiskRef, from, dest int, fin bool, finBlocks, finDisk int64, ok bool) {
 	// The oldest queued destination is the one the arbiter watches: on a
 	// multi-tenant stager the batch may skip past it, but only because it
 	// has no credit — the head is then waiting on that window while other
@@ -861,9 +850,6 @@ func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []
 		// Slot fully consumed: its disk refs and Fin travel with (or after)
 		// its last block, never before.
 		disk = append(disk, sl.disk...)
-		if sl.meta != nil {
-			metas = append(metas, sl.meta)
-		}
 		if sl.fin {
 			fin = true
 			from = sl.from
@@ -892,12 +878,10 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		var from, dest int
 		var fin, ok bool
 		var finBlocks, finDisk int64
-		var metas []*Record
 		for {
 			if s.killed {
-				// Crashed: abandon the queue without flushing — the journal
-				// owns every stranded block and the recovery reader replays
-				// it.
+				// Crashed: abandon the queue without flushing — it is what
+				// the recovery reader replays.
 				s.forwardDone = true
 				s.finished.Store(int64(c.Now()))
 				s.done.Broadcast()
@@ -905,15 +889,15 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 				return
 			}
 			if len(s.queue) > 0 {
-				taken, disk, from, dest, fin, finBlocks, finDisk, metas, ok = s.assembleLocked(c.Now())
+				taken, disk, from, dest, fin, finBlocks, finDisk, ok = s.assembleLocked(c.Now())
 				if ok {
 					break
 				}
 			} else if s.recvDone {
-				if s.cfg.Journal != nil {
+				if j := s.cfg.Journal; j != nil {
 					// Everything was delivered: retire the log's segment
 					// files before Wait can observe the drain.
-					s.cfg.Journal.close(c)
+					j.log.Close(c)
 				}
 				s.forwardDone = true
 				s.finished.Store(int64(c.Now()))
@@ -996,14 +980,13 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 			s.cfg.Recorder.Add(s.traceName("forwarder"), "forward", start, now)
 		}
 
-		if s.cfg.Journal != nil {
-			// Delivery retires the journal records and releases any log
-			// space (lost blocks were declared in the message).
+		if j := s.cfg.Journal; j != nil {
+			// The batch is the consumer's now: release the log space of the
+			// blocks it re-read (lost ones were declared in the message).
 			for _, rb := range taken {
-				s.cfg.Journal.deliver(c, rb.rec)
-			}
-			for _, mr := range metas {
-				s.cfg.Journal.deliver(c, mr)
+				if rb.spilled {
+					j.log.Release(c, rb.ref)
+				}
 			}
 		}
 
@@ -1026,31 +1009,30 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 	}
 }
 
-// unspill brings a spilled block back into memory. Without a journal the
-// block comes from its spill file, which is reclaimed, and is handed on as a
-// fresh in-memory block: the consumer must not mistake the stager's private
-// spill copy for one that arrived through the file system. In fault mode the
-// overflow went to the journal's log; the record stays until delivery.
+// unspill brings a spilled block back into memory as a fresh in-memory
+// block: the consumer must not mistake the stager's private spill copy for
+// one that arrived through the file system. Without a journal the block
+// comes from its spill file, which is reclaimed. In fault mode it is a
+// checksum-verified read from the segment log, whose space the caller
+// releases once the block has been sent.
 func (s *Stager) unspill(c rt.Ctx, rb *relayBlock) (*block.Block, error) {
-	if rb.rec != nil {
-		return s.cfg.Journal.read(c, rb.rec)
+	var b *block.Block
+	var err error
+	if j := s.cfg.Journal; j != nil {
+		b, err = j.log.Read(c, rb.id, rb.ref)
+	} else if b, err = s.fs.ReadBlock(c, rb.id, rb.ref.Len); err == nil {
+		_ = s.fs.RemoveBlock(c, rb.id)
 	}
-	readSize := rb.bytes
-	if rb.enc != 0 {
-		readSize = rb.encBytes
-	}
-	b, err := s.fs.ReadBlock(c, rb.id, readSize)
 	if err != nil {
 		return nil, err
 	}
-	_ = s.fs.RemoveBlock(c, rb.id)
 	b.Offset = rb.offset
 	b.OnDisk = false
 	if rb.enc != 0 {
 		// Restore the reduction stamp on platforms whose spill store keeps
-		// no payload (realenv's file header already did this).
+		// no payload (realenv's headers already did this).
 		b.Enc = rb.enc
-		b.EncBytes = rb.encBytes
+		b.EncBytes = rb.ref.Len
 		b.Bytes = rb.bytes
 	}
 	return b, nil
@@ -1064,7 +1046,7 @@ func (s *Stager) unspill(c rt.Ctx, rb *relayBlock) (*block.Block, error) {
 // parallel file system. A plain stager writes one spill file per victim; a
 // journaling one moves up to MaxBatchBlocks victims to its segment log with
 // a single append — the only payloads that log ever takes. A failed spill
-// disables the thread: the victims stay in memory (and journaled), and the
+// disables the thread: the victims stay in memory (and queued), and the
 // buffer simply stops absorbing past its capacity.
 func (s *Stager) spillerThread(c rt.Ctx) {
 	batch := 1
@@ -1072,7 +1054,8 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 		batch = s.cfg.MaxBatchBlocks
 	}
 	var victims []*relayBlock
-	var recs []*Record
+	var blocks []*block.Block // the log append's arguments (fault mode)
+	var refs []rt.LogRef
 	for {
 		s.lk.Lock(c)
 		victims = victims[:0]
@@ -1128,12 +1111,14 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 		var busy time.Duration
 		if err == nil {
 			start := c.Now()
-			if s.cfg.Journal != nil {
-				recs = recs[:0]
+			if j := s.cfg.Journal; j != nil {
+				blocks = blocks[:0]
 				for _, v := range victims {
-					recs = append(recs, v.rec)
+					blocks = append(blocks, v.b)
 				}
-				err = s.cfg.Journal.overflow(c, recs)
+				refs = slices.Grow(refs[:0], len(victims))[:len(victims)]
+				err = j.log.Append(c, blocks, refs)
+				clear(blocks) // the scratch must not keep payloads alive
 			} else {
 				err = s.fs.WriteBlock(c, victims[0].b)
 			}
@@ -1159,9 +1144,14 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 			s.lk.Unlock(c)
 			return
 		}
-		for _, v := range victims {
+		for i, v := range victims {
+			// The spiller may have reduction-encoded the victim since admission.
 			v.enc = v.b.Enc
-			v.encBytes = v.b.EncBytes
+			if s.cfg.Journal != nil {
+				v.ref = refs[i]
+			} else {
+				v.ref.Len = v.b.WireBytes()
+			}
 			s.fl.SpilledBytes.Add(v.b.WireBytes())
 			v.b.Release() // recycle the payload: the spill copy is authoritative now
 			v.b = nil

@@ -1,6 +1,7 @@
 package zipper
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -287,6 +288,86 @@ func TestJobDirectCycleAllocs(t *testing.T) {
 	job.Wait()
 	if st := job.Stats(); st.BlocksWritten != st.BlocksAnalyzed || st.BlocksWritten != 64+501+2*blocks {
 		t.Errorf("written %d, analyzed %d, want %d of each", st.BlocksWritten, st.BlocksAnalyzed, 64+501+2*blocks)
+	}
+}
+
+// TestJobRelayCycleAllocs pins what the crash journal costs the allocator on
+// the relay path: a block through a fault-protected stager may cost no more
+// than through a plain one. The journal is the stager's own queue plus the
+// segment log, so admission records nothing of its own. Two jobs with the
+// pipelined shape of TestJobDirectCycleAllocs relay everything through one
+// stager, one with Fault off and one with it on, and the Fault-on leg may
+// allocate at most 0.05 times and 10 % of the bytes per block more.
+func TestJobRelayCycleAllocs(t *testing.T) {
+	// Every block pays what the journal costs. A spill adds what re-reading
+	// its blocks costs, on either spill path, and whether the stager spills
+	// at all depends on when the host descheduled the consumer: a pass that
+	// spilled measures the host, so each leg reports its cheapest pass of
+	// those that did not.
+	const blocks, passes, maxPasses = 4096, 3, 100
+	leg := func(fault FaultConfig) (mallocs, bytes float64) {
+		job, err := NewJob(Config{Producers: 1, Consumers: 1, SpoolDir: t.TempDir(), DisableSteal: true,
+			BufferBlocks: 64, MaxBatchBlocks: 8, Window: 4,
+			Staging: StagingConfig{Stagers: 1, RoutePolicy: RouteStaging}, Fault: fault})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, c := job.Producer(0), job.Consumer(0)
+		step := 0
+		pipelined := func() {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < blocks; i++ {
+					p.Write(step, int64(i), NewPayload(4096))
+				}
+			}()
+			for i := 0; i < blocks; i++ {
+				blk, ok := c.Read()
+				if !ok {
+					t.Error("stream ended early")
+					break
+				}
+				blk.Release()
+			}
+			<-done
+			step++
+		}
+		pipelined() // warm the pools, the free lists and the stager's queue
+		mallocs, bytes = math.Inf(1), math.Inf(1)
+		run, clean := 0, 0
+		for ; clean < passes && run < maxPasses; run++ {
+			spilled := job.Stats().BlocksSpilled
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			pipelined()
+			runtime.ReadMemStats(&m1)
+			if job.Stats().BlocksSpilled != spilled {
+				continue
+			}
+			clean++
+			mallocs = min(mallocs, float64(m1.Mallocs-m0.Mallocs)/blocks)
+			bytes = min(bytes, float64(m1.TotalAlloc-m0.TotalAlloc)/blocks)
+		}
+		p.Close()
+		job.Wait()
+		if st := job.Stats(); st.BlocksAnalyzed != int64(run+1)*blocks || st.BlocksRelayed != int64(run+1)*blocks {
+			t.Errorf("fault %v: analyzed %d, relayed %d, want %d of each", fault.Enabled, st.BlocksAnalyzed, st.BlocksRelayed, (run+1)*blocks)
+		}
+		if clean == 0 {
+			t.Fatalf("fault %v: the stager spilled in every one of %d passes", fault.Enabled, run)
+		}
+		t.Logf("fault %v: %d passes, %d without a spill", fault.Enabled, run, clean)
+		return mallocs, bytes
+	}
+	offMallocs, offBytes := leg(FaultConfig{})
+	onMallocs, onBytes := leg(FaultConfig{Enabled: true, Heartbeat: 10 * time.Millisecond, LeaseTTL: time.Second})
+	t.Logf("per block: Fault off %.2f mallocs, %.0f B; Fault on %.2f mallocs, %.0f B", offMallocs, offBytes, onMallocs, onBytes)
+	if onMallocs > offMallocs+0.05 {
+		t.Errorf("the journal costs %.2f mallocs per block (%.2f on, %.2f off), want ≤ 0.05", onMallocs-offMallocs, onMallocs, offMallocs)
+	}
+	if onBytes > 1.10*offBytes {
+		t.Errorf("the journal costs %.0f B per block (%.0f on, %.0f off), want ≤ 10 %%", onBytes-offBytes, onBytes, offBytes)
 	}
 }
 
