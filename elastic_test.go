@@ -13,9 +13,16 @@ func TestElasticConfigValidation(t *testing.T) {
 		Producers: 4, Consumers: 1, SpoolDir: dir,
 		Staging: StagingConfig{Stagers: 4, RoutePolicy: RouteHybrid, Elastic: ElasticConfig{Enabled: true}},
 	}
-	if _, err := NewJob(base); err != nil {
+	job, err := NewJob(base)
+	if err != nil {
 		t.Fatalf("valid elastic config rejected: %v", err)
 	}
+	// Shut the valid job down: its scaler would otherwise keep ticking, and
+	// allocating, under every test that runs after this one.
+	for i := 0; i < base.Producers; i++ {
+		job.Producer(i).Close()
+	}
+	job.Wait()
 	bad := []struct {
 		name string
 		mut  func(*Config)

@@ -144,12 +144,16 @@ func Assemble(c rt.Ctx, pf Platform, spec Spec) (*Assembly, error) {
 	if err != nil {
 		return nil, err
 	}
+	if spec.Core.Recycler == nil {
+		// One free list per job: the producers, the stagers, a TCP wire's
+		// readers and senders, and the consumers all draw from and refill it.
+		spec.Core.Recycler = block.NewRecycler(spec.Core.MaxBatchBlocks)
+	}
 	tier, err := newTier(pf, spec)
 	if err != nil {
 		return nil, err
 	}
 	cfg := spec.Core
-	cfg.Recycler = block.NewRecycler(cfg.MaxBatchBlocks)
 	a := &Assembly{Tier: tier}
 	a.Consumers = startConsumers(pf, spec, &cfg, store, 0)
 	fixed := 0

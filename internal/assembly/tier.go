@@ -158,6 +158,7 @@ func (t *Tier) spawn(c rt.Ctx, slot int) *Instance {
 		Reduce:         t.spec.Core.Reduce,
 		Pipeline:       t.spec.Core.ReducePipeline,
 		Recorder:       t.spec.Core.Recorder,
+		Recycler:       t.spec.Core.Recycler,
 	}
 	if ten := t.spec.Tenants; ten != nil {
 		scfg.Tenants, scfg.Tenant = ten.Plane.MaxTenants, ten.Of

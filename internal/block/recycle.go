@@ -108,6 +108,20 @@ func freshHeaders(s []*Block, n int) []*Block {
 	return s
 }
 
+// Take hands out the last header of stock, the caller's batch from Headers,
+// refilling it first when it has run dry, and returns the rest of the stock.
+// The header's fields are the caller's to set one by one, so that its
+// generation survives the reuse.
+func (r *Recycler) Take(stock []*Block) (*Block, []*Block) {
+	if len(stock) == 0 {
+		stock = r.Headers(stock)
+	}
+	n := len(stock) - 1
+	b := stock[n]
+	stock[n] = nil
+	return b, stock[:n]
+}
+
 // PutHeaders hands in a full batch of retired headers and returns an empty
 // slice to collect the next one in.
 func (r *Recycler) PutHeaders(full []*Block) []*Block {

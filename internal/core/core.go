@@ -204,10 +204,15 @@ type Config struct {
 	// and wire bytes are identical to inline.
 	ReducePipeline *reduce.Pipeline
 	// Recycler, when non-nil, is the job's free list of block headers and
-	// message slices: the consumers hand in what their applications release
-	// and what their receivers have emptied, the producers build the next
-	// blocks and messages from it, so the in-process path allocates nothing
-	// per block once it is warm. Endpoints built without one recycle within
+	// message slices, one per job and shared by every endpoint that makes or
+	// ends a block's trip: the consumers hand in what their applications
+	// release and what their receivers have emptied, the producers build the
+	// next blocks and messages from it, a stager (staging.Config.Recycler)
+	// hands in the lists of the messages it admits and builds the ones it
+	// forwards from it, and on a TCP job the connection readers build what
+	// they receive from it while the senders hand back what they have put on
+	// the wire. Every path, direct or relayed, then allocates nothing per
+	// block once it is warm. Endpoints built without one recycle within
 	// themselves only, which for a producer means allocating in batches.
 	Recycler *block.Recycler
 	// DisableSteal turns the writer thread off, yielding the

@@ -195,12 +195,8 @@ func (p *Producer) Write(c rt.Ctx, step int, offset int64, data []byte, bytes in
 			p.waitRoom(c, tail)
 		}
 	}
-	if len(a.stock) == 0 {
-		a.stock = p.rec.Headers(a.stock)
-	}
-	b := a.stock[len(a.stock)-1]
-	a.stock[len(a.stock)-1] = nil
-	a.stock = a.stock[:len(a.stock)-1]
+	var b *block.Block
+	b, a.stock = p.rec.Take(a.stock)
 	// Field by field: the header's generation survives its reuse.
 	b.ID = block.ID{Rank: p.rank, Step: step, Seq: p.seq}
 	b.Offset, b.Bytes, b.Data = offset, bytes, data
@@ -393,7 +389,7 @@ func (p *Producer) senderThread(c rt.Ctx) {
 			}
 		}
 		// The message's blocks, and the slice that lists them, are the
-		// receiver's once Send returns: count first.
+		// transport's once Send is called (rt.Transport): count first.
 		n := int64(len(blocks))
 		var payload, wire int64
 		for _, b := range blocks {

@@ -34,10 +34,14 @@ type BlockLog interface {
 	// returns once the write has been handed to the file system — like the
 	// spill files, the log is not fsynced. On error nothing is retained.
 	Append(c Ctx, blocks []*block.Block, refs []LogRef) error
-	// Read loads the record at ref into a new block for id, verifying the
-	// payload against the record's checksum. The payload is pooled
-	// (block.GetPayload), so Block.Release recycles it.
-	Read(c Ctx, id block.ID, ref LogRef) (*block.Block, error)
+	// Read loads the record at ref back into b, the header it was appended
+	// from, whose payload was released since: b.Data gets a pooled payload
+	// (block.GetPayload) verified against the record's checksum, so
+	// Block.Release recycles it. A store that keeps payloads also restores
+	// the offset, sizes and reduction stamp from the record; the simulated
+	// store keeps none and leaves b as it was. b.ID names the record in
+	// errors.
+	Read(c Ctx, ref LogRef, b *block.Block) error
 	// Release retires the record at ref. A segment whose records have all
 	// been released is reused for later appends or unlinked.
 	Release(c Ctx, ref LogRef)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"zipper/internal/block"
 	"zipper/internal/rt"
 )
 
@@ -18,9 +19,9 @@ func TestTransportsReportWindowCredit(t *testing.T) {
 	const window, total = 3, 60
 	listen := func(t *testing.T, ring bool) *TCPListener {
 		t.Helper()
-		ln, err := ListenTCP("127.0.0.1:0", 1, window)
+		ln, err := ListenTCP("127.0.0.1:0", 1, window, block.NewRecycler(0))
 		if ring {
-			ln, err = ListenTCPRing("127.0.0.1:0", 1, window)
+			ln, err = ListenTCPRing("127.0.0.1:0", 1, window, block.NewRecycler(0))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +52,7 @@ func TestTransportsReportWindowCredit(t *testing.T) {
 		}},
 		{"tcp", func(t *testing.T) (rt.Transport, rt.Inbox) {
 			ln := listen(t, false)
-			tr, err := DialTCP(ln.Addr(), window)
+			tr, err := DialTCP(ln.Addr(), window, block.NewRecycler(0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -230,39 +229,40 @@ func parseStoreHeader(src []byte) storeHeader {
 	}
 }
 
-// readRecord reads the header at off of r, checks that the payload it
+// readRecord reads the header at off of f, checks that the payload it
 // announces is exactly `want` bytes, reads the payload into a pooled buffer
-// and verifies its checksum. want comes from the caller's own bookkeeping
+// and verifies its checksum, and fills b from the record: payload, offset,
+// sizes and reduction stamp. want comes from the caller's own bookkeeping
 // (the file's size, a log ref inside its segment's written extent), never
 // from the header, so corrupt bytes cannot make the reader allocate what
-// the file does not hold.
-func readRecord(r io.ReaderAt, off, want int64, id block.ID) (*block.Block, error) {
+// the file does not hold. On error b is left as it was. f is the concrete
+// file, not an io.ReaderAt, so the header scratch stays on the stack.
+func readRecord(f *os.File, off, want int64, b *block.Block) error {
 	var hdr [storeHeaderLen]byte
-	if _, err := r.ReadAt(hdr[:], off); err != nil {
-		return nil, fmt.Errorf("header truncated: %w", err)
+	if _, err := f.ReadAt(hdr[:], off); err != nil {
+		return fmt.Errorf("header truncated: %w", err)
 	}
 	h := parseStoreHeader(hdr[:])
 	if h.n != want {
-		return nil, fmt.Errorf("corrupt: header says %d payload bytes, expected %d", h.n, want)
+		return fmt.Errorf("corrupt: header says %d payload bytes, expected %d", h.n, want)
 	}
 	data := block.GetPayload(int(want))
-	b := block.New(id, h.offset, data)
-	if _, err := r.ReadAt(data, off+storeHeaderLen); err != nil {
-		b.Release()
-		return nil, fmt.Errorf("payload truncated: %w", err)
+	if _, err := f.ReadAt(data, off+storeHeaderLen); err != nil {
+		(&block.Block{Data: data}).Release()
+		return fmt.Errorf("payload truncated: %w", err)
 	}
 	if got := crc32.Checksum(data, crcTable); got != h.sum {
-		b.Release()
-		return nil, fmt.Errorf("checksum mismatch: %#x != %#x", got, h.sum)
+		(&block.Block{Data: data}).Release()
+		return fmt.Errorf("checksum mismatch: %#x != %#x", got, h.sum)
 	}
+	b.Data, b.Offset, b.Bytes = data, h.offset, h.n
+	b.Enc, b.EncBytes = 0, 0
 	if h.enc != 0 {
 		// The record holds a reduced payload: restore the stamp and the raw
 		// size so the decoder downstream knows what to rebuild.
-		b.Enc = h.enc
-		b.EncBytes = h.n
-		b.Bytes = h.raw
+		b.Enc, b.EncBytes, b.Bytes = h.enc, h.n, h.raw
 	}
-	return b, nil
+	return nil
 }
 
 // WriteBlock persists b as one file: header, then the payload straight from
@@ -304,11 +304,10 @@ func (s *FileStore) ReadBlock(c rt.Ctx, id block.ID, bytes int64) (*block.Block,
 	if fi.Size() < storeHeaderLen {
 		return nil, fmt.Errorf("realenv: block file %v truncated (%d bytes)", id, fi.Size())
 	}
-	b, err := readRecord(f, 0, fi.Size()-storeHeaderLen, id)
-	if err != nil {
+	b := &block.Block{ID: id, OnDisk: true}
+	if err := readRecord(f, 0, fi.Size()-storeHeaderLen, b); err != nil {
 		return nil, fmt.Errorf("realenv: block file %v: %w", id, err)
 	}
-	b.OnDisk = true
 	return b, nil
 }
 

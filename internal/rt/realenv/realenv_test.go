@@ -142,12 +142,12 @@ func TestNetworkBackpressure(t *testing.T) {
 }
 
 func TestTCPFrameRoundTrip(t *testing.T) {
-	ln, err := ListenTCP("127.0.0.1:0", 2, 4)
+	ln, err := ListenTCP("127.0.0.1:0", 2, 4, block.NewRecycler(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	tr, err := DialTCP(ln.Addr(), 2)
+	tr, err := DialTCP(ln.Addr(), 2, block.NewRecycler(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestTCPFrameRoundTrip(t *testing.T) {
 	if m.From != 3 || m.Dest != 1 || len(m.Blocks) != 2 || m.Blocks[0].ID != blk.ID || m.Blocks[0].Offset != 926 {
 		t.Fatalf("frame mismatch: %+v", m)
 	}
-	if string(m.Blocks[0].Data) != string(blk.Data) || string(m.Blocks[1].Data) != string(blk2.Data) {
+	if string(m.Blocks[0].Data) != "\x01\x02\x03\x04\x05" || string(m.Blocks[1].Data) != "\x06\x07\x08" {
 		t.Fatalf("payload mismatch: %v %v", m.Blocks[0].Data, m.Blocks[1].Data)
 	}
 	if m.Blocks[1].ID != blk2.ID || m.Blocks[1].Bytes != 3 {
@@ -193,7 +193,7 @@ func TestTCPFrameRoundTrip(t *testing.T) {
 // directory, as two separate OS processes would.
 func TestTCPWorkflow(t *testing.T) {
 	dir := t.TempDir()
-	ln, err := ListenTCP("127.0.0.1:0", 1, 2)
+	ln, err := ListenTCP("127.0.0.1:0", 1, 2, block.NewRecycler(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestTCPWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := DialTCP(ln.Addr(), 2)
+	tr, err := DialTCP(ln.Addr(), 2, block.NewRecycler(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,10 +257,10 @@ func TestTCPWorkflow(t *testing.T) {
 }
 
 func TestTCPValidation(t *testing.T) {
-	if _, err := ListenTCP("127.0.0.1:0", 0, 1); err == nil {
+	if _, err := ListenTCP("127.0.0.1:0", 0, 1, block.NewRecycler(0)); err == nil {
 		t.Fatal("zero consumers accepted")
 	}
-	if _, err := DialTCP("127.0.0.1:1", 1); err == nil {
+	if _, err := DialTCP("127.0.0.1:1", 1, block.NewRecycler(0)); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
@@ -272,7 +272,7 @@ func TestTCPValidation(t *testing.T) {
 func TestTCPStagedWorkflow(t *testing.T) {
 	dir := t.TempDir()
 	// Endpoint space: consumer 0, stager at address 1.
-	ln, err := ListenTCP("127.0.0.1:0", 2, 2)
+	ln, err := ListenTCP("127.0.0.1:0", 2, 2, block.NewRecycler(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestTCPStagedWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := DialTCP(ln.Addr(), 2)
+	tr, err := DialTCP(ln.Addr(), 2, block.NewRecycler(0))
 	if err != nil {
 		t.Fatal(err)
 	}

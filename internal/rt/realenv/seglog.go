@@ -109,9 +109,9 @@ func (l *segLog) writeRecords(f *os.File, off, total int64, blocks []*block.Bloc
 	return err
 }
 
-// Read loads and verifies the record at ref. The record is live, so its
-// segment cannot be reclaimed under the read.
-func (l *segLog) Read(c rt.Ctx, id block.ID, ref rt.LogRef) (*block.Block, error) {
+// Read loads and verifies the record at ref into b. The record is live, so
+// its segment cannot be reclaimed under the read.
+func (l *segLog) Read(c rt.Ctx, ref rt.LogRef, b *block.Block) error {
 	l.mu.Lock()
 	var f *os.File
 	if l.tab.Holds(ref) {
@@ -119,13 +119,12 @@ func (l *segLog) Read(c rt.Ctx, id block.ID, ref rt.LogRef) (*block.Block, error
 	}
 	l.mu.Unlock()
 	if f == nil {
-		return nil, fmt.Errorf("realenv: log record of %v: segment %d holds no such record", id, ref.Seg)
+		return fmt.Errorf("realenv: log record of %v: segment %d holds no such record", b.ID, ref.Seg)
 	}
-	b, err := readRecord(f, ref.Off, ref.Len, id)
-	if err != nil {
-		return nil, fmt.Errorf("realenv: log record of %v (segment %d @%d): %w", id, ref.Seg, ref.Off, err)
+	if err := readRecord(f, ref.Off, ref.Len, b); err != nil {
+		return fmt.Errorf("realenv: log record of %v (segment %d @%d): %w", b.ID, ref.Seg, ref.Off, err)
 	}
-	return b, nil
+	return nil
 }
 
 // Release retires the record at ref.

@@ -129,7 +129,7 @@ func FuzzLogRead(f *testing.F) {
 		}
 		extent := refs[1].Off + storeHeaderLen + refs[1].Len
 		for _, ref := range append(refs, rt.LogRef{Seg: refs[0].Seg, Off: int64(off), Len: int64(n)}) {
-			b, err := log.Read(c, block.ID{}, ref)
+			b, err := readBack(c, log, block.ID{}, ref)
 			if ref.Off+storeHeaderLen+ref.Len > extent && err == nil {
 				t.Fatalf("Read(%+v) accepted a ref beyond the written extent %d", ref, extent)
 			}

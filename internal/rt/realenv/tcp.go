@@ -91,6 +91,7 @@ const (
 type TCPListener struct {
 	ln     net.Listener
 	eps    endpointSet
+	rec    *block.Recycler // what the connection readers build messages from
 	wg     sync.WaitGroup
 	mu     sync.Mutex
 	closed bool
@@ -99,12 +100,14 @@ type TCPListener struct {
 // ListenTCP starts the consumer-side endpoint set on addr (use
 // "127.0.0.1:0" for tests) with one window-deep channel inbox per endpoint.
 // `endpoints` counts consumers plus any stager goroutines the caller will
-// run in this process (stager inboxes follow the consumer inboxes).
-func ListenTCP(addr string, endpoints, window int) (*TCPListener, error) {
+// run in this process (stager inboxes follow the consumer inboxes). The
+// connection readers build every received block header and block list from
+// rec, the job's free list, which the consumers refill.
+func ListenTCP(addr string, endpoints, window int, rec *block.Recycler) (*TCPListener, error) {
 	if window < 1 {
 		window = 1
 	}
-	return listenTCP(addr, endpoints, func() endpointSet {
+	return listenTCP(addr, endpoints, rec, func() endpointSet {
 		return newChanEndpoints(endpoints, window)
 	})
 }
@@ -115,16 +118,16 @@ func ListenTCP(addr string, endpoints, window int) (*TCPListener, error) {
 // addresses, and in-process stagers forward through LoopbackPort lanes.
 // window is each lane's send window in messages, as for NewRingNetwork.
 // Selected by Config.Staging.RingDepth > 0 on a TCP job.
-func ListenTCPRing(addr string, endpoints, window int) (*TCPListener, error) {
+func ListenTCPRing(addr string, endpoints, window int, rec *block.Recycler) (*TCPListener, error) {
 	if window < 1 {
 		window = 1
 	}
-	return listenTCP(addr, endpoints, func() endpointSet {
+	return listenTCP(addr, endpoints, rec, func() endpointSet {
 		return newRingEndpoints(endpoints, window)
 	})
 }
 
-func listenTCP(addr string, endpoints int, mkSet func() endpointSet) (*TCPListener, error) {
+func listenTCP(addr string, endpoints int, rec *block.Recycler, mkSet func() endpointSet) (*TCPListener, error) {
 	if endpoints < 1 {
 		return nil, fmt.Errorf("realenv: need ≥1 endpoint, got %d", endpoints)
 	}
@@ -132,7 +135,7 @@ func listenTCP(addr string, endpoints int, mkSet func() endpointSet) (*TCPListen
 	if err != nil {
 		return nil, fmt.Errorf("realenv: listen: %w", err)
 	}
-	l := &TCPListener{ln: ln, eps: mkSet()}
+	l := &TCPListener{ln: ln, eps: mkSet(), rec: rec}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -192,7 +195,7 @@ func (l *TCPListener) acceptLoop() {
 			port := l.eps.Port()
 			endpoints := l.eps.Endpoints()
 			r := bufio.NewReaderSize(conn, 1<<20)
-			frames := frameReader{r: r}
+			frames := frameReader{r: r, rec: l.rec}
 			var ack [4]byte
 			deposited := uint32(0) // messages not yet acknowledged
 			for {
@@ -224,13 +227,18 @@ func (l *TCPListener) acceptLoop() {
 // header is assembled into a per-transport scratch buffer and large frames
 // go out as one vectored write over [header, payload₁, payload₂, …], so a
 // steady-state Send performs zero allocations and never copies payload
-// bytes.
+// bytes. What a Send has put on the wire goes back where the next blocks
+// come from: the payloads to the pool, the headers and the block list to
+// the job's free list.
 type TCPTransport struct {
-	mu   sync.Mutex // serializes senders: one frame on the wire at a time
-	w    *bufio.Writer
-	c    net.Conn
-	hdr  []byte   // reusable frame-header scratch
-	vecs [][]byte // reusable backing for the vectored write
+	mu    sync.Mutex // serializes senders: one frame on the wire at a time
+	w     *bufio.Writer
+	c     net.Conn
+	hdr   []byte      // reusable frame-header scratch
+	vecs  [][]byte    // reusable backing for the vectored write
+	nb    net.Buffers // the write's cursor over vecs, kept here so it is not allocated
+	rec   *block.Recycler
+	spent []*block.Block // retired headers, handed to rec a batch at a time
 
 	// The send window: Send parks while `window` messages are
 	// unacknowledged. 0 means unbounded and no acknowledgement reader — for
@@ -246,7 +254,8 @@ type TCPTransport struct {
 // DialTCP connects a producer process to the consumer-side listener. window
 // is the connection's send window in messages (at least 1), as for ListenTCP:
 // the sender parks while that many messages have not reached their inbox.
-func DialTCP(addr string, window int) (*TCPTransport, error) {
+// Sent headers and block lists go back to rec, the job's free list.
+func DialTCP(addr string, window int, rec *block.Recycler) (*TCPTransport, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("realenv: dial %s: %w", addr, err)
@@ -254,14 +263,16 @@ func DialTCP(addr string, window int) (*TCPTransport, error) {
 	if window < 1 {
 		window = 1
 	}
-	return newTCPTransport(c, window), nil
+	return newTCPTransport(c, window, rec), nil
 }
 
-func newTCPTransport(c net.Conn, window int) *TCPTransport {
+func newTCPTransport(c net.Conn, window int, rec *block.Recycler) *TCPTransport {
 	t := &TCPTransport{
 		w:      bufio.NewWriterSize(c, 1<<20),
 		c:      c,
 		window: window,
+		rec:    rec,
+		spent:  rec.Slice(),
 	}
 	if window > 0 {
 		t.ackCv = sync.NewCond(&t.ackMu)
@@ -329,20 +340,33 @@ func (t *TCPTransport) Credits(to int) int {
 }
 
 // Send frames and writes the message. It is safe for concurrent use by the
-// sender threads of multiple producers sharing the connection. Payload
-// ownership stays with the caller (as on the in-process path, where the
-// consumer releases blocks after analysis): the payload bytes are fully on
-// the wire when Send returns.
+// sender threads of multiple producers sharing the connection. Like every
+// rt.Transport it takes the message over: the bytes are on the wire when it
+// returns, so the payloads go back to the pool and the headers, retired, go
+// back to the job's free list with the block list.
 func (t *TCPTransport) Send(c rt.Ctx, to int, m rt.Message) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	err := t.acquire()
-	if err == nil {
-		err = t.writeFrame(to, m)
-	}
-	if err != nil {
+	if err := t.writeFrame(to, m); err != nil {
 		panic(fmt.Sprintf("realenv: tcp send: %v", err))
 	}
+	for _, b := range m.Blocks {
+		b.Release()
+		b.Retire()
+		if t.spent = append(t.spent, b); len(t.spent) == cap(t.spent) {
+			t.spent = t.rec.PutHeaders(t.spent)
+		}
+	}
+	t.rec.PutSlice(m.Blocks)
+}
+
+// resend writes m as Send does but leaves it with the caller, so the same
+// message can go out again: the frame-writer measurement sends one message
+// over and over.
+func (t *TCPTransport) resend(to int, m rt.Message) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.writeFrame(to, m)
 }
 
 // Close shuts the connection down; the consumer side sees EOF after the
@@ -362,12 +386,15 @@ func (t *TCPTransport) Close() error {
 	return err
 }
 
-// writeFrame assembles the v5 header into the transport's scratch buffer
-// and writes the frame: small frames are copied through the bufio writer
-// (one write syscall after Flush), large frames go out as one vectored
-// write whose iovecs point straight at the pooled block payloads. Callers
-// hold t.mu.
+// writeFrame takes a message's worth of the send window, assembles the v5
+// header into the transport's scratch buffer and writes the frame: small
+// frames are copied through the bufio writer (one write syscall after
+// Flush), large frames go out as one vectored write whose iovecs point
+// straight at the pooled block payloads. Callers hold t.mu.
 func (t *TCPTransport) writeFrame(to int, m rt.Message) error {
+	if err := t.acquire(); err != nil {
+		return err
+	}
 	var flags uint32
 	if m.Fin {
 		flags |= flagFin
@@ -411,8 +438,8 @@ func (t *TCPTransport) writeFrame(to int, m rt.Message) error {
 			}
 		}
 		t.vecs = vecs // keep the grown backing for the next frame
-		nb := net.Buffers(vecs)
-		_, err := nb.WriteTo(t.c)
+		t.nb = vecs
+		_, err := t.nb.WriteTo(t.c)
 		for i := range vecs {
 			vecs[i] = nil // drop payload references until the next frame
 		}
@@ -480,12 +507,15 @@ const (
 
 // frameReader decodes frames off one connection. It owns the scratch the
 // header and the descriptor tables are read into — one io.ReadFull each,
-// parsed from the slice — so a steady-state frame allocates only what it
-// hands on: the message's slices, its blocks, and their pooled payloads.
+// parsed from the slice — and builds what it hands on from the job's free
+// lists: block headers and the block list from rec, payloads from the pool.
+// A steady-state frame whose receiver recycles allocates nothing.
 type frameReader struct {
-	r    io.Reader
-	buf  []byte  // header and descriptor-table scratch, at most tableChunk
-	lens []int64 // each block's payload length, until the payloads are read
+	r     io.Reader
+	rec   *block.Recycler
+	stock []*block.Block // headers drawn from rec, not yet handed on
+	buf   []byte         // header and descriptor-table scratch, at most tableChunk
+	lens  []int64        // each block's payload length, until the payloads are read
 }
 
 // fill reads the next n bytes (n ≤ tableChunk) into the scratch.
@@ -501,9 +531,11 @@ func (fr *frameReader) fill(n int) ([]byte, error) {
 // i64At reads descriptor word i of a table row.
 func i64At(row []byte, i int) int64 { return int64(binary.LittleEndian.Uint64(row[8*i:])) }
 
-// readFrame decodes one frame with a scratch of its own; a connection's
-// reader keeps a frameReader and calls next.
-func readFrame(r io.Reader) (int, rt.Message, error) { return (&frameReader{r: r}).next() }
+// readFrame decodes one frame with a scratch and a free list of its own; a
+// connection's reader keeps a frameReader and calls next.
+func readFrame(r io.Reader) (int, rt.Message, error) {
+	return (&frameReader{r: r, rec: block.NewRecycler(0)}).next()
+}
 
 func (fr *frameReader) next() (int, rt.Message, error) {
 	var m rt.Message
@@ -565,7 +597,7 @@ func (fr *frameReader) next() (int, rt.Message, error) {
 			return 0, m, err
 		}
 		if m.Blocks == nil {
-			m.Blocks = make([]*block.Block, 0, rows)
+			m.Blocks = fr.rec.Slice()
 		}
 		for ; len(table) > 0; table = table[blockDescLen:] {
 			enc, dataLen := i64At(table, 6), i64At(table, 7)
@@ -578,13 +610,11 @@ func (fr *frameReader) next() (int, rt.Message, error) {
 			if enc < 0 || enc > 255 {
 				return 0, m, fmt.Errorf("realenv: bad block encoding %d", enc)
 			}
-			blk := &block.Block{
-				ID:     block.ID{Rank: int(i64At(table, 0)), Step: int(i64At(table, 1)), Seq: int(i64At(table, 2))},
-				Offset: i64At(table, 3),
-				Bytes:  i64At(table, 4),
-				OnDisk: i64At(table, 5) == 1,
-				Enc:    uint8(enc),
-			}
+			var blk *block.Block
+			blk, fr.stock = fr.rec.Take(fr.stock)
+			blk.ID = block.ID{Rank: int(i64At(table, 0)), Step: int(i64At(table, 1)), Seq: int(i64At(table, 2))}
+			blk.Offset, blk.Bytes, blk.Data = i64At(table, 3), i64At(table, 4), nil
+			blk.OnDisk, blk.Enc, blk.EncBytes = i64At(table, 5) == 1, uint8(enc), 0
 			if blk.Enc != 0 {
 				blk.EncBytes = dataLen
 			}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"zipper/internal/block"
 )
 
 // FuzzReadFrame feeds arbitrary bytes to the frame decoder. The invariants:
@@ -17,11 +19,11 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	// Seed with real frames of every shape the sender can produce…
 	conn := &memConn{}
-	tr := newTCPTransport(conn, 0)
+	tr := newTCPTransport(conn, 0, block.NewRecycler(0))
 	c := New().Ctx()
 	for i, m := range frameMessages() {
 		conn.buf.Reset()
-		tr.Send(c, i%7, m)
+		_ = tr.resend(i%7, m) // messages share blocks: none is handed over
 		f.Add(append([]byte(nil), conn.buf.Bytes()...))
 	}
 	// …plus targeted corruptions: bad magic, absurd counts, claimed payload
@@ -61,7 +63,7 @@ func FuzzReadFrame(f *testing.F) {
 		// A decoded frame must re-encode and decode identically (the wire
 		// format is unambiguous).
 		rt2 := &memConn{}
-		tr2 := newTCPTransport(rt2, 0)
+		tr2 := newTCPTransport(rt2, 0, block.NewRecycler(0))
 		tr2.Send(c, 0, m)
 		_, m2, err := readFrame(&rt2.buf)
 		if err != nil {

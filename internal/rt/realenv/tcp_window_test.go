@@ -19,12 +19,12 @@ import (
 // socket buffers have, and delivery reopens it message by message.
 func TestTCPWindowParksSender(t *testing.T) {
 	const window, inboxCap, total = 3, 1, 600
-	ln, err := ListenTCP("127.0.0.1:0", 1, inboxCap)
+	ln, err := ListenTCP("127.0.0.1:0", 1, inboxCap, block.NewRecycler(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	tr, err := DialTCP(ln.Addr(), window)
+	tr, err := DialTCP(ln.Addr(), window, block.NewRecycler(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +81,12 @@ func TestTCPWindowParksSender(t *testing.T) {
 // socket reads long leave the reader's buffer at every kind of boundary.
 func TestTCPWindowOnePingPong(t *testing.T) {
 	const senders, each = 2, 5000
-	ln, err := ListenTCP("127.0.0.1:0", senders, 1)
+	ln, err := ListenTCP("127.0.0.1:0", senders, 1, block.NewRecycler(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	tr, err := DialTCP(ln.Addr(), 1)
+	tr, err := DialTCP(ln.Addr(), 1, block.NewRecycler(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +153,16 @@ func ackingPeer(conn net.Conn, per int, got chan<- rt.Message) {
 func TestFrameAckedRoundTrip(t *testing.T) {
 	for path, msgs := range frameMessageSets(t) {
 		near, far := net.Pipe()
-		tr := newTCPTransport(near, 2)
+		tr := newTCPTransport(near, 2, block.NewRecycler(0))
 		got := make(chan rt.Message)
 		go ackingPeer(far, 2, got)
 		go func() {
-			c := New().Ctx()
 			for i, m := range msgs {
-				tr.Send(c, i%7, m)
+				// Messages share blocks: write each without handing it over.
+				if err := tr.resend(i%7, m); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 		for i, want := range msgs {
@@ -186,7 +189,7 @@ func TestFrameAckedRoundTrip(t *testing.T) {
 // a failed write does.
 func TestTCPDeadConnectionWakesParkedSender(t *testing.T) {
 	near, far := net.Pipe()
-	tr := newTCPTransport(near, 1)
+	tr := newTCPTransport(near, 1, block.NewRecycler(0))
 	defer tr.Close()
 	failed := make(chan any, 1)
 	go func() {
@@ -217,12 +220,12 @@ func TestTCPDeadConnectionWakesParkedSender(t *testing.T) {
 // the sender's EOF before either side hangs up.
 func TestTCPCloseDeliversWhatWasSent(t *testing.T) {
 	const window, total = 4, 4
-	ln, err := ListenTCP("127.0.0.1:0", 1, 1)
+	ln, err := ListenTCP("127.0.0.1:0", 1, 1, block.NewRecycler(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	tr, err := DialTCP(ln.Addr(), window)
+	tr, err := DialTCP(ln.Addr(), window, block.NewRecycler(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,8 +87,8 @@ type DiskRef struct {
 // gets to it, it just shares the wire trip with whatever else is queued.
 type Message struct {
 	From int // producer rank
-	// Blocks, the slice as well as the blocks, belongs to the receiver once
-	// Send has returned: a consumer recycles both (block.Recycler).
+	// Blocks, the slice as well as the blocks, is the transport's once Send
+	// is called (see Transport).
 	Blocks []*block.Block
 	Disk   []DiskRef
 	Fin    bool // the producer has sent everything
@@ -149,6 +149,16 @@ func (m Message) WireBytes() int64 {
 // stager's arbiter can tell, without sending, whether a send would block.
 // With a staging tier the same address space carries stager endpoints after
 // the consumer endpoints (addresses Q..Q+S-1).
+//
+// One ownership rule holds on every transport: Send takes the message over.
+// The block list, the block headers and their payloads are no longer the
+// sender's once Send is called — it must not read, release or reuse any of
+// them afterwards. The in-process channel and ring transports hand them to
+// the receiver, which recycles them (block.Recycler, Block.Release); TCP
+// puts the bytes on the wire before Send returns and recycles them itself:
+// the payloads to the pool, the headers, retired, to the job's free list
+// with the list. Either way a block's generation advances before its header
+// is reused, so a stale handle cannot release the next block's payload.
 type Transport interface {
 	Send(c Ctx, to int, m Message)
 	// Credits reports how many messages endpoint `to` can accept right now:

@@ -246,7 +246,8 @@ func (s *Store) OpenLog() rt.BlockLog {
 // real platform's, charged to the PFS model — an append is one write of the
 // batch's headers and wire bytes at the segment's tail (the first write to
 // a segment also pays the metadata server for the create), a read one read
-// of the record. Contents are symbolic, so Read rebuilds only the size.
+// of the record. Contents are symbolic, so Read leaves the header as the
+// caller kept it.
 // The engine runs one process at a time, so no locking is needed.
 type segLog struct {
 	fs     *pfs.PFS
@@ -274,13 +275,13 @@ func (l *segLog) Append(c rt.Ctx, blocks []*block.Block, refs []rt.LogRef) error
 	return nil
 }
 
-func (l *segLog) Read(c rt.Ctx, id block.ID, ref rt.LogRef) (*block.Block, error) {
+func (l *segLog) Read(c rt.Ctx, ref rt.LogRef, b *block.Block) error {
 	if !l.tab.Holds(ref) {
-		return nil, fmt.Errorf("simenv: log record of %v: segment %d holds no such record", id, ref.Seg)
+		return fmt.Errorf("simenv: log record of %v: segment %d holds no such record", b.ID, ref.Seg)
 	}
 	sc := proc(c)
 	l.fs.Read(sc.P, sc.Node, l.segName(ref.Seg), ref.Off, rt.RecordHeaderBytes+ref.Len)
-	return block.NewSized(id, 0, ref.Len), nil
+	return nil
 }
 
 func (l *segLog) Release(c rt.Ctx, ref rt.LogRef) { l.tab.Release(ref.Seg) }

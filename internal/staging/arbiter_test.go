@@ -71,9 +71,9 @@ func (l *countingLog) Append(c rt.Ctx, blocks []*block.Block, refs []rt.LogRef) 
 	return l.BlockLog.Append(c, blocks, refs)
 }
 
-func (l *countingLog) Read(c rt.Ctx, id block.ID, ref rt.LogRef) (*block.Block, error) {
+func (l *countingLog) Read(c rt.Ctx, ref rt.LogRef, b *block.Block) error {
 	l.s.logReads++
-	return l.BlockLog.Read(c, id, ref)
+	return l.BlockLog.Read(c, ref, b)
 }
 
 func (l *countingLog) Release(c rt.Ctx, ref rt.LogRef) {

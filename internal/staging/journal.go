@@ -27,7 +27,6 @@ package staging
 import (
 	"sort"
 
-	"zipper/internal/block"
 	"zipper/internal/rt"
 )
 
@@ -73,18 +72,17 @@ func Replay(c rt.Ctx, j *Journal, _ rt.BlockStore, tr rt.Transport) (replayed, o
 	s.queue, j.orphans = nil, nil
 	lostByDest := map[int]int64{}
 	for _, sl := range queue {
-		for _, rb := range sl.blocks {
-			b := rb.b
+		for i := sl.head; i < len(sl.blocks); i++ {
+			rb := &sl.blocks[i]
 			if rb.spilled {
-				var err error
-				if b, err = s.unspill(c, rb); err != nil {
+				if err := s.unspill(c, rb); err != nil {
 					lostByDest[sl.dest]++
 					lost++
 					j.log.Release(c, rb.ref)
 					continue
 				}
 			}
-			tr.Send(c, sl.dest, rt.Message{From: sl.from, Dest: sl.dest, Blocks: []*block.Block{b}})
+			tr.Send(c, sl.dest, rt.Message{From: sl.from, Dest: sl.dest, Blocks: append(s.rec.Slice(), rb.b)})
 			replayed++
 			if rb.spilled {
 				j.log.Release(c, rb.ref)

@@ -114,6 +114,11 @@ type Config struct {
 	Pipeline *reduce.Pipeline
 	// Recorder, when non-nil, captures the stager threads' activity spans.
 	Recorder *trace.Recorder
+	// Recycler, when non-nil, is the job's free list of block headers and
+	// block lists (core.Config.Recycler): the receiver hands in the list of
+	// every message it admits and the forwarder builds its messages' lists
+	// from it. Without one the stager keeps a free list of its own.
+	Recycler *block.Recycler
 
 	// Tenants is the number of tenant classes sharing this stager under a
 	// multi-job control plane (0 leaves the stager single-tenant: no
@@ -187,20 +192,16 @@ type Stats struct {
 }
 
 // relayBlock is one buffered block: resident in memory, being spilled, or
-// spilled (b == nil) awaiting re-read by the forwarder — from its spill
-// file, or in fault mode from the segment log, which holds exactly the
-// spilled blocks and nothing else, at ref. In a dead fault-mode stager's
-// queue it is what the recovery reader owes. ref.Len is the spilled size
-// (the encoded size when reduced) on both paths; with enc it snapshots the
-// block's reduction stamp at spill time so the re-read can restore it on
-// platforms whose store keeps no payload (the simulated PFS).
+// spilled (b.Data released) awaiting re-read by the forwarder — from its
+// spill file, or in fault mode from the segment log, which holds exactly the
+// spilled blocks and nothing else, at ref. The header stays with the entry
+// throughout, so the re-read fills it again and everything the block says
+// about itself (identity, offset, sizes, reduction stamp) is still there on
+// platforms whose store keeps no payload (the simulated PFS). In a dead
+// fault-mode stager's queue it is what the recovery reader owes.
 type relayBlock struct {
 	b        *block.Block
-	id       block.ID
-	offset   int64
-	bytes    int64
-	ref      rt.LogRef // once spilled; only Len on the spill-file path
-	enc      uint8
+	ref      rt.LogRef // once spilled to the segment log
 	spilling bool
 	spilled  bool
 	ten      *tenantState // tenant charged for the resident block (multi-tenant only)
@@ -221,10 +222,14 @@ type tenantState struct {
 
 // slot is one received mixed message, decomposed and queued in arrival
 // order. A slot leaves the queue only once fully forwarded, so its Fin and
-// disk refs never overtake its blocks.
+// disk refs never overtake its blocks, and then goes back to the stager's
+// free list. Its entries are stored by value and never move while it is
+// queued: the spiller holds pointers to its victims across the append, and a
+// victim being spilled keeps its slot from being forwarded.
 type slot struct {
 	from, dest int
-	blocks     []*relayBlock
+	blocks     []relayBlock
+	head       int // blocks[:head] have been taken by the forwarder
 	disk       []rt.DiskRef
 	fin        bool
 	// finBlocks/finDisk are the Fin's declared delivery totals, carried
@@ -283,7 +288,9 @@ type Stager struct {
 	lastPark    time.Duration
 
 	queue       []*slot
-	memBlocks   int // blocks resident in memory (mirrored in fl.Queue)
+	free        []*slot         // forwarded slots, for the receiver to reuse
+	rec         *block.Recycler // the job's free list of block lists
+	memBlocks   int             // blocks resident in memory (mirrored in fl.Queue)
 	finsGot     int
 	recvDone    bool
 	forwardDone bool
@@ -315,7 +322,10 @@ func NewStager(env rt.Env, cfg Config, id int, in rt.Inbox, tr rt.Transport, fs 
 	if cfg.Journal != nil && !cfg.Managed {
 		panic("staging: a crash journal requires a managed stager")
 	}
-	s := &Stager{env: env, cfg: cfg, id: id, in: in, tr: tr, fs: fs}
+	s := &Stager{env: env, cfg: cfg, id: id, in: in, tr: tr, fs: fs, rec: cfg.Recycler}
+	if s.rec == nil {
+		s.rec = block.NewRecycler(cfg.MaxBatchBlocks)
+	}
 	if j := cfg.Journal; j != nil {
 		j.s, j.log = s, fs.OpenLog()
 	}
@@ -612,12 +622,6 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 			break
 		}
 		ts := s.tenantOf(m.From)
-		sl := &slot{from: m.From, dest: m.Dest, disk: m.Disk, fin: m.Fin,
-			finBlocks: m.FinBlocks, finDisk: m.FinDisk}
-		for _, b := range m.Blocks {
-			sl.blocks = append(sl.blocks, &relayBlock{b: b, id: b.ID, offset: b.Offset,
-				bytes: b.Bytes, enc: b.Enc, ten: ts})
-		}
 		// Admission is whole-message against both caps: the buffer — all of
 		// it while the stager is absorbing, the pass-through depth while the
 		// consumer keeps up, so a flood back-pressures its producers instead
@@ -640,8 +644,9 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 			continue
 		}
 		// Queued: from here on a crash owes the message to the recovery
-		// reader (fault mode).
-		s.queue = append(s.queue, sl)
+		// reader (fault mode). The list that carried the blocks is spent.
+		s.queue = append(s.queue, s.slotLocked(m, ts))
+		s.rec.PutSlice(m.Blocks)
 		s.setOccLocked(s.memBlocks + need)
 		if ts != nil && need > 0 {
 			s.chargeTenantLocked(ts, need)
@@ -670,6 +675,31 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 	s.maybeUnleaseLocked(c)
 	s.done.Broadcast()
 	s.lk.Unlock(c)
+}
+
+// slotLocked decomposes an admitted message into a slot, a forwarded one
+// from the free list when there is one.
+func (s *Stager) slotLocked(m rt.Message, ts *tenantState) *slot {
+	var sl *slot
+	if n := len(s.free); n > 0 {
+		sl, s.free[n-1] = s.free[n-1], nil
+		s.free = s.free[:n-1]
+	} else {
+		sl = new(slot)
+	}
+	sl.from, sl.dest, sl.disk, sl.fin = m.From, m.Dest, m.Disk, m.Fin
+	sl.finBlocks, sl.finDisk = m.FinBlocks, m.FinDisk
+	for _, b := range m.Blocks {
+		sl.blocks = append(sl.blocks, relayBlock{b: b, ten: ts})
+	}
+	return sl
+}
+
+// freeLocked takes back a slot the forwarder has taken everything from.
+func (s *Stager) freeLocked(sl *slot) {
+	clear(sl.blocks)
+	*sl = slot{blocks: sl.blocks[:0]}
+	s.free = append(s.free, sl)
 }
 
 // admitLimitLocked is how many resident blocks the receiver may admit up
@@ -784,10 +814,12 @@ func (s *Stager) spillFromLocked() int {
 }
 
 // assembleLocked removes the next outgoing batch from the head of the
-// queue: blocks for a single destination, up to MaxBatchBlocks, merging
-// consecutive slots (re-batching) and stopping once a Fin is included or a
-// block still being spilled is reached. Returns ok=false when nothing is
-// consumable right now (head block mid-spill).
+// queue into taken, the forwarder's scratch: blocks for a single
+// destination, up to MaxBatchBlocks, merging consecutive slots (re-batching)
+// and stopping once a Fin is included or a block still being spilled is
+// reached. The entries are copied out, so a slot emptied here goes back to
+// the free list at once. Returns ok=false when nothing is consumable right
+// now (head block mid-spill).
 //
 // A merged message can carry blocks from several producers — blocks
 // self-identify through their IDs, so the outgoing From is informational:
@@ -802,7 +834,7 @@ func (s *Stager) spillFromLocked() int {
 // With no credit anywhere the head run is taken and the send blocks: that
 // is the natural backpressure. Single-tenant stagers keep strict FIFO so the
 // private-tier forwarding order is untouched.
-func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []rt.DiskRef, from, dest int, fin bool, finBlocks, finDisk int64, ok bool) {
+func (s *Stager) assembleLocked(now time.Duration, taken []relayBlock) (_ []relayBlock, disk []rt.DiskRef, from, dest int, fin bool, finBlocks, finDisk int64, ok bool) {
 	// The oldest queued destination is the one the arbiter watches: on a
 	// multi-tenant stager the batch may skip past it, but only because it
 	// has no credit — the head is then waiting on that window while other
@@ -827,18 +859,13 @@ func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []
 			break
 		}
 		blocked := false
-		for len(sl.blocks) > 0 {
-			rb := sl.blocks[0]
-			if rb.spilling {
+		for ; sl.head < len(sl.blocks); sl.head++ {
+			rb := &sl.blocks[sl.head]
+			if rb.spilling || len(taken) >= s.cfg.MaxBatchBlocks {
 				blocked = true
 				break
 			}
-			if len(taken) >= s.cfg.MaxBatchBlocks {
-				blocked = true
-				break
-			}
-			sl.blocks = sl.blocks[1:]
-			taken = append(taken, rb)
+			taken = append(taken, *rb)
 			if !rb.spilled {
 				freed++
 				s.chargeTenantLocked(rb.ten, -1)
@@ -858,6 +885,9 @@ func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []
 		end++
 	}
 	if end > start {
+		for _, sl := range s.queue[start:end] {
+			s.freeLocked(sl)
+		}
 		s.queue = append(s.queue[:start], s.queue[end:]...)
 	}
 	if freed > 0 {
@@ -865,15 +895,15 @@ func (s *Stager) assembleLocked(now time.Duration) (taken []*relayBlock, disk []
 		s.space.Broadcast()
 	}
 	ok = len(taken) > 0 || len(disk) > 0 || fin
-	return
+	return taken, disk, from, dest, fin, finBlocks, finDisk, ok
 }
 
 // forwarderThread drains the queue head, re-reads any spilled blocks, and
 // sends re-batched mixed messages to the destination consumers.
 func (s *Stager) forwarderThread(c rt.Ctx) {
+	var taken []relayBlock // the batch's entries, copied out of the queue
 	for {
 		s.lk.Lock(c)
-		var taken []*relayBlock
 		var disk []rt.DiskRef
 		var from, dest int
 		var fin, ok bool
@@ -889,7 +919,7 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 				return
 			}
 			if len(s.queue) > 0 {
-				taken, disk, from, dest, fin, finBlocks, finDisk, ok = s.assembleLocked(c.Now())
+				taken, disk, from, dest, fin, finBlocks, finDisk, ok = s.assembleLocked(c.Now(), taken[:0])
 				if ok {
 					break
 				}
@@ -911,20 +941,21 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		encodeNow := s.gate != nil && s.gate.Observe(s.memBlocks)
 		s.lk.Unlock(c)
 
-		blocks := make([]*block.Block, 0, len(taken))
+		blocks := s.rec.Slice()
 		var unspillBusy time.Duration
 		var unspillErr error
 		var lost int64
-		for _, rb := range taken {
+		for i := range taken {
+			rb := &taken[i]
 			if !rb.spilled {
 				blocks = append(blocks, rb.b)
 				continue
 			}
 			start := c.Now()
-			b, err := s.unspill(c, rb)
+			err := s.unspill(c, rb)
 			unspillBusy += c.Now() - start
 			if err != nil {
-				unspillErr = fmt.Errorf("staging: re-reading spilled block %v: %w", rb.id, err)
+				unspillErr = fmt.Errorf("staging: re-reading spilled block %v: %w", rb.b.ID, err)
 				// Forward the rest, declaring the drop: the consumer counts
 				// Lost against the Fins' declared totals, so the stream
 				// still terminates (the data is gone either way — Err marks
@@ -932,7 +963,7 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 				lost++
 				continue
 			}
-			blocks = append(blocks, b)
+			blocks = append(blocks, rb.b)
 		}
 		if s.cfg.Recorder != nil && unspillBusy > 0 {
 			s.cfg.Recorder.Add(s.traceName("forwarder"), "unspill", c.Now()-unspillBusy, c.Now())
@@ -1009,33 +1040,24 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 	}
 }
 
-// unspill brings a spilled block back into memory as a fresh in-memory
-// block: the consumer must not mistake the stager's private spill copy for
-// one that arrived through the file system. Without a journal the block
-// comes from its spill file, which is reclaimed. In fault mode it is a
+// unspill brings a spilled block's payload back into the header the entry
+// kept, which still says everything else about the block — in particular
+// that it did not arrive through the file system. In fault mode it is a
 // checksum-verified read from the segment log, whose space the caller
-// releases once the block has been sent.
-func (s *Stager) unspill(c rt.Ctx, rb *relayBlock) (*block.Block, error) {
-	var b *block.Block
-	var err error
+// releases once the block has been sent. Without a journal the payload
+// comes from the block's spill file, which is reclaimed; the store reads it
+// into a header of its own, which is dropped.
+func (s *Stager) unspill(c rt.Ctx, rb *relayBlock) error {
 	if j := s.cfg.Journal; j != nil {
-		b, err = j.log.Read(c, rb.id, rb.ref)
-	} else if b, err = s.fs.ReadBlock(c, rb.id, rb.ref.Len); err == nil {
-		_ = s.fs.RemoveBlock(c, rb.id)
+		return j.log.Read(c, rb.ref, rb.b)
 	}
+	b, err := s.fs.ReadBlock(c, rb.b.ID, rb.b.WireBytes())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	b.Offset = rb.offset
-	b.OnDisk = false
-	if rb.enc != 0 {
-		// Restore the reduction stamp on platforms whose spill store keeps
-		// no payload (realenv's headers already did this).
-		b.Enc = rb.enc
-		b.EncBytes = rb.ref.Len
-		b.Bytes = rb.bytes
-	}
-	return b, nil
+	_ = s.fs.RemoveBlock(c, rb.b.ID)
+	rb.b.Data = b.Data
+	return nil
 }
 
 // spillerThread overflows the newest in-memory blocks to the spill store
@@ -1135,7 +1157,7 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 		}
 		if err != nil {
 			if s.err == nil {
-				s.err = fmt.Errorf("staging: spilling block %v: %w", victims[0].id, err)
+				s.err = fmt.Errorf("staging: spilling block %v: %w", victims[0].b.ID, err)
 			}
 			s.spillDone = true
 			s.work.Broadcast()
@@ -1145,16 +1167,11 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 			return
 		}
 		for i, v := range victims {
-			// The spiller may have reduction-encoded the victim since admission.
-			v.enc = v.b.Enc
 			if s.cfg.Journal != nil {
 				v.ref = refs[i]
-			} else {
-				v.ref.Len = v.b.WireBytes()
 			}
 			s.fl.SpilledBytes.Add(v.b.WireBytes())
 			v.b.Release() // recycle the payload: the spill copy is authoritative now
-			v.b = nil
 			v.spilled = true
 			if v.ten != nil {
 				// The spill moves the block off the tenant's resident account —
@@ -1197,8 +1214,8 @@ func (s *Stager) newestResidentLocked() *relayBlock {
 	if ts := s.pressuredTenantLocked(); ts != nil {
 		for i := len(s.queue) - 1; i >= 0; i-- {
 			sl := s.queue[i]
-			for j := len(sl.blocks) - 1; j >= 0; j-- {
-				rb := sl.blocks[j]
+			for j := len(sl.blocks) - 1; j >= sl.head; j-- {
+				rb := &sl.blocks[j]
 				if rb.ten == ts && !rb.spilled && !rb.spilling {
 					return rb
 				}
@@ -1207,8 +1224,8 @@ func (s *Stager) newestResidentLocked() *relayBlock {
 	}
 	for i := len(s.queue) - 1; i >= 0; i-- {
 		sl := s.queue[i]
-		for j := len(sl.blocks) - 1; j >= 0; j-- {
-			rb := sl.blocks[j]
+		for j := len(sl.blocks) - 1; j >= sl.head; j-- {
+			rb := &sl.blocks[j]
 			if !rb.spilled && !rb.spilling {
 				return rb
 			}

@@ -609,8 +609,10 @@ type platform struct {
 // min(ringDepth, window) messages deep, a channel inbox and a TCP
 // connection `window`. On a TCP job every producer's connection is dialed
 // here, so that nothing that can fail is left for after the first runtime
-// thread has started; on an error nothing is left open.
-func newPlatform(spoolDir, tcpAddr string, ringDepth, window, endpoints, producers int) (*platform, error) {
+// thread has started; on an error nothing is left open. The listener's
+// readers and the dialed senders share rec, the job's free list of block
+// headers and block lists; only a TCP wire uses it.
+func newPlatform(spoolDir, tcpAddr string, ringDepth, window, endpoints, producers int, rec *block.Recycler) (*platform, error) {
 	fs, err := realenv.NewFileStore(spoolDir)
 	if err != nil {
 		return nil, err
@@ -623,15 +625,15 @@ func newPlatform(spoolDir, tcpAddr string, ringDepth, window, endpoints, produce
 	case tcpAddr == "":
 		pf.net = realenv.NewNetwork(endpoints, window)
 	case ringDepth > 0:
-		pf.ln, err = realenv.ListenTCPRing(tcpAddr, endpoints, lane)
+		pf.ln, err = realenv.ListenTCPRing(tcpAddr, endpoints, lane, rec)
 	default:
-		pf.ln, err = realenv.ListenTCP(tcpAddr, endpoints, window)
+		pf.ln, err = realenv.ListenTCP(tcpAddr, endpoints, window, rec)
 	}
 	if err != nil {
 		return nil, err
 	}
 	for p := 0; pf.ln != nil && p < producers; p++ {
-		t, err := realenv.DialTCP(pf.ln.Addr(), window)
+		t, err := realenv.DialTCP(pf.ln.Addr(), window, rec)
 		if err != nil {
 			pf.close()
 			return nil, err
@@ -700,8 +702,9 @@ func NewJob(cfg Config) (*Job, error) {
 		return nil, err
 	}
 	spec := cfg.spec()
+	spec.Core.Recycler = block.NewRecycler(spec.Core.MaxBatchBlocks)
 	pf, err := newPlatform(cfg.SpoolDir, cfg.TCPAddr, cfg.Staging.RingDepth, spec.Window,
-		spec.Consumers+spec.Slots(), spec.Producers)
+		spec.Consumers+spec.Slots(), spec.Producers, spec.Core.Recycler)
 	if err != nil {
 		return nil, err
 	}

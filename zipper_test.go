@@ -291,13 +291,17 @@ func TestJobDirectCycleAllocs(t *testing.T) {
 	}
 }
 
-// TestJobRelayCycleAllocs pins what the crash journal costs the allocator on
-// the relay path: a block through a fault-protected stager may cost no more
-// than through a plain one. The journal is the stager's own queue plus the
-// segment log, so admission records nothing of its own. Two jobs with the
-// pipelined shape of TestJobDirectCycleAllocs relay everything through one
-// stager, one with Fault off and one with it on, and the Fault-on leg may
-// allocate at most 0.05 times and 10 % of the bytes per block more.
+// TestJobRelayCycleAllocs pins what the relay hop costs the allocator: as
+// little as the direct path, at most 0.25 mallocs per block, with the crash
+// journal on or off. The stager decomposes a message into a slot from its
+// own free list, stores the entries by value and hands the producer's block
+// list back to the job's free list, and the forwarder builds its messages'
+// lists from it; the journal is the stager's own queue plus the segment log,
+// so admission records nothing of its own. Two jobs with the pipelined shape
+// of TestJobDirectCycleAllocs relay everything through one stager, one with
+// Fault off and one with it on; each leg may allocate at most 16 B per block,
+// and the Fault-on leg at most 0.05 times per block more than the other
+// (under -race, where dropped payloads dominate, 10 % of the bytes more).
 func TestJobRelayCycleAllocs(t *testing.T) {
 	// Every block pays what the journal costs. A spill adds what re-reading
 	// its blocks costs, on either spill path, and whether the stager spills
@@ -366,8 +370,22 @@ func TestJobRelayCycleAllocs(t *testing.T) {
 	if onMallocs > offMallocs+0.05 {
 		t.Errorf("the journal costs %.2f mallocs per block (%.2f on, %.2f off), want ≤ 0.05", onMallocs-offMallocs, onMallocs, offMallocs)
 	}
-	if onBytes > 1.10*offBytes {
-		t.Errorf("the journal costs %.0f B per block (%.0f on, %.0f off), want ≤ 10 %%", onBytes-offBytes, onBytes, offBytes)
+	if raceEnabled {
+		// Each leg also re-allocates the payloads the race detector's pool
+		// drops, so the journal is held to 10 % of the Fault-off bytes.
+		if onBytes > 1.10*offBytes {
+			t.Errorf("the journal costs %.0f B per block (%.0f on, %.0f off), want ≤ 10 %%", onBytes-offBytes, onBytes, offBytes)
+		}
+	} else if worst := max(offBytes, onBytes); worst > 16 {
+		t.Errorf("a relayed block allocates %.1f B (Fault off %.1f, on %.1f), want ≤ 16", worst, offBytes, onBytes)
+	}
+	limit := 0.25
+	if raceEnabled {
+		// The payload pool drops a quarter of what it is handed.
+		limit = 0.75
+	}
+	if worst := max(offMallocs, onMallocs); worst > limit {
+		t.Errorf("a relayed block allocates %.2f times (Fault off %.2f, on %.2f), want ≤ %.2f", worst, offMallocs, onMallocs, limit)
 	}
 }
 
