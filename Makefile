@@ -38,7 +38,9 @@ test-cpus:
 
 # The tests worth repeating under the race detector, in one place for `make
 # test` and the CI step alike: the send window of a ring lane and of a TCP
-# connection, the window credit every transport handle reports, the per-block allocation pins (the
+# connection, the window credit every transport handle reports, a TCP job's
+# staging tier under every placement and the shutdown fence it rests on (a
+# closed connection has deposited every frame), the per-block allocation pins (the
 # direct, relay, TCP and steal paths, the frame reader, the TCP sender's
 # hand-back, the segment log's append and re-read), the disk election (router
 # table, two-regime simulation, bursty job), the assembly (one Spec on both
@@ -55,6 +57,7 @@ test-cpus:
 # Wait within 20 ms of the final Read).
 REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCPWindowParksSender \
 	TestTCPWindowOnePingPong TestJobTCPWindowBoundsInFlight TestTransportsReportWindowCredit \
+	TestJobTCPPlacedTier TestTCPCloseFencesDelivery \
 	TestPayloadCycleDoesNotAllocate TestTCPSendRecyclesSenderBlocks TestReadFrameAllocs TestLogAppendReadAllocs \
 	TestGaugeWritesDoNotAllocate TestJobDirectCycleAllocs TestJobRelayCycleAllocs TestJobTCPCompressDecodeAllocs \
 	TestJobStealCycleAllocs TestAdaptiveDisk TestAdaptiveDeterministic TestOnlyAdaptiveArbitratesDisk \

@@ -82,10 +82,10 @@ type Spec struct {
 	// built) and StagerBufferBlocks each stager's in-memory capacity.
 	Stagers            int
 	StagerBufferBlocks int
-	// Elastic, Placement and Fault select the tier's shape: a scaler over
-	// an epoch-versioned pool, a pool resolved per batch by the placement
-	// policy, leases and journals on every pool member. All off is the
-	// fixed tier, producer p relaying through slot p mod Slots.
+	// The tier is always an epoch-versioned pool resolved per batch by the
+	// Placement policy; RankAffine, the zero value, relays producer p
+	// through slot p mod Slots. Elastic adds a scaler over the pool, Fault
+	// leases and journals on every member.
 	Elastic   elastic.Config
 	Placement place.Kind
 	Fault     fault.Config
@@ -109,8 +109,8 @@ type Tenants struct {
 }
 
 // Slots is the number of tier slots the spec reserves: none when routing
-// cannot reach a tier (its receivers would wait forever for Fins), and
-// never more than the producers (a stager with no producer never ends).
+// cannot reach a tier, and never more than the producers (under rank-affine
+// placement a slot past the last producer would stand idle).
 func (s Spec) Slots() int {
 	switch {
 	case s.Tenants != nil:
@@ -156,17 +156,11 @@ func Assemble(c rt.Ctx, pf Platform, spec Spec) (*Assembly, error) {
 	cfg := spec.Core
 	a := &Assembly{Tier: tier}
 	a.Consumers = startConsumers(pf, spec, &cfg, store, 0)
-	fixed := 0
 	if tier != nil {
 		tier.start(c)
-		cfg.StagerLevel = tier.level
-		if tier.Pool != nil {
-			cfg.Directory = tier.Pool
-		} else {
-			fixed = len(tier.slots)
-		}
+		cfg.StagerLevel, cfg.Directory = tier.level, tier.Pool
 	}
-	a.Producers = startProducers(pf, spec, cfg, store, 0, 0, fixed)
+	a.Producers = startProducers(pf, spec, cfg, store, 0, 0)
 	if tier != nil {
 		tier.startMonitor()
 	}
@@ -203,7 +197,7 @@ func (t *Tier) Join(pf Platform, spec Spec, store rt.BlockStore, consBase, rankB
 	}
 	ep := &Endpoints{}
 	ep.Consumers = startConsumers(pf, spec, &cfg, store, consBase)
-	ep.Producers = startProducers(pf, spec, cfg, store, consBase, rankBase, 0)
+	ep.Producers = startProducers(pf, spec, cfg, store, consBase, rankBase)
 	return ep
 }
 
@@ -243,19 +237,14 @@ func startConsumers(pf Platform, spec Spec, cfg *core.Config, store rt.BlockStor
 	return cons
 }
 
-// startProducers builds the job's producers. With fixed > 0 the tier is
-// the fixed rank-affine one and producer p relays through slot p mod
-// fixed; otherwise cfg.Directory (or nothing) decides.
-func startProducers(pf Platform, spec Spec, cfg core.Config, store rt.BlockStore, consBase, rankBase, fixed int) []*core.Producer {
+// startProducers builds the job's producers; cfg.Directory (or nothing)
+// is the tier they relay through.
+func startProducers(pf Platform, spec Spec, cfg core.Config, store rt.BlockStore, consBase, rankBase int) []*core.Producer {
 	prods := make([]*core.Producer, spec.Producers)
 	for p := range prods {
-		stager := core.NoStager
-		if fixed > 0 {
-			stager = spec.Consumers + p%fixed
-		}
 		rank := rankBase + p
 		dest := consBase + p*spec.Consumers/spec.Producers
-		prods[p] = core.NewStagedProducer(pf.Env(Producer, rank), cfg, rank, dest, stager, pf.Port(Producer, rank), store)
+		prods[p] = core.NewProducer(pf.Env(Producer, rank), cfg, rank, dest, pf.Port(Producer, rank), store)
 	}
 	return prods
 }

@@ -33,15 +33,15 @@ type Instance struct {
 	spill   rt.BlockStore    // the slot's spool partition
 }
 
-// Tier is the in-transit staging tier in any of its shapes — fixed
-// rank-affine, pool-managed behind a placement directory, elastic, each of
-// the last two optionally fault-protected, or a fleet's shared tier — and
-// the one implementation of the callbacks its controllers drive it through:
-// elastic.Host, fault.Host and control.Host.
+// Tier is the in-transit staging tier in either of its shapes — a private
+// pool behind a placement directory, optionally elastic and optionally
+// fault-protected, or a fleet's shared tier — and the one implementation of
+// the callbacks its controllers drive it through: elastic.Host, fault.Host
+// and control.Host.
 type Tier struct {
-	// Pool is the stager directory producers resolve through, Scaler the
-	// autoscaler, Monitor the failure detector, Plane a fleet's control
-	// plane. Each is nil in the shapes that have none.
+	// Pool is a private tier's stager directory, which producers resolve
+	// through, Scaler the autoscaler, Monitor the failure detector, Plane a
+	// fleet's control plane. Each is nil in the shapes that have none.
 	Pool    *place.Directory
 	Scaler  *elastic.Scaler
 	Monitor *fault.Monitor
@@ -92,13 +92,6 @@ func newTier(pf Platform, spec Spec) (*Tier, error) {
 	return t, nil
 }
 
-// managed reports pool-managed termination: the stagers exit on Retire,
-// not on a count of Fins.
-func (t *Tier) managed() bool {
-	return t.spec.Tenants != nil || t.ecfg.Enabled || t.fcfg.Enabled ||
-		t.spec.Placement != place.KindRankAffine
-}
-
 // start spawns the starting stagers in slot order, then the scaler or the
 // control plane.
 func (t *Tier) start(c rt.Ctx) {
@@ -106,12 +99,12 @@ func (t *Tier) start(c rt.Ctx) {
 	if t.ecfg.Enabled {
 		n = t.ecfg.MinStagers
 	}
-	if t.managed() && t.spec.Tenants == nil {
+	if t.spec.Tenants == nil {
 		// An epoch-versioned membership resolved per drained batch through
-		// the placement policy, on the stagers' live occupancy gauges. The
-		// fault plane needs it even under rank-affine placement: an
-		// eviction is a membership epoch, and counted Fins are what let
-		// replayed blocks land after their relay died.
+		// the placement policy, on the stagers' live occupancy gauges: an
+		// eviction or a drain is a membership epoch, and the direct Fins'
+		// declared totals are what let relayed and replayed blocks land
+		// whichever member carried them.
 		t.Pool = place.New(t.spec.Placement.New(), t.level)
 	}
 	addrs := make([]int, n)
@@ -140,7 +133,7 @@ func (t *Tier) start(c rt.Ctx) {
 // every heartbeat, evicts lapsed members, and drives fence → replay →
 // respawn through the tier.
 func (t *Tier) startMonitor() {
-	if t.fcfg.Enabled && t.Pool != nil {
+	if t.fcfg.Enabled {
 		t.Monitor = fault.NewMonitor(t.pf.Env(Control, 0), t.fcfg, t.Pool, t)
 		t.Monitor.Start()
 	}
@@ -154,7 +147,7 @@ func (t *Tier) spawn(c rt.Ctx, slot int) *Instance {
 	scfg := staging.Config{
 		BufferBlocks:   t.spec.StagerBufferBlocks,
 		MaxBatchBlocks: t.spec.Core.MaxBatchBlocks,
-		Managed:        t.managed(),
+		Managed:        true,
 		Reduce:         t.spec.Core.Reduce,
 		Pipeline:       t.spec.Core.ReducePipeline,
 		Recorder:       t.spec.Core.Recorder,
@@ -162,12 +155,6 @@ func (t *Tier) spawn(c rt.Ctx, slot int) *Instance {
 	}
 	if ten := t.spec.Tenants; ten != nil {
 		scfg.Tenants, scfg.Tenant = ten.Plane.MaxTenants, ten.Of
-	}
-	if !scfg.Managed {
-		// The fixed tier ends by counting the Fins of the producers p with
-		// p mod slots == slot.
-		n := len(t.slots)
-		scfg.Producers = (t.spec.Producers - slot + n - 1) / n
 	}
 	addr := t.base + slot
 	in := &Instance{Slot: slot, spill: t.stores[slot]}
@@ -405,9 +392,7 @@ func (t *Tier) Kill(c rt.Ctx, slot int) bool {
 // remaining stager leaves the membership, has its in-flight claims
 // quiesced and gets the provably-last Retire; then every stager is joined,
 // its flush delivered and its heartbeat exited. Every controller wakes on
-// its Stop, so no step waits for a tick. A fixed rank-affine tier ends by
-// itself on its producers' Fins and is only joined. A nil tier has nothing
-// to end.
+// its Stop, so no step waits for a tick. A nil tier has nothing to end.
 func (t *Tier) Shutdown(c rt.Ctx) {
 	if t == nil {
 		return

@@ -5,9 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"zipper/internal/block"
 	"zipper/internal/fabric"
 	"zipper/internal/flow"
 	"zipper/internal/pfs"
+	"zipper/internal/place"
 	"zipper/internal/rt"
 	"zipper/internal/rt/simenv"
 	"zipper/internal/sim"
@@ -37,8 +39,9 @@ func (t *routeCapture) Credits(to int) int { return t.inner.Credits(to) }
 
 // stagedSimRig wires one producer (node 0) through one stager (node 2, holding
 // stagerBlocks) to one consumer (node 1) on the simulated platform, with two
-// OSTs of ostBandwidth (nodes 3-4) and an MDS (node 5) behind them. wrap, when
-// non-nil, interposes on the producer's transport.
+// OSTs of ostBandwidth (nodes 3-4) and an MDS (node 5) behind them. The
+// stager is the one member of a rank-affine pool, retired once the producer
+// is done. wrap, when non-nil, interposes on the producer's transport.
 func stagedSimRig(cfg Config, stagerBlocks int, ostBandwidth float64, wrap func(*simenv.Network) rt.Transport) (*sim.Engine, *Producer, *Consumer) {
 	eng := sim.New()
 	fab := fabric.New(eng, fabric.Config{
@@ -54,11 +57,20 @@ func stagedSimRig(cfg Config, stagerBlocks int, ostBandwidth float64, wrap func(
 		tr = wrap(net)
 	}
 	cons := NewConsumer(simenv.NewEnv(eng, 1, 0), cfg, 0, 1, net.Inbox(0), store)
-	stg := staging.NewStager(simenv.NewEnv(eng, 2, 0),
-		staging.Config{BufferBlocks: stagerBlocks, MaxBatchBlocks: 2, Producers: 1},
+	stagerEnv := simenv.NewEnv(eng, 2, 0)
+	stg := staging.NewStager(stagerEnv,
+		staging.Config{BufferBlocks: stagerBlocks, MaxBatchBlocks: 2, Managed: true, Recycler: cfg.Recycler},
 		0, net.Inbox(1), net, simenv.NewStore(fs, "zipper-stage0"))
 	cfg.StagerLevel = func(addr int) *flow.Level { return stg.Level() }
-	prod := NewStagedProducer(simenv.NewEnv(eng, 0, 0), cfg, 0, 0, 1, tr, store)
+	pool := place.New(place.RankAffine(), nil)
+	pool.Add(1)
+	cfg.Directory = pool
+	prod := NewProducer(simenv.NewEnv(eng, 0, 0), cfg, 0, 0, tr, store)
+	eng.Spawn("retire", func(sp *sim.Proc) {
+		c := stagerEnv.WrapProc(sp)
+		prod.Wait(c)
+		pool.RetireAll(c, func(addr int) { net.Send(c, addr, rt.Message{Retire: true}) })
+	})
 	return eng, prod, cons
 }
 
@@ -77,7 +89,7 @@ func adaptiveStepRun(t *testing.T) (dests []int, times []time.Duration, slowStar
 		slowTo     = 130
 	)
 	var cap *routeCapture
-	eng, prod, cons := stagedSimRig(Config{
+	eng, prod, cons := stagedSimRig(Config{Recycler: block.NewRecycler(0),
 		BufferBlocks: 8, HighWater: 6, MaxBatchBlocks: 2,
 		RoutePolicy: RouteAdaptive,
 		Adaptive:    flow.Tuning{Tau: 2 * time.Millisecond, Decay: 10 * time.Millisecond},

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"zipper/internal/block"
 	"zipper/internal/flow"
 	"zipper/internal/rt/simenv"
 	"zipper/internal/sim"
@@ -35,7 +36,7 @@ func diskRegimeRun(t *testing.T, rg diskRegime, newRouter func() flow.Router) (P
 		burst      = 50
 		blockBytes = 64 << 10
 	)
-	eng, prod, cons := stagedSimRig(Config{
+	eng, prod, cons := stagedSimRig(Config{Recycler: block.NewRecycler(0),
 		BufferBlocks: 8, HighWater: 6, MaxBatchBlocks: 2,
 		RoutePolicy: RouteAdaptive, NewRouter: newRouter,
 		Adaptive: flow.Tuning{Tau: 2 * time.Millisecond, Decay: 10 * time.Millisecond},
@@ -139,7 +140,7 @@ func TestStealLegacyWithoutArbiter(t *testing.T) {
 		runSimWorkflow(t, r, 6, 40, 64<<10, 2*time.Millisecond, 300*time.Microsecond)
 		return r.prod[0].Stats()
 	}
-	base := Config{BufferBlocks: 8, HighWater: 6, MaxBatchBlocks: 2}
+	base := Config{Recycler: block.NewRecycler(0), BufferBlocks: 8, HighWater: 6, MaxBatchBlocks: 2}
 	want := run(base)
 	if want.BlocksStolen == 0 {
 		t.Fatal("the workload never stole")

@@ -54,7 +54,7 @@ func TestSimBatchingReducesMessages(t *testing.T) {
 	// with batching on must deliver the same blocks in at most half the
 	// messages the unbatched protocol used.
 	run := func(batch int) (msgs, sent, analyzed int64) {
-		cfg := Config{BufferBlocks: 32, DisableSteal: true, MaxBatchBlocks: batch}
+		cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 32, DisableSteal: true, MaxBatchBlocks: batch}
 		r := newSimRig(cfg, 2, 1, 2)
 		runSimWorkflow(t, r, 10, 8, 1<<20, 200*time.Microsecond, 5*time.Millisecond)
 		for _, p := range r.prod {
@@ -82,7 +82,7 @@ func TestSimBatchingReducesMessages(t *testing.T) {
 func TestBatchLargerThanBuffer(t *testing.T) {
 	// MaxBatchBlocks far above BufferBlocks must clamp to whatever the buffer
 	// holds, not block waiting for an unreachable batch size.
-	cfg := Config{BufferBlocks: 4, MaxBatchBlocks: 64, DisableSteal: true}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 4, MaxBatchBlocks: 64, DisableSteal: true}
 	env, prod, cons, tr := batchRig(t, cfg, 1)
 	c := env.Ctx()
 	const n = 40
@@ -117,7 +117,7 @@ func TestFinRacingPartialBatch(t *testing.T) {
 	// must still arrive, with the Fin strictly after the data. Run many
 	// rounds to give the race detector a chance at interleavings.
 	for round := 0; round < 20; round++ {
-		cfg := Config{BufferBlocks: 16, MaxBatchBlocks: 8}
+		cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 16, MaxBatchBlocks: 8}
 		env, prod, cons, tr := batchRig(t, cfg, 1)
 		c := env.Ctx()
 		const n = 3 // less than MaxBatchBlocks
@@ -153,7 +153,7 @@ func TestFinRacingPartialBatch(t *testing.T) {
 func TestBatchedBlocksArriveInOrder(t *testing.T) {
 	// Within one producer the network path preserves write order even when
 	// batches form and split arbitrarily.
-	cfg := Config{BufferBlocks: 32, MaxBatchBlocks: 5, DisableSteal: true}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 32, MaxBatchBlocks: 5, DisableSteal: true}
 	env, prod, cons, _ := batchRig(t, cfg, 1)
 	c := env.Ctx()
 	const n = 64
@@ -193,7 +193,7 @@ func TestPreserveStoreFailureDoesNotDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := &failStore{BlockStore: base, failWrites: 1 << 30}
-	cfg := Config{BufferBlocks: 4, ConsumerBufferBlocks: 4, Mode: Preserve,
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 4, ConsumerBufferBlocks: 4, Mode: Preserve,
 		MaxBatchBlocks: 4, DisableSteal: true}
 	cons := NewConsumer(env, cfg, 0, 1, net.Inbox(0), fs)
 	prod := NewProducer(env, cfg, 0, 0, net, fs)
@@ -230,7 +230,7 @@ func TestReleaseBlockDefersUntilStored(t *testing.T) {
 	// Preserve mode: releasing right after Read must not hand the payload to
 	// the pool before the output thread stores it — the preserved file must
 	// hold the original bytes.
-	cfg := Config{BufferBlocks: 8, Mode: Preserve, MaxBatchBlocks: 4}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 8, Mode: Preserve, MaxBatchBlocks: 4}
 	env := realenv.New()
 	net := realenv.NewNetwork(1, 2)
 	fs, err := realenv.NewFileStore(t.TempDir())

@@ -98,7 +98,7 @@ type Consumer struct {
 	// once per message (and before any wait for space) instead of per block.
 	newAvail, newStore bool
 
-	// rec is the job's free list (Config.Recycler) or the consumer's own;
+	// rec is the job's free list (Config.Recycler);
 	// spent collects the headers of released blocks until they fill a batch.
 	// Both are the application's in NoPreserve mode and under lk in Preserve
 	// mode, where the output thread releases too.
@@ -141,9 +141,6 @@ func NewConsumer(env rt.Env, cfg Config, id int, producers int, in rt.Inbox, fs 
 	}
 	c := &Consumer{env: env, cfg: cfg, id: id, in: in, fs: fs, finsExpected: producers,
 		dec: reduce.NewDecoder(), rec: cfg.Recycler}
-	if c.rec == nil {
-		c.rec = block.NewRecycler(cfg.MaxBatchBlocks)
-	}
 	c.spent = c.rec.Slice()
 	c.claim = make([]*block.Block, 0, max(1, cfg.ConsumerBufferBlocks/2))
 	c.fl.Queue.SetCapacity(cfg.ConsumerBufferBlocks)

@@ -69,7 +69,7 @@ func (m Mode) String() string {
 }
 
 // RoutePolicy selects how a producer's sender thread picks a channel for
-// each drained batch when an in-transit stager is assigned.
+// each drained batch when it has a staging tier (Config.Directory).
 type RoutePolicy int
 
 const (
@@ -77,7 +77,7 @@ const (
 	// message path, relieved by the work-stealing file-system path. This is
 	// the paper's original two-channel protocol and the zero value.
 	RouteDirect RoutePolicy = iota
-	// RouteStaging relays every batch through the assigned stager — the
+	// RouteStaging relays every batch through the resolved stager — the
 	// pure in-transit configuration of the DataSpaces-style baselines.
 	RouteStaging
 	// RouteHybrid chooses per batch from live backpressure: direct while
@@ -136,7 +136,7 @@ type Config struct {
 	// Mode selects Preserve or NoPreserve.
 	Mode Mode
 	// RoutePolicy picks the channel for each drained batch when the
-	// producer has a stager assigned (see NewProducer's stager argument).
+	// producer has a staging tier (Directory).
 	RoutePolicy RoutePolicy
 	// Adaptive tunes the RouteAdaptive controller; the zero value selects
 	// the flow package's defaults, which is what every job runs. The
@@ -145,24 +145,25 @@ type Config struct {
 	// NewRouter, when non-nil, overrides the policy-based router: each
 	// producer gets its own instance from this factory, making any routing
 	// strategy a plug-in rather than another branch in the sender thread.
-	// It is consulted only when a stager is assigned. The producer routes
-	// its Fin through the stager whenever the router relayed any batch, so
-	// a custom policy cannot strand relayed blocks behind a direct Fin. A
-	// router that is only a flow.Router leaves stealing to Algorithm 1; one
-	// that is also a flow.DiskArbiter decides it.
+	// It is consulted only with a Directory. Whatever it relays, the Fin
+	// goes direct and declares the totals, so a custom policy cannot strand
+	// relayed blocks behind it. A router that is only a flow.Router leaves
+	// stealing to Algorithm 1; one that is also a flow.DiskArbiter decides
+	// it.
 	NewRouter func() flow.Router
 	// StagerLevel exposes the live occupancy gauge of the stager at a
 	// transport address; nil means occupancy is unknown and the routing
 	// policies read window credit alone.
 	StagerLevel func(addr int) *flow.Level
-	// Directory, when non-nil, replaces the fixed per-producer stager
-	// assignment with an epoch-versioned pool: the sender thread resolves
-	// its stager from the live membership for every drained batch, so the
-	// staging tier can grow and drain endpoints mid-run — and any
-	// place.Policy can redirect batches — without touching the producer.
-	// With a Directory the Fin always travels the direct path and counted
-	// termination (Message.FinBlocks/FinDisk) covers relayed blocks still in
-	// flight. The stager argument of NewStagedProducer is ignored.
+	// Directory, when non-nil, is the staging tier: an epoch-versioned pool
+	// the sender thread resolves its stager from for every drained batch,
+	// under the pool's place.Policy (RankAffine picks member rank mod size,
+	// a fixed tier's assignment). So the tier can grow and drain endpoints
+	// mid-run, and any policy can redirect batches, without touching the
+	// producer. nil leaves the producer on the direct and file-system
+	// paths. The Fin never rides the relay: it travels the direct path, and
+	// counted termination (Message.FinBlocks/FinDisk) covers relayed blocks
+	// still in flight; every stager ends on the Retire its pool sends.
 	//
 	// This per-batch resolution is also what makes fault-plane evictions
 	// transparent to the producer: an eviction epoch (place.Directory.Sweep)
@@ -183,10 +184,8 @@ type Config struct {
 	// holds its stream open until its declared deliveries arrive — so a
 	// batch relayed to one consumer just before the policy moved the
 	// producer to another is never lost. Every consumer endpoint must then
-	// be built expecting a Fin from every producer, and any staging tier in
-	// play must itself run behind a Directory (a fixed-assignment stager
-	// counts relayed Fins to terminate, which directory-placed producers
-	// never send). The directory's membership must be static for the run.
+	// be built expecting a Fin from every producer. The directory's
+	// membership must be static for the run.
 	ConsumerDirectory *place.Directory
 	// Reduce selects the in-transit payload reduction applied to relayed
 	// batches. With OnPressure unset, each producer's sender thread encodes
@@ -203,8 +202,8 @@ type Config struct {
 	// pipeline encodes in place and joins before the send, so batch order
 	// and wire bytes are identical to inline.
 	ReducePipeline *reduce.Pipeline
-	// Recycler, when non-nil, is the job's free list of block headers and
-	// message slices, one per job and shared by every endpoint that makes or
+	// Recycler is the job's free list of block headers and message slices
+	// (required), one per job and shared by every endpoint that makes or
 	// ends a block's trip: the consumers hand in what their applications
 	// release and what their receivers have emptied, the producers build the
 	// next blocks and messages from it, a stager (staging.Config.Recycler)
@@ -212,8 +211,7 @@ type Config struct {
 	// forwards from it, and on a TCP job the connection readers build what
 	// they receive from it while the senders hand back what they have put on
 	// the wire. Every path, direct or relayed, then allocates nothing per
-	// block once it is warm. Endpoints built without one recycle within
-	// themselves only, which for a producer means allocating in batches.
+	// block once it is warm.
 	Recycler *block.Recycler
 	// DisableSteal turns the writer thread off, yielding the
 	// message-passing-only baseline of §6.2, whatever the router would elect.

@@ -47,7 +47,7 @@ func newRealRig(t *testing.T, cfg Config, producers, consumers, window int) *rea
 }
 
 func TestRealRoundTrip(t *testing.T) {
-	r := newRealRig(t, Config{BufferBlocks: 4}, 2, 1, 4)
+	r := newRealRig(t, Config{Recycler: block.NewRecycler(0), BufferBlocks: 4}, 2, 1, 4)
 	c := r.env.Ctx()
 
 	const blocksPerProducer = 10
@@ -91,7 +91,7 @@ func TestRealRoundTrip(t *testing.T) {
 }
 
 func TestRealStealingUnderSlowConsumer(t *testing.T) {
-	cfg := Config{BufferBlocks: 4, HighWater: 2}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 4, HighWater: 2}
 	r := newRealRig(t, cfg, 1, 1, 1)
 	c := r.env.Ctx()
 	p := r.prod[0]
@@ -136,7 +136,7 @@ func TestRealStealingUnderSlowConsumer(t *testing.T) {
 }
 
 func TestRealDisableStealNeverSpills(t *testing.T) {
-	cfg := Config{BufferBlocks: 4, DisableSteal: true}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 4, DisableSteal: true}
 	r := newRealRig(t, cfg, 1, 1, 1)
 	c := r.env.Ctx()
 	p := r.prod[0]
@@ -165,7 +165,7 @@ func TestRealDisableStealNeverSpills(t *testing.T) {
 }
 
 func TestRealPreserveStoresEveryBlock(t *testing.T) {
-	cfg := Config{BufferBlocks: 4, Mode: Preserve}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 4, Mode: Preserve}
 	r := newRealRig(t, cfg, 1, 1, 2)
 	c := r.env.Ctx()
 	p := r.prod[0]
@@ -203,7 +203,7 @@ func TestRealPreserveStoresEveryBlock(t *testing.T) {
 }
 
 func TestRealManyToMany(t *testing.T) {
-	cfg := Config{BufferBlocks: 8}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 8}
 	const producers, consumers, steps = 6, 3, 15
 	r := newRealRig(t, cfg, producers, consumers, 4)
 	c := r.env.Ctx()
@@ -283,7 +283,7 @@ func TestRealWriterSpillFailureLosesNoData(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := &failStore{BlockStore: base, failWrites: 1 << 30} // every spill fails
-	cfg := Config{BufferBlocks: 4, HighWater: 2}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 4, HighWater: 2}
 	cons := NewConsumer(env, cfg, 0, 1, net.Inbox(0), fs)
 	prod := NewProducer(env, cfg, 0, 0, net, fs)
 	c := env.Ctx()
@@ -319,7 +319,7 @@ func TestRealReaderFailureSurfacesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := &failStore{BlockStore: base, failReads: 1 << 30}
-	cfg := Config{BufferBlocks: 4, HighWater: 1}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 4, HighWater: 1}
 	cons := NewConsumer(env, cfg, 0, 1, net.Inbox(0), fs)
 	prod := NewProducer(env, cfg, 0, 0, net, fs)
 	c := env.Ctx()
@@ -345,7 +345,7 @@ func TestRealReaderFailureSurfacesError(t *testing.T) {
 }
 
 func TestWriteAfterClosePanics(t *testing.T) {
-	r := newRealRig(t, Config{}, 1, 1, 1)
+	r := newRealRig(t, Config{Recycler: block.NewRecycler(0)}, 1, 1, 1)
 	c := r.env.Ctx()
 	p := r.prod[0]
 	go func() {
@@ -379,7 +379,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	cfg := Config{BufferBlocks: 4}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 4}
 	r := newRealRig(t, cfg, 1, 1, 4)
 	c := r.env.Ctx()
 	p := r.prod[0]

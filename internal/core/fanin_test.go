@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"zipper/internal/block"
 )
 
 // TestFanInOrderingUnderBatching drives many producers into one consumer
@@ -16,7 +18,7 @@ import (
 // exactly once.
 func TestFanInOrderingUnderBatching(t *testing.T) {
 	const producers, blocks, batch = 6, 120, 8
-	r := newRealRig(t, Config{
+	r := newRealRig(t, Config{Recycler: block.NewRecycler(0),
 		BufferBlocks: 16, MaxBatchBlocks: batch, DisableSteal: true,
 	}, producers, 1, 1)
 	c := r.env.Ctx()

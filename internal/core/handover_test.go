@@ -51,7 +51,7 @@ func runSim(t *testing.T, eng *sim.Engine) {
 // stealing off and on (the writer thread parked beside the sender).
 func TestTrickleWriteIsDelivered(t *testing.T) {
 	for _, steal := range []bool{false, true} {
-		cfg := Config{BufferBlocks: 16, MaxBatchBlocks: 8, DisableSteal: !steal}
+		cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 16, MaxBatchBlocks: 8, DisableSteal: !steal}
 		t.Run(fmt.Sprintf("real/steal=%v", steal), func(t *testing.T) {
 			r := newRealRig(t, cfg, 1, 1, 2)
 			c := r.env.Ctx()
@@ -128,7 +128,7 @@ func tokenGate(inner rt.Transport) (*gate, chan<- struct{}) {
 // drained are within it.
 func TestOpenBatchCountsAgainstBuffer(t *testing.T) {
 	for _, buffer := range []int{4, 8, 12} {
-		cfg := Config{BufferBlocks: buffer, MaxBatchBlocks: 8, DisableSteal: true}
+		cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: buffer, MaxBatchBlocks: 8, DisableSteal: true}
 		t.Run(fmt.Sprintf("real/%d", buffer), func(t *testing.T) {
 			env := realenv.New()
 			net := realenv.NewNetwork(1, 64)
@@ -277,7 +277,7 @@ func TestClaimKeepsOccupancyBound(t *testing.T) {
 	for _, mode := range []Mode{NoPreserve, Preserve} {
 		for _, capacity := range []int{1, 2, 16} {
 			for _, batch := range []int{1, 8} {
-				cfg := Config{BufferBlocks: 16, MaxBatchBlocks: batch, ConsumerBufferBlocks: capacity,
+				cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 16, MaxBatchBlocks: batch, ConsumerBufferBlocks: capacity,
 					Mode: mode, DisableSteal: true}
 				name := fmt.Sprintf("%v/cap=%d/batch=%d", mode, capacity, batch)
 				const total = 200
@@ -377,7 +377,7 @@ func (l *stealLog) Credits(to int) int { return l.inner.Credits(to) }
 // TestRealStealingUnderSlowConsumer, 16–34 of 40 blocks over ten runs there
 // and 24–33 here.
 func TestStealSeesOpenBatch(t *testing.T) {
-	cfg := Config{BufferBlocks: 4, HighWater: 2}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 4, HighWater: 2}
 	const n = 40
 	t.Run("real", func(t *testing.T) {
 		env := realenv.New()
@@ -453,7 +453,7 @@ func TestStealSeesOpenBatch(t *testing.T) {
 // the blocks Read has returned, though Read hands most of them out of a
 // claim without the consumer lock and Stats takes none.
 func TestStatsLagBounded(t *testing.T) {
-	cfg := Config{BufferBlocks: 64, MaxBatchBlocks: 8, DisableSteal: true}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 64, MaxBatchBlocks: 8, DisableSteal: true}
 	lag := func(t *testing.T, written int, got int64) {
 		t.Helper()
 		if d := int64(written) - got; d < 0 || d >= int64(cfg.MaxBatchBlocks) {
@@ -531,7 +531,7 @@ func TestStatsLagBounded(t *testing.T) {
 // threads: with the producer's lock held, and then the consumer's, both
 // Stats still return at once.
 func TestStatsTakesNoEndpointLock(t *testing.T) {
-	r := newRealRig(t, Config{BufferBlocks: 8, MaxBatchBlocks: 4, DisableSteal: true}, 1, 1, 4)
+	r := newRealRig(t, Config{Recycler: block.NewRecycler(0), BufferBlocks: 8, MaxBatchBlocks: 4, DisableSteal: true}, 1, 1, 4)
 	prod, cons, c := r.prod[0], r.cons[0], r.env.Ctx()
 	for i := 0; i < 6; i++ {
 		prod.Write(c, i, 0, []byte{byte(i)}, 1)

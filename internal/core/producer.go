@@ -20,7 +20,6 @@ type Producer struct {
 	cfg    Config
 	rank   int
 	to     int // fixed consumer endpoint (unused with a ConsumerDirectory)
-	stager int // transport address of the assigned in-transit stager (-1 = none)
 	tr     rt.Transport
 	fs     rt.BlockStore
 	router flow.Router
@@ -37,7 +36,7 @@ type Producer struct {
 	destDisk   map[int]int64
 
 	// rec is where headers and message slices come from and go back to:
-	// the job's (Config.Recycler), or one of the producer's own.
+	// the job's (Config.Recycler).
 	rec *block.Recycler
 
 	lk       rt.Lock
@@ -110,30 +109,14 @@ func (p *Producer) SetEncoder(c rt.Ctx, enc BlockEncoder) {
 }
 
 // NewProducer builds the runtime module for one producer rank feeding
-// consumer endpoint `to`, and starts its sender and writer threads.
-// Producers without a staging tier pass NoStager; see NewStagedProducer.
+// consumer endpoint `to`, and starts its sender and writer threads. The
+// producer relays through a staging tier only when cfg.Directory names one.
 func NewProducer(env rt.Env, cfg Config, rank, to int, tr rt.Transport, fs rt.BlockStore) *Producer {
-	return NewStagedProducer(env, cfg, rank, to, NoStager, tr, fs)
-}
-
-// NoStager is the stager address of a producer with no staging tier.
-const NoStager = -1
-
-// NewStagedProducer is NewProducer with an assigned in-transit stager:
-// stager is the transport address (consumer count + stager index) the
-// routing policy may relay batches through, or NoStager.
-func NewStagedProducer(env rt.Env, cfg Config, rank, to, stager int, tr rt.Transport, fs rt.BlockStore) *Producer {
 	cfg = cfg.withDefaults()
-	if stager < 0 {
-		stager = NoStager
-	}
-	p := &Producer{env: env, cfg: cfg, rank: rank, to: to, stager: stager, tr: tr, fs: fs, rec: cfg.Recycler}
-	if p.rec == nil {
-		p.rec = block.NewRecycler(cfg.MaxBatchBlocks)
-	}
+	p := &Producer{env: env, cfg: cfg, rank: rank, to: to, tr: tr, fs: fs, rec: cfg.Recycler}
 	p.ring = make([]*block.Block, 1<<bits.Len(uint(cfg.BufferBlocks)))
 	p.router = cfg.router()
-	if stager != NoStager || cfg.Directory != nil {
+	if cfg.Directory != nil {
 		p.arbiter, _ = p.router.(flow.DiskArbiter)
 	}
 	if cfg.Reduce.Enabled() && !cfg.Reduce.OnPressure {
@@ -398,8 +381,8 @@ func (p *Producer) senderThread(c rt.Ctx) {
 		}
 		start := c.Now()
 		p.tr.Send(c, dest, rt.Message{From: p.rank, Dest: to, Blocks: blocks, Disk: ids})
-		if route == flow.Relay && p.cfg.Directory != nil {
-			// The send has deposited: release the pool claim so a drain of
+		if route == flow.Relay {
+			// The send has returned: release the pool claim so a drain of
 			// this stager can quiesce.
 			p.cfg.Directory.Done(dest)
 		}
@@ -433,34 +416,16 @@ func (p *Producer) senderThread(c rt.Ctx) {
 		}
 	}
 	p.lk.Unlock(c)
-	// Fin carries any last spilled IDs implicitly not needed: loop ensures
-	// diskIDs is empty before exit.
-	//
-	// Note the loop drains the buffer completely before this point, so a
-	// Close racing a partially filled batch cannot strand blocks: the exit
+	// The loop drains the buffer completely before this point, so a Close
+	// racing a partially filled batch cannot strand blocks: the exit
 	// predicate requires both the buffer and the disk-ID list to be empty.
 	//
-	// With a staging tier in play the Fin travels through the stager: the
-	// stager forwards per-producer arrivals in order, so the relayed Fin
-	// trails every relayed block, and — because each Send deposits its
-	// message before returning — every earlier direct-path message already
-	// sits in the consumer's inbox. Either way the Fin is the last message
-	// the consumer sees from this rank.
-	//
-	// The relayed-anything clause makes that ordering a mechanism rather
-	// than a convention: even a custom NewRouter paired with a RouteDirect
-	// policy cannot strand relayed blocks behind a direct Fin.
-	//
-	// With a pool Directory the producer may have relayed through several
-	// stagers over its lifetime and no single relay path can order the Fin
-	// behind all of them, so the Fin goes direct and termination leans on
-	// the declared totals instead: the consumer holds its stream open until
-	// FinBlocks network deliveries and FinDisk disk-ref announcements have
-	// actually arrived, wherever they are still queued.
-	//
-	// With a ConsumerDirectory the destination itself was policy-resolved
-	// per batch, so there is one direct Fin per consumer member, each
-	// declaring that consumer's per-destination totals.
+	// The Fin never rides the relay. A producer may have relayed through
+	// several stagers over its lifetime, and no single relay path can order
+	// the Fin behind all of them, so the Fin goes direct and declares the
+	// totals: the consumer holds its stream open until FinBlocks network
+	// deliveries and FinDisk disk-ref announcements have arrived, wherever
+	// they are still queued.
 	p.sendFins(c)
 	p.lk.Lock(c)
 	p.senderDone = true
@@ -485,13 +450,8 @@ func (p *Producer) sendFins(c rt.Ctx) {
 		}
 		return
 	}
-	finDest := p.to
-	if p.cfg.Directory == nil && p.stager != NoStager &&
-		(p.cfg.RoutePolicy != RouteDirect || p.fl.Relayed.Total() > 0) {
-		finDest = p.stager
-	}
 	start := c.Now()
-	p.tr.Send(c, finDest, rt.Message{From: p.rank, Dest: p.to, Fin: true,
+	p.tr.Send(c, p.to, rt.Message{From: p.rank, Dest: p.to, Fin: true,
 		FinBlocks: p.fl.Sent.Total() + p.fl.Relayed.Total(),
 		FinDisk:   p.fl.Stolen.Total()})
 	p.fl.Messages.Add(1)
@@ -530,10 +490,15 @@ func (p *Producer) drainBatchLocked() []*block.Block {
 // the destination consumer `to` (fixed wiring, or resolved per batch from
 // the ConsumerDirectory by the placement policy), and the transport address
 // `dest` the message is sent to (the consumer itself, or a staging relay).
-// It assembles the live backpressure signals — window credit from the
-// transport and stager occupancy from its flow gauge — and lets the
-// configured flow.Router elect the channel. Called with the producer lock
-// held, after drainBatchLocked.
+// The stager is resolved from the Directory's live membership for this
+// batch alone; the configured flow.Router elects the channel on the live
+// backpressure signals — window credit from the transport and stager
+// occupancy from its flow gauge — unless it is a fixed policy, which reads
+// none. A relay election is committed with Claim — which re-resolves
+// atomically, so a membership change between the signal read and the commit
+// can redirect the batch but never lands it on a retired endpoint — and the
+// sender releases the claim with Done once the send has returned. Called
+// with the producer lock held, after drainBatchLocked.
 func (p *Producer) routeLocked(c rt.Ctx) (dest, to int, route flow.Route) {
 	to = p.to
 	if p.cfg.ConsumerDirectory != nil {
@@ -541,40 +506,13 @@ func (p *Producer) routeLocked(c rt.Ctx) (dest, to int, route flow.Route) {
 			to = q
 		}
 	}
-	if p.cfg.Directory != nil {
-		dest, route = p.routePoolLocked(c, to)
-		return dest, to, route
-	}
-	if p.stager == NoStager {
+	if p.cfg.Directory == nil {
 		return to, to, flow.Direct
 	}
-	// Fixed policies ignore every signal: skip the credit probes and the
-	// occupancy gauge read so RouteDirect and RouteStaging keep their
-	// zero-probe hot path.
-	if r, ok := flow.StaticRoute(p.router); ok {
-		if r == flow.Relay {
-			return p.stager, to, flow.Relay
-		}
-		return to, to, flow.Direct
-	}
-	sig := p.signalsLocked(c, p.stager, to)
-	if p.router.Route(sig) == flow.Relay {
-		return p.stager, to, flow.Relay
-	}
-	return to, to, flow.Direct
-}
-
-// routePoolLocked is routeLocked against a stager pool directory: the
-// stager is resolved from the live membership for this batch alone. A relay
-// election is committed with Claim — which re-resolves atomically, so a
-// membership change between the signal read and the commit can redirect the
-// batch but never lands it on a retired endpoint — and the sender releases
-// the claim with Done once the send has deposited.
-func (p *Producer) routePoolLocked(c rt.Ctx, to int) (int, flow.Route) {
 	addr, ok := p.cfg.Directory.Peek(p.rank)
 	p.poolEmpty = !ok
 	if !ok {
-		return to, flow.Direct // empty pool: only the direct path exists
+		return to, to, flow.Direct // empty pool: only the direct path exists
 	}
 	relay := false
 	if r, fixed := flow.StaticRoute(p.router); fixed {
@@ -584,10 +522,10 @@ func (p *Producer) routePoolLocked(c rt.Ctx, to int) (int, flow.Route) {
 	}
 	if relay {
 		if a, ok := p.cfg.Directory.Claim(p.rank); ok {
-			return a, flow.Relay
+			return a, to, flow.Relay
 		}
 	}
-	return to, flow.Direct
+	return to, to, flow.Direct
 }
 
 // signalsLocked assembles the live backpressure signals for a routing

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"zipper/internal/block"
+	"zipper/internal/place"
 	"zipper/internal/reduce"
 	"zipper/internal/rt/realenv"
 )
@@ -21,15 +22,18 @@ func (e *failingEncoder) EncodeBlock(b *block.Block) error {
 
 // TestSenderEncodeFailureSendsUnreduced pins the sender's error path: a block
 // the operator fails on is no reason to take the process down. It goes to the
-// stager as it was written, in order, the stream still ends with its Fin, and
-// Err reports the failure.
+// stager as it was written, in order, the stream still ends with its Fin
+// (direct, declaring every block), and Err reports the failure.
 func TestSenderEncodeFailureSendsUnreduced(t *testing.T) {
 	env := realenv.New()
 	net := realenv.NewNetwork(2, 4) // endpoint 0 the consumer, 1 the stager
-	cfg := Config{RoutePolicy: RouteStaging, DisableSteal: true, BufferBlocks: 8, MaxBatchBlocks: 4,
+	cfg := Config{Recycler: block.NewRecycler(0), RoutePolicy: RouteStaging, DisableSteal: true, BufferBlocks: 8, MaxBatchBlocks: 4,
 		Reduce: reduce.Config{Operator: reduce.Compress}}
+	pool := place.New(place.RankAffine(), nil)
+	pool.Add(1)
+	cfg.Directory = pool
 	ctx := env.Ctx()
-	prod := NewStagedProducer(env, cfg, 0, 0, 1, net, nil)
+	prod := NewProducer(env, cfg, 0, 0, net, nil)
 	// The sender reads enc only once it holds a batch, which takes the
 	// producer lock after this: nothing has been written yet.
 	stub := &failingEncoder{}
@@ -48,10 +52,10 @@ func TestSenderEncodeFailureSendsUnreduced(t *testing.T) {
 		prod.Close(ctx)
 	}()
 	seq := 0
-	for {
+	for seq < blocks {
 		m, ok := net.Inbox(1).Recv(ctx)
 		if !ok {
-			t.Fatal("the stager's inbox closed before the Fin")
+			t.Fatal("the stager's inbox closed before the last block")
 		}
 		for _, b := range m.Blocks {
 			if b.Enc != 0 || b.EncBytes != 0 || int64(len(b.Data)) != blockBytes {
@@ -62,9 +66,9 @@ func TestSenderEncodeFailureSendsUnreduced(t *testing.T) {
 			}
 			seq++
 		}
-		if m.Fin {
-			break
-		}
+	}
+	if m, ok := net.Inbox(0).Recv(ctx); !ok || !m.Fin || m.FinBlocks != blocks {
+		t.Fatalf("the consumer got %+v, want the Fin declaring %d blocks", m, blocks)
 	}
 	prod.Wait(ctx)
 	if seq != blocks || stub.calls.Load() != blocks {

@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"zipper/internal/block"
 	"zipper/internal/flow"
+	"zipper/internal/place"
+	"zipper/internal/rt"
 	"zipper/internal/rt/realenv"
 	"zipper/internal/staging"
 )
@@ -31,10 +34,9 @@ func (*alternatingRouter) ObserveStall(time.Duration, time.Duration)            
 
 // TestCustomRouterPlugin wires a NewRouter policy through a real
 // producer/stager/consumer rig — deliberately leaving RoutePolicy at its
-// RouteDirect zero value, the trap case: because the custom router relays
-// data batches, the producer must still route its Fin through the stager
-// (the relayed-anything clause), or the consumer would count the stream
-// finished while relayed blocks sit in the stager.
+// RouteDirect zero value, the trap case: the custom router relays data
+// batches, so the producer's direct Fin must declare them, or the consumer
+// would count the stream finished while relayed blocks sit in the stager.
 func TestCustomRouterPlugin(t *testing.T) {
 	env := realenv.New()
 	net := realenv.NewNetwork(2, 2) // consumer endpoint 0, stager endpoint 1
@@ -42,7 +44,7 @@ func TestCustomRouterPlugin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
+	cfg := Config{Recycler: block.NewRecycler(0),
 		BufferBlocks: 8, MaxBatchBlocks: 2, DisableSteal: true,
 		NewRouter: func() flow.Router { return &alternatingRouter{} },
 	}
@@ -51,9 +53,13 @@ func TestCustomRouterPlugin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stg := staging.NewStager(env, staging.Config{BufferBlocks: 32, Producers: 1}, 0, net.Inbox(1), net, spill)
+	stg := staging.NewStager(env, staging.Config{BufferBlocks: 32, Managed: true, Recycler: cfg.Recycler},
+		0, net.Inbox(1), net, spill)
 	cfg.StagerLevel = func(addr int) *flow.Level { return stg.Level() }
-	prod := NewStagedProducer(env, cfg, 0, 0, 1, net, fs)
+	pool := place.New(place.RankAffine(), nil)
+	pool.Add(1)
+	cfg.Directory = pool
+	prod := NewProducer(env, cfg, 0, 0, net, fs)
 
 	const blocks = 100
 	go func() {
@@ -78,6 +84,7 @@ func TestCustomRouterPlugin(t *testing.T) {
 		n++
 	}
 	prod.Wait(ctx)
+	pool.RetireAll(ctx, func(addr int) { net.Send(ctx, addr, rt.Message{Retire: true}) })
 	stg.Wait(ctx)
 	cons.Wait(ctx)
 	if n != blocks {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"zipper/internal/block"
 	"zipper/internal/fabric"
 	"zipper/internal/pfs"
 	"zipper/internal/rt/simenv"
@@ -114,7 +115,7 @@ func runSimWorkflow(t testing.TB, r *simRig, steps, blocksPerStep int, blockByte
 }
 
 func TestSimDeliveryCounts(t *testing.T) {
-	r := newSimRig(Config{BufferBlocks: 8}, 4, 2, 4)
+	r := newSimRig(Config{Recycler: block.NewRecycler(0), BufferBlocks: 8}, 4, 2, 4)
 	runSimWorkflow(t, r, 10, 3, 1<<20, time.Millisecond, 100*time.Microsecond)
 	var analyzed, written int64
 	for _, cons := range r.cons {
@@ -134,7 +135,7 @@ func TestSimDeliveryCounts(t *testing.T) {
 func TestSimStealingRelievesStall(t *testing.T) {
 	// Slow analysis: with stealing disabled the producer stalls far more.
 	run := func(disable bool) (stall time.Duration, stolen int64) {
-		cfg := Config{BufferBlocks: 8, HighWater: 4, DisableSteal: disable}
+		cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 8, HighWater: 4, DisableSteal: disable}
 		r := newSimRig(cfg, 2, 1, 2)
 		runSimWorkflow(t, r, 20, 4, 4<<20, 500*time.Microsecond, 30*time.Millisecond)
 		for _, p := range r.prod {
@@ -160,7 +161,7 @@ func TestSimStealingRelievesStall(t *testing.T) {
 func TestSimFastConsumerNeverSteals(t *testing.T) {
 	// Paper §6.2: when the producer buffer is mostly empty the concurrent
 	// method falls back to message passing.
-	cfg := Config{BufferBlocks: 8, HighWater: 4}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 8, HighWater: 4}
 	r := newSimRig(cfg, 2, 2, 8)
 	runSimWorkflow(t, r, 10, 2, 1<<20, 5*time.Millisecond, 10*time.Microsecond)
 	for _, p := range r.prod {
@@ -172,7 +173,7 @@ func TestSimFastConsumerNeverSteals(t *testing.T) {
 
 func TestSimXmitWaitGrowsUnderBackpressure(t *testing.T) {
 	run := func(analyze time.Duration) int64 {
-		cfg := Config{BufferBlocks: 8, DisableSteal: true}
+		cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 8, DisableSteal: true}
 		r := newSimRig(cfg, 4, 1, 1)
 		runSimWorkflow(t, r, 10, 4, 4<<20, 100*time.Microsecond, analyze)
 		var wait int64
@@ -189,7 +190,7 @@ func TestSimXmitWaitGrowsUnderBackpressure(t *testing.T) {
 }
 
 func TestSimPreserveStoresAll(t *testing.T) {
-	cfg := Config{BufferBlocks: 8, Mode: Preserve}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 8, Mode: Preserve}
 	r := newSimRig(cfg, 2, 1, 4)
 	runSimWorkflow(t, r, 5, 2, 1<<20, time.Millisecond, 100*time.Microsecond)
 	var stored, stolen int64
@@ -209,7 +210,7 @@ func TestSimPreserveStoresAll(t *testing.T) {
 
 func TestSimDeterministic(t *testing.T) {
 	run := func() (time.Duration, int64) {
-		cfg := Config{BufferBlocks: 8, HighWater: 4}
+		cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 8, HighWater: 4}
 		r := newSimRig(cfg, 3, 2, 2)
 		d := runSimWorkflow(t, r, 8, 3, 2<<20, 300*time.Microsecond, 2*time.Millisecond)
 		var stolen int64
@@ -227,7 +228,7 @@ func TestSimDeterministic(t *testing.T) {
 
 func TestSimTraceRecorderCapturesThreadActivity(t *testing.T) {
 	rec := trace.NewRecorder()
-	cfg := Config{BufferBlocks: 4, HighWater: 2, Recorder: rec}
+	cfg := Config{Recycler: block.NewRecycler(0), BufferBlocks: 4, HighWater: 2, Recorder: rec}
 	r := newSimRig(cfg, 1, 1, 1)
 	runSimWorkflow(t, r, 10, 3, 4<<20, 100*time.Microsecond, 10*time.Millisecond)
 	if rec.Total("zprod.0.sender", "send") == 0 {

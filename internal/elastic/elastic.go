@@ -20,7 +20,7 @@
 //     different connections interleave at the listener), so an elastic tier
 //     must not span a TCP hop.
 //
-//   - The drain protocol (implemented by staging.Stager in Managed mode): a
+//   - The drain protocol (implemented by staging.Stager): a
 //     draining stager stops admitting on Retire, flushes its in-memory queue
 //     and its spill partition to the consumers, and exits. Stream
 //     termination stays correct under any membership history because Fins

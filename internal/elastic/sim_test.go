@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"zipper/internal/block"
 	"zipper/internal/core"
 	"zipper/internal/elastic"
 	"zipper/internal/fabric"
@@ -89,7 +90,7 @@ func elasticStepRun(t *testing.T) (events []elastic.Event, analyzed int, end tim
 	scaler.Start()
 
 	cfg := core.Config{
-		BufferBlocks: 8, MaxBatchBlocks: 2,
+		BufferBlocks: 8, MaxBatchBlocks: 2, Recycler: block.NewRecycler(0),
 		RoutePolicy: core.RouteStaging,
 		Directory:   pool,
 		StagerLevel: func(addr int) *flow.Level {
@@ -100,7 +101,7 @@ func elasticStepRun(t *testing.T) (events []elastic.Event, analyzed int, end tim
 		},
 	}
 	cons := core.NewConsumer(simenv.NewEnv(eng, 1, 0), cfg, 0, 1, net.Inbox(0), store)
-	prod := core.NewStagedProducer(simenv.NewEnv(eng, 0, 0), cfg, 0, 0, core.NoStager, net, store)
+	prod := core.NewProducer(simenv.NewEnv(eng, 0, 0), cfg, 0, 0, net, store)
 
 	prodEnv := simenv.NewEnv(eng, 0, 0)
 	eng.Spawn("app.prod", func(sp *sim.Proc) {

@@ -11,12 +11,11 @@
 // never race a live flush into duplicates), drained of its in-flight
 // claims, and retired. The recovery reader then replays what the dead
 // endpoint still queued, through its journal — resident blocks from memory,
-// overflowed ones from the log in its spool partition, disk refs, Fins with
-// their declared totals — and the orphan messages its dead receiver
-// absorbed, so counted per-destination Fin accounting balances
-// without consumers ever learning a relay died. Finally a replacement is
-// respawned into the freed slot (up to maxRecoveries per slot) and
-// re-leased.
+// overflowed ones from the log in its spool partition, disk refs — and the
+// orphan messages its dead receiver absorbed, so the producers' direct
+// Fins, which declare their totals, balance without consumers ever learning
+// a relay died. Finally a replacement is respawned into the freed slot (up
+// to maxRecoveries per slot) and re-leased.
 //
 // At Stop the Monitor runs one forced sweep with the host's liveness
 // oracle: kills injected so late that their TTL never lapsed are still

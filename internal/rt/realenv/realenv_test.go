@@ -8,6 +8,7 @@ import (
 
 	"zipper/internal/block"
 	"zipper/internal/core"
+	"zipper/internal/place"
 	"zipper/internal/rt"
 	"zipper/internal/staging"
 )
@@ -188,12 +189,62 @@ func TestTCPFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTCPCloseFencesDelivery pins the shutdown fence of a TCP job: once
+// TCPTransport.Close has returned, every message sent on the connection is
+// already in its destination inbox — a drain that never blocks finds them
+// all, in order — so a Retire sent after it cannot overtake them. The
+// connection's window is smaller than the stream, so the sender also parks
+// on acknowledgements on the way.
+func TestTCPCloseFencesDelivery(t *testing.T) {
+	const msgs, endpoints = 40, 2
+	ln, err := ListenTCP("127.0.0.1:0", endpoints, msgs, block.NewRecycler(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	tr, err := DialTCP(ln.Addr(), 4, block.NewRecycler(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New().Ctx()
+	for seq := 0; seq < msgs; seq++ {
+		data := block.GetPayload(64)
+		data[0] = byte(seq)
+		b := block.New(block.ID{Rank: 0, Seq: seq}, 0, data)
+		tr.Send(c, seq%endpoints, rt.Message{From: 0, Dest: seq % endpoints, Blocks: []*block.Block{b}})
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for to := 0; to < endpoints; to++ {
+		in := ln.Inbox(to).(inbox)
+		for next, drained := to, false; !drained; {
+			select {
+			case m := <-in:
+				if b := m.Blocks[0]; b.ID.Seq != next || b.Data[0] != byte(next) {
+					t.Fatalf("endpoint %d got block %v, want seq %d", to, b.ID, next)
+				}
+				next += endpoints
+				got++
+			default:
+				drained = true
+			}
+		}
+	}
+	if got != msgs {
+		t.Fatalf("%d of %d messages were in their inbox when Close returned", got, msgs)
+	}
+}
+
 // TestTCPWorkflow runs the full Zipper core over the TCP transport: the
 // producer and consumer sides share nothing but the socket and the spool
 // directory, as two separate OS processes would.
 func TestTCPWorkflow(t *testing.T) {
 	dir := t.TempDir()
-	ln, err := ListenTCP("127.0.0.1:0", 1, 2, block.NewRecycler(0))
+	// Each side has its own free list, as two processes would.
+	consRec, prodRec := block.NewRecycler(0), block.NewRecycler(0)
+	ln, err := ListenTCP("127.0.0.1:0", 1, 2, consRec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,19 +255,19 @@ func TestTCPWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons := core.NewConsumer(consEnv, core.Config{}, 0, 1, ln.Inbox(0), consFS)
+	cons := core.NewConsumer(consEnv, core.Config{Recycler: consRec}, 0, 1, ln.Inbox(0), consFS)
 
 	prodEnv := New()
 	prodFS, err := NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := DialTCP(ln.Addr(), 2, block.NewRecycler(0))
+	tr, err := DialTCP(ln.Addr(), 2, prodRec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	prod := core.NewProducer(prodEnv, core.Config{BufferBlocks: 4, HighWater: 2}, 0, 0, tr, prodFS)
+	prod := core.NewProducer(prodEnv, core.Config{BufferBlocks: 4, HighWater: 2, Recycler: prodRec}, 0, 0, tr, prodFS)
 
 	const n = 25
 	var wg sync.WaitGroup
@@ -268,11 +319,15 @@ func TestTCPValidation(t *testing.T) {
 // TestTCPStagedWorkflow runs the in-transit tier over the TCP frame: the
 // producer process dials in and relays everything through a stager that
 // lives as goroutines inside the listening (consumer-side) process,
-// forwarding to the consumer through the listener's loopback transport.
+// forwarding to the consumer through the listener's loopback transport. The
+// stager is retired once the producer's connection is closed, the fence that
+// puts every frame in its inbox first.
 func TestTCPStagedWorkflow(t *testing.T) {
 	dir := t.TempDir()
-	// Endpoint space: consumer 0, stager at address 1.
-	ln, err := ListenTCP("127.0.0.1:0", 2, 2, block.NewRecycler(0))
+	// Endpoint space: consumer 0, stager at address 1. Each side has its own
+	// free list, as two processes would.
+	consRec, prodRec := block.NewRecycler(0), block.NewRecycler(0)
+	ln, err := ListenTCP("127.0.0.1:0", 2, 2, consRec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +338,12 @@ func TestTCPStagedWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons := core.NewConsumer(consEnv, core.Config{}, 0, 1, ln.Inbox(0), consFS)
+	cons := core.NewConsumer(consEnv, core.Config{Recycler: consRec}, 0, 1, ln.Inbox(0), consFS)
 	spill, err := consFS.Partition("stage0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := staging.NewStager(consEnv, staging.Config{BufferBlocks: 8, Producers: 1},
+	stage := staging.NewStager(consEnv, staging.Config{BufferBlocks: 8, Managed: true, Recycler: consRec},
 		0, ln.Inbox(1), ln.Loopback(), spill)
 
 	prodEnv := New()
@@ -296,14 +351,17 @@ func TestTCPStagedWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := DialTCP(ln.Addr(), 2, block.NewRecycler(0))
+	tr, err := DialTCP(ln.Addr(), 2, prodRec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	prod := core.NewStagedProducer(prodEnv,
-		core.Config{BufferBlocks: 8, DisableSteal: true, RoutePolicy: core.RouteStaging},
-		0, 0, 1, tr, prodFS)
+	pool := place.New(place.RankAffine(), nil)
+	pool.Add(1)
+	prod := core.NewProducer(prodEnv,
+		core.Config{BufferBlocks: 8, DisableSteal: true, RoutePolicy: core.RouteStaging,
+			Directory: pool, Recycler: prodRec},
+		0, 0, tr, prodFS)
 
 	const n = 60
 	var wg sync.WaitGroup
@@ -332,6 +390,10 @@ func TestTCPStagedWorkflow(t *testing.T) {
 		time.Sleep(500 * time.Microsecond) // lag: drive the stager past high water
 	}
 	wg.Wait()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pool.RetireAll(c, func(addr int) { ln.Loopback().Send(c, addr, rt.Message{Retire: true}) })
 	stage.Wait(c)
 	cons.Wait(c)
 	if err := cons.Err(c); err != nil {

@@ -57,15 +57,17 @@ import (
 // three transports. The magic moved with it: a v5 peer would neither read
 // nor write acknowledgements, and fails at the first frame instead.
 //
-// The Retire flag is carried for frame completeness only: the elastic drain
-// protocol's "Retire arrives last" guarantee requires a transport whose Send
-// returns only after the message is deposited in the destination inbox
-// (in-process channels, the simulated network). TCPTransport.Send returns
-// after the socket write, and frames from different connections interleave
-// at the listener, so a quiesced claim does NOT order a Retire behind
-// in-flight data here — do not drive a pool-managed stager across TCP.
-// zipper.NewJob enforces this: a TCP job with an elastic, fault-tolerant,
-// or non-rank-affine (pool-managed) staging tier is rejected at validation.
+// The Retire flag is carried for frame completeness only: a stager's
+// "Retire arrives last" guarantee needs every frame of a quiesced claim to
+// be in its inbox before the Retire is sent. TCPTransport.Send returns after
+// the socket write, and frames from different connections interleave at the
+// listener, so a quiesced claim alone does NOT order a Retire behind
+// in-flight data here. Close does: it returns only once the listener has
+// read the connection to its end, every frame deposited. zipper's Job.Wait
+// closes every producer's connection before the tier's Retire, so a TCP job
+// takes any placement; an elastic or fault-tolerant tier, which drains or
+// evicts stagers mid-run, would need that fence per claim and is rejected
+// at validation.
 const (
 	frameMagic  = 0x5a495036 // "ZIP6"
 	flagFin     = 1 << 0
@@ -373,7 +375,9 @@ func (t *TCPTransport) resend(to int, m rt.Message) error {
 // final frame. With a send window it closes the write side first and lets
 // the listener read to that EOF and hang up: closing a socket that still
 // holds unread acknowledgements resets the connection, and a reset discards
-// whatever frames the kernel had not yet delivered.
+// whatever frames the kernel had not yet delivered. So once Close returns,
+// every message sent on the connection is in its destination inbox: the
+// shutdown fence of a TCP job. Closing again is harmless.
 func (t *TCPTransport) Close() error {
 	if t.ackDone == nil {
 		return t.c.Close()

@@ -97,10 +97,8 @@ type Message struct {
 	// and disk-ref announcements for blocks spilled through the file system.
 	// They make stream termination counted rather than ordered: the consumer
 	// waits until the declared deliveries have all arrived, so relayed blocks
-	// still in flight behind a membership change of an elastic stager pool
-	// can trail the Fin without being lost. A fixed pool satisfies the counts
-	// exactly when the last Fin arrives, so declared Fins change nothing
-	// there.
+	// still queued at a stager can trail the Fin, which always travels the
+	// direct path, without being lost.
 	FinBlocks int64
 	FinDisk   int64
 	// Lost counts relayed blocks a stager had to drop after an unrecoverable
@@ -109,10 +107,10 @@ type Message struct {
 	// Fins' declared totals so even a lossy stream still terminates instead
 	// of waiting forever for blocks that can never arrive.
 	Lost int64
-	// Retire tells a pool-managed stager endpoint to stop admitting, flush
-	// its queue and spill partition to the consumers, and exit. The elastic
-	// scaler sends it only after the pool membership change has quiesced, so
-	// it is the last message the endpoint ever receives.
+	// Retire tells a stager endpoint to stop admitting, flush its queue and
+	// spill partition to the consumers, and exit. Its pool sends it only
+	// after the membership change has quiesced, so it is the last message
+	// the endpoint ever receives.
 	Retire bool
 	// Dest is the final consumer endpoint of a message routed through an
 	// in-transit staging relay: the producer addresses the send to the

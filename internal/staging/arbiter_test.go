@@ -151,10 +151,10 @@ func (h forwardHook) Send(c rt.Ctx, to int, m rt.Message) {
 }
 
 // finSeen is a Fin as the consumer saw it: the producer's declared block
-// total, and how many of its blocks had arrived by then.
+// total.
 type finSeen struct {
-	rank            int
-	declared, after int64
+	rank     int
+	declared int64
 }
 
 // produce starts producer rank: msgs messages of simBatch blocks for
@@ -168,25 +168,25 @@ func (r *simRig) produceFor(dest, rank, msgs int, gap time.Duration, done *int) 
 }
 
 // produceStream starts producer rank: `blocks` blocks for endpoint dest in
-// messages of up to simBatch, one every gap, the last one carrying the
-// producer's Fin when fin is set (alone, when there are no blocks).
+// messages of up to simBatch through the stager, one every gap, and, when
+// fin is set, the producer's Fin straight to dest, declaring them all.
 func (r *simRig) produceStream(dest, rank, blocks int, gap time.Duration, fin bool, done *int) {
 	env := simenv.NewEnv(r.eng, fabric.NodeID(rank), 0)
 	r.eng.Spawn("prod", func(sp *sim.Proc) {
 		c := env.WrapProc(sp)
-		for seq, finSent := 0, !fin; seq < blocks || !finSent; {
+		for seq := 0; seq < blocks; {
 			sp.Delay(gap)
 			m := rt.Message{From: rank, Dest: dest}
 			for k := 0; k < simBatch && seq < blocks; k, seq = k+1, seq+1 {
 				m.Blocks = append(m.Blocks, block.NewSized(block.ID{Rank: rank, Seq: seq}, 0, simBlockBytes))
 			}
-			if seq == blocks && !finSent {
-				m.Fin, m.FinBlocks, finSent = true, int64(blocks), true
-			}
 			start := sp.Now()
 			r.net.Send(c, 1, m)
 			r.stall += sp.Now() - start
 			r.sent += len(m.Blocks)
+		}
+		if fin {
+			r.net.Send(c, dest, rt.Message{From: rank, Dest: dest, Fin: true, FinBlocks: int64(blocks)})
 		}
 		*done++
 	})
@@ -214,13 +214,7 @@ func (r *simRig) consumeAt(ep int, perBlock func(n int) time.Duration) {
 				n++
 			}
 			if m.Fin {
-				f := finSeen{rank: m.From, declared: m.FinBlocks}
-				for _, id := range r.order {
-					if id.Rank == m.From {
-						f.after++
-					}
-				}
-				r.fins = append(r.fins, f)
+				r.fins = append(r.fins, finSeen{rank: m.From, declared: m.FinBlocks})
 			}
 		}
 	})
@@ -893,11 +887,11 @@ func TestKillBetweenSendAndDeliver(t *testing.T) {
 // the nth admitted message, inside the nth log append, or after the nth
 // forwarder Send of blocks — on a journaling stager in front of a consumer
 // that spends the input's delay on every block, with each of two producers
-// relaying the input's number of blocks and closing its stream with a Fin,
-// through a buffer of the input's size. Whatever the stager forwarded before
-// the kill and whatever the replay re-sends must reach the consumer exactly
-// once, each producer's blocks in admission order and its Fin after the last
-// of them, with nothing lost and no log record left live.
+// relaying the input's number of blocks through a buffer of the input's size
+// and closing its stream with a direct Fin. Whatever the stager forwarded
+// before the kill and whatever the replay re-sends must reach the consumer
+// exactly once, each producer's blocks in admission order, with nothing lost
+// and no log record left live; each Fin declares its producer's blocks.
 func FuzzKillReplay(f *testing.F) {
 	for trigger := range uint8(4) {
 		f.Add(trigger, uint8(3), uint8(40), uint8(37), uint8(24), uint8(20))
@@ -971,8 +965,8 @@ func FuzzKillReplay(f *testing.F) {
 			t.Fatalf("%d Fins arrived, want one per producer: %+v", len(r.fins), r.fins)
 		}
 		for _, f := range r.fins {
-			if want := int64(blocks[f.rank]); f.declared != want || f.after != want {
-				t.Fatalf("rank %d's Fin declared %d blocks and arrived after %d of them, want %d", f.rank, f.declared, f.after, want)
+			if want := int64(blocks[f.rank]); f.declared != want {
+				t.Fatalf("rank %d's Fin declared %d blocks, want %d", f.rank, f.declared, want)
 			}
 		}
 	})

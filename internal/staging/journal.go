@@ -8,16 +8,15 @@
 // it in admission order, resident (the *block.Block by reference, exactly as
 // AddOrphan keeps the messages a dead receiver drains) or spilled to the log
 // with the place the log holds it (segment, offset, length), and every slot
-// keeps its disk refs and Fin with their declared delivery totals until its
-// last block is sent. The segment log, opened in the stager's spill
-// partition, takes a payload only when the spiller evicts it from memory (up
-// to MaxBatchBlocks victims in one append), and delivery releases that space.
-// After a crash the recovery reader (Replay) re-forwards what the queue still
-// holds — resident blocks from memory, spilled ones read back and
-// checksum-verified — and counted per-destination Fin accounting balances
-// without the consumers ever learning a relay died. Message.Lost is the
-// fallback for the genuinely unrecoverable case: a spilled block whose log
-// record cannot be read back.
+// keeps its disk refs until its last block is sent. The segment log, opened
+// in the stager's spill partition, takes a payload only when the spiller
+// evicts it from memory (up to MaxBatchBlocks victims in one append), and
+// delivery releases that space. After a crash the recovery reader (Replay)
+// re-forwards what the queue still holds — resident blocks from memory,
+// spilled ones read back and checksum-verified — and the producers' direct
+// Fins, which declare their totals, balance without the consumers ever
+// learning a relay died. Message.Lost is the fallback for the genuinely
+// unrecoverable case: a spilled block whose log record cannot be read back.
 //
 // Not covered: the death of the process. The queue is the log's only index,
 // the log is not fsynced, and Close unlinks it.
@@ -54,14 +53,13 @@ func (j *Journal) AddOrphan(m rt.Message) { j.orphans = append(j.orphans, m) }
 // still owed its consumers — what its queue holds, slot by slot in admission
 // order: each remaining block as a message of its own, resident ones from
 // memory and spilled ones read back from the segment log, then the slot's
-// disk refs and Fin with their declared totals — then the orphaned messages
-// the dead receiver never admitted, and retires the log. Call it once the
-// dead endpoint's threads have exited (Stager.Wait); a second call finds
-// nothing. Counted stream termination makes cross-producer interleaving
-// irrelevant. A spilled block whose log record cannot be read back is
-// declared via Message.Lost to its destination so the stream still
-// terminates. Returns the blocks re-forwarded (queue + orphans), the orphan
-// messages re-sent, and the blocks declared lost.
+// disk refs — then the orphaned messages the dead receiver never admitted,
+// and retires the log. Call it once the dead endpoint's threads have exited
+// (Stager.Wait); a second call finds nothing. Counted stream termination
+// makes cross-producer interleaving irrelevant. A spilled block whose log
+// record cannot be read back is declared via Message.Lost to its destination
+// so the stream still terminates. Returns the blocks re-forwarded (queue +
+// orphans), the orphan messages re-sent, and the blocks declared lost.
 //
 // The store argument is unused — the stager opened its log in its spill
 // partition when it started — and stays because the benchmark driver
@@ -88,9 +86,8 @@ func Replay(c rt.Ctx, j *Journal, _ rt.BlockStore, tr rt.Transport) (replayed, o
 				j.log.Release(c, rb.ref)
 			}
 		}
-		if len(sl.disk) > 0 || sl.fin {
-			tr.Send(c, sl.dest, rt.Message{From: sl.from, Dest: sl.dest, Disk: sl.disk,
-				Fin: sl.fin, FinBlocks: sl.finBlocks, FinDisk: sl.finDisk})
+		if len(sl.disk) > 0 {
+			tr.Send(c, sl.dest, rt.Message{From: sl.from, Dest: sl.dest, Disk: sl.disk})
 		}
 	}
 	for _, m := range orphaned {

@@ -49,6 +49,7 @@ func newWalRig(t *testing.T, cfg Config) *walRig {
 
 // consumer puts a runtime consumer on endpoint 0, expecting one producer.
 func (r *walRig) consumer(ccfg core.Config) *core.Consumer {
+	ccfg.Recycler = block.NewRecycler(ccfg.MaxBatchBlocks)
 	cons := core.NewConsumer(r.env, ccfg, 0, 1, r.net.Inbox(0), r.root)
 	r.cons = append(r.cons, cons)
 	return cons
@@ -403,7 +404,7 @@ func (r *walRig) loggedRecords() (logged []rt.LogRef, resident int) {
 }
 
 // pendingOf reports what a crash right now would owe the recovery reader: a
-// record per queued block and per queued slot's disk refs and Fin, and the
+// record per queued block and per queued slot's disk refs, and the
 // orphans (read only once the instance's receiver has exited).
 func pendingOf(c rt.Ctx, j *Journal) (records, orphans int) {
 	s := j.s
@@ -411,7 +412,7 @@ func pendingOf(c rt.Ctx, j *Journal) (records, orphans int) {
 	defer s.lk.Unlock(c)
 	for _, sl := range s.queue {
 		records += len(sl.blocks)
-		if len(sl.disk) > 0 || sl.fin {
+		if len(sl.disk) > 0 {
 			records++
 		}
 	}
@@ -460,8 +461,11 @@ func TestCorruptSegmentDeclaredLost(t *testing.T) {
 			const blocks, batch, size = 120, 8, 64 << 10
 			r := newWalRig(t, Config{BufferBlocks: 32, MaxBatchBlocks: batch})
 			cons := r.consumer(core.Config{ConsumerBufferBlocks: 2})
+			// The producer's Fin goes direct and declares the whole stream;
+			// sent first, it finds room in the consumer's one-message window
+			// before the relayed blocks fill it.
+			r.net.Send(r.c, 0, rt.Message{From: 0, Dest: 0, Fin: true, FinBlocks: blocks})
 			r.send(0, blocks, batch, size)
-			r.net.Send(r.c, 1, rt.Message{From: 0, Dest: 0, Fin: true, FinBlocks: blocks})
 			r.waitAdmitted(r.st, blocks)
 			r.waitSpilledDownTo(24)
 

@@ -31,23 +31,22 @@
 //
 // With a crash journal (Config.Journal) the queue is also what a crash owes:
 // a killed stager's threads stop and leave the queue as it stands — resident
-// blocks, blocks in the segment log, each message's disk refs and Fin — and
-// the recovery reader (Replay) re-forwards it (see journal.go).
+// blocks, blocks in the segment log, each message's disk refs — and the
+// recovery reader (Replay) re-forwards it (see journal.go).
 //
-// The stager preserves per-producer arrival order, so a Fin routed through
-// the relay trails every block that producer relayed — the property the
-// producer's sender thread relies on when it closes a staged stream.
-//
-// A stager normally terminates after counting its assigned producers' Fins.
-// Behind a placement-plane directory (Config.Managed) — the elastic pool,
-// or a fixed tier resolved per batch by a place.Policy — assignment is
-// dynamic, so termination is by drain instead: the Retire control message —
-// sent only after the membership change has quiesced, making it the last
-// message the endpoint receives — stops admission, and the forwarder
-// flushes the queue and the spill partition before the threads exit. The
-// re-batching forwarder groups consecutive same-destination arrivals, so it
-// composes with any consumer placement: interleaved destinations simply cut
-// batches shorter, never reorder a producer's blocks.
+// Every stager sits behind a placement-plane directory, which resolves each
+// producer batch to a member under its place.Policy (rank-affine, which is
+// a fixed assignment, or load-aware), so a stager never knows its producers
+// and a Fin never rides the relay: producers close their streams with a
+// direct Fin that declares their totals. Termination is by drain: the
+// Retire control message — sent only after the membership change has
+// quiesced, making it the last message the endpoint receives — stops
+// admission, and the forwarder flushes the queue and the spill partition
+// before the threads exit. The stager preserves per-producer arrival order,
+// and the re-batching forwarder groups consecutive same-destination
+// arrivals, so it composes with any consumer placement: interleaved
+// destinations simply cut batches shorter, never reorder a producer's
+// blocks.
 //
 // Like the core producer and consumer modules, the Stager is written against
 // the rt platform interfaces and runs unchanged on the real machine
@@ -83,15 +82,10 @@ type Config struct {
 	// second half of the tier's job: many small producer sends leave as few
 	// large consumer deliveries.
 	MaxBatchBlocks int
-	// Producers is the number of upstream producers assigned to this stager
-	// (its expected Fin count). Required (≥ 1) unless Managed is set.
-	Producers int
-	// Managed selects pool-managed termination for stagers behind a
-	// placement-plane directory (the elastic pool, or a fixed tier resolved
-	// per batch by a place.Policy): producer assignment is dynamic there, so
-	// no Fin count is known up front. A managed stager admits messages until
-	// it receives the Retire control message, then flushes its queue and
-	// spill partition to the consumers and exits. Producers is ignored.
+	// Managed must be true: a stager admits messages until it receives the
+	// Retire control message, then flushes its queue and spill partition to
+	// the consumers and exits. It is the only termination there is; the
+	// field stays while the benchmark driver (bench/) sets it.
 	Managed bool
 	// Reduce selects in-transit payload reduction at this endpoint. Blocks
 	// that arrive already encoded (producer-side reduction) pass through
@@ -117,7 +111,9 @@ type Config struct {
 	// Recycler, when non-nil, is the job's free list of block headers and
 	// block lists (core.Config.Recycler): the receiver hands in the list of
 	// every message it admits and the forwarder builds its messages' lists
-	// from it. Without one the stager keeps a free list of its own.
+	// from it. The assembler always sets it; the fallback, a free list of
+	// the stager's own, stays while the benchmark driver (bench/) builds a
+	// stager without one.
 	Recycler *block.Recycler
 
 	// Tenants is the number of tenant classes sharing this stager under a
@@ -138,13 +134,12 @@ type Config struct {
 	// segment log the stager opens in the spill partition instead of to one
 	// file per block, delivery releases that log space, and the queue —
 	// resident blocks by reference, spilled ones by their place in the log,
-	// each slot's disk refs and Fin with the declared totals — is the
-	// manifest of what is still owed. The journal is owned by the embedder,
-	// one per stager instance: through it the stopped instance's queue and
-	// log outlive the endpoint, so the recovery reader (Replay) can
-	// re-forward what the crash stranded. The death of the whole process is
-	// not covered and never was (see journal.go). Requires Managed.
-	// Enables Kill-based fault injection.
+	// each slot's disk refs — is the manifest of what is still owed. The
+	// journal is owned by the embedder, one per stager instance: through it
+	// the stopped instance's queue and log outlive the endpoint, so the
+	// recovery reader (Replay) can re-forward what the crash stranded. The death of the whole process is
+	// not covered and never was (see journal.go). Enables Kill-based fault
+	// injection.
 	Journal *Journal
 	// Heartbeat, when non-nil, is invoked every HeartbeatInterval by a
 	// dedicated thread while the stager is healthy — the lease renewal. A
@@ -221,8 +216,8 @@ type tenantState struct {
 }
 
 // slot is one received mixed message, decomposed and queued in arrival
-// order. A slot leaves the queue only once fully forwarded, so its Fin and
-// disk refs never overtake its blocks, and then goes back to the stager's
+// order. A slot leaves the queue only once fully forwarded, so its disk
+// refs never overtake its blocks, and then goes back to the stager's
 // free list. Its entries are stored by value and never move while it is
 // queued: the spiller holds pointers to its victims across the append, and a
 // victim being spilled keeps its slot from being forwarded.
@@ -231,10 +226,6 @@ type slot struct {
 	blocks     []relayBlock
 	head       int // blocks[:head] have been taken by the forwarder
 	disk       []rt.DiskRef
-	fin        bool
-	// finBlocks/finDisk are the Fin's declared delivery totals, carried
-	// through the relay so counted stream termination survives the hop.
-	finBlocks, finDisk int64
 }
 
 // Stager is one in-transit staging endpoint.
@@ -291,7 +282,6 @@ type Stager struct {
 	free        []*slot         // forwarded slots, for the receiver to reuse
 	rec         *block.Recycler // the job's free list of block lists
 	memBlocks   int             // blocks resident in memory (mirrored in fl.Queue)
-	finsGot     int
 	recvDone    bool
 	forwardDone bool
 	spillDone   bool
@@ -316,11 +306,8 @@ type blockEncoder interface {
 // threads.
 func NewStager(env rt.Env, cfg Config, id int, in rt.Inbox, tr rt.Transport, fs rt.BlockStore) *Stager {
 	cfg = cfg.withDefaults()
-	if !cfg.Managed && cfg.Producers < 1 {
-		panic("staging: stager needs at least one producer")
-	}
-	if cfg.Journal != nil && !cfg.Managed {
-		panic("staging: a crash journal requires a managed stager")
+	if !cfg.Managed {
+		panic("staging: every stager is managed: it ends on Retire")
 	}
 	s := &Stager{env: env, cfg: cfg, id: id, in: in, tr: tr, fs: fs, rec: cfg.Recycler}
 	if s.rec == nil {
@@ -467,9 +454,8 @@ func (s *Stager) Err(c rt.Ctx) error {
 }
 
 // Wait blocks until the receiver, forwarder, and spiller threads have
-// exited — every assigned producer sent its Fin (or, for a managed stager,
-// the Retire arrived) and all relayed data was delivered — and then joins
-// the heartbeat, which the drain (or a Kill) has already halted.
+// exited — the Retire arrived and all relayed data was delivered — and then
+// joins the heartbeat, which the drain (or a Kill) has already halted.
 func (s *Stager) Wait(c rt.Ctx) {
 	s.lk.Lock(c)
 	for !(s.recvDone && s.forwardDone && s.spillDone) {
@@ -482,7 +468,7 @@ func (s *Stager) Wait(c rt.Ctx) {
 }
 
 // Drained reports, without blocking, whether every runtime thread has exited
-// — for a managed stager, that the Retire arrived and the flush completed.
+// — that the Retire arrived and the flush completed.
 // The elastic scaler polls it to learn when a retired endpoint's slot can be
 // reused.
 func (s *Stager) Drained(c rt.Ctx) bool {
@@ -584,8 +570,8 @@ func (s *Stager) setOccLocked(n int) {
 	s.fl.Queue.Set(n)
 }
 
-// receiverThread admits relayed mixed messages into the queue until every
-// assigned producer has sent its Fin. Admission is whole-message: the
+// receiverThread admits relayed mixed messages into the queue until the
+// Retire arrives. Admission is whole-message: the
 // receiver waits for buffer room for all of a message's blocks (unless the
 // buffer is empty, so oversized batches still make progress), which keeps
 // partially built slots out of the forwarder's and spiller's sight.
@@ -616,10 +602,13 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 			s.cfg.Recorder.Add(s.traceName("receiver"), "recv", start, end)
 		}
 		if m.Retire {
-			// The scaler retires this endpoint: the pool membership change
-			// already quiesced, so this is the last message — stop admitting
-			// and let the forwarder flush the queue and spill partition.
+			// The pool retires this endpoint: the membership change already
+			// quiesced, so this is the last message — stop admitting and let
+			// the forwarder flush the queue and spill partition.
 			break
+		}
+		if m.Fin {
+			panic("staging: a Fin never rides the relay")
 		}
 		ts := s.tenantOf(m.From)
 		// Admission is whole-message against both caps: the buffer — all of
@@ -661,12 +650,6 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 		if s.memBlocks > s.spillFromLocked() {
 			s.spillWork.Signal()
 		}
-		if m.Fin && !s.cfg.Managed {
-			s.finsGot++
-			if s.finsGot == s.cfg.Producers {
-				break
-			}
-		}
 		s.lk.Unlock(c)
 	}
 	s.recvDone = true
@@ -687,8 +670,7 @@ func (s *Stager) slotLocked(m rt.Message, ts *tenantState) *slot {
 	} else {
 		sl = new(slot)
 	}
-	sl.from, sl.dest, sl.disk, sl.fin = m.From, m.Dest, m.Disk, m.Fin
-	sl.finBlocks, sl.finDisk = m.FinBlocks, m.FinDisk
+	sl.from, sl.dest, sl.disk = m.From, m.Dest, m.Disk
 	for _, b := range m.Blocks {
 		sl.blocks = append(sl.blocks, relayBlock{b: b, ten: ts})
 	}
@@ -816,15 +798,14 @@ func (s *Stager) spillFromLocked() int {
 // assembleLocked removes the next outgoing batch from the head of the
 // queue into taken, the forwarder's scratch: blocks for a single
 // destination, up to MaxBatchBlocks, merging consecutive slots (re-batching)
-// and stopping once a Fin is included or a block still being spilled is
-// reached. The entries are copied out, so a slot emptied here goes back to
-// the free list at once. Returns ok=false when nothing is consumable right
-// now (head block mid-spill).
+// and stopping once a block still being spilled is reached. The entries are
+// copied out, so a slot emptied here goes back to the free list at once.
+// Returns ok=false when nothing is consumable right now (head block
+// mid-spill).
 //
 // A merged message can carry blocks from several producers — blocks
 // self-identify through their IDs, so the outgoing From is informational:
-// it names the Fin's producer when the message carries one (Fin attribution
-// must stay exact) and the first merged producer otherwise.
+// it names the first merged producer.
 //
 // On a multi-tenant stager the batch does not have to start at the head:
 // one tenant's slow consumer must not stall every other tenant's traffic
@@ -834,7 +815,7 @@ func (s *Stager) spillFromLocked() int {
 // With no credit anywhere the head run is taken and the send blocks: that
 // is the natural backpressure. Single-tenant stagers keep strict FIFO so the
 // private-tier forwarding order is untouched.
-func (s *Stager) assembleLocked(now time.Duration, taken []relayBlock) (_ []relayBlock, disk []rt.DiskRef, from, dest int, fin bool, finBlocks, finDisk int64, ok bool) {
+func (s *Stager) assembleLocked(now time.Duration, taken []relayBlock) (_ []relayBlock, disk []rt.DiskRef, from, dest int, ok bool) {
 	// The oldest queued destination is the one the arbiter watches: on a
 	// multi-tenant stager the batch may skip past it, but only because it
 	// has no credit — the head is then waiting on that window while other
@@ -853,7 +834,7 @@ func (s *Stager) assembleLocked(now time.Duration, taken []relayBlock) (_ []rela
 	from, dest = head.from, head.dest
 	freed := 0
 	end := start
-	for end < len(s.queue) && !fin {
+	for end < len(s.queue) {
 		sl := s.queue[end]
 		if sl.dest != dest {
 			break
@@ -874,14 +855,9 @@ func (s *Stager) assembleLocked(now time.Duration, taken []relayBlock) (_ []rela
 		if blocked {
 			break
 		}
-		// Slot fully consumed: its disk refs and Fin travel with (or after)
-		// its last block, never before.
+		// Slot fully consumed: its disk refs travel with (or after) its last
+		// block, never before.
 		disk = append(disk, sl.disk...)
-		if sl.fin {
-			fin = true
-			from = sl.from
-			finBlocks, finDisk = sl.finBlocks, sl.finDisk
-		}
 		end++
 	}
 	if end > start {
@@ -894,8 +870,8 @@ func (s *Stager) assembleLocked(now time.Duration, taken []relayBlock) (_ []rela
 		s.setOccLocked(s.memBlocks - freed)
 		s.space.Broadcast()
 	}
-	ok = len(taken) > 0 || len(disk) > 0 || fin
-	return taken, disk, from, dest, fin, finBlocks, finDisk, ok
+	ok = len(taken) > 0 || len(disk) > 0
+	return taken, disk, from, dest, ok
 }
 
 // forwarderThread drains the queue head, re-reads any spilled blocks, and
@@ -906,8 +882,7 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		s.lk.Lock(c)
 		var disk []rt.DiskRef
 		var from, dest int
-		var fin, ok bool
-		var finBlocks, finDisk int64
+		var ok bool
 		for {
 			if s.killed {
 				// Crashed: abandon the queue without flushing — it is what
@@ -919,7 +894,7 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 				return
 			}
 			if len(s.queue) > 0 {
-				taken, disk, from, dest, fin, finBlocks, finDisk, ok = s.assembleLocked(c.Now(), taken[:0])
+				taken, disk, from, dest, ok = s.assembleLocked(c.Now(), taken[:0])
 				if ok {
 					break
 				}
@@ -1004,8 +979,7 @@ func (s *Stager) forwarderThread(c rt.Ctx) {
 		}
 
 		start := c.Now()
-		s.tr.Send(c, dest, rt.Message{From: from, Dest: dest, Blocks: blocks, Disk: disk,
-			Fin: fin, FinBlocks: finBlocks, FinDisk: finDisk, Lost: lost})
+		s.tr.Send(c, dest, rt.Message{From: from, Dest: dest, Blocks: blocks, Disk: disk, Lost: lost})
 		now := c.Now()
 		if s.cfg.Recorder != nil && len(blocks) > 0 {
 			s.cfg.Recorder.Add(s.traceName("forwarder"), "forward", start, now)

@@ -11,6 +11,7 @@ import (
 	"zipper/internal/block"
 	"zipper/internal/core"
 	"zipper/internal/flow"
+	"zipper/internal/place"
 	"zipper/internal/rt"
 	"zipper/internal/rt/realenv"
 )
@@ -99,6 +100,7 @@ func newRig(t *testing.T, producers, consumers, stagers int, ccfg core.Config, s
 	}
 	r := &rig{env: env, net: net, spool: dir, window: window}
 	t.Cleanup(func() { r.shutdown(t) })
+	ccfg.Recycler = block.NewRecycler(ccfg.MaxBatchBlocks)
 	for q := 0; q < consumers; q++ {
 		n := 0
 		for p := 0; p < producers; p++ {
@@ -114,25 +116,39 @@ func newRig(t *testing.T, producers, consumers, stagers int, ccfg core.Config, s
 			t.Fatal(err)
 		}
 		cfg := scfg
-		cfg.Producers = 0
-		for p := 0; p < producers; p++ {
-			if p%stagers == s {
-				cfg.Producers++
-			}
-		}
+		cfg.Managed, cfg.Recycler = true, ccfg.Recycler
 		r.stage = append(r.stage, NewStager(env, cfg, s, net.Inbox(consumers+s), net, spill))
 	}
+	var pool *place.Directory
 	if stagers > 0 {
+		// Rank-affine: producer p relays through stager p mod stagers.
+		pool = place.New(place.RankAffine(), nil)
+		for s := range stagers {
+			pool.Add(consumers + s)
+		}
 		ccfg.StagerLevel = func(addr int) *flow.Level { return r.stage[addr-consumers].Level() }
+		ccfg.Directory = pool
 	}
 	for p := 0; p < producers; p++ {
-		addr := core.NoStager
-		if stagers > 0 {
-			addr = consumers + p%stagers
-		}
-		r.prod = append(r.prod, core.NewStagedProducer(env, ccfg, p, p*consumers/producers, addr, net, fs))
+		r.prod = append(r.prod, core.NewProducer(env, ccfg, p, p*consumers/producers, net, fs))
+	}
+	if pool != nil {
+		retireWhenDone(env, net, pool, r.prod...)
 	}
 	return r
+}
+
+// retireWhenDone is the tier's janitor, as a job runs it: once every
+// producer is done no relay traffic can appear, and every stager in the pool
+// gets its Retire.
+func retireWhenDone(env *realenv.Env, net rt.Transport, pool *place.Directory, prods ...*core.Producer) {
+	go func() {
+		c := env.Ctx()
+		for _, p := range prods {
+			p.Wait(c)
+		}
+		pool.RetireAll(c, func(addr int) { net.Send(c, addr, rt.Message{Retire: true}) })
+	}()
 }
 
 func (r *rig) produce(t *testing.T, blocks, blockBytes int) *sync.WaitGroup {
@@ -344,8 +360,8 @@ func TestPreserveThroughRelay(t *testing.T) {
 // TestFanInCreditAccounting drives many producers into one consumer through
 // one stager under batching and cross-checks every counter pair across the
 // three endpoint types: nothing lost, nothing double-counted, and the
-// number of forwarded messages bounded by the window-credit protocol's
-// guarantees (one Fin per producer, at least one message per batch cap).
+// number of messages each stager admits equal to what the producers sent
+// through it: all but their Fins, which go direct.
 func TestFanInCreditAccounting(t *testing.T) {
 	const producers, blocks = 8, 100
 	r := newRig(t, producers, 1, 2,
@@ -393,8 +409,9 @@ func TestFanInCreditAccounting(t *testing.T) {
 		t.Fatalf("counter chain broken: relayed=%d stagerIn=%d stagerOut=%d received=%d analyzed=%d want %d",
 			relayed, stIn, stOut, cs.BlocksReceived, cs.BlocksAnalyzed, total)
 	}
-	if stMsgsIn != msgs {
-		t.Fatalf("stager saw %d messages, producers sent %d", stMsgsIn, msgs)
+	// Every producer message but its Fin, which goes direct, crosses a stager.
+	if stMsgsIn != msgs-producers {
+		t.Fatalf("stager saw %d messages, producers sent %d besides their %d Fins", stMsgsIn, msgs-producers, producers)
 	}
 	for rank, n := range perRank {
 		if n != blocks {
@@ -480,12 +497,15 @@ func TestLossyRelayStillTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := place.New(place.RankAffine(), nil)
+	pool.Add(1)
 	ccfg := core.Config{RoutePolicy: core.RouteStaging, DisableSteal: true,
-		BufferBlocks: 16, MaxBatchBlocks: 4}
+		BufferBlocks: 16, MaxBatchBlocks: 4, Directory: pool, Recycler: block.NewRecycler(4)}
 	cons := core.NewConsumer(env, ccfg, 0, 1, net.Inbox(0), fs)
-	stg := NewStager(env, Config{BufferBlocks: 8, MaxBatchBlocks: 4, Producers: 1},
+	stg := NewStager(env, Config{BufferBlocks: 8, MaxBatchBlocks: 4, Managed: true, Recycler: ccfg.Recycler},
 		0, net.Inbox(1), net, lossyStore{spill})
-	prod := core.NewStagedProducer(env, ccfg, 0, 0, 1, net, fs)
+	prod := core.NewProducer(env, ccfg, 0, 0, net, fs)
+	retireWhenDone(env, net, pool, prod)
 
 	go func() {
 		c := env.Ctx()

@@ -123,10 +123,8 @@ type Spec struct {
 	// termination.
 	Placement place.Kind
 	// Fault enables and tunes the survivable data plane (RunZipper only):
-	// leases renewed by heartbeats on every pool-managed stager, write-ahead
-	// journaling of admitted traffic, and the eviction/replay/respawn
-	// monitor. With Fault.Enabled the staging tier always runs pool-managed,
-	// even under rank-affine placement.
+	// leases renewed by heartbeats on every stager, write-ahead journaling
+	// of admitted traffic, and the eviction/replay/respawn monitor.
 	Fault fault.Config
 	// FaultKillEpoch, when > 0, arms the deterministic kill injector: the
 	// first time the stager pool's membership epoch reaches it, the lowest
@@ -591,12 +589,10 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 			harness.Unlock(c)
 		})
 	}
-	if tier != nil && tier.Pool != nil {
-		// The janitor closes a pool-managed tier's lifetime: once every
-		// producer has handed off its data no relay traffic can appear, and
-		// the tier shuts down — the flush completes the consumers' counted
-		// streams. (A fixed rank-affine tier ends by itself on its
-		// producers' Fins.)
+	if tier != nil {
+		// The janitor closes the tier's lifetime: once every producer has
+		// handed off its data no relay traffic can appear, and the tier
+		// shuts down — the flush completes the consumers' counted streams.
 		pf.env(assembly.Control, 0).Go("tier.janitor", func(c rt.Ctx) {
 			for _, p := range producers {
 				p.Wait(c)

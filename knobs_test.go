@@ -58,7 +58,7 @@ func TestInternalKnobs(t *testing.T) {
 			"ReducePipeline", "Recycler", "DisableSteal", "Recorder",
 		}},
 		{staging.Config{}, []string{
-			"BufferBlocks", "MaxBatchBlocks", "Producers", "Managed", "Reduce", "Pipeline", "Recorder", "Recycler",
+			"BufferBlocks", "MaxBatchBlocks", "Managed", "Reduce", "Pipeline", "Recorder", "Recycler",
 			"Tenants", "Tenant", "Journal", "Heartbeat", "HeartbeatInterval", "Unlease",
 		}},
 		{elastic.Config{}, []string{"Enabled", "MinStagers", "MaxStagers", "Interval", "Cooldown"}},

@@ -2,6 +2,7 @@ package zipper
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -9,8 +10,8 @@ import (
 )
 
 // TestWireValidation pins the typed rejections the wire-path options add:
-// reduction needs a reachable staging tier, and pool-managed tiers cannot run
-// over TCP.
+// reduction needs a reachable staging tier, and tiers that drain or evict
+// stagers mid-run cannot run over TCP.
 func TestWireValidation(t *testing.T) {
 	dir := t.TempDir()
 	bad := []struct {
@@ -32,10 +33,6 @@ func TestWireValidation(t *testing.T) {
 			Config{Producers: 4, Consumers: 1, SpoolDir: dir, TCPAddr: "127.0.0.1:0",
 				Staging: StagingConfig{Stagers: 2, RoutePolicy: RouteStaging},
 				Fault:   FaultConfig{Enabled: true}}},
-		{"placement-directed tier over TCP", "TCPAddr",
-			Config{Producers: 4, Consumers: 1, SpoolDir: dir, TCPAddr: "127.0.0.1:0",
-				Staging: StagingConfig{Stagers: 2, RoutePolicy: RouteStaging,
-					Placement: LeastOccupancy}}},
 	}
 	for _, tc := range bad {
 		_, err := NewJob(tc.cfg)
@@ -50,6 +47,108 @@ func TestWireValidation(t *testing.T) {
 		}
 		if ce.Field != tc.field {
 			t.Errorf("%s: rejected field %q, want %q", tc.name, ce.Field, tc.field)
+		}
+	}
+}
+
+// TestJobTCPPlacedTier runs a TCP job's staging tier under every placement,
+// on both endpoint sets and under a fixed and a signal-driven routing
+// policy: the relayed blocks land wherever the policy put them, the direct
+// Fins declare them, and Wait's fence (every producer connection closed
+// before the Retire) keeps a Retire from overtaking a frame: Wait runs while
+// the consumers still read. Every block must be analysed exactly once, byte
+// for byte as written.
+func TestJobTCPPlacedTier(t *testing.T) {
+	const producers, consumers, blocks, blockBytes = 4, 2, 150, 512
+	for _, placement := range []Placement{RankAffine, LeastOccupancy} {
+		for _, ring := range []int{0, 64} {
+			for _, route := range []RoutePolicy{RouteStaging, RouteAdaptive} {
+				t.Run(fmt.Sprintf("%v/ring%d/%v", placement, ring, route), func(t *testing.T) {
+					job, err := NewJob(Config{
+						Producers: producers, Consumers: consumers, SpoolDir: t.TempDir(),
+						TCPAddr: "127.0.0.1:0", BufferBlocks: 8, MaxBatchBlocks: 4,
+						Staging: StagingConfig{Stagers: 2, BufferBlocks: 32, RoutePolicy: route,
+							Placement: placement, RingDepth: ring},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					payload := func(rank, step, j int) byte { return byte(rank*31 + step*7 + j) }
+					for i := 0; i < producers; i++ {
+						go func(p *Producer) {
+							for s := 0; s < blocks; s++ {
+								data := NewPayload(blockBytes)
+								for j := range data {
+									data[j] = payload(i, s, j)
+								}
+								p.Write(s, 0, data)
+							}
+							p.Close()
+						}(job.Producer(i))
+					}
+					waited := make(chan struct{})
+					go func() {
+						job.Wait()
+						close(waited)
+					}()
+					var mu sync.Mutex
+					seen := map[BlockID]int{}
+					var readers sync.WaitGroup
+					for q := 0; q < consumers; q++ {
+						readers.Add(1)
+						go func(c *Consumer) {
+							defer readers.Done()
+							for {
+								blk, ok := c.Read()
+								if !ok {
+									return
+								}
+								if len(blk.Data) != blockBytes {
+									t.Errorf("block %+v arrived with %d bytes, want %d", blk.ID, len(blk.Data), blockBytes)
+								}
+								for j, v := range blk.Data {
+									if v != payload(blk.ID.Rank, blk.ID.Step, j) {
+										t.Errorf("block %+v damaged at byte %d", blk.ID, j)
+										break
+									}
+								}
+								mu.Lock()
+								seen[blk.ID]++
+								mu.Unlock()
+								blk.Release()
+							}
+						}(job.Consumer(q))
+					}
+					read := make(chan struct{})
+					go func() {
+						readers.Wait()
+						close(read)
+					}()
+					deadline := time.After(30 * time.Second)
+					for _, done := range []chan struct{}{read, waited} {
+						select {
+						case <-done:
+						case <-deadline:
+							t.Fatal("a block never arrived: did a Retire overtake its frame?")
+						}
+					}
+					if err := job.Err(); err != nil {
+						t.Fatal(err)
+					}
+					for id, n := range seen {
+						if n != 1 {
+							t.Errorf("block %+v analysed %d times", id, n)
+						}
+					}
+					st := job.Stats()
+					if len(seen) != producers*blocks || st.BlocksAnalyzed != producers*blocks {
+						t.Fatalf("%d distinct blocks analysed (%d in all), want %d", len(seen), st.BlocksAnalyzed, producers*blocks)
+					}
+					if route == RouteStaging && st.BlocksRelayed+st.BlocksStolen != producers*blocks {
+						t.Fatalf("relayed %d and stole %d of %d blocks under %v", st.BlocksRelayed, st.BlocksStolen, producers*blocks, route)
+					}
+				})
+			}
 		}
 	}
 }

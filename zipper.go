@@ -197,12 +197,11 @@ type StagingConfig struct {
 	// Placement selects how producers resolve their consumer and stager
 	// endpoints: RankAffine (the default — the fixed assignments of earlier
 	// revisions, byte-identical) or LeastOccupancy (every batch to the
-	// emptiest endpoint, read from the live occupancy gauges). With
-	// LeastOccupancy the runtime routes through epoch-versioned
-	// place.Directory instances — consumers resolved per batch, stagers run
-	// pool-managed even when the tier is fixed-size — and stream
-	// termination is counted (per-destination Fin totals) rather than
-	// ordered, so mid-run reassignment never strands blocks.
+	// emptiest endpoint, read from the live occupancy gauges). The staging
+	// tier is always an epoch-versioned place.Directory pool under this
+	// policy, and stream termination is counted (per-destination Fin
+	// totals) rather than ordered, so mid-run reassignment never strands
+	// blocks. With LeastOccupancy consumers are resolved per batch too.
 	Placement Placement
 	// Elastic enables and tunes the staging-tier autoscaler. It needs
 	// Stagers ≥ 1 (the reserved endpoint ceiling) and a RoutePolicy that
@@ -258,9 +257,9 @@ const (
 
 // FaultConfig enables and tunes the survivable data plane — leases,
 // heartbeats, journaling, and journal replay over the staging
-// tier (see the fault package). With Enabled the tier always runs
-// pool-managed behind an epoch-versioned directory (even a fixed RankAffine
-// tier), so an eviction is just another membership epoch to the producers.
+// tier (see the fault package). The tier runs behind an epoch-versioned
+// directory, so an eviction is just another membership epoch to the
+// producers.
 // The zero value of every field but Enabled selects a sensible default. Each
 // slot is respawned at most three times; its fourth eviction is replayed and
 // the slot stays empty.
@@ -383,10 +382,12 @@ type Config struct {
 	// the listener's loopback. Endpoints still share the process; what
 	// changes is that payloads traverse the kernel TCP stack through the
 	// vectored zero-copy frame writer — the configuration bench's
-	// wire-compress workload runs. Pool-managed staging tiers (Elastic,
-	// Fault, or a non-RankAffine Placement) are rejected over TCP: their
-	// Retire fencing needs delivery ordering across endpoints that
-	// concurrent TCP streams do not provide.
+	// wire-compress workload runs. Any Placement works over TCP: Wait
+	// closes every producer's connection, which returns only once the
+	// listener has deposited every frame, before the tier's Retire. Elastic
+	// and Fault are rejected over TCP: a mid-run drain or eviction would
+	// need that fence per claim, and a TCP Send returns once the frame is
+	// written, not deposited.
 	TCPAddr string
 	// Staging groups the in-transit staging tier's configuration.
 	Staging StagingConfig
@@ -501,10 +502,10 @@ func (cfg Config) validate() error {
 			Reason: fmt.Sprintf("elastic staging needs a RoutePolicy that can reach the tier (valid: %v, %v, %v)",
 				RouteStaging, RouteHybrid, RouteAdaptive)}
 	}
-	// The staging tier never outnumbers the producers (a stager with no
-	// possible traffic would never terminate), so elastic bounds must fit
-	// the effective ceiling — otherwise an explicitly requested floor would
-	// be silently shrunk instead of rejected.
+	// The staging tier never outnumbers the producers (assembly.Spec.Slots),
+	// so elastic bounds must fit the effective ceiling — otherwise an
+	// explicitly requested floor would be silently shrunk instead of
+	// rejected.
 	ceiling := cfg.Staging.Stagers
 	if cfg.Producers < ceiling {
 		ceiling = cfg.Producers
@@ -525,21 +526,17 @@ func (cfg Config) validate() error {
 				RouteStaging, RouteHybrid, RouteAdaptive)}
 	}
 	if cfg.TCPAddr != "" {
-		// The frame codec's Retire caveat, enforced: a pool-managed tier's
-		// fencing assumes the Retire message is provably the last delivery
-		// to an endpoint, which holds on the in-process network but not
-		// across independently flushed TCP streams.
+		// The frame codec's Retire caveat, enforced: a mid-run drain or
+		// eviction assumes the quiesced claims' frames are already in the
+		// inbox, which holds on the in-process network but not across
+		// independently flushed TCP streams. Shutdown is fenced (Job.wait).
 		switch {
 		case cfg.Staging.Elastic.Enabled:
 			return &ConfigError{Field: "TCPAddr",
-				Reason: "elastic staging is pool-managed; its Retire fencing is unsound over TCP streams"}
+				Reason: "elastic staging drains stagers mid-run; its Retire fencing is unsound over TCP streams"}
 		case cfg.Fault.Enabled:
 			return &ConfigError{Field: "TCPAddr",
-				Reason: "the fault plane is pool-managed; its eviction fencing is unsound over TCP streams"}
-		case cfg.Staging.Placement != RankAffine:
-			return &ConfigError{Field: "TCPAddr",
-				Reason: fmt.Sprintf("placement %v runs the tier pool-managed; its Retire fencing is unsound over TCP streams (only %v works over TCP)",
-					cfg.Staging.Placement, RankAffine)}
+				Reason: "the fault plane evicts stagers mid-run; its eviction fencing is unsound over TCP streams"}
 		}
 	}
 	if cfg.Fault.Enabled {
@@ -684,12 +681,22 @@ func (pf *platform) Partition(name string) (rt.BlockStore, error) {
 	return part, nil
 }
 
+// fence closes every producer's dialed connection, once the producers are
+// done, so that the tier's Retire cannot overtake their frames: a
+// TCPTransport's Close returns only after the listener has read the
+// connection to its end, every frame deposited in its inbox. It writes no
+// platform state (a fleet's jobs share the platform) and is a no-op on the
+// in-process network, whose Send deposits before it returns.
+func (pf *platform) fence() {
+	for _, t := range pf.dials {
+		_ = t.Close() // a broken connection has nothing left to deposit
+	}
+}
+
 // close tears down the real-TCP wire, if there is one: every producer's
 // dialed connection, then the listener. A no-op on the in-process network.
 func (pf *platform) close() {
-	for _, t := range pf.dials {
-		_ = t.Close()
-	}
+	pf.fence()
 	if pf.ln != nil {
 		_ = pf.ln.Close()
 	}
@@ -802,6 +809,7 @@ func (j *Job) wait() {
 	for _, p := range j.prod {
 		p.p.Wait(p.ctx)
 	}
+	j.pf.fence()
 	j.tier.Shutdown(j.pf.env.Ctx())
 	for _, c := range j.cons {
 		c.c.Wait(c.ctx)
