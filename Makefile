@@ -29,8 +29,10 @@ test: test-lists test-repeat test-cpus
 
 # The handover under one, two and four scheduler threads: with one the
 # application and the runtime threads take turns, with more they overlap, and
-# the message path has to be right (and was measured) in both regimes.
-CPU_TESTS = TestTrickle TestOpenBatch TestClaim TestStealSeesOpenBatch TestJobDirectCycleAllocs TestBatched
+# the message path has to be right (and was measured) in both regimes. The
+# park-count pin runs on the simulator and must read the same in every one.
+CPU_TESTS = TestTrickle TestOpenBatch TestClaim TestStealSeesOpenBatch TestJobDirectCycleAllocs TestBatched \
+	TestHandOffParks
 CPU_PKGS = ./internal/core .
 
 test-cpus:
@@ -52,9 +54,11 @@ test-cpus:
 # (Write's lock-free ring, Read's claim, the recycled headers: the lone
 # block, both buffer bounds, the steal, the Stats lag, the stale Release,
 # Job.Err), Stats without an endpoint lock and the gauges under concurrent
-# writers and readers, and shutdown on an event (the timed Cond wait on both platforms,
+# writers and readers, shutdown on an event (the timed Cond wait on both platforms,
 # the stoppable loop, WaitContext, no goroutine outliving Wait or Close,
-# Wait within 20 ms of the final Read).
+# Wait within 20 ms of the final Read, a Retire ending the spiller's timed
+# wait), and the consumer buffer (a window of blocks by default, the parks of
+# each hand-off).
 REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCPWindowParksSender \
 	TestTCPWindowOnePingPong TestJobTCPWindowBoundsInFlight TestTransportsReportWindowCredit \
 	TestJobTCPPlacedTier TestTCPCloseFencesDelivery \
@@ -71,7 +75,8 @@ REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCP
 	TestTrickleWriteIsDelivered TestOpenBatchCountsAgainstBuffer TestClaimKeepsOccupancyBound \
 	TestStealSeesOpenBatch TestStatsLagBounded TestReleaseTwiceAfterHeaderReuse \
 	TestJobErrReportsSenderEncodeFailure TestLevelDebit TestStatsTakesNoEndpointLock TestGaugesConcurrent \
-	TestCondWaitFor TestLoopStopsOnTheEvent TestJobWaitContext TestNoGoroutineOutlivesWait TestPromptShutdown
+	TestCondWaitFor TestLoopStopsOnTheEvent TestJobWaitContext TestNoGoroutineOutlivesWait TestPromptShutdown \
+	TestRetireEndsRefusedWait TestHandOffParks TestConsumerBufferHoldsAWindow
 REPEAT_PKGS = ./internal/sim ./internal/rt ./internal/rt/realenv ./internal/block ./internal/flow ./internal/core \
 	./internal/staging ./internal/reduce ./internal/workflow .
 

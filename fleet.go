@@ -185,10 +185,11 @@ func (f *Fleet) tenantOfRank(rank int) int {
 // entries (see FleetStats for the shared tier).
 //
 // The job's staging tier is the fleet's: Staging.Stagers, Placement,
-// Elastic, Fault, Reduce, and TCPAddr must be unset, and SpoolDir is
-// optional (the job gets its own partition of the fleet's). Rejections are
-// *ConfigError values; over-subscribed quotas and an exhausted MaxJobs or
-// MaxConsumers reservation are admission rejections, not panics.
+// Elastic, Fault, Reduce, and TCPAddr must be unset, Window must be 0 or the
+// shared wire's 4, and SpoolDir is optional (the job gets its own partition
+// of the fleet's). Rejections are *ConfigError values; over-subscribed quotas
+// and an exhausted MaxJobs or MaxConsumers reservation are admission
+// rejections, not panics.
 func (f *Fleet) Submit(cfg Config) (*Job, error) {
 	switch {
 	case cfg.Staging.Stagers != 0:
@@ -209,6 +210,10 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 	case cfg.TCPAddr != "":
 		return nil, &ConfigError{Field: "TCPAddr",
 			Reason: "a fleet shares one in-process wire; per-job TCP endpoints are not available"}
+	case cfg.Window != 0 && cfg.Window != fleetWindow:
+		// The consumer buffer is sized from the window (Config.ConsumerBufferBlocks).
+		return nil, &ConfigError{Field: "Window",
+			Reason: fmt.Sprintf("a fleet's shared wire has a receive window of %d messages; Window must be 0 or %d", fleetWindow, fleetWindow)}
 	}
 	// Core validation against the fleet-provided tier shape.
 	probe := cfg

@@ -51,6 +51,7 @@ func TestFleetSubmitRejections(t *testing.T) {
 		{"fault", func(c *Config) { c.Fault = FaultConfig{Enabled: true} }, "Fault"},
 		{"reduce", func(c *Config) { c.Staging.Reduce = ReduceConfig{Operator: ReduceCompress} }, "Staging.Reduce"},
 		{"tcp", func(c *Config) { c.TCPAddr = "127.0.0.1:0" }, "TCPAddr"},
+		{"window", func(c *Config) { c.Window = 8 }, "Window"},
 		{"core validation", func(c *Config) { c.Producers = 0 }, "Producers"},
 		{"over-subscribed quota", func(c *Config) { c.Quota.BufferBlocks = 17 }, "Quota.BufferBlocks"},
 		{"bad priority", func(c *Config) { c.Quota.Priority = Priority(9) }, "Quota.Priority"},

@@ -199,3 +199,56 @@ func TestJobErrReportsSenderEncodeFailure(t *testing.T) {
 		t.Errorf("relayed %d blocks and saved %d bytes, want %d and none", st.BlocksRelayed, st.BytesReduced, blocks)
 	}
 }
+
+// TestConsumerBufferHoldsAWindow: a zero ConsumerBufferBlocks sizes the
+// consumer buffer to one full receive window, max(16, Window ×
+// MaxBatchBlocks), so the receiver and Read hand off once per window rather
+// than once per half; the defaults still give 16, and an explicit value is
+// kept. A job built by NewJob and one submitted to a Fleet derive the same
+// size, and each consumer's Stats report it as its capacity.
+func TestConsumerBufferHoldsAWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"window of batches", Config{Window: 4, MaxBatchBlocks: 8}, 32},
+		{"defaults", Config{}, 16},
+		{"explicit", Config{Window: 4, MaxBatchBlocks: 8, ConsumerBufferBlocks: 24}, 24},
+	} {
+		if got := tc.cfg.spec().Core.ConsumerBufferBlocks; got != tc.want {
+			t.Errorf("%s: ConsumerBufferBlocks %d, want %d", tc.name, got, tc.want)
+		}
+	}
+
+	const producers, consumers, blocks, payload = 2, 1, 64, 256
+	cfg := Config{Producers: producers, Consumers: consumers, SpoolDir: t.TempDir(),
+		BufferBlocks: 16, MaxBatchBlocks: 8, DisableSteal: true}
+	capacity := func(what string, j *Job) {
+		t.Helper()
+		if got := j.Consumer(0).Stats().Capacity; got != 32 {
+			t.Errorf("%s: a running consumer reports capacity %d, want 32", what, got)
+		}
+		if n := runFleetWorkload(t, j, producers, consumers, blocks, payload); n != producers*blocks {
+			t.Errorf("%s: analyzed %d blocks, want %d", what, n, producers*blocks)
+		}
+	}
+	job, err := NewJob(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity("NewJob", job)
+
+	fleet, err := NewFleet(FleetConfig{Stagers: 1, StagerBufferBlocks: 32, SpoolDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	cfg.SpoolDir = ""
+	cfg.Staging.RoutePolicy = RouteStaging
+	j, err := fleet.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity("Fleet.Submit", j)
+}

@@ -214,6 +214,7 @@ func (c *Consumer) claimMore(x rt.Ctx) (*block.Block, bool) {
 				c.lk.Unlock(x)
 				return nil, false
 			}
+			c.fl.ReadParks.Add(1)
 			c.avail.Wait(x)
 		}
 		if now := x.Now(); c.cfg.Recorder != nil && now > stallStart {
@@ -305,6 +306,7 @@ func (c *Consumer) insertLocked(x rt.Ctx, b *block.Block) {
 			// look above and before the flag went up saw no one to wake.
 			c.spaceWanted.Store(true)
 			if c.handed.Load() == c.settled {
+				c.fl.ReceiverParks.Add(1)
 				c.space.Wait(x)
 			}
 		}
@@ -405,6 +407,8 @@ func (c *Consumer) Stats() ConsumerStats {
 		BlocksStored:   c.fl.Stored.Total(),
 		BlocksLost:     c.fl.Lost.Total(),
 		StoreBusy:      time.Duration(c.fl.StoreBusy.Total()),
+		ReadParks:      c.fl.ReadParks.Total(),
+		ReceiverParks:  c.fl.ReceiverParks.Total(),
 		Finished:       time.Duration(c.finished.Load()),
 	}
 	s.Queued, s.Capacity = c.fl.Queue.Get()

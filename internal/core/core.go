@@ -126,7 +126,9 @@ type Config struct {
 	// file system. Zero selects 3/4 of BufferBlocks. It must be
 	// < BufferBlocks to be reachable.
 	HighWater int
-	// ConsumerBufferBlocks is the consumer buffer capacity. Zero selects 16.
+	// ConsumerBufferBlocks is the consumer buffer capacity. Zero selects 16,
+	// the simulator harness's default; the public API (zipper.Config)
+	// derives its own, one receive window of blocks, before it gets here.
 	ConsumerBufferBlocks int
 	// MaxBatchBlocks caps how many buffered blocks the sender thread drains
 	// into one mixed message. Zero or one selects the paper's original
@@ -286,6 +288,8 @@ type ProducerStats struct {
 	WriteStall    time.Duration // time Write blocked on a full buffer
 	SendBusy      time.Duration // sender thread time spent in Send
 	StealBusy     time.Duration // writer thread time spent spilling
+	WriteParks    int64         // times Write parked on a full buffer
+	SenderParks   int64         // times the sender thread parked on an empty buffer
 	Finished      time.Duration // when both threads had exited
 }
 
@@ -297,6 +301,8 @@ type ConsumerStats struct {
 	BlocksStored   int64         // blocks persisted by the output thread
 	BlocksLost     int64         // blocks an upstream relay declared unrecoverable
 	StoreBusy      time.Duration // output thread time in WriteBlock
+	ReadParks      int64         // times Read parked on an empty buffer
+	ReceiverParks  int64         // times the receiver thread parked on a full buffer
 	Finished       time.Duration // when all threads had exited
 	Queued         int           // blocks currently resident in the consumer buffer
 	Capacity       int           // the consumer buffer's capacity in blocks

@@ -246,6 +246,7 @@ func (p *Producer) waitRoom(c rt.Ctx, tail uint64) {
 		stallStart := c.Now()
 		p.flushWritten()
 		for full() {
+			p.fl.WriteParks.Add(1)
 			p.notFull.Wait(c)
 		}
 		now := c.Now()
@@ -308,6 +309,8 @@ func (p *Producer) Stats() ProducerStats {
 		WriteStall:    time.Duration(p.fl.WriteStall.Total()),
 		SendBusy:      time.Duration(p.fl.SendBusy.Total()),
 		StealBusy:     time.Duration(p.fl.StealBusy.Total()),
+		WriteParks:    p.fl.WriteParks.Total(),
+		SenderParks:   p.fl.SenderParks.Total(),
 		Finished:      time.Duration(p.finished.Load()),
 	}
 }
@@ -331,6 +334,7 @@ func (p *Producer) senderThread(c rt.Ctx) {
 			// look above and before the flag went up saw no one to wake.
 			p.senderIdle.Store(true)
 			if p.tail.Load() == tail {
+				p.fl.SenderParks.Add(1)
 				p.notEmpty.Wait(c)
 			}
 			p.senderIdle.Store(false)

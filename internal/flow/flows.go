@@ -23,6 +23,9 @@ type ProducerFlows struct {
 	SendBusy   Counter // ns the sender thread spent in Send
 	StealBusy  Counter // ns the writer thread spent spilling
 
+	WriteParks  Counter // times Write parked on a full buffer
+	SenderParks Counter // times the sender thread parked on an empty buffer
+
 	WireBytes  Counter // payload bytes put on the wire (encoded size when reduced)
 	SavedBytes Counter // payload bytes reduction kept off the wire (raw − encoded)
 }
@@ -38,6 +41,9 @@ type ConsumerFlows struct {
 	Lost     Counter // blocks an upstream relay declared unrecoverable
 
 	StoreBusy Counter // ns the output thread spent in WriteBlock
+
+	ReadParks     Counter // times Read parked on an empty buffer
+	ReceiverParks Counter // times the receiver thread parked on a full buffer
 
 	Queue Level // consumer buffer fill in blocks, with capacity and peak
 }

@@ -704,6 +704,73 @@ func TestArbiterParkedForwarderStillAdmits(t *testing.T) {
 	}
 }
 
+// TestRetireEndsRefusedWait: the store is timed at 1 ms a block, so the
+// arbiter refuses the first full window for as long as the store would need
+// for the whole buffer (64 ms), and the spiller waits that refusal out on the
+// clock. The consumer takes the first of four messages and holds the rest
+// until the Retire is out: two fill its window, the fourth parks the
+// forwarder. The Retire then arrives while the forwarder is parked and the
+// spiller waits; the consumer resumes at that instant. Every thread of the
+// stager must end at once — the forwarder as soon as its Send returns — not
+// when the refusal would have run out.
+func TestRetireEndsRefusedWait(t *testing.T) {
+	eachMode(t, func(t *testing.T, fault bool) {
+		r := newSimRig(t, fault, Config{BufferBlocks: 64})
+		r.st.fl.Spilled.Add(simBatch)
+		r.st.fl.SpillBusy.Add(int64(simBatch * time.Millisecond))
+		var done int
+		r.produce(0, 4, 10*time.Microsecond, &done)
+		retired := false
+		cenv := simenv.NewEnv(r.eng, 2, 0)
+		r.eng.Spawn("cons", func(sp *sim.Proc) {
+			c := cenv.WrapProc(sp)
+			for n := 0; ; n++ {
+				if n == 1 {
+					await(sp, func() bool { return retired })
+				}
+				m, ok := r.net.Inbox(0).Recv(c)
+				if !ok || m.Retire {
+					return
+				}
+				for _, b := range m.Blocks {
+					r.got[b.ID]++
+					r.order = append(r.order, b.ID)
+				}
+			}
+		})
+		var left, took time.Duration
+		env := simenv.NewEnv(r.eng, 3, 0)
+		r.eng.Spawn("janitor", func(sp *sim.Proc) {
+			c := env.WrapProc(sp)
+			parked := func() bool {
+				r.st.lk.Lock(c)
+				defer r.st.lk.Unlock(c)
+				if done < 1 || r.st.parkedOn != 0 {
+					return false
+				}
+				left = r.st.parkedSince + r.st.storeLocked(r.st.cfg.BufferBlocks) - c.Now()
+				return true
+			}
+			await(sp, parked)
+			start := c.Now()
+			r.net.Send(c, 1, rt.Message{Retire: true})
+			retired = true
+			r.st.Wait(c)
+			took = c.Now() - start
+			r.net.Send(c, 0, rt.Message{Retire: true})
+		})
+		r.run()
+		r.checkDelivered()
+		t.Logf("the refusal had %v left at the Retire; the stager ended %v after it", left, took)
+		if left < 32*time.Millisecond {
+			t.Fatalf("the Retire came with %v of the refusal left: the spiller was not waiting it out, so the test shows nothing", left)
+		}
+		if took > time.Millisecond {
+			t.Fatalf("the stager ended %v after the Retire, with %v of the refusal left at it: a thread slept through the Retire", took, left)
+		}
+	})
+}
+
 // TestOverflowAppendFailure: the log refuses the spiller's first append.
 // Nothing was copied at admission, so nothing is lost by that: the victims
 // stay resident and journaled, the spiller stops (the buffer simply stops

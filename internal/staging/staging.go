@@ -1079,10 +1079,9 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 			if left > 0 {
 				// The forwarder is inside a Send and the receiver may be
 				// held at the pass-through depth: nothing else would wake
-				// the stager when the wait comes of age.
-				s.lk.Unlock(c)
-				c.Sleep(left)
-				s.lk.Lock(c)
+				// the stager when the wait comes of age. A Retire or a
+				// Kill still ends the wait at once (both broadcast).
+				s.spillWork.WaitFor(c, left)
 				continue
 			}
 			s.spillWork.Wait(c)
