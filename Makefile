@@ -41,8 +41,9 @@ test-cpus:
 # The tests worth repeating under the race detector, in one place for `make
 # test` and the CI step alike: the send window of a ring lane and of a TCP
 # connection, the window credit every transport handle reports, a TCP job's
-# staging tier under every placement and the shutdown fence it rests on (a
-# closed connection has deposited every frame), the per-block allocation pins (the
+# staging tier under every placement, elastic and crashed, on the fence it
+# rests on (a fenced connection has deposited every frame, and so has a closed
+# one), the elastic and fault churn on both wires, the per-block allocation pins (the
 # direct, relay, TCP and steal paths, the frame reader, the TCP sender's
 # hand-back, the segment log's append and re-read), the disk election (router
 # table, two-regime simulation, bursty job), the assembly (one Spec on both
@@ -61,7 +62,8 @@ test-cpus:
 # each hand-off).
 REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCPWindowParksSender \
 	TestTCPWindowOnePingPong TestJobTCPWindowBoundsInFlight TestTransportsReportWindowCredit \
-	TestJobTCPPlacedTier TestTCPCloseFencesDelivery \
+	TestJobTCPPlacedTier TestTCPCloseFencesDelivery TestTCPFenceDeposits TestTCPStagedWorkflow TestWireValidation \
+	TestElasticJobMembershipChurn TestFaultJobCrashChurn \
 	TestPayloadCycleDoesNotAllocate TestTCPSendRecyclesSenderBlocks TestReadFrameAllocs TestLogAppendReadAllocs \
 	TestGaugeWritesDoNotAllocate TestJobDirectCycleAllocs TestJobRelayCycleAllocs TestJobTCPCompressDecodeAllocs \
 	TestJobStealCycleAllocs TestAdaptiveDisk TestAdaptiveDeterministic TestOnlyAdaptiveArbitratesDisk \

@@ -51,8 +51,9 @@ func TestElasticConfigValidation(t *testing.T) {
 // elasticChurnRun drives a bursty workload through an elastic job whose
 // scaler is tuned fast enough that the pool grows during every burst and
 // drains during every pause — membership changes happen while producers are
-// mid-send, which is exactly what the -race run checks.
-func elasticChurnRun(t *testing.T) JobStats {
+// mid-send, which is exactly what the -race run checks. tcpAddr is the job's
+// Config.TCPAddr: empty for the in-process wire.
+func elasticChurnRun(t *testing.T, tcpAddr string) JobStats {
 	t.Helper()
 	const (
 		producers   = 4
@@ -63,7 +64,7 @@ func elasticChurnRun(t *testing.T) JobStats {
 		analyze     = 50 * time.Microsecond
 	)
 	job, err := NewJob(Config{
-		Producers: producers, Consumers: 1, SpoolDir: t.TempDir(),
+		Producers: producers, Consumers: 1, SpoolDir: t.TempDir(), TCPAddr: tcpAddr,
 		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 4,
 		DisableSteal: true,
 		Staging: StagingConfig{
@@ -120,49 +121,55 @@ func elasticChurnRun(t *testing.T) JobStats {
 // tier: pool membership changes while producers are mid-send must lose no
 // block, every relayed block must reach the consumer through whatever
 // stager held it, and the retired instances must stay visible in the stats.
+// It runs on both wires: over TCP every drain's Retire waits on the
+// producers' connections.
 func TestElasticJobMembershipChurn(t *testing.T) {
-	st := elasticChurnRun(t)
-	const total = 4 * 3 * 150
-	if st.BlocksAnalyzed != total {
-		t.Fatalf("analyzed %d of %d blocks", st.BlocksAnalyzed, total)
-	}
-	if st.BlocksRelayed != total || st.BlocksSent != 0 {
-		t.Fatalf("RouteStaging split wrong: relayed=%d sent=%d want %d/0",
-			st.BlocksRelayed, st.BlocksSent, total)
-	}
-	var in, fwd int64
-	for i, sg := range st.Stagers {
-		in += sg.BlocksIn
-		fwd += sg.BlocksForwarded
-		if !sg.Drained {
-			t.Errorf("stager instance %d not marked Drained after Wait", i)
-		}
-	}
-	if in != total || fwd != total {
-		t.Fatalf("staging tier conservation broken: in=%d forwarded=%d want %d", in, fwd, total)
-	}
-	var grows, drains int
-	for _, ev := range st.ScaleEvents {
-		switch ev.Action {
-		case "grow":
-			grows++
-		case "drain":
-			drains++
-		default:
-			t.Fatalf("unknown scale action %q", ev.Action)
-		}
-		if ev.PoolSize < 1 || ev.PoolSize > 4 {
-			t.Fatalf("pool size %d escaped [1,4]", ev.PoolSize)
-		}
-	}
-	if grows == 0 {
-		t.Error("the scaler never grew the pool under a saturating burst")
-	}
-	if drains == 0 {
-		t.Error("the scaler never drained the pool during a pause")
-	}
-	if st.StagerNodeSeconds <= 0 {
-		t.Errorf("StagerNodeSeconds = %v, want > 0", st.StagerNodeSeconds)
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			st := elasticChurnRun(t, w.tcpAddr)
+			const total = 4 * 3 * 150
+			if st.BlocksAnalyzed != total {
+				t.Fatalf("analyzed %d of %d blocks", st.BlocksAnalyzed, total)
+			}
+			if st.BlocksRelayed != total || st.BlocksSent != 0 {
+				t.Fatalf("RouteStaging split wrong: relayed=%d sent=%d want %d/0",
+					st.BlocksRelayed, st.BlocksSent, total)
+			}
+			var in, fwd int64
+			for i, sg := range st.Stagers {
+				in += sg.BlocksIn
+				fwd += sg.BlocksForwarded
+				if !sg.Drained {
+					t.Errorf("stager instance %d not marked Drained after Wait", i)
+				}
+			}
+			if in != total || fwd != total {
+				t.Fatalf("staging tier conservation broken: in=%d forwarded=%d want %d", in, fwd, total)
+			}
+			var grows, drains int
+			for _, ev := range st.ScaleEvents {
+				switch ev.Action {
+				case "grow":
+					grows++
+				case "drain":
+					drains++
+				default:
+					t.Fatalf("unknown scale action %q", ev.Action)
+				}
+				if ev.PoolSize < 1 || ev.PoolSize > 4 {
+					t.Fatalf("pool size %d escaped [1,4]", ev.PoolSize)
+				}
+			}
+			if grows == 0 {
+				t.Error("the scaler never grew the pool under a saturating burst")
+			}
+			if drains == 0 {
+				t.Error("the scaler never drained the pool during a pause")
+			}
+			if st.StagerNodeSeconds <= 0 {
+				t.Errorf("StagerNodeSeconds = %v, want > 0", st.StagerNodeSeconds)
+			}
+		})
 	}
 }
 
@@ -171,7 +178,7 @@ func TestElasticJobMembershipChurn(t *testing.T) {
 // and the spilled bytes must be the spilled block count times the block
 // size.
 func TestElasticStagerStatsSpillVolume(t *testing.T) {
-	st := elasticChurnRun(t)
+	st := elasticChurnRun(t, "")
 	var spills, bytes int64
 	for _, sg := range st.Stagers {
 		spills += sg.BlocksSpilled

@@ -73,7 +73,9 @@ func TestConfigErrorTyped(t *testing.T) {
 // must still terminate with every block analyzed and zero blocks lost — the
 // failure detector evicts the corpses, the recovery reader replays their
 // journals, and replacements respawn into the freed slots. Run under -race
-// this also checks the monitor/heartbeat/journal locking.
+// this also checks the monitor/heartbeat/journal locking. It runs on both
+// wires: over TCP every eviction's Retire waits on the producers'
+// connections, so what a crash strands in flight lands as orphans first.
 func TestFaultJobCrashChurn(t *testing.T) {
 	const (
 		producers   = 4
@@ -84,125 +86,129 @@ func TestFaultJobCrashChurn(t *testing.T) {
 		pause       = 50 * time.Millisecond
 		total       = producers * bursts * burstBlocks
 	)
-	job, err := NewJob(Config{
-		Producers: producers, Consumers: consumers, SpoolDir: t.TempDir(),
-		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 4, DisableSteal: true,
-		Staging: StagingConfig{
-			Stagers: 3, BufferBlocks: 32, RoutePolicy: RouteStaging,
-		},
-		// Generous timings: realenv scheduling jitter must not evict healthy
-		// members faster than the test can reason about (fencing keeps even
-		// a spurious eviction sound, but the assertions below count kills).
-		Fault: FaultConfig{Enabled: true, Heartbeat: 2 * time.Millisecond, LeaseTTL: 25 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var readers sync.WaitGroup
-	for q := 0; q < consumers; q++ {
-		readers.Add(1)
-		go func(q int) {
-			defer readers.Done()
-			var sink byte
-			for {
-				blk, ok := job.Consumer(q).Read()
-				if !ok {
-					_ = sink
-					return
-				}
-				sink ^= blk.Data[0]
-				blk.Release()
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			job, err := NewJob(Config{
+				Producers: producers, Consumers: consumers, SpoolDir: t.TempDir(), TCPAddr: w.tcpAddr,
+				BufferBlocks: 16, Window: 2, MaxBatchBlocks: 4, DisableSteal: true,
+				Staging: StagingConfig{
+					Stagers: 3, BufferBlocks: 32, RoutePolicy: RouteStaging,
+				},
+				// Generous timings: realenv scheduling jitter must not evict healthy
+				// members faster than the test can reason about (fencing keeps even
+				// a spurious eviction sound, but the assertions below count kills).
+				Fault: FaultConfig{Enabled: true, Heartbeat: 2 * time.Millisecond, LeaseTTL: 25 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(q)
-	}
-	for p := 0; p < producers; p++ {
-		go func(p int) {
-			prod := job.Producer(p)
-			i := 0
-			for b := 0; b < bursts; b++ {
-				if b > 0 {
-					time.Sleep(pause)
-				}
-				for k := 0; k < burstBlocks; k++ {
-					data := NewPayload(blockBytes)
-					data[0] = byte(i)
-					prod.Write(i, 0, data)
-					i++
-				}
+			var readers sync.WaitGroup
+			for q := 0; q < consumers; q++ {
+				readers.Add(1)
+				go func(q int) {
+					defer readers.Done()
+					var sink byte
+					for {
+						blk, ok := job.Consumer(q).Read()
+						if !ok {
+							_ = sink
+							return
+						}
+						sink ^= blk.Data[0]
+						blk.Release()
+					}
+				}(q)
 			}
-			prod.Close()
-		}(p)
-	}
-	// Hard-kill two of the three stagers mid-run, spaced a burst apart. The
-	// kills happen strictly before Wait, so the failure detector is still
-	// running (its final forced sweep catches even a kill whose lease never
-	// lapsed).
-	kills := 0
-	time.Sleep(20 * time.Millisecond)
-	if job.InjectStagerCrash(0) {
-		kills++
-	}
-	time.Sleep(pause)
-	if job.InjectStagerCrash(1) {
-		kills++
-	}
-	if kills == 0 {
-		t.Fatal("no crash could be injected: the tier drained before the test reached it")
-	}
-	readers.Wait()
-	job.Wait()
+			for p := 0; p < producers; p++ {
+				go func(p int) {
+					prod := job.Producer(p)
+					i := 0
+					for b := 0; b < bursts; b++ {
+						if b > 0 {
+							time.Sleep(pause)
+						}
+						for k := 0; k < burstBlocks; k++ {
+							data := NewPayload(blockBytes)
+							data[0] = byte(i)
+							prod.Write(i, 0, data)
+							i++
+						}
+					}
+					prod.Close()
+				}(p)
+			}
+			// Hard-kill two of the three stagers mid-run, spaced a burst apart. The
+			// kills happen strictly before Wait, so the failure detector is still
+			// running (its final forced sweep catches even a kill whose lease never
+			// lapsed).
+			kills := 0
+			time.Sleep(20 * time.Millisecond)
+			if job.InjectStagerCrash(0) {
+				kills++
+			}
+			time.Sleep(pause)
+			if job.InjectStagerCrash(1) {
+				kills++
+			}
+			if kills == 0 {
+				t.Fatal("no crash could be injected: the tier drained before the test reached it")
+			}
+			readers.Wait()
+			job.Wait()
 
-	st := job.Stats()
-	if st.BlocksAnalyzed != total {
-		t.Fatalf("analyzed %d of %d blocks after %d injected crashes", st.BlocksAnalyzed, total, kills)
-	}
-	if st.BlocksLost != 0 {
-		t.Fatalf("BlocksLost = %d, want 0: spool replay should recover every journaled block", st.BlocksLost)
-	}
-	if st.Evictions < int64(kills) {
-		t.Fatalf("Evictions = %d, want ≥ %d (one per injected crash)", st.Evictions, kills)
-	}
-	var evictedInsts int
-	for _, sg := range st.Stagers {
-		if sg.Evicted {
-			evictedInsts++
-			if sg.Health != "evicted" {
-				t.Errorf("evicted instance reports Health %q", sg.Health)
+			st := job.Stats()
+			if st.BlocksAnalyzed != total {
+				t.Fatalf("analyzed %d of %d blocks after %d injected crashes", st.BlocksAnalyzed, total, kills)
 			}
-			if !sg.Drained {
-				t.Error("evicted instance not marked Drained")
+			if st.BlocksLost != 0 {
+				t.Fatalf("BlocksLost = %d, want 0: spool replay should recover every journaled block", st.BlocksLost)
 			}
-		}
-	}
-	if int64(evictedInsts) != st.Evictions {
-		t.Errorf("%d instances marked Evicted, but Evictions = %d", evictedInsts, st.Evictions)
-	}
-	var evicts, replays int
-	for _, ev := range st.FailoverEvents {
-		switch ev.Kind {
-		case "evict":
-			evicts++
-		case "replay":
-			replays++
-		case "respawn", "abandon":
-		default:
-			t.Fatalf("unknown failover event kind %q", ev.Kind)
-		}
-	}
-	if evicts != replays {
-		t.Errorf("%d evict events but %d replay events: every eviction must be replayed", evicts, replays)
-	}
-	if int64(evicts) != st.Evictions {
-		t.Errorf("%d evict events, but Evictions = %d", evicts, st.Evictions)
-	}
-	if st.ReplayedBlocks > 0 {
-		var perInst int64
-		for _, sg := range st.Stagers {
-			perInst += sg.ReplayedBlocks
-		}
-		if perInst != st.ReplayedBlocks {
-			t.Errorf("per-instance ReplayedBlocks sum %d != job total %d", perInst, st.ReplayedBlocks)
-		}
+			if st.Evictions < int64(kills) {
+				t.Fatalf("Evictions = %d, want ≥ %d (one per injected crash)", st.Evictions, kills)
+			}
+			var evictedInsts int
+			for _, sg := range st.Stagers {
+				if sg.Evicted {
+					evictedInsts++
+					if sg.Health != "evicted" {
+						t.Errorf("evicted instance reports Health %q", sg.Health)
+					}
+					if !sg.Drained {
+						t.Error("evicted instance not marked Drained")
+					}
+				}
+			}
+			if int64(evictedInsts) != st.Evictions {
+				t.Errorf("%d instances marked Evicted, but Evictions = %d", evictedInsts, st.Evictions)
+			}
+			var evicts, replays int
+			for _, ev := range st.FailoverEvents {
+				switch ev.Kind {
+				case "evict":
+					evicts++
+				case "replay":
+					replays++
+				case "respawn", "abandon":
+				default:
+					t.Fatalf("unknown failover event kind %q", ev.Kind)
+				}
+			}
+			if evicts != replays {
+				t.Errorf("%d evict events but %d replay events: every eviction must be replayed", evicts, replays)
+			}
+			if int64(evicts) != st.Evictions {
+				t.Errorf("%d evict events, but Evictions = %d", evicts, st.Evictions)
+			}
+			if st.ReplayedBlocks > 0 {
+				var perInst int64
+				for _, sg := range st.Stagers {
+					perInst += sg.ReplayedBlocks
+				}
+				if perInst != st.ReplayedBlocks {
+					t.Errorf("per-instance ReplayedBlocks sum %d != job total %d", perInst, st.ReplayedBlocks)
+				}
+			}
+		})
 	}
 }
 

@@ -171,7 +171,10 @@ type Endpoints interface {
 	// upcoming send as in flight at that address. Every successful Claim
 	// must be paired with Done once the send has deposited.
 	Claim(rank int) (addr int, ok bool)
-	// Done reports that the send claimed at addr has deposited.
+	// Done reports that the send claimed at addr has deposited. On TCP a
+	// Send returns once its frame is written, so "deposited" holds by the
+	// time it matters: the platform fences every connection before it
+	// delivers a Retire.
 	Done(addr int)
 }
 

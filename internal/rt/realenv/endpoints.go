@@ -9,7 +9,7 @@ import (
 
 // endpointSet is the one shape behind every realenv message path: N receive
 // endpoints with window-credit accounting and per-sender port minting.
-// Network wraps a set directly; TCPListener hosts one behind its accepted
+// Network embeds a set; TCPListener hosts one behind its accepted
 // connections and hands ports to the connection readers and the in-process
 // stager loopback. Two implementations exist — buffered Go channels (the
 // pinned default, byte-identical to earlier revisions) and pairwise SPSC

@@ -101,15 +101,19 @@ func (c *cond) WaitFor(_ rt.Ctx, d time.Duration) {
 // is the receive window; NewRingNetwork swaps in pairwise lock-free SPSC
 // rings — the intra-node fast path for co-located ranks. On either set,
 // senders block while the destination window is full, providing the
-// backpressure the runtime's stealing and routing logic react to.
+// backpressure the runtime's stealing and routing logic react to. Send is
+// safe from any thread, and hot senders should prefer a Port: on the ring set
+// it mints the thread's private SPSC lanes, on the channel set it is the
+// network itself, so callers can hold a port unconditionally. Credits is the
+// hybrid routing policy's direct-path backpressure signal.
 type Network struct {
-	eps endpointSet
+	endpointSet
 }
 
 // NewNetwork creates `endpoints` channel-backed receive endpoints with the
 // given receive-window depth (messages) — the pinned default path.
 func NewNetwork(endpoints, window int) *Network {
-	return &Network{eps: newChanEndpoints(endpoints, window)}
+	return &Network{newChanEndpoints(endpoints, window)}
 }
 
 // NewRingNetwork creates `endpoints` ring-backed receive endpoints: every
@@ -122,25 +126,8 @@ func NewRingNetwork(endpoints, window int) *Network {
 	if window < 1 {
 		window = 1
 	}
-	return &Network{eps: newRingEndpoints(endpoints, window)}
+	return &Network{newRingEndpoints(endpoints, window)}
 }
-
-// Send delivers m to endpoint `to`, blocking while its window is full. Safe
-// from any thread; hot senders should prefer a Port.
-func (n *Network) Send(c rt.Ctx, to int, m rt.Message) { n.eps.Send(c, to, m) }
-
-// Credits reports how many more messages endpoint `to` can accept right now
-// — the hybrid routing policy's direct-path backpressure signal. On the
-// ring set this is derived from ring occupancy (free lane slots).
-func (n *Network) Credits(to int) int { return n.eps.Credits(to) }
-
-// Inbox returns endpoint i's receive side.
-func (n *Network) Inbox(i int) rt.Inbox { return n.eps.Inbox(i) }
-
-// Port returns a transport handle for one sending thread. On the ring set
-// it mints the thread's private SPSC lanes; on the channel set it is the
-// network itself, so callers can hold a port unconditionally.
-func (n *Network) Port() rt.Transport { return n.eps.Port() }
 
 // FileStore spills and preserves blocks as files in a directory, standing in
 // for the parallel file system. File layout: 29-byte header (offset, payload

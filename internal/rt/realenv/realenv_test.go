@@ -1,6 +1,7 @@
 package realenv
 
 import (
+	"net"
 	"os"
 	"sync"
 	"testing"
@@ -189,12 +190,12 @@ func TestTCPFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTCPCloseFencesDelivery pins the shutdown fence of a TCP job: once
+// TestTCPCloseFencesDelivery pins Close's half-close: once
 // TCPTransport.Close has returned, every message sent on the connection is
 // already in its destination inbox — a drain that never blocks finds them
-// all, in order — so a Retire sent after it cannot overtake them. The
-// connection's window is smaller than the stream, so the sender also parks
-// on acknowledgements on the way.
+// all, in order — where a reset would have discarded what the kernel still
+// held. The connection's window is smaller than the stream, so the sender
+// also parks on acknowledgements on the way.
 func TestTCPCloseFencesDelivery(t *testing.T) {
 	const msgs, endpoints = 40, 2
 	ln, err := ListenTCP("127.0.0.1:0", endpoints, msgs, block.NewRecycler(0))
@@ -235,6 +236,84 @@ func TestTCPCloseFencesDelivery(t *testing.T) {
 	if got != msgs {
 		t.Fatalf("%d of %d messages were in their inbox when Close returned", got, msgs)
 	}
+}
+
+// TestTCPFenceDeposits pins the Retire fence of a TCP job: once
+// TCPTransport.Fence has returned, every message sent on the connection
+// before it is already in its destination inbox — a drain that never blocks
+// finds them all, in order — while the connection stays open for more. The
+// window is smaller than the stream, so the sender also parks on
+// acknowledgements on the way. On a failed connection, and on a transport
+// without a window, Fence returns at once.
+func TestTCPFenceDeposits(t *testing.T) {
+	const msgs, endpoints = 40, 2
+	ln, err := ListenTCP("127.0.0.1:0", endpoints, msgs, block.NewRecycler(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	tr, err := DialTCP(ln.Addr(), 4, block.NewRecycler(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	c := New().Ctx()
+	send := func(seq int) {
+		// Frames long enough to be on the wire for a while after Send.
+		data := block.GetPayload(64 << 10)
+		data[0] = byte(seq)
+		b := block.New(block.ID{Rank: 0, Seq: seq}, 0, data)
+		tr.Send(c, seq%endpoints, rt.Message{From: 0, Dest: seq % endpoints, Blocks: []*block.Block{b}})
+	}
+	next := []int{0, 1} // the next sequence number each endpoint expects
+	drain := func(sent int) {
+		t.Helper()
+		for to, in := range []inbox{ln.Inbox(0).(inbox), ln.Inbox(1).(inbox)} {
+			for drained := false; !drained; {
+				select {
+				case m := <-in:
+					if b := m.Blocks[0]; b.ID.Seq != next[to] || b.Data[0] != byte(next[to]) {
+						t.Fatalf("endpoint %d got block %v, want seq %d", to, b.ID, next[to])
+					}
+					next[to] += endpoints
+				default:
+					drained = true
+				}
+			}
+		}
+		if got := next[0]/endpoints + next[1]/endpoints; got != sent {
+			t.Fatalf("%d of %d messages were in their inbox when Fence returned", got, sent)
+		}
+	}
+	for seq := 0; seq < msgs; seq++ {
+		send(seq)
+	}
+	tr.Fence()
+	drain(msgs)
+	// The connection is still open: the next fence covers what follows.
+	for seq := msgs; seq < 2*msgs; seq++ {
+		send(seq)
+	}
+	tr.Fence()
+	drain(2 * msgs)
+
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A peer that reads a frame and hangs up without acknowledging it.
+	near, far := net.Pipe()
+	failed := newTCPTransport(near, 4, block.NewRecycler(0))
+	go func() {
+		_, _, _ = readFrame(far)
+		far.Close()
+	}()
+	failed.Send(c, 0, msg(0, 0))
+	failed.Fence() // returns once the acknowledgement stream has failed
+	_ = failed.Close()
+	sink := newTCPTransport(&discardConn{}, 0, block.NewRecycler(0))
+	sink.Send(c, 0, msg(0, 0))
+	sink.Fence() // no window: no acknowledgement ever comes
 }
 
 // TestTCPWorkflow runs the full Zipper core over the TCP transport: the
@@ -320,8 +399,10 @@ func TestTCPValidation(t *testing.T) {
 // producer process dials in and relays everything through a stager that
 // lives as goroutines inside the listening (consumer-side) process,
 // forwarding to the consumer through the listener's loopback transport. The
-// stager is retired once the producer's connection is closed, the fence that
-// puts every frame in its inbox first.
+// stager is retired as soon as the producer is done, while the consumer lags
+// behind, once the producer's connection is fenced: every frame is in the
+// stager's inbox before the Retire, and the connection stays open until the
+// stager is done.
 func TestTCPStagedWorkflow(t *testing.T) {
 	dir := t.TempDir()
 	// Endpoint space: consumer 0, stager at address 1. Each side has its own
@@ -370,32 +451,48 @@ func TestTCPStagedWorkflow(t *testing.T) {
 		defer wg.Done()
 		c := prodEnv.Ctx()
 		for s := 0; s < n; s++ {
-			prod.Write(c, s, int64(s), []byte{byte(s), byte(s + 1)}, 2)
+			// Blocks long enough that a written frame spends a while on
+			// the wire, where a Retire could overtake it.
+			data := make([]byte, 64<<10)
+			data[0] = byte(s)
+			prod.Write(c, s, int64(s), data, int64(len(data)))
 		}
 		prod.Close(c)
 		prod.Wait(c)
+		pool.RetireAll(c, func(addr int) {
+			tr.Fence()
+			ln.Loopback().Send(c, addr, rt.Message{Retire: true})
+		})
+	}()
+	read := make(chan int)
+	go func() {
+		c := consEnv.Ctx()
+		seq := 0
+		for {
+			b, ok := cons.Read(c)
+			if !ok {
+				break
+			}
+			if b.ID.Seq != seq || b.Data[0] != byte(b.ID.Step) {
+				t.Errorf("relay over TCP broke block %v (seq want %d)", b.ID, seq)
+			}
+			seq++
+			time.Sleep(500 * time.Microsecond) // lag: drive the stager past high water
+		}
+		read <- seq
 	}()
 
-	c := consEnv.Ctx()
-	seq := 0
-	for {
-		b, ok := cons.Read(c)
-		if !ok {
-			break
-		}
-		if b.ID.Seq != seq || b.Data[0] != byte(b.ID.Step) {
-			t.Fatalf("relay over TCP broke block %v (seq want %d)", b.ID, seq)
-		}
-		seq++
-		time.Sleep(500 * time.Microsecond) // lag: drive the stager past high water
-	}
 	wg.Wait()
+	c := consEnv.Ctx()
+	stage.Wait(c)
+	if in := stage.Stats(c).BlocksIn; in != n {
+		t.Fatalf("the stager admitted %d of %d blocks: its Retire overtook a frame", in, n)
+	}
+	seq := <-read
+	cons.Wait(c)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pool.RetireAll(c, func(addr int) { ln.Loopback().Send(c, addr, rt.Message{Retire: true}) })
-	stage.Wait(c)
-	cons.Wait(c)
 	if err := cons.Err(c); err != nil {
 		t.Fatal(err)
 	}

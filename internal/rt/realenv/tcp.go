@@ -57,17 +57,11 @@ import (
 // three transports. The magic moved with it: a v5 peer would neither read
 // nor write acknowledgements, and fails at the first frame instead.
 //
-// The Retire flag is carried for frame completeness only: a stager's
-// "Retire arrives last" guarantee needs every frame of a quiesced claim to
-// be in its inbox before the Retire is sent. TCPTransport.Send returns after
-// the socket write, and frames from different connections interleave at the
-// listener, so a quiesced claim alone does NOT order a Retire behind
-// in-flight data here. Close does: it returns only once the listener has
-// read the connection to its end, every frame deposited. zipper's Job.Wait
-// closes every producer's connection before the tier's Retire, so a TCP job
-// takes any placement; an elastic or fault-tolerant tier, which drains or
-// evicts stagers mid-run, would need that fence per claim and is rejected
-// at validation.
+// A Retire must reach a stager after every frame of a quiesced claim, and a
+// Send returns once its frame is written, not deposited. Fence closes that
+// gap: it returns once the listener has acknowledged every message sent on
+// the connection before it, so a Retire sent after fencing every connection
+// arrives last.
 const (
 	frameMagic  = 0x5a495036 // "ZIP6"
 	flagFin     = 1 << 0
@@ -153,21 +147,13 @@ func (l *TCPListener) Inbox(i int) rt.Inbox { return l.eps.Inbox(i) }
 // endpoint set — the path a stager goroutine running in the listening
 // process uses to forward relayed frames to its consumers. Safe from any
 // thread; hot forwarders should prefer LoopbackPort.
-func (l *TCPListener) Loopback() rt.Transport { return loopback{l} }
+func (l *TCPListener) Loopback() rt.Transport { return l.eps }
 
 // LoopbackPort returns a loopback transport handle for one forwarding
 // thread: on the ring set it mints the thread's private SPSC lanes, on the
 // channel set it is the shared loopback, so callers can hold one per stager
 // unconditionally.
 func (l *TCPListener) LoopbackPort() rt.Transport { return l.eps.Port() }
-
-type loopback struct{ l *TCPListener }
-
-func (lb loopback) Send(c rt.Ctx, to int, m rt.Message) { lb.l.eps.Send(c, to, m) }
-
-// Credits reports endpoint `to`'s remaining window, for hybrid routing
-// inside the listening process.
-func (lb loopback) Credits(to int) int { return lb.l.eps.Credits(to) }
 
 // Close stops accepting; established connections drain until their peers
 // close.
@@ -247,8 +233,9 @@ type TCPTransport struct {
 	// transports over sinks and pipes that never answer.
 	window  int
 	ackMu   sync.Mutex
-	ackCv   *sync.Cond    // a parked sender waits here, on ackMu
-	unacked int           // messages sent and not yet acknowledged
+	ackCv   *sync.Cond    // a parked sender or Fence waits here, on ackMu
+	sent    int64         // messages sent on the connection
+	acked   int64         // messages the listener has deposited
 	dead    error         // why the acknowledgement reader stopped
 	ackDone chan struct{} // closed when it has; nil with window 0
 }
@@ -295,13 +282,13 @@ func (t *TCPTransport) ackLoop() {
 		_, err := io.ReadFull(t.c, buf[:])
 		n := int64(binary.LittleEndian.Uint32(buf[:]))
 		t.ackMu.Lock()
-		if err == nil && (n == 0 || n > int64(t.unacked)) {
-			err = fmt.Errorf("peer acknowledged %d of %d messages in flight", n, t.unacked)
+		if err == nil && (n == 0 || n > t.sent-t.acked) {
+			err = fmt.Errorf("peer acknowledged %d of %d messages in flight", n, t.sent-t.acked)
 		}
 		if err != nil {
 			t.dead = fmt.Errorf("acknowledgement stream: %w", err)
 		} else {
-			t.unacked -= int(n)
+			t.acked += n
 		}
 		t.ackCv.Broadcast()
 		t.ackMu.Unlock()
@@ -319,14 +306,26 @@ func (t *TCPTransport) acquire() error {
 	}
 	t.ackMu.Lock()
 	defer t.ackMu.Unlock()
-	for t.unacked >= t.window && t.dead == nil {
+	for t.sent-t.acked >= int64(t.window) && t.dead == nil {
 		t.ackCv.Wait()
 	}
 	if t.dead != nil {
 		return t.dead
 	}
-	t.unacked++
+	t.sent++
 	return nil
+}
+
+// Fence returns once the listener has acknowledged every message sent on the
+// connection before the call, each then in its destination inbox, or once the
+// connection has failed. Safe from any thread, concurrently with Send. A
+// transport without a window counts no messages and returns at once.
+func (t *TCPTransport) Fence() {
+	t.ackMu.Lock()
+	defer t.ackMu.Unlock()
+	for sent := t.sent; t.acked < sent && t.dead == nil; {
+		t.ackCv.Wait()
+	}
 }
 
 // Credits reports the free part of the connection's send window: how many
@@ -338,7 +337,7 @@ func (t *TCPTransport) Credits(to int) int {
 	}
 	t.ackMu.Lock()
 	defer t.ackMu.Unlock()
-	return t.window - t.unacked
+	return t.window - int(t.sent-t.acked)
 }
 
 // Send frames and writes the message. It is safe for concurrent use by the
@@ -376,8 +375,8 @@ func (t *TCPTransport) resend(to int, m rt.Message) error {
 // the listener read to that EOF and hang up: closing a socket that still
 // holds unread acknowledgements resets the connection, and a reset discards
 // whatever frames the kernel had not yet delivered. So once Close returns,
-// every message sent on the connection is in its destination inbox: the
-// shutdown fence of a TCP job. Closing again is harmless.
+// every message sent on the connection is in its destination inbox. Closing
+// again is harmless.
 func (t *TCPTransport) Close() error {
 	if t.ackDone == nil {
 		return t.c.Close()

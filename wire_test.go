@@ -9,9 +9,14 @@ import (
 	"time"
 )
 
+// wires are the two wires a job runs on: the in-process network and real TCP
+// sockets on loopback. A test that takes the wire as an input runs on each.
+var wires = []struct{ name, tcpAddr string }{{"in-process", ""}, {"tcp", "127.0.0.1:0"}}
+
 // TestWireValidation pins the typed rejections the wire-path options add:
-// reduction needs a reachable staging tier, and tiers that drain or evict
-// stagers mid-run cannot run over TCP.
+// reduction needs a reachable staging tier. TCP adds none: a tier that
+// drains and evicts stagers mid-run is accepted over it, and starts and
+// stops cleanly.
 func TestWireValidation(t *testing.T) {
 	dir := t.TempDir()
 	bad := []struct {
@@ -25,14 +30,6 @@ func TestWireValidation(t *testing.T) {
 		{"reduce with RouteDirect", "Staging.Reduce",
 			Config{Producers: 2, Consumers: 1, SpoolDir: dir,
 				Staging: StagingConfig{Stagers: 1, Reduce: ReduceConfig{Operator: ReduceCompress}}}},
-		{"elastic tier over TCP", "TCPAddr",
-			Config{Producers: 4, Consumers: 1, SpoolDir: dir, TCPAddr: "127.0.0.1:0",
-				Staging: StagingConfig{Stagers: 2, RoutePolicy: RouteStaging,
-					Elastic: ElasticConfig{Enabled: true}}}},
-		{"fault plane over TCP", "TCPAddr",
-			Config{Producers: 4, Consumers: 1, SpoolDir: dir, TCPAddr: "127.0.0.1:0",
-				Staging: StagingConfig{Stagers: 2, RoutePolicy: RouteStaging},
-				Fault:   FaultConfig{Enabled: true}}},
 	}
 	for _, tc := range bad {
 		_, err := NewJob(tc.cfg)
@@ -49,106 +46,163 @@ func TestWireValidation(t *testing.T) {
 			t.Errorf("%s: rejected field %q, want %q", tc.name, ce.Field, tc.field)
 		}
 	}
+	job, err := NewJob(Config{Producers: 4, Consumers: 1, SpoolDir: dir, TCPAddr: "127.0.0.1:0",
+		Staging: StagingConfig{Stagers: 2, RoutePolicy: RouteStaging, Elastic: ElasticConfig{Enabled: true}},
+		Fault:   FaultConfig{Enabled: true}})
+	if err != nil {
+		t.Fatalf("an elastic, fault-tolerant tier over TCP rejected: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		job.Producer(i).Close()
+	}
+	if _, ok := job.Consumer(0).Read(); ok {
+		t.Error("a block arrived from producers that wrote none")
+	}
+	job.Wait()
+	if err := job.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestJobTCPPlacedTier runs a TCP job's staging tier under every placement,
 // on both endpoint sets and under a fixed and a signal-driven routing
-// policy: the relayed blocks land wherever the policy put them, the direct
-// Fins declare them, and Wait's fence (every producer connection closed
-// before the Retire) keeps a Retire from overtaking a frame: Wait runs while
-// the consumers still read. Every block must be analysed exactly once, byte
-// for byte as written.
+// policy, and once more elastic and fault-tolerant with a stager crashed
+// mid-stream: the relayed blocks land wherever the policy put them, the
+// direct Fins declare them, the recovery reader replays what the crash
+// stranded, and the control port's fence (every producer connection's
+// frames deposited before a Retire goes out) keeps the shutdown sweep's and
+// the eviction's Retire from overtaking a frame: Wait runs while the
+// consumers still read. Every block must be analysed exactly once, byte for
+// byte as written, and none lost.
 func TestJobTCPPlacedTier(t *testing.T) {
 	const producers, consumers, blocks, blockBytes = 4, 2, 150, 512
+	type tier struct {
+		placement Placement
+		route     RoutePolicy
+		fault     bool // elastic and fault-tolerant, slot 0 crashed mid-stream
+	}
+	var tiers []tier
 	for _, placement := range []Placement{RankAffine, LeastOccupancy} {
+		for _, route := range []RoutePolicy{RouteStaging, RouteAdaptive} {
+			tiers = append(tiers, tier{placement, route, false})
+		}
+	}
+	tiers = append(tiers, tier{LeastOccupancy, RouteStaging, true})
+	for _, tr := range tiers {
 		for _, ring := range []int{0, 64} {
-			for _, route := range []RoutePolicy{RouteStaging, RouteAdaptive} {
-				t.Run(fmt.Sprintf("%v/ring%d/%v", placement, ring, route), func(t *testing.T) {
-					job, err := NewJob(Config{
-						Producers: producers, Consumers: consumers, SpoolDir: t.TempDir(),
-						TCPAddr: "127.0.0.1:0", BufferBlocks: 8, MaxBatchBlocks: 4,
-						Staging: StagingConfig{Stagers: 2, BufferBlocks: 32, RoutePolicy: route,
-							Placement: placement, RingDepth: ring},
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					payload := func(rank, step, j int) byte { return byte(rank*31 + step*7 + j) }
-					for i := 0; i < producers; i++ {
-						go func(p *Producer) {
-							for s := 0; s < blocks; s++ {
-								data := NewPayload(blockBytes)
-								for j := range data {
-									data[j] = payload(i, s, j)
-								}
-								p.Write(s, 0, data)
-							}
-							p.Close()
-						}(job.Producer(i))
-					}
-					waited := make(chan struct{})
-					go func() {
-						job.Wait()
-						close(waited)
-					}()
-					var mu sync.Mutex
-					seen := map[BlockID]int{}
-					var readers sync.WaitGroup
-					for q := 0; q < consumers; q++ {
-						readers.Add(1)
-						go func(c *Consumer) {
-							defer readers.Done()
-							for {
-								blk, ok := c.Read()
-								if !ok {
-									return
-								}
-								if len(blk.Data) != blockBytes {
-									t.Errorf("block %+v arrived with %d bytes, want %d", blk.ID, len(blk.Data), blockBytes)
-								}
-								for j, v := range blk.Data {
-									if v != payload(blk.ID.Rank, blk.ID.Step, j) {
-										t.Errorf("block %+v damaged at byte %d", blk.ID, j)
-										break
-									}
-								}
-								mu.Lock()
-								seen[blk.ID]++
-								mu.Unlock()
-								blk.Release()
-							}
-						}(job.Consumer(q))
-					}
-					read := make(chan struct{})
-					go func() {
-						readers.Wait()
-						close(read)
-					}()
-					deadline := time.After(30 * time.Second)
-					for _, done := range []chan struct{}{read, waited} {
-						select {
-						case <-done:
-						case <-deadline:
-							t.Fatal("a block never arrived: did a Retire overtake its frame?")
-						}
-					}
-					if err := job.Err(); err != nil {
-						t.Fatal(err)
-					}
-					for id, n := range seen {
-						if n != 1 {
-							t.Errorf("block %+v analysed %d times", id, n)
-						}
-					}
-					st := job.Stats()
-					if len(seen) != producers*blocks || st.BlocksAnalyzed != producers*blocks {
-						t.Fatalf("%d distinct blocks analysed (%d in all), want %d", len(seen), st.BlocksAnalyzed, producers*blocks)
-					}
-					if route == RouteStaging && st.BlocksRelayed+st.BlocksStolen != producers*blocks {
-						t.Fatalf("relayed %d and stole %d of %d blocks under %v", st.BlocksRelayed, st.BlocksStolen, producers*blocks, route)
-					}
-				})
+			placement, route, prefix := tr.placement, tr.route, ""
+			if tr.fault {
+				prefix = "elastic-fault/"
 			}
+			t.Run(fmt.Sprintf("%s%v/ring%d/%v", prefix, placement, ring, route), func(t *testing.T) {
+				cfg := Config{
+					Producers: producers, Consumers: consumers, SpoolDir: t.TempDir(),
+					TCPAddr: "127.0.0.1:0", BufferBlocks: 8, MaxBatchBlocks: 4,
+					Staging: StagingConfig{Stagers: 2, BufferBlocks: 32, RoutePolicy: route,
+						Placement: placement, RingDepth: ring},
+				}
+				if tr.fault {
+					// The pool starts at one stager and may grow to two.
+					cfg.Staging.Elastic = ElasticConfig{Enabled: true, MinStagers: 1}
+					cfg.Fault = FaultConfig{Enabled: true, Heartbeat: 2 * time.Millisecond, LeaseTTL: 25 * time.Millisecond}
+				}
+				job, err := NewJob(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload := func(rank, step, j int) byte { return byte(rank*31 + step*7 + j) }
+				crashed := make(chan bool, 1)
+				for i := 0; i < producers; i++ {
+					go func(p *Producer) {
+						for s := 0; s < blocks; s++ {
+							if tr.fault && i == 0 && s == blocks/2 {
+								// Mid-stream, so the job is running: Wait's
+								// shutdown starts only once every producer
+								// has closed.
+								crashed <- job.InjectStagerCrash(0)
+							}
+							data := NewPayload(blockBytes)
+							for j := range data {
+								data[j] = payload(i, s, j)
+							}
+							p.Write(s, 0, data)
+						}
+						p.Close()
+					}(job.Producer(i))
+				}
+				waited := make(chan struct{})
+				go func() {
+					job.Wait()
+					close(waited)
+				}()
+				var mu sync.Mutex
+				seen := map[BlockID]int{}
+				var readers sync.WaitGroup
+				for q := 0; q < consumers; q++ {
+					readers.Add(1)
+					go func(c *Consumer) {
+						defer readers.Done()
+						for {
+							blk, ok := c.Read()
+							if !ok {
+								return
+							}
+							if len(blk.Data) != blockBytes {
+								t.Errorf("block %+v arrived with %d bytes, want %d", blk.ID, len(blk.Data), blockBytes)
+							}
+							for j, v := range blk.Data {
+								if v != payload(blk.ID.Rank, blk.ID.Step, j) {
+									t.Errorf("block %+v damaged at byte %d", blk.ID, j)
+									break
+								}
+							}
+							mu.Lock()
+							seen[blk.ID]++
+							mu.Unlock()
+							blk.Release()
+						}
+					}(job.Consumer(q))
+				}
+				read := make(chan struct{})
+				go func() {
+					readers.Wait()
+					close(read)
+				}()
+				deadline := time.After(30 * time.Second)
+				for _, done := range []chan struct{}{read, waited} {
+					select {
+					case <-done:
+					case <-deadline:
+						t.Fatal("a block never arrived: did a Retire overtake its frame?")
+					}
+				}
+				if err := job.Err(); err != nil {
+					t.Fatal(err)
+				}
+				for id, n := range seen {
+					if n != 1 {
+						t.Errorf("block %+v analysed %d times", id, n)
+					}
+				}
+				st := job.Stats()
+				if len(seen) != producers*blocks || st.BlocksAnalyzed != producers*blocks {
+					t.Fatalf("%d distinct blocks analysed (%d in all), want %d", len(seen), st.BlocksAnalyzed, producers*blocks)
+				}
+				// A crash can leave the pool empty for a while, and a producer
+				// then sends direct.
+				if route == RouteStaging && !tr.fault && st.BlocksRelayed+st.BlocksStolen != producers*blocks {
+					t.Fatalf("relayed %d and stole %d of %d blocks under %v", st.BlocksRelayed, st.BlocksStolen, producers*blocks, route)
+				}
+				if tr.fault {
+					if !<-crashed {
+						t.Fatal("no stager crash could be injected mid-stream")
+					}
+					if st.BlocksLost != 0 || st.Evictions < 1 {
+						t.Fatalf("BlocksLost = %d and Evictions = %d after a crash, want 0 and ≥ 1", st.BlocksLost, st.Evictions)
+					}
+					t.Logf("the crash's recovery replayed %d blocks; %d scale events", st.ReplayedBlocks, len(st.ScaleEvents))
+				}
+			})
 		}
 	}
 }

@@ -389,12 +389,9 @@ type Config struct {
 	// the listener's loopback. Endpoints still share the process; what
 	// changes is that payloads traverse the kernel TCP stack through the
 	// vectored zero-copy frame writer — the configuration bench's
-	// wire-compress workload runs. Any Placement works over TCP: Wait
-	// closes every producer's connection, which returns only once the
-	// listener has deposited every frame, before the tier's Retire. Elastic
-	// and Fault are rejected over TCP: a mid-run drain or eviction would
-	// need that fence per claim, and a TCP Send returns once the frame is
-	// written, not deposited.
+	// wire-compress workload runs. Every staging option works over TCP: a
+	// Retire, whether a drain, an eviction or shutdown sends it, waits until
+	// the listener has deposited every frame sent before it.
 	TCPAddr string
 	// Staging groups the in-transit staging tier's configuration.
 	Staging StagingConfig
@@ -532,20 +529,6 @@ func (cfg Config) validate() error {
 			Reason: fmt.Sprintf("reduction applies at relay time; it needs Stagers ≥ 1 and a RoutePolicy that can reach the tier (valid: %v, %v, %v)",
 				RouteStaging, RouteHybrid, RouteAdaptive)}
 	}
-	if cfg.TCPAddr != "" {
-		// The frame codec's Retire caveat, enforced: a mid-run drain or
-		// eviction assumes the quiesced claims' frames are already in the
-		// inbox, which holds on the in-process network but not across
-		// independently flushed TCP streams. Shutdown is fenced (Job.wait).
-		switch {
-		case cfg.Staging.Elastic.Enabled:
-			return &ConfigError{Field: "TCPAddr",
-				Reason: "elastic staging drains stagers mid-run; its Retire fencing is unsound over TCP streams"}
-		case cfg.Fault.Enabled:
-			return &ConfigError{Field: "TCPAddr",
-				Reason: "the fault plane evicts stagers mid-run; its eviction fencing is unsound over TCP streams"}
-		}
-	}
 	if cfg.Fault.Enabled {
 		if cfg.Staging.Stagers < 1 {
 			return &ConfigError{Field: "Fault",
@@ -664,7 +647,7 @@ func (pf *platform) Inbox(addr int) rt.Inbox {
 // Port implements assembly.Platform. On the ring wire a port is a private
 // wait-free SPSC lane set; on channels it is the shared network. Over TCP
 // the stagers forward, and the tier's control messages travel, over the
-// listener's loopback.
+// listener's loopback, and the control port fences a Retire.
 func (pf *platform) Port(role assembly.Role, i int) rt.Transport {
 	switch {
 	case pf.ln == nil && role == assembly.Control:
@@ -674,9 +657,28 @@ func (pf *platform) Port(role assembly.Role, i int) rt.Transport {
 	case role == assembly.Producer:
 		return pf.dials[i]
 	case role == assembly.Control:
-		return pf.ln.Loopback()
+		return retireFence{pf.ln.Loopback(), pf.dials}
 	}
 	return pf.ln.LoopbackPort()
+}
+
+// retireFence is a TCP job's control port. A TCP Send returns once its frame
+// is written, so a quiesced claim's frame may still be on the wire when a
+// Retire goes out. A Retire therefore waits for every producer connection's
+// Fence, and reaches its stager after every frame sent before it, as on the
+// in-process wire, whose Send deposits.
+type retireFence struct {
+	rt.Transport
+	dials []*realenv.TCPTransport
+}
+
+func (f retireFence) Send(c rt.Ctx, to int, m rt.Message) {
+	if m.Retire {
+		for _, t := range f.dials {
+			t.Fence()
+		}
+	}
+	f.Transport.Send(c, to, m)
 }
 
 // Partition implements assembly.Platform.
@@ -691,22 +693,12 @@ func (pf *platform) Partition(name string) (rt.BlockStore, error) {
 	return part, nil
 }
 
-// fence closes every producer's dialed connection, once the producers are
-// done, so that the tier's Retire cannot overtake their frames: a
-// TCPTransport's Close returns only after the listener has read the
-// connection to its end, every frame deposited in its inbox. It writes no
-// platform state (a fleet's jobs share the platform) and is a no-op on the
-// in-process network, whose Send deposits before it returns.
-func (pf *platform) fence() {
-	for _, t := range pf.dials {
-		_ = t.Close() // a broken connection has nothing left to deposit
-	}
-}
-
 // close tears down the real-TCP wire, if there is one: every producer's
 // dialed connection, then the listener. A no-op on the in-process network.
 func (pf *platform) close() {
-	pf.fence()
+	for _, t := range pf.dials {
+		_ = t.Close() // a broken connection has nothing left to deposit
+	}
 	if pf.ln != nil {
 		_ = pf.ln.Close()
 	}
@@ -819,7 +811,6 @@ func (j *Job) wait() {
 	for _, p := range j.prod {
 		p.p.Wait(p.ctx)
 	}
-	j.pf.fence()
 	j.tier.Shutdown(j.pf.env.Ctx())
 	for _, c := range j.cons {
 		c.c.Wait(c.ctx)
