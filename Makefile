@@ -30,10 +30,11 @@ test: test-lists test-repeat test-cpus
 # The handover under one, two and four scheduler threads: with one the
 # application and the runtime threads take turns, with more they overlap, and
 # the message path has to be right (and was measured) in both regimes. The
-# park-count pin runs on the simulator and must read the same in every one.
+# park-count pin runs on the simulator and must read the same in every one;
+# the carry hands payloads between the analysis thread and the producers'.
 CPU_TESTS = TestTrickle TestOpenBatch TestClaim TestStealSeesOpenBatch TestJobDirectCycleAllocs TestBatched \
-	TestHandOffParks
-CPU_PKGS = ./internal/core .
+	TestHandOffParks TestRecyclerCarry
+CPU_PKGS = ./internal/block ./internal/core .
 
 test-cpus:
 	$(GO) test -short -cpu 1,2,4 -run '$(subst $(space),|,$(strip $(CPU_TESTS)))' $(CPU_PKGS)
@@ -54,7 +55,7 @@ test-cpus:
 # encode-failure paths, the codec's word-wide kernels, and the handover
 # (Write's lock-free ring, Read's claim, the recycled headers: the lone
 # block, both buffer bounds, the steal, the Stats lag, the stale Release,
-# Job.Err), Stats without an endpoint lock and the gauges under concurrent
+# the small payload carried home with its header, Job.Err), Stats without an endpoint lock and the gauges under concurrent
 # writers and readers, shutdown on an event (the timed Cond wait on both platforms,
 # the stoppable loop, WaitContext, no goroutine outliving Wait or Close,
 # Wait within 20 ms of the final Read, a Retire ending the spiller's timed
@@ -78,7 +79,7 @@ REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCP
 	TestStealSeesOpenBatch TestStatsLagBounded TestReleaseTwiceAfterHeaderReuse \
 	TestJobErrReportsSenderEncodeFailure TestLevelDebit TestStatsTakesNoEndpointLock TestGaugesConcurrent \
 	TestCondWaitFor TestLoopStopsOnTheEvent TestJobWaitContext TestNoGoroutineOutlivesWait TestPromptShutdown \
-	TestRetireEndsRefusedWait TestHandOffParks TestConsumerBufferHoldsAWindow
+	TestRetireEndsRefusedWait TestHandOffParks TestConsumerBufferHoldsAWindow TestRecyclerCarry
 REPEAT_PKGS = ./internal/sim ./internal/rt ./internal/rt/realenv ./internal/block ./internal/flow ./internal/core \
 	./internal/staging ./internal/reduce ./internal/workflow .
 

@@ -329,8 +329,9 @@ func (c *Consumer) fullLocked() bool {
 	return c.occupancy >= c.cfg.ConsumerBufferBlocks && c.err == nil
 }
 
-// ReleaseBlock hands b back once the analysis is done with it: the payload
-// goes to the payload pool and the header to the job's free list. gen is the
+// ReleaseBlock hands b back once the analysis is done with it: the header
+// goes to the job's free list and the payload to the payload pool, a small
+// one by way of the header's next taker (see recycle). gen is the
 // header's generation when Read returned it (b.Gen()): a release that comes
 // after the header has moved on — a second one, or one through a copy of the
 // handle — finds another generation and does nothing. In NoPreserve mode the
@@ -364,10 +365,12 @@ func (c *Consumer) ReleaseBlock(x rt.Ctx, b *block.Block, gen uint32) {
 	c.recycle(b)
 }
 
-// recycle releases b's payload, retires its header and hands headers in a
-// batch at a time.
+// recycle retires b's header and hands headers in a batch at a time. A
+// payload of at most block.CarryMax bytes rides home with its header, to be
+// released by the producer or frame reader that takes the batch next
+// (block.Recycler), instead of by the analysis thread; Retire releases a
+// larger one at once.
 func (c *Consumer) recycle(b *block.Block) {
-	b.Release()
 	b.Retire()
 	c.spent = append(c.spent, b)
 	if len(c.spent) == cap(c.spent) {

@@ -78,7 +78,10 @@ const (
 	// the paper's original two-channel protocol and the zero value.
 	RouteDirect RoutePolicy = iota
 	// RouteStaging relays every batch through the resolved stager — the
-	// pure in-transit configuration of the DataSpaces-style baselines.
+	// pure in-transit configuration of the DataSpaces-style baselines. A
+	// batch whose Directory claim fails, because the pool is empty, goes
+	// direct: under an elastic pool of one with fault detection, a crash of
+	// the last stager does that until the respawn.
 	RouteStaging
 	// RouteHybrid chooses per batch from live backpressure: direct while
 	// the consumer's receive window has credit, staging relay while the
@@ -290,6 +293,7 @@ type ProducerStats struct {
 	StealBusy     time.Duration // writer thread time spent spilling
 	WriteParks    int64         // times Write parked on a full buffer
 	SenderParks   int64         // times the sender thread parked on an empty buffer
+	LaneParks     int64         // sends that found the transport's window to their destination shut
 	Finished      time.Duration // when both threads had exited
 }
 

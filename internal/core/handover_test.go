@@ -575,20 +575,22 @@ func TestStatsTakesNoEndpointLock(t *testing.T) {
 // writes 32 blocks every 20 µs for one consumer whose analysis (1 µs a block)
 // is the slow stage, in batches of 8 over a 4-message window — 32 blocks in
 // flight — into a consumer buffer of 16 blocks, half that window, and of 32,
-// the window zipper.Config derives. The simulator wakes a parked thread at
-// the instant it is signalled, so a receiver waiting on a full buffer goes on
-// after every block Read returns, whatever the buffer's size: the counts
-// barely move here. On the real platform a wake-up takes microseconds, Read
-// hands out what it has claimed in the meantime, and the receiver and Read
-// park once per buffer's worth, so there the window halves both counts.
+// the window zipper.Config derives. The analysis binds, so nearly every one
+// of the 256 messages finds the window shut before its Send (the lane
+// count). The simulator wakes a parked thread at the instant it is
+// signalled, so a receiver waiting on a full buffer goes on after every
+// block Read returns, whatever the buffer's size: the counts barely move
+// here. On the real platform a wake-up takes microseconds, Read hands out
+// what it has claimed in the meantime, and the receiver and Read park once
+// per buffer's worth, so there the window halves both counts.
 func TestHandOffParks(t *testing.T) {
-	type parks struct{ write, sender, read, receiver int64 }
+	type parks struct{ write, sender, lane, read, receiver int64 }
 	for _, tc := range []struct {
 		buffer int
 		want   parks
 	}{
-		{16, parks{write: 111, sender: 4, read: 2, receiver: 2009}},
-		{32, parks{write: 108, sender: 5, read: 2, receiver: 1965}},
+		{16, parks{write: 111, sender: 4, lane: 242, read: 2, receiver: 2009}},
+		{32, parks{write: 108, sender: 5, lane: 236, read: 2, receiver: 1965}},
 	} {
 		cfg := Config{Recycler: block.NewRecycler(8), BufferBlocks: 64, MaxBatchBlocks: 8,
 			ConsumerBufferBlocks: tc.buffer, DisableSteal: true}
@@ -598,7 +600,7 @@ func TestHandOffParks(t *testing.T) {
 		if cs.BlocksAnalyzed != 64*32 {
 			t.Fatalf("buffer %d: analyzed %d of %d blocks", tc.buffer, cs.BlocksAnalyzed, 64*32)
 		}
-		if got := (parks{ps.WriteParks, ps.SenderParks, cs.ReadParks, cs.ReceiverParks}); got != tc.want {
+		if got := (parks{ps.WriteParks, ps.SenderParks, ps.LaneParks, cs.ReadParks, cs.ReceiverParks}); got != tc.want {
 			t.Errorf("buffer %d: parks %+v, want %+v", tc.buffer, got, tc.want)
 		}
 	}

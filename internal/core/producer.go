@@ -311,6 +311,7 @@ func (p *Producer) Stats() ProducerStats {
 		StealBusy:     time.Duration(p.fl.StealBusy.Total()),
 		WriteParks:    p.fl.WriteParks.Total(),
 		SenderParks:   p.fl.SenderParks.Total(),
+		LaneParks:     p.fl.LaneParks.Total(),
 		Finished:      time.Duration(p.finished.Load()),
 	}
 }
@@ -382,6 +383,9 @@ func (p *Producer) senderThread(c rt.Ctx) {
 		for _, b := range blocks {
 			payload += b.Bytes
 			wire += b.WireBytes()
+		}
+		if p.tr.Credits(dest) == 0 {
+			p.fl.LaneParks.Add(1) // the Send waits for the receiver to make room
 		}
 		start := c.Now()
 		p.tr.Send(c, dest, rt.Message{From: p.rank, Dest: to, Blocks: blocks, Disk: ids})

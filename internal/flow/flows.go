@@ -25,6 +25,7 @@ type ProducerFlows struct {
 
 	WriteParks  Counter // times Write parked on a full buffer
 	SenderParks Counter // times the sender thread parked on an empty buffer
+	LaneParks   Counter // sends that found the transport's window to their destination shut
 
 	WireBytes  Counter // payload bytes put on the wire (encoded size when reduced)
 	SavedBytes Counter // payload bytes reduction kept off the wire (raw − encoded)

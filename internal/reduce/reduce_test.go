@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"zipper/internal/block"
 )
@@ -160,7 +159,7 @@ func TestCorruptEncodedPayloadErrors(t *testing.T) {
 			t.Errorf("%s: error %q, want an unknown encoding", tc.name, err)
 		}
 		if b.Enc != tc.enc || b.Bytes != tc.raw || b.EncBytes != int64(len(tc.data)) ||
-			len(b.Data) != len(tc.data) || unsafe.SliceData(b.Data) != unsafe.SliceData(data) {
+			len(b.Data) != len(tc.data) || cap(b.Data) != cap(data) || &b.Data[:1][0] != &data[:1][0] {
 			t.Errorf("%s: the failed decode changed the block: %+v", tc.name, b)
 		}
 		// Nor was the payload released behind the caller's back: the next
@@ -168,7 +167,7 @@ func TestCorruptEncodedPayloadErrors(t *testing.T) {
 		var next [4][]byte
 		for i := range next {
 			next[i] = block.GetPayload(512)
-			if unsafe.SliceData(next[i]) == unsafe.SliceData(data) {
+			if &next[i][:1][0] == &data[:1][0] {
 				t.Errorf("%s: the failed decode released a payload its caller still owns", tc.name)
 			}
 		}

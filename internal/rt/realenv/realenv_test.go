@@ -402,7 +402,8 @@ func TestTCPValidation(t *testing.T) {
 // stager is retired as soon as the producer is done, while the consumer lags
 // behind, once the producer's connection is fenced: every frame is in the
 // stager's inbox before the Retire, and the connection stays open until the
-// stager is done.
+// stager is done. The consumer reads nothing until every block is sent, so
+// the stager has to spill however fast the host runs either side.
 func TestTCPStagedWorkflow(t *testing.T) {
 	dir := t.TempDir()
 	// Endpoint space: consumer 0, stager at address 1. Each side has its own
@@ -447,6 +448,7 @@ func TestTCPStagedWorkflow(t *testing.T) {
 	const n = 60
 	var wg sync.WaitGroup
 	wg.Add(1)
+	sent := make(chan struct{})
 	go func() {
 		defer wg.Done()
 		c := prodEnv.Ctx()
@@ -459,6 +461,7 @@ func TestTCPStagedWorkflow(t *testing.T) {
 		}
 		prod.Close(c)
 		prod.Wait(c)
+		close(sent)
 		pool.RetireAll(c, func(addr int) {
 			tr.Fence()
 			ln.Loopback().Send(c, addr, rt.Message{Retire: true})
@@ -467,6 +470,7 @@ func TestTCPStagedWorkflow(t *testing.T) {
 	read := make(chan int)
 	go func() {
 		c := consEnv.Ctx()
+		<-sent
 		seq := 0
 		for {
 			b, ok := cons.Read(c)

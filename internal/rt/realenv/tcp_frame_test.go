@@ -245,7 +245,11 @@ func BenchmarkWriteFrame(b *testing.B) {
 // the payloads are back in the pool, the headers are retired — their
 // generation advanced — and back in the free list together with the block
 // list, so core.Consumer.ReleaseBlock through the generation taken before
-// the Send leaves the header's next payload alone.
+// the Send leaves the header's next payload alone. A consumer's release
+// through the current generation retires the header with a payload of at
+// most block.CarryMax bytes still on it; the Headers call that hands the
+// header out again releases that payload, once, and a larger payload goes
+// back to the pool at the release.
 func TestTCPSendRecyclesSenderBlocks(t *testing.T) {
 	rec := block.NewRecycler(0)
 	conn := &memConn{}
@@ -311,9 +315,45 @@ func TestTCPSendRecyclesSenderBlocks(t *testing.T) {
 	if b.Data == nil {
 		t.Error("a release through the generation taken before the Send freed the header's next payload")
 	}
-	cons.ReleaseBlock(x, b, b.Gen())
-	if b.Data != nil {
-		t.Error("a release through the current generation kept the payload")
+	// Released through the current generation, a whole batch of 4 KiB blocks
+	// goes back to the free list with its payloads on.
+	carried := map[*byte]bool{}
+	for _, b := range reused {
+		if b.Data == nil {
+			b.Data = block.GetPayload(4096)
+		}
+		carried[&b.Data[0]] = true
+		gen := b.Gen()
+		cons.ReleaseBlock(x, b, gen)
+		if b.Data == nil || b.Gen() != gen+1 {
+			t.Fatalf("block %v after its release: %d payload bytes, generation %d, want 4096 and %d", b.ID, len(b.Data), b.Gen(), gen+1)
+		}
+	}
+	out := rec.Headers(nil)
+	for _, b := range out {
+		if _, ok := gens[b]; !ok || b.Data != nil {
+			t.Fatalf("Headers handed out a header the release did not retire, or with its payload still on (%d bytes)", len(b.Data))
+		}
+	}
+	seen := map[*byte]int{}
+	for range 2 * len(carried) {
+		if p := block.GetPayload(4096); carried[&p[0]] {
+			seen[&p[0]]++
+		}
+	}
+	for _, n := range seen {
+		if n != 1 {
+			t.Fatalf("a carried payload came out of the pool %d times", n)
+		}
+	}
+	if len(seen) == 0 || (!raceEnabled && len(seen) != len(carried)) {
+		t.Errorf("%d of %d carried payloads came back out of the pool", len(seen), len(carried))
+	}
+	big := out[0]
+	big.Data = block.GetPayload(block.CarryMax + 1)
+	cons.ReleaseBlock(x, big, big.Gen())
+	if big.Data != nil {
+		t.Error("a payload above block.CarryMax stayed on its retired header")
 	}
 	net.Port().Send(x, 0, rt.Message{Fin: true})
 	cons.Wait(x)

@@ -115,7 +115,10 @@ const (
 	// RouteDirect is the paper's two-channel protocol: the in-memory
 	// message path relieved by the work-stealing file-system path.
 	RouteDirect = core.RouteDirect
-	// RouteStaging relays everything through the in-transit staging tier.
+	// RouteStaging relays everything through the in-transit staging tier
+	// while it has a member: a batch that finds the pool empty goes direct.
+	// Under Elastic with MinStagers 1 and Fault, a crash of the last stager
+	// does that until the respawn.
 	RouteStaging = core.RouteStaging
 	// RouteHybrid picks per batch from live backpressure: direct while the
 	// consumer window has credit, staging while the stager has room,
@@ -305,17 +308,20 @@ type Block struct {
 	owner *Consumer
 }
 
-// Release recycles the block: its payload into the runtime's payload pool,
-// its header into the job's free list, from which a later Write builds
-// another block. Call it once the analysis is completely done with Data:
-// afterwards the payload may back another producer's NewPayload at any
-// moment, so retaining a reference to Data corrupts the stream. In Preserve
-// mode the recycle is deferred until the output thread has stored the block,
-// so Release is always safe to call right after analyzing. Releasing twice is
-// a no-op, also through a copy of the Block taken before the first Release:
-// the handle remembers which generation of the header it was issued for.
-// Call it from the goroutine that calls the consumer's Read — that is what
-// keeps it free of locks.
+// Release recycles the block: its header into the job's free list, from which
+// a later Write builds another block, and its payload into the runtime's
+// payload pool — a payload of at most 4 KiB by way of the header, released
+// by whichever producer (or TCP connection reader) takes the header next.
+// Call it once the analysis is completely done with Data: from Release on
+// the payload is the runtime's and may back another producer's NewPayload at
+// any moment, so retaining a reference to Data corrupts the stream. In
+// Preserve mode the recycle is deferred until the output thread has stored
+// the block, so Release is always safe to call right after analyzing.
+// Releasing twice is a no-op, also through a copy of the Block taken before
+// the first Release: the handle remembers which generation of the header it
+// was issued for, and a stale one reaches neither the header's next payload
+// nor the one it carries home. Call it from the goroutine that calls the
+// consumer's Read — that is what keeps it free of locks.
 func (b *Block) Release() {
 	if b.inner == nil {
 		return
@@ -325,9 +331,11 @@ func (b *Block) Release() {
 }
 
 // NewPayload returns a payload slice of length n, reusing a buffer released
-// by a consumer when one is available. The contents are unspecified — fill
-// all n bytes before handing the slice to Producer.Write. Payloads that never
-// pass through the pool are also accepted by Write; the pool is an
+// by a consumer when one is available; a buffer of at most 4 KiB is most
+// often one that this goroutine's own Write released, as it took the
+// recycled header the buffer rode home on. The contents are unspecified —
+// fill all n bytes before handing the slice to Producer.Write. Payloads that
+// never pass through the pool are also accepted by Write; the pool is an
 // optimization, not an obligation.
 func NewPayload(n int) []byte { return block.GetPayload(n) }
 
@@ -1075,6 +1083,7 @@ func (p *Producer) Stats() ProducerStats {
 		WriteStall:    s.WriteStall.Seconds(),
 		WriteParks:    s.WriteParks,
 		SenderParks:   s.SenderParks,
+		LaneParks:     s.LaneParks,
 	}
 }
 
@@ -1091,11 +1100,13 @@ type ProducerStats struct {
 	BytesOnWire  int64   // payload bytes this producer put on the network paths (encoded size when reduced)
 	BytesReduced int64   // payload bytes reduction kept off the wire (raw − encoded)
 	WriteStall   float64 // seconds Write spent blocked on a full buffer
-	// WriteParks and SenderParks count the hand-offs that made a thread
-	// wait: Write parked on a full producer buffer, the sender thread on an
-	// empty one.
+	// WriteParks, SenderParks and LaneParks count the hand-offs that made a
+	// thread wait: Write parked on a full producer buffer, the sender thread
+	// on an empty one, and a send on a transport window its receiver had not
+	// yet opened again.
 	WriteParks  int64
 	SenderParks int64
+	LaneParks   int64
 }
 
 // Consumer is the application-facing consumer endpoint. Its methods, and the
