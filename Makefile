@@ -40,11 +40,12 @@ test-cpus:
 	$(GO) test -short -cpu 1,2,4 -run '$(subst $(space),|,$(strip $(CPU_TESTS)))' $(CPU_PKGS)
 
 # The tests worth repeating under the race detector, in one place for `make
-# test` and the CI step alike: the send window of a ring lane and of a TCP
-# connection, the window credit every transport handle reports, a TCP job's
-# staging tier under every placement, elastic and crashed, on the fence it
-# rests on (a fenced connection has deposited every frame, and so has a closed
-# one), the elastic and fault churn on both wires, the per-block allocation pins (the
+# test` and the CI step alike: the send window of a TCP connection and of an
+# inbox the ignored RingDepth cannot widen, the window credit every transport
+# handle reports, a TCP job's staging tier under every placement, elastic and
+# crashed, on the fence it rests on (a fenced connection has deposited every
+# frame, and so has a closed one), the elastic and fault churn on both wires
+# (and a Retire sent while a burst is on the wire), the per-block allocation pins (the
 # direct, relay, TCP and steal paths, the frame reader, the TCP sender's
 # hand-back, the segment log's append and re-read), the disk election (router
 # table, two-regime simulation, bursty job), the assembly (one Spec on both
@@ -61,7 +62,7 @@ test-cpus:
 # Wait within 20 ms of the final Read, a Retire ending the spiller's timed
 # wait), and the consumer buffer (a window of blocks by default, the parks of
 # each hand-off).
-REPEAT_TESTS = TestRingWindowParksSender TestJobRingWindowBoundsInFlight TestTCPWindowParksSender \
+REPEAT_TESTS = TestJobRingWindowBoundsInFlight TestTCPWindowParksSender \
 	TestTCPWindowOnePingPong TestJobTCPWindowBoundsInFlight TestTransportsReportWindowCredit \
 	TestJobTCPPlacedTier TestTCPCloseFencesDelivery TestTCPFenceDeposits TestTCPStagedWorkflow TestWireValidation \
 	TestElasticJobMembershipChurn TestFaultJobCrashChurn \

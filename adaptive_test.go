@@ -157,9 +157,8 @@ func TestJobAdaptiveRoundTrip(t *testing.T) {
 
 // TestJobAdaptiveArbitratesDisk runs the three-channel election end to end on
 // the real platform, on the shape that used to defeat it: bursts into a
-// 16-block producer buffer, in front of two roomy ring-connected,
-// fault-protected stagers whose relay send is a ring push that returns at
-// once. The buffer sits above HighWater for most of every burst, and
+// 16-block producer buffer, in front of two roomy, fault-protected stagers
+// whose relay send is a channel send that returns at once. The buffer sits above HighWater for most of every burst, and
 // Algorithm 1 alone took that as the order to put three blocks in four
 // through file-per-block disk while the stagers idled. With the router
 // arbitrating, disk — a thousand times the relay's cost per byte here — keeps
@@ -175,9 +174,9 @@ func TestJobAdaptiveArbitratesDisk(t *testing.T) {
 		Producers: producers, Consumers: 1, SpoolDir: t.TempDir(),
 		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8,
 		Staging: StagingConfig{Stagers: 2, BufferBlocks: 256, RoutePolicy: RouteAdaptive,
-			Placement: LeastOccupancy, RingDepth: 64,
-			Elastic: ElasticConfig{Enabled: true, MinStagers: 1, MaxStagers: 2},
-			Reduce:  ReduceConfig{Operator: ReduceCompress, OnPressure: true}},
+			Placement: LeastOccupancy,
+			Elastic:   ElasticConfig{Enabled: true, MinStagers: 1, MaxStagers: 2},
+			Reduce:    ReduceConfig{Operator: ReduceCompress, OnPressure: true}},
 		Fault: FaultConfig{Enabled: true, Heartbeat: 10 * time.Millisecond, LeaseTTL: 5 * time.Second},
 	})
 	if err != nil {

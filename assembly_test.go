@@ -36,12 +36,12 @@ func TestSpecRunsOnBothPlatforms(t *testing.T) {
 			staging: StagingConfig{Stagers: 1, BufferBlocks: 256, RoutePolicy: RouteStaging}},
 		{name: "pool-managed + fault (relay-fault-flood)", window: 4, fault: quietFault,
 			staging: StagingConfig{Stagers: 2, BufferBlocks: 256, RoutePolicy: RouteStaging,
-				Placement: LeastOccupancy, RingDepth: 64}},
+				Placement: LeastOccupancy}},
 		{name: "elastic + least-occupancy (fullstack-bursty)", window: 2, fault: quietFault,
 			staging: StagingConfig{Stagers: 2, BufferBlocks: 256, RoutePolicy: RouteStaging,
-				Placement: LeastOccupancy, RingDepth: 64,
-				Elastic: ElasticConfig{Enabled: true, MinStagers: 1, MaxStagers: 2},
-				Reduce:  ReduceConfig{Operator: ReduceCompress, OnPressure: true}}},
+				Placement: LeastOccupancy,
+				Elastic:   ElasticConfig{Enabled: true, MinStagers: 1, MaxStagers: 2},
+				Reduce:    ReduceConfig{Operator: ReduceCompress, OnPressure: true}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{

@@ -76,6 +76,13 @@ func TestConfigErrorTyped(t *testing.T) {
 // this also checks the monitor/heartbeat/journal locking. It runs on both
 // wires: over TCP every eviction's Retire waits on the producers'
 // connections, so what a crash strands in flight lands as orphans first.
+//
+// The last row pins that fence where it bites. Its second kill comes from a
+// producer in the middle of the last burst, mostly too late for a respawn,
+// and Wait runs while the consumers still read, so the shutdown sweep's
+// eviction and the pool's Retires go out while the burst's last frames are
+// still on the wire. A Retire that overtook one would strand its blocks in
+// an inbox no receiver reads again.
 func TestFaultJobCrashChurn(t *testing.T) {
 	const (
 		producers   = 4
@@ -86,11 +93,21 @@ func TestFaultJobCrashChurn(t *testing.T) {
 		pause       = 50 * time.Millisecond
 		total       = producers * bursts * burstBlocks
 	)
-	for _, w := range wires {
+	rows := []struct {
+		name, tcpAddr string
+		window, batch int
+		onTheWire     bool // kill from the last burst, Wait while the consumers read
+	}{{"in-process", "", 2, 4, false}, {"tcp", "127.0.0.1:0", 2, 4, false},
+		// A window of two is spent on the Fins to the two consumers, so
+		// every data frame is deposited before a producer's Close returns.
+		// Here 32 frames of 64 KiB may be unacknowledged when a Retire goes
+		// out.
+		{"tcp-retire-on-the-wire", "127.0.0.1:0", 32, 8, true}}
+	for _, w := range rows {
 		t.Run(w.name, func(t *testing.T) {
 			job, err := NewJob(Config{
 				Producers: producers, Consumers: consumers, SpoolDir: t.TempDir(), TCPAddr: w.tcpAddr,
-				BufferBlocks: 16, Window: 2, MaxBatchBlocks: 4, DisableSteal: true,
+				BufferBlocks: 16, Window: w.window, MaxBatchBlocks: w.batch, DisableSteal: true,
 				Staging: StagingConfig{
 					Stagers: 3, BufferBlocks: 32, RoutePolicy: RouteStaging,
 				},
@@ -119,6 +136,7 @@ func TestFaultJobCrashChurn(t *testing.T) {
 					}
 				}(q)
 			}
+			lateKill := make(chan bool, 1)
 			for p := 0; p < producers; p++ {
 				go func(p int) {
 					prod := job.Producer(p)
@@ -128,6 +146,9 @@ func TestFaultJobCrashChurn(t *testing.T) {
 							time.Sleep(pause)
 						}
 						for k := 0; k < burstBlocks; k++ {
+							if w.onTheWire && p == 0 && b == bursts-1 && k == burstBlocks/2 {
+								lateKill <- job.InjectStagerCrash(1)
+							}
 							data := NewPayload(blockBytes)
 							data[0] = byte(i)
 							prod.Write(i, 0, data)
@@ -146,9 +167,33 @@ func TestFaultJobCrashChurn(t *testing.T) {
 			if job.InjectStagerCrash(0) {
 				kills++
 			}
-			time.Sleep(pause)
-			if job.InjectStagerCrash(1) {
-				kills++
+			if w.onTheWire {
+				if <-lateKill {
+					kills++
+				}
+				waited := make(chan struct{})
+				go func() {
+					job.Wait()
+					close(waited)
+				}()
+				read := make(chan struct{})
+				go func() {
+					readers.Wait()
+					close(read)
+				}()
+				deadline := time.After(30 * time.Second)
+				for _, done := range []chan struct{}{read, waited} {
+					select {
+					case <-done:
+					case <-deadline:
+						t.Fatal("a block never arrived: did a Retire overtake its frame?")
+					}
+				}
+			} else {
+				time.Sleep(pause)
+				if job.InjectStagerCrash(1) {
+					kills++
+				}
 			}
 			if kills == 0 {
 				t.Fatal("no crash could be injected: the tier drained before the test reached it")

@@ -140,7 +140,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			Reason: fmt.Sprintf("must be ≥ 0 (0 selects the default), got %d", cfg.MaxConsumers)}
 	}
 	cfg = cfg.withDefaults()
-	pf, err := newPlatform(cfg.SpoolDir, "", 0, fleetWindow, cfg.MaxConsumers+cfg.Stagers, 0, nil)
+	pf, err := newPlatform(cfg.SpoolDir, "", fleetWindow, cfg.MaxConsumers+cfg.Stagers, 0, nil)
 	if err != nil {
 		return nil, err
 	}

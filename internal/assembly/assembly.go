@@ -56,9 +56,8 @@ type Platform interface {
 	// come first, the tier's reserved slots after them.
 	Inbox(addr int) rt.Inbox
 	// Port returns a send handle onto the wire. A Producer or Stager port
-	// belongs to that endpoint's one sending thread (a private lane set on
-	// the ring wire, a dialed connection for a TCP producer); the Control
-	// port is safe from any thread.
+	// belongs to that endpoint's one sending thread (a TCP producer's is its
+	// dialed connection); the Control port is safe from any thread.
 	Port(role Role, i int) rt.Transport
 	// Partition returns the named partition of the job's spool, "" being
 	// the spool itself. Asking twice for a name yields the same partition.

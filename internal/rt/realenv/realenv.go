@@ -96,37 +96,49 @@ func (c *cond) WaitFor(_ rt.Ctx, d time.Duration) {
 }
 
 // Network is the in-process message path: `endpoints` receive endpoints
-// (consumers first, then any in-transit stagers) over a pluggable endpoint
-// set. The default set is one buffered channel per endpoint whose capacity
-// is the receive window; NewRingNetwork swaps in pairwise lock-free SPSC
-// rings — the intra-node fast path for co-located ranks. On either set,
-// senders block while the destination window is full, providing the
-// backpressure the runtime's stealing and routing logic react to. Send is
-// safe from any thread, and hot senders should prefer a Port: on the ring set
-// it mints the thread's private SPSC lanes, on the channel set it is the
-// network itself, so callers can hold a port unconditionally. Credits is the
-// hybrid routing policy's direct-path backpressure signal.
+// (consumers first, then any in-transit stagers), one buffered channel each
+// whose capacity is the receive window. Senders block while the destination
+// window is full, providing the backpressure the runtime's stealing and
+// routing logic react to. Send is safe from any thread; Credits is the
+// hybrid routing policy's direct-path backpressure signal. A TCPListener
+// hosts one behind its accepted connections.
 type Network struct {
-	endpointSet
+	inboxes []chan rt.Message
 }
 
-// NewNetwork creates `endpoints` channel-backed receive endpoints with the
-// given receive-window depth (messages) — the pinned default path.
+// NewNetwork creates `endpoints` receive endpoints with the given
+// receive-window depth (messages).
 func NewNetwork(endpoints, window int) *Network {
-	return &Network{newChanEndpoints(endpoints, window)}
-}
-
-// NewRingNetwork creates `endpoints` ring-backed receive endpoints: every
-// sending thread that takes a Port gets a private wait-free SPSC lane into
-// each endpoint it addresses, and parks once `window` of its messages sit
-// undelivered in that lane — the same receive window NewNetwork gives a
-// channel inbox. Selected by Config.Staging.RingDepth > 0, which passes
-// min(RingDepth, Window).
-func NewRingNetwork(endpoints, window int) *Network {
 	if window < 1 {
 		window = 1
 	}
-	return &Network{newRingEndpoints(endpoints, window)}
+	n := &Network{}
+	for i := 0; i < endpoints; i++ {
+		n.inboxes = append(n.inboxes, make(chan rt.Message, window))
+	}
+	return n
+}
+
+// Send delivers m to endpoint `to`, blocking while its window is full.
+func (n *Network) Send(c rt.Ctx, to int, m rt.Message) { n.inboxes[to] <- m }
+
+// Credits reports how many more messages endpoint `to` can accept.
+func (n *Network) Credits(to int) int {
+	return cap(n.inboxes[to]) - len(n.inboxes[to])
+}
+
+// Inbox returns endpoint i's receive side (one consuming thread each).
+func (n *Network) Inbox(i int) rt.Inbox { return inbox(n.inboxes[i]) }
+
+// Port returns the network itself: a channel send is safe from any thread
+// and carries no per-sender state.
+func (n *Network) Port() rt.Transport { return n }
+
+type inbox chan rt.Message
+
+func (b inbox) Recv(c rt.Ctx) (rt.Message, bool) {
+	m, ok := <-b
+	return m, ok
 }
 
 // FileStore spills and preserves blocks as files in a directory, standing in

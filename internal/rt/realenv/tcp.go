@@ -52,10 +52,10 @@ import (
 // has deposited in their destination inbox, and the sender parks while
 // Window messages are unacknowledged. Socket buffers plus the reader's 1 MiB
 // bufio used to be the only bound — over a thousand encoded blocks a
-// connection, more the better the data compressed — so a connection is now a
-// sender lane like a ring lane, and Config.Window means the same on all
-// three transports. The magic moved with it: a v5 peer would neither read
-// nor write acknowledgements, and fails at the first frame instead.
+// connection, more the better the data compressed — so a connection now
+// holds a window of messages like a channel inbox, and Config.Window means
+// the same on both wires. The magic moved with it: a v5 peer would neither
+// read nor write acknowledgements, and fails at the first frame instead.
 //
 // A Retire must reach a stager after every frame of a quiesced claim, and a
 // Send returns once its frame is written, not deposited. Fence closes that
@@ -83,10 +83,10 @@ const (
 )
 
 // TCPListener is the consumer-side endpoint set, hosted behind the accept
-// loop: each accepted connection's reader delivers into the shared set.
+// loop: each accepted connection's reader delivers into the shared Network.
 type TCPListener struct {
 	ln     net.Listener
-	eps    endpointSet
+	eps    *Network
 	rec    *block.Recycler // what the connection readers build messages from
 	wg     sync.WaitGroup
 	mu     sync.Mutex
@@ -100,30 +100,6 @@ type TCPListener struct {
 // connection readers build every received block header and block list from
 // rec, the job's free list, which the consumers refill.
 func ListenTCP(addr string, endpoints, window int, rec *block.Recycler) (*TCPListener, error) {
-	if window < 1 {
-		window = 1
-	}
-	return listenTCP(addr, endpoints, rec, func() endpointSet {
-		return newChanEndpoints(endpoints, window)
-	})
-}
-
-// ListenTCPRing starts the consumer-side endpoint set on addr over the SPSC
-// ring transport: each accepted connection's reader goroutine — naturally a
-// single producer — gets a private wait-free lane into the endpoints it
-// addresses, and in-process stagers forward through LoopbackPort lanes.
-// window is each lane's send window in messages, as for NewRingNetwork.
-// Selected by Config.Staging.RingDepth > 0 on a TCP job.
-func ListenTCPRing(addr string, endpoints, window int, rec *block.Recycler) (*TCPListener, error) {
-	if window < 1 {
-		window = 1
-	}
-	return listenTCP(addr, endpoints, rec, func() endpointSet {
-		return newRingEndpoints(endpoints, window)
-	})
-}
-
-func listenTCP(addr string, endpoints int, rec *block.Recycler, mkSet func() endpointSet) (*TCPListener, error) {
 	if endpoints < 1 {
 		return nil, fmt.Errorf("realenv: need ≥1 endpoint, got %d", endpoints)
 	}
@@ -131,7 +107,7 @@ func listenTCP(addr string, endpoints int, rec *block.Recycler, mkSet func() end
 	if err != nil {
 		return nil, fmt.Errorf("realenv: listen: %w", err)
 	}
-	l := &TCPListener{ln: ln, eps: mkSet(), rec: rec}
+	l := &TCPListener{ln: ln, eps: NewNetwork(endpoints, window), rec: rec}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -146,14 +122,8 @@ func (l *TCPListener) Inbox(i int) rt.Inbox { return l.eps.Inbox(i) }
 // Loopback returns a transport that delivers straight into this listener's
 // endpoint set — the path a stager goroutine running in the listening
 // process uses to forward relayed frames to its consumers. Safe from any
-// thread; hot forwarders should prefer LoopbackPort.
+// thread.
 func (l *TCPListener) Loopback() rt.Transport { return l.eps }
-
-// LoopbackPort returns a loopback transport handle for one forwarding
-// thread: on the ring set it mints the thread's private SPSC lanes, on the
-// channel set it is the shared loopback, so callers can hold one per stager
-// unconditionally.
-func (l *TCPListener) LoopbackPort() rt.Transport { return l.eps.Port() }
 
 // Close stops accepting; established connections drain until their peers
 // close.
@@ -177,11 +147,7 @@ func (l *TCPListener) acceptLoop() {
 		go func() {
 			defer l.wg.Done()
 			defer conn.Close()
-			// Each connection has exactly one reader goroutine, so the
-			// reader is a natural single producer: on the ring set its port
-			// is a private wait-free lane per addressed endpoint.
-			port := l.eps.Port()
-			endpoints := l.eps.Endpoints()
+			endpoints := len(l.eps.inboxes)
 			r := bufio.NewReaderSize(conn, 1<<20)
 			frames := frameReader{r: r, rec: l.rec}
 			var ack [4]byte
@@ -194,7 +160,7 @@ func (l *TCPListener) acceptLoop() {
 				if to < 0 || to >= endpoints {
 					return // corrupt target: drop the connection
 				}
-				port.Send(nil, to, m)
+				l.eps.Send(nil, to, m)
 				// Acknowledge what sits in an inbox, never what merely
 				// arrived. Counts coalesce while more frames are already
 				// buffered, and always go out before a read that can block

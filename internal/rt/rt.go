@@ -151,8 +151,8 @@ func (m Message) WireBytes() int64 {
 // One ownership rule holds on every transport: Send takes the message over.
 // The block list, the block headers and their payloads are no longer the
 // sender's once Send is called — it must not read, release or reuse any of
-// them afterwards. The in-process channel and ring transports hand them to
-// the receiver, which recycles them (block.Recycler, Block.Release); TCP
+// them afterwards. The in-process channel network hands them to the
+// receiver, which recycles them (block.Recycler, Block.Release); TCP
 // puts the bytes on the wire before Send returns and recycles them itself:
 // the payloads to the pool, the headers, retired, to the job's free list
 // with the list. Either way a block's generation advances before its header

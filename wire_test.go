@@ -64,10 +64,9 @@ func TestWireValidation(t *testing.T) {
 	}
 }
 
-// TestJobTCPPlacedTier runs a TCP job's staging tier under every placement,
-// on both endpoint sets and under a fixed and a signal-driven routing
-// policy, and once more elastic and fault-tolerant with a stager crashed
-// mid-stream: the relayed blocks land wherever the policy put them, the
+// TestJobTCPPlacedTier runs a TCP job's staging tier under every placement
+// and under a fixed and a signal-driven routing policy, and once more elastic
+// and fault-tolerant with a stager crashed mid-stream: the relayed blocks land wherever the policy put them, the
 // direct Fins declare them, the recovery reader replays what the crash
 // stranded, and the control port's fence (every producer connection's
 // frames deposited before a Retire goes out) keeps the shutdown sweep's and
@@ -89,121 +88,119 @@ func TestJobTCPPlacedTier(t *testing.T) {
 	}
 	tiers = append(tiers, tier{LeastOccupancy, RouteStaging, true})
 	for _, tr := range tiers {
-		for _, ring := range []int{0, 64} {
-			placement, route, prefix := tr.placement, tr.route, ""
-			if tr.fault {
-				prefix = "elastic-fault/"
-			}
-			t.Run(fmt.Sprintf("%s%v/ring%d/%v", prefix, placement, ring, route), func(t *testing.T) {
-				cfg := Config{
-					Producers: producers, Consumers: consumers, SpoolDir: t.TempDir(),
-					TCPAddr: "127.0.0.1:0", BufferBlocks: 8, MaxBatchBlocks: 4,
-					Staging: StagingConfig{Stagers: 2, BufferBlocks: 32, RoutePolicy: route,
-						Placement: placement, RingDepth: ring},
-				}
-				if tr.fault {
-					// The pool starts at one stager and may grow to two.
-					cfg.Staging.Elastic = ElasticConfig{Enabled: true, MinStagers: 1}
-					cfg.Fault = FaultConfig{Enabled: true, Heartbeat: 2 * time.Millisecond, LeaseTTL: 25 * time.Millisecond}
-				}
-				job, err := NewJob(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				payload := func(rank, step, j int) byte { return byte(rank*31 + step*7 + j) }
-				crashed := make(chan bool, 1)
-				for i := 0; i < producers; i++ {
-					go func(p *Producer) {
-						for s := 0; s < blocks; s++ {
-							if tr.fault && i == 0 && s == blocks/2 {
-								// Mid-stream, so the job is running: Wait's
-								// shutdown starts only once every producer
-								// has closed.
-								crashed <- job.InjectStagerCrash(0)
-							}
-							data := NewPayload(blockBytes)
-							for j := range data {
-								data[j] = payload(i, s, j)
-							}
-							p.Write(s, 0, data)
-						}
-						p.Close()
-					}(job.Producer(i))
-				}
-				waited := make(chan struct{})
-				go func() {
-					job.Wait()
-					close(waited)
-				}()
-				var mu sync.Mutex
-				seen := map[BlockID]int{}
-				var readers sync.WaitGroup
-				for q := 0; q < consumers; q++ {
-					readers.Add(1)
-					go func(c *Consumer) {
-						defer readers.Done()
-						for {
-							blk, ok := c.Read()
-							if !ok {
-								return
-							}
-							if len(blk.Data) != blockBytes {
-								t.Errorf("block %+v arrived with %d bytes, want %d", blk.ID, len(blk.Data), blockBytes)
-							}
-							for j, v := range blk.Data {
-								if v != payload(blk.ID.Rank, blk.ID.Step, j) {
-									t.Errorf("block %+v damaged at byte %d", blk.ID, j)
-									break
-								}
-							}
-							mu.Lock()
-							seen[blk.ID]++
-							mu.Unlock()
-							blk.Release()
-						}
-					}(job.Consumer(q))
-				}
-				read := make(chan struct{})
-				go func() {
-					readers.Wait()
-					close(read)
-				}()
-				deadline := time.After(30 * time.Second)
-				for _, done := range []chan struct{}{read, waited} {
-					select {
-					case <-done:
-					case <-deadline:
-						t.Fatal("a block never arrived: did a Retire overtake its frame?")
-					}
-				}
-				if err := job.Err(); err != nil {
-					t.Fatal(err)
-				}
-				for id, n := range seen {
-					if n != 1 {
-						t.Errorf("block %+v analysed %d times", id, n)
-					}
-				}
-				st := job.Stats()
-				if len(seen) != producers*blocks || st.BlocksAnalyzed != producers*blocks {
-					t.Fatalf("%d distinct blocks analysed (%d in all), want %d", len(seen), st.BlocksAnalyzed, producers*blocks)
-				}
-				// A crash can leave the pool empty for a while, and a producer
-				// then sends direct.
-				if route == RouteStaging && !tr.fault && st.BlocksRelayed+st.BlocksStolen != producers*blocks {
-					t.Fatalf("relayed %d and stole %d of %d blocks under %v", st.BlocksRelayed, st.BlocksStolen, producers*blocks, route)
-				}
-				if tr.fault {
-					if !<-crashed {
-						t.Fatal("no stager crash could be injected mid-stream")
-					}
-					if st.BlocksLost != 0 || st.Evictions < 1 {
-						t.Fatalf("BlocksLost = %d and Evictions = %d after a crash, want 0 and ≥ 1", st.BlocksLost, st.Evictions)
-					}
-					t.Logf("the crash's recovery replayed %d blocks; %d scale events", st.ReplayedBlocks, len(st.ScaleEvents))
-				}
-			})
+		placement, route, prefix := tr.placement, tr.route, ""
+		if tr.fault {
+			prefix = "elastic-fault/"
 		}
+		t.Run(fmt.Sprintf("%s%v/%v", prefix, placement, route), func(t *testing.T) {
+			cfg := Config{
+				Producers: producers, Consumers: consumers, SpoolDir: t.TempDir(),
+				TCPAddr: "127.0.0.1:0", BufferBlocks: 8, MaxBatchBlocks: 4,
+				Staging: StagingConfig{Stagers: 2, BufferBlocks: 32, RoutePolicy: route,
+					Placement: placement},
+			}
+			if tr.fault {
+				// The pool starts at one stager and may grow to two.
+				cfg.Staging.Elastic = ElasticConfig{Enabled: true, MinStagers: 1}
+				cfg.Fault = FaultConfig{Enabled: true, Heartbeat: 2 * time.Millisecond, LeaseTTL: 25 * time.Millisecond}
+			}
+			job, err := NewJob(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := func(rank, step, j int) byte { return byte(rank*31 + step*7 + j) }
+			crashed := make(chan bool, 1)
+			for i := 0; i < producers; i++ {
+				go func(p *Producer) {
+					for s := 0; s < blocks; s++ {
+						if tr.fault && i == 0 && s == blocks/2 {
+							// Mid-stream, so the job is running: Wait's
+							// shutdown starts only once every producer
+							// has closed.
+							crashed <- job.InjectStagerCrash(0)
+						}
+						data := NewPayload(blockBytes)
+						for j := range data {
+							data[j] = payload(i, s, j)
+						}
+						p.Write(s, 0, data)
+					}
+					p.Close()
+				}(job.Producer(i))
+			}
+			waited := make(chan struct{})
+			go func() {
+				job.Wait()
+				close(waited)
+			}()
+			var mu sync.Mutex
+			seen := map[BlockID]int{}
+			var readers sync.WaitGroup
+			for q := 0; q < consumers; q++ {
+				readers.Add(1)
+				go func(c *Consumer) {
+					defer readers.Done()
+					for {
+						blk, ok := c.Read()
+						if !ok {
+							return
+						}
+						if len(blk.Data) != blockBytes {
+							t.Errorf("block %+v arrived with %d bytes, want %d", blk.ID, len(blk.Data), blockBytes)
+						}
+						for j, v := range blk.Data {
+							if v != payload(blk.ID.Rank, blk.ID.Step, j) {
+								t.Errorf("block %+v damaged at byte %d", blk.ID, j)
+								break
+							}
+						}
+						mu.Lock()
+						seen[blk.ID]++
+						mu.Unlock()
+						blk.Release()
+					}
+				}(job.Consumer(q))
+			}
+			read := make(chan struct{})
+			go func() {
+				readers.Wait()
+				close(read)
+			}()
+			deadline := time.After(30 * time.Second)
+			for _, done := range []chan struct{}{read, waited} {
+				select {
+				case <-done:
+				case <-deadline:
+					t.Fatal("a block never arrived: did a Retire overtake its frame?")
+				}
+			}
+			if err := job.Err(); err != nil {
+				t.Fatal(err)
+			}
+			for id, n := range seen {
+				if n != 1 {
+					t.Errorf("block %+v analysed %d times", id, n)
+				}
+			}
+			st := job.Stats()
+			if len(seen) != producers*blocks || st.BlocksAnalyzed != producers*blocks {
+				t.Fatalf("%d distinct blocks analysed (%d in all), want %d", len(seen), st.BlocksAnalyzed, producers*blocks)
+			}
+			// A crash can leave the pool empty for a while, and a producer
+			// then sends direct.
+			if route == RouteStaging && !tr.fault && st.BlocksRelayed+st.BlocksStolen != producers*blocks {
+				t.Fatalf("relayed %d and stole %d of %d blocks under %v", st.BlocksRelayed, st.BlocksStolen, producers*blocks, route)
+			}
+			if tr.fault {
+				if !<-crashed {
+					t.Fatal("no stager crash could be injected mid-stream")
+				}
+				if st.BlocksLost != 0 || st.Evictions < 1 {
+					t.Fatalf("BlocksLost = %d and Evictions = %d after a crash, want 0 and ≥ 1", st.BlocksLost, st.Evictions)
+				}
+				t.Logf("the crash's recovery replayed %d blocks; %d scale events", st.ReplayedBlocks, len(st.ScaleEvents))
+			}
+		})
 	}
 }
 
@@ -361,5 +358,78 @@ func TestJobTCPCompressDecodeAllocs(t *testing.T) {
 	// the byte bound holds without it only.
 	if !raceEnabled && reducedBytes > 64 {
 		t.Errorf("a compressed block allocates %.0f B on its way through, want ≤ 64", reducedBytes)
+	}
+}
+
+// TestJobParallelReduceIdentity turns on the parallel reduction pipeline and
+// checks the conservation law the reduction accounting has always obeyed:
+// every raw payload byte is either carried on the wire or reduced away,
+// across both relay legs (producer→stager, stager→consumer).
+func TestJobParallelReduceIdentity(t *testing.T) {
+	const (
+		producers  = 4
+		blocks     = 60
+		blockBytes = 8 << 10
+	)
+	job, err := NewJob(Config{
+		Producers: producers, Consumers: 1, SpoolDir: t.TempDir(),
+		BufferBlocks: 16, Window: 2, MaxBatchBlocks: 8, DisableSteal: true,
+		Staging: StagingConfig{
+			Stagers: 1, BufferBlocks: producers * blocks,
+			RoutePolicy: RouteStaging,
+			Reduce:      ReduceConfig{Operator: ReduceCompress, Workers: -1},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	delivered := 0
+	go func() {
+		defer close(done)
+		for {
+			blk, ok := job.Consumer(0).Read()
+			if !ok {
+				return
+			}
+			want := byte((0 / 64) + blk.ID.Step + blk.ID.Rank)
+			if blk.Data[0] != want {
+				t.Errorf("block %+v did not round-trip through parallel reduction", blk.ID)
+			}
+			delivered++
+			blk.Release()
+		}
+	}()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		p := p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prod := job.Producer(p)
+			for i := 0; i < blocks; i++ {
+				data := NewPayload(blockBytes)
+				for j := range data {
+					data[j] = byte((j / 64) + i + p)
+				}
+				prod.Write(i, 0, data)
+			}
+			prod.Close()
+		}()
+	}
+	wg.Wait()
+	<-done
+	job.Wait()
+	if delivered != producers*blocks {
+		t.Fatalf("delivered %d blocks, want %d", delivered, producers*blocks)
+	}
+	st := job.Stats()
+	raw := 2 * int64(producers*blocks) * int64(blockBytes)
+	if st.BytesOnWire+st.BytesReduced != raw {
+		t.Fatalf("accounting leak: %d on wire + %d reduced != %d raw",
+			st.BytesOnWire, st.BytesReduced, raw)
+	}
+	if st.BytesReduced == 0 {
+		t.Fatal("compressible payload reduced nothing")
 	}
 }

@@ -217,19 +217,9 @@ type StagingConfig struct {
 	// always carry raw payloads). Off (the default), every byte travels
 	// unreduced — byte-identical to earlier revisions.
 	Reduce ReduceConfig
-	// RingDepth selects the intra-node fast path: when > 0, co-located
-	// endpoint pairs exchange messages over padded lock-free SPSC rings
-	// instead of buffered Go channels — every sending thread gets a private
-	// wait-free lane per endpoint it addresses, and Credits derives from
-	// ring occupancy so the routing policies read the same backpressure
-	// signal. Applies to the whole in-process network and, on a TCP job, to
-	// the listener's endpoint set (per-connection reader lanes plus the
-	// stagers' loopback lanes). 0 (the default) keeps the channel
-	// transport, pinned byte-identical to earlier revisions.
-	//
-	// RingDepth picks the transport, not the amount of buffering: a lane's
-	// send window is min(RingDepth, Config.Window) messages, so Window
-	// means the same thing on rings as on channels (see Config.Window).
+	// RingDepth is ignored: the buffered-channel network is the only
+	// in-process transport, and Window alone bounds what is in flight. The
+	// field stays only until the benchmark stops setting it.
 	RingDepth int
 }
 
@@ -375,19 +365,15 @@ type Config struct {
 	// Window is the receive window in messages (default 4): how many
 	// undelivered messages a sender may have queued at an endpoint before
 	// Send blocks — the backpressure every routing, stealing and scaling
-	// decision reads — and it means the same on channels, rings and TCP. On
-	// the channel transport it is each endpoint's inbox capacity; on the
-	// ring transport (Staging.RingDepth > 0) it is each sender lane's
-	// capacity, min(RingDepth, Window); on a TCP job (TCPAddr) it is also
+	// decision reads — and it means the same on both wires. In process it
+	// is each endpoint's inbox capacity; on a TCP job (TCPAddr) it is also
 	// how many messages a producer's connection carries that the listener
 	// has not yet acknowledged as deposited in their inbox. One rule,
-	// because a lane that ignored it held RingDepth × MaxBatchBlocks blocks
-	// per sender (64 × 8 = 512 blocks, 8 MiB at 16 KiB, against a 256-block
-	// stager buffer), and a connection bounded only by socket buffers held
-	// over a thousand compressed blocks: any producer-side speed-up then
-	// piled up out of sight, the stager overflowed into spill and re-read
-	// while its consumer sat idle, and RingDepth: 1024 pinned over 1 GB of
-	// payloads.
+	// because a transport that ignored it piled up out of sight: SPSC ring
+	// lanes once held RingDepth × MaxBatchBlocks blocks per sender (over
+	// 1 GB at RingDepth: 1024), and a connection bounded only by socket
+	// buffers held over a thousand compressed blocks, so the stager
+	// overflowed into spill and re-read while its consumer sat idle.
 	Window int
 	// TCPAddr, when non-empty, carries every producer→endpoint message over
 	// real TCP sockets instead of the in-process channel network: NewJob
@@ -525,10 +511,6 @@ func (cfg Config) validate() error {
 	if err := cfg.Staging.Elastic.Validate(ceiling); err != nil {
 		return &ConfigError{Field: "Staging.Elastic", Reason: err.Error()}
 	}
-	if cfg.Staging.RingDepth < 0 {
-		return &ConfigError{Field: "Staging.RingDepth",
-			Reason: fmt.Sprintf("must be ≥ 0 (0 = channel transport, > 0 = SPSC ring lanes of min(RingDepth, Window) messages), got %d", cfg.Staging.RingDepth)}
-	}
 	if err := cfg.Staging.Reduce.Validate(); err != nil {
 		return &ConfigError{Field: "Staging.Reduce", Reason: err.Error()}
 	}
@@ -603,34 +585,26 @@ type platform struct {
 }
 
 // newPlatform opens the spool and the wire for `endpoints` transport
-// addresses. The one window rule (see Config.Window): a ring lane is
-// min(ringDepth, window) messages deep, a channel inbox and a TCP
-// connection `window`. On a TCP job every producer's connection is dialed
-// here, so that nothing that can fail is left for after the first runtime
-// thread has started; on an error nothing is left open. The listener's
-// readers and the dialed senders share rec, the job's free list of block
-// headers and block lists; only a TCP wire uses it.
-func newPlatform(spoolDir, tcpAddr string, ringDepth, window, endpoints, producers int, rec *block.Recycler) (*platform, error) {
+// addresses, each a window of `window` messages (see Config.Window). On a
+// TCP job every producer's connection is dialed here, so that nothing that
+// can fail is left for after the first runtime thread has started; on an
+// error nothing is left open. The listener's readers and the dialed senders
+// share rec, the job's free list of block headers and block lists; only a
+// TCP wire uses it.
+func newPlatform(spoolDir, tcpAddr string, window, endpoints, producers int, rec *block.Recycler) (*platform, error) {
 	fs, err := realenv.NewFileStore(spoolDir)
 	if err != nil {
 		return nil, err
 	}
 	pf := &platform{env: realenv.New(), fs: fs}
-	lane := min(ringDepth, window)
-	switch {
-	case tcpAddr == "" && ringDepth > 0:
-		pf.net = realenv.NewRingNetwork(endpoints, lane)
-	case tcpAddr == "":
+	if tcpAddr == "" {
 		pf.net = realenv.NewNetwork(endpoints, window)
-	case ringDepth > 0:
-		pf.ln, err = realenv.ListenTCPRing(tcpAddr, endpoints, lane, rec)
-	default:
-		pf.ln, err = realenv.ListenTCP(tcpAddr, endpoints, window, rec)
+		return pf, nil
 	}
-	if err != nil {
+	if pf.ln, err = realenv.ListenTCP(tcpAddr, endpoints, window, rec); err != nil {
 		return nil, err
 	}
-	for p := 0; pf.ln != nil && p < producers; p++ {
+	for p := 0; p < producers; p++ {
 		t, err := realenv.DialTCP(pf.ln.Addr(), window, rec)
 		if err != nil {
 			pf.close()
@@ -652,22 +626,20 @@ func (pf *platform) Inbox(addr int) rt.Inbox {
 	return pf.net.Inbox(addr)
 }
 
-// Port implements assembly.Platform. On the ring wire a port is a private
-// wait-free SPSC lane set; on channels it is the shared network. Over TCP
-// the stagers forward, and the tier's control messages travel, over the
-// listener's loopback, and the control port fences a Retire.
+// Port implements assembly.Platform. In process every role shares the
+// network. Over TCP a producer sends on its dialed connection, the stagers
+// forward, and the tier's control messages travel, over the listener's
+// loopback, and the control port fences a Retire.
 func (pf *platform) Port(role assembly.Role, i int) rt.Transport {
 	switch {
-	case pf.ln == nil && role == assembly.Control:
-		return pf.net
 	case pf.ln == nil:
-		return pf.net.Port()
+		return pf.net
 	case role == assembly.Producer:
 		return pf.dials[i]
 	case role == assembly.Control:
 		return retireFence{pf.ln.Loopback(), pf.dials}
 	}
-	return pf.ln.LoopbackPort()
+	return pf.ln.Loopback()
 }
 
 // retireFence is a TCP job's control port. A TCP Send returns once its frame
@@ -720,7 +692,7 @@ func NewJob(cfg Config) (*Job, error) {
 	}
 	spec := cfg.spec()
 	spec.Core.Recycler = block.NewRecycler(spec.Core.MaxBatchBlocks)
-	pf, err := newPlatform(cfg.SpoolDir, cfg.TCPAddr, cfg.Staging.RingDepth, spec.Window,
+	pf, err := newPlatform(cfg.SpoolDir, cfg.TCPAddr, spec.Window,
 		spec.Consumers+spec.Slots(), spec.Producers, spec.Core.Recycler)
 	if err != nil {
 		return nil, err
