@@ -80,7 +80,8 @@ REPEAT_TESTS = TestJobRingWindowBoundsInFlight TestTCPWindowParksSender \
 	TestStealSeesOpenBatch TestStatsLagBounded TestReleaseTwiceAfterHeaderReuse \
 	TestJobErrReportsSenderEncodeFailure TestLevelDebit TestStatsTakesNoEndpointLock TestGaugesConcurrent \
 	TestCondWaitFor TestLoopStopsOnTheEvent TestJobWaitContext TestNoGoroutineOutlivesWait TestPromptShutdown \
-	TestRetireEndsRefusedWait TestHandOffParks TestConsumerBufferHoldsAWindow TestRecyclerCarry
+	TestRetireEndsRefusedWait TestHandOffParks TestConsumerBufferHoldsAWindow TestRecyclerCarry \
+	TestProducerReducedRelaySurvivesSpill TestFleetTwoJobsConcurrent
 REPEAT_PKGS = ./internal/sim ./internal/rt ./internal/rt/realenv ./internal/block ./internal/flow ./internal/core \
 	./internal/staging ./internal/reduce ./internal/workflow .
 

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"zipper/internal/assembly"
 	"zipper/internal/control"
@@ -102,12 +101,7 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 type Fleet struct {
 	cfg  FleetConfig // defaults resolved
 	pf   *platform
-	tier *assembly.Tier // the shared stagers and their control plane
-
-	// rankTenant maps global producer ranks to tenant ids. Copy-on-write
-	// behind an atomic so the stagers' receiver threads resolve tenants
-	// without a lock the Submit path could be parked under.
-	rankTenant atomic.Value // []int
+	tier *assembly.Tier // the shared stagers, their control plane and tenant table
 
 	mu       sync.Mutex
 	jobs     []*Job
@@ -145,7 +139,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{cfg: cfg, pf: pf}
-	f.rankTenant.Store([]int(nil))
 	// The consumer address space [0, MaxConsumers) comes first, the shared
 	// stagers after it.
 	f.tier, err = assembly.NewTier(pf.env.Ctx(), pf, assembly.Spec{
@@ -154,26 +147,12 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		Stagers:            cfg.Stagers,
 		StagerBufferBlocks: cfg.StagerBufferBlocks,
 		Window:             fleetWindow,
-		Tenants: &assembly.Tenants{
-			Plane: control.Config{MaxTenants: cfg.MaxJobs},
-			Of:    f.tenantOfRank,
-		},
+		Tenants:            &control.Config{MaxTenants: cfg.MaxJobs},
 	})
 	if err != nil {
 		return nil, err
 	}
 	return f, nil
-}
-
-// tenantOfRank resolves a global producer rank to its tenant id — the
-// resolver the shared stagers call per arriving message. Lock-free: the
-// rank table is copy-on-write.
-func (f *Fleet) tenantOfRank(rank int) int {
-	ranks := f.rankTenant.Load().([]int)
-	if rank >= 0 && rank < len(ranks) {
-		return ranks[rank]
-	}
-	return 0
 }
 
 // Submit validates cfg, admits it to the control plane as a new tenant
@@ -250,7 +229,8 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	tenant, err := f.tier.Admit(ctx, control.JobSpec{Name: name, Quota: cfg.Quota})
+	ep, tenant, err := f.tier.Join(ctx, cfg.spec(), jobfs, f.nextCons, f.nextRank,
+		control.JobSpec{Name: name, Quota: cfg.Quota})
 	if err != nil {
 		var ce *control.ConfigError
 		if errors.As(err, &ce) {
@@ -258,20 +238,9 @@ func (f *Fleet) Submit(cfg Config) (*Job, error) {
 		}
 		return nil, err
 	}
-	// Publish the job's global rank range before its producers exist: the
-	// shared stagers must resolve the very first message's tenant.
-	consBase, rankBase := f.nextCons, f.nextRank
 	f.nextCons += cfg.Consumers
 	f.nextRank += cfg.Producers
-	old := f.rankTenant.Load().([]int)
-	ranks := make([]int, f.nextRank)
-	copy(ranks, old)
-	for i := rankBase; i < f.nextRank; i++ {
-		ranks[i] = tenant.ID()
-	}
-	f.rankTenant.Store(ranks)
-
-	j := newJob(f.pf, f.tier.Join(f.pf, cfg.spec(), jobfs, consBase, rankBase, tenant))
+	j := newJob(f.pf, ep)
 	j.fleet, j.tenant = f, tenant
 	f.jobs = append(f.jobs, j)
 	return j, nil
@@ -356,10 +325,7 @@ func (f *Fleet) Stats() FleetStats {
 			Name: sn.Name, Priority: sn.Priority.String(), Active: sn.Active,
 			Stagers: len(sn.Stagers), QuotaBlocks: sn.QuotaBlocks, Preempted: sn.Preempted,
 		}
-		for _, in := range stagers {
-			t.BlocksRelayed += in.St.TenantIn(sn.ID)
-			t.BlocksSpilled += in.St.TenantSpilled(sn.ID)
-		}
+		t.BlocksRelayed, t.BlocksSpilled, _ = f.tier.TenantTotals(sn.ID)
 		if sn.Active {
 			fs.JobsActive++
 		}

@@ -233,50 +233,51 @@ func TestFleetOfOneMatchesNewJob(t *testing.T) {
 
 // TestFleetTwoJobsConcurrent runs two jobs over one shared tier end to end
 // on the real environment: both complete with every block intact and the
-// per-tenant accounting splits the relay traffic exactly.
+// per-tenant accounting splits the relay traffic exactly. The jobs write
+// different block counts, so a tier that charged one job's blocks to the
+// other tenant would show in each tenant's total. The second job joins
+// while the first one's blocks cross the tier.
 func TestFleetTwoJobsConcurrent(t *testing.T) {
-	const blocks = 80
+	blocks := []int{80, 50} // per producer, for each job
 	fleet, err := NewFleet(FleetConfig{Stagers: 2, StagerBufferBlocks: 16, SpoolDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Producers: 2, Consumers: 1, Staging: StagingConfig{RoutePolicy: RouteStaging},
 		DisableSteal: true, BufferBlocks: 8, MaxBatchBlocks: 4}
-	a, err := fleet.Submit(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fleet.Submit(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := make([]*Job, len(blocks))
+	counts := make([]int, len(jobs))
 	var wg sync.WaitGroup
-	counts := make([]int, 2)
-	for i, j := range []*Job{a, b} {
-		i, j := i, j
+	for i := range jobs {
+		j, err := fleet.Submit(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			counts[i] = runFleetWorkload(t, j, 2, 1, blocks, 64)
-		}()
+			counts[i] = runFleetWorkload(t, j, 2, 1, blocks[i], 64)
+		}(i)
 	}
 	wg.Wait()
 	fleet.Close()
 	for i, n := range counts {
-		if n != 2*blocks {
-			t.Fatalf("job %d analyzed %d, want %d", i, n, 2*blocks)
+		if n != 2*blocks[i] {
+			t.Fatalf("job %d analyzed %d, want %d", i, n, 2*blocks[i])
 		}
 	}
 	fs := fleet.Stats()
 	if fs.JobsAdmitted != 2 || fs.JobsActive != 0 {
 		t.Fatalf("fleet lifecycle: admitted %d active %d", fs.JobsAdmitted, fs.JobsActive)
 	}
-	if fs.BlocksRelayed != 2*2*blocks {
-		t.Fatalf("tier relayed %d, want %d", fs.BlocksRelayed, 2*2*blocks)
+	if want := int64(2 * (blocks[0] + blocks[1])); fs.BlocksRelayed != want {
+		t.Fatalf("tier relayed %d, want %d", fs.BlocksRelayed, want)
 	}
 	for i, tn := range fs.Tenants {
-		if tn.BlocksRelayed != 2*blocks {
-			t.Fatalf("tenant %d relayed %d, want %d", i, tn.BlocksRelayed, 2*blocks)
+		if own := jobs[i].Stats().BlocksRelayed; tn.BlocksRelayed != own || own != int64(2*blocks[i]) {
+			t.Fatalf("tenant %d: the tier admitted %d of its blocks, its producers relayed %d of %d written",
+				i, tn.BlocksRelayed, own, 2*blocks[i])
 		}
 	}
 }

@@ -11,6 +11,11 @@
 // message path, so it adds nothing between Producer.Write and
 // Consumer.Read.
 //
+// A shared fleet tier owns tenant identity: Tier.Join registers each
+// job's producer ranks, and the stagers charge every message to its rank's
+// tenant. Callers supply address layouts, never a tenant table, so the
+// real and the simulated fleet attribute every block alike.
+//
 // Construction order is part of the contract: consumers, then the tier's
 // stagers in slot order (then its scaler or control plane), then
 // producers, then the failure detector. The simulator's process ids and
@@ -91,20 +96,11 @@ type Spec struct {
 	// Window is the receive window in messages. The assembler does not
 	// read it; it is here so that one Spec sizes the wire on every platform.
 	Window int
-	// Tenants, when non-nil, makes this a shared fleet tier: every slot
-	// runs from the start, accounts per tenant, and a control plane splits
-	// the buffers among the jobs that Join.
-	Tenants *Tenants
-}
-
-// Tenants configures a fleet tier's multi-tenancy.
-type Tenants struct {
-	// Plane tunes the control plane; Plane.MaxTenants also pre-sizes the
-	// per-tenant state at every stager.
-	Plane control.Config
-	// Of maps a global producer rank to its tenant id. The stagers call it
-	// per arriving message: a table lookup, never a platform call.
-	Of func(rank int) int
+	// Tenants, when non-nil, makes this a shared fleet tier and tunes its
+	// control plane: every slot runs from the start, accounts per tenant
+	// (MaxTenants pre-sizes that state), and the plane splits the buffers
+	// among the jobs that Join.
+	Tenants *control.Config
 }
 
 // Slots is the number of tier slots the spec reserves: none when routing
@@ -167,8 +163,8 @@ func Assemble(c rt.Ctx, pf Platform, spec Spec) (*Assembly, error) {
 }
 
 // NewTier builds and starts a shared fleet tier (spec.Tenants set): its
-// stagers, then its control plane. Jobs come and go through Admit, Join
-// and Plane.Finish; Shutdown ends it.
+// stagers, then its control plane. Jobs come and go through Join and
+// Plane.Finish; Shutdown ends it.
 func NewTier(c rt.Ctx, pf Platform, spec Spec) (*Tier, error) {
 	if spec.Tenants == nil {
 		return nil, fmt.Errorf("assembly: NewTier builds a shared tier; a private job's comes with Assemble")
@@ -181,12 +177,18 @@ func NewTier(c rt.Ctx, pf Platform, spec Spec) (*Tier, error) {
 	return t, nil
 }
 
-// Join builds and starts an admitted tenant's endpoints over the shared
-// tier: consumers at consBase.., producers of global rank rankBase..,
-// spilling into store. Producers resolve their stager through the
-// tenant's directory, on tenant-scoped occupancy — another tenant's
+// Join admits a job to a shared tier as a new tenant, registers its
+// producer ranks, and builds and starts its endpoints: consumers at
+// consBase.., producers of global rank rankBase.., spilling into store. An
+// admission error builds nothing. Producers resolve their stager through
+// the tenant's directory, on tenant-scoped occupancy — another tenant's
 // backlog never shows in this job's routing signals.
-func (t *Tier) Join(pf Platform, spec Spec, store rt.BlockStore, consBase, rankBase int, tenant *control.Tenant) *Endpoints {
+func (t *Tier) Join(c rt.Ctx, spec Spec, store rt.BlockStore, consBase, rankBase int, job control.JobSpec) (*Endpoints, *control.Tenant, error) {
+	tenant, err := t.Plane.Admit(c, job)
+	if err != nil {
+		return nil, nil, err
+	}
+	t.register(tenant, rankBase, spec.Producers)
 	cfg := spec.Core
 	cfg.Recycler = block.NewRecycler(cfg.MaxBatchBlocks)
 	if cfg.RoutePolicy != core.RouteDirect {
@@ -195,9 +197,9 @@ func (t *Tier) Join(pf Platform, spec Spec, store rt.BlockStore, consBase, rankB
 		cfg.StagerLevel = func(addr int) *flow.Level { return t.TenantLevel(addr, tid) }
 	}
 	ep := &Endpoints{}
-	ep.Consumers = startConsumers(pf, spec, &cfg, store, consBase)
-	ep.Producers = startProducers(pf, spec, cfg, store, consBase, rankBase)
-	return ep
+	ep.Consumers = startConsumers(t.pf, spec, &cfg, store, consBase)
+	ep.Producers = startProducers(t.pf, spec, cfg, store, consBase, rankBase)
+	return ep, tenant, nil
 }
 
 // startConsumers builds the job's consumers at addresses consBase.. and,

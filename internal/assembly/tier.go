@@ -63,6 +63,11 @@ type Tier struct {
 	mu      sync.Mutex
 	all     []*Instance // every instance ever spawned, in spawn order
 	tenants []*control.Tenant
+
+	// ranks is a shared tier's tenant table, the tenant id of every
+	// producer rank a Join registered: copy-on-write under mu, so the
+	// stagers' receivers read it (tenantOf) without a lock.
+	ranks atomic.Pointer[[]int]
 }
 
 // newTier sizes the tier and acquires every reserved slot's partition. It
@@ -118,7 +123,7 @@ func (t *Tier) start(c rt.Ctx) {
 	}
 	switch {
 	case t.spec.Tenants != nil:
-		t.Plane = control.NewPlane(t.spec.Tenants.Plane, addrs, t.spec.StagerBufferBlocks, t)
+		t.Plane = control.NewPlane(*t.spec.Tenants, addrs, t.spec.StagerBufferBlocks, t)
 		t.Plane.Start(t.pf.Env(Control, 0))
 	case t.ecfg.Enabled:
 		t.Scaler = elastic.NewScaler(t.pf.Env(Control, 0), t.ecfg, t.Pool, t, t.base, initial)
@@ -154,7 +159,7 @@ func (t *Tier) spawn(c rt.Ctx, slot int) *Instance {
 		Recycler:       t.spec.Core.Recycler,
 	}
 	if ten := t.spec.Tenants; ten != nil {
-		scfg.Tenants, scfg.Tenant = ten.Plane.MaxTenants, ten.Of
+		scfg.Tenants, scfg.Tenant = ten.MaxTenants, t.tenantOf
 	}
 	addr := t.base + slot
 	in := &Instance{Slot: slot, spill: t.stores[slot]}
@@ -353,17 +358,46 @@ func (t *Tier) SetTenantQuota(c rt.Ctx, addr, tenant, blocks int) {
 	t.occupant(addr-t.base).St.SetTenantQuota(c, tenant, blocks)
 }
 
-// Admit admits a job to a fleet tier's control plane and remembers the
-// tenant, so Shutdown can take the stagers out of its directory.
-func (t *Tier) Admit(c rt.Ctx, spec control.JobSpec) (*control.Tenant, error) {
-	tenant, err := t.Plane.Admit(c, spec)
-	if err != nil {
-		return nil, err
-	}
+// register records an admitted tenant for Shutdown and maps its producers'
+// global ranks [rankBase, rankBase+n) to it.
+func (t *Tier) register(tenant *control.Tenant, rankBase, n int) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.tenants = append(t.tenants, tenant)
-	t.mu.Unlock()
-	return tenant, nil
+	var old []int
+	if p := t.ranks.Load(); p != nil {
+		old = *p
+	}
+	ranks := make([]int, max(len(old), rankBase+n))
+	copy(ranks, old)
+	for r := rankBase; r < rankBase+n; r++ {
+		ranks[r] = tenant.ID()
+	}
+	t.ranks.Store(&ranks)
+}
+
+// tenantOf is the shared stagers' staging.Config.Tenant: the tenant whose
+// Join registered the rank, 0 for a rank no Join registered.
+func (t *Tier) tenantOf(rank int) int {
+	if p := t.ranks.Load(); p != nil && rank >= 0 && rank < len(*p) {
+		return (*p)[rank]
+	}
+	return 0
+}
+
+// TenantTotals sums tenant's account over every stager instance: the
+// blocks the stagers admitted, those they spilled, and those resident in
+// their memory now. Safe from any thread; final after Shutdown.
+func (t *Tier) TenantTotals(tenant int) (in, spilled int64, resident int) {
+	for _, inst := range t.Instances() {
+		in += inst.St.TenantIn(tenant)
+		spilled += inst.St.TenantSpilled(tenant)
+		if lv := inst.St.TenantLevel(tenant); lv != nil {
+			q, _ := lv.Get()
+			resident += q
+		}
+	}
+	return in, spilled, resident
 }
 
 // Kill hard-stops the slot's occupant — fault injection, for

@@ -704,6 +704,39 @@ func TestArbiterParkedForwarderStillAdmits(t *testing.T) {
 	}
 }
 
+// TestArbiterHeldMessageGetsRoom: a message (8 blocks) is wider than the
+// room a 16-block buffer leaves above its spill threshold (12), and nobody
+// reads the consumer until the producer is done. Once the window is full the
+// stager absorbs, and its spiller must make room for each held message
+// below the threshold, so the producer finishes with the consumer reading
+// nothing. Spilling only down to the threshold wedges the stager at 12
+// resident blocks, the producer held until the consumer reads.
+func TestArbiterHeldMessageGetsRoom(t *testing.T) {
+	for name, fault := range map[string]bool{"plain": false, "journal": true} {
+		t.Run(name, func(t *testing.T) {
+			const msgs = 16
+			r := newSimRig(t, fault, Config{BufferBlocks: 16})
+			var done int
+			r.produce(0, msgs, 10*time.Microsecond, &done)
+			var unread Stats // the stager when the consumer starts reading
+			r.eng.Spawn("late reader", func(sp *sim.Proc) {
+				await(sp, func() bool { return done == 1 })
+				unread = r.st.Stats(nil)
+				r.consume(func(int) time.Duration { return 0 })
+			})
+			r.retireWhen(&done, 1)
+			r.run()
+			r.checkDelivered()
+			// A producer done has at most three messages not yet admitted:
+			// two in the stager's inbox and one its receiver holds.
+			if want := int64(msgs-3) * simBatch; unread.BlocksIn < want {
+				t.Fatalf("the producer was held until the consumer read: %d blocks admitted (want %d), %d resident, %d spilled",
+					unread.BlocksIn, want, unread.Queued, unread.BlocksSpilled)
+			}
+		})
+	}
+}
+
 // TestRetireEndsRefusedWait: the store is timed at 1 ms a block, so the
 // arbiter refuses the first full window for as long as the store would need
 // for the whole buffer (64 ms), and the spiller waits that refusal out on the

@@ -271,12 +271,14 @@ type Stager struct {
 	// pass-through — admit only passDepth blocks, spill nothing. passDepth is
 	// a few batches: enough that the forwarder never finds the queue empty
 	// while producers have more, shallow enough that nothing piles up behind
-	// it.
+	// it. held is the size of a message the receiver holds at an absorbing
+	// buffer's cap (0: none), which the spiller makes room for.
 	absorbing   bool
 	passDepth   int
 	parkedOn    int
 	parkedSince time.Duration
 	lastPark    time.Duration
+	held        int
 
 	queue       []*slot
 	free        []*slot         // forwarded slots, for the receiver to reuse
@@ -619,11 +621,23 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 		// still make progress, and a tenant with nothing resident is never
 		// blocked by another tenant's quota arithmetic.
 		need := len(m.Blocks)
-		for need > 0 && !s.killed &&
-			((s.memBlocks > 0 && s.memBlocks+need > s.admitLimitLocked()) ||
-				(ts != nil && ts.quota > 0 && ts.used > 0 && ts.used+need > ts.quota)) {
+		for need > 0 && !s.killed {
+			full := s.memBlocks > 0 && s.memBlocks+need > s.admitLimitLocked()
+			overQuota := ts != nil && ts.quota > 0 && ts.used > 0 && ts.used+need > ts.quota
+			if !full && !overQuota {
+				break
+			}
+			s.held = 0
+			if full && s.absorbing {
+				// The spiller makes room for the held message (spillToLocked).
+				s.held = need
+				if s.memBlocks > s.spillToLocked() {
+					s.spillWork.Signal()
+				}
+			}
 			s.space.Wait(c)
 		}
+		s.held = 0
 		if s.killed {
 			// Crashed while waiting for buffer room: never admitted, so the
 			// message is the recovery reader's, like everything dead mode
@@ -647,7 +661,7 @@ func (s *Stager) receiverThread(c rt.Ctx) {
 		if s.gate != nil {
 			s.gate.Observe(s.memBlocks)
 		}
-		if s.memBlocks > s.spillFromLocked() {
+		if s.memBlocks > s.spillToLocked() {
 			s.spillWork.Signal()
 		}
 		s.lk.Unlock(c)
@@ -754,7 +768,7 @@ func (s *Stager) turnLocked(now time.Duration) (left time.Duration) {
 	}
 	s.absorbing = true
 	s.space.Broadcast() // a receiver held at the pass-through depth may go on
-	if s.memBlocks > s.spillFromLocked() {
+	if s.memBlocks > s.spillToLocked() {
 		s.spillWork.Signal()
 	}
 	return 0
@@ -793,6 +807,13 @@ func (s *Stager) spillFromLocked() int {
 		return (s.spillAt + 1) / 2
 	}
 	return s.spillAt
+}
+
+// spillToLocked is the occupancy an absorbing stager overflows down to:
+// spillFromLocked, or lower while a held message would not fit above it —
+// otherwise a stopped consumer wedges the stager below its threshold.
+func (s *Stager) spillToLocked() int {
+	return min(s.spillFromLocked(), s.cfg.BufferBlocks-s.held)
 }
 
 // assembleLocked removes the next outgoing batch from the head of the
@@ -1064,7 +1085,7 @@ func (s *Stager) spillerThread(c rt.Ctx) {
 			}
 			left := s.turnLocked(c.Now())
 			if s.absorbing {
-				victims = s.takeVictimsLocked(victims, min(batch, s.memBlocks-s.spillFromLocked()))
+				victims = s.takeVictimsLocked(victims, min(batch, s.memBlocks-s.spillToLocked()))
 			}
 			if len(victims) > 0 {
 				break

@@ -79,6 +79,7 @@ type FleetJobResult struct {
 	BlocksSent     int64
 	BlocksRelayed  int64
 	BlocksStolen   int64
+	BlocksStaged   int64 // the tenant's blocks the shared tier admitted
 	BlocksSpilled  int64 // the tenant's spills inside the shared tier
 	// WriteStall is the job's worst producer stall — the latency number the
 	// isolation guarantee is judged on.
@@ -110,43 +111,28 @@ type FleetResult struct {
 
 // RunFleet executes every job in the spec over one shared stager tier on
 // the simulated platform. Each job's coordinator sleeps to its StartAfter,
-// admits the tenant (the control plane reconciles synchronously, so the
-// job's directory is populated before its first block), spawns the job's
-// endpoints, and releases its capacity when the streams complete. A janitor
+// joins the tier — which admits the tenant (the control plane reconciles
+// synchronously, so the job's directory is populated before its first
+// block), registers its ranks and spawns its endpoints — and releases its
+// capacity when the streams complete. A janitor
 // stops the plane and retires the shared tier once the last job is done.
 func RunFleet(spec FleetSpec) FleetResult {
 	if len(spec.Jobs) == 0 || spec.Stagers < 1 {
 		return FleetResult{Fail: "fleet: need ≥ 1 job and ≥ 1 stager"}
 	}
+	// Global rank and consumer-address layout: jobs are packed in spec
+	// order, whatever order they are admitted in.
+	prodBase := make([]int, len(spec.Jobs))
+	consBase := make([]int, len(spec.Jobs))
 	totP, totQ := 0, 0
-	for _, j := range spec.Jobs {
+	for i, j := range spec.Jobs {
+		prodBase[i], consBase[i] = totP, totQ
 		totP += j.P
 		totQ += j.Q
 	}
 	r := build(Spec{Machine: spec.Machine, P: totP, Q: totQ,
 		StagingNodes: spec.StagingNodes})
 	pf := newSimPlatform(r, spec.Machine.MemBandwidth, totQ, spec.Stagers, spec.Window)
-
-	// Global rank and consumer-address layout: jobs are packed in spec
-	// order, so the tenant of any producer rank is a static table lookup —
-	// the stagers' receiver threads resolve it without reaching into the
-	// registry. The table is keyed by position in spec.Jobs, which is the
-	// tenant id only when the jobs are admitted in spec order (StartAfter
-	// can reorder them); golden_test.go pins the runs as they are.
-	rankTenant := make([]int, totP)
-	prodBase := make([]int, len(spec.Jobs))
-	consBase := make([]int, len(spec.Jobs))
-	{
-		p, q := 0, 0
-		for i, j := range spec.Jobs {
-			prodBase[i], consBase[i] = p, q
-			for k := 0; k < j.P; k++ {
-				rankTenant[p+k] = i
-			}
-			p += j.P
-			q += j.Q
-		}
-	}
 
 	// The shared tier: every stager accounts per tenant, and the control
 	// plane splits the buffers among the admitted jobs.
@@ -155,16 +141,12 @@ func RunFleet(spec FleetSpec) FleetResult {
 		Stagers:            spec.Stagers,
 		StagerBufferBlocks: spec.StagerBufferBlocks,
 		Window:             spec.Window,
-		Tenants: &assembly.Tenants{
-			Plane: control.Config{MaxTenants: len(spec.Jobs)},
-			Of:    func(from int) int { return rankTenant[from%totP] },
-		},
+		Tenants:            &control.Config{MaxTenants: len(spec.Jobs)},
 	})
 	if err != nil {
 		return FleetResult{Fail: err.Error()}
 	}
-	// The tier's stagers all run from the start and for the whole run.
-	plane, stagers := tier.Plane, tier.Instances()
+	plane := tier.Plane
 
 	// Shared run state: written only under the engine's one-process-at-a-
 	// time scheduling, so no locking is needed. The harness lock exists for
@@ -197,15 +179,6 @@ func RunFleet(spec FleetSpec) FleetResult {
 			if job.StartAfter > 0 {
 				c.Sleep(job.StartAfter)
 			}
-			tenant, err := tier.Admit(c, control.JobSpec{Name: job.Name, Quota: job.Quota})
-			if err != nil {
-				results[i] = FleetJobResult{Name: job.Name, Start: c.Now()}
-				jobDone(c)
-				return
-			}
-			results[i].Name = job.Name
-			results[i].Tenant = tenant.ID()
-			results[i].Start = c.Now()
 			// Everything relays through the shared tier.
 			zcfg := core.Config{
 				BufferBlocks:   job.BufferBlocks,
@@ -213,8 +186,14 @@ func RunFleet(spec FleetSpec) FleetResult {
 				RoutePolicy:    core.RouteStaging,
 				DisableSteal:   job.DisableSteal,
 			}
-			ep := tier.Join(pf, assembly.Spec{Producers: job.P, Consumers: job.Q, Core: zcfg},
-				pf.store, consBase[i], prodBase[i], tenant)
+			ep, tenant, err := tier.Join(c, assembly.Spec{Producers: job.P, Consumers: job.Q, Core: zcfg},
+				pf.store, consBase[i], prodBase[i], control.JobSpec{Name: job.Name, Quota: job.Quota})
+			results[i].Name, results[i].Start = job.Name, c.Now()
+			if err != nil {
+				jobDone(c)
+				return
+			}
+			results[i].Tenant = tenant.ID()
 			endpoints[i] = ep
 			prods, cons := ep.Producers, ep.Consumers
 			// Producer ranks: the fine-grain write loop of RunZipper, one
@@ -274,14 +253,9 @@ func RunFleet(spec FleetSpec) FleetResult {
 			snap := plane.Snapshot()
 			sm := FleetSample{At: c.Now(), Tenants: make([]TenantSample, len(spec.Jobs))}
 			for _, sn := range snap {
-				ts := TenantSample{Stagers: len(sn.Stagers), QuotaBlocks: sn.QuotaBlocks, Active: sn.Active}
-				for _, in := range stagers {
-					if lv := in.St.TenantLevel(sn.ID); lv != nil {
-						q, _ := lv.Get()
-						ts.Resident += q
-					}
-				}
-				sm.Tenants[sn.ID] = ts
+				_, _, resident := tier.TenantTotals(sn.ID)
+				sm.Tenants[sn.ID] = TenantSample{Stagers: len(sn.Stagers), QuotaBlocks: sn.QuotaBlocks,
+					Resident: resident, Active: sn.Active}
 			}
 			samples = append(samples, sm)
 		}, nil)
@@ -309,14 +283,13 @@ func RunFleet(spec FleetSpec) FleetResult {
 
 	res := FleetResult{OK: true, E2E: r.eng.Now(),
 		Events: plane.Events(), Preemptions: plane.Preemptions(), Samples: samples}
-	snap := plane.Snapshot()
-	for i := range spec.Jobs {
-		jr := &results[i]
-		if endpoints[i] == nil {
-			res.Jobs = append(res.Jobs, *jr) // rejected at admission
-			continue
+	snap := plane.Snapshot() // in tenant-id order
+	for i, ep := range endpoints {
+		if ep == nil {
+			continue // rejected at admission
 		}
-		for _, p := range endpoints[i].Producers {
+		jr := &results[i]
+		for _, p := range ep.Producers {
 			st := p.Stats()
 			jr.BlocksWritten += st.BlocksWritten
 			jr.BlocksSent += st.BlocksSent
@@ -326,22 +299,16 @@ func RunFleet(spec FleetSpec) FleetResult {
 				jr.WriteStall = st.WriteStall
 			}
 		}
-		for _, cn := range endpoints[i].Consumers {
+		for _, cn := range ep.Consumers {
 			st := cn.Stats()
 			jr.BlocksAnalyzed += st.BlocksAnalyzed
 			jr.BlocksLost += st.BlocksLost
 		}
-		for _, in := range stagers {
-			jr.BlocksSpilled += in.St.TenantSpilled(jr.Tenant)
-		}
-		for _, sn := range snap {
-			if sn.ID == jr.Tenant {
-				jr.Preempted = sn.Preempted
-			}
-		}
-		res.Jobs = append(res.Jobs, *jr)
+		jr.BlocksStaged, jr.BlocksSpilled, _ = tier.TenantTotals(jr.Tenant)
+		jr.Preempted = snap[jr.Tenant].Preempted
 	}
-	for _, in := range stagers {
+	res.Jobs = results
+	for _, in := range tier.Instances() {
 		fs := in.St.Stats(nil)
 		res.StagerRelayed = append(res.StagerRelayed, fs.BlocksIn)
 		res.StagerSpills += fs.BlocksSpilled

@@ -81,6 +81,24 @@ func quietBaselineSpec() FleetSpec {
 	return spec
 }
 
+// checkTenantAccounting holds the shared tier to each job's own producers:
+// the tier admitted, for a job's tenant, exactly the blocks that job's
+// producers relayed, and spilled no more than that. A tier that charges one
+// tenant's blocks to another breaks the first, and usually the second.
+func checkTenantAccounting(t *testing.T, name string, res FleetResult) {
+	t.Helper()
+	for _, j := range res.Jobs {
+		if j.BlocksStaged != j.BlocksRelayed {
+			t.Errorf("%s: job %s (tenant %d): the tier admitted %d of its blocks, its producers relayed %d",
+				name, j.Name, j.Tenant, j.BlocksStaged, j.BlocksRelayed)
+		}
+		if j.BlocksSpilled > j.BlocksRelayed {
+			t.Errorf("%s: job %s (tenant %d): %d blocks spilled of %d relayed",
+				name, j.Name, j.Tenant, j.BlocksSpilled, j.BlocksRelayed)
+		}
+	}
+}
+
 // TestFleetMultiTenantIsolation is the acceptance scenario: three
 // heterogeneous jobs share a fleet; the spill-heavy low-priority tenant is
 // preempted, the latency-sensitive high-priority tenant's write-stall stays
@@ -91,6 +109,7 @@ func TestFleetMultiTenantIsolation(t *testing.T) {
 	if !res.OK {
 		t.Fatalf("fleet run failed: %s", res.Fail)
 	}
+	checkTenantAccounting(t, "shared", res)
 	for _, j := range res.Jobs {
 		if j.BlocksLost != 0 {
 			t.Fatalf("job %s lost %d blocks", j.Name, j.BlocksLost)
@@ -139,6 +158,7 @@ func TestFleetMultiTenantIsolation(t *testing.T) {
 	if !base.OK {
 		t.Fatalf("baseline run failed: %s", base.Fail)
 	}
+	checkTenantAccounting(t, "baseline", base)
 	if base.Jobs[0].BlocksLost != 0 || base.Jobs[0].BlocksAnalyzed != base.Jobs[0].BlocksWritten {
 		t.Fatalf("baseline run incomplete: %+v", base.Jobs[0])
 	}

@@ -102,11 +102,13 @@ func TestGoldenFleet(t *testing.T) {
 		spec FleetSpec
 		want string
 	}{
-		{"three-tenants", fleetTestSpec(), "e2e=6908522593 preempt=3 events=84 spills=145 stagers=[172 116] | noisy t2 end=6017232993 written=128 analyzed=128 lost=0 sent=0 relayed=128 stolen=0 spilled=48 preempted=3 | mid t0 end=336982977 written=32 analyzed=32 lost=0 sent=0 relayed=32 stolen=0 spilled=97 preempted=0 | quiet t1 end=1166254145 written=128 analyzed=128 lost=0 sent=0 relayed=128 stolen=0 spilled=0 preempted=0"},
+		{"three-tenants", fleetTestSpec(), "e2e=6773221185 preempt=6 events=33 spills=72 stagers=[128 160] | noisy t2 end=5881931585 written=128 analyzed=128 lost=0 sent=0 relayed=128 stolen=0 spilled=26 preempted=6 | mid t0 end=92752697 written=32 analyzed=32 lost=0 sent=0 relayed=32 stolen=0 spilled=0 preempted=0 | quiet t1 end=1166254145 written=128 analyzed=128 lost=0 sent=0 relayed=128 stolen=0 spilled=46 preempted=0"},
 		{"quiet-alone", quietBaselineSpec(), "e2e=1344512065 preempt=0 events=3 spills=50 stagers=[128] | quiet t0 end=1166254145 written=128 analyzed=128 lost=0 sent=0 relayed=128 stolen=0 spilled=50 preempted=0"},
 	} {
-		if got := fleetFingerprint(RunFleet(tc.spec)); got != tc.want {
+		res := RunFleet(tc.spec)
+		if got := fleetFingerprint(res); got != tc.want {
 			t.Errorf("%s:\n got  %s\n want %s", tc.name, got, tc.want)
 		}
+		checkTenantAccounting(t, tc.name, res)
 	}
 }
