@@ -292,7 +292,8 @@ type FleetStats struct {
 	BlocksRelayed int64
 	BlocksSpilled int64
 	// StagerNodeSeconds is the shared tier's provisioned cost: each
-	// stager's finish time summed, complete after Close. The number the
+	// stager from its spawn to its finish, as a private tier bills it,
+	// complete after Close. The number the
 	// shared fleet is judged on against N private tiers (see
 	// TestFleetConsolidationSaving in internal/exp).
 	StagerNodeSeconds float64

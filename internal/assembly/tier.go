@@ -31,13 +31,16 @@ type Instance struct {
 
 	journal *staging.Journal // what the instance still owes (fault plane only)
 	spill   rt.BlockStore    // the slot's spool partition
+	spawned time.Duration    // when spawn started it: the start of its bill
 }
 
 // Tier is the in-transit staging tier in either of its shapes — a private
 // pool behind a placement directory, optionally elastic and optionally
 // fault-protected, or a fleet's shared tier — and the one implementation of
 // the callbacks its controllers drive it through: elastic.Host, fault.Host
-// and control.Host.
+// and control.Host. Its controllers decide when a stager starts or leaves
+// mid-run; the tier alone ends the rest at Shutdown and bills them all
+// (NodeSeconds).
 type Tier struct {
 	// Pool is a private tier's stager directory, which producers resolve
 	// through, Scaler the autoscaler, Monitor the failure detector, Plane a
@@ -162,7 +165,7 @@ func (t *Tier) spawn(c rt.Ctx, slot int) *Instance {
 		scfg.Tenants, scfg.Tenant = ten.MaxTenants, t.tenantOf
 	}
 	addr := t.base + slot
-	in := &Instance{Slot: slot, spill: t.stores[slot]}
+	in := &Instance{Slot: slot, spill: t.stores[slot], spawned: c.Now()}
 	if t.fcfg.Enabled {
 		// A fresh journal per instance — a respawned slot must not replay
 		// its predecessor's records — and a liveness lease, renewed by the
@@ -236,18 +239,19 @@ func (t *Tier) RelayImbalance() float64 {
 	return float64(peak) * float64(len(ins)) / float64(total)
 }
 
-// NodeSeconds is the tier's provisioned cost in stager-seconds: what the
-// scaler billed, or, without one, each instance's finish time summed. It is
-// complete once the tier has shut down.
+// NodeSeconds is the tier's provisioned cost in stager-seconds, one rule
+// for every shape: each instance is billed from its spawn to the moment its
+// forwarder exited — the end of its flush, or, for a crashed one, the end
+// of the send it was in when the crash took it. An instance still running
+// is not billed yet, so the sum is complete once the tier has shut down.
 func (t *Tier) NodeSeconds() float64 {
-	if t != nil && t.Scaler != nil {
-		return t.Scaler.NodeSeconds()
-	}
-	var sum float64
+	var sum time.Duration
 	for _, in := range t.Instances() {
-		sum += in.St.Stats(nil).Finished.Seconds()
+		if end := in.St.Stats(nil).Finished; end > 0 {
+			sum += end - in.spawned
+		}
 	}
-	return sum
+	return sum.Seconds()
 }
 
 // Spawn implements elastic.Host.
@@ -270,13 +274,6 @@ func (t *Tier) Retire(c rt.Ctx, slot int) {
 func (t *Tier) Drained(c rt.Ctx, slot int) bool {
 	in := t.occupant(slot)
 	return in == nil || in.St.Drained(c)
-}
-
-// WaitDrained implements elastic.Host.
-func (t *Tier) WaitDrained(c rt.Ctx, slot int) time.Duration {
-	st := t.occupant(slot).St
-	st.Wait(c)
-	return st.Stats(c).Finished
 }
 
 // Dead implements fault.Host: the liveness oracle the shutdown sweep uses
@@ -417,16 +414,19 @@ func (t *Tier) Kill(c rt.Ctx, slot int) bool {
 	return true
 }
 
-// Shutdown ends the tier, on the calling thread. Call it once no relay
-// traffic can appear (a private job's producers have finished; a fleet's
-// jobs have all released their tenants). The order matters: the failure
-// detector stops first — its final forced sweep recovers kills whose lease
-// never lapsed, the replays must land while the consumers are still
-// counting, and no respawn may interleave with what follows; then every
-// remaining stager leaves the membership, has its in-flight claims
-// quiesced and gets the provably-last Retire; then every stager is joined,
-// its flush delivered and its heartbeat exited. Every controller wakes on
-// its Stop, so no step waits for a tick. A nil tier has nothing to end.
+// Shutdown ends the tier, on the calling thread: it is the one place a
+// stager's life ends at shutdown, whatever the tier's shape. Call it once
+// no relay traffic can appear (a private job's producers have finished; a
+// fleet's jobs have all released their tenants). The order matters: the
+// failure detector stops first — its final forced sweep recovers kills
+// whose lease never lapsed, the replays must land while the consumers are
+// still counting, and no respawn may interleave with what follows; then
+// the scaler or the control plane, so membership stops changing; then, in
+// slot order, every occupant not yet retired or evicted leaves every
+// directory that lists it, has its in-flight claims quiesced and gets the
+// provably-last Retire; then every instance is joined, its flush delivered
+// and its heartbeat exited. Every controller wakes on its Stop, so no step
+// waits for a tick. A nil tier has nothing to end.
 func (t *Tier) Shutdown(c rt.Ctx) {
 	if t == nil {
 		return
@@ -434,25 +434,34 @@ func (t *Tier) Shutdown(c rt.Ctx) {
 	if t.Monitor != nil {
 		t.Monitor.Stop(c)
 	}
-	switch {
-	case t.Scaler != nil:
+	if t.Scaler != nil {
 		t.Scaler.Stop(c)
-	case t.Pool != nil:
-		t.Pool.RetireAll(c, func(addr int) { t.Retire(c, addr-t.base) })
-	case t.Plane != nil:
+	}
+	if t.Plane != nil {
 		t.Plane.Stop(c)
-		t.mu.Lock()
-		tenants := append([]*control.Tenant(nil), t.tenants...)
-		t.mu.Unlock()
-		// One stager at a time, each flushed before the next is retired.
-		for slot := range t.slots {
-			for _, tenant := range tenants {
-				tenant.Directory().Remove(t.base + slot)
-				tenant.Directory().Quiesce(c, t.base+slot)
-			}
-			t.Retire(c, slot)
-			t.occupant(slot).St.Wait(c)
+	}
+	// The controllers have stopped, so the occupants are final.
+	var dirs []*place.Directory // every directory that can list a stager
+	if t.Pool != nil {
+		dirs = append(dirs, t.Pool)
+	}
+	var live []int
+	t.mu.Lock()
+	for _, tenant := range t.tenants {
+		dirs = append(dirs, tenant.Directory())
+	}
+	for slot := range t.slots {
+		if in := t.occupant(slot); in != nil && !in.Drained {
+			live = append(live, slot)
 		}
+	}
+	t.mu.Unlock()
+	for _, slot := range live {
+		for _, dir := range dirs {
+			dir.Remove(t.base + slot)
+			dir.Quiesce(c, t.base+slot)
+		}
+		t.Retire(c, slot)
 	}
 	for _, in := range t.Instances() {
 		in.St.Wait(c)

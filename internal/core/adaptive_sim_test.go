@@ -69,7 +69,11 @@ func stagedSimRig(cfg Config, stagerBlocks int, ostBandwidth float64, wrap func(
 	eng.Spawn("retire", func(sp *sim.Proc) {
 		c := stagerEnv.WrapProc(sp)
 		prod.Wait(c)
-		pool.RetireAll(c, func(addr int) { net.Send(c, addr, rt.Message{Retire: true}) })
+		for _, addr := range pool.Members() {
+			pool.Remove(addr)
+			pool.Quiesce(c, addr)
+			net.Send(c, addr, rt.Message{Retire: true})
+		}
 	})
 	return eng, prod, cons
 }

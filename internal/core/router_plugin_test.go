@@ -84,7 +84,11 @@ func TestCustomRouterPlugin(t *testing.T) {
 		n++
 	}
 	prod.Wait(ctx)
-	pool.RetireAll(ctx, func(addr int) { net.Send(ctx, addr, rt.Message{Retire: true}) })
+	for _, addr := range pool.Members() {
+		pool.Remove(addr)
+		pool.Quiesce(ctx, addr)
+		net.Send(ctx, addr, rt.Message{Retire: true})
+	}
 	stg.Wait(ctx)
 	cons.Wait(ctx)
 	if n != blocks {

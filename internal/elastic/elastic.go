@@ -12,13 +12,10 @@
 //     directory also counts claimed-but-undelivered relay sends per
 //     endpoint, which is what makes retirement race-free: Quiesce waits for
 //     the last straggler to deposit before the Retire control message is
-//     sent, so Retire is provably the final message a draining endpoint
-//     receives. That proof leans on a
-//     transport whose Send returns only after the message is deposited in
-//     the destination inbox — true of the in-process channel network and
-//     the simulated network, NOT of the TCP transport (frames from
-//     different connections interleave at the listener), so an elastic tier
-//     must not span a TCP hop.
+//     sent, so Retire is the final message a draining endpoint receives on
+//     any wire whose Retire is fenced behind the sends before it — the
+//     in-process channel network, the simulated network, and a TCP job's
+//     control port, which fences every producer connection first.
 //
 //   - The drain protocol (implemented by staging.Stager): a
 //     draining stager stops admitting on Retire, flushes its in-memory queue
@@ -33,7 +30,9 @@
 //     through a platform Host, up to the reserved endpoint ceiling. The
 //     loop is clocked purely by rt.Ctx time, so the identical controller
 //     runs deterministically inside the discrete-event simulator and live
-//     on the real machine.
+//     on the real machine. It decides membership and nothing else: the
+//     embedder retires whatever is still live at shutdown and bills every
+//     endpoint's lifetime, as it does for a pool without a scaler.
 package elastic
 
 import (
@@ -159,11 +158,6 @@ type Host interface {
 	// Drained reports whether slot's endpoint has finished flushing after
 	// Retire (its threads exited); the slot is then reusable.
 	Drained(c rt.Ctx, slot int) bool
-	// WaitDrained blocks until Drained would report true and every one of
-	// the endpoint's threads, its heartbeat included, has exited, and
-	// returns the instant the endpoint finished its flush — the end of its
-	// provisioned lifetime, as a fixed pool bills it.
-	WaitDrained(c rt.Ctx, slot int) time.Duration
 }
 
 // Event is one scaling action on the pool, for the Job.Stats timeline and
@@ -181,18 +175,16 @@ type Event struct {
 
 // Scaler is the elastic control loop. Build it with NewScaler, Start it
 // once the initial pool members are live, and Stop it after the producers
-// have finished; Stop wakes the loop to retire every remaining endpoint and
-// returns when the tier has fully flushed.
+// have finished; the embedder then retires the members still in the pool.
 //
 // Concurrency: the scaler thread is the only mutator of the pool-state
-// fields; the mutex exists for the cross-thread readers (Events,
-// NodeSeconds, the fault plane's notifications) and is held only
-// for quick state access — NEVER across an operation that can park the
-// thread on a platform primitive (Quiesce, Host calls, sleeps). A parked
-// holder of a raw mutex would block any other runtime thread that touches
-// it, and inside the discrete-event engine that stalls the entire
-// simulation: the engine resumes one process at a time and a raw mutex wait
-// never parks.
+// fields; the mutex exists for the cross-thread readers (Events, the fault
+// plane's notifications) and is held only for quick state access — NEVER
+// across an operation that can park the thread on a platform primitive
+// (Quiesce, Host calls, sleeps). A parked holder of a raw mutex would block
+// any other runtime thread that touches it, and inside the discrete-event
+// engine that stalls the entire simulation: the engine resumes one process
+// at a time and a raw mutex wait never parks.
 type Scaler struct {
 	env  rt.Env
 	cfg  Config
@@ -205,9 +197,7 @@ type Scaler struct {
 	live      map[int]*flow.StagerFlows // slot → gauges of the running endpoint
 	draining  map[int]bool              // Retire sent, flush not yet confirmed
 	free      []int                     // reusable slots, ascending
-	spawnedAt map[int]time.Duration
 	events    []Event
-	nodeTime  time.Duration // summed provisioned lifetime of retired endpoints
 	lastAct   time.Duration
 	lastSpill int64
 	pending   []poolChange // fault-plane notifications awaiting the scaler thread
@@ -236,13 +226,11 @@ type poolChange struct {
 func NewScaler(env rt.Env, cfg Config, pool *place.Directory, host Host, base int, initial []*flow.StagerFlows) *Scaler {
 	s := &Scaler{
 		env: env, cfg: cfg, pool: pool, host: host, base: base,
-		live:      map[int]*flow.StagerFlows{},
-		draining:  map[int]bool{},
-		spawnedAt: map[int]time.Duration{},
+		live:     map[int]*flow.StagerFlows{},
+		draining: map[int]bool{},
 	}
 	for slot, fl := range initial {
 		s.live[slot] = fl
-		s.spawnedAt[slot] = 0
 	}
 	for slot := len(initial); slot < cfg.MaxStagers; slot++ {
 		s.free = append(s.free, slot)
@@ -259,15 +247,17 @@ func NewScaler(env rt.Env, cfg Config, pool *place.Directory, host Host, base in
 func (s *Scaler) GrowOnly() { s.growOnly = true }
 
 // Start launches the control loop as a runtime thread: a tick every
-// Interval, the shutdown on Stop.
+// Interval, and on Stop a final pass that records the fault plane's last
+// notifications on the timeline.
 func (s *Scaler) Start() {
-	s.loop = rt.StartLoop(s.env, "elastic.scaler", s.cfg.Interval, s.tick, s.shutdown)
+	s.loop = rt.StartLoop(s.env, "elastic.scaler", s.cfg.Interval, s.tick,
+		func(c rt.Ctx) { s.applyPending(c.Now()) })
 }
 
 // Crashed tells the scaler that slot's endpoint was evicted by the failure
-// detector: the slot leaves the live set (its node-time is booked) without
-// entering the free list, so grow can never hand it out while the recovery
-// path owns it. Safe to call from any thread.
+// detector: the slot leaves the live set without entering the free list,
+// so grow can never hand it out while the recovery path owns it. Safe to
+// call from any thread.
 func (s *Scaler) Crashed(slot int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -275,10 +265,9 @@ func (s *Scaler) Crashed(slot int) {
 }
 
 // Respawned tells the scaler that the recovery path spawned a replacement
-// endpoint on a crashed slot: it rejoins the live set with the new gauges
-// and its provisioned lifetime restarts. No cooldown is charged — a
-// respawn is recovery, not a control decision. Safe to call from any
-// thread.
+// endpoint on a crashed slot: it rejoins the live set with the new gauges.
+// No cooldown is charged — a respawn is recovery, not a control decision.
+// Safe to call from any thread.
 func (s *Scaler) Respawned(slot int, fl *flow.StagerFlows) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -297,13 +286,10 @@ func (s *Scaler) applyPending(now time.Duration) {
 				continue
 			}
 			delete(s.live, pc.slot)
-			s.nodeTime += now - s.spawnedAt[pc.slot]
-			delete(s.spawnedAt, pc.slot)
 			s.events = append(s.events, Event{At: now, Action: "crash", Slot: pc.slot, PoolSize: len(s.live)})
 			continue
 		}
 		s.live[pc.slot] = pc.fl
-		s.spawnedAt[pc.slot] = now
 		s.events = append(s.events, Event{At: now, Action: "respawn", Slot: pc.slot, PoolSize: len(s.live)})
 	}
 	s.pending = nil
@@ -318,7 +304,7 @@ func (s *Scaler) applyPending(now time.Duration) {
 func (s *Scaler) tick(c rt.Ctx) {
 	now := c.Now()
 	s.applyPending(now)
-	s.reap(c, now)
+	s.reap(c)
 	if !(s.lastAct == 0 || now-s.lastAct >= s.cfg.Cooldown) {
 		return
 	}
@@ -338,17 +324,17 @@ func (s *Scaler) tick(c rt.Ctx) {
 // observe aggregates the live members' gauges.
 func (s *Scaler) observe() flow.PoolSignals {
 	members := make([]*flow.StagerFlows, 0, len(s.live))
-	for _, slot := range s.liveSlots() {
+	for _, slot := range slotsOf(s.live) {
 		members = append(members, s.live[slot])
 	}
 	return flow.AggregatePool(members)
 }
 
-// liveSlots returns the live slots ascending (map order is not
+// slotsOf returns a slot set's slots ascending (map order is not
 // deterministic; the scaler's decisions must be).
-func (s *Scaler) liveSlots() []int {
-	slots := make([]int, 0, len(s.live))
-	for slot := range s.live {
+func slotsOf[V any](set map[int]V) []int {
+	slots := make([]int, 0, len(set))
+	for slot := range set {
 		slots = append(slots, slot)
 	}
 	sort.Ints(slots)
@@ -368,7 +354,6 @@ func (s *Scaler) grow(c rt.Ctx, now time.Duration, occ float64) {
 	defer s.mu.Unlock()
 	s.free = s.free[1:]
 	s.live[slot] = fl
-	s.spawnedAt[slot] = now
 	s.pool.Add(s.base + slot)
 	s.lastAct = now
 	s.events = append(s.events, Event{At: now, Action: "grow", Slot: slot, PoolSize: len(s.live), Occupancy: occ})
@@ -377,9 +362,9 @@ func (s *Scaler) grow(c rt.Ctx, now time.Duration, occ float64) {
 // drain retires the highest live slot: out of the membership first, a
 // quiesce for in-flight claims, then the Retire message — provably the last
 // message the endpoint receives. The flush runs concurrently; the slot is
-// reaped (and its node-time booked) once the stager reports Drained.
+// reaped once the stager reports Drained.
 func (s *Scaler) drain(c rt.Ctx, now time.Duration, occ float64) {
-	slots := s.liveSlots()
+	slots := slotsOf(s.live)
 	if len(slots) == 0 {
 		return
 	}
@@ -395,12 +380,11 @@ func (s *Scaler) drain(c rt.Ctx, now time.Duration, occ float64) {
 	s.events = append(s.events, Event{At: c.Now(), Action: "drain", Slot: slot, PoolSize: len(s.live), Occupancy: occ})
 }
 
-// reap returns flushed drained slots to the free list and books their
-// provisioned lifetime. Drained is polled in slot order so the engine's
-// event sequence stays deterministic.
-func (s *Scaler) reap(c rt.Ctx, now time.Duration) {
+// reap returns flushed drained slots to the free list. Drained is polled in
+// slot order so the engine's event sequence stays deterministic.
+func (s *Scaler) reap(c rt.Ctx) {
 	var flushed []int
-	for _, slot := range s.drainingSlots() {
+	for _, slot := range slotsOf(s.draining) {
 		if s.host.Drained(c, slot) { // may park: no mutex held
 			flushed = append(flushed, slot)
 		}
@@ -411,58 +395,17 @@ func (s *Scaler) reap(c rt.Ctx, now time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, slot := range flushed {
-		s.freeLocked(slot, now)
+		delete(s.draining, slot)
+		s.free = append(s.free, slot)
 	}
-}
-
-// drainingSlots returns the slots whose Retire was sent, ascending.
-func (s *Scaler) drainingSlots() []int {
-	slots := make([]int, 0, len(s.draining))
-	for slot := range s.draining {
-		slots = append(slots, slot)
-	}
-	sort.Ints(slots)
-	return slots
-}
-
-// freeLocked books a flushed slot's provisioned lifetime up to now and
-// returns the slot to the free list.
-func (s *Scaler) freeLocked(slot int, now time.Duration) {
-	delete(s.draining, slot)
-	s.nodeTime += now - s.spawnedAt[slot]
-	delete(s.spawnedAt, slot)
-	s.free = append(s.free, slot)
 	sort.Ints(s.free)
 }
 
-// shutdown retires every remaining endpoint (teardown, not control
-// decisions — no events are logged), then joins every retiring endpoint in
-// slot order, booking each one's lifetime up to the end of its own flush.
-func (s *Scaler) shutdown(c rt.Ctx) {
-	s.applyPending(c.Now())
-	for _, slot := range s.liveSlots() {
-		s.pool.Remove(s.base + slot)
-		s.pool.Quiesce(c, s.base+slot)
-		s.host.Retire(c, slot)
-		s.mu.Lock()
-		delete(s.live, slot)
-		s.draining[slot] = true
-		s.mu.Unlock()
-	}
-	for _, slot := range s.drainingSlots() {
-		end := s.host.WaitDrained(c, slot) // may park: no mutex held
-		s.mu.Lock()
-		s.freeLocked(slot, end)
-		s.mu.Unlock()
-	}
-}
-
-// Stop wakes the control loop to retire every remaining endpoint and returns
-// when the whole tier has flushed. Call it after Start, and only once all
-// producers have finished (no new relay traffic can appear); the consumers'
-// counted termination then completes from the flushed deliveries. The
-// retirement work runs on the scaler's own thread, so Stop never contends
-// with a parked mutex holder.
+// Stop wakes the control loop for its final pass and returns when the loop
+// has exited. Call it after Start, and only once all producers have finished
+// (no new relay traffic can appear). It retires nothing: the members still
+// in the pool are the embedder's to retire, and a drain already under way
+// flushes on its own.
 func (s *Scaler) Stop(c rt.Ctx) { s.loop.Stop(c) }
 
 // Events returns the scaling timeline in action order.
@@ -470,14 +413,4 @@ func (s *Scaler) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Event(nil), s.events...)
-}
-
-// NodeSeconds returns the summed provisioned lifetime of every stager
-// endpoint the scaler managed, in seconds — the resource-cost metric the
-// elastic tier is judged on against a fixed pool (which pays pool-size ×
-// run-length). It is complete only after Stop.
-func (s *Scaler) NodeSeconds() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nodeTime.Seconds()
 }

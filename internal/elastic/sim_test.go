@@ -37,18 +37,14 @@ func (h *simHost) Drained(c rt.Ctx, slot int) bool {
 	st := h.slots[slot]
 	return st == nil || st.Drained(c)
 }
-func (h *simHost) WaitDrained(c rt.Ctx, slot int) time.Duration {
-	st := h.slots[slot]
-	st.Wait(c)
-	return st.Stats(c).Finished
-}
 
 // elasticStepRun drives the canonical step-change workload on the simulated
 // platform: a fast burst saturates the staging tier (scale-up), a long calm
 // lets the consumer catch up (drain-down to the floor), then a second burst
 // forces the pool to regrow into the retired slots, and a final calm drains
-// it again before the janitor stops the scaler. It returns the scaling
-// timeline, the analyzed-block count, and the virtual end time.
+// it again before the janitor stops the scaler and retires the members
+// still in the pool. It returns the scaling timeline, the analyzed-block
+// count, and the virtual end time.
 func elasticStepRun(t *testing.T) (events []elastic.Event, analyzed int, end time.Duration) {
 	t.Helper()
 	const (
@@ -137,6 +133,11 @@ func elasticStepRun(t *testing.T) (events []elastic.Event, analyzed int, end tim
 	janEnv.Go("elastic.janitor", func(c rt.Ctx) {
 		prod.Wait(c)
 		scaler.Stop(c)
+		for _, addr := range pool.Members() {
+			pool.Remove(addr)
+			pool.Quiesce(c, addr)
+			net.Send(c, addr, rt.Message{Retire: true})
+		}
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

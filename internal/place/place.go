@@ -313,20 +313,6 @@ func (d *Directory) Quiesce(c rt.Ctx, addr int) {
 	}
 }
 
-// RetireAll drains the whole membership: each member is removed from the
-// directory, its in-flight claims are quiesced, and `retire` is invoked to
-// deliver its Retire control message — which the quiesce makes provably the
-// last message the endpoint receives. Call it once no new traffic can
-// appear (producers finished, or the caller otherwise quiesced admission);
-// it is the shutdown sweep shared by every embedder of a managed tier.
-func (d *Directory) RetireAll(c rt.Ctx, retire func(addr int)) {
-	for _, addr := range d.Members() {
-		d.Remove(addr)
-		d.Quiesce(c, addr)
-		retire(addr)
-	}
-}
-
 // Epoch returns the membership version; every Add and Remove bumps it.
 func (d *Directory) Epoch() int64 {
 	d.mu.Lock()

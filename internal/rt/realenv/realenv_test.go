@@ -462,10 +462,12 @@ func TestTCPStagedWorkflow(t *testing.T) {
 		prod.Close(c)
 		prod.Wait(c)
 		close(sent)
-		pool.RetireAll(c, func(addr int) {
+		for _, addr := range pool.Members() {
+			pool.Remove(addr)
+			pool.Quiesce(c, addr)
 			tr.Fence()
 			ln.Loopback().Send(c, addr, rt.Message{Retire: true})
-		})
+		}
 	}()
 	read := make(chan int)
 	go func() {

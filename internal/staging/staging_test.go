@@ -147,7 +147,11 @@ func retireWhenDone(env *realenv.Env, net rt.Transport, pool *place.Directory, p
 		for _, p := range prods {
 			p.Wait(c)
 		}
-		pool.RetireAll(c, func(addr int) { net.Send(c, addr, rt.Message{Retire: true}) })
+		for _, addr := range pool.Members() {
+			pool.Remove(addr)
+			pool.Quiesce(c, addr)
+			net.Send(c, addr, rt.Message{Retire: true})
+		}
 	}()
 }
 

@@ -99,9 +99,10 @@ type FleetResult struct {
 	Events      []control.Event
 	Preemptions int
 	// StagerNodeSeconds is the shared tier's provisioned cost (each stager
-	// billed to its finish time) — the axis shared fleets are compared to
-	// private tiers on. StagerRelayed is each stager's received-block total
-	// and StagerSpills the tier-wide overflow count.
+	// billed from its spawn to its finish, as every tier shape is) — the
+	// axis shared fleets are compared to private tiers on. StagerRelayed is
+	// each stager's received-block total and StagerSpills the tier-wide
+	// overflow count.
 	StagerNodeSeconds float64
 	StagerRelayed     []int64
 	StagerSpills      int64
@@ -167,14 +168,6 @@ func RunFleet(spec FleetSpec) FleetResult {
 	for i, job := range spec.Jobs {
 		i, job := i, job
 		w := job.Workload
-		blockBytes := w.BlockBytes
-		if blockBytes <= 0 {
-			blockBytes = 1 << 20
-		}
-		nBlocks := int(w.BytesPerStep / blockBytes)
-		if nBlocks < 1 {
-			nBlocks = 1
-		}
 		pf.env(assembly.Producer, prodBase[i]).Go(fmt.Sprintf("fleet.job%d", i), func(c rt.Ctx) {
 			if job.StartAfter > 0 {
 				c.Sleep(job.StartAfter)
@@ -201,32 +194,17 @@ func RunFleet(spec FleetSpec) FleetResult {
 			for p := 0; p < job.P; p++ {
 				p := p
 				pf.env(assembly.Producer, prodBase[i]+p).Go(fmt.Sprintf("fleet.job%d.prod%d", i, p), func(c rt.Ctx) {
-					prod := prods[p]
-					rankBlocks := int(float64(nBlocks) * w.skew(p))
-					if rankBlocks < 1 {
-						rankBlocks = 1
-					}
-					perBlock := w.StepTime / time.Duration(rankBlocks)
 					for s := 0; s < w.Steps; s++ {
-						for b := 0; b < rankBlocks; b++ {
-							c.Sleep(perBlock)
-							prod.Write(c, s, int64(b)*blockBytes, nil, blockBytes)
-						}
+						w.writeStep(c, prods[p], p, s)
 					}
-					prod.Close(c)
+					prods[p].Close(c)
 				})
 			}
 			// Consumer ranks: analyze at AnalyzePerByte.
 			for q := 0; q < job.Q; q++ {
 				q := q
 				pf.env(assembly.Consumer, consBase[i]+q).Go(fmt.Sprintf("fleet.job%d.cons%d", i, q), func(c rt.Ctx) {
-					for {
-						blk, ok := cons[q].Read(c)
-						if !ok {
-							break
-						}
-						c.Sleep(time.Duration(blk.Bytes) * w.AnalyzePerByte)
-					}
+					w.analyze(c, cons[q], nil, "")
 				})
 			}
 			// The coordinator doubles as the job's janitor: once every
@@ -289,21 +267,10 @@ func RunFleet(spec FleetSpec) FleetResult {
 			continue // rejected at admission
 		}
 		jr := &results[i]
-		for _, p := range ep.Producers {
-			st := p.Stats()
-			jr.BlocksWritten += st.BlocksWritten
-			jr.BlocksSent += st.BlocksSent
-			jr.BlocksRelayed += st.BlocksRelayed
-			jr.BlocksStolen += st.BlocksStolen
-			if st.WriteStall > jr.WriteStall {
-				jr.WriteStall = st.WriteStall
-			}
-		}
-		for _, cn := range ep.Consumers {
-			st := cn.Stats()
-			jr.BlocksAnalyzed += st.BlocksAnalyzed
-			jr.BlocksLost += st.BlocksLost
-		}
+		ps, cs := sumProducers(ep.Producers), sumConsumers(ep.Consumers)
+		jr.BlocksWritten, jr.BlocksSent = ps.BlocksWritten, ps.BlocksSent
+		jr.BlocksRelayed, jr.BlocksStolen, jr.WriteStall = ps.BlocksRelayed, ps.BlocksStolen, ps.WriteStall
+		jr.BlocksAnalyzed, jr.BlocksLost = cs.BlocksAnalyzed, cs.BlocksLost
 		jr.BlocksStaged, jr.BlocksSpilled, _ = tier.TenantTotals(jr.Tenant)
 		jr.Preempted = snap[jr.Tenant].Preempted
 	}

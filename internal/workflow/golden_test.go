@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -110,5 +111,33 @@ func TestGoldenFleet(t *testing.T) {
 			t.Errorf("%s:\n got  %s\n want %s", tc.name, got, tc.want)
 		}
 		checkTenantAccounting(t, tc.name, res)
+	}
+}
+
+// TestGoldenNodeSeconds pins the tier's bill, in integer nanoseconds, for
+// every shape: each stager instance is billed from its spawn to its
+// forwarder's exit. The fixed pool and the fleet read what they read when
+// the scaler kept a bill of its own; the elastic rows moved off its
+// tick-to-tick booking (elastic 4863891695, fault-elastic/kill@2
+// 5803483841): a drain now ends at its flush, up to a tick before the reap,
+// and a crash where the killed forwarder stopped (in the kill@2 row, 23 ms
+// after the tick that noticed the eviction).
+func TestGoldenNodeSeconds(t *testing.T) {
+	killAt2 := faultElasticSpec()
+	killAt2.FaultKillEpoch = 2
+	ns := func(s float64) int64 { return int64(math.Round(s * 1e9)) }
+	for _, tc := range []struct {
+		name string
+		got  float64
+		want int64
+	}{
+		{"fault", RunZipper(faultTestSpec()).StagerNodeSeconds, 6549620109},
+		{"elastic", RunZipper(elasticTestSpec()).StagerNodeSeconds, 4862891695},
+		{"fault-elastic/kill@2", RunZipper(killAt2).StagerNodeSeconds, 5826977458},
+		{"fleet", RunFleet(fleetTestSpec()).StagerNodeSeconds, 11763867210},
+	} {
+		if got := ns(tc.got); got != tc.want {
+			t.Errorf("%s: StagerNodeSeconds = %d ns, want %d", tc.name, got, tc.want)
+		}
 	}
 }

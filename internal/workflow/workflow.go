@@ -77,6 +77,44 @@ func (w Workload) skew(rank int) float64 {
 	return 1
 }
 
+// writeStep hands the rank's blocks of one step to prod, each as soon as it
+// is computed rather than in an end-of-step burst — the
+// data-availability-driven design of §4.1. Skew scales the rank's block
+// count with the kernel time unchanged: a skewed rank emits more blocks,
+// faster. A zero BlockBytes means 1 MiB blocks.
+func (w Workload) writeStep(c rt.Ctx, prod *core.Producer, rank, step int) {
+	size := w.BlockBytes
+	if size <= 0 {
+		size = 1 << 20
+	}
+	perStep := max(int(w.BytesPerStep/size), 1)
+	blocks := max(int(float64(perStep)*w.skew(rank)), 1)
+	perBlock := w.StepTime / time.Duration(blocks)
+	for b := 0; b < blocks; b++ {
+		c.Sleep(perBlock)
+		prod.Write(c, step, int64(b)*size, nil, size)
+	}
+}
+
+// analyze reads cons to the end of its streams, busy AnalyzePerByte on
+// every byte, and returns the time it spent analysing. With rec set, each
+// block's analysis is a span of the named timeline.
+func (w Workload) analyze(c rt.Ctx, cons *core.Consumer, rec *trace.Recorder, name string) time.Duration {
+	var busy time.Duration
+	for {
+		blk, ok := cons.Read(c)
+		if !ok {
+			return busy
+		}
+		t0 := c.Now()
+		c.Sleep(time.Duration(blk.Bytes) * w.AnalyzePerByte)
+		busy += c.Now() - t0
+		if rec != nil {
+			rec.Add(name, "analyze", t0, c.Now())
+		}
+	}
+}
+
 // AnalysisPerConsumerStep is one consumer's busy time per step given its
 // share of producers.
 func (w Workload) AnalysisPerConsumerStep(p, q int) time.Duration {
@@ -163,9 +201,6 @@ type Result struct {
 	// ProducerStall is the maximum time a producer spent blocked handing
 	// data to the transport.
 	ProducerStall time.Duration
-	// SenderIdle is Zipper's sender-thread wait time (E2E - send busy),
-	// reported for the Figure 14 stacked bars.
-	SenderIdle time.Duration
 	// ProducerWallClock is when the last producer finished handing off its
 	// data (runtime threads drained) — the "simulation wall clock time" of
 	// Figure 14.
@@ -186,9 +221,8 @@ type Result struct {
 	// E2E reflects the cheaper transfers.
 	BytesOnWire, BytesReduced int64
 	// StagerSpills counts blocks the staging tier overflowed to its spill
-	// partitions; StagerMaxQueued is the deepest any stager's memory
-	// buffer ran.
-	StagerSpills, StagerMaxQueued int64
+	// partitions.
+	StagerSpills int64
 	// StagerRelayed is each stager instance's received-block total (spawn
 	// order), and RelayImbalance their max/mean ratio — 1.0 means every
 	// stager carried an equal share of the relay traffic, S means one
@@ -200,9 +234,9 @@ type Result struct {
 	// ScaleEvents is the elastic scaler's action timeline (grow/drain), and
 	// StagerNodeSeconds the summed provisioned lifetime of stager ranks in
 	// virtual seconds — the resource cost a fixed pool pays as pool-size ×
-	// run-length. Both are populated for fixed pools too (no events; each
-	// stager billed to its finish time) so elastic and fixed runs compare on
-	// one axis.
+	// run-length. The tier bills every shape alike, each stager from its
+	// spawn to its finish (Tier.NodeSeconds), and a fixed pool has no
+	// events, so elastic and fixed runs compare on one axis.
 	ScaleEvents       []elastic.Event
 	StagerNodeSeconds float64
 	// BlocksAnalyzed is the consumers' delivered-block total — with no
@@ -605,15 +639,6 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 		})
 	}
 
-	blockBytes := w.BlockBytes
-	if blockBytes <= 0 {
-		blockBytes = 1 << 20
-	}
-	nBlocks := int(w.BytesPerStep / blockBytes)
-	if nBlocks < 1 {
-		nBlocks = 1
-	}
-
 	anaBusy := make([]time.Duration, spec.Q)
 	var dataEnd time.Duration
 	r.prodComm.Launch("sim", func(rank *mpi.Rank) {
@@ -621,13 +646,6 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 		p := rank.Proc()
 		c := pf.env(assembly.Producer, rank.Local()).WrapProc(p)
 		name := fmt.Sprintf("sim.%d", rank.Local())
-		// Workload.Skew scales this rank's per-step output volume with the
-		// kernel time unchanged: a skewed rank emits more blocks, faster.
-		rankBlocks := int(float64(nBlocks) * w.skew(rank.Local()))
-		if rankBlocks < 1 {
-			rankBlocks = 1
-		}
-		perBlock := w.StepTime / time.Duration(rankBlocks)
 		for s := 0; s < w.Steps; s++ {
 			stepStart := p.Now()
 			// Halo exchange at the step boundary, as in the baseline app.
@@ -641,14 +659,8 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 					r.rec.Add(name, "MPI_Sendrecv", sr, p.Now())
 				}
 			}
-			// Fine-grain pipelining: each block is handed to the runtime as
-			// soon as it is computed, not in an end-of-step burst — this is
-			// the data-availability-driven design of §4.1.
 			computeStart := p.Now()
-			for b := 0; b < rankBlocks; b++ {
-				p.Delay(perBlock)
-				prod.Write(c, s, int64(b)*blockBytes, nil, blockBytes)
-			}
+			w.writeStep(c, prod, rank.Local(), s)
 			if r.rec != nil {
 				r.rec.Add(name, "compute", computeStart, p.Now())
 				r.rec.Add(name, "step", stepStart, p.Now())
@@ -661,18 +673,7 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 	r.consComm.Launch("ana", func(rank *mpi.Rank) {
 		cons := consumers[rank.Local()]
 		c := pf.env(assembly.Consumer, rank.Local()).WrapProc(rank.Proc())
-		for {
-			blk, ok := cons.Read(c)
-			if !ok {
-				break
-			}
-			t0 := rank.Proc().Now()
-			rank.Proc().Delay(time.Duration(blk.Bytes) * w.AnalyzePerByte)
-			anaBusy[rank.Local()] += rank.Proc().Now() - t0
-			if r.rec != nil {
-				r.rec.Add(fmt.Sprintf("ana.%d", rank.Local()), "analyze", t0, rank.Proc().Now())
-			}
-		}
+		anaBusy[rank.Local()] = w.analyze(c, cons, r.rec, fmt.Sprintf("ana.%d", rank.Local()))
 		cons.Wait(c)
 		dataEnd = max(dataEnd, c.Now())
 	})
@@ -680,43 +681,30 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 		return Result{Method: "Zipper", Fail: err.Error()}
 	}
 
+	ps, cs := sumProducers(producers), sumConsumers(consumers)
 	res := Result{
 		Method:  "Zipper",
 		OK:      true,
 		E2E:     r.eng.Now(),
 		DataEnd: dataEnd,
-		Rec:     r.rec,
-	}
-	var maxSend, maxStall, maxStore time.Duration
-	for _, p := range producers {
-		st := p.Stats()
-		res.BlocksSent += st.BlocksSent
-		res.BlocksRelayed += st.BlocksRelayed
-		res.BlocksStolen += st.BlocksStolen
-		res.Messages += st.Messages
-		res.BytesOnWire += st.BytesOnWire
-		res.BytesReduced += st.BytesReduced
-		if st.SendBusy > maxSend {
-			maxSend = st.SendBusy
-		}
-		if st.WriteStall > maxStall {
-			maxStall = st.WriteStall
-		}
-		if st.StealBusy > maxStore {
-			maxStore = st.StealBusy
-		}
-		if st.Finished > res.ProducerWallClock {
-			res.ProducerWallClock = st.Finished
-		}
-	}
-	var storeCons time.Duration
-	for _, c := range consumers {
-		st := c.Stats()
-		res.BlocksAnalyzed += st.BlocksAnalyzed
-		res.BlocksLost += st.BlocksLost
-		if st.StoreBusy > storeCons {
-			storeCons = st.StoreBusy
-		}
+		Stages: StageTimes{
+			Simulation: time.Duration(w.Steps) * w.StepTime,
+			Transfer:   ps.SendBusy,
+			Store:      ps.StealBusy + cs.StoreBusy,
+			Analysis:   maxDur(anaBusy),
+		},
+		ProducerStall:     ps.WriteStall,
+		ProducerWallClock: ps.Finished,
+		XmitWaitProducers: sumXmitWait(r),
+		BlocksSent:        ps.BlocksSent,
+		BlocksRelayed:     ps.BlocksRelayed,
+		BlocksStolen:      ps.BlocksStolen,
+		Messages:          ps.Messages,
+		BytesOnWire:       ps.BytesOnWire,
+		BytesReduced:      ps.BytesReduced,
+		BlocksAnalyzed:    cs.BlocksAnalyzed,
+		BlocksLost:        cs.BlocksLost,
+		Rec:               r.rec,
 	}
 	if tier != nil {
 		if m := tier.Monitor; m != nil {
@@ -735,22 +723,42 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 		res.BytesReduced += st.BytesReduced
 		res.StagerRelayed = append(res.StagerRelayed, st.BlocksIn)
 		res.DataEnd = max(res.DataEnd, st.Finished)
-		if st.MaxQueued > res.StagerMaxQueued {
-			res.StagerMaxQueued = st.MaxQueued
-		}
 	}
 	res.RelayImbalance = tier.RelayImbalance()
 	res.StagerNodeSeconds = tier.NodeSeconds()
-	res.Stages = StageTimes{
-		Simulation: time.Duration(w.Steps) * w.StepTime,
-		Transfer:   maxSend,
-		Store:      maxStore + storeCons,
-		Analysis:   maxDur(anaBusy),
-	}
-	res.ProducerStall = maxStall
-	res.SenderIdle = res.E2E - maxSend
-	res.XmitWaitProducers = sumXmitWait(r)
 	return res
+}
+
+// sumProducers totals the producers' block, message and byte counts and
+// takes the longest of their stall, send, steal and finish times.
+func sumProducers(prods []*core.Producer) (sum core.ProducerStats) {
+	for _, p := range prods {
+		st := p.Stats()
+		sum.BlocksWritten += st.BlocksWritten
+		sum.BlocksSent += st.BlocksSent
+		sum.BlocksRelayed += st.BlocksRelayed
+		sum.BlocksStolen += st.BlocksStolen
+		sum.Messages += st.Messages
+		sum.BytesOnWire += st.BytesOnWire
+		sum.BytesReduced += st.BytesReduced
+		sum.WriteStall = max(sum.WriteStall, st.WriteStall)
+		sum.SendBusy = max(sum.SendBusy, st.SendBusy)
+		sum.StealBusy = max(sum.StealBusy, st.StealBusy)
+		sum.Finished = max(sum.Finished, st.Finished)
+	}
+	return sum
+}
+
+// sumConsumers totals the consumers' analysed and lost blocks and takes the
+// longest of their store times.
+func sumConsumers(cons []*core.Consumer) (sum core.ConsumerStats) {
+	for _, cn := range cons {
+		st := cn.Stats()
+		sum.BlocksAnalyzed += st.BlocksAnalyzed
+		sum.BlocksLost += st.BlocksLost
+		sum.StoreBusy = max(sum.StoreBusy, st.StoreBusy)
+	}
+	return sum
 }
 
 func maxDur(ds []time.Duration) time.Duration {

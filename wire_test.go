@@ -112,18 +112,34 @@ func TestJobTCPPlacedTier(t *testing.T) {
 			crashed := make(chan bool, 1)
 			for i := 0; i < producers; i++ {
 				go func(p *Producer) {
+					injected := false
 					for s := 0; s < blocks; s++ {
-						if tr.fault && i == 0 && s == blocks/2 {
+						if tr.fault && i == 0 && s >= blocks/2 && !injected {
 							// Mid-stream, so the job is running: Wait's
 							// shutdown starts only once every producer
-							// has closed.
-							crashed <- job.InjectStagerCrash(0)
+							// has closed. The 2 ms heartbeat makes false
+							// positives, and a Kill that lands while the
+							// detector evicts one finds no live occupant:
+							// retry at each following step until one
+							// lands.
+							injected = job.InjectStagerCrash(0)
 						}
 						data := NewPayload(blockBytes)
 						for j := range data {
 							data[j] = payload(i, s, j)
 						}
 						p.Write(s, 0, data)
+					}
+					if tr.fault && i == 0 {
+						// The eviction's replay can outlast the rest of
+						// the stream (up to 150 ms under -race on two
+						// vCPUs): hold the Close until the respawn that
+						// follows it takes the crash.
+						for start := time.Now(); !injected && time.Since(start) < 10*time.Second; {
+							runtime.Gosched()
+							injected = job.InjectStagerCrash(0)
+						}
+						crashed <- injected
 					}
 					p.Close()
 				}(job.Producer(i))

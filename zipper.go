@@ -918,9 +918,10 @@ type JobStats struct {
 	ScaleEvents []ScaleEvent
 	// StagerNodeSeconds is the summed provisioned lifetime of stager
 	// endpoints in seconds — the resource cost a fixed pool pays as
-	// pool-size × run-length. Elastic: complete after Wait (it books an
-	// instance when its drain flushes). Fixed pool: each stager's finish
-	// time, available after Wait.
+	// pool-size × run-length. Every tier shape bills alike: each instance
+	// from its spawn to the end of its flush (a crashed one to its
+	// forwarder's exit). An instance still running is not billed yet, so
+	// the sum is complete after Wait.
 	StagerNodeSeconds float64
 	// Fault plane (zero/empty with Fault off).
 	// Evictions is the failure detector's lifetime eviction count and
