@@ -1,10 +1,10 @@
 // Package assembly builds the Zipper topology — consumers, the consumer
-// directory, the in-transit staging tier with its scaler, failure detector
-// or control plane, and producers — from one platform-neutral Spec. It is
-// the only place the runtime's endpoints are constructed and retired:
-// zipper.NewJob and zipper.Fleet call it over the real machine,
-// workflow.RunZipper and workflow.RunFleet over the simulator, so the
-// simulator validates the wiring the real system ships.
+// directory, the in-transit staging tier with its control thread, and
+// producers — from one platform-neutral Spec. It is the only place the
+// runtime's endpoints are constructed and retired: zipper.NewJob and
+// zipper.Fleet call it over the real machine, workflow.RunZipper and
+// workflow.RunFleet over the simulator, so the simulator validates the
+// wiring the real system ships.
 //
 // A Platform is everything that differs between the two. The assembler
 // calls it while it constructs or respawns an endpoint and never on the
@@ -16,11 +16,15 @@
 // tenant. Callers supply address layouts, never a tenant table, so the
 // real and the simulated fleet attribute every block alike.
 //
+// The tier runs one control thread over its one slot table, whatever its
+// shape: the failure detector, the autoscaler and a fleet's control plane
+// are policies it runs in that order on each wake, each on its own period.
+//
 // Construction order is part of the contract: consumers, then the tier's
-// stagers in slot order (then its scaler or control plane), then
-// producers, then the failure detector. The simulator's process ids and
-// the order of equal-timestamp events follow from it; the real machine
-// pins no order and simply adopts this one.
+// stagers in slot order (then an elastic or shared tier's control thread),
+// then producers, then a fault-only tier's control thread. The simulator's
+// process ids and the order of equal-timestamp events follow from it; the
+// real machine pins no order and simply adopts this one.
 package assembly
 
 import (
@@ -46,8 +50,8 @@ const (
 	Stager
 	// Producer i is the producer of global rank i.
 	Producer
-	// Control is the tier's management: scaler, failure detector, control
-	// plane, and whichever thread runs Shutdown. Its index is always 0.
+	// Control is the tier's management: its control thread, and whichever
+	// thread runs Shutdown. Its index is always 0.
 	Control
 )
 
@@ -88,8 +92,8 @@ type Spec struct {
 	StagerBufferBlocks int
 	// The tier is always an epoch-versioned pool resolved per batch by the
 	// Placement policy; RankAffine, the zero value, relays producer p
-	// through slot p mod Slots. Elastic adds a scaler over the pool, Fault
-	// leases and journals on every member.
+	// through slot p mod Slots. Elastic adds the autoscaler over the pool,
+	// Fault leases and journals on every member and the failure detector.
 	Elastic   elastic.Config
 	Placement place.Kind
 	Fault     fault.Config
@@ -157,13 +161,14 @@ func Assemble(c rt.Ctx, pf Platform, spec Spec) (*Assembly, error) {
 	}
 	a.Producers = startProducers(pf, spec, cfg, store, 0, 0)
 	if tier != nil {
-		tier.startMonitor()
+		tier.startControl()
 	}
 	return a, nil
 }
 
 // NewTier builds and starts a shared fleet tier (spec.Tenants set): its
-// stagers, then its control plane. Jobs come and go through Join and
+// stagers, then its control thread. A spec with Fault or Elastic on is an
+// error that names the field. Jobs come and go through Join and
 // Plane.Finish; Shutdown ends it.
 func NewTier(c rt.Ctx, pf Platform, spec Spec) (*Tier, error) {
 	if spec.Tenants == nil {

@@ -2,6 +2,7 @@ package assembly
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,8 +17,8 @@ import (
 )
 
 // Instance is one stager that ran, or runs, on a tier slot. A slot
-// accumulates instances as the scaler reuses it and the failure detector
-// respawns into it; the latest is its occupant.
+// accumulates instances as the autoscaler reuses it and the failure
+// detector respawns into it; the latest is its occupant.
 type Instance struct {
 	Slot int
 	St   *staging.Stager
@@ -36,19 +37,16 @@ type Instance struct {
 
 // Tier is the in-transit staging tier in either of its shapes — a private
 // pool behind a placement directory, optionally elastic and optionally
-// fault-protected, or a fleet's shared tier — and the one implementation of
-// the callbacks its controllers drive it through: elastic.Host, fault.Host
-// and control.Host. Its controllers decide when a stager starts or leaves
-// mid-run; the tier alone ends the rest at Shutdown and bills them all
-// (NodeSeconds).
+// fault-protected, or a fleet's shared tier. It owns every slot: one
+// control thread runs the tier's policies over its one slot table — the
+// failure detector, the autoscaler, a fleet's control plane — and the tier
+// alone ends the stagers at Shutdown and bills them all (NodeSeconds).
 type Tier struct {
 	// Pool is a private tier's stager directory, which producers resolve
-	// through, Scaler the autoscaler, Monitor the failure detector, Plane a
-	// fleet's control plane. Each is nil in the shapes that have none.
-	Pool    *place.Directory
-	Scaler  *elastic.Scaler
-	Monitor *fault.Monitor
-	Plane   *control.Plane
+	// through, Plane a fleet's control plane. Each is nil in the shape that
+	// has none.
+	Pool  *place.Directory
+	Plane *control.Plane
 
 	pf     Platform
 	spec   Spec
@@ -58,14 +56,31 @@ type Tier struct {
 	wire   rt.Transport    // any-thread port: Retire messages, journal replay
 	stores []rt.BlockStore // every reserved slot's spool partition
 
+	// The control thread and its policies, in the order each wake runs
+	// them. The fields below them are the thread's own.
+	loop      *rt.Loop
+	policies  []*policy
+	respawns  []int         // replacements spawned per slot (fault plane only)
+	lastAct   time.Duration // the autoscaler's last grow or drain
+	lastSpill int64         // the pool's spill total at the last cooled step
+
 	// slots holds each slot's occupant. Producers read it on their routing
 	// path (level), so it is lock-free; mu guards the rest, is a leaf, and
 	// is never held across a call that can park — uncontended, and so
 	// deterministic, under the simulator's one-process-at-a-time engine.
-	slots   []atomic.Pointer[Instance]
-	mu      sync.Mutex
-	all     []*Instance // every instance ever spawned, in spawn order
-	tenants []*control.Tenant
+	slots    []atomic.Pointer[Instance]
+	mu       sync.Mutex
+	all      []*Instance // every instance ever spawned, in spawn order
+	tenants  []*control.Tenant
+	scaling  []elastic.Event // the autoscaler's timeline
+	failover []fault.Event   // the failure detector's timeline
+
+	// recovering marks each slot whose recovery sequence runs, from the
+	// sweep that evicts its occupant to the respawn or abandon; rlk guards
+	// it, and recovered is broadcast as a sequence ends (Kill waits on it).
+	rlk        rt.Lock
+	recovered  rt.Cond
+	recovering []bool
 
 	// ranks is a shared tier's tenant table, the tenant id of every
 	// producer rank a Join registered: copy-on-write under mu, so the
@@ -73,20 +88,42 @@ type Tier struct {
 	ranks atomic.Pointer[[]int]
 }
 
+// policy is one of the control thread's periodic steps. Its next step is
+// due one period after its last one ended.
+type policy struct {
+	period time.Duration
+	due    time.Duration // 0 until the thread's first wait
+	step   func(rt.Ctx)
+}
+
 // newTier sizes the tier and acquires every reserved slot's partition. It
-// starts no thread; nil means the spec has no tier.
+// starts no thread; nil means the spec has no tier. A shared tier's
+// membership belongs to its control plane, so it takes neither Fault nor
+// Elastic.
 func newTier(pf Platform, spec Spec) (*Tier, error) {
+	if spec.Tenants != nil {
+		switch {
+		case spec.Fault.Enabled:
+			return nil, fmt.Errorf("assembly: a shared tier takes no Fault: its control plane owns the membership")
+		case spec.Elastic.Enabled:
+			return nil, fmt.Errorf("assembly: a shared tier takes no Elastic: its control plane owns the membership")
+		}
+	}
 	n := spec.Slots()
 	if n == 0 {
 		return nil, nil
 	}
 	t := &Tier{pf: pf, spec: spec, base: spec.Consumers}
-	if spec.Tenants == nil && spec.Fault.Enabled {
-		t.fcfg = spec.Fault.WithDefaults()
-	}
-	if spec.Tenants == nil && spec.Elastic.Enabled {
+	if spec.Elastic.Enabled {
 		t.ecfg = spec.Elastic.WithDefaults(n)
 		n = t.ecfg.MaxStagers
+	}
+	if spec.Fault.Enabled {
+		t.fcfg = spec.Fault.WithDefaults()
+		t.respawns = make([]int, n)
+		t.recovering = make([]bool, n)
+		t.rlk = pf.Env(Control, 0).NewLock("tier.recovery")
+		t.recovered = t.rlk.NewCond("tier.recovered")
 	}
 	t.slots = make([]atomic.Pointer[Instance], n)
 	for slot := 0; slot < n; slot++ {
@@ -100,8 +137,10 @@ func newTier(pf Platform, spec Spec) (*Tier, error) {
 	return t, nil
 }
 
-// start spawns the starting stagers in slot order, then the scaler or the
-// control plane.
+// start spawns the starting stagers in slot order, then builds a fleet's
+// control plane. An elastic or a shared tier starts its control thread
+// here, before any producer exists; a tier whose only policy is the failure
+// detector starts it once they do (startControl).
 func (t *Tier) start(c rt.Ctx) {
 	n := len(t.slots)
 	if t.ecfg.Enabled {
@@ -116,34 +155,76 @@ func (t *Tier) start(c rt.Ctx) {
 		t.Pool = place.New(t.spec.Placement.New(), t.level)
 	}
 	addrs := make([]int, n)
-	initial := make([]*flow.StagerFlows, n)
 	for slot := range addrs {
 		addrs[slot] = t.base + slot
-		initial[slot] = t.spawn(c, slot).St.Flows()
+		t.spawn(c, slot)
 		if t.Pool != nil {
 			t.Pool.Add(addrs[slot])
 		}
 	}
-	switch {
-	case t.spec.Tenants != nil:
+	if t.spec.Tenants != nil {
 		t.Plane = control.NewPlane(*t.spec.Tenants, addrs, t.spec.StagerBufferBlocks, t)
-		t.Plane.Start(t.pf.Env(Control, 0))
-	case t.ecfg.Enabled:
-		t.Scaler = elastic.NewScaler(t.pf.Env(Control, 0), t.ecfg, t.Pool, t, t.base, initial)
-		if t.fcfg.Enabled {
-			t.Scaler.GrowOnly() // a member may already be dead: no mid-run drains
-		}
-		t.Scaler.Start()
+	}
+	if t.Plane != nil || t.ecfg.Enabled {
+		t.startControl()
 	}
 }
 
-// startMonitor starts the failure detector: it sweeps the lease table
-// every heartbeat, evicts lapsed members, and drives fence → replay →
-// respawn through the tier.
-func (t *Tier) startMonitor() {
+// startControl starts the tier's one control thread, unless it runs or the
+// tier has no policy. Each wake runs the due policies in a fixed order: the
+// failure detector's sweep and recoveries, the autoscaler's step, the
+// control plane's reconcile. Each keeps its own period as a deadline, so a
+// tier with one policy wakes exactly as a loop of that period would.
+func (t *Tier) startControl() {
+	if t.loop != nil {
+		return
+	}
 	if t.fcfg.Enabled {
-		t.Monitor = fault.NewMonitor(t.pf.Env(Control, 0), t.fcfg, t.Pool, t)
-		t.Monitor.Start()
+		t.policies = append(t.policies, &policy{period: t.fcfg.Heartbeat, step: t.detect})
+	}
+	if t.ecfg.Enabled {
+		t.policies = append(t.policies, &policy{period: t.ecfg.Interval, step: t.scale})
+	}
+	if t.Plane != nil {
+		t.policies = append(t.policies, &policy{period: control.Interval, step: t.Plane.Reconcile})
+	}
+	if len(t.policies) > 0 {
+		t.loop = rt.StartPacedLoop(t.pf.Env(Control, 0), "tier.control", t.pace, t.tick, t.final)
+	}
+}
+
+// pace is the wait until the earliest policy deadline. A policy that has
+// not run yet is due one period after the thread started.
+func (t *Tier) pace(c rt.Ctx) time.Duration {
+	now := c.Now()
+	wait := time.Duration(math.MaxInt64)
+	for _, p := range t.policies {
+		if p.due == 0 {
+			p.due = now + p.period
+		}
+		wait = min(wait, p.due-now)
+	}
+	return wait
+}
+
+// tick runs every policy that is due, in order.
+func (t *Tier) tick(c rt.Ctx) {
+	for _, p := range t.policies {
+		if c.Now() >= p.due {
+			p.step(c)
+			p.due = c.Now() + p.period
+		}
+	}
+}
+
+// final is the control thread's last pass, once Shutdown halts it: the
+// failure detector's forced sweep. It evicts exactly the members that
+// crashed, however young their lease — their journals must be replayed
+// while the consumers still count their Fins — and respawns none: the run
+// is ending.
+func (t *Tier) final(c rt.Ctx) {
+	if t.fcfg.Enabled {
+		t.recover(c, t.Pool.EvictIf(func(addr int) bool { return t.occupant(addr - t.base).St.Killed(c) }), false)
 	}
 }
 
@@ -254,89 +335,230 @@ func (t *Tier) NodeSeconds() float64 {
 	return sum.Seconds()
 }
 
-// Spawn implements elastic.Host.
-func (t *Tier) Spawn(c rt.Ctx, slot int) *flow.StagerFlows {
-	return t.spawn(c, slot).St.Flows()
+// detect is the failure detector's step: every member whose lease lapsed
+// is evicted and recovered.
+func (t *Tier) detect(c rt.Ctx) { t.recover(c, t.Pool.Sweep(c.Now()), true) }
+
+// recover runs the recovery sequence for each evicted address, in order,
+// on the control thread: the claims already in flight drain (the dead
+// receiver keeps absorbing them); the corpse is fenced — killed if the
+// eviction was a false positive, so a still-live flush can never race the
+// replay into duplicate deliveries — released by a Retire unless a drain
+// already sent it one, and joined; the recovery reader replays its journal
+// and orphan backlog straight to the consumers, where counted Fin
+// accounting absorbs the re-sent blocks; and a replacement is respawned
+// into the slot, re-admitted and marked recovered, until the slot's
+// respawns are spent (then it is abandoned: it stays empty). At shutdown
+// (respawn false) the sequence ends with the replay. The slot counts as
+// under recovery from the sweep to the sequence's end.
+func (t *Tier) recover(c rt.Ctx, addrs []int, respawn bool) {
+	if len(addrs) == 0 {
+		return
+	}
+	t.rlk.Lock(c)
+	for _, addr := range addrs {
+		t.recovering[addr-t.base] = true
+	}
+	t.rlk.Unlock(c)
+	for _, addr := range addrs {
+		slot := addr - t.base
+		in := t.occupant(slot)
+		t.logFailover(fault.Event{At: c.Now(), Kind: "evict", Addr: addr})
+		t.Pool.Quiesce(c, addr)
+		if !in.St.Killed(c) {
+			in.St.Kill(c)
+		}
+		t.mu.Lock()
+		retired := in.Drained
+		t.mu.Unlock()
+		if !retired && in.St.NeedsRetire(c) {
+			t.wire.Send(c, addr, rt.Message{Retire: true})
+		}
+		in.St.Wait(c)
+		t.mu.Lock()
+		in.Drained, in.Evicted = true, true
+		t.mu.Unlock()
+		t.logScaling(c, "crash", slot, 0)
+
+		replayed, _, lost := staging.Replay(c, in.journal, in.spill, t.wire)
+		t.mu.Lock()
+		in.Replayed += replayed
+		in.Lost += lost
+		t.mu.Unlock()
+		t.logFailover(fault.Event{At: c.Now(), Kind: "replay", Addr: addr, Replayed: replayed, Lost: lost})
+
+		if respawn {
+			kind := "abandon"
+			if t.respawns[slot] < fault.MaxRecoveries {
+				t.respawns[slot]++
+				next := t.spawn(c, slot)
+				t.mu.Lock()
+				next.Recovered = true
+				t.mu.Unlock()
+				t.Pool.Add(addr)
+				t.Pool.MarkRecovered(addr)
+				t.logScaling(c, "respawn", slot, 0)
+				kind = "respawn"
+			}
+			t.logFailover(fault.Event{At: c.Now(), Kind: kind, Addr: addr})
+		}
+		t.rlk.Lock(c)
+		t.recovering[slot] = false
+		t.recovered.Broadcast()
+		t.rlk.Unlock(c)
+	}
 }
 
-// Retire implements elastic.Host: the Retire control message, which the
-// caller's membership change and quiesce have made the last message the
-// slot's occupant receives.
-func (t *Tier) Retire(c rt.Ctx, slot int) {
-	in := t.occupant(slot)
+// scale is the autoscaler's step: once the cooldown since its last action
+// has run out, it observes the live members' gauges and grows or drains by
+// at most one member. lastSpill advances only on cooled steps, so spill
+// pressure that lands entirely inside a cooldown window accumulates into
+// the next real decision instead of being consumed unseen. A recovery that
+// the same wake started has ended before this step runs.
+func (t *Tier) scale(c rt.Ctx) {
+	now := c.Now()
+	if t.lastAct != 0 && now-t.lastAct < t.ecfg.Cooldown {
+		return
+	}
+	live := t.live()
+	members := make([]*flow.StagerFlows, len(live))
+	for i, in := range live {
+		members[i] = in.St.Flows()
+	}
+	sig := flow.AggregatePool(members)
+	spillDelta := sig.Spilled - t.lastSpill
+	t.lastSpill = sig.Spilled
+	switch t.ecfg.Decide(sig.Occupancy, spillDelta, len(live), true) {
+	case 1:
+		t.grow(c, now, sig.Occupancy)
+	case -1:
+		t.drain(c, live, sig.Occupancy)
+	}
+}
+
+// live returns the occupants in service — spawned, neither retired nor
+// evicted — in slot order.
+func (t *Tier) live() []*Instance {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var live []*Instance
+	for slot := range t.slots {
+		if in := t.slots[slot].Load(); in != nil && !in.Drained {
+			live = append(live, in)
+		}
+	}
+	return live
+}
+
+// grow spawns a stager on the lowest free slot and admits it to the pool.
+// A slot is free when it was never used, or when a drain retired its
+// occupant and the occupant has flushed; one whose occupant crashed is the
+// recovery sequence's until a replacement runs there. The endpoint is live
+// before the membership change, so the first batch resolved to it finds a
+// running receiver.
+func (t *Tier) grow(c rt.Ctx, now time.Duration, occ float64) {
+	for slot := range t.slots {
+		if in := t.occupant(slot); in != nil {
+			t.mu.Lock()
+			retired := in.Drained
+			t.mu.Unlock()
+			if !retired || in.St.Killed(c) || !in.St.Drained(c) {
+				continue
+			}
+		}
+		t.spawn(c, slot)
+		t.Pool.Add(t.base + slot)
+		t.lastAct = now
+		t.logScaling(c, "grow", slot, occ)
+		return
+	}
+}
+
+// drain retires the highest live member that has not crashed: out of the
+// membership first, a quiesce for in-flight claims, then the Retire
+// message — on every wire the last message the endpoint receives. The flush
+// runs on; grow reuses the slot once it is done. A member killed mid-drain
+// never releases its lease, so the detector recovers it like any crash.
+func (t *Tier) drain(c rt.Ctx, live []*Instance, occ float64) {
+	for i := len(live) - 1; i >= 0; i-- {
+		in := live[i]
+		if in.St.Killed(c) {
+			continue
+		}
+		t.Pool.Remove(t.base + in.Slot)
+		t.Pool.Quiesce(c, t.base+in.Slot)
+		t.retire(c, in)
+		t.lastAct = c.Now()
+		t.logScaling(c, "drain", in.Slot, occ)
+		return
+	}
+}
+
+// retire sends the occupant the Retire control message, which the caller's
+// membership change and quiesce have made the last message it receives.
+func (t *Tier) retire(c rt.Ctx, in *Instance) {
 	t.mu.Lock()
 	in.Drained = true
 	t.mu.Unlock()
-	t.wire.Send(c, t.base+slot, rt.Message{Retire: true})
+	t.wire.Send(c, t.base+in.Slot, rt.Message{Retire: true})
 }
 
-// Drained implements elastic.Host.
-func (t *Tier) Drained(c rt.Ctx, slot int) bool {
-	in := t.occupant(slot)
-	return in == nil || in.St.Drained(c)
-}
-
-// Dead implements fault.Host: the liveness oracle the shutdown sweep uses
-// to tell an undetected crash from a healthy member about to drain.
-func (t *Tier) Dead(c rt.Ctx, addr int) bool {
-	in := t.occupant(addr - t.base)
-	return in != nil && in.St.Killed(c)
-}
-
-// Evict implements fault.Host: fence the evicted occupant — kill it if the
-// eviction was a false positive, so a still-live flush can never race the
-// journal replay into duplicate deliveries — release its dead-mode
-// receiver with the Retire message, and join every thread. The membership
-// change and claim quiesce have already happened.
-func (t *Tier) Evict(c rt.Ctx, addr int) {
-	in := t.occupant(addr - t.base)
-	if in == nil {
+// logScaling records a change of an elastic pool on its timeline, with the
+// live pool size after it. Crashes and respawns are recoveries, not
+// occupancy decisions: they carry no occupancy.
+func (t *Tier) logScaling(c rt.Ctx, action string, slot int, occ float64) {
+	if !t.ecfg.Enabled {
 		return
 	}
-	if t.Scaler != nil {
-		t.Scaler.Crashed(in.Slot)
-	}
-	if !in.St.Killed(c) {
-		in.St.Kill(c)
-	}
-	if in.St.NeedsRetire(c) {
-		t.wire.Send(c, addr, rt.Message{Retire: true})
-	}
-	in.St.Wait(c)
+	size := len(t.live())
 	t.mu.Lock()
-	in.Drained, in.Evicted = true, true
+	t.scaling = append(t.scaling, elastic.Event{At: c.Now(), Action: action, Slot: slot, PoolSize: size, Occupancy: occ})
 	t.mu.Unlock()
 }
 
-// Recover implements fault.Host: the recovery reader replays the dead
-// occupant's journal and orphan backlog straight to the consumers, where
-// counted Fin accounting absorbs the re-sent blocks.
-func (t *Tier) Recover(c rt.Ctx, addr int) (replayed, lost int64) {
-	in := t.occupant(addr - t.base)
-	if in == nil || in.journal == nil {
-		return 0, 0
-	}
-	replayed, _, lost = staging.Replay(c, in.journal, in.spill, t.wire)
+func (t *Tier) logFailover(ev fault.Event) {
 	t.mu.Lock()
-	in.Replayed += replayed
-	in.Lost += lost
+	t.failover = append(t.failover, ev)
 	t.mu.Unlock()
-	return replayed, lost
 }
 
-// Respawn implements fault.Host: a replacement on the freed slot,
-// re-admitted to the membership. The monitor re-leases it and marks the
-// address recovered.
-func (t *Tier) Respawn(c rt.Ctx, addr int) bool {
-	in := t.spawn(c, addr-t.base)
+// Protected reports whether the fault plane is on.
+func (t *Tier) Protected() bool { return t != nil && t.fcfg.Enabled }
+
+// ScaleEvents returns an elastic tier's timeline in action order: the
+// autoscaler's grows and drains, and the recovery sequence's crashes and
+// respawns.
+func (t *Tier) ScaleEvents() []elastic.Event {
 	t.mu.Lock()
-	in.Recovered = true
-	t.mu.Unlock()
-	t.Pool.Add(addr)
-	if t.Scaler != nil {
-		t.Scaler.Respawned(in.Slot, in.St.Flows())
+	defer t.mu.Unlock()
+	return append([]elastic.Event(nil), t.scaling...)
+}
+
+// FailoverEvents returns the failure detector's eviction and recovery
+// timeline in step order.
+func (t *Tier) FailoverEvents() []fault.Event {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]fault.Event(nil), t.failover...)
+}
+
+// Evictions is the number of members the failure detector evicted.
+func (t *Tier) Evictions() (n int64) {
+	for _, ev := range t.FailoverEvents() {
+		if ev.Kind == "evict" {
+			n++
+		}
 	}
-	return true
+	return n
+}
+
+// ReplayedBlocks is the number of blocks the recoveries re-forwarded from
+// the dead members' journals and orphaned messages.
+func (t *Tier) ReplayedBlocks() (n int64) {
+	for _, ev := range t.FailoverEvents() {
+		n += ev.Replayed
+	}
+	return n
 }
 
 // TenantLevel implements control.Host. A fleet tier's occupants never
@@ -398,13 +620,20 @@ func (t *Tier) TenantTotals(tenant int) (in, spilled int64, resident int) {
 }
 
 // Kill hard-stops the slot's occupant — fault injection, for
-// Job.InjectStagerCrash and the simulator's kill injector. Its heartbeat
+// Job.InjectStagerCrash and the simulator's kill injectors. Its heartbeat
 // stops with it, so the lease lapses and the failure detector takes over.
-// It reports false when the fault plane is off, the slot is empty, or its
-// occupant is already dead or drained.
+// On a slot under recovery it first waits for the recovery to end, then
+// kills the replacement. It reports false when the fault plane is off, the
+// slot was never used or has been abandoned, or its occupant is already
+// dead or has flushed its drain.
 func (t *Tier) Kill(c rt.Ctx, slot int) bool {
-	if t == nil || !t.fcfg.Enabled {
+	if !t.Protected() || slot < 0 || slot >= len(t.slots) {
 		return false
+	}
+	t.rlk.Lock(c)
+	defer t.rlk.Unlock(c)
+	for t.recovering[slot] {
+		t.recovered.Wait(c)
 	}
 	in := t.occupant(slot)
 	if in == nil || in.St.Killed(c) || in.St.Drained(c) {
@@ -418,58 +647,41 @@ func (t *Tier) Kill(c rt.Ctx, slot int) bool {
 // stager's life ends at shutdown, whatever the tier's shape. Call it once
 // no relay traffic can appear (a private job's producers have finished; a
 // fleet's jobs have all released their tenants). The order matters: the
-// failure detector stops first — its final forced sweep recovers kills
-// whose lease never lapsed, the replays must land while the consumers are
-// still counting, and no respawn may interleave with what follows; then
-// the scaler or the control plane, so membership stops changing; then, in
-// slot order, every occupant not yet retired or evicted leaves every
-// directory that lists it, has its in-flight claims quiesced and gets the
-// provably-last Retire; then every instance is joined, its flush delivered
-// and its heartbeat exited. Every controller wakes on its Stop, so no step
-// waits for a tick. A nil tier has nothing to end.
+// control thread stops first — its final pass recovers kills whose lease
+// never lapsed, the replays must land while the consumers are still
+// counting, and no respawn, grow or drain may interleave with what
+// follows; then, in slot order, every occupant not yet retired or evicted
+// leaves every directory that lists it, has its in-flight claims quiesced
+// and gets the provably-last Retire; then every instance is joined, its
+// flush delivered and its heartbeat exited. The control thread wakes on the
+// stop, so no step waits for a tick. A nil tier has nothing to end.
 func (t *Tier) Shutdown(c rt.Ctx) {
 	if t == nil {
 		return
 	}
-	if t.Monitor != nil {
-		t.Monitor.Stop(c)
+	if t.loop != nil {
+		t.loop.Stop(c)
 	}
-	if t.Scaler != nil {
-		t.Scaler.Stop(c)
-	}
-	if t.Plane != nil {
-		t.Plane.Stop(c)
-	}
-	// The controllers have stopped, so the occupants are final.
+	// The control thread has stopped, so the occupants are final.
 	var dirs []*place.Directory // every directory that can list a stager
 	if t.Pool != nil {
 		dirs = append(dirs, t.Pool)
 	}
-	var live []int
 	t.mu.Lock()
 	for _, tenant := range t.tenants {
 		dirs = append(dirs, tenant.Directory())
 	}
-	for slot := range t.slots {
-		if in := t.occupant(slot); in != nil && !in.Drained {
-			live = append(live, slot)
-		}
-	}
 	t.mu.Unlock()
-	for _, slot := range live {
+	for _, in := range t.live() {
 		for _, dir := range dirs {
-			dir.Remove(t.base + slot)
-			dir.Quiesce(c, t.base+slot)
+			dir.Remove(t.base + in.Slot)
+			dir.Quiesce(c, t.base+in.Slot)
 		}
-		t.Retire(c, slot)
+		t.retire(c, in)
 	}
 	for _, in := range t.Instances() {
 		in.St.Wait(c)
 	}
 }
 
-var (
-	_ elastic.Host = (*Tier)(nil)
-	_ fault.Host   = (*Tier)(nil)
-	_ control.Host = (*Tier)(nil)
-)
+var _ control.Host = (*Tier)(nil)

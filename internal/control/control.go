@@ -6,7 +6,7 @@
 // job specs carrying per-tenant quotas — a guaranteed buffer-block
 // reservation and a priority class — and
 // rejects over-subscription with typed *ConfigErrors before a single block
-// moves. The reconcile loop (modeled on coreos-fleet's offer/reconcile
+// moves. The reconcile engine (modeled on coreos-fleet's offer/reconcile
 // engine: desired state in a registry, an engine that continuously diffs it
 // against the live fleet and repairs the delta) assigns each tenant a slice
 // of stager capacity through its own place.Directory and recomputes the
@@ -19,15 +19,15 @@
 // staging's tenant states); the plane only reads those gauges and pushes
 // quotas through the Host.
 //
-// Everything is clocked by rt.Ctx, so the same reconcile loop runs
+// Everything is clocked by rt.Ctx, so the same reconcile engine runs
 // deterministically inside the discrete-event simulator and live on the
-// real machine, and it stops on Stop's wake-up rather than on its next tick
-// (rt.Loop). The loop follows the elastic.Scaler concurrency template:
-// the plane's mutex guards registry state and is never held across a call
-// that can park the thread (Host.SetTenantQuota takes a stager's platform
-// lock); quota pushes are computed under the mutex and applied after it is
-// released. Directory membership edits and gauge reads are lock-order
-// leaves and stay inline.
+// real machine. The plane runs no thread of its own: the shared tier
+// (assembly.Tier) calls Reconcile every Interval on its one control thread,
+// and Admit and Finish reconcile on the caller's. The plane's mutex guards
+// registry state and is never held across a call that can park the thread
+// (Host.SetTenantQuota takes a stager's platform lock); quota pushes are
+// computed under the mutex and applied after it is released. Directory
+// membership edits and gauge reads are lock-order leaves and stay inline.
 package control
 
 import (
@@ -111,10 +111,10 @@ type Config struct {
 }
 
 const (
-	// interval is the reconcile period. Admission and finish also reconcile
-	// synchronously; the periodic loop exists for preemption and convergence
+	// Interval is the reconcile period. Admission and finish also reconcile
+	// synchronously; the periodic pass exists for preemption and convergence
 	// while the tenant set is static.
-	interval = 2 * time.Millisecond
+	Interval = 2 * time.Millisecond
 	// preemptOccupancy is the quota-fraction at which a tenant counts as
 	// pressured: when a tenant's worst per-stager tenant-occupancy reaches
 	// this fraction of its quota, the plane looks for a lower-priority
@@ -204,7 +204,6 @@ type Plane struct {
 	preempted    []int // per-tenant victim counts, indexed by id
 	events       []Event
 	preemptions  int
-	loop         *rt.Loop // nil until Start
 }
 
 // NewPlane builds a plane over the fleet's live stager addresses, each with
@@ -283,32 +282,13 @@ func (p *Plane) Finish(c rt.Ctx, t *Tenant) {
 	p.apply(c, pushes)
 }
 
-// Start launches the periodic reconcile loop as a runtime thread.
-func (p *Plane) Start(env rt.Env) {
-	loop := rt.StartLoop(env, "control.reconcile", interval, p.reconcile, nil)
-	p.mu.Lock()
-	p.loop = loop
-	p.mu.Unlock()
-}
-
-// reconcile is the loop's periodic pass.
-func (p *Plane) reconcile(c rt.Ctx) {
+// Reconcile is the periodic pass, run every Interval on the tier's control
+// thread.
+func (p *Plane) Reconcile(c rt.Ctx) {
 	p.mu.Lock()
 	pushes := p.reconcileLocked(c.Now())
 	p.mu.Unlock()
 	p.apply(c, pushes)
-}
-
-// Stop wakes the periodic loop and returns once it has exited: a reconcile
-// in progress completes, no other starts. A plane never started has nothing
-// to stop.
-func (p *Plane) Stop(c rt.Ctx) {
-	p.mu.Lock()
-	loop := p.loop
-	p.mu.Unlock()
-	if loop != nil {
-		loop.Stop(c)
-	}
 }
 
 // quotaPush is one deferred Host.SetTenantQuota call, applied after the

@@ -206,7 +206,7 @@ func TestPreemptionAndDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reconcile := func() { p.reconcile(ctx) } // forces a synchronous pass
+	reconcile := func() { p.Reconcile(ctx) } // forces a synchronous pass
 
 	// Script the gauges: the high-priority tenant is pressed against its
 	// quota on its first stager while the low-priority tenant spills.
@@ -265,18 +265,4 @@ func TestPreemptionAndDecay(t *testing.T) {
 	if lo.weight() != 1 {
 		t.Fatalf("victim weight %v after decay, want 1", lo.weight())
 	}
-}
-
-func TestPlaneStartStop(t *testing.T) {
-	env := realenv.New()
-	ctx := env.Ctx()
-	p := NewPlane(Config{}, []int{10}, 8, newFakeHost())
-	p.Start(env)
-	if _, err := p.Admit(ctx, JobSpec{Name: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	p.Stop(ctx)
-	// Stop on a never-started plane returns immediately.
-	q := NewPlane(Config{}, []int{10}, 8, newFakeHost())
-	q.Stop(ctx)
 }

@@ -7,7 +7,7 @@ import (
 
 // The liveness layer: directory membership stops being an immortality
 // assumption and becomes a lease. A managed endpoint holds a lease renewed
-// by heartbeats; the failure detector (fault.Monitor) periodically Sweeps
+// by heartbeats; the failure detector (assembly.Tier) periodically Sweeps
 // the lease table and evicts members whose lease lapsed — Remove from the
 // membership (a new epoch, so every subsequent Claim re-resolves through
 // the policy), mark the address Evicted, and hand it to the recovery path.

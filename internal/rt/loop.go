@@ -20,11 +20,18 @@ type Loop struct {
 // the first one period after the start; final, when non-nil, runs once on
 // the loop's thread after Halt and before Join returns.
 func StartLoop(env Env, name string, period time.Duration, tick, final func(Ctx)) *Loop {
+	return StartPacedLoop(env, name, func(Ctx) time.Duration { return period }, tick, final)
+}
+
+// StartPacedLoop is StartLoop for a loop that sets its own pace: before
+// every wait, the first one included, the loop thread asks pace how long to
+// wait for the next tick.
+func StartPacedLoop(env Env, name string, pace func(Ctx) time.Duration, tick, final func(Ctx)) *Loop {
 	l := &Loop{lk: env.NewLock(name)}
 	l.wake = l.lk.NewCond(name + ".wake")
 	l.exited = l.lk.NewCond(name + ".exited")
 	env.Go(name, func(c Ctx) {
-		for l.sleep(c, period) {
+		for l.sleep(c, pace(c)) {
 			tick(c)
 		}
 		if final != nil {

@@ -150,8 +150,8 @@ type Spec struct {
 	// StagerBufferBlocks is each stager's in-memory buffer capacity.
 	StagerBufferBlocks int
 	// Elastic enables and tunes the staging-tier autoscaler (RunZipper
-	// only): the pool starts at Elastic.MinStagers and the scaler grows and
-	// drains stager ranks at runtime within the Stagers ceiling.
+	// only): the pool starts at Elastic.MinStagers and the autoscaler grows
+	// and drains stager ranks at runtime within the Stagers ceiling.
 	Elastic elastic.Config
 	// Placement selects the placement-plane policy (RunZipper only): how
 	// producers resolve their consumer and stager endpoints per drained
@@ -162,7 +162,7 @@ type Spec struct {
 	Placement place.Kind
 	// Fault enables and tunes the survivable data plane (RunZipper only):
 	// leases renewed by heartbeats on every stager, write-ahead journaling
-	// of admitted traffic, and the eviction/replay/respawn monitor.
+	// of admitted traffic, and the eviction/replay/respawn detector.
 	Fault fault.Config
 	// FaultKillEpoch, when > 0, arms the deterministic kill injector: the
 	// first time the stager pool's membership epoch reaches it, the lowest
@@ -601,7 +601,7 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 	harness := pf.env(assembly.Control, 0).NewLock("harness")
 	prodsDoneCond := harness.NewCond("harness.prodsDone")
 	prodsDone := false
-	if spec.FaultKillEpoch > 0 && tier != nil && tier.Monitor != nil {
+	if spec.FaultKillEpoch > 0 && tier.Protected() {
 		// The deterministic kill injector: the first time the pool's
 		// membership epoch reaches FaultKillEpoch, hard-kill the lowest live
 		// member's stager. Clocked on virtual time, so the same spec crashes
@@ -707,14 +707,10 @@ func RunAssembly(spec Spec, a assembly.Spec) Result {
 		Rec:               r.rec,
 	}
 	if tier != nil {
-		if m := tier.Monitor; m != nil {
-			res.Evictions = m.Evictions()
-			res.ReplayedBlocks = m.ReplayedBlocks()
-			res.FailoverEvents = m.Events()
-		}
-		if tier.Scaler != nil {
-			res.ScaleEvents = tier.Scaler.Events()
-		}
+		res.Evictions = tier.Evictions()
+		res.ReplayedBlocks = tier.ReplayedBlocks()
+		res.FailoverEvents = tier.FailoverEvents()
+		res.ScaleEvents = tier.ScaleEvents()
 	}
 	for _, in := range tier.Instances() {
 		st := in.St.Stats(nil)

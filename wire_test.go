@@ -114,14 +114,13 @@ func TestJobTCPPlacedTier(t *testing.T) {
 				go func(p *Producer) {
 					injected := false
 					for s := 0; s < blocks; s++ {
-						if tr.fault && i == 0 && s >= blocks/2 && !injected {
+						if tr.fault && i == 0 && s == blocks/2 {
 							// Mid-stream, so the job is running: Wait's
 							// shutdown starts only once every producer
 							// has closed. The 2 ms heartbeat makes false
-							// positives, and a Kill that lands while the
-							// detector evicts one finds no live occupant:
-							// retry at each following step until one
-							// lands.
+							// positives; a Kill that lands while the
+							// detector recovers one waits for the
+							// respawn and kills the replacement.
 							injected = job.InjectStagerCrash(0)
 						}
 						data := NewPayload(blockBytes)
@@ -131,14 +130,6 @@ func TestJobTCPPlacedTier(t *testing.T) {
 						p.Write(s, 0, data)
 					}
 					if tr.fault && i == 0 {
-						// The eviction's replay can outlast the rest of
-						// the stream (up to 150 ms under -race on two
-						// vCPUs): hold the Close until the respawn that
-						// follows it takes the crash.
-						for start := time.Now(); !injected && time.Since(start) < 10*time.Second; {
-							runtime.Gosched()
-							injected = job.InjectStagerCrash(0)
-						}
 						crashed <- injected
 					}
 					p.Close()

@@ -736,8 +736,10 @@ func newJob(pf *platform, ep *assembly.Endpoints) *Job {
 // the receiver degrades to a message-absorbing dead mode so producers never
 // block on the corpse, and the heartbeat stops, so the lease lapses and the
 // failure detector evicts, replays, and (attempts permitting) respawns the
-// slot. It reports false when the fault plane is off, the slot is empty,
-// or its occupant is already dead or drained. Inject only while the job is
+// slot. On a slot the detector is recovering it waits for the recovery to
+// end and kills the replacement. It reports false when the fault plane is
+// off, the slot was never used or has been abandoned, or its occupant is
+// already dead or has flushed its drain. Inject only while the job is
 // running — a kill landing after Wait's final detector sweep is never
 // recovered.
 func (j *Job) InjectStagerCrash(slot int) bool {
@@ -754,7 +756,7 @@ func (j *Job) Consumer(i int) *Consumer { return j.cons[i] }
 // all data delivered (including through the staging tier), and (in Preserve
 // mode) stored. Once the producers are done it shuts the job's own staging
 // tier down — every relayed block is flushed to its consumer before the
-// consumers' streams can complete — and the tier's controllers (failure
+// consumers' streams can complete — and the tier's control thread (failure
 // detector, autoscaler) and every stager heartbeat stop on that event, not
 // on their next tick, so Wait returns as soon as the last block is analysed
 // and no runtime goroutine of the job outlives it. Wait returns whether or
@@ -959,7 +961,7 @@ func (j *Job) Stats() JobStats {
 		for _, in := range t.Instances() {
 			s := in.St.Stats(ctx)
 			ps := stagerStats(s, in.Drained)
-			if t.Monitor != nil {
+			if t.Protected() {
 				ps.Evicted = in.Evicted
 				ps.ReplayedBlocks = in.Replayed
 				ps.LostBlocks = in.Lost
@@ -980,14 +982,10 @@ func (j *Job) Stats() JobStats {
 		}
 		js.RelayImbalance = t.RelayImbalance()
 		js.StagerNodeSeconds = t.NodeSeconds()
-		if t.Scaler != nil {
-			js.ScaleEvents = t.Scaler.Events()
-		}
-		if t.Monitor != nil {
-			js.Evictions = t.Monitor.Evictions()
-			js.ReplayedBlocks = t.Monitor.ReplayedBlocks()
-			js.FailoverEvents = t.Monitor.Events()
-		}
+		js.ScaleEvents = t.ScaleEvents()
+		js.Evictions = t.Evictions()
+		js.ReplayedBlocks = t.ReplayedBlocks()
+		js.FailoverEvents = t.FailoverEvents()
 	}
 	for _, c := range j.cons {
 		s := c.Stats()
